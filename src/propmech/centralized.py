@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import nnls
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 ORACLE_POINT_CAP = int(1e8)
-_FAM = {"log_shift": 0, "power": 1, "quad_cap": 2}
 
 
 class NoConvergence(RuntimeError):
@@ -87,97 +87,97 @@ class CentralizedSolution:
 
 def objective(instance: Instance, x: np.ndarray) -> float:
     x = instance.check_x_shape(x)
-    return math.fsum(v.value_s(float(x[i]))
-                     for i, v in enumerate(instance.valuations))
+    return math.fsum(instance.valuation_table.value(x))
 
 
 # ---------------------------------------------------------------------------
-# fast aggregated valuation arithmetic over reduced coordinates
+# valuation sums over reduced coordinates
 
 
 class _GroupCalc:
-    """Vectorized sum-of-member valuation derivatives per reduced coordinate."""
+    """Summed member valuations per reduced coordinate, through the
+    instance's valuation table."""
 
     def __init__(self, red: ReducedInstance):
-        inst = red.instance
         self.red = red
+        self.table = red.instance.valuation_table
         self.gidx = red.group_of_agent
-        self.fam = np.array([_FAM[v.family] for v in inst.valuations])
-        self.a = np.array([v.a for v in inst.valuations])
-        self.b = np.array([v.b for v in inst.valuations])
         self.K = red.K
 
     def _acc(self, contrib: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.K)
-        np.add.at(out, self.gidx, contrib)
-        return out
+        return np.bincount(self.gidx, weights=contrib, minlength=self.K)
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        zz = z[self.gidx]
-        c = np.empty_like(zz)
-        m = self.fam == 0
-        c[m] = self.a[m] * np.log1p(self.b[m] * zz[m])
-        m = self.fam == 1
-        c[m] = self.a[m] * zz[m] ** self.b[m]
-        m = self.fam == 2
-        c[m] = self.a[m] * (self.b[m] * zz[m] - zz[m] ** 2 / 2.0)
-        return self._acc(c)
+        return self._acc(self.table.value(z[self.gidx]))
 
     def deriv(self, z: np.ndarray) -> np.ndarray:
-        zz = z[self.gidx]
-        c = np.empty_like(zz)
-        m = self.fam == 0
-        c[m] = self.a[m] * self.b[m] / (1.0 + self.b[m] * zz[m])
-        m = self.fam == 1
-        with np.errstate(divide="ignore"):
-            c[m] = self.a[m] * self.b[m] * zz[m] ** (self.b[m] - 1.0)
-        m = self.fam == 2
-        c[m] = self.a[m] * (self.b[m] - zz[m])
-        return self._acc(c)
+        return self._acc(self.table.deriv(z[self.gidx]))
 
     def deriv2(self, z: np.ndarray) -> np.ndarray:
-        zz = z[self.gidx]
-        c = np.empty_like(zz)
-        m = self.fam == 0
-        q = 1.0 + self.b[m] * zz[m]
-        c[m] = -self.a[m] * self.b[m] ** 2 / (q * q)
-        m = self.fam == 1
-        with np.errstate(divide="ignore"):
-            c[m] = self.a[m] * self.b[m] * (self.b[m] - 1.0) \
-                * zz[m] ** (self.b[m] - 2.0)
-        m = self.fam == 2
-        c[m] = -self.a[m]
-        return self._acc(c)
+        return self._acc(self.table.deriv2(z[self.gidx]))
+
+    @cached_property
+    def _split(self):
+        """Singleton coordinates with their table, and the multi-member
+        groups with their members' table and local group index."""
+        single = self.red.group_sizes == 1
+        ones = np.flatnonzero(single)
+        multi = np.flatnonzero(~single)
+        members = np.flatnonzero(~single[self.gidx])
+        return (ones, self.table.take(self.red.representatives[ones]),
+                multi, self.table.take(members),
+                np.searchsorted(multi, self.gidx[members]))
 
     def argmax_inner(self, q: np.ndarray, D: float,
                      z0: "np.ndarray | None" = None) -> np.ndarray:
-        """Per-coordinate solve of V_k'(z) = q_k on [0, D], safeguarded."""
-        K = self.K
-        lo = np.zeros(K)
-        hi = np.full(K, float(D))
-        f_hi = self.deriv(hi) - q
-        at_top = f_hi >= 0
-        eps = 1e-300
-        f_lo = self.deriv(np.full(K, eps)) - q
-        at_bot = f_lo <= 0
-        z = np.clip(z0 if z0 is not None else np.full(K, D / 2),
-                    1e-12, D - 1e-12)
+        """Per-coordinate maximizer of V_k(z) - q_k z over [0, D].
+
+        A singleton coordinate takes its family's closed-form inverse
+        slope. The summed slope of a multi-member equality group has no
+        closed inverse; those coordinates run a safeguarded Newton solve of
+        V_k'(z) = q_k.
+        """
+        ones, t_one, multi, t_mem, loc = self._split
+        z = np.empty(self.K)
+        z[ones] = t_one.inv_deriv(q[ones], D)
+        if not multi.size:
+            return z
+        G = multi.size
+
+        def deriv(zg):
+            return np.bincount(loc, weights=t_mem.deriv(zg[loc]),
+                               minlength=G)
+
+        def deriv2(zg):
+            return np.bincount(loc, weights=t_mem.deriv2(zg[loc]),
+                               minlength=G)
+
+        qg = q[multi]
+        lo = np.zeros(G)
+        hi = np.full(G, float(D))
+        at_top = deriv(hi) - qg >= 0
+        at_bot = deriv(np.full(G, 1e-300)) - qg <= 0
+        pinned = at_top | at_bot  # overwritten below, need not converge
+        zg = np.clip(z0[multi] if z0 is not None else np.full(G, D / 2),
+                     1e-12, D - 1e-12)
         for _ in range(80):
-            f = self.deriv(z) - q
+            f = deriv(zg) - qg
             pos = f > 0
-            lo = np.where(pos, z, lo)
-            hi = np.where(pos, hi, z)
-            d2 = self.deriv2(z)
+            lo = np.where(pos, zg, lo)
+            hi = np.where(pos, hi, zg)
             with np.errstate(divide="ignore", invalid="ignore"):
-                newton = z - f / d2
-            inside = (newton > lo) & (newton < hi) & np.isfinite(newton)
+                newton = zg - f / deriv2(zg)
+            # closed bracket: a step that lands on the root it already
+            # holds (f = 0) stays put instead of restarting bisection
+            inside = (newton >= lo) & (newton <= hi) & np.isfinite(newton)
             z_new = np.where(inside, newton, 0.5 * (lo + hi))
-            if np.all(np.abs(z_new - z) <= 1e-16 * (1.0 + np.abs(z))):
-                z = z_new
+            if np.all(pinned | (np.abs(z_new - zg)
+                                <= 4e-16 * (1.0 + np.abs(zg)))):
+                zg = z_new
                 break
-            z = z_new
-        z = np.where(at_bot, 0.0, z)
-        z = np.where(at_top, float(D), z)
+            zg = z_new
+        zg = np.where(at_bot, 0.0, zg)
+        z[multi] = np.where(at_top, float(D), zg)
         return z
 
 
@@ -324,8 +324,7 @@ def _complete_multipliers(instance: Instance, x: np.ndarray,
     vac = np.flatnonzero(~red.nonvacuous)
     if not vac.size:
         return lam
-    g = np.array([v.deriv_s(float(x[i]))
-                  for i, v in enumerate(instance.valuations)])
+    g = instance.valuation_table.deriv(x)
     if lam_nonvac.size:
         g = g - instance.A[red.nonvacuous].T @ lam_nonvac
     B = instance.A[vac].T  # (N, nvac)
@@ -478,7 +477,7 @@ def brute_force_oracle(instance: Instance, step: float = 1e-3
     if total > ORACLE_POINT_CAP:
         raise TooLarge(f"{total} grid points exceed {ORACLE_POINT_CAP}")
 
-    calc = _GroupCalc(red)
+    table = instance.valuation_table
     tolv = 1e-12 * (1.0 + np.abs(caps)) if caps.size else None
     best_val = -math.inf
     best_pt = np.zeros(K)
@@ -503,9 +502,7 @@ def brute_force_oracle(instance: Instance, step: float = 1e-3
             Zf = Z[:, feas]
         else:
             Zf = Z
-        vals = np.zeros(Zf.shape[1])
-        for i, v in enumerate(red.instance.valuations):
-            vals += v.value(Zf[red.group_of_agent[i]])
+        vals = table.value(Zf[red.group_of_agent]).sum(axis=0)
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val = float(vals[j])

@@ -12,15 +12,16 @@ import sys
 
 import numpy as np
 
-from .allocation import allocate
+from .allocation import DemandOutOfBox, allocate
 from .centralized import (NoConvergence, TooLarge, brute_force_oracle,
                           objective, solve)
 from .game import (construct_candidate_ne, make_profile, run_dynamics,
                    verify_epsilon_ne)
-from .harness import (ExperimentConfig, Scenario, UnknownSuite, generate,
-                      property_suite, run_experiment, write_trace_csv)
-from .model import (DomainError, Variant, instance_digest, instance_to_dict,
-                    load_instance, validate)
+from .harness import (ExperimentConfig, GenerationFailed, Scenario,
+                      UnknownSuite, generate, property_suite, run_experiment,
+                      write_trace_csv)
+from .model import (DomainError, InvalidParameter, Variant, instance_digest,
+                    instance_to_dict, load_instance, validate)
 
 __all__ = ["main"]
 
@@ -230,7 +231,8 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, TooLarge) as exc:
+    except (DomainError, TooLarge, GenerationFailed, DemandOutOfBox,
+            InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import allocate, allocate_many
-from .centralized import (CentralizedSolution, brute_force_oracle, objective,
-                          solve)
+from .centralized import (CentralizedSolution, _GroupCalc, brute_force_oracle,
+                          objective, solve)
 from .game import (MessageProfile, RunTrace, construct_candidate_ne,
                    run_dynamics, verify_epsilon_ne)
-from .model import (Constraint, Instance, Valuation, Variant, instance_digest,
-                    validate)
+from .model import (Constraint, DomainError, Instance, Valuation,
+                    ValuationTable, Variant, instance_digest, validate)
 from .taxation import sbb_ne_tax, sbb_offeq_tax, total_tax
 
 __all__ = [
@@ -211,31 +211,38 @@ def generate_with_info(scenario: Scenario, seed: int
 
     Resamples (bounded, counted) until validation passes and the solved
     optimum sits strictly inside the message box with a working margin, so
-    candidate equilibria exist for the generated instance.
+    candidate equilibria exist for the generated instance. The info dict
+    gives the digest, the resample count and the count per reason:
+    ``invalid`` (validation failed), ``solver_error`` (the solver raised one
+    of its expected numerical failures), ``nonconverged`` and
+    ``non_interior`` (optimum outside the working margin).
     """
+    reasons = dict.fromkeys(
+        ("invalid", "solver_error", "nonconverged", "non_interior"), 0)
     for attempt in range(_MAX_RESAMPLES):
-        rng = _rng_for(scenario, seed, attempt)
-        try:
-            inst = _build(scenario, rng)
-        except GenerationFailed:
-            raise
-        report = validate(inst)
-        if not report.passed:
+        inst = _build(scenario, _rng_for(scenario, seed, attempt))
+        if not validate(inst).passed:
+            reasons["invalid"] += 1
             continue
         try:
             sol = solve(inst, tol=1e-8, max_iter=5000, strict=False)
-        except Exception:
+        except (np.linalg.LinAlgError, DomainError, RuntimeError):
+            # RuntimeError: scipy's nnls iteration limit
+            reasons["solver_error"] += 1
             continue
         if not sol.converged:
+            reasons["nonconverged"] += 1
             continue
         margin = 1e-3
         if np.all(sol.x_star > inst.d + margin) \
                 and np.all(sol.x_star < inst.D - 1.0):
             return inst, {"resamples": attempt,
-                          "digest": instance_digest(inst)}
+                          "digest": instance_digest(inst),
+                          "reasons": reasons}
+        reasons["non_interior"] += 1
     raise GenerationFailed(
         f"no conforming instance for {scenario.kind} seed {seed} within "
-        f"{_MAX_RESAMPLES} attempts")
+        f"{_MAX_RESAMPLES} attempts (resample reasons: {reasons})")
 
 
 def generate(scenario: Scenario, seed: int) -> Instance:
@@ -590,12 +597,17 @@ def _suite_rebate_independence(samples: int, seed: int) -> SuiteReport:
 
 
 def _suite_valuation_derivatives(samples: int, seed: int) -> SuiteReport:
+    """Finite-difference checks of v' and v'', strict concavity, and the
+    round trip v'((v')^{-1}(q)) = q through the valuation table for slopes
+    q strictly between v'(D) and v'(0)."""
     rng = np.random.default_rng([seed, 505])
     worst = 0.0
     total = 0
     fams = ("log_shift", "power", "quad_cap")
+    vals = []
     for _ in range(samples):
         v = _sample_valuation(rng, fams)
+        vals.append(v)
         x = float(rng.uniform(0.05, 10.0))
         h = 1e-6 * (1.0 + x)
         fd = (v.value_s(x + h) - v.value_s(x - h)) / (2.0 * h)
@@ -607,9 +619,21 @@ def _suite_valuation_derivatives(samples: int, seed: int) -> SuiteReport:
         if v.deriv2_s(x) >= 0:
             worst = max(worst, 1.0)
         total += 1
+    D = 100.0
+    # slopes at points spread log-uniformly over (1e-6 D, D) lie strictly
+    # inside (v'(D), v'(0)) because v' is strictly decreasing
+    pts = D * 10.0 ** rng.uniform(-6.0, 0.0, len(vals))
+    q = np.array([v.deriv_s(float(p)) for v, p in zip(vals, pts)])
+    z = ValuationTable.of(vals).inv_deriv(q, D)
+    back = np.array([v.deriv_s(float(t)) for v, t in zip(vals, z)])
+    worst_inv = float(np.max(np.abs(back - q) / (1.0 + np.abs(q)),
+                             initial=0.0))
     return SuiteReport(name="valuation_derivatives", samples=total,
-                       passed=worst <= 1e-6, max_violation=worst,
-                       details={"tolerance": 1e-6})
+                       passed=worst <= 1e-6 and worst_inv <= 1e-12,
+                       max_violation=worst,
+                       details={"tolerance": 1e-6,
+                                "max_inverse_violation": worst_inv,
+                                "inverse_tolerance": 1e-12})
 
 
 def _oracle_cases() -> "list[tuple[Instance, float]]":
@@ -631,10 +655,8 @@ def _suite_oracle_equivalence(samples: int, seed: int) -> SuiteReport:
         sol = solve(inst, strict=False)
         orc = brute_force_oracle(inst, step=step)
         red = inst.reduced
-        from .centralized import _GroupCalc
-        calc = _GroupCalc(red)
         z = np.maximum(red.restrict(sol.x_star) - step, 1e-9)
-        lip = float(np.abs(calc.deriv(z)).sum())
+        lip = float(np.abs(_GroupCalc(red).deriv(z)).sum())
         gap = abs(objective(inst, sol.x_star) - orc.value)
         tol = max(lip, 1e-6) * step
         worst = max(worst, gap / tol if tol else 0.0)

@@ -16,17 +16,20 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "DomainError",
     "DimensionMismatch",
+    "InvalidParameter",
     "NoInteriorPoint",
     "NegativeReducedCoefficient",
     "Variant",
+    "FAMILIES",
     "Valuation",
+    "ValuationTable",
     "Constraint",
     "Instance",
     "IndexSets",
@@ -53,6 +56,10 @@ class DomainError(ValueError):
 
 class DimensionMismatch(ValueError):
     """Vector length does not match the instance."""
+
+
+class InvalidParameter(ValueError):
+    """Non-finite or out-of-range number in a valuation or an instance."""
 
 
 class NoInteriorPoint(RuntimeError):
@@ -86,6 +93,61 @@ class Variant(Enum):
 # valuations
 
 
+class _Family(NamedTuple):
+    """Elementwise v, v', v'' and the unclipped inverse of v' for one
+    family, in numpy form: parameters and points broadcast together."""
+
+    value: Callable
+    deriv: Callable
+    deriv2: Callable
+    inv_deriv: Callable
+
+
+def _log_inv(a, b, q):
+    with np.errstate(divide="ignore"):
+        z = np.where(q > 0, a / q - 1.0 / b, np.inf)
+    return np.where(q >= a * b, 0.0, z)
+
+
+def _power_deriv(a, b, x):
+    with np.errstate(divide="ignore"):
+        return a * b * x ** (b - 1.0)
+
+
+def _power_deriv2(a, b, x):
+    with np.errstate(divide="ignore"):
+        return a * b * (b - 1.0) * x ** (b - 2.0)
+
+
+def _power_inv(a, b, q):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (q / (a * b)) ** (1.0 / (b - 1.0))
+    return np.where(q > 0, z, np.inf)
+
+
+# The one home of valuation arithmetic in array form. inv_deriv returns the
+# point where v' equals q: +inf when no point of [0, inf) has a slope that
+# low (q <= 0 for the families with v' > 0), and exactly 0 when q is at or
+# above v'(0).
+FAMILIES: dict[str, _Family] = {
+    "log_shift": _Family(
+        value=lambda a, b, x: a * np.log1p(b * x),
+        deriv=lambda a, b, x: a * b / (1.0 + b * x),
+        deriv2=lambda a, b, x: -a * b ** 2 / (1.0 + b * x) ** 2,
+        inv_deriv=_log_inv),
+    "power": _Family(
+        value=lambda a, b, x: a * x ** b,
+        deriv=_power_deriv,
+        deriv2=_power_deriv2,
+        inv_deriv=_power_inv),
+    "quad_cap": _Family(
+        value=lambda a, b, x: a * (b * x - x ** 2 / 2.0),
+        deriv=lambda a, b, x: a * (b - x),
+        deriv2=lambda a, b, x: np.zeros_like(x) - a,
+        inv_deriv=lambda a, b, q: np.where(q >= a * b, 0.0, b - q / a)),
+}
+
+
 @dataclass(frozen=True)
 class Valuation:
     """One agent's valuation v(x) on x >= 0.
@@ -102,48 +164,30 @@ class Valuation:
     b: float
 
     def __post_init__(self):
-        if self.family not in ("log_shift", "power", "quad_cap"):
-            raise ValueError(f"unknown valuation family {self.family!r}")
+        if self.family not in FAMILIES:
+            raise InvalidParameter(f"unknown valuation family {self.family!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise InvalidParameter("valuation parameters must be finite")
         if not (self.a > 0 and self.b > 0):
-            raise ValueError("valuation parameters must be positive")
+            raise InvalidParameter("valuation parameters must be positive")
         if self.family == "power" and not self.b < 1:
-            raise ValueError("power exponent must lie in (0, 1)")
+            raise InvalidParameter("power exponent must lie in (0, 1)")
 
-    def _check(self, x):
-        if np.any(np.asarray(x) < 0):
-            raise DomainError(f"valuation evaluated at negative x")
+    def _eval(self, fn: str, x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0):
+            raise DomainError("valuation evaluated at negative x")
+        return getattr(FAMILIES[self.family], fn)(self.a, self.b, x)
 
     def value(self, x):
-        self._check(x)
-        if self.family == "log_shift":
-            return self.a * np.log1p(self.b * np.asarray(x, dtype=float))
-        if self.family == "power":
-            return self.a * np.asarray(x, dtype=float) ** self.b
-        return self.a * (self.b * np.asarray(x, dtype=float)
-                         - np.asarray(x, dtype=float) ** 2 / 2.0)
+        return self._eval("value", x)
 
     def deriv(self, x):
-        self._check(x)
-        x = np.asarray(x, dtype=float)
-        if self.family == "log_shift":
-            out = self.a * self.b / (1.0 + self.b * x)
-        elif self.family == "power":
-            with np.errstate(divide="ignore"):
-                out = self.a * self.b * x ** (self.b - 1.0)
-        else:
-            out = self.a * (self.b - x)
+        out = self._eval("deriv", x)
         return out if out.shape else float(out)
 
     def deriv2(self, x):
-        self._check(x)
-        x = np.asarray(x, dtype=float)
-        if self.family == "log_shift":
-            out = -self.a * self.b ** 2 / (1.0 + self.b * x) ** 2
-        elif self.family == "power":
-            with np.errstate(divide="ignore"):
-                out = self.a * self.b * (self.b - 1.0) * x ** (self.b - 2.0)
-        else:
-            out = np.full_like(x, -self.a)
+        out = self._eval("deriv2", x)
         return out if out.shape else float(out)
 
     # scalar fast paths for hot loops (no array round-trip)
@@ -190,6 +234,64 @@ class Valuation:
         return cls(family=fam, a=float(d["a"]), b=float(b))
 
 
+@dataclass(frozen=True, eq=False)
+class ValuationTable:
+    """Many agents' valuations as parameter arrays, split by family once.
+
+    Every method maps a float array whose first axis runs over the table's
+    agents to the elementwise result; trailing axes broadcast.
+    """
+
+    code: np.ndarray  # per agent, position of its family in FAMILIES
+    a: np.ndarray
+    b: np.ndarray
+
+    @classmethod
+    def of(cls, valuations: Sequence[Valuation]) -> "ValuationTable":
+        names = list(FAMILIES)
+        return cls(code=np.array([names.index(v.family) for v in valuations],
+                                 dtype=int),
+                   a=np.array([v.a for v in valuations], dtype=float),
+                   b=np.array([v.b for v in valuations], dtype=float))
+
+    def take(self, agents: np.ndarray) -> "ValuationTable":
+        """The sub-table of the given agents, in that order."""
+        return ValuationTable(code=self.code[agents], a=self.a[agents],
+                              b=self.b[agents])
+
+    @cached_property
+    def _parts(self) -> tuple:
+        """(family, agent indices, their a, their b) per family present."""
+        parts = []
+        for c, fam in enumerate(FAMILIES.values()):
+            idx = np.flatnonzero(self.code == c)
+            if idx.size:
+                parts.append((fam, idx, self.a[idx], self.b[idx]))
+        return tuple(parts)
+
+    def _map(self, fn: str, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        tail = (1,) * (x.ndim - 1)
+        for fam, idx, a, b in self._parts:
+            out[idx] = getattr(fam, fn)(a.reshape(-1, *tail),
+                                        b.reshape(-1, *tail), x[idx])
+        return out
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return self._map("value", x)
+
+    def deriv(self, x: np.ndarray) -> np.ndarray:
+        return self._map("deriv", x)
+
+    def deriv2(self, x: np.ndarray) -> np.ndarray:
+        return self._map("deriv2", x)
+
+    def inv_deriv(self, q: np.ndarray, D: float) -> np.ndarray:
+        """Per agent, the maximizer of v(z) - q z over [0, D]."""
+        return np.clip(self._map("inv_deriv", q), 0.0, D)
+
+
 # ---------------------------------------------------------------------------
 # constraints and instances
 
@@ -213,9 +315,14 @@ class Constraint:
                                  "agent instead")
             if i < 0:
                 raise ValueError("agent indices are zero-based and nonnegative")
+            if not math.isfinite(a):
+                raise InvalidParameter(f"non-finite coefficient for agent {i}")
             clean[i] = a
+        cap = float(self.cap)
+        if not math.isfinite(cap):
+            raise InvalidParameter(f"non-finite cap {cap}")
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "cap", float(self.cap))
+        object.__setattr__(self, "cap", cap)
 
     def to_dict(self) -> dict:
         return {"coeffs": {str(i): a for i, a in sorted(self.coeffs.items())},
@@ -257,9 +364,16 @@ class Instance:
             d = np.full(n, float(d[0]))
         if d.shape != (n,):
             raise DimensionMismatch(f"d has shape {d.shape}, expected ({n},)")
+        D, eta = float(self.D), float(self.eta)
+        if not (np.all(np.isfinite(d)) and math.isfinite(D)
+                and math.isfinite(eta)):
+            raise InvalidParameter("d, D and eta must be finite")
+        if not D > max(0.0, float(d.max(initial=0.0))):
+            raise InvalidParameter(
+                f"D = {D} must be positive and exceed every floor in d")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "D", float(self.D))
-        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "eta", eta)
         if self.theta is not None:
             th = np.asarray(self.theta, dtype=float)
             if th.shape != (n,):
@@ -294,6 +408,10 @@ class Instance:
     @cached_property
     def caps(self) -> np.ndarray:
         return np.array([c.cap for c in self.constraints], dtype=float)
+
+    @cached_property
+    def valuation_table(self) -> ValuationTable:
+        return ValuationTable.of(self.valuations)
 
     @cached_property
     def index_sets(self) -> IndexSets:
@@ -398,30 +516,6 @@ class ReducedInstance:
         out = np.zeros(self.K)
         np.add.at(out, self.group_of_agent, y)
         return out / self.group_sizes
-
-    # group-aggregated valuation and derivatives, vectorized over z (K,)
-    def group_value(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(self.K)
-        for k, mem in enumerate(self.group_members):
-            out[k] = sum(self.instance.valuations[i].value(z[k]) for i in mem)
-        return out
-
-    def group_deriv(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(self.K)
-        for k, mem in enumerate(self.group_members):
-            out[k] = sum(self.instance.valuations[i].deriv_s(float(z[k]))
-                         for i in mem)
-        return out
-
-    def group_deriv2(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(self.K)
-        for k, mem in enumerate(self.group_members):
-            out[k] = sum(self.instance.valuations[i].deriv2_s(float(z[k]))
-                         for i in mem)
-        return out
 
 
 def reduce_equalities(instance: Instance) -> ReducedInstance:
@@ -543,8 +637,6 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
     msgs = []
     if not np.all(instance.d > 0):
         msgs.append("d must be positive")
-    if not np.all(instance.d < instance.D):
-        msgs.append("d must lie below D")
     for g in instance.equality_groups:
         if len(g) > 1 and not np.allclose(instance.d[list(g)],
                                           instance.d[g[0]]):

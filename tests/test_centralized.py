@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from propmech.centralized import (NoConvergence, TooLarge, brute_force_oracle,
-                                  kkt_residuals, objective, solve)
+from propmech.centralized import (NoConvergence, TooLarge, _GroupCalc,
+                                  brute_force_oracle, kkt_residuals,
+                                  objective, solve)
 from propmech.harness import Scenario, canonical_instance, generate
 from propmech.model import Constraint, Instance, Valuation
 
@@ -120,8 +121,8 @@ def test_public_good_multipliers_and_flagging():
     # reduced stationarity rechecked from scratch: summed marginal value
     # equals the aggregated coefficient times the cap-row multiplier
     red = inst.reduced
-    z = red.restrict(sol.x_star)
-    gd = red.group_deriv(z)
+    gd = np.bincount(red.group_of_agent,
+                     weights=inst.valuation_table.deriv(sol.x_star))
     want = red.A_red.T @ sol.lambda_star
     assert gd == pytest.approx(want, abs=1e-8)
 
@@ -132,6 +133,49 @@ def test_grouped_multiplier_completion_is_nonnegative():
     sol = solve(inst)
     assert np.all(sol.lambda_star >= 0)
     assert sol.residuals.max <= 1e-8
+
+
+def test_inner_solve_matches_bisection_per_coordinate():
+    # mixed-family equality groups (Newton) beside singletons (closed
+    # form); at q = 0 the first group rests on D, at q = 1e6 the second
+    # group and the quadratic singleton rest on 0
+    inst = Instance(
+        valuations=(Valuation("log_shift", 1.0, 2.0),
+                    Valuation("power", 0.7, 0.4),
+                    Valuation("quad_cap", 1.5, 12.0),
+                    Valuation("log_shift", 0.9, 1.5),
+                    Valuation("quad_cap", 0.8, 2.0),
+                    Valuation("power", 1.2, 0.6),
+                    Valuation("quad_cap", 0.8, 2.0)),
+        constraints=(Constraint({0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0, 5: 1.0},
+                                3.0),
+                     Constraint({3: 1.0, 4: 1.0, 5: 1.0, 6: 2.0}, 2.0)),
+        equality_groups=((0, 1, 2), (3, 4)), d=0.01, D=10.0, eta=1.0)
+    red = inst.reduced
+    calc = _GroupCalc(red)
+
+    def slope(k, z):
+        return sum(inst.valuations[i].deriv_s(z)
+                   for i in red.group_members[k])
+
+    def bisect(k, q):
+        if slope(k, inst.D) >= q:
+            return inst.D
+        if slope(k, 0.0) <= q:
+            return 0.0
+        lo, hi = 0.0, inst.D
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if slope(k, mid) > q else (lo, mid)
+        return lo
+
+    rng = np.random.default_rng(5)
+    qs = [np.zeros(red.K), np.full(red.K, 1e6)]
+    qs += [rng.uniform(0.0, 3.0, red.K) for _ in range(50)]
+    for q in qs:
+        z = calc.argmax_inner(q, inst.D)
+        ref = [bisect(k, q[k]) for k in range(red.K)]
+        assert z == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from propmech.harness import (ExperimentConfig, Scenario, UnknownSuite,
                               generate_with_info, property_suite,
                               run_experiment, run_many, write_trace_csv)
 from propmech.game import run_dynamics
-from propmech.model import instance_digest, load_instance
+from propmech.model import instance_digest, instance_to_dict, load_instance
 
 
 # ---------------------------------------------------------------------------
@@ -25,6 +25,49 @@ def test_generation_is_deterministic():
     assert info["resamples"] == 7
     c = generate(sc, 3)
     assert instance_digest(c) != info["digest"]
+
+
+@pytest.mark.parametrize("scenario,seed,resamples,digest", [
+    (Scenario(kind="unicast", n_agents=7, n_constraints=3), 8, 23,
+     "6ebb33f33988ce02"),
+    (Scenario(kind="unicast", n_agents=5, n_constraints=2), 6, 9,
+     "e3e96a1b89115f97"),
+    (bundled_scenarios("sbb-offeq")[2][0], 10, 59, "ed32f126279183c2"),
+], ids=["unicast-7x3-seed8", "unicast-5x2-seed6", "offeq-seed10"])
+def test_generation_pinned(scenario, seed, resamples, digest):
+    # every resample decision runs the centralized solver, so a solver
+    # change that moves any accept/reject verdict changes these
+    inst, info = generate_with_info(scenario, seed)
+    assert info["resamples"] == resamples
+    assert info["digest"] == instance_digest(inst) == digest
+    assert info["reasons"] == {"invalid": 0, "solver_error": 0,
+                               "nonconverged": 0, "non_interior": resamples}
+
+
+def test_generation_retries_only_expected_solver_failures(monkeypatch):
+    import propmech.harness as harness
+    sc = Scenario(kind="canonical", n_agents=2, n_constraints=1)
+    real_solve = harness.solve
+    calls = []
+
+    def singular_once(inst, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("singular")
+        return real_solve(inst, **kwargs)
+
+    monkeypatch.setattr(harness, "solve", singular_once)
+    _, info = generate_with_info(sc, 0)
+    assert info["resamples"] == 1
+    assert info["reasons"]["solver_error"] == 1
+
+    def faulty(inst, **kwargs):
+        raise IndexError("fault in the solver")
+
+    # a fault is not a resample reason: it surfaces at once
+    monkeypatch.setattr(harness, "solve", faulty)
+    with pytest.raises(IndexError):
+        generate_with_info(sc, 0)
 
 
 def test_unicast_shape_and_membership():
@@ -207,6 +250,27 @@ def test_cli_failure_exit_codes(tmp_path, capsys):
     assert main(["verify", str(path), "--profile", str(prof),
                  "--deviations", "20"]) == 1
     capsys.readouterr()
+    # a demand below the floor and an unbuildable scenario are input errors
+    prof.write_text(json.dumps({"y": [0.001, 0.5],
+                                "prices": [[0.9], [0.2]]}))
+    assert main(["verify", str(path), "--profile", str(prof),
+                 "--deviations", "20"]) == 2
+    assert main(["gen", "--kind", "local-public-goods"]) == 2
+    assert main(["gen", "--eta", "nan"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+
+
+def test_cli_rejects_nan_cap(tmp_path, capsys):
+    inst = instance_to_dict(canonical_instance())
+    inst["constraints"][0]["cap"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(inst))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_cli_usage_exit_codes(tmp_path, capsys):

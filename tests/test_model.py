@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from propmech.model import (Constraint, DimensionMismatch, DomainError,
-                            Instance, NegativeReducedCoefficient,
-                            NoInteriorPoint, Valuation, Variant, derive_theta,
+                            Instance, InvalidParameter,
+                            NegativeReducedCoefficient, NoInteriorPoint,
+                            Valuation, ValuationTable, Variant, derive_theta,
                             instance_digest, instance_from_dict,
                             instance_to_dict, load_instance, reduce_equalities,
                             save_instance, validate)
@@ -51,16 +52,24 @@ def test_quad_cap_values_nonmonotone_past_satiation():
 
 
 def test_valuation_array_and_scalar_paths_agree():
-    for v in (Valuation("log_shift", 1.3, 0.7),
-              Valuation("power", 0.8, 0.4),
-              Valuation("quad_cap", 2.0, 3.0)):
-        xs = np.array([0.05, 0.5, 1.7, 2.9])
+    vals = (Valuation("log_shift", 1.3, 0.7),
+            Valuation("power", 0.8, 0.4),
+            Valuation("quad_cap", 2.0, 3.0))
+    xs = np.array([0.05, 0.5, 1.7, 2.9])
+    for v in vals:
         assert np.allclose(v.value(xs), [v.value_s(float(x)) for x in xs],
                            rtol=0, atol=0)
         assert np.allclose(v.deriv(xs), [v.deriv_s(float(x)) for x in xs],
                            rtol=0, atol=0)
         assert np.allclose(v.deriv2(xs), [v.deriv2_s(float(x)) for x in xs],
                            rtol=0, atol=0)
+    # the mixed-family table, agents along the first axis
+    table = ValuationTable.of(vals[::-1] + vals)
+    X = np.tile(xs, (6, 1))
+    for fn in ("value", "deriv", "deriv2"):
+        want = [[getattr(v, fn + "_s")(float(x)) for x in xs]
+                for v in vals[::-1] + vals]
+        assert np.allclose(getattr(table, fn)(X), want, rtol=0, atol=0)
 
 
 def test_valuation_domain_and_parameter_errors():
@@ -86,6 +95,59 @@ def valuations(draw):
     else:
         b = draw(st.floats(0.1, 5.0))
     return Valuation(fam, a, b)
+
+
+def _bisect_inverse(v: Valuation, q: float, D: float) -> float:
+    """Maximizer of v(z) - q z on [0, D] by bisection on the scalar v'."""
+    if v.deriv_s(D) >= q:
+        return D
+    if v.deriv_s(0.0) <= q:
+        return 0.0
+    lo, hi = 0.0, D
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if v.deriv_s(mid) > q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def valuation_and_slope(draw):
+    v = draw(valuations())
+    D = draw(st.sampled_from([1.0, 10.0, 100.0]))
+    top, bottom = v.deriv_s(0.0), v.deriv_s(D)
+    u = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["zero", "at", "above", "below", "inside"]))
+    if kind == "zero":
+        q = 0.0
+    elif kind in ("at", "above"):  # v'(0) is infinite for power
+        scale = 1.0 + u if kind == "above" else 1.0
+        q = 1e12 * scale if math.isinf(top) else top * scale
+    elif kind == "below":  # at or below v'(D)
+        q = bottom - u * (1.0 + abs(bottom))
+    else:
+        hi = top if math.isfinite(top) else v.deriv_s(1e-9 * D)
+        q = bottom + u * (hi - bottom)
+    return v, D, q
+
+
+@settings(max_examples=400, deadline=None)
+@given(valuation_and_slope())
+def test_inverse_slope_matches_bisection(case):
+    v, D, q = case
+    z = ValuationTable.of([v]).inv_deriv(np.array([q]), D)[0]
+    ref = _bisect_inverse(v, q, D)
+    assert 0.0 <= z <= D
+    assert z == pytest.approx(ref, rel=1e-9, abs=1e-9)
+    # the endpoint cases are exact, as the safeguarded search's are
+    if q >= v.deriv_s(0.0):
+        assert z == 0.0
+    if q == 0.0 and v.family != "quad_cap":
+        assert z == D
+    if q <= v.deriv_s(D):
+        assert z == pytest.approx(D, rel=1e-12)
 
 
 @settings(max_examples=120, deadline=None)
@@ -117,6 +179,36 @@ def test_constraint_rejects_zero_coefficient_and_empty():
         Constraint({0: 0.0}, 1.0)
     with pytest.raises(ValueError):
         Constraint({}, 1.0)
+
+
+@pytest.mark.parametrize("field", ["a", "b"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_valuation_rejects_non_finite_parameters(field, bad):
+    params = {"a": 1.0, "b": 1.0, field: bad}
+    with pytest.raises(InvalidParameter):
+        Valuation("log_shift", **params)
+
+
+def _canonical_with(cap=1.0, coeff=1.0, **fields):
+    args = dict(valuations=(Valuation("log_shift", 1.0, 1.0),
+                            Valuation("log_shift", 1.0, 1.0)),
+                equality_groups=(), d=0.01, D=100.0, eta=1.0)
+    args.update(fields)
+    return Instance(constraints=(Constraint({0: coeff, 1: 1.0}, cap),),
+                    **args)
+
+
+@pytest.mark.parametrize("bad", [
+    {"cap": math.nan}, {"cap": math.inf}, {"coeff": math.nan},
+    {"coeff": -math.inf}, {"d": [0.01, math.nan]}, {"D": math.inf},
+    {"D": math.nan}, {"eta": math.nan}, {"eta": math.inf},
+    {"D": 0.01}, {"D": -1.0}, {"d": [0.01, 200.0]},
+], ids=["nan-cap", "inf-cap", "nan-coeff", "inf-coeff", "nan-floor",
+        "inf-ceiling", "nan-ceiling", "nan-eta", "inf-eta",
+        "ceiling-at-floor", "negative-ceiling", "floor-above-ceiling"])
+def test_instance_rejects_bad_numbers(bad):
+    with pytest.raises(InvalidParameter):
+        _canonical_with(**bad)
 
 
 def test_instance_broadcasts_scalar_floor():
@@ -217,12 +309,12 @@ def test_group_aggregates_sum_members():
                     Valuation("quad_cap", 2.0, 3.0)),
         constraints=(Constraint({0: 0.5, 1: 0.5}, 2.0),),
         equality_groups=((0, 1),), d=0.01, D=10.0, eta=1.0)
-    red = inst.reduced
-    z = np.array([1.0])
-    assert red.group_value(z)[0] == pytest.approx(
+    table = inst.valuation_table
+    x = inst.reduced.expand(np.array([1.0]))
+    assert table.value(x).sum() == pytest.approx(
         math.log(2.0) + 2.0 * (3.0 - 0.5), abs=1e-14)
-    assert red.group_deriv(z)[0] == pytest.approx(0.5 + 4.0, abs=1e-14)
-    assert red.group_deriv2(z)[0] == pytest.approx(-0.25 - 2.0, abs=1e-14)
+    assert table.deriv(x).sum() == pytest.approx(0.5 + 4.0, abs=1e-14)
+    assert table.deriv2(x).sum() == pytest.approx(-0.25 - 2.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
