@@ -21,8 +21,6 @@ __all__ = [
     "AllocationResult",
     "alpha0",
     "allocate",
-    "allocate_degenerate",
-    "allocation_gradient_sign",
     "allocate_many",
 ]
 
@@ -108,29 +106,6 @@ def allocate(instance: Instance, y: np.ndarray) -> AllocationResult:
         raise DemandOutOfBox(f"demands at/below the floor for agents "
                              f"{low.tolist()}")
     return _allocate_reduced(instance, y)
-
-
-def allocate_degenerate(instance: Instance, y: np.ndarray) -> AllocationResult:
-    """Group-averaged allocation; requires at least one equality group."""
-    if not instance.is_degenerate:
-        raise ValueError("instance has no non-singleton equality group; "
-                         "use allocate()")
-    return allocate(instance, y)
-
-
-def allocation_gradient_sign(instance: Instance, y: np.ndarray, i: int,
-                             step: float = 1e-7) -> int:
-    """Sign of the one-sided derivative of x_i along own demand y_i."""
-    y = instance.check_x_shape(y, "y")
-    base = allocate(instance, y).x[i]
-    bumped = y.copy()
-    bumped[i] += step
-    diff = (allocate(instance, bumped).x[i] - base) / step
-    if diff > 1e-10:
-        return 1
-    if diff < -1e-10:
-        return -1
-    return 0
 
 
 def allocate_many(instance: Instance, Y: np.ndarray) -> np.ndarray:

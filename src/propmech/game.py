@@ -16,10 +16,10 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import nnls
 
-from .allocation import allocate
+from .allocation import DemandOutOfBox, allocate, allocate_many
 from .centralized import CentralizedSolution
-from .model import Instance, Variant
-from .taxation import TaxBreakdown, tax, total_tax
+from .model import Instance, InvalidParameter, Variant
+from .taxation import TaxBreakdown, pbar, tax, total_tax
 
 __all__ = [
     "A2Violation",
@@ -680,18 +680,82 @@ class NEReport:
         }
 
 
+def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
+                             base: Outcome, i: int, Y: np.ndarray,
+                             P_i: np.ndarray) -> np.ndarray:
+    """Agent i's utility at M trial profiles that change only i's message.
+
+    Row k of Y (M, N) holds trial k's demands and row k of P_i (M, L) agent
+    i's trial prices; every other agent quotes the prices of ``profile``.
+    One allocate_many call maps all trials; i's gross terms are then formed
+    on i's own rows only. The rebate row comes from ``base``, the outcome of
+    the untouched profile: rebates never read the recipient's own message,
+    so it is the same at every trial. Agrees with the scalar utility() of
+    each trial profile up to rounding.
+    """
+    d_i = float(instance.d[i])
+    if np.any(Y[:, i] <= d_i):
+        raise DemandOutOfBox(f"trial demands at/below the floor for agent {i}")
+    X = allocate_many(instance, Y)
+    x_i = X[:, i]
+    rows = np.array(instance.index_sets.rows_of_agent[i], dtype=int)
+    pb = np.array([pbar(instance, profile.prices, i, int(l)) for l in rows])
+    p = P_i[:, rows]
+    slack = instance.caps[rows] - X @ instance.A[rows].T
+    payment = instance.A[rows, i] * x_i[:, None] * pb
+    disagreement = (p - pb) ** 2
+    slackness = instance.eta * pb * p * slack ** 2
+    gross = (payment + disagreement + slackness).sum(axis=1)
+    rebate = math.fsum(base.taxes.rebate[i])
+    return instance.valuations[i].value(x_i) - (gross - rebate)
+
+
+def _draw_joint_trials(rng: np.random.Generator, profile: MessageProfile,
+                       i: int, rows, d_i: float, hi: float, Y: np.ndarray,
+                       P: np.ndarray) -> None:
+    """Write agent i's seeded random joint deviations into the trial rows.
+
+    Trial k may move i's demand (row k of Y) and each own price (row k of
+    P). The doubles are drawn in one block and consumed in the order that
+    per-draw rng.random() / rng.uniform(a, b) calls would consume them;
+    uniform(a, b) is a + (b - a) * u for the next double u, so the trials
+    are bitwise those of drawing call by call.
+    """
+    u = iter(rng.random(2 * len(Y) * (1 + len(rows))).tolist())
+    own = [(l, float(profile.prices[i, l])) for l in rows]
+    for y_row, p_row in zip(Y, P):
+        if next(u) < 0.5:
+            w = next(u)
+            y_row[i] = d_i + (hi - d_i) * w * w + 1e-9
+        for l, p in own:
+            r = next(u)
+            if r < 0.3:
+                continue
+            if r < 0.5:
+                p_row[l] = 0.0
+            elif r < 0.8:
+                p_row[l] = max(0.0, p * (0.5 + next(u)))
+            else:
+                p_row[l] = 2.0 * next(u) * (1.0 + p)
+
+
 def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
                       profile: MessageProfile, eps: float = 1e-6,
                       deviations: int = 200, seed: int = 0) -> NEReport:
     """Certify or refute the profile as an eps-equilibrium.
 
     Per agent: exact best responses in each own coordinate (closed-form
-    price; piecewise demand search) plus seeded random joint deviations.
+    price; piecewise demand search) plus seeded random joint deviations,
+    all evaluated in one batch (see _own_deviation_utilities).
     Certification additionally requires that no demand best response is
     pinned at the search ceiling, since then the supremum may sit beyond any
     finite bracket and no honest certificate exists.
     """
     variant = Variant.parse(variant)
+    if deviations < 0:
+        raise InvalidParameter(f"deviations must be >= 0, got {deviations}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise InvalidParameter(f"eps must be finite and >= 0, got {eps}")
     n, L = instance.n_agents, instance.n_constraints
     base = outcome(instance, variant, profile)
     hi = instance.D + 1.0
@@ -699,55 +763,41 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     ceiling = False
     best_dev: list[dict] = []
     for i in range(n):
-        u0 = float(base.utilities[i])
-        best = 0.0
-        best_desc = {"agent": i, "kind": "none", "gain": 0.0}
-        for l in instance.index_sets.rows_of_agent[i]:
-            p_new = best_response_price(instance, variant, profile, i, l)
-            trial = profile.copy()
-            trial.prices[i, l] = p_new
-            g = utility(instance, variant, trial, i) - u0
-            if g > best:
-                best = g
-                best_desc = {"agent": i, "kind": "price", "constraint": int(l),
-                             "to": p_new, "gain": g}
+        rows = instance.index_sets.rows_of_agent[i]
+        # trials: one price best response per own row, the demand best
+        # response, then the random joint deviations
+        first_joint = len(rows) + 1
+        Y = np.tile(profile.y, (first_joint + deviations, 1))
+        P = np.tile(profile.prices[i], (first_joint + deviations, 1))
+        for k, l in enumerate(rows):
+            P[k, l] = best_response_price(instance, variant, profile, i, l)
         y_new = best_response_demand(instance, variant, profile, i,
                                      thorough=True)
         if y_new >= hi - _CEILING_TOL * (1.0 + hi):
             ceiling = True
-        trial = profile.copy()
-        trial.y[i] = y_new
-        g = utility(instance, variant, trial, i) - u0
-        if g > best:
-            best = g
-            best_desc = {"agent": i, "kind": "demand", "to": y_new, "gain": g}
+        Y[len(rows), i] = y_new
         rng = np.random.default_rng([seed, i])
-        rows = instance.index_sets.rows_of_agent[i]
         d_i = float(instance.d[i])
-        for _ in range(deviations):
-            trial = profile.copy()
-            if rng.random() < 0.5:
-                u = rng.random()
-                trial.y[i] = d_i + (hi - d_i) * u * u + 1e-9
-            for l in rows:
-                r = rng.random()
-                if r < 0.3:
-                    continue
-                if r < 0.5:
-                    trial.prices[i, l] = 0.0
-                elif r < 0.8:
-                    trial.prices[i, l] = max(
-                        0.0, float(profile.prices[i, l])
-                        * rng.uniform(0.5, 1.5))
-                else:
-                    trial.prices[i, l] = rng.uniform(0.0, 2.0) * (
-                        1.0 + float(profile.prices[i, l]))
-            g = utility(instance, variant, trial, i) - u0
-            if g > best:
-                best = g
-                best_desc = {"agent": i, "kind": "joint", "gain": g}
+        _draw_joint_trials(rng, profile, i, rows, d_i, hi,
+                           Y[first_joint:], P[first_joint:])
+        g = _own_deviation_utilities(instance, profile, base, i, Y, P) \
+            - float(base.utilities[i])
+        k = int(np.argmax(g))
+        best = float(g[k])
+        if best <= 0.0:
+            best = 0.0
+            desc = {"agent": i, "kind": "none", "gain": 0.0}
+        elif k < len(rows):
+            desc = {"agent": i, "kind": "price", "constraint": int(rows[k]),
+                    "to": float(P[k, rows[k]]), "gain": best}
+        elif k == len(rows):
+            desc = {"agent": i, "kind": "demand", "to": y_new, "gain": best}
+        else:
+            desc = {"agent": i, "kind": "joint", "trial": k - first_joint,
+                    "y": float(Y[k, i]), "constraints": [int(l) for l in rows],
+                    "prices": [float(P[k, l]) for l in rows], "gain": best}
         gains[i] = best
-        best_dev.append(best_desc)
+        best_dev.append(desc)
 
     # equilibrium-shape diagnostics
     mask = (instance.A != 0).T

@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,13 +54,6 @@ class GenerationFailed(RuntimeError):
 
 class UnknownSuite(ValueError):
     """No property suite under that name."""
-
-
-def n_threads() -> int:
-    env = os.environ.get("MECH_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +392,7 @@ def run_experiment(instance: Instance,
 def run_many(instances: "list[Instance]",
              config: ExperimentConfig = ExperimentConfig()
              ) -> "list[ExperimentReport]":
-    workers = min(n_threads(), max(1, len(instances)))
-    if workers == 1:
-        return [run_experiment(inst, config) for inst in instances]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda inst: run_experiment(inst, config),
-                             instances))
+    return [run_experiment(inst, config) for inst in instances]
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:

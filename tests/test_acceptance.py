@@ -20,7 +20,7 @@ from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate,
                               generate_with_info, property_suite)
 from propmech.model import Constraint, Instance, Valuation
-from propmech.taxation import sbb_ne_tax, total_tax
+from propmech.taxation import sbb_ne_tax, tax, total_tax
 
 
 def population_scenarios():
@@ -319,11 +319,14 @@ def test_criterion_7_solver_certificates(criterion_report, base_bundle,
 
 def test_criterion_8_strategic_equivalence(criterion_report, offeq_bundle):
     """Tolerance: bitwise identical best responses across all three tax
-    variants on 1e3 sampled profiles."""
+    variants on 1e3 sampled profiles, and under both rebating variants the
+    responding agent's rebate row, from the full tax, bitwise unchanged
+    when its demand and price move to those best responses."""
     _, inst, _ = offeq_bundle[0]
     n, L = inst.n_agents, inst.n_constraints
     rng = np.random.default_rng(8)
     mismatches = 0
+    rebate_moves = 0
     for t in range(1000):
         y = inst.d + rng.uniform(0.05, 3.0, size=n)
         prices = rng.uniform(0.0, 2.0, size=(n, L)) * (inst.A != 0).T
@@ -339,7 +342,18 @@ def test_criterion_8_strategic_equivalence(criterion_report, offeq_bundle):
         p_o = best_response_price(inst, "sbb-offeq", prof, i, row)
         if not (d_b == d_n == d_o and p_b == p_n == p_o):
             mismatches += 1
-    ok = mismatches == 0
+        y_br = y.copy()
+        y_br[i] = d_b
+        prices_br = prof.prices.copy()
+        prices_br[i, row] = p_b
+        x, x_br = allocate(inst, y).x, allocate(inst, y_br).x
+        for variant in ("sbb-ne", "sbb-offeq"):
+            at = tax(inst, variant, y, x, prof.prices).rebate[i]
+            moved = tax(inst, variant, y_br, x_br, prices_br).rebate[i]
+            if not np.array_equal(at, moved):
+                rebate_moves += 1
+    ok = mismatches == 0 and rebate_moves == 0
     assert criterion_report(
         8, ok, f"1000 profiles, best responses bitwise identical across "
-               f"variants, {mismatches} mismatches vs 0")
+               f"variants, {mismatches} mismatches vs 0; own rebate rows "
+               f"moved by the best response {rebate_moves} times vs 0")

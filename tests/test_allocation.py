@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from propmech.allocation import (AllocationResult, DemandOutOfBox, allocate,
-                                 allocate_degenerate, allocate_many,
-                                 allocation_gradient_sign, alpha0)
+                                 allocate_many, alpha0)
 from propmech.model import Constraint, Instance, Valuation
 
 
@@ -79,17 +78,22 @@ def test_group_members_always_equal():
     assert 0.5 * res2.x.sum() == pytest.approx(10.0, abs=1e-9)
 
 
-def test_allocate_degenerate_requires_groups():
-    with pytest.raises(ValueError):
-        allocate_degenerate(canonical(), np.array([0.3, 0.4]))
-    res = allocate_degenerate(grouped(), np.array([1.0, 3.0]))
+def test_grouped_allocation_is_the_group_average():
+    inst = grouped()
+    assert inst.is_degenerate
+    res = allocate(inst, np.array([1.0, 3.0]))
     assert res.x.tolist() == [2.0, 2.0]
 
 
 def test_own_demand_raises_own_allocation():
     inst = canonical()
-    assert allocation_gradient_sign(inst, np.array([0.3, 0.4]), 0) == 1
-    assert allocation_gradient_sign(inst, np.array([2.0, 3.0]), 0) == 1
+    step = 1e-7
+    # the feasible branch and the pullback branch
+    for y in (np.array([0.3, 0.4]), np.array([2.0, 3.0])):
+        bumped = y.copy()
+        bumped[0] += step
+        diff = (allocate(inst, bumped).x[0] - allocate(inst, y).x[0]) / step
+        assert diff > 1e-10
 
 
 @settings(max_examples=80, deadline=None)

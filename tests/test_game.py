@@ -1,15 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from propmech.centralized import solve
-from propmech.game import (A2Violation, best_response_demand,
+from propmech.game import (A2Violation, _draw_joint_trials,
+                           _own_deviation_utilities, best_response_demand,
                            best_response_price, construct_candidate_ne,
                            default_init, make_profile, notional_demand,
                            outcome, run_dynamics, utility, verify_epsilon_ne)
-from propmech.harness import Scenario, canonical_instance, generate
-from propmech.model import Constraint, Instance, Valuation
+from propmech.harness import (Scenario, bundled_scenarios,
+                              canonical_instance, generate)
+from propmech.model import Constraint, Instance, InvalidParameter, Valuation
 from propmech.taxation import AgentNotOnConstraint
 
 
@@ -268,3 +271,108 @@ def test_verify_report_is_seed_deterministic():
                           seed=5)
     assert np.array_equal(a.gains, b.gains)
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"deviations": -1}, {"eps": -1e-3}, {"eps": math.nan},
+    {"eps": math.inf}])
+def test_verify_rejects_bad_arguments(kwargs):
+    inst = canonical_instance()
+    with pytest.raises(InvalidParameter):
+        verify_epsilon_ne(inst, "base", candidate(inst), **kwargs)
+
+
+def test_verify_reports_the_winning_joint_trial():
+    inst = canonical_instance()
+    prof = make_profile(inst, np.array([0.9, 0.5]), np.array([[0.9], [0.2]]))
+    rep = verify_epsilon_ne(inst, "sbb-ne", prof, deviations=200, seed=0)
+    won = rep.best_deviations[0]
+    assert won["kind"] == "joint" and 0 <= won["trial"] < 200
+    assert json.loads(json.dumps(rep.to_dict())) == rep.to_dict()
+    trial = prof.copy()
+    trial.y[0] = won["y"]
+    trial.prices[0, won["constraints"]] = won["prices"]
+    u0 = utility(inst, "sbb-ne", prof, 0)
+    replayed = utility(inst, "sbb-ne", trial, 0) - u0
+    assert abs(replayed - won["gain"]) <= 1e-12 * (1.0 + abs(u0))
+    assert won["gain"] == rep.gains[0] == rep.max_gain
+
+
+def _deviation_cases():
+    """(instance, variants) for unicast, public-good, local-public-goods
+    with a shared row, and off-equilibrium-balanced (>= 5 members) shapes."""
+    base = bundled_scenarios("base")
+    offeq = bundled_scenarios("sbb-offeq")
+    out = [(generate(*base[k]), ("base", "sbb-ne")) for k in (1, 4, 7)]
+    out.append((generate(*offeq[0]), ("base", "sbb-ne", "sbb-offeq")))
+    return out
+
+
+def test_own_deviation_batch_matches_scalar_utility():
+    rng = np.random.default_rng(29)
+    for inst, variants in _deviation_cases():
+        n, L = inst.n_agents, inst.n_constraints
+        mask = (inst.A != 0).T
+        cand = candidate(inst)
+        noisy = make_profile(inst, inst.d + rng.uniform(0.05, 3.0, n),
+                             rng.uniform(0.0, 2.0, (n, L)) * mask)
+        for prof in (cand, noisy):
+            for variant in variants:
+                base = outcome(inst, variant, prof)
+                for i in range(n):
+                    own = mask[i]
+                    peer = np.where(
+                        own, (mask * prof.prices).sum(axis=0)
+                        - prof.prices[i], 0.0) \
+                        / np.maximum(mask.sum(axis=0) - 1, 1)
+                    Y = np.tile(prof.y, (8, 1))
+                    P = np.tile(prof.prices[i], (8, 1))
+                    Y[0, i] = inst.d[i] + 1e-9        # just above the floor
+                    Y[1, i] = inst.D + 1.0            # the search ceiling
+                    P[2] = 0.0                        # zero own prices
+                    P[3] = np.where(own, 1.5 * peer + 0.1, 0.0)
+                    Y[3, i] = inst.D + 1.0            # above peers, overdemand
+                    Y[4:, i] = inst.d[i] + rng.uniform(1e-9, inst.D + 1.0, 4)
+                    P[4:] = rng.uniform(0.0, 3.0, (4, L)) * own
+                    got = _own_deviation_utilities(inst, prof, base, i, Y, P)
+                    for k in range(len(Y)):
+                        trial = prof.copy()
+                        trial.y[i] = Y[k, i]
+                        trial.prices[i] = P[k]
+                        want = utility(inst, variant, trial, i)
+                        tol = 1e-12 * (1.0 + abs(want))
+                        assert abs(got[k] - want) <= tol, (variant, i, k)
+
+
+def test_joint_trials_match_call_by_call_draws():
+    inst = generate(*bundled_scenarios("base")[7])
+    prof = candidate(inst)
+    hi = inst.D + 1.0
+    for i in range(inst.n_agents):
+        rows = inst.index_sets.rows_of_agent[i]
+        d_i = float(inst.d[i])
+        Y = np.tile(prof.y, (300, 1))
+        P = np.tile(prof.prices[i], (300, 1))
+        _draw_joint_trials(np.random.default_rng([3, i]), prof, i, rows,
+                           d_i, hi, Y, P)
+        # reference: one generator call per draw
+        rng = np.random.default_rng([3, i])
+        for k in range(300):
+            trial = prof.copy()
+            if rng.random() < 0.5:
+                u = rng.random()
+                trial.y[i] = d_i + (hi - d_i) * u * u + 1e-9
+            for l in rows:
+                r = rng.random()
+                if r < 0.3:
+                    continue
+                if r < 0.5:
+                    trial.prices[i, l] = 0.0
+                elif r < 0.8:
+                    trial.prices[i, l] = max(
+                        0.0, float(prof.prices[i, l]) * rng.uniform(0.5, 1.5))
+                else:
+                    trial.prices[i, l] = rng.uniform(0.0, 2.0) * (
+                        1.0 + float(prof.prices[i, l]))
+            assert np.array_equal(Y[k], trial.y)
+            assert np.array_equal(P[k], trial.prices[i])

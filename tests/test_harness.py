@@ -184,8 +184,8 @@ def test_run_many_matches_individual_runs():
     cfg = ExperimentConfig(deviations=40)
     reports = run_many(insts, cfg)
     assert len(reports) == 2
-    solo = run_experiment(insts[1], cfg)
-    assert reports[1].to_json() == solo.to_json()
+    for inst, rep in zip(insts, reports):
+        assert rep.to_dict() == run_experiment(inst, cfg).to_dict()
 
 
 def test_write_trace_csv(tmp_path):
@@ -257,8 +257,11 @@ def test_cli_failure_exit_codes(tmp_path, capsys):
                  "--deviations", "20"]) == 2
     assert main(["gen", "--kind", "local-public-goods"]) == 2
     assert main(["gen", "--eta", "nan"]) == 2
+    # so are a negative deviation count and a non-finite eps
+    assert main(["verify", str(path), "--deviations", "-1"]) == 2
+    assert main(["verify", str(path), "--eps", "nan"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+    assert len(err) == 5 and all(line.startswith("error: ") for line in err)
 
 
 def test_cli_rejects_nan_cap(tmp_path, capsys):
