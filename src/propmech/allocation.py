@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FEAS_TOL, Instance, ReducedInstance
+from .model import Instance, ReducedInstance
 
 __all__ = [
     "DemandOutOfBox",
@@ -39,6 +39,27 @@ class AllocationResult:
     was_interior: bool
 
 
+def _row_values(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Z @ rows.T for Z (M, K). BLAS takes a one-row product through gemv,
+    whose summation order differs from gemm's, so a single row is doubled:
+    a lone profile then gets the arithmetic of a row inside a batch."""
+    if len(Z) == 1:
+        return (Z.repeat(2, axis=0) @ rows.T)[:1]
+    return Z @ rows.T
+
+
+def _crossing(red: ReducedInstance, slack: np.ndarray, V: np.ndarray
+              ) -> "tuple[np.ndarray, np.ndarray]":
+    """The ray-crossing step. For an anchor with positive slack on each
+    non-vacuous row and ray directions V (M, K) = y - anchor: per ray, the
+    smallest alpha at which anchor + alpha V meets a row, and the index
+    into red.nv_rows of the row met first (inf and 0 when none)."""
+    den = _row_values(V, red.A_nv)
+    cand = np.full(den.shape, np.inf)
+    np.divide(slack, den, out=cand, where=den > _RAY_EPS)
+    return cand.min(axis=1), cand.argmin(axis=1)
+
+
 def alpha0(instance: Instance, theta_red: np.ndarray, y_red: np.ndarray
            ) -> "tuple[float, int | None]":
     """Ray-scaling factor from theta toward y in the reduced space.
@@ -49,49 +70,45 @@ def alpha0(instance: Instance, theta_red: np.ndarray, y_red: np.ndarray
     without equality groups the reduced space is the agent space.
     """
     red = instance.reduced
+    if not red.A_nv.size:
+        return 1.0, None
     theta_red = np.asarray(theta_red, dtype=float)
-    y_red = np.asarray(y_red, dtype=float)
-    rows = red.A_red[red.nonvacuous]
-    caps = red.caps[red.nonvacuous]
-    if not rows.size:
+    slack = red.caps_nv - red.A_nv @ theta_red
+    # a row the anchor does not sit strictly inside yields no crossing
+    a, j = _crossing(red, np.where(slack > 0.0, slack, np.inf),
+                     np.asarray(y_red, dtype=float)[None, :] - theta_red)
+    if a[0] > 1.0:
         return 1.0, None
-    num = caps - rows @ theta_red
-    den = rows @ (y_red - theta_red)
-    best = np.inf
-    best_row = None
-    row_ids = np.flatnonzero(red.nonvacuous)
-    for j in range(len(num)):
-        if den[j] <= _RAY_EPS:
-            continue
-        a = num[j] / den[j]
-        if 0.0 < a < best:
-            best = a
-            best_row = int(row_ids[j])
-    if best_row is None or best > 1.0:
-        return 1.0, None
-    return float(best), best_row
+    return float(a[0]), int(red.nv_rows[j[0]])
 
 
-def _feasible_reduced(red: ReducedInstance, y_red: np.ndarray) -> bool:
-    rows = red.A_red[red.nonvacuous]
-    if not rows.size:
-        return True
-    caps = red.caps[red.nonvacuous]
-    slack = caps - rows @ y_red
-    return bool(np.all(slack >= -FEAS_TOL * (1.0 + np.abs(caps))))
+def _pullback(instance: Instance, Y: np.ndarray):
+    """The allocation map on the rows of Y (M, N), demands above the floor.
 
-
-def _allocate_reduced(instance: Instance, y: np.ndarray) -> AllocationResult:
+    Rows whose group-averaged demand is feasible within FEAS_TOL pass
+    through; the rest are pulled back along the ray from the anchor to the
+    first non-vacuous face. Returns X (M, N), the feasible mask (M,) and the
+    crossing step's (alpha, row) arrays, which are None when every row is
+    feasible.
+    """
     red = instance.reduced
-    y_red = red.average(y)
-    if _feasible_reduced(red, y_red):
-        return AllocationResult(x=red.expand(y_red), alpha0=1.0,
-                                binding_constraint=None, was_interior=True)
-    theta_red = red.restrict(instance.theta_or_derived())
-    a, row = alpha0(instance, theta_red, y_red)
-    x_red = theta_red + a * (y_red - theta_red)
-    return AllocationResult(x=red.expand(x_red), alpha0=a,
-                            binding_constraint=row, was_interior=False)
+    Yr = red.average(Y)
+    feasible = (_row_values(Yr, red.A_nv) <= red.caps_nv_tol).all(axis=1)
+    if feasible.all():
+        return Yr[:, red.group_of_agent], feasible, None, None
+    V = Yr - red.theta
+    a, j = _crossing(red, red.theta_slack, V)
+    Xr = red.theta + np.minimum(a, 1.0)[:, None] * V
+    if feasible.any():
+        Xr[feasible] = Yr[feasible]
+    return Xr[:, red.group_of_agent], feasible, a, j
+
+
+def _check_floor(instance: Instance, Y: np.ndarray) -> None:
+    if (Y <= instance.d).any():
+        low = np.flatnonzero((Y <= instance.d).any(axis=0))
+        raise DemandOutOfBox(f"demands at/below the floor for agents "
+                             f"{low.tolist()}")
 
 
 def allocate(instance: Instance, y: np.ndarray) -> AllocationResult:
@@ -99,45 +116,25 @@ def allocate(instance: Instance, y: np.ndarray) -> AllocationResult:
 
     Demands must sit strictly above the floor d. Group members always come
     out equal; without equality groups the feasible branch returns y itself.
+    A one-row call of allocate_many's kernel: bitwise its row wherever
+    BLAS does not block the row products by batch size (small instances).
     """
-    y = instance.check_x_shape(y, "y")
-    low = np.where(y <= instance.d)[0]
-    if low.size:
-        raise DemandOutOfBox(f"demands at/below the floor for agents "
-                             f"{low.tolist()}")
-    return _allocate_reduced(instance, y)
+    Y = instance.check_x_shape(y, "y")[None, :]
+    _check_floor(instance, Y)
+    X, feasible, a, j = _pullback(instance, Y)
+    if feasible[0]:
+        return AllocationResult(X[0], 1.0, None, True)
+    a = float(a[0])
+    row = None if a > 1.0 else int(instance.reduced.nv_rows[j[0]])
+    return AllocationResult(X[0], min(a, 1.0), row, False)
 
 
 def allocate_many(instance: Instance, Y: np.ndarray) -> np.ndarray:
     """Vectorized allocate over rows of Y (M, N); returns X (M, N).
 
-    Same semantics as allocate() for each row, minus the result metadata;
-    demands are assumed above the floor (caller checks when sampling).
+    Same map as allocate() for each row, minus the result metadata; raises
+    DemandOutOfBox if any demand sits at or below the floor.
     """
-    red = instance.reduced
     Y = np.asarray(Y, dtype=float)
-    M = Y.shape[0]
-    K = red.K
-    Yr = np.empty((M, K))
-    for k, mem in enumerate(red.group_members):
-        Yr[:, k] = Y[:, list(mem)].mean(axis=1)
-
-    rows = red.A_red[red.nonvacuous]
-    if not rows.size:
-        return Yr[:, red.group_of_agent]
-    caps = red.caps[red.nonvacuous]
-    tol = FEAS_TOL * (1.0 + np.abs(caps))
-    vals = Yr @ rows.T
-    feasible = np.all(vals <= caps + tol, axis=1)
-
-    theta_red = red.restrict(instance.theta_or_derived())
-    num = caps - rows @ theta_red
-    den = (Yr - theta_red) @ rows.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cand = np.where(den > _RAY_EPS, num / den, np.inf)
-    alpha = np.minimum(cand.min(axis=1), 1.0)
-    alpha[feasible] = 1.0
-
-    Xr = theta_red + alpha[:, None] * (Yr - theta_red)
-    Xr[feasible] = Yr[feasible]
-    return Xr[:, red.group_of_agent]
+    _check_floor(instance, Y)
+    return _pullback(instance, Y)[0]

@@ -320,7 +320,7 @@ def _complete_multipliers(instance: Instance, x: np.ndarray,
     """
     red = instance.reduced
     lam = np.zeros(instance.n_constraints)
-    lam[np.flatnonzero(red.nonvacuous)] = lam_nonvac
+    lam[red.nv_rows] = lam_nonvac
     vac = np.flatnonzero(~red.nonvacuous)
     if not vac.size:
         return lam
@@ -359,9 +359,7 @@ def solve(instance: Instance, tol: float = 1e-8, max_iter: int = 100000,
     """
     red = instance.reduced
     calc = _GroupCalc(red)
-    nv = red.nonvacuous
-    Ab = red.A_red[nv]
-    cb = red.caps[nv]
+    Ab, cb = red.A_nv, red.caps_nv
     M = Ab.shape[0]
     D = instance.D
 
@@ -464,8 +462,7 @@ def brute_force_oracle(instance: Instance, step: float = 1e-3
     K = red.K
     if K > 4:
         raise TooLarge(f"{K} reduced coordinates exceed the oracle's reach")
-    rows = red.A_red[red.nonvacuous]
-    caps = red.caps[red.nonvacuous]
+    rows, caps = red.A_nv, red.caps_nv
     hi = np.full(K, float(instance.D))
     for l in range(rows.shape[0]):
         for k in range(K):

@@ -22,6 +22,7 @@ from .harness import (ExperimentConfig, GenerationFailed, Scenario,
                       write_trace_csv)
 from .model import (DomainError, InvalidParameter, Variant, instance_digest,
                     instance_to_dict, load_instance, validate)
+from .taxation import AgentNotOnConstraint
 
 __all__ = ["main"]
 
@@ -46,11 +47,7 @@ def _load(path: str):
 
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
-    try:
-        sol = solve(inst, tol=args.tol, strict=False)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sol = solve(inst, tol=args.tol, strict=False)
     payload = {"digest": instance_digest(inst), "solution": sol.to_dict()}
     if args.oracle_step is not None:
         orc = brute_force_oracle(inst, step=args.oracle_step)
@@ -142,12 +139,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_prop(args) -> int:
-    try:
-        report = property_suite(args.suite, samples=args.samples,
-                                seed=args.seed)
-    except UnknownSuite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = property_suite(args.suite, samples=args.samples, seed=args.seed)
     _write_json(args.json, report.to_dict())
     return 0 if report.passed else 1
 
@@ -232,7 +224,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, TooLarge, GenerationFailed, DemandOutOfBox,
-            InvalidParameter) as exc:
+            InvalidParameter, AgentNotOnConstraint, UnknownSuite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .allocation import DemandOutOfBox, allocate, allocate_many
+from .allocation import allocate, allocate_many
 from .centralized import CentralizedSolution
-from .model import Instance, InvalidParameter, Variant
-from .taxation import TaxBreakdown, pbar, tax, total_tax
+from .model import Choice, Instance, InvalidParameter, Variant
+from .taxation import (TaxBreakdown, _check_prices, _gross, _peer_means,
+                       _require_peers, pbar, tax, total_tax)
 
 __all__ = [
     "A2Violation",
@@ -53,19 +53,9 @@ class BracketInvalid(ValueError):
     """Demand search bracket is empty or leaves the message space."""
 
 
-class Schedule(Enum):
+class Schedule(Choice):
     PRICE_ADJUST_BR = "price-adjust-br"
     BEST_RESPONSE = "best-response"
-
-    @classmethod
-    def parse(cls, name: "str | Schedule") -> "Schedule":
-        if isinstance(name, Schedule):
-            return name
-        key = str(name).strip().lower().replace("_", "-")
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValueError(f"unknown schedule {name!r}")
 
 
 @dataclass(eq=False)
@@ -79,14 +69,9 @@ class MessageProfile:
 
 def make_profile(instance: Instance, y, prices=None) -> MessageProfile:
     y = instance.check_x_shape(np.asarray(y, dtype=float), "y")
-    n, L = instance.n_agents, instance.n_constraints
     if prices is None:
-        prices = np.zeros((n, L))
-    prices = np.asarray(prices, dtype=float)
-    if prices.shape != (n, L):
-        raise ValueError(f"prices shaped {prices.shape}, expected ({n}, {L})")
-    if np.any(prices < 0):
-        raise ValueError("prices must be nonnegative")
+        prices = np.zeros((instance.n_agents, instance.n_constraints))
+    prices = _check_prices(instance, prices)
     mask = (instance.A != 0).T.astype(float)
     return MessageProfile(y=y, prices=prices * mask)
 
@@ -107,8 +92,7 @@ def outcome(instance: Instance, variant: "str | Variant",
             profile: MessageProfile) -> Outcome:
     x = allocate(instance, profile.y).x
     breakdown = tax(instance, variant, profile.y, x, profile.prices)
-    values = np.array([v.value_s(float(x[i]))
-                       for i, v in enumerate(instance.valuations)])
+    values = instance.valuation_table.value(x)
     return Outcome(x=x, taxes=breakdown,
                    utilities=values - breakdown.per_agent)
 
@@ -136,14 +120,9 @@ def best_response_price(instance: Instance, variant: "str | Variant",
     the variant argument is accepted for interface symmetry but cannot change
     the answer (rebates are own-message independent).
     """
-    members = instance.index_sets.members[l]
-    if i not in members:
-        from .taxation import AgentNotOnConstraint
-        raise AgentNotOnConstraint(f"agent {i} is not on constraint {l}")
+    pb = pbar(instance, profile.prices, i, l)
     x = allocate(instance, profile.y).x
     s = float(instance.caps[l] - instance.A[l] @ x)
-    others = [j for j in members if j != i]
-    pb = math.fsum(float(profile.prices[j, l]) for j in others) / len(others)
     return max(0.0, pb - instance.eta * pb * s * s / 2.0)
 
 
@@ -156,9 +135,8 @@ class _DemandObjective:
     """
 
     def __init__(self, instance: Instance, profile: MessageProfile, i: int):
+        _require_peers(instance)
         red = instance.reduced
-        self.inst = instance
-        self.i = i
         self.v = instance.valuations[i]
         self.eta = instance.eta
         self.rows_i = np.array(instance.index_sets.rows_of_agent[i],
@@ -173,7 +151,7 @@ class _DemandObjective:
         self.coef = A_hat[:, i]                       # (L,)
         self.rv0 = A_hat @ profile.y - self.coef * profile.y[i]
         self.caps = instance.caps
-        self.nv = red.nonvacuous
+        self.nv_rows = red.nv_rows
 
         theta = instance.theta_or_derived()
         self.theta_i = float(theta[i])
@@ -186,7 +164,6 @@ class _DemandObjective:
         pb = np.zeros(instance.n_constraints)
         rows = self.rows_i
         pb[rows] = (S[rows] - profile.prices[i, rows]) / (counts[rows] - 1)
-        self.pbar = pb
         self.p_own = profile.prices[i].copy()
         self.c_pay = float((instance.A[:, i] * pb)[rows].sum())
         # slack-tax weights on own rows: eta * pbar * p_own
@@ -194,12 +171,11 @@ class _DemandObjective:
         w[rows] = self.eta * pb[rows] * self.p_own[rows]
         self.w = w[rows]
         self.coef_rows = self.coef[rows]
-        self.A_own = instance.A[rows, i]
 
         # largest own demand keeping the averaged profile feasible
         tol = 1e-12 * (1.0 + np.abs(self.caps))
         t_b = math.inf
-        for l in np.flatnonzero(self.nv):
+        for l in self.nv_rows:
             c = self.coef[l]
             gap = self.caps[l] - self.rv0[l]
             if c > 1e-300:
@@ -236,7 +212,7 @@ class _DemandObjective:
     def value_outside(self, t: float) -> float:
         den = self.den0 + self.coef * t
         alpha = 1.0
-        for l in np.flatnonzero(self.nv):
+        for l in self.nv_rows:
             if den[l] > 1e-300:
                 a = self.num_full[l] / den[l]
                 if a < alpha:
@@ -511,6 +487,7 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     """
     variant = Variant.parse(variant)
     schedule = Schedule.parse(schedule)
+    _require_peers(instance)
     prof = (init.copy() if init is not None else default_init(instance))
     n, L = instance.n_agents, instance.n_constraints
     mask = (instance.A != 0).T.astype(float)
@@ -688,23 +665,20 @@ def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
     Row k of Y (M, N) holds trial k's demands and row k of P_i (M, L) agent
     i's trial prices; every other agent quotes the prices of ``profile``.
     One allocate_many call maps all trials; i's gross terms are then formed
-    on i's own rows only. The rebate row comes from ``base``, the outcome of
-    the untouched profile: rebates never read the recipient's own message,
-    so it is the same at every trial. Agrees with the scalar utility() of
-    each trial profile up to rounding.
+    on i's own rows only, by the tax's own peer-mean and gross-term helpers.
+    The rebate row comes from ``base``, the outcome of the untouched
+    profile: rebates never read the recipient's own message, so it is the
+    same at every trial. Agrees with the scalar utility() of each trial
+    profile up to rounding.
     """
-    d_i = float(instance.d[i])
-    if np.any(Y[:, i] <= d_i):
-        raise DemandOutOfBox(f"trial demands at/below the floor for agent {i}")
     X = allocate_many(instance, Y)
     x_i = X[:, i]
-    rows = np.array(instance.index_sets.rows_of_agent[i], dtype=int)
-    pb = np.array([pbar(instance, profile.prices, i, int(l)) for l in rows])
-    p = P_i[:, rows]
+    rows = list(instance.index_sets.rows_of_agent[i])
+    pb = _peer_means(instance, profile.prices)[i, rows]
     slack = instance.caps[rows] - X @ instance.A[rows].T
-    payment = instance.A[rows, i] * x_i[:, None] * pb
-    disagreement = (p - pb) ** 2
-    slackness = instance.eta * pb * p * slack ** 2
+    payment, disagreement, slackness = _gross(
+        instance.A[rows, i] * x_i[:, None], P_i[:, rows], pb, instance.eta,
+        slack)
     gross = (payment + disagreement + slackness).sum(axis=1)
     rebate = math.fsum(base.taxes.rebate[i])
     return instance.valuations[i].value(x_i) - (gross - rebate)
@@ -800,10 +774,8 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
         best_dev.append(desc)
 
     # equilibrium-shape diagnostics
-    mask = (instance.A != 0).T
-    S = _member_sums(instance, profile.prices)
-    counts = instance.index_sets.counts.astype(float)
-    mean_p = S / counts
+    counts = instance.index_sets.counts
+    mean_p = _member_sums(instance, profile.prices) / counts
     spread = np.zeros(L)
     for l in range(L):
         mem = list(instance.index_sets.members[l])
@@ -811,12 +783,9 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
         spread[l] = float(col.max() - col.min())
     slack_vec = instance.caps - instance.A @ base.x
     comp = float(np.max(np.abs(mean_p * slack_vec), initial=0.0))
-    stat = float(max(
-        abs(instance.valuations[i].deriv_s(float(base.x[i]))
-            - float(instance.A[:, i] @ mean_p))
-        for i in range(n)))
-    values0 = np.array([v.value_s(0.0) for v in instance.valuations])
-    ir = base.utilities - values0
+    table = instance.valuation_table
+    stat = float(np.max(np.abs(table.deriv(base.x) - instance.A.T @ mean_p)))
+    ir = base.utilities - table.value(np.zeros(n))
 
     max_gain = float(gains.max(initial=0.0))
     return NEReport(

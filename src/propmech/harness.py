@@ -441,17 +441,13 @@ def _sample_feasible_y(instance: Instance, rng: np.random.Generator,
                        m: int) -> np.ndarray:
     """Demand profiles with the averaged point inside the polytope."""
     red = instance.reduced
-    rows = red.A_red[red.nonvacuous]
-    caps = red.caps[red.nonvacuous]
+    rows, caps = red.A_nv, red.caps_nv
     d = instance.d
     U = rng.random((m, instance.n_agents)) + 1e-6
     Y = np.empty_like(U)
-    for r in range(m):
-        u = U[r]
-        base = red.average(d)
-        direction = red.average(u)
+    room = caps - rows @ red.average(d)
+    for r, (u, direction) in enumerate(zip(U, red.average(U))):
         if rows.size:
-            room = caps - rows @ base
             push = rows @ direction
             with np.errstate(divide="ignore"):
                 tmax = np.min(np.where(push > 1e-12, room / push, np.inf))

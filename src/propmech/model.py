@@ -26,6 +26,7 @@ __all__ = [
     "InvalidParameter",
     "NoInteriorPoint",
     "NegativeReducedCoefficient",
+    "Choice",
     "Variant",
     "FAMILIES",
     "Valuation",
@@ -70,23 +71,27 @@ class NegativeReducedCoefficient(ValueError):
     """Equality reduction produced a negative aggregated coefficient."""
 
 
-class Variant(Enum):
-    """Tax schedule selector for the induced game."""
-
-    BASE = "base"
-    SBB_NE = "sbb-ne"
-    SBB_OFFEQ = "sbb-offeq"
+class Choice(Enum):
+    """An enum of named options parsed case- and separator-insensitively."""
 
     @classmethod
-    def parse(cls, name: "str | Variant") -> "Variant":
-        if isinstance(name, Variant):
+    def parse(cls, name):
+        if isinstance(name, cls):
             return name
         key = str(name).strip().lower().replace("_", "-")
         for member in cls:
             if member.value == key:
                 return member
-        raise ValueError(f"unknown variant {name!r}; expected one of "
-                         f"{[m.value for m in cls]}")
+        raise ValueError(f"unknown {cls.__name__.lower()} {name!r}; expected "
+                         f"one of {[m.value for m in cls]}")
+
+
+class Variant(Choice):
+    """Tax schedule selector for the induced game."""
+
+    BASE = "base"
+    SBB_NE = "sbb-ne"
+    SBB_OFFEQ = "sbb-offeq"
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +345,11 @@ class IndexSets:
     def counts(self) -> np.ndarray:
         return np.array([len(m) for m in self.members], dtype=int)
 
+    @cached_property
+    def thin_rows(self) -> tuple[int, ...]:
+        """Rows with fewer than two members: no peer to average prices over."""
+        return tuple(l for l, m in enumerate(self.members) if len(m) < 2)
+
     @property
     def degrees(self) -> np.ndarray:
         return np.array([len(r) for r in self.rows_of_agent], dtype=int)
@@ -489,6 +499,9 @@ class ReducedInstance:
     A_red: np.ndarray            # (L, K)
     caps: np.ndarray             # (L,)
     nonvacuous: np.ndarray       # (L,) bool
+    nv_rows: np.ndarray          # (M,) ids of the non-vacuous rows
+    A_nv: np.ndarray             # (M, K) those rows, the only ones that bind
+    caps_nv: np.ndarray          # (M,) their caps
 
     @property
     def K(self) -> int:
@@ -504,6 +517,21 @@ class ReducedInstance:
         sizes = self.group_sizes[self.group_of_agent].astype(float)
         return self.A_red[:, self.group_of_agent] / sizes
 
+    @cached_property
+    def caps_nv_tol(self) -> np.ndarray:
+        """caps_nv widened by the relative feasibility slack FEAS_TOL."""
+        return self.caps_nv + FEAS_TOL * (1.0 + np.abs(self.caps_nv))
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """The interior anchor in the reduced space, (K,)."""
+        return self.restrict(self.instance.theta_or_derived())
+
+    @cached_property
+    def theta_slack(self) -> np.ndarray:
+        """The anchor's slack caps_nv - A_nv theta on each non-vacuous row."""
+        return self.caps_nv - self.A_nv @ self.theta
+
     def expand(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return z[self.group_of_agent]
@@ -512,10 +540,15 @@ class ReducedInstance:
         return np.asarray(x, dtype=float)[self.representatives]
 
     def average(self, y: np.ndarray) -> np.ndarray:
+        """Group means along the last axis, (..., N) -> (..., K); y itself
+        when every group is a singleton."""
         y = np.asarray(y, dtype=float)
-        out = np.zeros(self.K)
-        np.add.at(out, self.group_of_agent, y)
-        return out / self.group_sizes
+        if self.K == y.shape[-1]:
+            return y
+        out = np.zeros(y.shape[:-1] + (self.K,))
+        np.add.at(out.T, self.group_of_agent, y.T)
+        out /= self.group_sizes
+        return out
 
 
 def reduce_equalities(instance: Instance) -> ReducedInstance:
@@ -548,10 +581,13 @@ def reduce_equalities(instance: Instance) -> ReducedInstance:
     A_red[A_red < 0] = 0.0
 
     nonvacuous = np.abs(A_red).max(axis=1, initial=0.0) > tol
+    nv_rows = np.flatnonzero(nonvacuous)
     return ReducedInstance(instance=instance, group_members=groups,
                            group_of_agent=group_of_agent, representatives=reps,
                            group_sizes=sizes, A_red=A_red,
-                           caps=instance.caps.copy(), nonvacuous=nonvacuous)
+                           caps=instance.caps.copy(), nonvacuous=nonvacuous,
+                           nv_rows=nv_rows, A_nv=A_red[nv_rows],
+                           caps_nv=instance.caps[nv_rows])
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +602,7 @@ def derive_theta(instance: Instance) -> np.ndarray:
     (e.g. a zero cap over positive coefficients).
     """
     red = instance.reduced
-    rows = red.A_red[red.nonvacuous]
-    caps = red.caps[red.nonvacuous]
-    d_red = red.d_red
+    rows, caps, d_red = red.A_nv, red.caps_nv, red.d_red
     if np.any(d_red <= 0):
         raise NoInteriorPoint("d must be strictly positive")
     sigma = 0.5
@@ -642,10 +676,9 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
                                           instance.d[g[0]]):
             msgs.append(f"group {g} has non-constant d")
     red = instance.reduced
-    viol = red.A_red[red.nonvacuous] @ red.d_red \
-        - red.caps[red.nonvacuous] if red.nonvacuous.any() else np.array([])
-    if viol.size and viol.max(initial=0.0) > FEAS_TOL * (
-            1.0 + np.abs(red.caps[red.nonvacuous]).max()):
+    viol = red.A_nv @ red.d_red - red.caps_nv
+    if viol.max(initial=0.0) > FEAS_TOL * (
+            1.0 + np.abs(red.caps_nv).max(initial=0.0)):
         msgs.append("d itself is infeasible")
     checks.append(CheckResult("A2(box)", "fail" if msgs else "pass",
                               "; ".join(msgs)))
@@ -666,7 +699,7 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
         f"negative caps at rows {neg.tolist()}" if neg.size else ""))
 
     # A4: every constraint touches at least two agents.
-    thin = [l for l, m in enumerate(idx.members) if len(m) < 2]
+    thin = list(idx.thin_rows)
     checks.append(CheckResult(
         "A4", "fail" if thin else "pass",
         f"constraints {thin} touch fewer than two agents" if thin else ""))
@@ -706,11 +739,9 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
             if len(g) > 1 and not np.allclose(th[list(g)], th[g[0]]):
                 msgs.append(f"group {g} has non-constant theta")
         if not msgs:
-            th_red = red.restrict(th)
-            lhs = red.A_red[red.nonvacuous] @ th_red
-            rhs = red.caps[red.nonvacuous] - INTERIOR_MARGIN * (
-                1.0 + np.abs(red.caps[red.nonvacuous]))
-            if lhs.size and np.any(lhs > rhs):
+            lhs = red.A_nv @ red.theta
+            rhs = red.caps_nv - INTERIOR_MARGIN * (1.0 + np.abs(red.caps_nv))
+            if np.any(lhs > rhs):
                 msgs.append("theta is not strictly interior")
         checks.append(CheckResult("theta", "fail" if msgs else "pass",
                                   "; ".join(msgs)))

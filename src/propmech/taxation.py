@@ -109,17 +109,14 @@ def _check_prices(instance: Instance, prices: np.ndarray) -> np.ndarray:
     return prices
 
 
-def pbar(instance: Instance, prices: np.ndarray, i: int, l: int) -> float:
-    """Average price quoted on constraint l by the members other than i."""
-    prices = _check_prices(instance, prices)
-    members = instance.index_sets.members[l]
-    if i not in members:
-        raise AgentNotOnConstraint(f"agent {i} is not on constraint {l}")
-    others = [j for j in members if j != i]
-    if not others:
+def _require_peers(instance: Instance) -> None:
+    """Every tax term averages a member's peers on a row, dividing by the
+    member count minus one, so every constraint needs two members."""
+    thin = instance.index_sets.thin_rows
+    if thin:
         raise AgentNotOnConstraint(
-            f"constraint {l} has no member besides agent {i}")
-    return math.fsum(prices[j, l] for j in others) / len(others)
+            f"constraints {list(thin)} have a single member, so no peer "
+            "price exists for it")
 
 
 def _leave_one_out(vals: np.ndarray) -> np.ndarray:
@@ -130,25 +127,44 @@ def _leave_one_out(vals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _peer_mean(p: np.ndarray) -> np.ndarray:
+    """Entry i: the mean of one row's member prices p other than p[i]."""
+    return _leave_one_out(p).sum(axis=1) / (len(p) - 1)
+
+
+def _peer_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
+    """(N, L) peer means pbar(-i) on every membership, zeros elsewhere."""
+    out = np.zeros((instance.n_agents, instance.n_constraints))
+    for l, mem in enumerate(instance.index_sets.members):
+        out[mem, l] = _peer_mean(prices[mem, l])
+    return out
+
+
+def _gross(a_x, p, pb, eta: float, slack):
+    """Payment, disagreement and slackness terms, elementwise in the
+    member's A_li x_i, own price p, peer mean pb and the row's slack."""
+    return a_x * pb, (p - pb) ** 2, eta * pb * p * slack ** 2
+
+
+def pbar(instance: Instance, prices: np.ndarray, i: int, l: int) -> float:
+    """Average price quoted on constraint l by the members other than i."""
+    prices = _check_prices(instance, prices)
+    members = instance.index_sets.members[l]
+    if i not in members:
+        raise AgentNotOnConstraint(f"agent {i} is not on constraint {l}")
+    _require_peers(instance)
+    return float(_peer_mean(prices[members, l])[members.index(i)])
+
+
 def _gross_terms(instance: Instance, x: np.ndarray, prices: np.ndarray):
-    """Payment / disagreement / slackness matrices plus per-row context."""
-    n, L = instance.n_agents, instance.n_constraints
-    payment = np.zeros((n, L))
-    disagreement = np.zeros((n, L))
-    slackness = np.zeros((n, L))
+    """(N, L) payment, disagreement and slackness matrices, zeros off
+    membership, plus the peer means they were built from."""
+    _require_peers(instance)
+    pb = _peer_means(instance, prices)
+    A_t = instance.A.T
+    own = np.where(A_t != 0, prices, 0.0)
     slack = instance.caps - instance.A @ x
-    rows = []
-    for l in range(L):
-        mem = np.array(instance.index_sets.members[l], dtype=int)
-        p = prices[mem, l]
-        loo = _leave_one_out(p).sum(axis=1)
-        pbar_minus = loo / (len(mem) - 1)
-        a_x = instance.A[l, mem] * x[mem]
-        payment[mem, l] = a_x * pbar_minus
-        disagreement[mem, l] = (p - pbar_minus) ** 2
-        slackness[mem, l] = instance.eta * pbar_minus * p * slack[l] ** 2
-        rows.append((mem, p, pbar_minus))
-    return payment, disagreement, slackness, slack, rows
+    return _gross(A_t * x[:, None], own, pb, instance.eta, slack) + (pb,)
 
 
 def base_tax(instance: Instance, x: np.ndarray, prices: np.ndarray
@@ -156,7 +172,7 @@ def base_tax(instance: Instance, x: np.ndarray, prices: np.ndarray
     """Gross tax with no rebate."""
     x = instance.check_x_shape(x)
     prices = _check_prices(instance, prices)
-    payment, disagreement, slackness, _, _ = _gross_terms(instance, x, prices)
+    payment, disagreement, slackness, _ = _gross_terms(instance, x, prices)
     return TaxBreakdown(payment=payment, disagreement=disagreement,
                         slackness=slackness, rebate=np.zeros_like(payment))
 
@@ -187,11 +203,12 @@ def sbb_ne_tax(instance: Instance, y: np.ndarray, x: np.ndarray,
     y = instance.check_x_shape(y, "y")
     x = instance.check_x_shape(x)
     prices = _check_prices(instance, prices)
-    payment, disagreement, slackness, _, rows = _gross_terms(
-        instance, x, prices)
+    payment, disagreement, slackness, pb = _gross_terms(instance, x, prices)
     rebate = np.zeros_like(payment)
-    for l, (mem, p, pbar_minus) in enumerate(rows):
+    for l, mem in enumerate(instance.index_sets.members):
+        mem = list(mem)
         nm = len(mem)
+        p, pbar_minus = prices[mem, l], pb[mem, l]
         w = _f1_weights(instance, l, mem)
         if nm == 2:
             if np.all(instance.A[l, mem] >= 0):
@@ -217,6 +234,7 @@ def sbb_offeq_tax(instance: Instance, y: np.ndarray, x: np.ndarray,
     y = instance.check_x_shape(y, "y")
     x = instance.check_x_shape(x)
     prices = _check_prices(instance, prices)
+    _require_peers(instance)
     if instance.is_degenerate or np.any(instance.A < 0):
         raise DegenerateRowUnsupported(
             "off-equilibrium balancing needs nonnegative rows and no "
@@ -227,12 +245,13 @@ def sbb_offeq_tax(instance: Instance, y: np.ndarray, x: np.ndarray,
         raise AssumptionA4PrimeViolated(
             f"constraints {small.tolist()} touch fewer than five agents")
 
-    payment, disagreement, slackness, _, rows = _gross_terms(
-        instance, x, prices)
+    payment, disagreement, slackness, _ = _gross_terms(instance, x, prices)
     rebate = np.zeros_like(payment)
     eta = instance.eta
-    for l, (mem, p, pbar_minus) in enumerate(rows):
+    for l, mem in enumerate(instance.index_sets.members):
+        mem = list(mem)
         nm = len(mem)
+        p = prices[mem, l]
         cap = instance.caps[l]
         g = instance.A[l, mem] * y[mem]
         phi = g * g - 2.0 * cap * g

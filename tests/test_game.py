@@ -13,7 +13,10 @@ from propmech.game import (A2Violation, _draw_joint_trials,
 from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
 from propmech.model import Constraint, Instance, InvalidParameter, Valuation
-from propmech.taxation import AgentNotOnConstraint
+from propmech.allocation import allocate
+from propmech.model import validate
+from propmech.taxation import (AgentNotOnConstraint, base_tax, sbb_ne_tax,
+                               sbb_offeq_tax, tax)
 
 
 def candidate(inst):
@@ -376,3 +379,42 @@ def test_joint_trials_match_call_by_call_draws():
                         1.0 + float(prof.prices[i, l]))
             assert np.array_equal(Y[k], trial.y)
             assert np.array_equal(P[k], trial.prices[i])
+
+
+def one_member_row():
+    """Two agents sharing a row, plus a row only agent 1 sits on."""
+    return Instance(
+        valuations=(Valuation("log_shift", 1.0, 1.0),
+                    Valuation("log_shift", 1.0, 1.0)),
+        constraints=(Constraint({0: 1.0, 1: 1.0}, 1.0),
+                     Constraint({1: 1.0}, 0.4)),
+        equality_groups=(), d=0.01, D=10.0, eta=1.0)
+
+
+def test_one_member_row_is_a_typed_error_at_every_entry_point():
+    inst = one_member_row()
+    # a valid optimisation problem: accepted, solvable, flagged by A4
+    assert [c.name for c in validate(inst).failures] == ["A4"]
+    assert solve(inst).converged
+    prof = make_profile(inst, [0.3, 0.2], [[0.5, 0.0], [0.5, 0.7]])
+    x = allocate(inst, prof.y).x
+    calls = {
+        "base_tax": lambda: base_tax(inst, x, prof.prices),
+        "sbb_ne_tax": lambda: sbb_ne_tax(inst, prof.y, x, prof.prices),
+        "sbb_offeq_tax": lambda: sbb_offeq_tax(inst, prof.y, x, prof.prices),
+        "tax": lambda: tax(inst, "sbb-ne", prof.y, x, prof.prices),
+        "outcome": lambda: outcome(inst, "base", prof),
+        "best_response_price": lambda: best_response_price(
+            inst, "base", prof, 0, 0),
+        "best_response_demand": lambda: best_response_demand(
+            inst, "base", prof, 0),
+        "notional_demand": lambda: notional_demand(inst, prof, 0),
+        "run_dynamics": lambda: run_dynamics(inst, max_rounds=3),
+        "run_dynamics(best-response)": lambda: run_dynamics(
+            inst, schedule="best-response", max_rounds=3),
+        "verify_epsilon_ne": lambda: verify_epsilon_ne(
+            inst, "base", prof, deviations=5),
+    }
+    for name, call in calls.items():
+        with pytest.raises(AgentNotOnConstraint, match="single member"):
+            call()

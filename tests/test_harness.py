@@ -264,6 +264,22 @@ def test_cli_failure_exit_codes(tmp_path, capsys):
     assert len(err) == 5 and all(line.startswith("error: ") for line in err)
 
 
+def test_cli_one_member_row_exits_2(tmp_path, capsys):
+    # a constraint with one member has no peer price for its tax
+    inst = instance_to_dict(canonical_instance())
+    inst["agents"].append(inst["agents"][0])
+    inst["d"].append(inst["d"][0])
+    inst["constraints"].append({"coeffs": {"2": 1.0}, "cap": 0.4})
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(inst))
+    for cmd in ("verify", "simulate", "run"):
+        assert main([cmd, str(path)]) == 2, cmd
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith("error: ") and "single member" in line
+               for line in err)
+
+
 def test_cli_rejects_nan_cap(tmp_path, capsys):
     inst = instance_to_dict(canonical_instance())
     inst["constraints"][0]["cap"] = float("nan")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from propmech.game import Schedule
 from propmech.model import (Constraint, DimensionMismatch, DomainError,
                             Instance, InvalidParameter,
                             NegativeReducedCoefficient, NoInteriorPoint,
@@ -441,8 +442,14 @@ def test_variant_parse_normalizes():
     assert Variant.parse("SBB_NE") is Variant.SBB_NE
     assert Variant.parse("sbb-offeq") is Variant.SBB_OFFEQ
     assert Variant.parse(Variant.BASE) is Variant.BASE
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown variant 'vcg'.*sbb-offeq"):
         Variant.parse("vcg")
+    assert Schedule.parse("best_response") is Schedule.BEST_RESPONSE
+    assert Schedule.parse(" Price-Adjust-BR ") is Schedule.PRICE_ADJUST_BR
+    assert Schedule.parse(Schedule.BEST_RESPONSE) is Schedule.BEST_RESPONSE
+    with pytest.raises(ValueError,
+                       match="unknown schedule 'gossip'.*best-response"):
+        Schedule.parse("gossip")
 
 
 # ---------------------------------------------------------------------------

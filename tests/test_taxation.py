@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from propmech.allocation import allocate
 from propmech.centralized import solve
 from propmech.game import construct_candidate_ne
 from propmech.harness import Scenario, canonical_instance, generate
@@ -46,6 +47,31 @@ def test_pbar_is_the_other_members_mean():
     prices = np.arange(5.0).reshape(5, 1)
     assert pbar(inst, prices, 0, 0) == pytest.approx(2.5, abs=1e-15)
     assert pbar(inst, prices, 4, 0) == pytest.approx(1.5, abs=1e-15)
+
+
+def test_payment_reads_pbar_bitwise():
+    # rows of 9 and 12 members, where an exactly rounded peer sum and the
+    # tax's leave-one-out sum round differently unless they are one helper
+    n = 12
+    wide = Instance(
+        valuations=tuple(Valuation("log_shift", 1.0 + 0.1 * i, 1.0)
+                         for i in range(n)),
+        constraints=(Constraint({i: 0.5 + 0.1 * i for i in range(n)}, 6.0),
+                     Constraint({i: 1.0 for i in range(3, n)}, 4.0)),
+        equality_groups=(), d=0.01, D=100.0, eta=0.3)
+    rng = np.random.default_rng(41)
+    for inst in (wide, five_on_a_row(), canonical_instance(),
+                 generate(Scenario(kind="unicast", n_agents=6,
+                                   n_constraints=3), 2)):
+        for _ in range(20):
+            y, prices = rng_profile(inst, rng)
+            prices = prices * rng.uniform(0.0, 1e3)
+            x = allocate(inst, y).x
+            bd = base_tax(inst, x, prices)
+            for l, mem in enumerate(inst.index_sets.members):
+                for i in mem:
+                    assert bd.payment[i, l] == \
+                        inst.A[l, i] * x[i] * pbar(inst, prices, i, l)
 
 
 def test_pbar_rejects_nonmembers_and_singletons():
