@@ -104,80 +104,37 @@ class _GroupCalc:
         self.gidx = red.group_of_agent
         self.K = red.K
 
-    def _acc(self, contrib: np.ndarray) -> np.ndarray:
-        return np.bincount(self.gidx, weights=contrib, minlength=self.K)
-
     def value(self, z: np.ndarray) -> np.ndarray:
-        return self._acc(self.table.value(z[self.gidx]))
+        return self.table.group_sums("value", z, self.gidx)
 
     def deriv(self, z: np.ndarray) -> np.ndarray:
-        return self._acc(self.table.deriv(z[self.gidx]))
+        return self.table.group_sums("deriv", z, self.gidx)
 
     def deriv2(self, z: np.ndarray) -> np.ndarray:
-        return self._acc(self.table.deriv2(z[self.gidx]))
+        return self.table.group_sums("deriv2", z, self.gidx)
 
     @cached_property
     def _split(self):
         """Singleton coordinates with their table, and the multi-member
         groups with their members' table and local group index."""
-        single = self.red.group_sizes == 1
-        ones = np.flatnonzero(single)
-        multi = np.flatnonzero(~single)
-        members = np.flatnonzero(~single[self.gidx])
+        ones = np.flatnonzero(self.red.group_sizes == 1)
+        multi, members, loc = self.red.multi_groups
         return (ones, self.table.take(self.red.representatives[ones]),
-                multi, self.table.take(members),
-                np.searchsorted(multi, self.gidx[members]))
+                multi, self.table.take(members), loc)
 
     def argmax_inner(self, q: np.ndarray, D: float,
                      z0: "np.ndarray | None" = None) -> np.ndarray:
         """Per-coordinate maximizer of V_k(z) - q_k z over [0, D].
 
         A singleton coordinate takes its family's closed-form inverse
-        slope. The summed slope of a multi-member equality group has no
-        closed inverse; those coordinates run a safeguarded Newton solve of
-        V_k'(z) = q_k.
+        slope; a multi-member equality group takes the table's group solve.
         """
         ones, t_one, multi, t_mem, loc = self._split
         z = np.empty(self.K)
         z[ones] = t_one.inv_deriv(q[ones], D)
-        if not multi.size:
-            return z
-        G = multi.size
-
-        def deriv(zg):
-            return np.bincount(loc, weights=t_mem.deriv(zg[loc]),
-                               minlength=G)
-
-        def deriv2(zg):
-            return np.bincount(loc, weights=t_mem.deriv2(zg[loc]),
-                               minlength=G)
-
-        qg = q[multi]
-        lo = np.zeros(G)
-        hi = np.full(G, float(D))
-        at_top = deriv(hi) - qg >= 0
-        at_bot = deriv(np.full(G, 1e-300)) - qg <= 0
-        pinned = at_top | at_bot  # overwritten below, need not converge
-        zg = np.clip(z0[multi] if z0 is not None else np.full(G, D / 2),
-                     1e-12, D - 1e-12)
-        for _ in range(80):
-            f = deriv(zg) - qg
-            pos = f > 0
-            lo = np.where(pos, zg, lo)
-            hi = np.where(pos, hi, zg)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = zg - f / deriv2(zg)
-            # closed bracket: a step that lands on the root it already
-            # holds (f = 0) stays put instead of restarting bisection
-            inside = (newton >= lo) & (newton <= hi) & np.isfinite(newton)
-            z_new = np.where(inside, newton, 0.5 * (lo + hi))
-            if np.all(pinned | (np.abs(z_new - zg)
-                                <= 4e-16 * (1.0 + np.abs(zg)))):
-                zg = z_new
-                break
-            zg = z_new
-        zg = np.where(at_bot, 0.0, zg)
-        z[multi] = np.where(at_top, float(D), zg)
+        if multi.size:
+            z[multi] = t_mem.group_inv_deriv(
+                q[multi], D, loc, 0.0, None if z0 is None else z0[multi])
         return z
 
 

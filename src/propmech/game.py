@@ -10,7 +10,7 @@ objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import nnls
@@ -18,8 +18,8 @@ from scipy.optimize import nnls
 from .allocation import allocate, allocate_many
 from .centralized import CentralizedSolution
 from .model import Choice, Instance, InvalidParameter, Variant
-from .taxation import (TaxBreakdown, _check_prices, _gross, _peer_means,
-                       _require_peers, pbar, tax, total_tax)
+from .taxation import (TaxBreakdown, _check_prices, _gross, _member_means,
+                       _peer_means, _require_peers, pbar, tax, total_tax)
 
 __all__ = [
     "A2Violation",
@@ -106,12 +106,6 @@ def utility(instance: Instance, variant: "str | Variant",
 # best responses (variant-independent: rebates never depend on own messages)
 
 
-def _member_sums(instance: Instance, prices: np.ndarray) -> np.ndarray:
-    """Per-row sum of member prices, shape (L,)."""
-    mask = (instance.A != 0).T
-    return (prices * mask).sum(axis=0)
-
-
 def best_response_price(instance: Instance, variant: "str | Variant",
                         profile: MessageProfile, i: int, l: int) -> float:
     """Closed-form argmax over agent i's price on constraint l.
@@ -131,16 +125,17 @@ class _DemandObjective:
 
     Inside the feasible region the map is strictly concave in own demand;
     past the boundary it follows the pullback ray. Constant terms
-    (disagreement penalty, rebate) are dropped.
+    (disagreement penalty, rebate) are dropped. ``peer_means`` is the
+    profile's (N, L) peer mean prices, when the caller already has them.
     """
 
-    def __init__(self, instance: Instance, profile: MessageProfile, i: int):
+    def __init__(self, instance: Instance, profile: MessageProfile, i: int,
+                 peer_means: "np.ndarray | None" = None):
         _require_peers(instance)
         red = instance.reduced
         self.v = instance.valuations[i]
-        self.eta = instance.eta
-        self.rows_i = np.array(instance.index_sets.rows_of_agent[i],
-                               dtype=int)
+        rows = np.array(instance.index_sets.rows_of_agent[i], dtype=int)
+        self.rows_i = rows
         k = red.group_of_agent[i]
         self.beta = 1.0 / red.group_sizes[k]
         group = red.group_members[k]
@@ -150,62 +145,50 @@ class _DemandObjective:
         A_hat = red.A_hat
         self.coef = A_hat[:, i]                       # (L,)
         self.rv0 = A_hat @ profile.y - self.coef * profile.y[i]
-        self.caps = instance.caps
         self.nv_rows = red.nv_rows
 
-        theta = instance.theta_or_derived()
-        self.theta_i = float(theta[i])
-        rv_theta = red.A_red @ red.restrict(theta)
-        self.num_full = self.caps - rv_theta
+        self.theta_i = float(instance.theta_or_derived()[i])
+        rv_theta = red.A_red @ red.theta
+        self.num_full = instance.caps - rv_theta
         self.den0 = self.rv0 - rv_theta
 
-        counts = instance.index_sets.counts
-        S = _member_sums(instance, profile.prices)
-        pb = np.zeros(instance.n_constraints)
-        rows = self.rows_i
-        pb[rows] = (S[rows] - profile.prices[i, rows]) / (counts[rows] - 1)
-        self.p_own = profile.prices[i].copy()
-        self.c_pay = float((instance.A[:, i] * pb)[rows].sum())
-        # slack-tax weights on own rows: eta * pbar * p_own
-        w = np.zeros(instance.n_constraints)
-        w[rows] = self.eta * pb[rows] * self.p_own[rows]
-        self.w = w[rows]
+        if peer_means is None:
+            peer_means = _peer_means(instance, profile.prices)
+        pb = peer_means[i, rows]
+        self.c_pay = float((instance.A[rows, i] * pb).sum())
+        # slack tax on own rows: sum of w (gap - coef t)^2 with weights
+        # eta * pbar * p_own, a quadratic in own demand t
+        self.w = instance.eta * pb * profile.prices[i, rows]
+        gap = instance.caps - self.rv0
         self.coef_rows = self.coef[rows]
+        self.gap_rows = gap[rows]
+        self.wgc = float((self.w * self.gap_rows * self.coef_rows).sum())
+        self.wcc = float((self.w * self.coef_rows ** 2).sum())
 
         # largest own demand keeping the averaged profile feasible
-        tol = 1e-12 * (1.0 + np.abs(self.caps))
-        t_b = math.inf
-        for l in self.nv_rows:
-            c = self.coef[l]
-            gap = self.caps[l] - self.rv0[l]
-            if c > 1e-300:
-                t_b = min(t_b, gap / c)
-            elif gap < -tol[l]:
-                t_b = -math.inf
-        self.t_b = t_b
+        c, gap = self.coef[self.nv_rows], gap[self.nv_rows]
+        up = c > 1e-300
+        tol = 1e-12 * (1.0 + np.abs(instance.caps[self.nv_rows]))
+        stuck = ~up & (gap < -tol)
+        self.t_b = -math.inf if stuck.any() else \
+            float(np.min(gap[up] / c[up], initial=math.inf))
 
     # -- inside the feasible region --------------------------------------
 
-    def _inside(self, t: float):
-        x_i = self.y0k + self.beta * t
-        d_rows = (self.caps - self.rv0)[self.rows_i] \
-            - self.coef_rows * t
-        return x_i, d_rows
-
     def value_inside(self, t: float) -> float:
-        x_i, d_rows = self._inside(t)
+        x_i = self.y0k + self.beta * t
+        d_rows = self.gap_rows - self.coef_rows * t
         slack_tax = float((self.w * d_rows * d_rows).sum())
         return self.v.value_s(x_i) - x_i * self.c_pay - slack_tax
 
     def grad_inside(self, t: float) -> float:
-        x_i, d_rows = self._inside(t)
+        x_i = self.y0k + self.beta * t
         return self.beta * (self.v.deriv_s(x_i) - self.c_pay) \
-            + 2.0 * float((self.w * d_rows * self.coef_rows).sum())
+            + 2.0 * (self.wgc - t * self.wcc)
 
     def curv_inside(self, t: float) -> float:
-        x_i, _ = self._inside(t)
-        return self.beta ** 2 * self.v.deriv2_s(x_i) \
-            - 2.0 * float((self.w * self.coef_rows ** 2).sum())
+        x_i = self.y0k + self.beta * t
+        return self.beta ** 2 * self.v.deriv2_s(x_i) - 2.0 * self.wcc
 
     # -- past the boundary: pullback ray ----------------------------------
 
@@ -351,6 +334,10 @@ def notional_demand(instance: Instance, profile: MessageProfile,
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One round's changes and books. Under price-adjust-br the largest of
+    the last three fields decides rest; the best-response schedule rests
+    on max_change and leaves them None."""
+
     round: int
     max_change: float
     feasibility_violation: float
@@ -358,6 +345,9 @@ class RoundRecord:
     y: "np.ndarray | None" = None
     prices: "np.ndarray | None" = None
     x: "np.ndarray | None" = None
+    price_complementarity: "float | None" = None
+    group_gap: "float | None" = None
+    snap_distance: "float | None" = None
 
 
 @dataclass(eq=False)
@@ -372,39 +362,35 @@ class RunTrace:
     def to_rows(self) -> list[dict]:
         rows = []
         for r in self.records:
-            row = {"round": r.round, "max_change": r.max_change,
-                   "feasibility_violation": r.feasibility_violation,
-                   "budget_imbalance": r.budget_imbalance}
+            row = {f.name: getattr(r, f.name) for f in fields(r)
+                   if f.name not in ("y", "prices", "x")}
             if r.y is not None:
                 row.update({f"y{i}": float(v) for i, v in enumerate(r.y)})
                 row.update({f"x{i}": float(v) for i, v in enumerate(r.x)})
-                n, L = r.prices.shape
-                for l in range(L):
-                    for i in range(n):
-                        row[f"p{i}_{l}"] = float(r.prices[i, l])
+                row.update({f"p{i}_{l}": float(p)
+                            for l, col in enumerate(r.prices.T)
+                            for i, p in enumerate(col)})
             rows.append(row)
         return rows
 
 
 def _price_caps(instance: Instance) -> np.ndarray:
     """Per-row clamp keeping price excursions within valuation scale."""
-    slopes = np.array([v.deriv_s(float(instance.d[i]))
-                       for i, v in enumerate(instance.valuations)])
-    caps = np.empty(instance.n_constraints)
-    for l, mem in enumerate(instance.index_sets.members):
-        best = 0.0
-        for i in mem:
-            a = abs(instance.A[l, i])
-            if a > 1e-12:
-                best = max(best, slopes[i] / a)
-        caps[l] = 4.0 * best if best > 0 else 1.0
+    slopes = instance.valuation_table.deriv(instance.d)
+    absA = np.abs(instance.A)
+    ratio = np.divide(slopes, absA, out=np.zeros_like(absA),
+                      where=absA > 1e-12)
+    best = ratio.max(axis=1)
+    caps = np.where(best > 0, 4.0 * best, 1.0)
+    # difference rows may carry transfer prices that accumulate first-order
+    # gaps around the whole group, not just their two ends
     red = instance.reduced
-    for l in np.flatnonzero(~red.nonvacuous):
-        # difference rows may carry transfer prices that accumulate
-        # first-order gaps around the whole group, not just their two ends
-        g = int(red.group_of_agent[instance.index_sets.members[l][0]])
-        group = instance.equality_groups[g]
-        caps[l] = max(caps[l], 2.0 * float(slopes[list(group)].sum()))
+    vac = ~red.nonvacuous
+    group_slope = np.bincount(red.group_of_agent, weights=slopes,
+                              minlength=red.K)
+    first = np.argmax(instance.A[vac] != 0, axis=1)
+    caps[vac] = np.maximum(caps[vac],
+                           2.0 * group_slope[red.group_of_agent[first]])
     return caps
 
 
@@ -416,45 +402,10 @@ def _local_gains(instance: Instance, y: np.ndarray) -> np.ndarray:
     its inverse row sum keeps the coupled price-demand loop contractive,
     including across rows that share agents.
     """
-    r = np.empty(instance.n_agents)
-    for i, v in enumerate(instance.valuations):
-        yy = min(max(float(y[i]), float(instance.d[i]) + 1e-9), instance.D)
-        r[i] = 1.0 / max(abs(v.deriv2_s(yy)), 1e-12)
+    yy = np.clip(y, instance.d + 1e-9, instance.D)
+    r = 1.0 / np.maximum(np.abs(instance.valuation_table.deriv2(yy)), 1e-12)
     coupling = np.abs(instance.A @ (r[:, None] * instance.A.T))
     return 1.0 / np.maximum(coupling.sum(axis=1), 1e-9)
-
-
-def _group_consensus(instance: Instance, members: np.ndarray,
-                     total_cost: float, lo: float) -> float:
-    """Demand where the group's summed marginal value meets its summed cost.
-
-    Safeguarded Newton on a strictly decreasing function; returns a
-    clamped endpoint when the crossing lies outside [lo, D].
-    """
-    vals = [instance.valuations[int(i)] for i in members]
-
-    def f(z: float) -> float:
-        return sum(v.deriv_s(z) for v in vals) - total_cost
-
-    hi = instance.D
-    if f(lo) <= 0.0:
-        return lo
-    if f(hi) >= 0.0:
-        return hi
-    a, b = lo, hi
-    z = 0.5 * (a + b)
-    for _ in range(80):
-        fz = f(z)
-        if fz > 0.0:
-            a = z
-        else:
-            b = z
-        if b - a <= 1e-15 * (1.0 + b):
-            break
-        fp = sum(v.deriv2_s(z) for v in vals)
-        step = z - fz / fp if fp < 0.0 else a
-        z = step if a < step < b else 0.5 * (a + b)
-    return z
 
 
 def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
@@ -477,9 +428,9 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     damps the shared tax-penalty force that makes simultaneous jumps
     overshoot. Rest is declared from a step-size-free residual (price
     complementarity with excess demand, the groups' unexplained
-    first-order gaps, and demand snap distances), so a shrinking gain
-    cannot fake convergence; at rest the profile is a candidate
-    equilibrium.
+    first-order gaps, and demand snap distances, recorded per round), so a
+    shrinking gain cannot fake convergence; at rest the profile is a
+    candidate equilibrium.
 
     best-response: the literal per-agent loop (closed-form price updates,
     then a demand best response). Kept for study; from cold-start prices it
@@ -487,43 +438,45 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     """
     variant = Variant.parse(variant)
     schedule = Schedule.parse(schedule)
+    if max_rounds < 0:
+        raise InvalidParameter(f"max_rounds must be >= 0, got {max_rounds}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameter(f"tol must be finite and >= 0, got {tol}")
     _require_peers(instance)
     prof = (init.copy() if init is not None else default_init(instance))
-    n, L = instance.n_agents, instance.n_constraints
     mask = (instance.A != 0).T.astype(float)
-    counts = instance.index_sets.counts.astype(float)
 
-    gain = np.full(L, 0.5)
+    gain = np.full(instance.n_constraints, 0.5)
     p_cap = _price_caps(instance)
-    pc = _member_sums(instance, prof.prices) / counts
+    pc = _member_means(instance, prof.prices)
     prev_s = None
-    run_len = np.zeros(L, dtype=int)
+    run_len = np.zeros(instance.n_constraints, dtype=int)
     red = instance.reduced
     is_vac = ~red.nonvacuous
     row_scale = 1.0 + np.abs(instance.caps)
     lo = instance.d + _FLOOR_MARGIN * (1.0 + instance.d)
-    singles: list[int] = []
-    grp_info = []
-    for mem in instance.equality_groups:
-        if len(mem) < 2:
-            singles.append(mem[0])
-            continue
-        mem_arr = np.array(mem, dtype=int)
-        mem_set = set(mem)
-        rows = np.array([l for l in np.flatnonzero(is_vac)
-                         if set(instance.index_sets.members[l]) <= mem_set],
-                        dtype=int)
-        B = instance.A[rows][:, mem_arr]
-        grp_info.append((mem_arr, rows, B, float(lo[mem_arr].max())))
-    grouped = np.array(sorted(set(range(n)) - set(singles)), dtype=int)
+    singles = red.representatives[red.group_sizes == 1]
+    # multi-member groups: members in agent order with their group index,
+    # and per group its members' positions there, the difference rows whose
+    # members all lie in it, their member coefficients and its lower bound
+    multi, grouped, loc = red.multi_groups
+    t_grouped = instance.valuation_table.take(grouped)
+    first = red.representatives[multi]
+    vac_rows = np.flatnonzero(is_vac)
+    grp_rows = []
+    for g, k in enumerate(multi):
+        sel = np.flatnonzero(loc == g)
+        outside = instance.A[vac_rows][:, red.group_of_agent != k] != 0
+        rows = vac_rows[~outside.any(axis=1)]
+        grp_rows.append((sel, rows, instance.A[rows][:, grouped[sel]]))
+    lo_g = np.array([lo[grouped[sel]].max() for sel, _, _ in grp_rows])
 
     records: list[RoundRecord] = []
     converged = False
-    rounds_done = 0
     for rnd in range(1, max_rounds + 1):
         y_prev = prof.y.copy()
         p_prev = prof.prices.copy()
-        resid = None
+        comp_resid = group_resid = snap = None
         if schedule is Schedule.PRICE_ADJUST_BR:
             s = instance.A @ prof.y - instance.caps
             # complementarity of quoted prices with notional excess demand;
@@ -550,38 +503,41 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
             # and difference-row prices reproducing each member's gap to
             # that consensus; only the shared rows keep dynamic prices
             base = instance.A.T @ np.where(is_vac, 0.0, pc)
-            targets = np.empty(n)
-            group_resid = 0.0
-            for mem_arr, rows, B, lo_g in grp_info:
-                z = _group_consensus(instance, mem_arr,
-                                     float(base[mem_arr].sum()), lo_g)
-                want = np.array([instance.valuations[int(i)].deriv_s(z)
-                                 for i in mem_arr])
-                tau = want - base[mem_arr]
-                if rows.size:
-                    pv, _ = nnls(B.T, tau)
-                    pc[rows] = pv
-                    tau = tau - B.T @ pv
-                group_resid = max(group_resid, float(np.max(np.abs(tau)))
-                                  / (1.0 + float(np.max(np.abs(want)))))
-                targets[mem_arr] = z
+            group_resid = snap = 0.0
+            if multi.size:
+                cost = np.bincount(loc, weights=base[grouped],
+                                   minlength=multi.size)
+                z = t_grouped.group_inv_deriv(cost, instance.D, loc, lo_g,
+                                              prof.y[first])
+                want = t_grouped.deriv(z[loc])
+                tau = want - base[grouped]
+                for sel, rows, B in grp_rows:
+                    gap = tau[sel]
+                    if rows.size:
+                        pv, _ = nnls(B.T, gap)
+                        pc[rows] = pv
+                        gap = gap - B.T @ pv
+                    group_resid = max(
+                        group_resid, float(np.max(np.abs(gap)))
+                        / (1.0 + float(np.max(np.abs(want[sel])))))
+                snap = float(np.max(np.abs(z[loc] - prof.y[grouped])
+                                    / (1.0 + np.abs(prof.y[grouped]))))
+                prof.y[grouped] = np.maximum(z[loc], lo[grouped])
             prof.prices = pc[None, :] * mask
-            resid = max(comp_resid, group_resid,
-                        float(np.max(np.abs(targets[grouped] -
-                                            prof.y[grouped])
-                                     / (1.0 + np.abs(prof.y[grouped])),
-                                     initial=0.0)))
-            prof.y[grouped] = np.maximum(targets[grouped], lo[grouped])
             # singletons update in sequence, each seeing the demands already
             # placed this round; the sweep damps the shared slack-penalty
-            # force that makes simultaneous jumps overshoot in lockstep
+            # force that makes simultaneous jumps overshoot in lockstep.
+            # Prices stay fixed through the sweep, so its agents share one
+            # set of peer means.
+            pb = _peer_means(instance, prof.prices)
             for i in singles:
-                t_i = max(notional_demand(instance, prof, i), lo[i])
-                resid = max(resid, abs(t_i - prof.y[i])
-                            / (1.0 + abs(prof.y[i])))
+                t_i = _concave_argmax(_DemandObjective(instance, prof, i, pb),
+                                      lo[i], instance.D + 1.0)
+                snap = max(snap, float(abs(t_i - prof.y[i])
+                                       / (1.0 + abs(prof.y[i]))))
                 prof.y[i] = t_i
         else:
-            for i in range(n):
+            for i in range(instance.n_agents):
                 for l in instance.index_sets.rows_of_agent[i]:
                     prof.prices[i, l] = best_response_price(
                         instance, variant, prof, i, l)
@@ -600,13 +556,16 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
             budget_imbalance=budget,
             y=prof.y.copy() if record_profiles else None,
             prices=prof.prices.copy() if record_profiles else None,
-            x=alloc.x.copy() if record_profiles else None))
-        rounds_done = rnd
-        if (resid if resid is not None else max_change) <= tol:
+            x=alloc.x.copy() if record_profiles else None,
+            price_complementarity=comp_resid, group_gap=group_resid,
+            snap_distance=snap))
+        rest = max_change if snap is None else max(comp_resid, group_resid,
+                                                   snap)
+        if rest <= tol:
             converged = True
             break
     return RunTrace(schedule=schedule.value, variant=variant.value,
-                    rounds=rounds_done, converged=converged, profile=prof,
+                    rounds=len(records), converged=converged, profile=prof,
                     records=records)
 
 
@@ -730,7 +689,7 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
         raise InvalidParameter(f"deviations must be >= 0, got {deviations}")
     if not (math.isfinite(eps) and eps >= 0):
         raise InvalidParameter(f"eps must be finite and >= 0, got {eps}")
-    n, L = instance.n_agents, instance.n_constraints
+    n = instance.n_agents
     base = outcome(instance, variant, profile)
     hi = instance.D + 1.0
     gains = np.zeros(n)
@@ -774,13 +733,10 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
         best_dev.append(desc)
 
     # equilibrium-shape diagnostics
-    counts = instance.index_sets.counts
-    mean_p = _member_sums(instance, profile.prices) / counts
-    spread = np.zeros(L)
-    for l in range(L):
-        mem = list(instance.index_sets.members[l])
-        col = profile.prices[mem, l]
-        spread[l] = float(col.max() - col.min())
+    mean_p = _member_means(instance, profile.prices)
+    on = instance.A.T != 0
+    spread = np.where(on, profile.prices, -np.inf).max(axis=0) \
+        - np.where(on, profile.prices, np.inf).min(axis=0)
     slack_vec = instance.caps - instance.A @ base.x
     comp = float(np.max(np.abs(mean_p * slack_vec), initial=0.0))
     table = instance.valuation_table

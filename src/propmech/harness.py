@@ -23,9 +23,10 @@ from .centralized import (CentralizedSolution, _GroupCalc, brute_force_oracle,
                           objective, solve)
 from .game import (MessageProfile, RunTrace, construct_candidate_ne,
                    run_dynamics, verify_epsilon_ne)
-from .model import (Constraint, DomainError, Instance, Valuation,
-                    ValuationTable, Variant, instance_digest, validate)
-from .taxation import sbb_ne_tax, sbb_offeq_tax, total_tax
+from .model import (Constraint, DomainError, Instance, InvalidParameter,
+                    Valuation, ValuationTable, Variant, instance_digest,
+                    validate)
+from .taxation import _member_means, sbb_ne_tax, sbb_offeq_tax, total_tax
 
 __all__ = [
     "GenerationFailed",
@@ -196,6 +197,20 @@ def _build(scenario: Scenario, rng: np.random.Generator) -> Instance:
     raise GenerationFailed(f"unknown scenario kind {scenario.kind!r}")
 
 
+def _check_sizes(scenario: Scenario) -> None:
+    """Reject the sizes that no draw can build."""
+    n, kind = scenario.n_agents, scenario.kind
+    if kind in ("unicast", "public-good") and n < 2:
+        raise InvalidParameter(f"a {kind} scenario needs n_agents >= 2, "
+                               f"got {n}")
+    if kind == "unicast" and not (scenario.n_constraints >= 1
+                                  and 1 <= scenario.min_members <= n):
+        raise InvalidParameter(
+            "a unicast scenario needs n_constraints >= 1 and min_members in "
+            f"[1, {n}], got {scenario.n_constraints} and "
+            f"{scenario.min_members}")
+
+
 def generate_with_info(scenario: Scenario, seed: int
                        ) -> "tuple[Instance, dict]":
     """Deterministic instance generation with interiority enforcement.
@@ -206,8 +221,10 @@ def generate_with_info(scenario: Scenario, seed: int
     gives the digest, the resample count and the count per reason:
     ``invalid`` (validation failed), ``solver_error`` (the solver raised one
     of its expected numerical failures), ``nonconverged`` and
-    ``non_interior`` (optimum outside the working margin).
+    ``non_interior`` (optimum outside the working margin). Sizes that no
+    draw can build raise InvalidParameter before any draw.
     """
+    _check_sizes(scenario)
     reasons = dict.fromkeys(
         ("invalid", "solver_error", "nonconverged", "non_interior"), 0)
     for attempt in range(_MAX_RESAMPLES):
@@ -330,9 +347,7 @@ class ExperimentReport:
 def _price_comparison(instance: Instance, sol: CentralizedSolution,
                       profile: MessageProfile) -> dict:
     """Member-mean game prices against lambda*, skipping flagged rows."""
-    counts = instance.index_sets.counts.astype(float)
-    mask = (instance.A != 0).T
-    mean_p = (profile.prices * mask).sum(axis=0) / counts
+    mean_p = _member_means(instance, profile.prices)
     skip = set(sol.nonunique_multiplier_rows)
     errs = [abs(float(mean_p[l] - sol.lambda_star[l]))
             for l in range(instance.n_constraints) if l not in skip]

@@ -296,6 +296,48 @@ class ValuationTable:
         """Per agent, the maximizer of v(z) - q z over [0, D]."""
         return np.clip(self._map("inv_deriv", q), 0.0, D)
 
+    def group_sums(self, fn: str, z: np.ndarray, group: np.ndarray
+                   ) -> np.ndarray:
+        """Per group g, the sum of fn ("value", "deriv" or "deriv2") over
+        its members at z[g]; the table's agent j belongs to group[j]."""
+        return np.bincount(group, weights=self._map(fn, z[group]),
+                           minlength=len(z))
+
+    def group_inv_deriv(self, q: np.ndarray, D: float, group: np.ndarray,
+                        lo, z0: "np.ndarray | None" = None) -> np.ndarray:
+        """Per group g, the maximizer of its members' summed valuations
+        minus q[g] z over [lo[g], D]: a safeguarded Newton solve of the
+        summed slope equation, vectorized over the groups and started from
+        z0 (default D/2). A crossing outside [lo[g], D] pins that end.
+        """
+        G = len(q)
+        a = np.zeros(G) + lo
+        b = np.full(G, float(D))
+        at_top = self.group_sums("deriv", b, group) - q >= 0
+        at_bot = self.group_sums("deriv", np.maximum(a, 1e-300), group) \
+            - q <= 0
+        pinned = at_top | at_bot  # overwritten below, need not converge
+        z = np.clip(z0 if z0 is not None else np.full(G, D / 2),
+                    np.maximum(a, 1e-12), D - 1e-12)
+        for _ in range(80):
+            f = self.group_sums("deriv", z, group) - q
+            pos = f > 0
+            a = np.where(pos, z, a)
+            b = np.where(pos, b, z)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = z - f / self.group_sums("deriv2", z, group)
+            # closed bracket: a step that lands on the root it already
+            # holds (f = 0) stays put instead of restarting bisection
+            inside = (newton >= a) & (newton <= b) & np.isfinite(newton)
+            z_new = np.where(inside, newton, 0.5 * (a + b))
+            done = np.all(pinned | (np.abs(z_new - z)
+                                    <= 4e-16 * (1.0 + np.abs(z))))
+            z = z_new
+            if done:
+                break
+        z = np.where(at_bot, lo, z)
+        return np.where(at_top, float(D), z)
+
 
 # ---------------------------------------------------------------------------
 # constraints and instances
@@ -506,6 +548,15 @@ class ReducedInstance:
     @property
     def K(self) -> int:
         return len(self.group_members)
+
+    @cached_property
+    def multi_groups(self) -> tuple:
+        """The groups with two or more members: their ids (G,), their
+        members in agent order, and each member's position in the ids."""
+        multi = np.flatnonzero(self.group_sizes > 1)
+        members = np.flatnonzero(self.group_sizes[self.group_of_agent] > 1)
+        return multi, members, np.searchsorted(multi,
+                                               self.group_of_agent[members])
 
     @cached_property
     def d_red(self) -> np.ndarray:

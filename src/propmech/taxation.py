@@ -140,6 +140,12 @@ def _peer_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _member_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
+    """(L,) mean of the prices quoted by each row's members."""
+    on = (instance.A != 0).T
+    return (prices * on).sum(axis=0) / instance.index_sets.counts
+
+
 def _gross(a_x, p, pb, eta: float, slack):
     """Payment, disagreement and slackness terms, elementwise in the
     member's A_li x_i, own price p, peer mean pb and the row's slack."""

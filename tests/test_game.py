@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from propmech.centralized import solve
-from propmech.game import (A2Violation, _draw_joint_trials,
-                           _own_deviation_utilities, best_response_demand,
+from propmech.game import (A2Violation, _DemandObjective, _draw_joint_trials,
+                           _local_gains, _own_deviation_utilities,
+                           _price_caps, best_response_demand,
                            best_response_price, construct_candidate_ne,
                            default_init, make_profile, notional_demand,
                            outcome, run_dynamics, utility, verify_epsilon_ne)
@@ -15,8 +16,8 @@ from propmech.harness import (Scenario, bundled_scenarios,
 from propmech.model import Constraint, Instance, InvalidParameter, Valuation
 from propmech.allocation import allocate
 from propmech.model import validate
-from propmech.taxation import (AgentNotOnConstraint, base_tax, sbb_ne_tax,
-                               sbb_offeq_tax, tax)
+from propmech.taxation import (AgentNotOnConstraint, _gross_terms, base_tax,
+                               sbb_ne_tax, sbb_offeq_tax, tax)
 
 
 def candidate(inst):
@@ -169,6 +170,10 @@ def test_dynamics_round_budget_is_respected():
     tr = run_dynamics(inst, max_rounds=1, tol=1e-12)
     assert not tr.converged
     assert tr.rounds == 1
+    # a zero tolerance is valid and runs every round
+    tr = run_dynamics(inst, max_rounds=3, tol=0.0)
+    assert not tr.converged
+    assert tr.rounds == 3
 
 
 def test_dynamics_record_profiles():
@@ -177,7 +182,8 @@ def test_dynamics_record_profiles():
     assert len(tr.records) == tr.rounds
     rows = tr.to_rows()
     assert {"round", "max_change", "feasibility_violation",
-            "budget_imbalance", "y0", "x0"} <= set(rows[0])
+            "budget_imbalance", "price_complementarity", "group_gap",
+            "snap_distance", "y0", "x0"} <= set(rows[0])
     assert rows[0]["round"] == 1
 
 
@@ -192,6 +198,194 @@ def test_dynamics_handles_equality_groups():
     assert x == pytest.approx(sol.x_star, abs=1e-6)
     # members of the group ask for the same amount at rest
     assert float(np.ptp(tr.profile.y)) <= 1e-7
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_rounds": -3}, {"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf}])
+def test_dynamics_rejects_bad_run_arguments(kwargs):
+    with pytest.raises(InvalidParameter):
+        run_dynamics(canonical_instance(), **kwargs)
+
+
+def test_dynamics_record_the_residual_that_decides_rest():
+    inst = generate(*bundled_scenarios("base")[7])  # groups and a shared row
+    tol = 1e-8
+    tr = run_dynamics(inst, max_rounds=5000, tol=tol)
+    assert tr.converged
+    parts = np.array([[r.price_complementarity, r.group_gap,
+                       r.snap_distance] for r in tr.records])
+    assert np.all(parts >= 0.0)
+    rest = parts.max(axis=1)
+    assert rest[-1] <= tol and np.all(rest[:-1] > tol)
+    # each part is live on this instance at some round
+    assert np.all(parts.max(axis=0) > tol)
+    rows = tr.to_rows()
+    assert [r["group_gap"] for r in rows] == parts[:, 1].tolist()
+    # the literal schedule rests on max_change and leaves the parts empty
+    br = run_dynamics(canonical_instance(), schedule="best-response",
+                      max_rounds=3, tol=1e-8)
+    for r in br.to_rows():
+        assert r["price_complementarity"] is None
+        assert r["group_gap"] is None and r["snap_distance"] is None
+
+
+def reference_group_consensus(instance: Instance, members: np.ndarray,
+                              total_cost: float, lo: float) -> float:
+    """The dynamics' former scalar group solve, kept as the reference.
+
+    Safeguarded Newton on a strictly decreasing function; returns a
+    clamped endpoint when the crossing lies outside [lo, D].
+    """
+    vals = [instance.valuations[int(i)] for i in members]
+
+    def f(z: float) -> float:
+        return sum(v.deriv_s(z) for v in vals) - total_cost
+
+    hi = instance.D
+    if f(lo) <= 0.0:
+        return lo
+    if f(hi) >= 0.0:
+        return hi
+    a, b = lo, hi
+    z = 0.5 * (a + b)
+    for _ in range(80):
+        fz = f(z)
+        if fz > 0.0:
+            a = z
+        else:
+            b = z
+        if b - a <= 1e-15 * (1.0 + b):
+            break
+        fp = sum(v.deriv2_s(z) for v in vals)
+        step = z - fz / fp if fp < 0.0 else a
+        z = step if a < step < b else 0.5 * (a + b)
+    return z
+
+
+def test_group_solve_matches_the_scalar_reference():
+    rng = np.random.default_rng(17)
+    fams = ("log_shift", "power", "quad_cap")
+    for trial in range(40):
+        sizes = rng.integers(2, 6, size=6)
+        vals = []
+        for _ in range(int(sizes.sum())):
+            fam = fams[int(rng.integers(3))]
+            b = rng.uniform(0.35, 0.75) if fam == "power" \
+                else rng.uniform(0.5, 4.0)
+            vals.append(Valuation(fam, float(rng.uniform(0.5, 2.0)),
+                                  float(b)))
+        D = 100.0
+        inst = Instance(valuations=tuple(vals),
+                        constraints=(Constraint({0: 1.0, 1: 1.0}, 1.0),),
+                        equality_groups=(), d=0.01, D=D, eta=1.0)
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        lo = rng.uniform(0.0, 0.05, len(sizes))
+        table = inst.valuation_table
+
+        def summed(z):
+            return np.bincount(group, weights=table.deriv(z[group]))
+
+        # crossings inside, pinned at lo (cost above the slope there) and
+        # pinned at D (cost below the slope there), mixed in one call
+        z_in = lo + (D - lo) * 10.0 ** rng.uniform(-4.0, -0.01, len(sizes))
+        q = summed(z_in)
+        q[0] = summed(lo)[0] * 1.5 + 0.1
+        q[1] = summed(np.full(len(sizes), D))[1] - 0.5
+        z0 = None if trial % 2 else rng.uniform(0.0, D, len(sizes))
+        got = table.group_inv_deriv(q, D, group, lo, z0)
+        assert got[0] == lo[0] and got[1] == D
+        for g in range(len(sizes)):
+            want = reference_group_consensus(
+                inst, np.flatnonzero(group == g), float(q[g]), float(lo[g]))
+            assert abs(got[g] - want) <= 1e-13 * (1.0 + want), (trial, g)
+
+
+def _objective_cases():
+    """Profiles with nonzero prices on unicast, public-good and grouped
+    instances with a shared row, so the slack tax is live."""
+    rng = np.random.default_rng(5)
+    base = bundled_scenarios("base")
+    out = []
+    for k in (1, 3, 5, 7):
+        inst = generate(*base[k])
+        n, L = inst.n_agents, inst.n_constraints
+        prof = make_profile(inst, inst.d + rng.uniform(0.02, 0.4, n),
+                            rng.uniform(0.1, 2.0, (n, L)))
+        out.append((inst, prof))
+    return out
+
+
+def test_demand_objective_slopes_match_central_differences():
+    checked = 0
+    for inst, prof in _objective_cases():
+        for i in range(inst.n_agents):
+            obj = _DemandObjective(inst, prof, i)
+            lo = float(inst.d[i])
+            top = min(obj.t_b, inst.D)
+            if not top > lo:
+                continue
+            for u in (0.2, 0.5, 0.8):
+                t = lo + u * (top - lo)
+                h = 1e-5 * t
+                fd = (obj.value_inside(t + h) - obj.value_inside(t - h)) \
+                    / (2.0 * h)
+                g = obj.grad_inside(t)
+                assert abs(fd - g) <= 1e-6 * (1.0 + abs(g)), (i, t)
+                h2 = 1e-3 * t
+                fd2 = (obj.value_inside(t + h2) - 2.0 * obj.value_inside(t)
+                       + obj.value_inside(t - h2)) / (h2 * h2)
+                c = obj.curv_inside(t)
+                assert abs(fd2 - c) <= 1e-5 * (1.0 + abs(c)), (i, t)
+                checked += 1
+    assert checked >= 30
+
+
+def test_demand_objective_payment_reads_the_tax_peer_mean():
+    cases = _objective_cases()
+    inst = generate(*bundled_scenarios("sbb-offeq")[2])  # rows of 5+ members
+    rng = np.random.default_rng(8)
+    n, L = inst.n_agents, inst.n_constraints
+    cases.append((inst, make_profile(inst, inst.d + 0.1,
+                                     rng.uniform(0.1, 2.0, (n, L)))))
+    for inst, prof in cases:
+        x = allocate(inst, prof.y).x
+        pb = _gross_terms(inst, x, prof.prices)[3]
+        for i in range(inst.n_agents):
+            rows = list(inst.index_sets.rows_of_agent[i])
+            obj = _DemandObjective(inst, prof, i)
+            assert obj.c_pay == float((inst.A[rows, i] * pb[i, rows]).sum())
+            assert np.array_equal(
+                obj.w, inst.eta * pb[i, rows] * prof.prices[i, rows])
+
+
+def test_price_caps_and_local_gains_match_the_per_agent_loops():
+    base = bundled_scenarios("base")
+    rng = np.random.default_rng(3)
+    for k in (1, 3, 4, 6, 7):
+        inst = generate(*base[k])
+        slopes = np.array([v.deriv_s(float(inst.d[i]))
+                           for i, v in enumerate(inst.valuations)])
+        want = np.empty(inst.n_constraints)
+        for l, mem in enumerate(inst.index_sets.members):
+            best = max((slopes[i] / abs(inst.A[l, i]) for i in mem
+                        if abs(inst.A[l, i]) > 1e-12), default=0.0)
+            want[l] = 4.0 * best if best > 0 else 1.0
+        red = inst.reduced
+        for l in np.flatnonzero(~red.nonvacuous):
+            g = int(red.group_of_agent[inst.index_sets.members[l][0]])
+            group = list(inst.equality_groups[g])
+            want[l] = max(want[l], 2.0 * float(slopes[group].sum()))
+        assert np.allclose(_price_caps(inst), want, rtol=1e-14, atol=0.0)
+        # demands below the floor, inside, and above the ceiling
+        y = inst.d + rng.uniform(0.0, 1.2 * inst.D, inst.n_agents)
+        y[0], y[1] = 0.5 * inst.d[0], inst.D + 5.0
+        r = np.array([1.0 / max(abs(v.deriv2_s(
+            min(max(float(y[i]), float(inst.d[i]) + 1e-9), inst.D))), 1e-12)
+            for i, v in enumerate(inst.valuations)])
+        coupling = np.abs(inst.A @ (r[:, None] * inst.A.T)).sum(axis=1)
+        assert np.allclose(_local_gains(inst, y),
+                           1.0 / np.maximum(coupling, 1e-9),
+                           rtol=1e-14, atol=0.0)
 
 
 def test_literal_best_response_schedule_stalls_at_zero_prices():

@@ -10,11 +10,30 @@ from propmech.harness import (ExperimentConfig, Scenario, UnknownSuite,
                               generate_with_info, property_suite,
                               run_experiment, run_many, write_trace_csv)
 from propmech.game import run_dynamics
-from propmech.model import instance_digest, instance_to_dict, load_instance
+from propmech.model import (InvalidParameter, instance_digest,
+                            instance_to_dict, load_instance)
 
 
 # ---------------------------------------------------------------------------
 # generation
+
+
+@pytest.mark.parametrize("scenario", [
+    Scenario(kind="unicast", n_agents=1),
+    Scenario(kind="unicast", n_agents=0),
+    Scenario(kind="unicast", n_constraints=0),
+    Scenario(kind="unicast", n_agents=3, min_members=5),
+    Scenario(kind="unicast", min_members=0),
+    Scenario(kind="public-good", n_agents=1)])
+def test_unbuildable_sizes_fail_before_any_draw(scenario, monkeypatch):
+    import propmech.harness as harness
+
+    def no_draw(*args):
+        raise AssertionError("drew an instance")
+
+    monkeypatch.setattr(harness, "_rng_for", no_draw)
+    with pytest.raises(InvalidParameter):
+        generate_with_info(scenario, 0)
 
 
 def test_generation_is_deterministic():
@@ -198,6 +217,12 @@ def test_write_trace_csv(tmp_path):
     assert len(rows) == tr.rounds
     assert rows[0]["round"] == "1"
     assert "y0" in rows[0] and "x1" in rows[0]
+    # the rest residual's three parts, each written exactly
+    for row, rec in zip(rows, tr.records):
+        assert float(row["price_complementarity"]) \
+            == rec.price_complementarity
+        assert float(row["group_gap"]) == rec.group_gap
+        assert float(row["snap_distance"]) == rec.snap_distance
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +285,16 @@ def test_cli_failure_exit_codes(tmp_path, capsys):
     # so are a negative deviation count and a non-finite eps
     assert main(["verify", str(path), "--deviations", "-1"]) == 2
     assert main(["verify", str(path), "--eps", "nan"]) == 2
+    # scenario sizes no draw can build
+    for sizes in (["--agents", "1"], ["--agents", "0"],
+                  ["--constraints", "0"],
+                  ["--agents", "3", "--min-members", "5"]):
+        assert main(["gen", *sizes]) == 2, sizes
+    # a negative round budget and a non-finite tolerance
+    assert main(["simulate", str(path), "--rounds", "-3"]) == 2
+    assert main(["simulate", str(path), "--tol", "nan"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 5 and all(line.startswith("error: ") for line in err)
+    assert len(err) == 11 and all(line.startswith("error: ") for line in err)
 
 
 def test_cli_one_member_row_exits_2(tmp_path, capsys):
