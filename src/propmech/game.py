@@ -18,8 +18,9 @@ from scipy.optimize import nnls
 from .allocation import allocate, allocate_many
 from .centralized import CentralizedSolution
 from .model import Choice, Instance, InvalidParameter, Variant
-from .taxation import (TaxBreakdown, _check_prices, _gross, _member_means,
-                       _peer_means, _require_peers, pbar, tax, total_tax)
+from .taxation import (TaxBreakdown, _check_finite, _check_prices, _gross,
+                       _member_means, _peer_means, _require_peers, pbar, tax,
+                       total_tax)
 
 __all__ = [
     "A2Violation",
@@ -43,6 +44,9 @@ __all__ = [
 
 _FLOOR_MARGIN = 1e-12
 _CEILING_TOL = 1e-6
+# a best deviation gain at or below this times 1 + |u_i| is rounding noise:
+# verify names no winning deviation for it (the gain itself is kept)
+_GAIN_FLOOR = 1e-14
 
 
 class A2Violation(RuntimeError):
@@ -68,7 +72,7 @@ class MessageProfile:
 
 
 def make_profile(instance: Instance, y, prices=None) -> MessageProfile:
-    y = instance.check_x_shape(np.asarray(y, dtype=float), "y")
+    y = _check_finite(instance.check_x_shape(y, "y"), "y")
     if prices is None:
         prices = np.zeros((instance.n_agents, instance.n_constraints))
     prices = _check_prices(instance, prices)
@@ -607,6 +611,7 @@ class NEReport:
             "gains": self.gains.tolist(),
             "best_deviations": self.best_deviations,
             "ceiling_hit": self.ceiling_hit,
+            "gain_floor": _GAIN_FLOOR,
             "price_spread": self.price_spread.tolist(),
             "comp_slack_residual": self.comp_slack_residual,
             "stationarity_residual": self.stationarity_residual,
@@ -713,13 +718,12 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
         d_i = float(instance.d[i])
         _draw_joint_trials(rng, profile, i, rows, d_i, hi,
                            Y[first_joint:], P[first_joint:])
-        g = _own_deviation_utilities(instance, profile, base, i, Y, P) \
-            - float(base.utilities[i])
+        u0 = float(base.utilities[i])
+        g = _own_deviation_utilities(instance, profile, base, i, Y, P) - u0
         k = int(np.argmax(g))
-        best = float(g[k])
-        if best <= 0.0:
-            best = 0.0
-            desc = {"agent": i, "kind": "none", "gain": 0.0}
+        best = max(0.0, float(g[k]))
+        if best <= _GAIN_FLOOR * (1.0 + abs(u0)):
+            desc = {"agent": i, "kind": "none", "gain": best}
         elif k < len(rows):
             desc = {"agent": i, "kind": "price", "constraint": int(rows[k]),
                     "to": float(P[k, rows[k]]), "gain": best}

@@ -11,6 +11,7 @@ heterogeneous members, and a uniform cap row per group.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import zlib
@@ -26,7 +27,8 @@ from .game import (MessageProfile, RunTrace, construct_candidate_ne,
 from .model import (Constraint, DomainError, Instance, InvalidParameter,
                     Valuation, ValuationTable, Variant, instance_digest,
                     validate)
-from .taxation import _member_means, sbb_ne_tax, sbb_offeq_tax, total_tax
+from .taxation import (TaxBreakdown, _member_means, _tax_terms,
+                       sbb_offeq_tax, total_tax)
 
 __all__ = [
     "GenerationFailed",
@@ -439,17 +441,23 @@ class SuiteReport:
                 "details": self.details}
 
 
-def _suite_instances() -> "list[Instance]":
-    return [
+@functools.cache
+def _suite_instances() -> "tuple[tuple[Instance, CentralizedSolution], ...]":
+    """The suites' instances with their solutions, built once per process;
+    callers copy an array before they mutate it."""
+    insts = (
         canonical_instance(),
         generate(Scenario(kind="unicast", n_agents=5, n_constraints=3), 11),
         generate(Scenario(kind="public-good", n_agents=4), 12),
         generate(Scenario(kind="local-public-goods", group_sizes=(3, 2)), 13),
-    ]
+    )
+    return tuple((inst, solve(inst, strict=False)) for inst in insts)
 
 
-def _offeq_instances() -> "list[Instance]":
-    return [generate(s, seed) for s, seed in bundled_scenarios("sbb-offeq")]
+@functools.cache
+def _offeq_instances() -> "tuple[Instance, ...]":
+    return tuple(generate(s, seed)
+                 for s, seed in bundled_scenarios("sbb-offeq"))
 
 
 def _sample_feasible_y(instance: Instance, rng: np.random.Generator,
@@ -473,8 +481,18 @@ def _sample_feasible_y(instance: Instance, rng: np.random.Generator,
     return Y
 
 
+def _worst_imbalance(terms: np.ndarray) -> float:
+    """The largest |total tax| / max(1, gross) over the profiles of one
+    batched tax call."""
+    worst = 0.0
+    for k in range(terms.shape[1]):
+        bd = TaxBreakdown(*terms[:, k])
+        worst = max(worst, abs(total_tax(bd)) / max(1.0, bd.gross))
+    return worst
+
+
 def _suite_feasibility(samples: int, seed: int) -> SuiteReport:
-    instances = _suite_instances()
+    instances = [inst for inst, _ in _suite_instances()]
     rng = np.random.default_rng([seed, 101])
     per = max(1, samples // len(instances))
     worst = 0.0
@@ -499,31 +517,45 @@ def _suite_feasibility(samples: int, seed: int) -> SuiteReport:
                                 "max_group_gap": group_gap})
 
 
+def _draw_budget_ne(inst: Instance, sol: CentralizedSolution,
+                    rng: np.random.Generator, per: int) -> np.ndarray:
+    """(per, N, L) price profiles: every member of an active row quotes
+    lambda* scaled by one uniform(0, 2) draw per row and profile."""
+    q = np.where(sol.lambda_star > 1e-9,
+                 sol.lambda_star * rng.uniform(0.0, 2.0,
+                                               (per, inst.n_constraints)),
+                 0.0)
+    return q[:, None, :] * (inst.A != 0).T
+
+
 def _suite_budget_ne(samples: int, seed: int) -> SuiteReport:
-    instances = _suite_instances()
+    cases = _suite_instances()
     rng = np.random.default_rng([seed, 202])
-    per = max(1, samples // len(instances))
+    per = max(1, samples // len(cases))
     worst = 0.0
     total = 0
-    for inst in instances:
-        sol = solve(inst, strict=False)
-        y = sol.x_star.copy()
+    for inst, sol in cases:
+        y = sol.x_star
         x = allocate(inst, y).x
-        active = sol.lambda_star > 1e-9
-        for _ in range(per):
-            q = np.where(active,
-                         sol.lambda_star * rng.uniform(0.0, 2.0,
-                                                       inst.n_constraints),
-                         0.0)
-            prices = np.tile(q, (inst.n_agents, 1)) * (inst.A != 0).T
-            bd = sbb_ne_tax(inst, y, x, prices)
-            imb = abs(total_tax(bd))
-            rel = imb / max(1.0, bd.gross)
-            worst = max(worst, rel)
-            total += 1
+        P = _draw_budget_ne(inst, sol, rng, per)
+        worst = max(worst, _worst_imbalance(_tax_terms(
+            inst, Variant.SBB_NE, np.tile(y, (per, 1)), np.tile(x, (per, 1)),
+            P)))
+        total += per
     return SuiteReport(name="budget_ne", samples=total,
                        passed=worst <= 1e-9, max_violation=worst,
                        details={"tolerance": 1e-9})
+
+
+def _draw_budget_offeq(inst: Instance, rng: np.random.Generator, per: int):
+    """per feasible demand profiles (per, N) with their prices
+    (per, N, L), then one off-polytope demand with its prices."""
+    mask = (inst.A != 0).T
+    shape = (inst.n_agents, inst.n_constraints)
+    Y = _sample_feasible_y(inst, rng, per)
+    P = rng.uniform(0.0, 2.0, (per,) + shape) * mask
+    y_bad = inst.d + rng.random(inst.n_agents) * 50.0 + 10.0
+    return Y, P, y_bad, rng.uniform(0.5, 1.5, shape) * mask
 
 
 def _suite_budget_offeq(samples: int, seed: int) -> SuiteReport:
@@ -534,25 +566,13 @@ def _suite_budget_offeq(samples: int, seed: int) -> SuiteReport:
     infeasible_imb = 0.0
     total = 0
     for inst in instances:
-        Y = _sample_feasible_y(inst, rng, per)
-        for r in range(per):
-            y = Y[r]
-            x = allocate(inst, y).x
-            prices = rng.uniform(0.0, 2.0, (inst.n_agents,
-                                            inst.n_constraints)) \
-                * (inst.A != 0).T
-            bd = sbb_offeq_tax(inst, y, x, prices)
-            rel = abs(total_tax(bd)) / max(1.0, bd.gross)
-            worst = max(worst, rel)
-            total += 1
+        Y, P, y_bad, p_bad = _draw_budget_offeq(inst, rng, per)
+        worst = max(worst, _worst_imbalance(_tax_terms(
+            inst, Variant.SBB_OFFEQ, Y, allocate_many(inst, Y), P)))
+        total += per
         # off-polytope demand: imbalance is reported, never asserted
-        y_bad = inst.d + rng.random(inst.n_agents) * 50.0 + 10.0
-        x_bad = allocate(inst, y_bad).x
-        prices = rng.uniform(0.5, 1.5, (inst.n_agents,
-                                        inst.n_constraints)) \
-            * (inst.A != 0).T
-        infeasible_imb = max(infeasible_imb, abs(total_tax(
-            sbb_offeq_tax(inst, y_bad, x_bad, prices))))
+        infeasible_imb = max(infeasible_imb, abs(total_tax(sbb_offeq_tax(
+            inst, y_bad, allocate(inst, y_bad).x, p_bad))))
     return SuiteReport(name="budget_offeq", samples=total,
                        passed=worst <= 1e-9, max_violation=worst,
                        details={"tolerance": 1e-9,
@@ -561,33 +581,30 @@ def _suite_budget_offeq(samples: int, seed: int) -> SuiteReport:
 
 def _suite_rebate_independence(samples: int, seed: int) -> SuiteReport:
     rng = np.random.default_rng([seed, 404])
-    cases = []
-    for inst in _suite_instances():
-        cases.append((inst, sbb_ne_tax))
-    for inst in _offeq_instances()[:1]:
-        cases.append((inst, sbb_offeq_tax))
+    cases = [(inst, Variant.SBB_NE) for inst, _ in _suite_instances()]
+    cases.append((_offeq_instances()[0], Variant.SBB_OFFEQ))
     per = max(1, samples // max(1, len(cases)))
     mismatches = 0
     total = 0
-    for inst, fn in cases:
-        for _ in range(per):
-            y = inst.d + rng.random(inst.n_agents) * 3.0 + 1e-9
-            x = allocate(inst, y).x
-            prices = rng.uniform(0.0, 2.0, (inst.n_agents,
-                                            inst.n_constraints)) \
-                * (inst.A != 0).T
-            bd = fn(inst, y, x, prices)
-            i = int(rng.integers(inst.n_agents))
-            y2 = y.copy()
-            y2[i] = inst.d[i] + rng.random() * 3.0 + 1e-9
-            p2 = prices.copy()
-            p2[i] = rng.uniform(0.0, 2.0, inst.n_constraints) \
-                * (inst.A[:, i] != 0)
-            x2 = allocate(inst, y2).x
-            bd2 = fn(inst, y2, x2, p2)
-            if not np.array_equal(bd.rebate[i], bd2.rebate[i]):
-                mismatches += 1
-            total += 1
+    for inst, variant in cases:
+        n, L = inst.n_agents, inst.n_constraints
+        Y, Y2 = np.empty((2, per, n))
+        P, P2 = np.empty((2, per, n, L))
+        movers = np.empty(per, dtype=int)
+        for k in range(per):
+            Y[k] = inst.d + rng.random(n) * 3.0 + 1e-9
+            P[k] = rng.uniform(0.0, 2.0, (n, L)) * (inst.A != 0).T
+            i = movers[k] = int(rng.integers(n))
+            Y2[k], P2[k] = Y[k], P[k]
+            Y2[k, i] = inst.d[i] + rng.random() * 3.0 + 1e-9
+            P2[k, i] = rng.uniform(0.0, 2.0, L) * (inst.A[:, i] != 0)
+        Ys = np.concatenate([Y, Y2])
+        rebate = _tax_terms(inst, variant, Ys, allocate_many(inst, Ys),
+                            np.concatenate([P, P2]))[3]
+        at = np.arange(per)
+        mismatches += int(np.sum(np.any(
+            rebate[at, movers] != rebate[per + at, movers], axis=1)))
+        total += per
     return SuiteReport(name="rebate_independence", samples=total,
                        passed=mismatches == 0, max_violation=float(mismatches),
                        details={"mismatches": mismatches})

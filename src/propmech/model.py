@@ -398,6 +398,23 @@ class IndexSets:
 
 
 @dataclass(frozen=True, eq=False)
+class RowLayout:
+    """Every row's members side by side, padded with zeros to the widest
+    row's m members: row l's j-th member is agent index[l, j] wherever
+    mask[l, j] holds, and entry pick[l, j] of a flattened (N, L) array
+    belongs to that membership. A member's demand weight is its coefficient
+    when its equality group is a singleton, else the group's aggregated
+    coefficient split evenly over the group's members on the row."""
+
+    index: np.ndarray   # (L, m) int
+    mask: np.ndarray    # (L, m) bool
+    pick: np.ndarray    # (L, m) int, index * L + l
+    counts: np.ndarray  # (L,) members per row
+    coef: np.ndarray    # (L, m) coefficients, 0 on padding
+    weight: np.ndarray  # (L, m) demand weights, 0 on padding
+
+
+@dataclass(frozen=True, eq=False)
 class Instance:
     valuations: tuple[Valuation, ...]
     constraints: tuple[Constraint, ...]
@@ -474,6 +491,25 @@ class Instance:
                 rows[i].append(l)
         return IndexSets(members=members,
                          rows_of_agent=tuple(tuple(r) for r in rows))
+
+    @cached_property
+    def row_layout(self) -> RowLayout:
+        members = self.index_sets.members
+        counts = np.array([len(m) for m in members], dtype=int)
+        mask = np.arange(counts.max(initial=0)) < counts[:, None]
+        index = np.zeros(mask.shape, dtype=int)
+        index[mask] = [i for m in members for i in m]
+        row = np.arange(len(members))[:, None]
+        coef = np.where(mask, self.A[row, index], 0.0)
+        red = self.reduced
+        group = red.group_of_agent[index]
+        cell = row * red.K + group
+        on_row = np.bincount(cell[mask], minlength=len(members) * red.K)
+        split = red.A_red[row, group] / np.maximum(on_row[cell], 1)
+        weight = np.where(red.group_sizes[group] == 1, coef, split)
+        return RowLayout(index=index, mask=mask,
+                         pick=index * len(members) + row, counts=counts,
+                         coef=coef, weight=np.where(mask, weight, 0.0))
 
     @cached_property
     def reduced(self) -> "ReducedInstance":

@@ -14,9 +14,12 @@ agent's own message:
              every profile whose demand is feasible (needs >= 5 agents per
              constraint, nonnegative rows, no equality groups).
 
-Rebates are computed through leave-one-out sums that structurally exclude the
-recipient's message, so perturbing own messages leaves own rebates bitwise
-unchanged.
+One batched kernel, _tax_terms, prices M profiles at once for every
+variant; the public functions are one-row calls of it. Each row's members
+are laid out side by side once per instance (Instance.row_layout), and every
+leave-one-out sum is an exclusive prefix sum plus an exclusive suffix sum
+along that member axis. Neither reads the recipient's own entry, so
+perturbing own messages leaves own rebates bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Variant
+from .model import DimensionMismatch, Instance, InvalidParameter, Variant
 
 __all__ = [
     "AgentNotOnConstraint",
@@ -70,13 +73,11 @@ class TaxBreakdown:
 
     @property
     def per_agent(self) -> np.ndarray:
-        n = self.payment.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = math.fsum(self.payment[i]) + math.fsum(
-                self.disagreement[i]) + math.fsum(self.slackness[i]) \
-                - math.fsum(self.rebate[i])
-        return out
+        terms = (self.payment, self.disagreement, self.slackness,
+                 self.rebate)
+        return np.array([math.fsum(pay) + math.fsum(dis) + math.fsum(sl)
+                         - math.fsum(reb) for pay, dis, sl, reb
+                         in zip(*(t.tolist() for t in terms))], dtype=float)
 
     @property
     def gross(self) -> float:
@@ -104,7 +105,17 @@ def _check_prices(instance: Instance, prices: np.ndarray) -> np.ndarray:
     n, L = instance.n_agents, instance.n_constraints
     if prices.shape != (n, L):
         raise ValueError(f"prices shaped {prices.shape}, expected ({n}, {L})")
-    if np.any(prices < 0):
+    return _check_price_values(prices)
+
+
+def _check_finite(a: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise InvalidParameter(f"{name} must be finite")
+    return a
+
+
+def _check_price_values(prices: np.ndarray) -> np.ndarray:
+    if (_check_finite(prices, "prices") < 0).any():
         raise ValueError("prices must be nonnegative")
     return prices
 
@@ -119,25 +130,39 @@ def _require_peers(instance: Instance) -> None:
             "price exists for it")
 
 
-def _leave_one_out(vals: np.ndarray) -> np.ndarray:
-    """Row i = vals with entry i zeroed; sums along rows exclude self."""
-    m = len(vals)
-    out = np.tile(vals, (m, 1))
-    np.fill_diagonal(out, 0.0)
+def _loo(v: np.ndarray) -> np.ndarray:
+    """Per entry along the last axis, the sum of the other entries: an
+    exclusive prefix sum plus an exclusive suffix sum. Neither reads the
+    entry itself, so the result is bitwise independent of it, and zeros
+    padded at the end change neither sum."""
+    out = np.zeros_like(v)
+    np.cumsum(v[..., :-1], axis=-1, out=out[..., 1:])
+    out[..., :-1] += np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
     return out
 
 
-def _peer_mean(p: np.ndarray) -> np.ndarray:
-    """Entry i: the mean of one row's member prices p other than p[i]."""
-    return _leave_one_out(p).sum(axis=1) / (len(p) - 1)
+def _member_peer_means(instance: Instance, P: np.ndarray):
+    """The members' prices p and peer means pbar(-i), the mean of the other
+    members' prices, on the row layout (M, L, m) of prices P (M, N, L)."""
+    lay = instance.row_layout
+    p = np.where(lay.mask, P.reshape(len(P), -1)[:, lay.pick], 0.0)
+    return p, _loo(p) / (lay.counts[:, None] - 1)
+
+
+def _scatter(instance: Instance, V: np.ndarray) -> np.ndarray:
+    """(..., L, m) values on the row layout to (..., N, L), zeros off
+    membership."""
+    lay = instance.row_layout
+    n, L = instance.n_agents, instance.n_constraints
+    out = np.zeros(V.shape[:-2] + (n * L,))
+    out[..., lay.pick[lay.mask]] = V[..., lay.mask]
+    return out.reshape(V.shape[:-2] + (n, L))
 
 
 def _peer_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
     """(N, L) peer means pbar(-i) on every membership, zeros elsewhere."""
-    out = np.zeros((instance.n_agents, instance.n_constraints))
-    for l, mem in enumerate(instance.index_sets.members):
-        out[mem, l] = _peer_mean(prices[mem, l])
-    return out
+    _require_peers(instance)
+    return _scatter(instance, _member_peer_means(instance, prices[None])[1])[0]
 
 
 def _member_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
@@ -155,48 +180,118 @@ def _gross(a_x, p, pb, eta: float, slack):
 def pbar(instance: Instance, prices: np.ndarray, i: int, l: int) -> float:
     """Average price quoted on constraint l by the members other than i."""
     prices = _check_prices(instance, prices)
-    members = instance.index_sets.members[l]
-    if i not in members:
+    if i not in instance.index_sets.members[l]:
         raise AgentNotOnConstraint(f"agent {i} is not on constraint {l}")
-    _require_peers(instance)
-    return float(_peer_mean(prices[members, l])[members.index(i)])
+    return float(_peer_means(instance, prices)[i, l])
 
 
-def _gross_terms(instance: Instance, x: np.ndarray, prices: np.ndarray):
-    """(N, L) payment, disagreement and slackness matrices, zeros off
-    membership, plus the peer means they were built from."""
+def _check_offeq(instance: Instance) -> None:
+    if instance.is_degenerate or np.any(instance.A < 0):
+        raise DegenerateRowUnsupported(
+            "off-equilibrium balancing needs nonnegative rows and no "
+            "equality groups")
+    small = np.flatnonzero(instance.row_layout.counts < 5)
+    if small.size:
+        raise AssumptionA4PrimeViolated(
+            f"constraints {small.tolist()} touch fewer than five agents")
+
+
+def _ne_rebate(instance: Instance, y, p, pb) -> np.ndarray:
+    """The telescoping rebate on the row layout. Two-member rows pass each
+    member the other's demand payment, or nothing on a row with a sign
+    change (an equality encoding, which cancels pairwise at equilibrium)."""
+    lay = instance.row_layout
+    a = lay.weight * y
+    sum_a, sum_ap = _loo(np.stack([a, a * p]))
+    nm = lay.counts[:, None]
+    wide = nm > 2
+    pair = np.where((lay.coef >= 0).all(axis=1)[:, None], sum_ap, 0.0)
+    return np.where(wide, (pb * sum_a - sum_ap / (nm - 1))
+                    / np.where(wide, nm - 2, 1), pair)
+
+
+def _offeq_rebate(instance: Instance, y, p) -> np.ndarray:
+    """The everywhere-balancing rebate on the row layout: the pairwise and
+    di-pairwise sums over the other members in closed form, from their
+    leave-one-out power sums. A direct combinatorial reference for them
+    lives in the test suite."""
+    lay = instance.row_layout
+    nm = lay.counts[:, None]
+    cap = instance.caps[:, None]
+    g = lay.coef * y
+    phi = g * g - 2.0 * cap * g
+    (P1, P2m, G1, G2m, PG, PG2, P2G, P2G2, PHI, FP, FP2) = _loo(np.stack([
+        p, p * p, g, g * g, p * g, p * g * g, p * p * g, p * p * g * g,
+        phi, phi * p, phi * p * p]))
+
+    pair_pp = (P1 * P1 - P2m) / 2.0
+    pair_gg = (G1 * G1 - G2m) / 2.0
+    pair_pg_matched = (PG * PG - P2G2) / 2.0
+
+    f1 = (P1 * G1 - PG) / ((nm - 1) * (nm - 2))
+    f2 = nm / ((nm - 1.0) ** 2 * (nm - 2)) * ((nm - 1) * P2m - P1 * P1)
+    f3a = 2.0 * cap * cap / ((nm - 1) * (nm - 2)) * pair_pp
+    v_mixed = FP * P1 - FP2
+    f3b = 2.0 / (nm - 1) * ((PHI * pair_pp - v_mixed) / (nm - 3)
+                            + v_mixed / (nm - 2))
+    b1 = G1 * (PG * P1 - P2G) - (PG2 * P1 - P2G2) - (PG * PG - P2G2)
+    b0 = pair_pp * pair_gg - b1 - pair_pg_matched
+    f3c = 4.0 / (nm - 1) * (b0 / (nm - 4) + b1 / (nm - 3)
+                            + pair_pg_matched / (nm - 2))
+    return f1 + f2 + instance.eta * (f3a + f3b + f3c)
+
+
+def _tax_terms(instance: Instance, variant: Variant, Y: np.ndarray,
+               X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The tax of M profiles at once: demands Y and allocations X (M, N),
+    prices P (M, N, L). Returns (4, M, N, L): payment, disagreement,
+    slackness and rebate, zeros off membership.
+
+    Every term is elementwise in the profile, so a one-row call is bitwise
+    its row of any batch, and every rebate reads the recipient's own
+    message only through leave-one-out sums that skip it.
+    """
+    Y, X, P = (np.asarray(a, dtype=float) for a in (Y, X, P))
+    M, n, L = len(Y), instance.n_agents, instance.n_constraints
+    if Y.shape != (M, n) or X.shape != (M, n) or P.shape != (M, n, L):
+        raise DimensionMismatch(
+            f"shapes {Y.shape}, {X.shape} and {P.shape} are not (M, {n}), "
+            f"(M, {n}) and (M, {n}, {L})")
+    _check_finite(Y, "y")
+    _check_finite(X, "x")
+    _check_price_values(P)
     _require_peers(instance)
-    pb = _peer_means(instance, prices)
-    A_t = instance.A.T
-    own = np.where(A_t != 0, prices, 0.0)
-    slack = instance.caps - instance.A @ x
-    return _gross(A_t * x[:, None], own, pb, instance.eta, slack) + (pb,)
+    if variant is Variant.SBB_OFFEQ:
+        _check_offeq(instance)
+    lay = instance.row_layout
+    p, pb = _member_peer_means(instance, P)
+    a_x = lay.coef * X[:, lay.index]
+    # a running sum adds in one order whatever the batch's shape, which a
+    # reduction does not
+    slack = instance.caps[:, None] - np.cumsum(a_x, axis=-1)[..., -1:]
+    if variant is Variant.BASE:
+        rebate = np.zeros_like(p)
+    elif variant is Variant.SBB_NE:
+        rebate = _ne_rebate(instance, Y[:, lay.index], p, pb)
+    else:
+        rebate = _offeq_rebate(instance, Y[:, lay.index], p)
+    return _scatter(instance, np.stack(
+        _gross(a_x, p, pb, instance.eta, slack) + (rebate,)))
+
+
+def _one_row(instance: Instance, variant: Variant, y: np.ndarray,
+             x: np.ndarray, prices: np.ndarray) -> TaxBreakdown:
+    y = instance.check_x_shape(y, "y")
+    x = instance.check_x_shape(x)
+    prices = _check_prices(instance, prices)
+    return TaxBreakdown(*_tax_terms(instance, variant, y[None], x[None],
+                                    prices[None])[:, 0])
 
 
 def base_tax(instance: Instance, x: np.ndarray, prices: np.ndarray
              ) -> TaxBreakdown:
     """Gross tax with no rebate."""
-    x = instance.check_x_shape(x)
-    prices = _check_prices(instance, prices)
-    payment, disagreement, slackness, _ = _gross_terms(instance, x, prices)
-    return TaxBreakdown(payment=payment, disagreement=disagreement,
-                        slackness=slackness, rebate=np.zeros_like(payment))
-
-
-def _f1_weights(instance: Instance, l: int, mem: np.ndarray) -> np.ndarray:
-    """Rebate demand weights: raw coefficients for singleton agents, the
-    aggregated coefficient split over on-row group members otherwise."""
-    red = instance.reduced
-    w = np.empty(len(mem))
-    for j_pos, j in enumerate(mem):
-        k = red.group_of_agent[j]
-        group = red.group_members[k]
-        if len(group) == 1:
-            w[j_pos] = instance.A[l, j]
-        else:
-            on_row = sum(1 for g in group if instance.A[l, g] != 0.0)
-            w[j_pos] = red.A_red[l, k] / on_row
-    return w
+    return _one_row(instance, Variant.BASE, x, x, prices)
 
 
 def sbb_ne_tax(instance: Instance, y: np.ndarray, x: np.ndarray,
@@ -206,26 +301,7 @@ def sbb_ne_tax(instance: Instance, y: np.ndarray, x: np.ndarray,
     Two-member constraints with a sign change (equality encodings) get no
     rebate; they already cancel pairwise at equilibrium.
     """
-    y = instance.check_x_shape(y, "y")
-    x = instance.check_x_shape(x)
-    prices = _check_prices(instance, prices)
-    payment, disagreement, slackness, pb = _gross_terms(instance, x, prices)
-    rebate = np.zeros_like(payment)
-    for l, mem in enumerate(instance.index_sets.members):
-        mem = list(mem)
-        nm = len(mem)
-        p, pbar_minus = prices[mem, l], pb[mem, l]
-        w = _f1_weights(instance, l, mem)
-        if nm == 2:
-            if np.all(instance.A[l, mem] >= 0):
-                rebate[mem, l] = (w * y[mem] * p)[::-1]
-            continue
-        a = w * y[mem]
-        sum_a = _leave_one_out(a).sum(axis=1)
-        sum_ap = _leave_one_out(a * p).sum(axis=1)
-        rebate[mem, l] = (pbar_minus * sum_a - sum_ap / (nm - 1)) / (nm - 2)
-    return TaxBreakdown(payment=payment, disagreement=disagreement,
-                        slackness=slackness, rebate=rebate)
+    return _one_row(instance, Variant.SBB_NE, y, x, prices)
 
 
 def sbb_offeq_tax(instance: Instance, y: np.ndarray, x: np.ndarray,
@@ -233,66 +309,9 @@ def sbb_offeq_tax(instance: Instance, y: np.ndarray, x: np.ndarray,
     """Gross tax minus a rebate balancing the books at every feasible demand.
 
     Requires every constraint to touch at least five agents, nonnegative
-    coefficients, and no equality groups. The pairwise/di-pairwise sums are
-    evaluated through leave-one-out closed forms; a direct combinatorial
-    reference for them lives in the test suite.
+    coefficients, and no equality groups.
     """
-    y = instance.check_x_shape(y, "y")
-    x = instance.check_x_shape(x)
-    prices = _check_prices(instance, prices)
-    _require_peers(instance)
-    if instance.is_degenerate or np.any(instance.A < 0):
-        raise DegenerateRowUnsupported(
-            "off-equilibrium balancing needs nonnegative rows and no "
-            "equality groups")
-    counts = instance.index_sets.counts
-    small = np.where(counts < 5)[0]
-    if small.size:
-        raise AssumptionA4PrimeViolated(
-            f"constraints {small.tolist()} touch fewer than five agents")
-
-    payment, disagreement, slackness, _ = _gross_terms(instance, x, prices)
-    rebate = np.zeros_like(payment)
-    eta = instance.eta
-    for l, mem in enumerate(instance.index_sets.members):
-        mem = list(mem)
-        nm = len(mem)
-        p = prices[mem, l]
-        cap = instance.caps[l]
-        g = instance.A[l, mem] * y[mem]
-        phi = g * g - 2.0 * cap * g
-
-        # leave-one-out power sums; row i excludes member i
-        P1 = _leave_one_out(p).sum(axis=1)
-        P2m = _leave_one_out(p * p).sum(axis=1)
-        G1 = _leave_one_out(g).sum(axis=1)
-        G2m = _leave_one_out(g * g).sum(axis=1)
-        PG = _leave_one_out(p * g).sum(axis=1)
-        PG2 = _leave_one_out(p * g * g).sum(axis=1)
-        P2G = _leave_one_out(p * p * g).sum(axis=1)
-        P2G2 = _leave_one_out(p * p * g * g).sum(axis=1)
-        PHI = _leave_one_out(phi).sum(axis=1)
-        FP = _leave_one_out(phi * p).sum(axis=1)
-        FP2 = _leave_one_out(phi * p * p).sum(axis=1)
-
-        pair_pp = (P1 * P1 - P2m) / 2.0
-        pair_gg = (G1 * G1 - G2m) / 2.0
-        pair_pg_matched = (PG * PG - P2G2) / 2.0
-
-        f1 = (P1 * G1 - PG) / ((nm - 1) * (nm - 2))
-        f2 = nm / ((nm - 1.0) ** 2 * (nm - 2)) * ((nm - 1) * P2m - P1 * P1)
-        f3a = 2.0 * cap * cap / ((nm - 1) * (nm - 2)) * pair_pp
-        v_mixed = FP * P1 - FP2
-        f3b = 2.0 / (nm - 1) * ((PHI * pair_pp - v_mixed) / (nm - 3)
-                                + v_mixed / (nm - 2))
-        b1 = G1 * (PG * P1 - P2G) - (PG2 * P1 - P2G2) - (PG * PG - P2G2)
-        b0 = pair_pp * pair_gg - b1 - pair_pg_matched
-        f3c = 4.0 / (nm - 1) * (b0 / (nm - 4) + b1 / (nm - 3)
-                                + pair_pg_matched / (nm - 2))
-
-        rebate[mem, l] = f1 + f2 + eta * (f3a + f3b + f3c)
-    return TaxBreakdown(payment=payment, disagreement=disagreement,
-                        slackness=slackness, rebate=rebate)
+    return _one_row(instance, Variant.SBB_OFFEQ, y, x, prices)
 
 
 def tax(instance: Instance, variant: "str | Variant", y: np.ndarray,

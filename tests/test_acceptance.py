@@ -190,9 +190,11 @@ def test_criterion_5_engineered_deviations_are_found(criterion_report,
                                                      base_bundle):
     """Tolerance: zero false negatives on 1e3 engineered profiles; price
     disagreement must be caught with gain >= (p_i - pbar)^2, positive
-    prices on a slack row with strictly positive gain."""
+    prices on a slack row with strictly positive gain; every refutation
+    names the kind of its winning deviation."""
     rng = np.random.default_rng(17)
     false_neg = 0
+    unnamed = 0
     candidates = []
     for _, inst, sol in base_bundle:
         prof = construct_candidate_ne(inst, sol)
@@ -216,6 +218,7 @@ def test_criterion_5_engineered_deviations_are_found(criterion_report,
                                 deviations=0, seed=0)
         if rep.passed or rep.max_gain < bump * bump * (1.0 - 1e-9):
             false_neg += 1
+        unnamed += rep.best_deviations[i]["kind"] == "none"
     slack_inst = quad_pair_with_slack()
     s = 10.0 - 3.5
     for _ in range(500):
@@ -227,10 +230,12 @@ def test_criterion_5_engineered_deviations_are_found(criterion_report,
         floor_gain = q * q * (slack_inst.eta * s * s - 1.0)
         if rep.passed or rep.max_gain < floor_gain * (1.0 - 1e-9):
             false_neg += 1
-    ok = false_neg == 0
+        unnamed += all(d["kind"] == "none" for d in rep.best_deviations)
+    ok = false_neg == 0 and unnamed == 0
     assert criterion_report(
         5, ok, f"1000 engineered non-equilibria all refuted with the "
-               f"analytical gain floors, {false_neg} false negatives vs 0")
+               f"analytical gain floors, {false_neg} false negatives vs 0, "
+               f"{unnamed} without a named winning deviation vs 0")
 
 
 # ---------------------------------------------------------------------------

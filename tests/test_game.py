@@ -16,7 +16,7 @@ from propmech.harness import (Scenario, bundled_scenarios,
 from propmech.model import Constraint, Instance, InvalidParameter, Valuation
 from propmech.allocation import allocate
 from propmech.model import validate
-from propmech.taxation import (AgentNotOnConstraint, _gross_terms, base_tax,
+from propmech.taxation import (AgentNotOnConstraint, _peer_means, base_tax,
                                sbb_ne_tax, sbb_offeq_tax, tax)
 
 
@@ -47,6 +47,10 @@ def test_make_profile_masks_off_row_prices():
     assert prof.prices[1, 0] == 0.7
     with pytest.raises(ValueError):
         make_profile(inst, np.full(3, 0.2), -np.ones((3, 2)))
+    for y, p in (([0.2, math.nan, 0.2], None), ([0.2, 0.2, math.inf], None),
+                 (np.full(3, 0.2), np.full((3, 2), math.nan))):
+        with pytest.raises(InvalidParameter):
+            make_profile(inst, y, p)
 
 
 def test_candidate_profile_quotes_the_shadow_price():
@@ -348,8 +352,7 @@ def test_demand_objective_payment_reads_the_tax_peer_mean():
     cases.append((inst, make_profile(inst, inst.d + 0.1,
                                      rng.uniform(0.1, 2.0, (n, L)))))
     for inst, prof in cases:
-        x = allocate(inst, prof.y).x
-        pb = _gross_terms(inst, x, prof.prices)[3]
+        pb = _peer_means(inst, prof.prices)
         for i in range(inst.n_agents):
             rows = list(inst.index_sets.rows_of_agent[i])
             obj = _DemandObjective(inst, prof, i)
@@ -477,6 +480,25 @@ def test_verify_rejects_bad_arguments(kwargs):
     inst = canonical_instance()
     with pytest.raises(InvalidParameter):
         verify_epsilon_ne(inst, "base", candidate(inst), **kwargs)
+
+
+def test_verify_names_no_winner_for_rounding_noise():
+    # grouped candidate whose best gains are rounding noise: no deviation
+    # is named, the gains themselves are kept
+    inst = generate(*bundled_scenarios("base")[6])
+    prof = candidate(inst)
+    rep = verify_epsilon_ne(inst, "base", prof, deviations=50, seed=0)
+    assert rep.passed
+    assert [d["kind"] for d in rep.best_deviations] == ["none"] * inst.n_agents
+    assert [d["gain"] for d in rep.best_deviations] == rep.gains.tolist()
+    assert rep.to_dict()["gain_floor"] == 1e-14
+    # a price disagreement above the floor is named
+    l = inst.index_sets.rows_of_agent[0][0]
+    prof.prices[0, l] += 1e-3
+    won = verify_epsilon_ne(inst, "base", prof, deviations=0,
+                            seed=0).best_deviations[0]
+    assert won["kind"] == "price" and won["constraint"] == l
+    assert won["gain"] == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_verify_reports_the_winning_joint_trial():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import propmech.harness as harness
 from propmech.cli import main
 from propmech.harness import (ExperimentConfig, Scenario, UnknownSuite,
                               bundled_scenarios, canonical_instance, generate,
@@ -161,6 +162,45 @@ def test_property_suites_pass_on_small_samples():
         assert d["passed"] is True
 
 
+def test_suite_instances_are_built_once_and_left_unchanged():
+    assert harness._suite_instances() is harness._suite_instances()
+    assert harness._offeq_instances() is harness._offeq_instances()
+    first = [property_suite(name, samples=200, seed=4).to_dict()
+             for name in ("budget_ne", "rebate_independence")]
+    again = [property_suite(name, samples=200, seed=4).to_dict()
+             for name in ("budget_ne", "rebate_independence")]
+    assert first == again
+
+
+def test_budget_suites_sample_the_per_call_profiles():
+    """The suites draw each instance's profiles in blocks; these are
+    bitwise the profiles of drawing them one generator call at a time."""
+    per = 60
+    rng = np.random.default_rng([0, 202])
+    ref = np.random.default_rng([0, 202])
+    for inst, sol in harness._suite_instances():
+        P = harness._draw_budget_ne(inst, sol, rng, per)
+        active = sol.lambda_star > 1e-9
+        for r in range(per):
+            q = np.where(active, sol.lambda_star * ref.uniform(
+                0.0, 2.0, inst.n_constraints), 0.0)
+            assert np.array_equal(
+                P[r], np.tile(q, (inst.n_agents, 1)) * (inst.A != 0).T)
+    rng = np.random.default_rng([0, 303])
+    ref = np.random.default_rng([0, 303])
+    for inst in harness._offeq_instances():
+        Y, P, y_bad, p_bad = harness._draw_budget_offeq(inst, rng, per)
+        shape = (inst.n_agents, inst.n_constraints)
+        assert np.array_equal(Y, harness._sample_feasible_y(inst, ref, per))
+        for r in range(per):
+            assert np.array_equal(
+                P[r], ref.uniform(0.0, 2.0, shape) * (inst.A != 0).T)
+        assert np.array_equal(
+            y_bad, inst.d + ref.random(inst.n_agents) * 50.0 + 10.0)
+        assert np.array_equal(
+            p_bad, ref.uniform(0.5, 1.5, shape) * (inst.A != 0).T)
+
+
 def test_property_suite_rejects_unknown_names():
     with pytest.raises(UnknownSuite):
         property_suite("spectral-gap")
@@ -280,6 +320,12 @@ def test_cli_failure_exit_codes(tmp_path, capsys):
                                 "prices": [[0.9], [0.2]]}))
     assert main(["verify", str(path), "--profile", str(prof),
                  "--deviations", "20"]) == 2
+    # so are a NaN price and an infinite demand
+    for bad in ({"y": [0.4, 0.5], "prices": [[float("nan")], [0.2]]},
+                {"y": [float("inf"), 0.5], "prices": [[0.9], [0.2]]}):
+        prof.write_text(json.dumps(bad))
+        assert main(["verify", str(path), "--profile", str(prof),
+                     "--deviations", "20"]) == 2, bad
     assert main(["gen", "--kind", "local-public-goods"]) == 2
     assert main(["gen", "--eta", "nan"]) == 2
     # so are a negative deviation count and a non-finite eps
@@ -294,7 +340,7 @@ def test_cli_failure_exit_codes(tmp_path, capsys):
     assert main(["simulate", str(path), "--rounds", "-3"]) == 2
     assert main(["simulate", str(path), "--tol", "nan"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 11 and all(line.startswith("error: ") for line in err)
+    assert len(err) == 13 and all(line.startswith("error: ") for line in err)
 
 
 def test_cli_one_member_row_exits_2(tmp_path, capsys):

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from propmech.allocation import allocate
 from propmech.centralized import solve
 from propmech.game import construct_candidate_ne
 from propmech.harness import Scenario, canonical_instance, generate
-from propmech.model import Constraint, Instance, Valuation
+from propmech.model import (Constraint, Instance, InvalidParameter, Valuation,
+                            Variant)
 from propmech.taxation import (AgentNotOnConstraint,
                                AssumptionA4PrimeViolated,
-                               DegenerateRowUnsupported, base_tax, pbar,
-                               sbb_ne_tax, sbb_offeq_tax, tax, total_tax)
+                               DegenerateRowUnsupported, _peer_means,
+                               _tax_terms, base_tax, pbar, sbb_ne_tax,
+                               sbb_offeq_tax, tax, total_tax)
 
 
 def five_on_a_row(eta: float = 1e-3) -> Instance:
@@ -309,3 +312,283 @@ def test_breakdown_accounting():
     d = bd.to_dict()
     assert np.asarray(d["per_agent"]) == pytest.approx(bd.per_agent)
     assert bd.gross >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the former scalar forms
+
+
+def reference_leave_one_out(vals):
+    """Row i = vals with entry i zeroed; sums along rows exclude self."""
+    out = np.tile(vals, (len(vals), 1))
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def reference_peer_mean(p):
+    """Entry i: the mean of one row's member prices p other than p[i]."""
+    return reference_leave_one_out(p).sum(axis=1) / (len(p) - 1)
+
+
+def reference_peer_means(instance, prices):
+    out = np.zeros((instance.n_agents, instance.n_constraints))
+    for l, mem in enumerate(instance.index_sets.members):
+        out[mem, l] = reference_peer_mean(prices[mem, l])
+    return out
+
+
+def reference_gross_terms(instance, x, prices):
+    """(N, L) payment, disagreement and slackness, plus the peer means."""
+    pb = reference_peer_means(instance, prices)
+    A_t = instance.A.T
+    own = np.where(A_t != 0, prices, 0.0)
+    slack = instance.caps - instance.A @ x
+    return (A_t * x[:, None] * pb, (own - pb) ** 2,
+            instance.eta * pb * own * slack ** 2, pb)
+
+
+def reference_f1_weights(instance, l, mem):
+    red = instance.reduced
+    w = np.empty(len(mem))
+    for j_pos, j in enumerate(mem):
+        k = red.group_of_agent[j]
+        group = red.group_members[k]
+        if len(group) == 1:
+            w[j_pos] = instance.A[l, j]
+        else:
+            on_row = sum(1 for g in group if instance.A[l, g] != 0.0)
+            w[j_pos] = red.A_red[l, k] / on_row
+    return w
+
+
+def reference_sbb_ne_rebate(instance, y, prices):
+    """The former per-row loop of sbb_ne_tax's telescoping rebate."""
+    pb = reference_peer_means(instance, prices)
+    rebate = np.zeros_like(pb)
+    for l, mem in enumerate(instance.index_sets.members):
+        mem = list(mem)
+        nm = len(mem)
+        p, pbar_minus = prices[mem, l], pb[mem, l]
+        w = reference_f1_weights(instance, l, mem)
+        if nm == 2:
+            if np.all(instance.A[l, mem] >= 0):
+                rebate[mem, l] = (w * y[mem] * p)[::-1]
+            continue
+        a = w * y[mem]
+        sum_a = reference_leave_one_out(a).sum(axis=1)
+        sum_ap = reference_leave_one_out(a * p).sum(axis=1)
+        rebate[mem, l] = (pbar_minus * sum_a - sum_ap / (nm - 1)) / (nm - 2)
+    return rebate
+
+
+def reference_sbb_offeq_rebate(instance, y, prices):
+    """The former per-row loop of sbb_offeq_tax's rebate (eleven tiled
+    leave-one-out power sums per row)."""
+    rebate = np.zeros((instance.n_agents, instance.n_constraints))
+    eta = instance.eta
+    for l, mem in enumerate(instance.index_sets.members):
+        mem = list(mem)
+        nm = len(mem)
+        p = prices[mem, l]
+        cap = instance.caps[l]
+        g = instance.A[l, mem] * y[mem]
+        phi = g * g - 2.0 * cap * g
+        P1, P2m, G1, G2m, PG, PG2, P2G, P2G2, PHI, FP, FP2 = (
+            reference_leave_one_out(v).sum(axis=1)
+            for v in (p, p * p, g, g * g, p * g, p * g * g, p * p * g,
+                      p * p * g * g, phi, phi * p, phi * p * p))
+        pair_pp = (P1 * P1 - P2m) / 2.0
+        pair_gg = (G1 * G1 - G2m) / 2.0
+        pair_pg_matched = (PG * PG - P2G2) / 2.0
+        f1 = (P1 * G1 - PG) / ((nm - 1) * (nm - 2))
+        f2 = nm / ((nm - 1.0) ** 2 * (nm - 2)) * ((nm - 1) * P2m - P1 * P1)
+        f3a = 2.0 * cap * cap / ((nm - 1) * (nm - 2)) * pair_pp
+        v_mixed = FP * P1 - FP2
+        f3b = 2.0 / (nm - 1) * ((PHI * pair_pp - v_mixed) / (nm - 3)
+                                + v_mixed / (nm - 2))
+        b1 = G1 * (PG * P1 - P2G) - (PG2 * P1 - P2G2) - (PG * PG - P2G2)
+        b0 = pair_pp * pair_gg - b1 - pair_pg_matched
+        f3c = 4.0 / (nm - 1) * (b0 / (nm - 4) + b1 / (nm - 3)
+                                + pair_pg_matched / (nm - 2))
+        rebate[mem, l] = f1 + f2 + eta * (f3a + f3b + f3c)
+    return rebate
+
+
+def _log_vals(rng, n):
+    return tuple(Valuation("log_shift", float(a), 1.0)
+                 for a in rng.uniform(0.5, 2.0, n))
+
+
+def rows_instance(rng, n, L, min_members, wide):
+    """L rows of random members with positive coefficients; the first row
+    holds every agent when ``wide``."""
+    cons = []
+    for l in range(L):
+        size = n if wide and l == 0 else int(rng.integers(min_members, n + 1))
+        mem = rng.choice(n, size=size, replace=False)
+        cons.append(Constraint({int(i): float(rng.uniform(0.2, 2.0))
+                                for i in mem}, float(rng.uniform(1.0, 50.0))))
+    return Instance(valuations=_log_vals(rng, n), constraints=tuple(cons),
+                    equality_groups=(), d=0.01, D=100.0,
+                    eta=float(rng.uniform(1e-3, 1.0)))
+
+
+def grouped_instance(rng, sizes, shared):
+    """Equality groups encoded by cycle rows; per group a cap row with
+    unequal coefficients and a two-member row with a sign change whose
+    aggregated coefficient is not zero; when ``shared``, one row over all
+    but the last member of every group of three or more."""
+    cons, groups, start = [], [], 0
+    for s in sizes:
+        mem = tuple(range(start, start + s))
+        groups.append(mem)
+        cons += [Constraint({mem[j]: -1.0, mem[(j + 1) % s]: 1.0}, 0.0)
+                 for j in range(s)]
+        cons.append(Constraint({i: float(rng.uniform(0.2, 2.0)) / s
+                                for i in mem}, float(rng.uniform(1.0, 5.0))))
+        cons.append(Constraint({mem[0]: -1.0, mem[1]: 2.0},
+                               float(rng.uniform(1.0, 5.0))))
+        start += s
+    if shared:
+        part = [i for g in groups for i in g[:max(2, len(g) - 1)]]
+        cons.append(Constraint({i: float(rng.uniform(0.2, 2.0)) for i in part},
+                               float(rng.uniform(1.0, 5.0))))
+    return Instance(valuations=_log_vals(rng, start), constraints=tuple(cons),
+                    equality_groups=tuple(groups), d=0.01, D=100.0, eta=0.7)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(instance, variants that apply, profile rng): rows of random
+    members (offeq-ready at five or more, some of 60+ members) and grouped
+    instances, whose cycle rows are two-member rows with a sign change."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["rows", "wide", "offeq", "grouped"]))
+    if kind == "rows":
+        inst = rows_instance(rng, draw(st.integers(2, 12)),
+                             draw(st.integers(1, 4)), 2, False)
+    elif kind == "wide":
+        inst = rows_instance(rng, draw(st.integers(60, 90)),
+                             draw(st.integers(1, 3)), 2, True)
+    elif kind == "offeq":
+        inst = rows_instance(rng, draw(st.integers(5, 70)),
+                             draw(st.integers(1, 4)), 5,
+                             draw(st.booleans()))
+    else:
+        inst = grouped_instance(
+            rng, draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)),
+            draw(st.booleans()))
+    variants = ["base", "sbb-ne"] + (["sbb-offeq"] if kind == "offeq" else [])
+    return inst, variants, rng
+
+
+def random_messages(instance, rng):
+    """Demands, allocations and member prices; some rows quote one price,
+    some members quote zero."""
+    n, L = instance.n_agents, instance.n_constraints
+    y = instance.d + rng.uniform(0.05, 3.0, n)
+    x = y * rng.uniform(0.5, 1.0, n)
+    prices = rng.uniform(0.0, 2.0, (n, L))
+    common = rng.random(L) < 0.3
+    prices[:, common] = rng.uniform(0.0, 2.0, int(common.sum()))
+    prices[rng.random((n, L)) < 0.1] = 0.0
+    return y, x, prices * (instance.A != 0).T
+
+
+def _case(build, variants, seed):
+    rng = np.random.default_rng(seed)
+    return build(rng), variants, rng
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kernel_cases())
+@example(_case(lambda r: grouped_instance(r, (3, 2, 4), True),
+               ["base", "sbb-ne"], 1))
+@example(_case(lambda r: rows_instance(r, 70, 3, 5, True),
+               ["base", "sbb-ne", "sbb-offeq"], 2))
+def test_kernel_matches_the_former_scalar_forms(case):
+    """Peer means and the telescoping rebate agree with the tiled forms
+    within 1e-14 relative per entry: both sum nonnegative terms, only in
+    another order. The everywhere-balancing rebate is held to 1e-13 times
+    max(1, gross) instead: its closed form subtracts products of power
+    sums (P1 * P1 - P2m and the like), which cancel on near-zero entries,
+    so a change of summation order moves such an entry by far more than
+    1e-14 of itself while the books stay balanced to rounding."""
+    inst, variants, rng = case
+    y, x, prices = random_messages(inst, rng)
+    pay, dis, sl, pb = reference_gross_terms(inst, x, prices)
+    got_pb = _peer_means(inst, prices)
+    assert np.all(np.abs(got_pb - pb) <= 1e-14 * pb)
+    for variant in variants:
+        bd = tax(inst, variant, y, x, prices)
+        scale = 1e-14 * max(1.0, bd.gross)
+        for got, want in ((bd.payment, pay), (bd.disagreement, dis),
+                          (bd.slackness, sl)):
+            assert np.all(np.abs(got - want) <= scale), variant
+        if variant == "sbb-ne":
+            ref = reference_sbb_ne_rebate(inst, y, prices)
+            assert np.all(np.abs(bd.rebate - ref) <= 1e-14 * np.abs(ref))
+        elif variant == "sbb-offeq":
+            ref = reference_sbb_offeq_rebate(inst, y, prices)
+            assert np.all(np.abs(bd.rebate - ref)
+                          <= 1e-13 * max(1.0, bd.gross))
+        else:
+            assert np.all(bd.rebate == 0.0)
+
+
+def _batch_cases():
+    rng = np.random.default_rng(43)
+    return [(rows_instance(rng, 64, 3, 5, True),
+             ("base", "sbb-ne", "sbb-offeq")),
+            (grouped_instance(rng, (3, 2, 2), True), ("base", "sbb-ne")),
+            (canonical_instance(), ("base", "sbb-ne"))]
+
+
+def test_one_row_call_is_bitwise_its_row_of_a_batch():
+    rng = np.random.default_rng(47)
+    for inst, variants in _batch_cases():
+        Y, X, P = map(np.array, zip(*(random_messages(inst, rng)
+                                      for _ in range(37))))
+        for variant in variants:
+            terms = _tax_terms(inst, Variant.parse(variant), Y, X, P)
+            for k in range(37):
+                bd = tax(inst, variant, Y[k], X[k], P[k])
+                for got, want in zip((bd.payment, bd.disagreement,
+                                      bd.slackness, bd.rebate), terms[:, k]):
+                    assert np.array_equal(got, want), (variant, k)
+
+
+def test_batched_rebate_rows_ignore_the_recipients_own_message():
+    rng = np.random.default_rng(53)
+    for inst, variants in _batch_cases():
+        n, L = inst.n_agents, inst.n_constraints
+        Y, X, P = map(np.array, zip(*(random_messages(inst, rng)
+                                      for _ in range(40))))
+        who = rng.integers(n, size=40)
+        at = np.arange(40)
+        Y2, X2, P2 = Y.copy(), X.copy(), P.copy()
+        Y2[at, who] = inst.d[who] + rng.uniform(0.05, 9.0, 40)
+        X2[at, who] *= rng.uniform(0.1, 3.0, 40)
+        P2[at, who] = rng.uniform(0.0, 5.0, (40, L)) * (inst.A.T[who] != 0)
+        for variant in variants:
+            v = Variant.parse(variant)
+            before = _tax_terms(inst, v, Y, X, P)[3]
+            after = _tax_terms(inst, v, Y2, X2, P2)[3]
+            assert np.array_equal(before[at, who], after[at, who]), variant
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("y", math.nan), ("y", math.inf), ("x", math.nan), ("x", -math.inf),
+    ("prices", math.nan), ("prices", math.inf)])
+def test_non_finite_messages_are_rejected(field, bad):
+    inst = five_on_a_row()
+    y, prices = rng_profile(inst, np.random.default_rng(3))
+    msg = {"y": y.copy(), "x": y.copy(), "prices": prices}
+    msg[field].flat[2] = bad
+    # the base tax reads no demand
+    for variant in ("base", "sbb-ne", "sbb-offeq")[field == "y":]:
+        with pytest.raises(InvalidParameter):
+            tax(inst, variant, msg["y"], msg["x"], msg["prices"])
+    if field == "prices":
+        with pytest.raises(InvalidParameter):
+            pbar(inst, msg["prices"], 0, 0)
