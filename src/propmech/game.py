@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import nnls
@@ -18,9 +19,9 @@ from scipy.optimize import nnls
 from .allocation import allocate, allocate_many
 from .centralized import CentralizedSolution
 from .model import Choice, Instance, InvalidParameter, Variant
-from .taxation import (TaxBreakdown, _check_finite, _check_prices, _gross,
-                       _member_means, _peer_means, _require_peers, pbar, tax,
-                       total_tax)
+from .taxation import (TaxBreakdown, _budget_books, _check_finite,
+                       _check_offeq, _check_prices, _gross, _member_means,
+                       _peer_means, _require_peers, _tax_terms, pbar, tax)
 
 __all__ = [
     "A2Violation",
@@ -124,57 +125,111 @@ def best_response_price(instance: Instance, variant: "str | Variant",
     return max(0.0, pb - instance.eta * pb * s * s / 2.0)
 
 
+class _SweepState:
+    """What every agent's demand objective reads of the instance, built
+    once per run_dynamics (or per best-response call).
+
+    Per agent: its own rows, its A_hat column (the demand-space rows'
+    coefficients on its demand), that column and A's on its own rows, and
+    its group. Per instance: the anchor theta, caps - A_red theta and the
+    non-vacuous rows' tolerances, which only the pullback piece and the
+    boundary t_b read. ``sweep`` moves the singleton agents in turn.
+    """
+
+    def __init__(self, instance: Instance):
+        _require_peers(instance)
+        red = instance.reduced
+        self.instance = instance
+        self.A_hat = red.A_hat
+        self.C = np.ascontiguousarray(red.A_hat.T)  # row i: i's column
+        self.rows = [np.array(r, dtype=int)
+                     for r in instance.index_sets.rows_of_agent]
+        self.coef_rows = [self.C[i, r] for i, r in enumerate(self.rows)]
+        self.a_rows = [instance.A[r, i] for i, r in enumerate(self.rows)]
+        self.caps_rows = [instance.caps[r] for r in self.rows]
+        self.theta = instance.theta_or_derived()
+        self.rv_theta = red.A_red @ red.theta
+        self.num_full = instance.caps - self.rv_theta
+        self.nv_tol = 1e-12 * (1.0 + np.abs(instance.caps[red.nv_rows]))
+        self.ay = None  # A_hat @ y as the last sweep left it
+
+    def sweep(self, profile: MessageProfile, agents, lo: np.ndarray,
+              hi: float, peer_means: np.ndarray) -> float:
+        """Move each singleton agent in turn to its notional target, each
+        seeing the demands already placed; the prices stay fixed, so all
+        share ``peer_means``. A_hat @ y is formed once, then follows each
+        move by a rank-one column step (left in ``self.ay``). Returns the
+        largest relative move."""
+        ay = self.A_hat @ profile.y
+        snap = 0.0
+        for i in agents:
+            y_i = float(profile.y[i])
+            t = _concave_argmax(
+                _DemandObjective(self, profile, i, peer_means, ay),
+                lo[i], hi, y_i)
+            snap = max(snap, abs(t - y_i) / (1.0 + abs(y_i)))
+            ay = ay + self.C[i] * (t - y_i)
+            profile.y[i] = t
+        self.ay = ay
+        return snap
+
+
 class _DemandObjective:
     """Gross utility of agent i as a function of own demand, others fixed.
 
     Inside the feasible region the map is strictly concave in own demand;
     past the boundary it follows the pullback ray. Constant terms
-    (disagreement penalty, rebate) are dropped. ``peer_means`` is the
-    profile's (N, L) peer mean prices, when the caller already has them.
+    (disagreement penalty, rebate) are dropped. ``state`` holds the
+    instance's constants; ``peer_means`` is the profile's (N, L) peer mean
+    prices and ``ay`` its A_hat @ y, when the caller already has them. The
+    slope and curvature read four scalars; the boundary t_b and the
+    pullback piece are formed only when asked for.
     """
 
-    def __init__(self, instance: Instance, profile: MessageProfile, i: int,
-                 peer_means: "np.ndarray | None" = None):
-        _require_peers(instance)
-        red = instance.reduced
+    def __init__(self, state: _SweepState, profile: MessageProfile, i: int,
+                 peer_means: "np.ndarray | None" = None,
+                 ay: "np.ndarray | None" = None):
+        instance = state.instance
+        self.state, self.i = state, i
         self.v = instance.valuations[i]
-        rows = np.array(instance.index_sets.rows_of_agent[i], dtype=int)
-        self.rows_i = rows
+        self.y_i = float(profile.y[i])
+        red = instance.reduced
         k = red.group_of_agent[i]
-        self.beta = 1.0 / red.group_sizes[k]
-        group = red.group_members[k]
-        self.y0k = (math.fsum(float(profile.y[j]) for j in group)
-                    - float(profile.y[i])) / red.group_sizes[k]
-
-        A_hat = red.A_hat
-        self.coef = A_hat[:, i]                       # (L,)
-        self.rv0 = A_hat @ profile.y - self.coef * profile.y[i]
-        self.nv_rows = red.nv_rows
-
-        self.theta_i = float(instance.theta_or_derived()[i])
-        rv_theta = red.A_red @ red.theta
-        self.num_full = instance.caps - rv_theta
-        self.den0 = self.rv0 - rv_theta
-
+        if red.group_sizes[k] == 1:
+            self.beta, self.y0k = 1.0, 0.0
+        else:
+            self.beta = 1.0 / red.group_sizes[k]
+            self.y0k = (math.fsum(float(profile.y[j])
+                                  for j in red.group_members[k])
+                        - self.y_i) / red.group_sizes[k]
+        self.ay = state.A_hat @ profile.y if ay is None else ay
         if peer_means is None:
             peer_means = _peer_means(instance, profile.prices)
+        rows = state.rows[i]
         pb = peer_means[i, rows]
-        self.c_pay = float((instance.A[rows, i] * pb).sum())
+        self.c_pay = float((state.a_rows[i] * pb).sum())
         # slack tax on own rows: sum of w (gap - coef t)^2 with weights
         # eta * pbar * p_own, a quadratic in own demand t
         self.w = instance.eta * pb * profile.prices[i, rows]
-        gap = instance.caps - self.rv0
-        self.coef_rows = self.coef[rows]
-        self.gap_rows = gap[rows]
-        self.wgc = float((self.w * self.gap_rows * self.coef_rows).sum())
-        self.wcc = float((self.w * self.coef_rows ** 2).sum())
+        self.coef_rows = c = state.coef_rows[i]
+        self.gap_rows = state.caps_rows[i] - (self.ay[rows] - c * self.y_i)
+        self.wgc = float((self.w * self.gap_rows * c).sum())
+        self.wcc = float((self.w * c ** 2).sum())
 
-        # largest own demand keeping the averaged profile feasible
-        c, gap = self.coef[self.nv_rows], gap[self.nv_rows]
+    @cached_property
+    def rv0(self) -> np.ndarray:
+        """Row values of the averaged profile without i's own demand."""
+        return self.ay - self.state.C[self.i] * self.y_i
+
+    @cached_property
+    def t_b(self) -> float:
+        """Largest own demand keeping the averaged profile feasible."""
+        nv = self.state.instance.reduced.nv_rows
+        c = self.state.C[self.i, nv]
+        gap = self.state.instance.caps[nv] - self.rv0[nv]
         up = c > 1e-300
-        tol = 1e-12 * (1.0 + np.abs(instance.caps[self.nv_rows]))
-        stuck = ~up & (gap < -tol)
-        self.t_b = -math.inf if stuck.any() else \
+        stuck = ~up & (gap < -self.state.nv_tol)
+        return -math.inf if stuck.any() else \
             float(np.min(gap[up] / c[up], initial=math.inf))
 
     # -- inside the feasible region --------------------------------------
@@ -196,16 +251,29 @@ class _DemandObjective:
 
     # -- past the boundary: pullback ray ----------------------------------
 
+    @cached_property
+    def _ray(self) -> tuple:
+        """What the pullback piece reads: the rows' values less the
+        anchor's without i's demand, i's column, the anchor's slack, the
+        non-vacuous rows, theta_i and i's own rows."""
+        state = self.state
+        return (self.rv0 - state.rv_theta, state.C[self.i], state.num_full,
+                state.num_full.tolist(),
+                state.instance.reduced.nv_rows.tolist(),
+                float(state.theta[self.i]), state.rows[self.i])
+
     def value_outside(self, t: float) -> float:
-        den = self.den0 + self.coef * t
+        den0, coef, num_full, nums, nv_rows, theta_i, rows = self._ray
+        den = den0 + coef * t
+        dens = den.tolist()
         alpha = 1.0
-        for l in self.nv_rows:
-            if den[l] > 1e-300:
-                a = self.num_full[l] / den[l]
+        for l in nv_rows:
+            if dens[l] > 1e-300:
+                a = nums[l] / dens[l]
                 if a < alpha:
                     alpha = a
-        x_i = self.theta_i + alpha * (self.y0k + self.beta * t - self.theta_i)
-        d_rows = (self.num_full - alpha * den)[self.rows_i]
+        x_i = theta_i + alpha * (self.y0k + self.beta * t - theta_i)
+        d_rows = (num_full - alpha * den)[rows]
         slack_tax = float((self.w * d_rows * d_rows).sum())
         return self.v.value_s(x_i) - x_i * self.c_pay - slack_tax
 
@@ -215,8 +283,11 @@ class _DemandObjective:
         return self.value_outside(t)
 
 
-def _concave_argmax(obj: _DemandObjective, lo: float, hi: float) -> float:
-    """Safeguarded Newton on the inside-piece gradient over [lo, hi]."""
+def _concave_argmax(obj: _DemandObjective, lo: float, hi: float,
+                    start: "float | None" = None) -> float:
+    """Safeguarded Newton on the inside-piece gradient over [lo, hi],
+    started at ``start`` when it lies strictly inside, else at the
+    midpoint."""
     glo = obj.grad_inside(lo)
     if glo <= 0:
         return lo
@@ -224,7 +295,7 @@ def _concave_argmax(obj: _DemandObjective, lo: float, hi: float) -> float:
     if ghi >= 0:
         return hi
     a, b = lo, hi
-    t = 0.5 * (a + b)
+    t = start if start is not None and lo < start < hi else 0.5 * (a + b)
     for _ in range(90):
         g = obj.grad_inside(t)
         if g > 0:
@@ -285,7 +356,7 @@ def best_response_demand(instance: Instance, variant: "str | Variant",
     if not lo < hi:
         raise BracketInvalid(f"bracket [{lo}, {hi}] is empty")
 
-    obj = _DemandObjective(instance, profile, i)
+    obj = _DemandObjective(_SweepState(instance), profile, i)
     cands: list[float] = []
     t_in_hi = min(obj.t_b, hi)
     if t_in_hi > lo:
@@ -332,7 +403,7 @@ def notional_demand(instance: Instance, profile: MessageProfile,
     d_i = float(instance.d[i])
     lo = d_i + _FLOOR_MARGIN * (1.0 + d_i)
     hi = instance.D + 1.0
-    obj = _DemandObjective(instance, profile, i)
+    obj = _DemandObjective(_SweepState(instance), profile, i)
     return float(_concave_argmax(obj, lo, hi))
 
 
@@ -412,6 +483,36 @@ def _local_gains(instance: Instance, y: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(coupling.sum(axis=1), 1e-9)
 
 
+# rounds whose books are priced together by one allocate_many and one tax
+# kernel call
+_BOOK_BLOCK = 64
+
+
+def _book_rounds(instance: Instance, variant: Variant, pending: list,
+                 record_profiles: bool) -> list:
+    """The records of buffered rounds: their feasibility violations and
+    budget imbalances (the exact total_tax of each round's profile) from
+    one allocate_many and one tax kernel call over all of them."""
+    Y = np.array([r[2] for r in pending])
+    P = np.array([r[3] for r in pending])
+    X = allocate_many(instance, Y)
+    budgets, _ = _budget_books(instance,
+                               _tax_terms(instance, variant, Y, X, P))
+    out = []
+    for (rnd, max_change, y, prices, comp, group, snap), x, budget in zip(
+            pending, X, budgets):
+        out.append(RoundRecord(
+            round=rnd, max_change=max_change,
+            feasibility_violation=float(np.max(
+                instance.A @ x - instance.caps, initial=0.0)),
+            budget_imbalance=budget,
+            y=y if record_profiles else None,
+            prices=prices if record_profiles else None,
+            x=x.copy() if record_profiles else None,
+            price_complementarity=comp, group_gap=group, snap_distance=snap))
+    return out
+
+
 def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
                  schedule: "str | Schedule" = Schedule.PRICE_ADJUST_BR,
                  init: "MessageProfile | None" = None,
@@ -447,6 +548,10 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidParameter(f"tol must be finite and >= 0, got {tol}")
     _require_peers(instance)
+    if variant is Variant.SBB_OFFEQ:
+        # the books are priced after the rounds: refuse an unsupported
+        # instance before running any
+        _check_offeq(instance)
     prof = (init.copy() if init is not None else default_init(instance))
     mask = (instance.A != 0).T.astype(float)
 
@@ -475,11 +580,14 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
         grp_rows.append((sel, rows, instance.A[rows][:, grouped[sel]]))
     lo_g = np.array([lo[grouped[sel]].max() for sel, _, _ in grp_rows])
 
+    state = _SweepState(instance) if singles.size else None
     records: list[RoundRecord] = []
+    # rounds since the last book flush: (round, max_change, y, prices,
+    # residual parts)
+    pending: list[tuple] = []
+    y_prev, p_prev = prof.y.copy(), prof.prices.copy()
     converged = False
     for rnd in range(1, max_rounds + 1):
-        y_prev = prof.y.copy()
-        p_prev = prof.prices.copy()
         comp_resid = group_resid = snap = None
         if schedule is Schedule.PRICE_ADJUST_BR:
             s = instance.A @ prof.y - instance.caps
@@ -533,13 +641,10 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
             # force that makes simultaneous jumps overshoot in lockstep.
             # Prices stay fixed through the sweep, so its agents share one
             # set of peer means.
-            pb = _peer_means(instance, prof.prices)
-            for i in singles:
-                t_i = _concave_argmax(_DemandObjective(instance, prof, i, pb),
-                                      lo[i], instance.D + 1.0)
-                snap = max(snap, float(abs(t_i - prof.y[i])
-                                       / (1.0 + abs(prof.y[i]))))
-                prof.y[i] = t_i
+            if state is not None:
+                snap = max(snap, state.sweep(
+                    prof, singles, lo, instance.D + 1.0,
+                    _peer_means(instance, prof.prices)))
         else:
             for i in range(instance.n_agents):
                 for l in instance.index_sets.rows_of_agent[i]:
@@ -547,26 +652,21 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
                         instance, variant, prof, i, l)
                 prof.y[i] = best_response_demand(instance, variant, prof, i,
                                                  thorough=False)
+        y_end, p_end = prof.y.copy(), prof.prices.copy()
         max_change = max(
-            float(np.max(np.abs(prof.y - y_prev), initial=0.0)),
-            float(np.max(np.abs(prof.prices - p_prev), initial=0.0)))
-        alloc = allocate(instance, prof.y)
-        feas = float(np.max(instance.A @ alloc.x - instance.caps,
-                            initial=0.0))
-        breakdown = tax(instance, variant, prof.y, alloc.x, prof.prices)
-        budget = total_tax(breakdown)
-        records.append(RoundRecord(
-            round=rnd, max_change=max_change, feasibility_violation=feas,
-            budget_imbalance=budget,
-            y=prof.y.copy() if record_profiles else None,
-            prices=prof.prices.copy() if record_profiles else None,
-            x=alloc.x.copy() if record_profiles else None,
-            price_complementarity=comp_resid, group_gap=group_resid,
-            snap_distance=snap))
+            float(np.max(np.abs(y_end - y_prev), initial=0.0)),
+            float(np.max(np.abs(p_end - p_prev), initial=0.0)))
+        y_prev, p_prev = y_end, p_end
+        pending.append((rnd, max_change, y_end, p_end, comp_resid,
+                        group_resid, snap))
         rest = max_change if snap is None else max(comp_resid, group_resid,
                                                    snap)
-        if rest <= tol:
-            converged = True
+        converged = rest <= tol
+        if converged or len(pending) == _BOOK_BLOCK or rnd == max_rounds:
+            records.extend(_book_rounds(instance, variant, pending,
+                                        record_profiles))
+            pending = []
+        if converged:
             break
     return RunTrace(schedule=schedule.value, variant=variant.value,
                     rounds=len(records), converged=converged, profile=prof,

@@ -27,7 +27,7 @@ from .game import (MessageProfile, RunTrace, construct_candidate_ne,
 from .model import (Constraint, DomainError, Instance, InvalidParameter,
                     Valuation, ValuationTable, Variant, instance_digest,
                     validate)
-from .taxation import (TaxBreakdown, _member_means, _tax_terms,
+from .taxation import (_budget_books, _member_means, _tax_terms,
                        sbb_offeq_tax, total_tax)
 
 __all__ = [
@@ -481,14 +481,12 @@ def _sample_feasible_y(instance: Instance, rng: np.random.Generator,
     return Y
 
 
-def _worst_imbalance(terms: np.ndarray) -> float:
+def _worst_imbalance(instance: Instance, terms: np.ndarray) -> float:
     """The largest |total tax| / max(1, gross) over the profiles of one
     batched tax call."""
-    worst = 0.0
-    for k in range(terms.shape[1]):
-        bd = TaxBreakdown(*terms[:, k])
-        worst = max(worst, abs(total_tax(bd)) / max(1.0, bd.gross))
-    return worst
+    totals, gross = _budget_books(instance, terms)
+    return float(np.max(np.abs(totals) / np.maximum(1.0, gross),
+                        initial=0.0))
 
 
 def _suite_feasibility(samples: int, seed: int) -> SuiteReport:
@@ -538,7 +536,7 @@ def _suite_budget_ne(samples: int, seed: int) -> SuiteReport:
         y = sol.x_star
         x = allocate(inst, y).x
         P = _draw_budget_ne(inst, sol, rng, per)
-        worst = max(worst, _worst_imbalance(_tax_terms(
+        worst = max(worst, _worst_imbalance(inst, _tax_terms(
             inst, Variant.SBB_NE, np.tile(y, (per, 1)), np.tile(x, (per, 1)),
             P)))
         total += per
@@ -567,7 +565,7 @@ def _suite_budget_offeq(samples: int, seed: int) -> SuiteReport:
     total = 0
     for inst in instances:
         Y, P, y_bad, p_bad = _draw_budget_offeq(inst, rng, per)
-        worst = max(worst, _worst_imbalance(_tax_terms(
+        worst = max(worst, _worst_imbalance(inst, _tax_terms(
             inst, Variant.SBB_OFFEQ, Y, allocate_many(inst, Y), P)))
         total += per
         # off-polytope demand: imbalance is reported, never asserted

@@ -75,9 +75,8 @@ class TaxBreakdown:
     def per_agent(self) -> np.ndarray:
         terms = (self.payment, self.disagreement, self.slackness,
                  self.rebate)
-        return np.array([math.fsum(pay) + math.fsum(dis) + math.fsum(sl)
-                         - math.fsum(reb) for pay, dis, sl, reb
-                         in zip(*(t.tolist() for t in terms))], dtype=float)
+        return np.array(_agent_totals(zip(*(t.tolist() for t in terms))),
+                        dtype=float)
 
     @property
     def gross(self) -> float:
@@ -98,6 +97,38 @@ class TaxBreakdown:
 def total_tax(breakdown: TaxBreakdown) -> float:
     """Grand total across agents (the budget imbalance of the profile)."""
     return math.fsum(breakdown.per_agent)
+
+
+def _agent_totals(rows) -> list:
+    """Each agent's total from its (payment, disagreement, slackness,
+    rebate) rows: one exactly rounded sum per term."""
+    fsum = math.fsum
+    return [fsum(pay) + fsum(dis) + fsum(sl) - fsum(reb)
+            for pay, dis, sl, reb in rows]
+
+
+def _budget_books(instance: Instance, terms: np.ndarray
+                  ) -> "tuple[list, np.ndarray]":
+    """Per profile of a _tax_terms result (4, M, N, L): its total tax and
+    its gross, bitwise total_tax and .gross of its TaxBreakdown. The exact
+    sums read only each agent's memberships: the terms are zero elsewhere,
+    and fsum drops zeros."""
+    M = terms.shape[1]
+    on = instance.A.T != 0
+    ends = np.cumsum(on.sum(axis=1)).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    fsum = math.fsum
+    member_terms = terms.reshape(4, M, -1)[:, :, np.flatnonzero(on)]
+    totals = []
+    for k in range(M):
+        # one profile's floats at a time, so the lists stay small
+        pay, dis, sl, reb = member_terms[:, k].tolist()
+        totals.append(fsum(_agent_totals(
+            (pay[a:b], dis[a:b], sl[a:b], reb[a:b]) for a, b in spans)))
+    flat = terms[:3].reshape(3, M, -1)
+    gross = np.abs(flat[0]).sum(axis=1) + flat[1].sum(axis=1) \
+        + flat[2].sum(axis=1)
+    return totals, gross
 
 
 def _check_prices(instance: Instance, prices: np.ndarray) -> np.ndarray:
@@ -178,11 +209,17 @@ def _gross(a_x, p, pb, eta: float, slack):
 
 
 def pbar(instance: Instance, prices: np.ndarray, i: int, l: int) -> float:
-    """Average price quoted on constraint l by the members other than i."""
+    """Average price quoted on constraint l by the members other than i:
+    the peer means' leave-one-out on row l's layout alone, bitwise
+    _peer_means(...)[i, l]."""
     prices = _check_prices(instance, prices)
-    if i not in instance.index_sets.members[l]:
+    members = instance.index_sets.members[l]
+    if i not in members:
         raise AgentNotOnConstraint(f"agent {i} is not on constraint {l}")
-    return float(_peer_means(instance, prices)[i, l])
+    _require_peers(instance)
+    lay = instance.row_layout
+    p = np.where(lay.mask[l], prices.reshape(-1)[lay.pick[l]], 0.0)
+    return float(_loo(p)[members.index(i)] / (lay.counts[l] - 1))
 
 
 def _check_offeq(instance: Instance) -> None:

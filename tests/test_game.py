@@ -1,11 +1,16 @@
+import functools
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from propmech import game
 from propmech.centralized import solve
-from propmech.game import (A2Violation, _DemandObjective, _draw_joint_trials,
+from propmech.game import (A2Violation, _DemandObjective, _SweepState,
+                           _concave_argmax, _draw_joint_trials,
                            _local_gains, _own_deviation_utilities,
                            _price_caps, best_response_demand,
                            best_response_price, construct_candidate_ne,
@@ -16,8 +21,10 @@ from propmech.harness import (Scenario, bundled_scenarios,
 from propmech.model import Constraint, Instance, InvalidParameter, Valuation
 from propmech.allocation import allocate
 from propmech.model import validate
-from propmech.taxation import (AgentNotOnConstraint, _peer_means, base_tax,
-                               sbb_ne_tax, sbb_offeq_tax, tax)
+from propmech.taxation import (AgentNotOnConstraint,
+                               AssumptionA4PrimeViolated,
+                               DegenerateRowUnsupported, _peer_means, base_tax,
+                               sbb_ne_tax, sbb_offeq_tax, tax, total_tax)
 
 
 def candidate(inst):
@@ -323,7 +330,7 @@ def test_demand_objective_slopes_match_central_differences():
     checked = 0
     for inst, prof in _objective_cases():
         for i in range(inst.n_agents):
-            obj = _DemandObjective(inst, prof, i)
+            obj = _DemandObjective(_SweepState(inst), prof, i)
             lo = float(inst.d[i])
             top = min(obj.t_b, inst.D)
             if not top > lo:
@@ -355,10 +362,206 @@ def test_demand_objective_payment_reads_the_tax_peer_mean():
         pb = _peer_means(inst, prof.prices)
         for i in range(inst.n_agents):
             rows = list(inst.index_sets.rows_of_agent[i])
-            obj = _DemandObjective(inst, prof, i)
+            obj = _DemandObjective(_SweepState(inst), prof, i)
             assert obj.c_pay == float((inst.A[rows, i] * pb[i, rows]).sum())
             assert np.array_equal(
                 obj.w, inst.eta * pb[i, rows] * prof.prices[i, rows])
+
+
+class ReferenceDemandObjective:
+    """The demand objective's former per-agent construction, kept as the
+    reference: it rebuilds every per-instance and per-profile value from
+    the profile itself, with a fresh A_hat @ y."""
+
+    def __init__(self, instance, profile, i):
+        red = instance.reduced
+        self.v = instance.valuations[i]
+        rows = np.array(instance.index_sets.rows_of_agent[i], dtype=int)
+        k = red.group_of_agent[i]
+        self.beta = 1.0 / red.group_sizes[k]
+        self.y0k = (math.fsum(float(profile.y[j])
+                              for j in red.group_members[k])
+                    - float(profile.y[i])) / red.group_sizes[k]
+        coef = red.A_hat[:, i]
+        rv0 = red.A_hat @ profile.y - coef * profile.y[i]
+        pb = _peer_means(instance, profile.prices)[i, rows]
+        self.c_pay = float((instance.A[rows, i] * pb).sum())
+        self.w = instance.eta * pb * profile.prices[i, rows]
+        gap = instance.caps - rv0
+        self.coef_rows, self.gap_rows = coef[rows], gap[rows]
+        self.wgc = float((self.w * self.gap_rows * self.coef_rows).sum())
+        self.wcc = float((self.w * self.coef_rows ** 2).sum())
+        nv = red.nv_rows
+        c, gap = coef[nv], gap[nv]
+        up = c > 1e-300
+        tol = 1e-12 * (1.0 + np.abs(instance.caps[nv]))
+        stuck = ~up & (gap < -tol)
+        self.t_b = -math.inf if stuck.any() else \
+            float(np.min(gap[up] / c[up], initial=math.inf))
+
+    def grad_inside(self, t):
+        x_i = self.y0k + self.beta * t
+        return self.beta * (self.v.deriv_s(x_i) - self.c_pay) \
+            + 2.0 * (self.wgc - t * self.wcc)
+
+    def curv_inside(self, t):
+        x_i = self.y0k + self.beta * t
+        return self.beta ** 2 * self.v.deriv2_s(x_i) - 2.0 * self.wcc
+
+
+def mixed_instance(rng, sizes, n_single):
+    """Equality groups (cycle rows plus a cap row each) beside singleton
+    agents on a row of their own, and one shared row over part of every
+    group and all singletons."""
+    cons, groups, start = [], [], 0
+    for s in sizes:
+        mem = tuple(range(start, start + s))
+        groups.append(mem)
+        cons += [Constraint({mem[j]: -1.0, mem[(j + 1) % s]: 1.0}, 0.0)
+                 for j in range(s)]
+        cons.append(Constraint({i: float(rng.uniform(0.2, 2.0)) / s
+                                for i in mem}, float(rng.uniform(1.0, 5.0))))
+        start += s
+    singles = list(range(start, start + n_single))
+    cons.append(Constraint({i: float(rng.uniform(0.2, 2.0)) for i in singles},
+                           float(rng.uniform(1.0, 5.0))))
+    part = [i for g in groups for i in g[:-1]] + singles
+    cons.append(Constraint({i: float(rng.uniform(0.2, 2.0)) for i in part},
+                           float(rng.uniform(1.0, 5.0))))
+    vals = tuple(Valuation("log_shift", float(rng.uniform(0.5, 2.0)),
+                           float(rng.uniform(0.5, 4.0)))
+                 for _ in range(start + n_single))
+    return Instance(valuations=vals, constraints=tuple(cons),
+                    equality_groups=tuple(groups), d=0.01, D=100.0, eta=0.7)
+
+
+@functools.cache
+def unicast_instance(n, seed):
+    return generate(Scenario(kind="unicast", n_agents=n,
+                             n_constraints=max(1, n // 2)), seed)
+
+
+@st.composite
+def sweep_cases(draw):
+    """(instance, profile): unicast instances, and grouped instances with
+    singletons and a shared row, at random demands and prices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        # the criterion-1 shapes
+        k = draw(st.integers(0, 9))
+        inst = unicast_instance(4 + k % 5, k)
+    else:
+        inst = mixed_instance(rng, draw(st.lists(st.integers(2, 4),
+                                                 min_size=1, max_size=3)),
+                              draw(st.integers(2, 4)))
+    n, L = inst.n_agents, inst.n_constraints
+    top = draw(st.sampled_from([0.3, 3.0, 30.0]))
+    prof = make_profile(inst, inst.d + rng.uniform(1e-3, top, n),
+                        rng.uniform(0.0, 2.0, (n, L)))
+    return inst, prof
+
+
+def _singles(inst):
+    red = inst.reduced
+    return red.representatives[red.group_sizes == 1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sweep_cases())
+def test_sweep_objective_matches_the_per_agent_reference(case):
+    """Each singleton's objective inside the sweep, built from the per-run
+    state and the sweep's running A_hat @ y, has the slope and curvature
+    of the former per-agent construction at the profile it sees."""
+    inst, prof = case
+    state = _SweepState(inst)
+    lo = inst.d + 1e-12 * (1.0 + inst.d)
+    hi = inst.D + 1.0
+    red = inst.reduced
+    seen = []
+    y0 = prof.y.copy()
+
+    def check(obj, a, b, start=None):
+        ref = ReferenceDemandObjective(inst, prof, obj.i)
+        assert obj.beta == 1.0 and obj.y0k == 0.0
+        # the running A_hat @ y carries the rounding of every term that
+        # entered it (each column times a demand before and after its
+        # move); the slope reads it through the gaps, weighted by w * coef
+        rows = list(inst.index_sets.rows_of_agent[obj.i])
+        scale = np.abs(red.A_hat[rows]) @ (np.abs(y0) + np.abs(prof.y))
+        carried = 2.0 * 1e-13 * float(np.abs(ref.w * ref.coef_rows) @ scale)
+        for t in (a, start, 0.5 * (a + b), b):
+            g = ref.grad_inside(t)
+            assert abs(obj.grad_inside(t) - g) \
+                <= 1e-14 * (1.0 + abs(g)) + carried, (obj.i, t)
+            c = ref.curv_inside(t)
+            assert abs(obj.curv_inside(t) - c) <= 1e-14 * (1.0 + abs(c))
+        assert obj.t_b == pytest.approx(ref.t_b, rel=1e-12, abs=1e-12)
+        seen.append(obj.i)
+        return concave_argmax(obj, a, b, start)
+
+    concave_argmax = game._concave_argmax
+    game._concave_argmax = check
+    try:
+        state.sweep(prof, _singles(inst), lo, hi,
+                    _peer_means(inst, prof.prices))
+    finally:
+        game._concave_argmax = concave_argmax
+    assert seen == _singles(inst).tolist()
+    # the running A_hat @ y after a full sweep is the fresh product, up to
+    # rounding in the terms that entered it: each agent's column times its
+    # demand before and after its move
+    fresh = red.A_hat @ prof.y
+    scale = np.abs(red.A_hat) @ (np.abs(y0) + np.abs(prof.y))
+    assert np.all(np.abs(state.ay - fresh) <= 1e-13 * scale)
+
+
+def test_sweep_objective_from_a_fresh_product_is_the_reference():
+    """Outside the sweep (A_hat @ y formed from the profile) the objective
+    is bitwise the former per-agent construction, for every agent."""
+    rng = np.random.default_rng(11)
+    for inst in (generate(*bundled_scenarios("base")[3]),
+                 mixed_instance(rng, (3, 2), 3),
+                 generate(*bundled_scenarios("base")[7])):
+        n, L = inst.n_agents, inst.n_constraints
+        prof = make_profile(inst, inst.d + rng.uniform(0.02, 0.4, n),
+                            rng.uniform(0.1, 2.0, (n, L)))
+        state = _SweepState(inst)
+        for i in range(n):
+            obj = _DemandObjective(state, prof, i)
+            ref = ReferenceDemandObjective(inst, prof, i)
+            for name in ("beta", "y0k", "c_pay", "wgc", "wcc", "t_b"):
+                assert getattr(obj, name) == getattr(ref, name), (i, name)
+            assert np.array_equal(obj.w, ref.w)
+
+
+class _Probe:
+    """A concave slope whose evaluation points are logged."""
+
+    def __init__(self, root):
+        self.root, self.at = root, []
+
+    def grad_inside(self, t):
+        self.at.append(t)
+        return math.atan(self.root - t)
+
+    def curv_inside(self, t):
+        return -1.0 / (1.0 + (self.root - t) ** 2)
+
+
+def test_warm_start_outside_the_bracket_starts_at_the_midpoint():
+    lo, hi = 0.5, 9.0
+    cold = _Probe(2.0)
+    want = _concave_argmax(cold, lo, hi)
+    assert cold.at[2] == 0.5 * (lo + hi)
+    for start in (lo, hi, lo - 1.0, hi + 1.0, math.nan, math.inf):
+        probe = _Probe(2.0)
+        assert _concave_argmax(probe, lo, hi, start) == want, start
+        assert probe.at == cold.at, start
+    # inside the bracket the first interior evaluation is the start
+    probe = _Probe(2.0)
+    got = _concave_argmax(probe, lo, hi, 2.1)
+    assert probe.at[:3] == [lo, hi, 2.1]
+    assert got == pytest.approx(want, abs=1e-13)
 
 
 def test_price_caps_and_local_gains_match_the_per_agent_loops():
@@ -389,6 +592,111 @@ def test_price_caps_and_local_gains_match_the_per_agent_loops():
         assert np.allclose(_local_gains(inst, y),
                            1.0 / np.maximum(coupling, 1e-9),
                            rtol=1e-14, atol=0.0)
+
+
+def reprice_rounds(inst, variant, records):
+    """Each recorded round's books, priced one round at a time as the
+    dynamics used to: allocate, the full tax and its exact total."""
+    out = []
+    for r in records:
+        x = allocate(inst, r.y).x
+        out.append((x, float(np.max(inst.A @ x - inst.caps, initial=0.0)),
+                    total_tax(tax(inst, variant, r.y, x, r.prices))))
+    return out
+
+
+def _book_cases():
+    """Instances with the tax variants valid on them: unicast, a grouped
+    instance with a shared row, and rows of five or more members."""
+    base = bundled_scenarios("base")
+    return [(generate(*base[2]), ("base", "sbb-ne")),
+            (generate(*base[7]), ("base", "sbb-ne")),
+            (generate(*bundled_scenarios("sbb-offeq")[0]),
+             ("base", "sbb-ne", "sbb-offeq"))]
+
+
+@pytest.mark.parametrize("rounds", [game._BOOK_BLOCK - 1, game._BOOK_BLOCK,
+                                    game._BOOK_BLOCK + 1])
+def test_block_books_equal_the_per_round_books(rounds):
+    for inst, variants in _book_cases():
+        for variant in variants:
+            tr = run_dynamics(inst, variant, max_rounds=rounds, tol=0.0,
+                              record_profiles=True)
+            assert tr.rounds == rounds == len(tr.records)
+            want = reprice_rounds(inst, variant, tr.records)
+            for r, (x, feas, budget) in zip(tr.records, want):
+                assert np.array_equal(r.x, x)
+                assert r.feasibility_violation == feas
+                assert r.budget_imbalance == budget
+    # the literal schedule keeps its books the same way
+    inst, variants = _book_cases()[0]
+    for variant in variants:
+        tr = run_dynamics(inst, variant, schedule="best-response",
+                          max_rounds=3, tol=0.0, record_profiles=True)
+        want = reprice_rounds(inst, variant, tr.records)
+        assert [(r.feasibility_violation, r.budget_imbalance)
+                for r in tr.records] == [w[1:] for w in want]
+
+
+def test_block_books_cover_every_round_of_a_run():
+    inst = canonical_instance()
+    tr = run_dynamics(inst, max_rounds=0)
+    assert tr.rounds == 0 and tr.records == [] and not tr.converged
+    # a run resting inside a block flushes its partial block
+    tr = run_dynamics(inst, max_rounds=5000, tol=1e-8, record_profiles=True)
+    assert tr.converged and tr.rounds % game._BOOK_BLOCK
+    assert [r.round for r in tr.records] == list(range(1, tr.rounds + 1))
+    want = reprice_rounds(inst, "base", tr.records)
+    assert [(r.feasibility_violation, r.budget_imbalance)
+            for r in tr.records] == [w[1:] for w in want]
+
+
+def test_unsupported_variant_is_refused_before_the_first_round():
+    # the books come after the rounds, so the check must come first
+    for rounds in (0, 1):
+        with pytest.raises(AssumptionA4PrimeViolated):
+            run_dynamics(canonical_instance(), "sbb-offeq", max_rounds=rounds)
+        with pytest.raises(DegenerateRowUnsupported):
+            run_dynamics(generate(*bundled_scenarios("base")[7]), "sbb-offeq",
+                         max_rounds=rounds)
+
+
+def test_first_rounds_of_a_longer_run_are_a_shorter_run():
+    inst, _ = _book_cases()[1]
+    long = run_dynamics(inst, "sbb-ne", max_rounds=2 * game._BOOK_BLOCK + 3,
+                        tol=0.0, record_profiles=True)
+    for k in (1, game._BOOK_BLOCK - 1, game._BOOK_BLOCK,
+              game._BOOK_BLOCK + 1):
+        short = run_dynamics(inst, "sbb-ne", max_rounds=k, tol=0.0,
+                             record_profiles=True)
+        assert len(short.records) == k
+        for a, b in zip(long.records, short.records):
+            for f in fields(a):
+                u, v = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(u, np.ndarray):
+                    assert np.array_equal(u, v), (k, a.round, f.name)
+                else:
+                    assert u == v, (k, a.round, f.name)
+        assert np.array_equal(short.profile.y, short.records[-1].y)
+
+
+def test_block_books_on_the_large_instance():
+    """N = 200, L = 40: BLAS may order allocate_many's row products by the
+    batch's shape, so the books agree with the per-round ones up to
+    rounding."""
+    inst = generate(Scenario(kind="unicast", n_agents=200, n_constraints=40,
+                             min_members=5, families=("power",),
+                             cap_range=(100, 300)), 0)
+    for variant in ("base", "sbb-ne", "sbb-offeq"):
+        tr = run_dynamics(inst, variant, max_rounds=10, tol=0.0,
+                          record_profiles=True)
+        want = reprice_rounds(inst, variant, tr.records)
+        for r, (x, feas, budget) in zip(tr.records, want):
+            assert np.allclose(r.x, x, rtol=1e-12, atol=0.0)
+            assert abs(r.feasibility_violation - feas) \
+                <= 1e-12 * max(1.0, float(np.max(np.abs(inst.caps))))
+            assert abs(r.budget_imbalance - budget) \
+                <= 1e-12 * abs(budget)
 
 
 def test_literal_best_response_schedule_stalls_at_zero_prices():
