@@ -287,7 +287,9 @@ def _concave_argmax(obj: _DemandObjective, lo: float, hi: float,
                     start: "float | None" = None) -> float:
     """Safeguarded Newton on the inside-piece gradient over [lo, hi],
     started at ``start`` when it lies strictly inside, else at the
-    midpoint."""
+    midpoint. Returns a Python float; a point of exactly zero slope is
+    the answer."""
+    lo, hi = float(lo), float(hi)
     glo = obj.grad_inside(lo)
     if glo <= 0:
         return lo
@@ -300,8 +302,10 @@ def _concave_argmax(obj: _DemandObjective, lo: float, hi: float,
         g = obj.grad_inside(t)
         if g > 0:
             a = t
-        else:
+        elif g < 0:
             b = t
+        else:
+            return t
         c = obj.curv_inside(t)
         t_new = t - g / c if c < 0 else 0.5 * (a + b)
         if not a < t_new < b:
@@ -410,8 +414,10 @@ def notional_demand(instance: Instance, profile: MessageProfile,
 @dataclass(frozen=True)
 class RoundRecord:
     """One round's changes and books. Under price-adjust-br the largest of
-    the last three fields decides rest; the best-response schedule rests
-    on max_change and leaves them None."""
+    price_complementarity, group_gap and snap_distance decides rest, and
+    accelerated says whether the round handed on an extrapolated point;
+    the best-response schedule rests on max_change and leaves those four
+    None."""
 
     round: int
     max_change: float
@@ -423,6 +429,7 @@ class RoundRecord:
     price_complementarity: "float | None" = None
     group_gap: "float | None" = None
     snap_distance: "float | None" = None
+    accelerated: "bool | None" = None
 
 
 @dataclass(eq=False)
@@ -483,6 +490,61 @@ def _local_gains(instance: Instance, y: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(coupling.sum(axis=1), 1e-9)
 
 
+# Anderson acceleration of the price-adjust-br round: history depth, and the
+# plain rounds taken at the start and after the safeguard drops the history
+_AA_DEPTH = 5
+_AA_RESTART = 10
+
+
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration (Walker & Ni 2011) of a
+    fixed-point round map g on a scaled state.
+
+    ``step(x, gx)`` takes a round's start state and its plain image and
+    returns the state to hand on (None: the plain image) and whether it is
+    an extrapolated point. With residuals f = g(x) - x it extrapolates
+    g(x_k) - dG gamma, where gamma minimises |f_k - dF gamma| over the last
+    _AA_DEPTH differences of the history. A residual norm above the
+    smallest one in the history drops the history; when the round started
+    from an extrapolated point, the run goes back to the plain image that
+    point replaced. The next _AA_RESTART rounds are then plain. A run
+    starts the same way, with _AA_RESTART plain rounds: far from rest the
+    round map is not near-linear and early secants overshoot.
+    """
+
+    def __init__(self):
+        self.f: list = []
+        self.g: list = []
+        self.norms: list = []
+        self.plain = _AA_RESTART
+        self.replaced = None  # the plain image the last extrapolation replaced
+
+    def step(self, x: np.ndarray, gx: np.ndarray
+             ) -> "tuple[np.ndarray | None, bool]":
+        f = gx - x
+        norm = float(np.linalg.norm(f))
+        replaced, self.replaced = self.replaced, None
+        if self.plain:
+            self.plain -= 1
+            return None, False
+        if self.norms and norm > min(self.norms):
+            self.f, self.g, self.norms = [], [], []
+            self.plain = _AA_RESTART
+            return replaced, False
+        self.f.append(f)
+        self.g.append(gx)
+        self.norms.append(norm)
+        if len(self.f) > _AA_DEPTH + 1:
+            del self.f[0], self.g[0], self.norms[0]
+        if len(self.f) < 2:
+            return None, False
+        dF = np.diff(np.array(self.f), axis=0).T
+        dG = np.diff(np.array(self.g), axis=0).T
+        gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+        self.replaced = gx
+        return gx - dG @ gamma, True
+
+
 # rounds whose books are priced together by one allocate_many and one tax
 # kernel call
 _BOOK_BLOCK = 64
@@ -499,8 +561,8 @@ def _book_rounds(instance: Instance, variant: Variant, pending: list,
     budgets, _ = _budget_books(instance,
                                _tax_terms(instance, variant, Y, X, P))
     out = []
-    for (rnd, max_change, y, prices, comp, group, snap), x, budget in zip(
-            pending, X, budgets):
+    for (rnd, max_change, y, prices, comp, group, snap, accelerated), x, \
+            budget in zip(pending, X, budgets):
         out.append(RoundRecord(
             round=rnd, max_change=max_change,
             feasibility_violation=float(np.max(
@@ -509,7 +571,8 @@ def _book_rounds(instance: Instance, variant: Variant, pending: list,
             y=y if record_profiles else None,
             prices=prices if record_profiles else None,
             x=x.copy() if record_profiles else None,
-            price_complementarity=comp, group_gap=group, snap_distance=snap))
+            price_complementarity=comp, group_gap=group, snap_distance=snap,
+            accelerated=accelerated))
     return out
 
 
@@ -521,21 +584,24 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     """Iterate the message game to (approximate) rest.
 
     price-adjust-br: every shared constraint's members quote one price,
-    moved by a projected step on the row's excess demand A y - c with a
-    per-row gain that adapts to sign flips and is rescaled each round by
-    the members' demand responsiveness, keeping the coupled loop
-    contractive. Equality partners settle internally within the round: a
-    consensus demand where the group's summed marginal value meets its
-    summed quoted cost, plus difference-row prices (nonnegative least
-    squares) that reproduce each member's first-order gap to that
+    moved by a projected step on the row's excess demand A y - c, scaled
+    by the inverse of the members' demand responsiveness, which keeps the
+    coupled loop contractive. Equality partners settle internally within
+    the round: a consensus demand where the group's summed marginal value
+    meets its summed quoted cost, plus difference-row prices (nonnegative
+    least squares) that reproduce each member's first-order gap to that
     consensus. Remaining agents sweep sequentially to their notional
     targets, each seeing the demands already placed this round, which
     damps the shared tax-penalty force that makes simultaneous jumps
     overshoot. Rest is declared from a step-size-free residual (price
     complementarity with excess demand, the groups' unexplained
-    first-order gaps, and demand snap distances, recorded per round), so a
-    shrinking gain cannot fake convergence; at rest the profile is a
-    candidate equilibrium.
+    first-order gaps, and demand snap distances, recorded per round); at
+    rest the profile is a candidate equilibrium. The round map on the
+    shared rows' prices and the demands contracts only linearly, so it is
+    accelerated (see _Anderson): unless a round rests, its plain image may
+    be replaced by an extrapolated point projected back into the price
+    caps and the demand bracket. Rest is tested before that step, so the
+    extrapolation cannot fake convergence.
 
     best-response: the literal per-agent loop (closed-form price updates,
     then a demand best response). Kept for study; from cold-start prices it
@@ -555,13 +621,11 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     prof = (init.copy() if init is not None else default_init(instance))
     mask = (instance.A != 0).T.astype(float)
 
-    gain = np.full(instance.n_constraints, 0.5)
     p_cap = _price_caps(instance)
     pc = _member_means(instance, prof.prices)
-    prev_s = None
-    run_len = np.zeros(instance.n_constraints, dtype=int)
     red = instance.reduced
-    is_vac = ~red.nonvacuous
+    nv = red.nonvacuous
+    is_vac = ~nv
     row_scale = 1.0 + np.abs(instance.caps)
     lo = instance.d + _FLOOR_MARGIN * (1.0 + instance.d)
     singles = red.representatives[red.group_sizes == 1]
@@ -581,14 +645,24 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     lo_g = np.array([lo[grouped[sel]].max() for sel, _, _ in grp_rows])
 
     state = _SweepState(instance) if singles.size else None
+    # the accelerated state: the shared (non-vacuous) rows' prices, then
+    # the demands, each scaled to its box
+    n_nv = int(nv.sum())
+    x_scale = np.concatenate([1.0 + p_cap[nv],
+                              np.full(instance.n_agents, 1.0 + instance.D)])
+    x_lo = np.concatenate([np.zeros(n_nv), lo])
+    x_hi = np.concatenate([p_cap[nv], np.full(instance.n_agents,
+                                                instance.D + 1.0)])
+    x_start = np.concatenate([pc[nv], prof.y]) / x_scale
+    accel = _Anderson()
     records: list[RoundRecord] = []
     # rounds since the last book flush: (round, max_change, y, prices,
-    # residual parts)
+    # residual parts, accelerated)
     pending: list[tuple] = []
     y_prev, p_prev = prof.y.copy(), prof.prices.copy()
     converged = False
     for rnd in range(1, max_rounds + 1):
-        comp_resid = group_resid = snap = None
+        comp_resid = group_resid = snap = accelerated = None
         if schedule is Schedule.PRICE_ADJUST_BR:
             s = instance.A @ prof.y - instance.caps
             # complementarity of quoted prices with notional excess demand;
@@ -597,17 +671,7 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
             comp = np.where(pc > 1e-12 * (1.0 + p_cap),
                             np.abs(s), np.maximum(0.0, s))
             comp_resid = float(np.max(comp / row_scale, initial=0.0))
-            if prev_s is not None:
-                flipped = (np.sign(s) != np.sign(prev_s)) & (
-                    np.abs(s) > 0.6 * np.abs(prev_s))
-                gain[flipped] *= 0.5
-                run_len[flipped] = 0
-                run_len[~flipped] += 1
-                grow = run_len >= 8
-                gain[grow] = np.minimum(gain[grow] * 1.05, 1.0)
-                run_len[grow] = 0
-            prev_s = s
-            gamma = gain * _local_gains(instance, prof.y)
+            gamma = _local_gains(instance, prof.y)
             step = np.minimum(np.maximum(0.0, pc + gamma * s), p_cap)
             pc = np.where(is_vac, pc, step)
             # equality partners settle internally each round: a consensus
@@ -645,6 +709,21 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
                 snap = max(snap, state.sweep(
                     prof, singles, lo, instance.D + 1.0,
                     _peer_means(instance, prof.prices)))
+            # the plain image of the round's start state: unless the round
+            # rests, the accelerator may replace it by an extrapolated
+            # point, projected back into the price caps and the demand
+            # bracket, or by an earlier plain image
+            converged = max(comp_resid, group_resid, snap) <= tol
+            x_end = np.concatenate([pc[nv], prof.y]) / x_scale
+            jump, accelerated = (None, False) if converged \
+                else accel.step(x_start, x_end)
+            if jump is not None:
+                z = np.clip(jump * x_scale, x_lo, x_hi)
+                pc[nv] = z[:n_nv]
+                prof.y = z[n_nv:]
+                prof.prices = pc[None, :] * mask
+                x_end = z / x_scale
+            x_start = x_end
         else:
             for i in range(instance.n_agents):
                 for l in instance.index_sets.rows_of_agent[i]:
@@ -657,11 +736,10 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
             float(np.max(np.abs(y_end - y_prev), initial=0.0)),
             float(np.max(np.abs(p_end - p_prev), initial=0.0)))
         y_prev, p_prev = y_end, p_end
+        if schedule is Schedule.BEST_RESPONSE:
+            converged = max_change <= tol
         pending.append((rnd, max_change, y_end, p_end, comp_resid,
-                        group_resid, snap))
-        rest = max_change if snap is None else max(comp_resid, group_resid,
-                                                   snap)
-        converged = rest <= tol
+                        group_resid, snap, accelerated))
         if converged or len(pending) == _BOOK_BLOCK or rnd == max_rounds:
             records.extend(_book_rounds(instance, variant, pending,
                                         record_profiles))

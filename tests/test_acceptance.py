@@ -75,6 +75,8 @@ def test_criterion_1_dynamics_reach_the_benchmark(criterion_report):
     within 60 s overall."""
     t0 = time.perf_counter()
     worst_x = worst_p = 0.0
+    rounds = []
+    converged = 0
     failures = []
     for sc, seed in population_scenarios():
         inst, _ = generate_with_info(sc, seed)
@@ -93,13 +95,16 @@ def test_criterion_1_dynamics_reach_the_benchmark(criterion_report):
                         - sol.lambda_star[l]) for l in rows), default=0.0)
         worst_x = max(worst_x, xerr)
         worst_p = max(worst_p, perr)
+        rounds.append(tr.rounds)
+        converged += tr.converged
         if not (tr.converged and xerr <= 1e-3 and perr <= 1e-3):
             failures.append((sc.kind, seed, tr.converged, xerr, perr))
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed <= 60.0
     assert criterion_report(
-        1, ok, f"30/30 runs converged, worst x err {worst_x:.1e} and price "
-               f"err {worst_p:.1e} vs 1e-3, {elapsed:.0f}s vs 60s"
+        1, ok, f"{converged}/{len(rounds)} runs converged in {sum(rounds)} "
+               f"rounds (at most {max(rounds)}), worst x err {worst_x:.1e} "
+               f"and price err {worst_p:.1e} vs 1e-3, {elapsed:.0f}s vs 60s"
     ), failures
 
 
