@@ -1,12 +1,12 @@
 """Centralized social-utility benchmark.
 
-Solves max sum_i v_i(x_i) subject to x >= 0 and the instance's linear rows by
-projected dual ascent in the equality-reduced space (closed-form/Newton inner
-maximization per reduced coordinate), finished by an active-set Newton polish
-that drives the KKT residuals to solver precision. Multipliers for vacuous
-reduced rows (pure equality encodings) are completed afterwards by a small
-nonnegative least-squares solve so the reported lambda* certifies the full
-original system; such rows are flagged as non-unique.
+Solves max sum_i v_i(x_i) subject to x >= 0 and the instance's linear rows on
+the dual of the equality-reduced problem: one projected-Newton loop on the
+row multipliers (Bertsekas 1982), whose inner step maximizes each reduced
+coordinate in closed form (singletons) or by a group Newton solve. Multipliers
+for vacuous reduced rows (pure equality encodings) are completed afterwards by
+a small nonnegative least-squares solve so the reported lambda* certifies the
+full original system; such rows are flagged as non-unique.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ ORACLE_POINT_CAP = int(1e8)
 
 
 class NoConvergence(RuntimeError):
-    """Iteration cap reached above tolerance; best iterate on .solution."""
+    """Residuals above tolerance when the solver stopped; its last iterate
+    is on .solution."""
 
     def __init__(self, msg: str, solution: "CentralizedSolution"):
         super().__init__(msg)
@@ -91,36 +92,25 @@ def objective(instance: Instance, x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# valuation sums over reduced coordinates
+# the inner maximization over reduced coordinates
 
 
 class _GroupCalc:
-    """Summed member valuations per reduced coordinate, through the
-    instance's valuation table."""
+    """The dual's inner step per reduced coordinate k, where V_k sums the
+    members' valuations through the instance's valuation table."""
 
     def __init__(self, red: ReducedInstance):
         self.red = red
-        self.table = red.instance.valuation_table
-        self.gidx = red.group_of_agent
-        self.K = red.K
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        return self.table.group_sums("value", z, self.gidx)
-
-    def deriv(self, z: np.ndarray) -> np.ndarray:
-        return self.table.group_sums("deriv", z, self.gidx)
-
-    def deriv2(self, z: np.ndarray) -> np.ndarray:
-        return self.table.group_sums("deriv2", z, self.gidx)
 
     @cached_property
     def _split(self):
         """Singleton coordinates with their table, and the multi-member
         groups with their members' table and local group index."""
+        table = self.red.instance.valuation_table
         ones = np.flatnonzero(self.red.group_sizes == 1)
         multi, members, loc = self.red.multi_groups
-        return (ones, self.table.take(self.red.representatives[ones]),
-                multi, self.table.take(members), loc)
+        return (ones, table.take(self.red.representatives[ones]),
+                multi, table.take(members), loc)
 
     def argmax_inner(self, q: np.ndarray, D: float,
                      z0: "np.ndarray | None" = None) -> np.ndarray:
@@ -130,7 +120,7 @@ class _GroupCalc:
         slope; a multi-member equality group takes the table's group solve.
         """
         ones, t_one, multi, t_mem, loc = self._split
-        z = np.empty(self.K)
+        z = np.empty(self.red.K)
         z[ones] = t_one.inv_deriv(q[ones], D)
         if multi.size:
             z[multi] = t_mem.group_inv_deriv(
@@ -163,9 +153,9 @@ def kkt_residuals(instance: Instance, x: np.ndarray, lam: np.ndarray
     dual = max(0.0, float(np.max(-lam, initial=0.0)))
     comp = float(np.max(np.abs(lam * slack_vec), initial=0.0))
     red = instance.reduced
-    calc = _GroupCalc(red)
     z = red.restrict(x)
-    g = calc.deriv(z) - red.A_red.T @ lam
+    g = instance.valuation_table.group_sums("deriv", z, red.group_of_agent) \
+        - red.A_red.T @ lam
     at_floor = z <= 1e-10
     at_ceil = z >= instance.D - 1e-10 * (1.0 + instance.D)
     resid = np.abs(g)
@@ -180,96 +170,9 @@ def kkt_residuals(instance: Instance, x: np.ndarray, lam: np.ndarray
 # solver
 
 
-def _polish(calc: _GroupCalc, Ab: np.ndarray, cb: np.ndarray, D: float,
-            z: np.ndarray, lam: np.ndarray) -> "tuple[np.ndarray, np.ndarray] | None":
-    """Active-set Newton refinement; returns (z, lam) or None.
-
-    Two working sets: binding rows, and coordinates pinned at the
-    nonnegativity floor (crowded-out groups). Unbounded-slope groups can
-    never rest on the floor and are excluded from pinning.
-    """
-    M = Ab.shape[0]
-    K = calc.K
-    scale = 1.0 + float(np.abs(cb).max(initial=0.0))
-    active = (lam > 1e-9) | (Ab @ z - cb > -1e-6 * scale)
-    pinnable = np.isfinite(calc.deriv(np.zeros(K)))
-    floor = (z <= 1e-9) & pinnable
-    for _attempt in range(2 * (M + K) + 4):
-        idx = np.flatnonzero(active)
-        free = np.flatnonzero(~floor)
-        if not free.size:
-            return None
-        A_act = Ab[idx]
-        A_fr = A_act[:, free]
-        lam_act = lam[idx].copy()
-        zz = np.where(floor, 0.0, np.maximum(z, 1e-12))
-        ok = False
-        repin = False
-        for _ in range(60):
-            g_all = calc.deriv(zz) - (A_act.T @ lam_act if idx.size else 0.0)
-            F1 = g_all[free]
-            F2 = A_act @ zz - cb[idx] if idx.size else np.empty(0)
-            Fn = max(float(np.abs(F1).max(initial=0.0)),
-                     float(np.abs(F2).max(initial=0.0)))
-            if Fn <= 1e-13 * scale:
-                ok = True
-                break
-            H = np.diag(calc.deriv2(zz)[free])
-            J = np.block([[H, -A_fr.T],
-                          [A_fr, np.zeros((idx.size, idx.size))]]) \
-                if idx.size else H
-            rhs = -np.concatenate([F1, F2])
-            try:
-                delta = np.linalg.lstsq(J, rhs, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                return None
-            dz = delta[:free.size]
-            step = 1.0
-            for _bt in range(30):
-                z_try = zz[free] + step * dz
-                if np.all(z_try > 0) and np.all(z_try < D):
-                    break
-                step *= 0.5
-            else:
-                # a coordinate insists on leaving through the floor
-                sink = free[np.argmin(zz[free] + dz)]
-                if not pinnable[sink]:
-                    return None
-                floor[sink] = True
-                repin = True
-                break
-            zz[free] = zz[free] + step * dz
-            lam_act = lam_act + step * delta[free.size:]
-        if repin:
-            continue
-        if not ok:
-            return None
-        if idx.size and lam_act.min(initial=0.0) < -1e-11:
-            active[idx[np.argmin(lam_act)]] = False
-            continue
-        lam_new = np.zeros(M)
-        if idx.size:
-            lam_new[idx] = np.maximum(lam_act, 0.0)
-        if floor.any():
-            shadow = calc.deriv(zz) - (Ab.T @ lam_new if M else 0.0)
-            rel = floor & (shadow > 1e-11 * scale)
-            if rel.any():
-                cand = np.flatnonzero(rel)
-                floor[cand[np.argmax(shadow[cand])]] = False
-                continue
-        viol = Ab @ zz - cb
-        inactive = ~active
-        if inactive.any() and viol[inactive].max(initial=0.0) > 1e-12 * scale:
-            cand = np.flatnonzero(inactive)
-            active[cand[np.argmax(viol[inactive])]] = True
-            continue
-        return zz, lam_new
-    return None
-
-
 def _complete_multipliers(instance: Instance, x: np.ndarray,
                           lam_nonvac: np.ndarray) -> np.ndarray:
-    """Full-length lambda: ascent rows in place, vacuous rows via NNLS.
+    """Full-length lambda: dual rows in place, vacuous rows via NNLS.
 
     Vacuous reduced rows (equality encodings) still need nonnegative
     multipliers so the per-agent first-order conditions hold in the original
@@ -309,77 +212,72 @@ def _nonunique_rows(instance: Instance, x: np.ndarray, lam: np.ndarray
 
 def solve(instance: Instance, tol: float = 1e-8, max_iter: int = 100000,
           strict: bool = True) -> CentralizedSolution:
-    """Dual ascent with Newton polish; residuals certified at or below tol.
+    """Projected Newton on the reduced dual; residuals certified at or
+    below tol.
 
-    Raises NoConvergence (carrying the best iterate) if the iteration cap is
-    exhausted while strict, otherwise returns with converged=False.
+    The dual phi(lam) = sum_k V_k(z_k) + lam . (c - A z), with z the inner
+    maximizer at prices A^T lam, has gradient g = c - A z and generalized
+    Hessian A diag(r) A^T, r_k = -1/V_k''(z_k) (0 on the floor, where a
+    coordinate does not respond to its price). Rows at zero that the
+    gradient pushes down take a scaled projected-gradient step; the others
+    take a ridged Newton step, and a projected Armijo arc search keeps phi
+    decreasing (Bertsekas 1982). The loop stops when the dual residual
+    falls to 1e-3 tol, when the arc search fails, or when a step no longer
+    moves lam. Raises NoConvergence (carrying the last iterate) if the
+    certified residuals stay above tol while strict, otherwise returns
+    with converged=False.
     """
     red = instance.reduced
     calc = _GroupCalc(red)
+    table, gidx = instance.valuation_table, red.group_of_agent
     Ab, cb = red.A_nv, red.caps_nv
-    M = Ab.shape[0]
     D = instance.D
 
-    lam = np.zeros(M)
-    z = calc.argmax_inner(np.zeros(calc.K), D)
-    # diagonal estimate of the dual Hessian sets the base step
-    curv = np.abs(calc.deriv2(np.clip(z, 1e-6, None)))
-    resp = 1.0 / np.maximum(curv, 1e-9)
-    s = 0.9 / max(1e-12, float((Ab ** 2 @ resp).max(initial=0.0))) if M else 1.0
-    s_hi = s * 1e8
+    def dual(lam, z0=None):
+        z = calc.argmax_inner(Ab.T @ lam, D, z0)
+        g = cb - Ab @ z
+        return z, g, float(table.group_sums("value", z, gidx).sum()) \
+            + float(lam @ g)
 
-    gviol = Ab @ z - cb if M else np.empty(0)
-    phi = float(calc.value(z).sum()) - float(lam @ gviol)
-    best = (z.copy(), lam.copy())
-    best_res = math.inf
+    lam = np.zeros(len(cb))
+    z, g, phi = dual(lam)
     it = 0
-    polished = None
-    while it < max_iter:
+    while it < max_iter and max(
+            float(np.max(-g, initial=0.0)),
+            float(np.max(np.abs(lam * g), initial=0.0))) > 1e-3 * tol:
         it += 1
-        if not M:
-            polished = (z, lam)
-            break
-        # monotone proximal step on the dual: backtrack until the quadratic
-        # upper model holds, so the dual value never increases
-        accepted = False
-        for _bt in range(60):
-            lam_new = np.maximum(0.0, lam + s * gviol)
-            dlam = lam_new - lam
-            dn = float(dlam @ dlam)
-            if dn == 0.0:
-                accepted = True
-                z_new, gv_new, phi_new = z, gviol, phi
+        # a coordinate on the floor does not respond to its price; one on
+        # the ceiling keeps its curvature (at lam = 0 many sit there)
+        d2 = table.group_sums("deriv2", z, gidx)
+        r = np.where(z > 0.0, -1.0 / np.minimum(d2, -1e-300), 0.0)
+        H = (Ab * r) @ Ab.T
+        hd = np.diag(H)
+        ridge = 1e-14 * (1.0 + float(hd.sum()))
+        # held: rows that one diagonally scaled gradient step takes to 0
+        held = (g > 0.0) & (lam * (hd + ridge) <= g)
+        free = ~held
+        gf = g[free]
+        mu = 1e-2 * min(1.0, float(np.max(np.abs(gf), initial=0.0))) \
+            * (1.0 + float(hd.max(initial=0.0))) + ridge
+        step = np.empty_like(lam)
+        step[held] = -g[held] / (hd[held] + mu)
+        step[free] = -np.linalg.solve(
+            H[np.ix_(free, free)] + mu * np.eye(gf.size), gf)
+        model = -float(gf @ step[free])
+        alpha = 1.0
+        for _arc in range(60):
+            lam_t = np.maximum(0.0, lam + alpha * step)
+            if np.all(np.abs(lam_t - lam) <= 4.0 * np.spacing(lam)):
                 break
-            z_new = calc.argmax_inner(Ab.T @ lam_new, D, z0=z)
-            gv_new = Ab @ z_new - cb
-            phi_new = float(calc.value(z_new).sum()) - float(lam_new @ gv_new)
-            bound = phi - float(gviol @ dlam) + dn / (2.0 * s) \
-                + 1e-12 * (1.0 + abs(phi))
-            if phi_new <= bound:
-                accepted = True
+            z_t, g_t, phi_t = dual(lam_t, z)
+            drop = alpha * model + float(g[held] @ (lam - lam_t)[held])
+            if phi_t <= phi - 1e-4 * drop + 1e-15 * (1.0 + abs(phi)):
+                lam, z, g, phi = lam_t, z_t, g_t, phi_t
                 break
-            s *= 0.5
-        lam, z, gviol, phi = lam_new, z_new, gv_new, phi_new
-        if accepted:
-            s = min(s * 1.25, s_hi)
-        res = max(float(np.max(gviol, initial=0.0)),
-                  float(np.max(np.abs(lam * gviol), initial=0.0)))
-        if res < best_res:
-            best_res = res
-            best = (z.copy(), lam.copy())
-        if it % 25 == 0 or res <= 100 * tol:
-            cand = _polish(calc, Ab, cb, D, z, lam)
-            if cand is not None:
-                polished = cand
-                break
-        if res <= tol and it > 1:
-            polished = (z, lam)
-            break
+            alpha *= 0.5
+        if lam is not lam_t:
+            break  # the step no longer moves lam, or the arc search failed
 
-    if polished is not None:
-        z, lam = polished
-    else:
-        z, lam = best
     x = red.expand(z)
     lam_full = _complete_multipliers(instance, x, lam)
     resid = kkt_residuals(instance, x, lam_full)

@@ -490,10 +490,8 @@ def _local_gains(instance: Instance, y: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(coupling.sum(axis=1), 1e-9)
 
 
-# Anderson acceleration of the price-adjust-br round: history depth, and the
-# plain rounds taken at the start and after the safeguard drops the history
+# Anderson acceleration of the price-adjust-br round: history depth
 _AA_DEPTH = 5
-_AA_RESTART = 10
 
 
 class _Anderson:
@@ -507,16 +505,13 @@ class _Anderson:
     _AA_DEPTH differences of the history. A residual norm above the
     smallest one in the history drops the history; when the round started
     from an extrapolated point, the run goes back to the plain image that
-    point replaced. The next _AA_RESTART rounds are then plain. A run
-    starts the same way, with _AA_RESTART plain rounds: far from rest the
-    round map is not near-linear and early secants overshoot.
+    point replaced, and the history builds again from there.
     """
 
     def __init__(self):
         self.f: list = []
         self.g: list = []
         self.norms: list = []
-        self.plain = _AA_RESTART
         self.replaced = None  # the plain image the last extrapolation replaced
 
     def step(self, x: np.ndarray, gx: np.ndarray
@@ -524,12 +519,8 @@ class _Anderson:
         f = gx - x
         norm = float(np.linalg.norm(f))
         replaced, self.replaced = self.replaced, None
-        if self.plain:
-            self.plain -= 1
-            return None, False
         if self.norms and norm > min(self.norms):
             self.f, self.g, self.norms = [], [], []
-            self.plain = _AA_RESTART
             return replaced, False
         self.f.append(f)
         self.g.append(gx)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import allocate, allocate_many
-from .centralized import (CentralizedSolution, _GroupCalc, brute_force_oracle,
+from .centralized import (CentralizedSolution, brute_force_oracle,
                           objective, solve)
 from .game import (MessageProfile, RunTrace, construct_candidate_ne,
                    run_dynamics, verify_epsilon_ne)
@@ -668,7 +668,8 @@ def _suite_oracle_equivalence(samples: int, seed: int) -> SuiteReport:
         orc = brute_force_oracle(inst, step=step)
         red = inst.reduced
         z = np.maximum(red.restrict(sol.x_star) - step, 1e-9)
-        lip = float(np.abs(_GroupCalc(red).deriv(z)).sum())
+        lip = float(np.abs(inst.valuation_table.group_sums(
+            "deriv", z, red.group_of_agent)).sum())
         gap = abs(objective(inst, sol.x_star) - orc.value)
         tol = max(lip, 1e-6) * step
         worst = max(worst, gap / tol if tol else 0.0)

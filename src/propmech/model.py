@@ -392,10 +392,6 @@ class IndexSets:
         """Rows with fewer than two members: no peer to average prices over."""
         return tuple(l for l, m in enumerate(self.members) if len(m) < 2)
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.array([len(r) for r in self.rows_of_agent], dtype=int)
-
 
 @dataclass(frozen=True, eq=False)
 class RowLayout:

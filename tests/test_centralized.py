@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from propmech import harness
 from propmech.centralized import (NoConvergence, TooLarge, _GroupCalc,
+                                  _complete_multipliers, _nonunique_rows,
                                   brute_force_oracle, kkt_residuals,
                                   objective, solve)
 from propmech.harness import Scenario, canonical_instance, generate
-from propmech.model import Constraint, Instance, Valuation
+from propmech.model import Constraint, Instance, Valuation, validate
 
 
 def _quad_pair(cap: float) -> Instance:
@@ -227,3 +229,243 @@ def test_objective_rejects_bad_shape():
     inst = canonical_instance()
     with pytest.raises(Exception):
         objective(inst, np.array([0.5, 0.5, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# the former solver as the reference: projected dual ascent with backtracking,
+# finished by an active-set Newton polish retried every 25 iterations
+
+
+def _reference_polish(gsum, K, Ab, cb, D, z, lam):
+    """Active-set Newton refinement; returns (z, lam) or None.
+
+    Two working sets: binding rows, and coordinates pinned at the
+    nonnegativity floor (crowded-out groups). Unbounded-slope groups can
+    never rest on the floor and are excluded from pinning.
+    """
+    M = Ab.shape[0]
+    scale = 1.0 + float(np.abs(cb).max(initial=0.0))
+    active = (lam > 1e-9) | (Ab @ z - cb > -1e-6 * scale)
+    pinnable = np.isfinite(gsum("deriv", np.zeros(K)))
+    floor = (z <= 1e-9) & pinnable
+    for _attempt in range(2 * (M + K) + 4):
+        idx = np.flatnonzero(active)
+        free = np.flatnonzero(~floor)
+        if not free.size:
+            return None
+        A_act = Ab[idx]
+        A_fr = A_act[:, free]
+        lam_act = lam[idx].copy()
+        zz = np.where(floor, 0.0, np.maximum(z, 1e-12))
+        ok = False
+        repin = False
+        for _ in range(60):
+            g_all = gsum("deriv", zz) - (A_act.T @ lam_act if idx.size else 0.0)
+            F1 = g_all[free]
+            F2 = A_act @ zz - cb[idx] if idx.size else np.empty(0)
+            Fn = max(float(np.abs(F1).max(initial=0.0)),
+                     float(np.abs(F2).max(initial=0.0)))
+            if Fn <= 1e-13 * scale:
+                ok = True
+                break
+            H = np.diag(gsum("deriv2", zz)[free])
+            J = np.block([[H, -A_fr.T],
+                          [A_fr, np.zeros((idx.size, idx.size))]]) \
+                if idx.size else H
+            rhs = -np.concatenate([F1, F2])
+            delta = np.linalg.lstsq(J, rhs, rcond=None)[0]
+            dz = delta[:free.size]
+            step = 1.0
+            for _bt in range(30):
+                z_try = zz[free] + step * dz
+                if np.all(z_try > 0) and np.all(z_try < D):
+                    break
+                step *= 0.5
+            else:
+                # a coordinate insists on leaving through the floor
+                sink = free[np.argmin(zz[free] + dz)]
+                if not pinnable[sink]:
+                    return None
+                floor[sink] = True
+                repin = True
+                break
+            zz[free] = zz[free] + step * dz
+            lam_act = lam_act + step * delta[free.size:]
+        if repin:
+            continue
+        if not ok:
+            return None
+        if idx.size and lam_act.min(initial=0.0) < -1e-11:
+            active[idx[np.argmin(lam_act)]] = False
+            continue
+        lam_new = np.zeros(M)
+        if idx.size:
+            lam_new[idx] = np.maximum(lam_act, 0.0)
+        if floor.any():
+            shadow = gsum("deriv", zz) - (Ab.T @ lam_new if M else 0.0)
+            rel = floor & (shadow > 1e-11 * scale)
+            if rel.any():
+                cand = np.flatnonzero(rel)
+                floor[cand[np.argmax(shadow[cand])]] = False
+                continue
+        viol = Ab @ zz - cb
+        inactive = ~active
+        if inactive.any() and viol[inactive].max(initial=0.0) > 1e-12 * scale:
+            cand = np.flatnonzero(inactive)
+            active[cand[np.argmax(viol[inactive])]] = True
+            continue
+        return zz, lam_new
+    return None
+
+
+def reference_solve(instance, tol=1e-8, max_iter=100000):
+    """(x, lambda, converged, non-unique rows) of the former solver."""
+    red = instance.reduced
+    calc = _GroupCalc(red)
+
+    def gsum(fn, z):
+        return instance.valuation_table.group_sums(fn, z, red.group_of_agent)
+
+    Ab, cb = red.A_nv, red.caps_nv
+    M = Ab.shape[0]
+    D = instance.D
+    lam = np.zeros(M)
+    z = calc.argmax_inner(np.zeros(red.K), D)
+    # diagonal estimate of the dual Hessian sets the base step
+    curv = np.abs(gsum("deriv2", np.clip(z, 1e-6, None)))
+    resp = 1.0 / np.maximum(curv, 1e-9)
+    s = 0.9 / max(1e-12, float((Ab ** 2 @ resp).max(initial=0.0))) if M else 1.0
+    s_hi = s * 1e8
+    gviol = Ab @ z - cb if M else np.empty(0)
+    phi = float(gsum("value", z).sum()) - float(lam @ gviol)
+    best = (z.copy(), lam.copy())
+    best_res = math.inf
+    it = 0
+    polished = None
+    while it < max_iter:
+        it += 1
+        if not M:
+            polished = (z, lam)
+            break
+        # monotone proximal step on the dual: backtrack until the quadratic
+        # upper model holds, so the dual value never increases
+        accepted = False
+        for _bt in range(60):
+            lam_new = np.maximum(0.0, lam + s * gviol)
+            dlam = lam_new - lam
+            dn = float(dlam @ dlam)
+            if dn == 0.0:
+                accepted = True
+                z_new, gv_new, phi_new = z, gviol, phi
+                break
+            z_new = calc.argmax_inner(Ab.T @ lam_new, D, z0=z)
+            gv_new = Ab @ z_new - cb
+            phi_new = float(gsum("value", z_new).sum()) \
+                - float(lam_new @ gv_new)
+            bound = phi - float(gviol @ dlam) + dn / (2.0 * s) \
+                + 1e-12 * (1.0 + abs(phi))
+            if phi_new <= bound:
+                accepted = True
+                break
+            s *= 0.5
+        lam, z, gviol, phi = lam_new, z_new, gv_new, phi_new
+        if accepted:
+            s = min(s * 1.25, s_hi)
+        res = max(float(np.max(gviol, initial=0.0)),
+                  float(np.max(np.abs(lam * gviol), initial=0.0)))
+        if res < best_res:
+            best_res = res
+            best = (z.copy(), lam.copy())
+        if it % 25 == 0 or res <= 100 * tol:
+            cand = _reference_polish(gsum, red.K, Ab, cb, D, z, lam)
+            if cand is not None:
+                polished = cand
+                break
+        if res <= tol and it > 1:
+            polished = (z, lam)
+            break
+    z, lam = polished if polished is not None else best
+    x = red.expand(z)
+    lam_full = _complete_multipliers(instance, x, lam)
+    converged = kkt_residuals(instance, x, lam_full).max <= tol
+    return x, lam_full, converged, _nonunique_rows(instance, x, lam_full)
+
+
+def _property_population():
+    """Generated draws of every kind; every other draw has tight caps,
+    which crowd agents onto the floor."""
+    shapes = ((2, 2), (3, 2), (2, 3, 2), (4, 2), (3, 3), (2, 2, 2))
+    out = []
+    for j in range(240):
+        caps = (0.05, 0.6) if j % 2 else (1.0, 5.0)
+        if j % 3 == 0:
+            n = 2 + j % 9
+            sc = Scenario(kind="unicast", n_agents=n,
+                          n_constraints=1 + (j // 3) % 8,
+                          min_members=1 + (j // 7) % n, cap_range=caps)
+        elif j % 3 == 1:
+            sc = Scenario(kind="public-good", n_agents=2 + j % 6,
+                          cap_range=caps)
+        else:
+            gs = shapes[(j // 3) % len(shapes)]
+            sc = Scenario(kind="local-public-goods", group_sizes=gs,
+                          n_agents=sum(gs), shared_row=j % 4 < 2,
+                          cap_range=caps)
+        inst = harness._build(sc, harness._rng_for(sc, j, 0))
+        if validate(inst).passed:
+            out.append(inst)
+    return out
+
+
+def test_projected_newton_matches_the_former_solver():
+    """At 1e-9 both solvers converge on every draw, agree on x and on the
+    multipliers of rows not flagged non-unique within 1e-9, and flag the
+    same rows."""
+    insts = _property_population()
+    floor = grouped = binding = 0
+    for inst in insts:
+        sol = solve(inst, tol=1e-9)
+        x, lam, converged, nonunique = reference_solve(inst, tol=1e-9)
+        assert converged
+        assert sol.nonunique_multiplier_rows == nonunique
+        assert np.max(np.abs(sol.x_star - x)) <= 1e-9
+        rows = np.setdiff1d(np.arange(inst.n_constraints), nonunique)
+        assert np.max(np.abs(sol.lambda_star[rows] - lam[rows]),
+                      initial=0.0) <= 1e-9
+        floor += bool(np.any(x == 0.0))
+        grouped += inst.is_degenerate
+        binding += bool(np.any(lam[rows] > 1e-9))
+    # the draws cover what the two solvers handle differently
+    assert len(insts) >= 200
+    assert min(floor, grouped, binding) >= 40, (floor, grouped, binding)
+
+
+# ---------------------------------------------------------------------------
+# regressions of the projected-Newton loop
+
+
+def test_large_instance_converges_in_few_iterations():
+    # the benchmark's large shape: at lam = 0 every power coordinate sits
+    # on the ceiling, and the first Newton steps rest on its curvature
+    inst = generate(Scenario(kind="unicast", n_agents=200, n_constraints=40,
+                             min_members=5, families=("power",),
+                             cap_range=(100, 300)), 0)
+    sol = solve(inst, tol=1e-9)
+    assert sol.converged and sol.iterations <= 30
+
+
+def test_floor_pinned_agent_keeps_the_newton_system_regular():
+    # one agent sits on the floor on the way, which leaves the dual
+    # Hessian singular without the ridge
+    sc = Scenario(kind="unicast", n_agents=2, n_constraints=8)
+    inst = harness._build(sc, harness._rng_for(sc, 1003, 0))
+    sol = solve(inst, tol=1e-9)
+    assert sol.converged
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_zero_tolerance_stops_once_lambda_stops_moving(index):
+    inst = harness._suite_instances()[index][0]
+    sol = solve(inst, tol=0.0, strict=False)
+    assert sol.iterations <= 50
+    assert sol.residuals.max <= 1e-12

@@ -168,7 +168,7 @@ def test_dynamics_from_cold_start_finds_the_optimum():
     inst = canonical_instance()
     tr = run_dynamics(inst, max_rounds=5000, tol=1e-8)
     assert tr.converged
-    assert tr.rounds == 41
+    assert tr.rounds == 24
     from propmech.allocation import allocate
     x = allocate(inst, tr.profile.y).x
     assert x == pytest.approx([0.5, 0.5], abs=1e-6)
@@ -242,14 +242,14 @@ def test_dynamics_record_the_residual_that_decides_rest():
 
 
 def test_dynamics_rest_is_decided_on_the_plain_round():
-    """The opening rounds are plain and the resting round keeps its plain
+    """The first round is plain and the resting round keeps its plain
     image, so acceleration can neither start from nothing nor move a
     rested profile; the run's verdict and residual parts are Python
     scalars that json accepts."""
     tr = run_dynamics(canonical_instance(), max_rounds=5000, tol=1e-8)
     flags = [r.accelerated for r in tr.records]
     assert all(type(f) is bool for f in flags)
-    assert not any(flags[:game._AA_RESTART + 1]) and not flags[-1]
+    assert not flags[0] and not flags[-1]
     assert any(flags)
     assert type(tr.converged) is bool
     last = tr.records[-1]
@@ -261,45 +261,40 @@ def test_dynamics_rest_is_decided_on_the_plain_round():
 
 def test_anderson_solves_a_slow_linear_contraction():
     """On an affine map of four dimensions contracting at 0.98 per round,
-    extrapolation from the secant history reaches the fixed point six
-    rounds after the opening plain rounds; plain rounds alone would need
-    about 900 for the same 1e-8."""
+    extrapolation from the secant history reaches the fixed point within
+    six rounds; plain rounds alone would need about 900 for the same
+    1e-8."""
     rng = np.random.default_rng(5)
     Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     M = Q @ np.diag([0.98, 0.9, 0.5, -0.3]) @ Q.T
     fixed = rng.normal(size=4)
     acc = game._Anderson()
     x, flags = np.zeros(4), []
-    for _ in range(game._AA_RESTART + 6):
+    for _ in range(6):
         gx = fixed + M @ (x - fixed)
         step, extrapolated = acc.step(x, gx)
         flags.append(extrapolated)
         x = gx if step is None else step
-    # the opening plain rounds, one round that starts the history, then
-    # extrapolated rounds
-    assert flags == [False] * (game._AA_RESTART + 1) + [True] * 5
+    # one round that starts the history, then extrapolated rounds
+    assert flags == [False] + [True] * 5
     assert np.max(np.abs(x - fixed)) <= 1e-8
 
 
-def test_anderson_safeguard_goes_back_and_takes_plain_rounds():
+def test_anderson_safeguard_goes_back_and_restarts_the_history():
     acc = game._Anderson()
-    acc.plain = 0  # past the opening plain rounds
     x0 = np.array([1.0, 1.0])
     g0 = np.array([0.5, 0.5])
     assert acc.step(x0, g0) == (None, False)
     g1 = np.array([0.3, 0.2])
     e1, extrapolated = acc.step(g0, g1)
     assert extrapolated
-    # the residual at the extrapolated point grew: the history goes, the
-    # run returns to the plain image e1 replaced, and plain rounds follow
+    # the residual at the extrapolated point grew: the history goes and
+    # the run returns to the plain image e1 replaced
     back, extrapolated = acc.step(e1, e1 + 10.0)
     assert back is g1 and not extrapolated
     assert acc.f == acc.g == acc.norms == []
+    # the next round starts the history again, the one after extrapolates
     x = g1
-    for _ in range(game._AA_RESTART):
-        assert acc.step(x, 0.5 * x) == (None, False)
-        x = 0.5 * x
-    # then the history builds again
     assert acc.step(x, 0.5 * x) == (None, False)
     assert acc.step(0.5 * x, 0.25 * x)[1]
 

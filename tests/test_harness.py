@@ -218,7 +218,7 @@ def test_run_experiment_canonical_end_to_end():
     assert rep.solution.converged
     assert rep.candidate_verify["passed"]
     assert rep.dynamics["converged"]
-    assert rep.dynamics["rounds"] == 41
+    assert rep.dynamics["rounds"] == 24
     assert rep.final_verify["passed"]
     assert rep.comparison["x_err"] <= 1e-6
     assert rep.comparison["price_err"] <= 1e-6

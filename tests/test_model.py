@@ -248,7 +248,6 @@ def test_index_sets_both_directions():
     assert idx.members == ((0, 2), (1, 2))
     assert idx.rows_of_agent == ((0,), (1,), (0, 1))
     assert idx.counts.tolist() == [2, 2]
-    assert idx.degrees.tolist() == [1, 1, 2]
     assert inst.A.tolist() == [[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]
 
 
