@@ -3,7 +3,11 @@
 Solves max sum_i v_i(x_i) subject to x >= 0 and the instance's linear rows on
 the dual of the equality-reduced problem: one projected-Newton loop on the
 row multipliers (Bertsekas 1982), whose inner step maximizes each reduced
-coordinate in closed form (singletons) or by a group Newton solve. Multipliers
+coordinate in closed form (singletons) or by a group Newton solve. The loop
+starts at a price estimate, each row's mean member marginal value at an
+equal split of its cap, rather than at lambda = 0, where every uncapped
+coordinate sits on the ceiling and a Newton step can at most double a
+price. Multipliers
 for vacuous reduced rows (pure equality encodings) are completed afterwards by
 a small nonnegative least-squares solve so the reported lambda* certifies the
 full original system; such rows are flagged as non-unique.
@@ -170,6 +174,31 @@ def kkt_residuals(instance: Instance, x: np.ndarray, lam: np.ndarray
 # solver
 
 
+def _start_prices(red: ReducedInstance) -> np.ndarray:
+    """Row prices that start the dual loop, (M,), finite and nonnegative.
+
+    Each non-vacuous row's cap split equally over its coefficient mass,
+    share_l = c_l / sum_k A_lk, caps every coordinate on it: zhat_k is
+    min(D, its rows' shares), floored at 1e-12 D (D on no row). Row l's
+    price is the mean over its members k of q_k / (A_lk n_k), with q_k the
+    marginal value V_k'(zhat_k) and n_k the number of rows k sits on,
+    clipped at 0; a value that is not finite becomes 0. The floor keeps a
+    zero cap from pricing a power coordinate near 1e150, where the loop's
+    curvature overflows.
+    """
+    Ab, D = red.A_nv, red.instance.D
+    on = Ab > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        share = red.caps_nv / Ab.sum(axis=1)
+        zhat = np.maximum(np.min(np.where(on, share[:, None], D), axis=0,
+                                 initial=D), 1e-12 * D)
+        q = red.instance.valuation_table.group_sums(
+            "deriv", zhat, red.group_of_agent)
+        per = np.where(on, q / (Ab * on.sum(axis=0)), 0.0)
+        lam0 = per.sum(axis=1) / on.sum(axis=1)
+    return np.where(np.isfinite(lam0), np.maximum(lam0, 0.0), 0.0)
+
+
 def _complete_multipliers(instance: Instance, x: np.ndarray,
                           lam_nonvac: np.ndarray) -> np.ndarray:
     """Full-length lambda: dual rows in place, vacuous rows via NNLS.
@@ -212,8 +241,8 @@ def _nonunique_rows(instance: Instance, x: np.ndarray, lam: np.ndarray
 
 def solve(instance: Instance, tol: float = 1e-8, max_iter: int = 100000,
           strict: bool = True) -> CentralizedSolution:
-    """Projected Newton on the reduced dual; residuals certified at or
-    below tol.
+    """Projected Newton on the reduced dual, started at the row prices of
+    _start_prices; residuals certified at or below tol.
 
     The dual phi(lam) = sum_k V_k(z_k) + lam . (c - A z), with z the inner
     maximizer at prices A^T lam, has gradient g = c - A z and generalized
@@ -239,7 +268,7 @@ def solve(instance: Instance, tol: float = 1e-8, max_iter: int = 100000,
         return z, g, float(table.group_sums("value", z, gidx).sum()) \
             + float(lam @ g)
 
-    lam = np.zeros(len(cb))
+    lam = _start_prices(red)
     z, g, phi = dual(lam)
     it = 0
     while it < max_iter and max(
@@ -247,7 +276,7 @@ def solve(instance: Instance, tol: float = 1e-8, max_iter: int = 100000,
             float(np.max(np.abs(lam * g), initial=0.0))) > 1e-3 * tol:
         it += 1
         # a coordinate on the floor does not respond to its price; one on
-        # the ceiling keeps its curvature (at lam = 0 many sit there)
+        # the ceiling keeps its curvature
         d2 = table.group_sums("deriv2", z, gidx)
         r = np.where(z > 0.0, -1.0 / np.minimum(d2, -1e-300), 0.0)
         H = (Ab * r) @ Ab.T

@@ -275,13 +275,18 @@ class ValuationTable:
         return tuple(parts)
 
     def _map(self, fn: str, x: np.ndarray) -> np.ndarray:
+        return self._map_many((fn,), x)[0]
+
+    def _map_many(self, names: Sequence[str], x: np.ndarray) -> list:
+        """One array per name, from one gather of x per family."""
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
+        outs = [np.empty_like(x) for _ in names]
         tail = (1,) * (x.ndim - 1)
         for fam, idx, a, b in self._parts:
-            out[idx] = getattr(fam, fn)(a.reshape(-1, *tail),
-                                        b.reshape(-1, *tail), x[idx])
-        return out
+            a, b, xi = a.reshape(-1, *tail), b.reshape(-1, *tail), x[idx]
+            for out, name in zip(outs, names):
+                out[idx] = getattr(fam, name)(a, b, xi)
+        return outs
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return self._map("value", x)
@@ -296,12 +301,16 @@ class ValuationTable:
         """Per agent, the maximizer of v(z) - q z over [0, D]."""
         return np.clip(self._map("inv_deriv", q), 0.0, D)
 
-    def group_sums(self, fn: str, z: np.ndarray, group: np.ndarray
-                   ) -> np.ndarray:
+    def group_sums(self, fn: "str | Sequence[str]", z: np.ndarray,
+                   group: np.ndarray):
         """Per group g, the sum of fn ("value", "deriv" or "deriv2") over
-        its members at z[g]; the table's agent j belongs to group[j]."""
-        return np.bincount(group, weights=self._map(fn, z[group]),
-                           minlength=len(z))
+        its members at z[g]; the table's agent j belongs to group[j]. A
+        sequence of names gives a tuple of sums, one per name, from one
+        evaluation pass."""
+        sums = tuple(np.bincount(group, weights=v, minlength=len(z))
+                     for v in self._map_many(
+                         (fn,) if isinstance(fn, str) else fn, z[group]))
+        return sums[0] if isinstance(fn, str) else sums
 
     def group_inv_deriv(self, q: np.ndarray, D: float, group: np.ndarray,
                         lo, z0: "np.ndarray | None" = None) -> np.ndarray:
@@ -320,18 +329,21 @@ class ValuationTable:
         z = np.clip(z0 if z0 is not None else np.full(G, D / 2),
                     np.maximum(a, 1e-12), D - 1e-12)
         for _ in range(80):
-            f = self.group_sums("deriv", z, group) - q
+            slope, curv = self.group_sums(("deriv", "deriv2"), z, group)
+            f = slope - q
             pos = f > 0
             a = np.where(pos, z, a)
             b = np.where(pos, b, z)
             with np.errstate(divide="ignore", invalid="ignore"):
-                newton = z - f / self.group_sums("deriv2", z, group)
+                newton = z - f / curv
             # closed bracket: a step that lands on the root it already
             # holds (f = 0) stays put instead of restarting bisection
             inside = (newton >= a) & (newton <= b) & np.isfinite(newton)
             z_new = np.where(inside, newton, 0.5 * (a + b))
-            done = np.all(pinned | (np.abs(z_new - z)
-                                    <= 4e-16 * (1.0 + np.abs(z))))
+            # a step onto a bracket end returns to a point already
+            # evaluated: Newton alternates between neighbouring floats
+            done = np.all(pinned | (z_new == a) | (z_new == b)
+                          | (np.abs(z_new - z) <= 4e-16 * (1.0 + np.abs(z))))
             z = z_new
             if done:
                 break
@@ -741,12 +753,17 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
     idx = instance.index_sets
 
     # A1: strictly concave, increasing-at-zero valuations with valid params.
+    table = instance.valuation_table
+    grid = np.geomspace(max(instance.D * 1e-6, 1e-9), instance.D, 23)
+    not_concave = ~np.all(
+        table.deriv2(np.broadcast_to(grid, (n, grid.size))) < 0, axis=1)
+    with np.errstate(invalid="ignore"):  # 0 * inf for a tiny power a
+        not_increasing = table.deriv(np.zeros(n)) <= 0
     bad = []
-    for i, v in enumerate(instance.valuations):
-        grid = np.geomspace(max(instance.D * 1e-6, 1e-9), instance.D, 23)
-        if not np.all(np.asarray(v.deriv2(grid)) < 0):
+    for i in np.flatnonzero(not_concave | not_increasing):
+        if not_concave[i]:
             bad.append(f"agent {i}: second derivative not negative")
-        if v.deriv_s(0.0) <= 0:
+        if not_increasing[i]:
             bad.append(f"agent {i}: nonpositive derivative at 0")
     checks.append(CheckResult("A1", "fail" if bad else "pass", "; ".join(bad)))
 

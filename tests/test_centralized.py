@@ -6,9 +6,10 @@ import pytest
 from propmech import harness
 from propmech.centralized import (NoConvergence, TooLarge, _GroupCalc,
                                   _complete_multipliers, _nonunique_rows,
-                                  brute_force_oracle, kkt_residuals,
-                                  objective, solve)
-from propmech.harness import Scenario, canonical_instance, generate
+                                  _start_prices, brute_force_oracle,
+                                  kkt_residuals, objective, solve)
+from propmech.harness import (Scenario, bundled_scenarios,
+                              canonical_instance, generate)
 from propmech.model import Constraint, Instance, Valuation, validate
 
 
@@ -213,16 +214,24 @@ def test_oracle_refuses_unaffordable_grids():
 # failure reporting
 
 
+def _six_agent_instance() -> Instance:
+    # the start is not its answer (six iterations at 1e-8), unlike the
+    # canonical instance, where the start already is lambda* = 2/3
+    return generate(Scenario(kind="unicast", n_agents=6, n_constraints=3), 2)
+
+
 def test_solve_strict_raises_with_best_iterate():
     with pytest.raises(NoConvergence) as exc:
-        solve(canonical_instance(), tol=1e-16, max_iter=3, strict=True)
-    assert exc.value.solution is not None
-    assert not exc.value.solution.converged
+        solve(_six_agent_instance(), max_iter=1, strict=True)
+    sol = exc.value.solution
+    assert sol is not None
+    assert not sol.converged and sol.iterations == 1
+    assert sol.residuals.max > 1e-8
 
 
 def test_solve_nonstrict_reports_unconverged():
-    sol = solve(canonical_instance(), tol=1e-16, max_iter=3, strict=False)
-    assert not sol.converged
+    sol = solve(_six_agent_instance(), max_iter=1, strict=False)
+    assert not sol.converged and sol.iterations == 1
 
 
 def test_objective_rejects_bad_shape():
@@ -444,13 +453,15 @@ def test_projected_newton_matches_the_former_solver():
 # regressions of the projected-Newton loop
 
 
-def test_large_instance_converges_in_few_iterations():
-    # the benchmark's large shape: at lam = 0 every power coordinate sits
-    # on the ceiling, and the first Newton steps rest on its curvature
-    inst = generate(Scenario(kind="unicast", n_agents=200, n_constraints=40,
+def _large_instance() -> Instance:
+    # the benchmark's large shape
+    return generate(Scenario(kind="unicast", n_agents=200, n_constraints=40,
                              min_members=5, families=("power",),
                              cap_range=(100, 300)), 0)
-    sol = solve(inst, tol=1e-9)
+
+
+def test_large_instance_converges_in_few_iterations():
+    sol = solve(_large_instance(), tol=1e-9)
     assert sol.converged and sol.iterations <= 30
 
 
@@ -469,3 +480,59 @@ def test_zero_tolerance_stops_once_lambda_stops_moving(index):
     sol = solve(inst, tol=0.0, strict=False)
     assert sol.iterations <= 50
     assert sol.residuals.max <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the priced start
+
+
+def test_start_is_the_answer_on_the_canonical_instance():
+    inst = canonical_instance()
+    assert _start_prices(inst.reduced) == pytest.approx([2.0 / 3.0],
+                                                        rel=1e-15)
+    assert solve(inst).iterations == 0
+
+
+def _tiny_cap_instance() -> Instance:
+    # a power agent steep at 0 pins the two others to the floor
+    return Instance(valuations=(Valuation("log_shift", 1.0, 1.0),
+                                Valuation("log_shift", 2.0, 0.5),
+                                Valuation("power", 1.5, 0.3)),
+                    constraints=(Constraint({0: 1.0, 1: 1.0, 2: 2.0}, 1e-6),),
+                    equality_groups=(), d=1e-9, D=10.0, eta=1.0)
+
+
+def _equality_only_instance() -> Instance:
+    # the one row encodes the equality group and cancels in the reduction
+    return Instance(valuations=(Valuation("log_shift", 1.0, 1.0),
+                                Valuation("power", 1.0, 0.5)),
+                    constraints=(Constraint({0: 1.0, 1: -1.0}, 0.0),),
+                    equality_groups=((0, 1),), d=0.1, D=10.0, eta=1.0)
+
+
+@pytest.mark.parametrize("build", [
+    _tiny_cap_instance, _equality_only_instance, _large_instance],
+    ids=["tiny-cap", "no-rows", "large"])
+def test_start_prices_are_finite_and_nonnegative(build):
+    inst = build()
+    lam0 = _start_prices(inst.reduced)
+    assert lam0.shape == (len(inst.reduced.nv_rows),)
+    assert np.all(np.isfinite(lam0)) and np.all(lam0 >= 0.0)
+    assert solve(inst, tol=1e-9).converged
+
+
+def test_satiated_quad_row_starts_at_zero():
+    # both members satiate (at 2 and 1.5) below their equal share of 5
+    inst = _quad_pair(5.0)
+    assert np.array_equal(_start_prices(inst.reduced), [0.0])
+    sol = solve(inst, tol=1e-9)
+    assert sol.converged and sol.lambda_star[0] == 0.0
+
+
+def test_bundled_instances_take_few_iterations():
+    # 41 iterations at 1e-8 over the eleven bundled instances (130 from
+    # lam = 0); the pin allows 20% more
+    total = sum(solve(generate(sc, seed)).iterations
+                for v in ("base", "sbb-offeq")
+                for sc, seed in bundled_scenarios(v))
+    assert total <= 49

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from propmech.game import Schedule
-from propmech.model import (Constraint, DimensionMismatch, DomainError,
-                            Instance, InvalidParameter,
+from propmech.model import (FAMILIES, Constraint, DimensionMismatch,
+                            DomainError, Instance, InvalidParameter,
                             NegativeReducedCoefficient, NoInteriorPoint,
                             Valuation, ValuationTable, Variant, derive_theta,
                             instance_digest, instance_from_dict,
@@ -317,6 +317,57 @@ def test_group_aggregates_sum_members():
     assert table.deriv2(x).sum() == pytest.approx(-0.25 - 2.0, abs=1e-14)
 
 
+@st.composite
+def grouped_tables(draw):
+    n = draw(st.integers(1, 7))
+    vals = [draw(valuations()) for _ in range(n)]
+    group = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                   max_size=n)))
+    G = int(group.max()) + 1
+    z = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=G,
+                               max_size=G)))
+    return ValuationTable.of(vals), group, z
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_tables())
+def test_group_sums_of_several_names_match_one_call_each(case):
+    table, group, z = case
+    names = ("value", "deriv", "deriv2")
+    with np.errstate(all="ignore"):
+        several = table.group_sums(names, z, group)
+        one = [table.group_sums(fn, z, group) for fn in names]
+    assert isinstance(several, tuple) and len(several) == len(names)
+    for got, ref in zip(several, one):
+        assert np.array_equal(got, ref, equal_nan=True)
+
+
+def test_group_newton_stops_when_it_alternates_between_neighbours(
+        monkeypatch):
+    # a dynamics call of a grouped instance in which Newton alternated
+    # between two floats 4 ulp apart near z = 63.4 until the 80-iteration
+    # limit; a step onto a bracket end now ends the solve
+    names = list(FAMILIES)
+    table = ValuationTable.of([
+        Valuation(names[c], a, b) for c, a, b in zip(
+            [1, 1, 1, 0],
+            [1.7364016364577362, 1.9421054449789725, 1.8743882826416276,
+             1.9018835244210255],
+            [0.42795006931179697, 0.4301075104794845, 0.6309655558303546,
+             1.3033734988284456])])
+    q = np.array([0.1950423118046382, 0.28540376513871374])
+    group = np.array([0, 0, 1, 1])
+    calls = []
+    sums = ValuationTable.group_sums
+    monkeypatch.setattr(ValuationTable, "group_sums",
+                        lambda self, *a: calls.append(a) or sums(self, *a))
+    z = table.group_inv_deriv(q, 100.0, group, 0.0,
+                              np.array([83.95271777884972, 100.0]))
+    assert len(calls) <= 20
+    monkeypatch.undo()
+    assert table.group_sums("deriv", z, group) == pytest.approx(q, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # interior point
 
@@ -405,6 +456,39 @@ def test_validate_flags_infeasible_floor():
     assert st["A2(box)"] == "fail"
     # the pullback anchor lives below the floor, so theta itself is fine
     assert st["theta"] == "pass"
+
+
+def _a1_reference(instance):
+    """A1's detail strings from the per-agent scalar valuations."""
+    grid = np.geomspace(max(instance.D * 1e-6, 1e-9), instance.D, 23)
+    bad = []
+    for i, v in enumerate(instance.valuations):
+        if not np.all(np.asarray(v.deriv2(grid)) < 0):
+            bad.append(f"agent {i}: second derivative not negative")
+        if v.deriv_s(0.0) <= 0:
+            bad.append(f"agent {i}: nonpositive derivative at 0")
+    return "; ".join(bad)
+
+
+def test_validate_a1_matches_the_per_agent_check():
+    # a = 5e-324 underflows the curvature to -0.0 (and log_shift's slope
+    # at 0 to 0.0), which A1 reports per agent in agent order
+    vals = (Valuation("log_shift", 1.0, 1.0),
+            Valuation("log_shift", 5e-324, 0.1),
+            Valuation("power", 2.0, 0.5),
+            Valuation("power", 5e-324, 0.5),
+            Valuation("quad_cap", 1.0, 3.0))
+    inst = Instance(valuations=vals,
+                    constraints=(Constraint({0: 1.0, 1: 1.0}, 1.0),),
+                    equality_groups=(), d=0.01, D=100.0, eta=1.0)
+    a1 = validate(inst).checks[0]
+    assert a1.name == "A1" and a1.status == "fail"
+    assert a1.detail == _a1_reference(inst)
+    assert a1.detail.startswith("agent 1: second derivative not negative; "
+                                "agent 1: nonpositive derivative at 0; "
+                                "agent 3:")
+    ok = canonical()
+    assert validate(ok).checks[0].detail == _a1_reference(ok) == ""
 
 
 def test_validate_offeq_preconditions():
