@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .model import DimensionMismatch, Instance, ReducedInstance
+from .model import (DimensionMismatch, Instance, NoInteriorPoint,
+                    ReducedInstance, nnls)
 
 __all__ = [
     "NoConvergence",
@@ -217,8 +217,7 @@ def _complete_multipliers(instance: Instance, x: np.ndarray,
     if lam_nonvac.size:
         g = g - instance.A[red.nonvacuous].T @ lam_nonvac
     B = instance.A[vac].T  # (N, nvac)
-    sol, _rnorm = nnls(B, g)
-    lam[vac] = sol
+    lam[vac] = nnls(B, g)
     return lam
 
 
@@ -254,9 +253,14 @@ def solve(instance: Instance, tol: float = 1e-8, max_iter: int = 100000,
     falls to 1e-3 tol, when the arc search fails, or when a step no longer
     moves lam. Raises NoConvergence (carrying the last iterate) if the
     certified residuals stay above tol while strict, otherwise returns
-    with converged=False.
+    with converged=False. Raises NoInteriorPoint before the loop when the
+    floor d breaks a non-vacuous reduced row beyond FEAS_TOL: there a
+    member whose slope is infinite at 0 has an infinite price, which the
+    loop would chase until max_iter.
     """
     red = instance.reduced
+    if np.any(red.A_nv @ red.d_red > red.caps_nv_tol):
+        raise NoInteriorPoint("the floor d breaks a row's cap")
     calc = _GroupCalc(red)
     table, gidx = instance.valuation_table, red.group_of_agent
     Ab, cb = red.A_nv, red.caps_nv

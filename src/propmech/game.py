@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .allocation import allocate, allocate_many
 from .centralized import CentralizedSolution
-from .model import Choice, Instance, InvalidParameter, Variant
+from .model import (Choice, Instance, InvalidParameter, Variant,
+                    nnls_tableau, nnls_tol_scale)
 from .taxation import (TaxBreakdown, _budget_books, _check_finite,
                        _check_offeq, _check_prices, _gross, _member_means,
                        _peer_means, _require_peers, _tax_terms, pbar, tax)
@@ -490,6 +490,79 @@ def _local_gains(instance: Instance, y: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(coupling.sum(axis=1), 1e-9)
 
 
+class _GroupPrices:
+    """A run's difference-row prices: per multi-member group, the NNLS fit
+    pv >= 0 of B^T pv to its members' first-order gaps (B: the difference
+    rows whose members all lie in the group, over those members).
+
+    Per group it keeps the passive set of its last fit and, read from that
+    fit's tableau (see model.nnls_tableau), one block of a block-diagonal
+    map over the grouped members (sorted by group): the least-squares
+    prices on the set, the NNLS gradient B (gap - B^T pv) off it. A round
+    is one matvec and one sign check. A group whose prices are not
+    positive, or whose gradient exceeds nnls's tolerance, is refitted by
+    nnls and its block read again, so the prices are nnls's up to
+    rounding. The refit starts cold: on these groups of two to seven rows
+    a start from the last passive set takes more sweeps than it saves.
+    """
+
+    def __init__(self, instance: Instance):
+        red = instance.reduced
+        multi, grouped, loc = red.multi_groups
+        vac = np.flatnonzero(~red.nonvacuous)
+        self.perm = np.argsort(loc, kind="stable")
+        sizes = np.bincount(loc)
+        self.starts = np.cumsum(sizes) - sizes
+        self.members = [slice(a, a + m) for a, m in zip(self.starts, sizes)]
+        rows = [vac[~(instance.A[vac][:, red.group_of_agent != k] != 0)
+                    .any(axis=1)] for k in multi]
+        self.B = [instance.A[r][:, grouped[self.perm[ms]]]
+                  for r, ms in zip(rows, self.members)]
+        self.rows = np.concatenate(rows)
+        counts = [r.size for r in rows]
+        self.row_group = np.repeat(np.arange(multi.size), counts)
+        self.row_slices = [slice(e - c, e)
+                           for e, c in zip(np.cumsum(counts), counts)]
+        # per row: nnls's tolerance scale times its group's sum |gap|
+        self.tol_map = np.array([nnls_tol_scale(B.T) for B in self.B])[
+            self.row_group, None] * (self.row_group[:, None] == np.repeat(
+                np.arange(multi.size), sizes))
+        self.passive = np.zeros(self.rows.size, dtype=bool)
+        self.BT = np.zeros((loc.size, self.rows.size))
+        self.map = np.zeros((self.rows.size, loc.size))
+        for B, rs, ms in zip(self.B, self.row_slices, self.members):
+            self.BT[ms, rs] = B.T
+            self.map[rs, ms] = B  # empty passive sets: the gradient B gap
+
+    def _refit(self, g: int, gap: np.ndarray) -> np.ndarray:
+        rs, B = self.row_slices[g], self.B[g]
+        pv, P, T = nnls_tableau(B.T, gap)
+        self.passive[rs] = P
+        # T[:, :n] with its columns off P replaced by unit columns maps
+        # B gap' to the tableau's last column for gap'
+        self.map[rs, self.members[g]] = np.where(
+            P, T[:, :-1], np.eye(len(P))) @ B
+        return pv
+
+    def __call__(self, tau: np.ndarray, want: np.ndarray
+                 ) -> "tuple[np.ndarray, float]":
+        """The prices of self.rows for the members' gaps tau (in grouped
+        order), and the largest unexplained gap over the groups, each
+        group's scaled by 1 + max |want| over its members."""
+        t = tau[self.perm]
+        v = self.map @ t
+        bad = np.where(self.passive, v <= 0.0, v > self.tol_map @ np.abs(t))
+        if bad.any():
+            for g in np.unique(self.row_group[bad]):
+                v[self.row_slices[g]] = self._refit(g, t[self.members[g]])
+        pv = np.where(self.passive, v, 0.0)
+        resid = np.abs(t - self.BT @ pv)
+        return pv, float(np.max(
+            np.maximum.reduceat(resid, self.starts)
+            / (1.0 + np.maximum.reduceat(np.abs(want[self.perm]),
+                                         self.starts))))
+
+
 # Anderson acceleration of the price-adjust-br round: history depth
 _AA_DEPTH = 5
 
@@ -621,19 +694,13 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     lo = instance.d + _FLOOR_MARGIN * (1.0 + instance.d)
     singles = red.representatives[red.group_sizes == 1]
     # multi-member groups: members in agent order with their group index,
-    # and per group its members' positions there, the difference rows whose
-    # members all lie in it, their member coefficients and its lower bound
+    # each group's lower bound and its difference-row prices
     multi, grouped, loc = red.multi_groups
     t_grouped = instance.valuation_table.take(grouped)
     first = red.representatives[multi]
-    vac_rows = np.flatnonzero(is_vac)
-    grp_rows = []
-    for g, k in enumerate(multi):
-        sel = np.flatnonzero(loc == g)
-        outside = instance.A[vac_rows][:, red.group_of_agent != k] != 0
-        rows = vac_rows[~outside.any(axis=1)]
-        grp_rows.append((sel, rows, instance.A[rows][:, grouped[sel]]))
-    lo_g = np.array([lo[grouped[sel]].max() for sel, _, _ in grp_rows])
+    lo_g = np.full(multi.size, -np.inf)
+    np.maximum.at(lo_g, loc, lo[grouped])
+    prices = _GroupPrices(instance) if multi.size else None
 
     state = _SweepState(instance) if singles.size else None
     # the accelerated state: the shared (non-vacuous) rows' prices, then
@@ -677,16 +744,8 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
                 z = t_grouped.group_inv_deriv(cost, instance.D, loc, lo_g,
                                               prof.y[first])
                 want = t_grouped.deriv(z[loc])
-                tau = want - base[grouped]
-                for sel, rows, B in grp_rows:
-                    gap = tau[sel]
-                    if rows.size:
-                        pv, _ = nnls(B.T, gap)
-                        pc[rows] = pv
-                        gap = gap - B.T @ pv
-                    group_resid = max(
-                        group_resid, float(np.max(np.abs(gap)))
-                        / (1.0 + float(np.max(np.abs(want[sel])))))
+                pv, group_resid = prices(want - base[grouped], want)
+                pc[prices.rows] = pv
                 snap = float(np.max(np.abs(z[loc] - prof.y[grouped])
                                     / (1.0 + np.abs(prof.y[grouped]))))
                 prof.y[grouped] = np.maximum(z[loc], lo[grouped])

@@ -237,7 +237,8 @@ def generate_with_info(scenario: Scenario, seed: int
         try:
             sol = solve(inst, tol=1e-8, max_iter=5000, strict=False)
         except (np.linalg.LinAlgError, DomainError, RuntimeError):
-            # RuntimeError: scipy's nnls iteration limit
+            # RuntimeError: among others NNLSNoConvergence, the iteration
+            # limit of the multiplier completion's nnls
             reasons["solver_error"] += 1
             continue
         if not sol.converged:

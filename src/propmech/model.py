@@ -5,7 +5,9 @@ linear constraints A_l^T x <= c_l, an equality partition of the agents (groups
 whose allocations are forced equal, encoded alongside explicit constraint
 rows), the message-space floor d and ceiling D, and the slackness-penalty
 weight eta. Everything downstream (centralized solver, allocation map, taxes,
-induced game) consumes this module's types.
+induced game) consumes this module's types. It also holds the nonnegative
+least-squares kernel that the solver's multiplier completion and the
+dynamics' difference-row prices share.
 """
 
 from __future__ import annotations
@@ -26,11 +28,14 @@ __all__ = [
     "InvalidParameter",
     "NoInteriorPoint",
     "NegativeReducedCoefficient",
+    "NNLSNoConvergence",
     "Choice",
     "Variant",
     "FAMILIES",
     "Valuation",
     "ValuationTable",
+    "nnls",
+    "nnls_tableau",
     "Constraint",
     "Instance",
     "IndexSets",
@@ -349,6 +354,97 @@ class ValuationTable:
                 break
         z = np.where(at_bot, lo, z)
         return np.where(at_top, float(D), z)
+
+
+# ---------------------------------------------------------------------------
+# nonnegative least squares
+
+# the outer (column-entering) iterations nnls takes are bounded by this
+# times the column count
+NNLS_OUTER = 3
+_EPS = float(np.finfo(float).eps)
+
+
+class NNLSNoConvergence(RuntimeError):
+    """nnls ran out of outer iterations; its last feasible iterate is on .x."""
+
+    def __init__(self, msg: str, x: np.ndarray):
+        super().__init__(msg)
+        self.x = x
+
+
+def nnls_tol_scale(A: np.ndarray) -> float:
+    """nnls(A, b) treats a gradient entry at or below this times sum|b| as
+    zero: the rounding level of A^T (b - A x)."""
+    return 10.0 * max(A.shape) * _EPS * float(np.abs(A).max(initial=0.0))
+
+
+def _sweep(T: np.ndarray, k: int) -> None:
+    """The sweep operator on pivot k of an (n, n + 1) tableau [G | c]
+    (Goodnight 1979), in place. Sweeping a set P in leaves G_PP^-1 on PP,
+    the least-squares solution on P in column n and, off P, the gradient
+    c - G z in column n and the Schur complements on the diagonal; sweeping
+    k again takes it back out."""
+    d = T[k, k]
+    row, col = T[k] / d, T[:, k].copy()
+    row[k], col[k] = 1.0 / d, -1.0
+    T[k], T[:, k] = 0.0, 0.0
+    T -= col[:, None] * row
+
+
+def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |A x - b| over x >= 0 (see nnls_tableau)."""
+    return nnls_tableau(A, b)[0]
+
+
+def nnls_tableau(A: np.ndarray, b: np.ndarray) -> tuple:
+    """nnls(A, b), its final passive set P (bool, (n,)) and its tableau T.
+
+    The active-set method of Lawson and Hanson (1974, ch. 23) on the
+    normal equations, kept in an (n, n + 1) sweep tableau of [A^T A | A^T b]
+    with the columns of P swept in: T[P, P] is the inverse of their Gram
+    matrix G_PP, T[Z, P] = -G_ZP G_PP^-1 off P, and column n holds the
+    least-squares solution on P and the gradient A^T (b - A x) off it.
+
+    A column whose Schur complement is at most 1e-12 of its squared norm
+    depends on the passive columns, so entering it cannot lower the
+    residual beyond rounding: it is skipped. The solution on the final
+    passive set takes one refinement step against A itself. Raises
+    NNLSNoConvergence after NNLS_OUTER * n outer iterations.
+    """
+    n = A.shape[1]
+    T = A.T @ np.hstack([A, b[:, None]])
+    z, diag = T[:, n], T.diagonal()  # views that follow the sweeps
+    min_schur = 1e-12 * diag
+    tol = nnls_tol_scale(A) * float(np.abs(b).sum())
+    P = np.zeros(n, dtype=bool)
+    x = np.zeros(n)
+    for it in range(NNLS_OUTER * n + 1):
+        w = np.where(P, -np.inf, z)
+        j = int(w.argmax()) if n else -1
+        while j >= 0 and w[j] > tol and diag[j] <= min_schur[j]:
+            w[j] = -np.inf
+            j = int(w.argmax())
+        if j < 0 or not w[j] > tol:
+            break
+        if it == NNLS_OUTER * n:
+            raise NNLSNoConvergence(
+                f"nnls: no solution after {it} outer iterations", x)
+        _sweep(T, j)
+        P[j] = True
+        # inner loop: step back from an infeasible solution to the boundary
+        while z[P].min(initial=np.inf) <= 0.0:
+            neg = P & (z <= 0.0)
+            ratio = np.where(neg, x / np.where(neg, x - z, 1.0), np.inf)
+            k = int(ratio.argmin())
+            x += ratio[k] * (np.where(P, z, 0.0) - x)
+            x[k] = 0.0
+            for q in np.flatnonzero(P & (x <= 0.0)):
+                _sweep(T, q)
+                P[q] = False
+        x = np.where(P, z, 0.0)
+    g = np.where(P, A.T @ (b - A @ x), 0.0)
+    return np.where(P, np.maximum(x + T[:, :n] @ g, 0.0), 0.0), P, T
 
 
 # ---------------------------------------------------------------------------

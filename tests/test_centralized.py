@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from propmech.centralized import (NoConvergence, TooLarge, _GroupCalc,
                                   kkt_residuals, objective, solve)
 from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
-from propmech.model import Constraint, Instance, Valuation, validate
+from propmech.model import (Constraint, Instance, NoInteriorPoint, Valuation,
+                            validate)
 
 
 def _quad_pair(cap: float) -> Instance:
@@ -232,6 +234,23 @@ def test_solve_strict_raises_with_best_iterate():
 def test_solve_nonstrict_reports_unconverged():
     sol = solve(_six_agent_instance(), max_iter=1, strict=False)
     assert not sol.converged and sol.iterations == 1
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, 1e-300])
+def test_infeasible_floor_is_refused_before_the_loop(cap):
+    # a power slope is infinite at 0, so lambda* is too: the loop would run
+    # all max_iter iterations (26 s at cap 0) before this check
+    inst = Instance(valuations=(Valuation("power", 1.0, 0.5),
+                                Valuation("log_shift", 1.0, 1.0)),
+                    constraints=(Constraint({0: 1.0, 1: 1.0}, cap),),
+                    equality_groups=(), d=0.01, D=10.0, eta=1.0)
+    t0 = time.perf_counter()
+    for strict in (True, False):
+        with pytest.raises(NoInteriorPoint):
+            solve(inst, strict=strict)
+    assert time.perf_counter() - t0 < 1.0
+    # the floor exactly on the cap is not refused
+    assert solve(_quad_pair(0.02), tol=1e-9).converged
 
 
 def test_objective_rejects_bad_shape():

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
 from propmech import game
 from propmech.centralized import solve
@@ -18,7 +19,8 @@ from propmech.game import (A2Violation, _DemandObjective, _SweepState,
                            outcome, run_dynamics, utility, verify_epsilon_ne)
 from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
-from propmech.model import Constraint, Instance, InvalidParameter, Valuation
+from propmech.model import (Constraint, Instance, InvalidParameter, Valuation,
+                            nnls)
 from propmech.allocation import allocate
 from propmech.model import validate
 from propmech.taxation import (AgentNotOnConstraint,
@@ -419,6 +421,74 @@ def _objective_cases():
                             rng.uniform(0.1, 2.0, (n, L)))
         out.append((inst, prof))
     return out
+
+
+@pytest.mark.parametrize("shape, seed", [((3, 2, 2), 205), ((3, 4), 209)])
+def test_group_price_map_matches_a_cold_nnls_per_round(monkeypatch, shape,
+                                                       seed):
+    """On every round of two criterion-1 runs (shared rows), the block
+    map's difference-row prices against one cold nnls call per group:
+    within 1e-12, and the largest unexplained gap equal up to rounding.
+    Both paths run: most rounds keep every passive set, some refit."""
+    seen, refits = [], []
+    call, refit = game._GroupPrices.__call__, game._GroupPrices._refit
+
+    def spy_call(self, tau, want):
+        pv, resid = call(self, tau, want)
+        seen.append((self, tau.copy(), want.copy(), pv.copy(), resid))
+        return pv, resid
+
+    def spy_refit(self, g, gap):
+        refits.append(g)
+        return refit(self, g, gap)
+
+    monkeypatch.setattr(game._GroupPrices, "__call__", spy_call)
+    monkeypatch.setattr(game._GroupPrices, "_refit", spy_refit)
+    inst = generate(Scenario(kind="local-public-goods", group_sizes=shape,
+                             shared_row=True), seed)
+    assert run_dynamics(inst, max_rounds=30000, tol=1e-8).converged
+    groups = len(seen[0][0].B)
+    assert 0 < len(refits) < 0.5 * groups * len(seen)
+    for gp, tau, want, pv, resid in seen:
+        t, w = tau[gp.perm], want[gp.perm]
+        worst = 0.0
+        for g, B in enumerate(gp.B):
+            ms, rs = gp.members[g], gp.row_slices[g]
+            ref = nnls(B.T, t[ms])
+            assert np.max(np.abs(pv[rs] - ref), initial=0.0) <= 1e-12
+            worst = max(worst, float(np.max(np.abs(t[ms] - B.T @ ref)))
+                        / (1.0 + float(np.max(np.abs(w[ms])))))
+        assert abs(resid - worst) <= 1e-15, (resid, worst)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (5, 2), (4, 3)])
+def test_group_price_map_matches_scipy_on_warm_sequences(shape):
+    """Per fixed group matrix, 20 drifting right-hand sides in a row: the
+    block map (kept passive sets, refits where they fail) gives scipy's
+    NNLS prices and residuals."""
+    inst = generate(Scenario(kind="local-public-goods", group_sizes=shape),
+                    300 + sum(shape))
+    gp = game._GroupPrices(inst)
+    inv = np.argsort(gp.perm)
+    n = gp.perm.size
+    rng = np.random.default_rng(len(shape))
+    for _ in range(10):
+        t = rng.normal(size=n)
+        for _ in range(20):
+            t = t + 0.1 * rng.normal(size=n)
+            want = rng.uniform(0.5, 2.0, n)
+            pv, resid = gp(t[inv], want[inv])
+            worst = 0.0
+            for g, B in enumerate(gp.B):
+                ms, rs = gp.members[g], gp.row_slices[g]
+                ref, rnorm = scipy_nnls(B.T, t[ms])
+                scale = 1.0 + float(np.max(np.abs(t[ms])))
+                assert np.max(np.abs(pv[rs] - ref)) <= 1e-12 * scale
+                assert float(np.linalg.norm(t[ms] - B.T @ pv[rs])) \
+                    == pytest.approx(rnorm, rel=1e-12, abs=1e-13 * scale)
+                worst = max(worst, float(np.max(np.abs(t[ms] - B.T @ ref)))
+                            / (1.0 + float(np.max(want[ms]))))
+            assert resid == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
 def test_demand_objective_slopes_match_central_differences():

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import propmech
 import propmech.harness as harness
 from propmech.cli import main
 from propmech.harness import (ExperimentConfig, Scenario, UnknownSuite,
@@ -11,8 +15,9 @@ from propmech.harness import (ExperimentConfig, Scenario, UnknownSuite,
                               generate_with_info, property_suite,
                               run_experiment, run_many, write_trace_csv)
 from propmech.game import run_dynamics
-from propmech.model import (InvalidParameter, instance_digest,
-                            instance_to_dict, load_instance)
+from propmech.model import (InvalidParameter, NNLSNoConvergence,
+                            instance_digest, instance_to_dict, load_instance,
+                            save_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -68,18 +73,22 @@ def test_generation_retries_only_expected_solver_failures(monkeypatch):
     import propmech.harness as harness
     sc = Scenario(kind="canonical", n_agents=2, n_constraints=1)
     real_solve = harness.solve
-    calls = []
 
-    def singular_once(inst, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            raise np.linalg.LinAlgError("singular")
-        return real_solve(inst, **kwargs)
+    # a singular system and the nnls iteration limit are resample reasons
+    for error in (np.linalg.LinAlgError("singular"),
+                  NNLSNoConvergence("nnls iteration limit", np.zeros(1))):
+        calls = []
 
-    monkeypatch.setattr(harness, "solve", singular_once)
-    _, info = generate_with_info(sc, 0)
-    assert info["resamples"] == 1
-    assert info["reasons"]["solver_error"] == 1
+        def fail_once(inst, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise error
+            return real_solve(inst, **kwargs)
+
+        monkeypatch.setattr(harness, "solve", fail_once)
+        _, info = generate_with_info(sc, 0)
+        assert info["resamples"] == 1
+        assert info["reasons"]["solver_error"] == 1
 
     def faulty(inst, **kwargs):
         raise IndexError("fault in the solver")
@@ -302,6 +311,36 @@ def test_cli_gen_solve_simulate_verify_run(tmp_path, capsys):
     rep = json.loads((tmp_path / "run.json").read_text())
     assert rep["passed"] is True
     capsys.readouterr()
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this propmech."""
+    src = os.path.dirname(os.path.dirname(propmech.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def test_import_loads_no_scipy():
+    out = _python("-c", "import sys, propmech; print(sorted(m for m in "
+                  "sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_solves_and_simulates_without_scipy(tmp_path):
+    # a bundled scenario with an equality group: solve completes its
+    # multipliers and the dynamics price its difference rows by nnls
+    sc, seed = next((sc, seed) for sc, seed in bundled_scenarios()
+                    if sc.kind == "public-good")
+    path = tmp_path / "group.json"
+    save_instance(generate(sc, seed), path)
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from propmech.cli import main; sys.exit(main(sys.argv[1:]))")
+    for cmd in ("solve", "simulate"):
+        out = _python("-c", code, cmd, str(path))
+        assert out.returncode == 0, (cmd, out.stderr)
 
 
 def test_cli_failure_exit_codes(tmp_path, capsys):

@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
+from propmech import model
 from propmech.game import Schedule
 from propmech.model import (FAMILIES, Constraint, DimensionMismatch,
                             DomainError, Instance, InvalidParameter,
-                            NegativeReducedCoefficient, NoInteriorPoint,
-                            Valuation, ValuationTable, Variant, derive_theta,
-                            instance_digest, instance_from_dict,
-                            instance_to_dict, load_instance, reduce_equalities,
+                            NegativeReducedCoefficient, NNLSNoConvergence,
+                            NoInteriorPoint, Valuation, ValuationTable,
+                            Variant, derive_theta, instance_digest,
+                            instance_from_dict, instance_to_dict,
+                            load_instance, nnls, reduce_equalities,
                             save_instance, validate)
 
 
@@ -169,6 +172,95 @@ def test_valuation_dict_round_trip_uses_m_for_satiation():
     assert Valuation.from_dict(d) == v
     w = Valuation("power", 1.0, 0.5)
     assert Valuation.from_dict(w.to_dict()) == w
+
+
+# ---------------------------------------------------------------------------
+# nonnegative least squares (scipy is the reference)
+
+
+def _cycle(m: int) -> np.ndarray:
+    """An m-member equality group's cycle rows over its members, transposed:
+    column j is e_(j+1 mod m) - e_j."""
+    A = np.zeros((m, m))
+    for j in range(m):
+        A[j, j], A[(j + 1) % m, j] = -1.0, 1.0
+    return A
+
+
+def _nnls_problem(kind: str, rng: np.random.Generator):
+    m, n = (int(v) for v in rng.integers(1, 9, size=2))
+    if kind == "cycle":
+        A = _cycle(max(m, 2))
+        b = rng.normal(size=A.shape[0])
+        return A, b - b.mean() * rng.integers(2)  # consistent half the time
+    A = rng.normal(size=(m, n))
+    if kind == "zero":  # A >= 0 and b <= 0: x = 0
+        return np.abs(A), -np.abs(rng.normal(size=m))
+    if kind == "duplicate" and n > 1:
+        i, j = rng.choice(n, 2, replace=False)
+        A[:, j] = A[:, i]
+    # half the right-hand sides lie near the cone of A, so most columns enter
+    if rng.integers(2):
+        return A, A @ np.abs(rng.normal(size=n)) + 0.1 * rng.normal(size=m)
+    return A, rng.normal(size=m)
+
+
+def _check_nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """nnls(A, b) against scipy: the residual norm within 1e-12 relative,
+    the KKT conditions, and the same x where A has full column rank."""
+    x = nnls(A, b)
+    xs, rs = scipy_nnls(A, b)
+    assert abs(float(np.linalg.norm(b - A @ x)) - rs) \
+        <= 1e-12 * float(np.linalg.norm(b))
+    assert x.shape == xs.shape and np.all(x >= 0.0)
+    grad = A.T @ (A @ x - b)  # of |A x - b|^2 / 2
+    tol = 1e-9 * (1.0 + float(np.abs(A).max()) * float(np.abs(b).sum()))
+    assert np.all(grad[x == 0.0] >= -tol)
+    assert np.all(np.abs(grad[x > 0.0]) <= tol)
+    if A.shape[0] >= A.shape[1] and np.linalg.matrix_rank(A) == A.shape[1]:
+        assert float(np.max(np.abs(x - xs))) <= 1e-13 * np.linalg.cond(A) \
+            * (1.0 + float(np.max(np.abs(xs))))
+    return x
+
+
+@pytest.mark.parametrize("kind, count", [
+    ("random", 1000), ("duplicate", 3000), ("zero", 300), ("cycle", 1000)])
+def test_nnls_matches_scipy(kind, count):
+    # the duplicate columns' rounding-noise gradients exceed the tolerance
+    # on a few of these 3,000 problems: the dependence guard skips them
+    rng = np.random.default_rng(["random", "duplicate", "zero",
+                                 "cycle"].index(kind))
+    for _ in range(count):
+        A, b = _nnls_problem(kind, rng)
+        x = _check_nnls(A, b)
+        if kind == "zero":
+            assert not x.any()
+
+
+def test_nnls_skips_dependent_columns_at_zero_tolerance(monkeypatch):
+    # with the gradient tolerance at 0, the rounding noise of an exact
+    # duplicate of a passive column offers it for entry on most problems;
+    # only the dependence guard keeps the passive system regular
+    monkeypatch.setattr(model, "nnls_tol_scale", lambda A: 0.0)
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        _check_nnls(*_nnls_problem("duplicate", rng))
+
+
+def test_nnls_edge_shapes():
+    assert nnls(np.zeros((3, 0)), np.ones(3)).shape == (0,)
+    assert not nnls(np.ones((2, 2)), np.zeros(2)).any()
+    assert nnls(np.eye(2), np.array([3.0, -1.0])) == pytest.approx([3.0, 0])
+
+
+def test_nnls_outer_iteration_limit_is_a_typed_runtime_error(monkeypatch):
+    monkeypatch.setattr(model, "NNLS_OUTER", 0)
+    with pytest.raises(NNLSNoConvergence) as err:
+        nnls(np.eye(2), np.ones(2))
+    assert isinstance(err.value, RuntimeError)
+    assert np.array_equal(err.value.x, np.zeros(2))  # the last iterate
+    # problems that need no column still solve
+    assert not nnls(np.eye(2), -np.ones(2)).any()
 
 
 # ---------------------------------------------------------------------------
