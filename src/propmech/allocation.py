@@ -60,6 +60,33 @@ def _crossing(red: ReducedInstance, slack: np.ndarray, V: np.ndarray
     return cand.min(axis=1), cand.argmin(axis=1)
 
 
+def _ray_pieces(num: np.ndarray, den0: np.ndarray, coef: np.ndarray,
+                a: float, b: float) -> list:
+    """The smooth pieces on [a, b] of the lower envelope of the crossing
+    steps num_l / (den0_l + coef_l t) along a line of demands, each taken
+    where its denominator exceeds _RAY_EPS, as (start, end, binding row)
+    in order.
+
+    Two hyperbolas cross at most once, so each kink is a pairwise crossing
+    or a point where a denominator crosses _RAY_EPS. Between the sorted
+    points one row binds throughout: it is read at each midpoint, and
+    neighbours bound by the same row merge.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pts = np.concatenate([
+            ((den0[:, None] * num - num[:, None] * den0)
+             / (num[:, None] * coef - coef[:, None] * num)).ravel(),
+            (_RAY_EPS - den0) / coef])
+    edges = np.sort(np.concatenate([[a], pts[(pts > a) & (pts < b)], [b]]))
+    den = den0 + coef * (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    bind = np.divide(num, den, out=np.full(den.shape, np.inf),
+                     where=den > _RAY_EPS).argmin(axis=1).tolist()
+    starts = [(t, l) for t, l, prev in zip(edges.tolist(), bind, [-1] + bind)
+              if l != prev]
+    ends = [t for t, _ in starts[1:]] + [b]
+    return [(t, end, l) for (t, l), end in zip(starts, ends)]
+
+
 def alpha0(instance: Instance, theta_red: np.ndarray, y_red: np.ndarray
            ) -> "tuple[float, int | None]":
     """Ray-scaling factor from theta toward y in the reduced space.

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .allocation import allocate, allocate_many
+from .allocation import _ray_pieces, allocate, allocate_many
 from .centralized import CentralizedSolution
 from .model import (Choice, Instance, InvalidParameter, Variant,
                     nnls_tableau, nnls_tol_scale)
@@ -153,6 +153,15 @@ class _SweepState:
         self.nv_tol = 1e-12 * (1.0 + np.abs(instance.caps[red.nv_rows]))
         self.ay = None  # A_hat @ y as the last sweep left it
 
+    @classmethod
+    def of(cls, instance: Instance) -> "_SweepState":
+        """The instance's state, built on first use and then kept on the
+        instance, like its other derived data."""
+        state = instance.__dict__.get("_sweep_state")
+        if state is None:
+            state = instance.__dict__["_sweep_state"] = cls(instance)
+        return state
+
     def sweep(self, profile: MessageProfile, agents, lo: np.ndarray,
               hi: float, peer_means: np.ndarray) -> float:
         """Move each singleton agent in turn to its notional target, each
@@ -253,27 +262,27 @@ class _DemandObjective:
 
     @cached_property
     def _ray(self) -> tuple:
-        """What the pullback piece reads: the rows' values less the
-        anchor's without i's demand, i's column, the anchor's slack, the
-        non-vacuous rows, theta_i and i's own rows."""
-        state = self.state
-        return (self.rv0 - state.rv_theta, state.C[self.i], state.num_full,
-                state.num_full.tolist(),
-                state.instance.reduced.nv_rows.tolist(),
-                float(state.theta[self.i]), state.rows[self.i])
+        """What the pullback piece reads. alpha = min_l n_l / (d_l + c_l t)
+        over the non-vacuous rows whose denominator exceeds 1e-300 and a
+        last flat row at 1 (alpha's cap): n_l is the anchor's slack, d_l
+        the row value less the anchor's without i's demand, c_l i's
+        coefficient. Then n_l as a list, the same three on i's own rows,
+        and theta_i."""
+        state, nv = self.state, self.state.instance.reduced.nv_rows
+        rows = state.rows[self.i]
+        num, den0, coef = state.num_full, self.rv0 - state.rv_theta, \
+            state.C[self.i]
+        n_, d_, c_ = (np.append(v[nv], e)
+                      for v, e in ((num, 1.0), (den0, 1.0), (coef, 0.0)))
+        return (n_, d_, c_, n_.tolist(), num[rows], den0[rows], coef[rows],
+                float(state.theta[self.i]))
 
     def value_outside(self, t: float) -> float:
-        den0, coef, num_full, nums, nv_rows, theta_i, rows = self._ray
-        den = den0 + coef * t
-        dens = den.tolist()
-        alpha = 1.0
-        for l in nv_rows:
-            if dens[l] > 1e-300:
-                a = nums[l] / dens[l]
-                if a < alpha:
-                    alpha = a
+        _, d_, c_, nums, n_r, d_r, c_r, theta_i = self._ray
+        alpha = min(n / e for n, e in zip(nums, (d_ + c_ * t).tolist())
+                    if e > 1e-300)
         x_i = theta_i + alpha * (self.y0k + self.beta * t - theta_i)
-        d_rows = (num_full - alpha * den)[rows]
+        d_rows = n_r - alpha * (d_r + c_r * t)
         slack_tax = float((self.w * d_rows * d_rows).sum())
         return self.v.value_s(x_i) - x_i * self.c_pay - slack_tax
 
@@ -281,6 +290,50 @@ class _DemandObjective:
         if t <= self.t_b:
             return self.value_inside(t)
         return self.value_outside(t)
+
+    def ray_argmaxes(self, a: float, b: float) -> list:
+        """The argmax of value_outside on each smooth piece of [a, b].
+
+        alpha(t) is the lower envelope of n_l / (d_l + c_l t) over the
+        non-vacuous rows and a flat row at 1 (alpha's cap). On a piece
+        that row l binds with c_l != 0, alpha is monotone in t, and x_i
+        and every own-row slack are affine in alpha (t = (n_l / alpha -
+        d_l) / c_l); where c_l = 0 alpha is constant and they are affine
+        in t. Either way the piece is this objective's inside form in that
+        parameter (see _piece), concave since w >= 0, and one safeguarded
+        Newton solve; a piece's end comes back exactly as given.
+        """
+        n_, d_, c_, _, n_r, d_r, c_r, theta_i = self._ray
+        g = self.y0k - theta_i  # x_i = theta_i + alpha (g + beta t)
+        out = []
+        for ta, tb, l in _ray_pieces(n_, d_, c_, a, b):
+            n, d, c = float(n_[l]), float(d_[l]), float(c_[l])
+            if c == 0.0:
+                al = n / d
+                out.append(_concave_argmax(self._piece(
+                    theta_i + al * g, al * self.beta, n_r - al * d_r,
+                    al * c_r), ta, tb))
+                continue
+            sa, sb = n / (d + c * ta), n / (d + c * tb)
+            s = _concave_argmax(self._piece(
+                theta_i + self.beta * n / c, g - self.beta * d / c,
+                n_r - c_r * (n / c), d_r - c_r * (d / c)),
+                min(sa, sb), max(sa, sb))
+            out.append(ta if s == sa else tb if s == sb
+                       else min(max((n / s - d) / c, ta), tb))
+        return out
+
+    def _piece(self, y0k: float, beta: float, gap_rows: np.ndarray,
+               coef_rows: np.ndarray) -> "_DemandObjective":
+        """This objective's inside form with x_i = y0k + beta s and own-row
+        slacks gap_rows - coef_rows s in a new parameter s."""
+        piece = object.__new__(_DemandObjective)
+        piece.__dict__.update(
+            self.__dict__, y0k=y0k, beta=beta, gap_rows=gap_rows,
+            coef_rows=coef_rows,
+            wgc=float((self.w * gap_rows * coef_rows).sum()),
+            wcc=float((self.w * coef_rows ** 2).sum()))
+        return piece
 
 
 def _concave_argmax(obj: _DemandObjective, lo: float, hi: float,
@@ -316,25 +369,6 @@ def _concave_argmax(obj: _DemandObjective, lo: float, hi: float,
     return t
 
 
-def _golden(fun, a: float, b: float, iters: int = 75) -> float:
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = fun(x1)
-        if b - a <= 1e-12 * (1.0 + abs(a)):
-            break
-    return x1 if f1 >= f2 else x2
-
-
 def best_response_demand(instance: Instance, variant: "str | Variant",
                          profile: MessageProfile, i: int,
                          lo: "float | None" = None,
@@ -343,10 +377,15 @@ def best_response_demand(instance: Instance, variant: "str | Variant",
     """Argmax of agent i's utility over own demand, prices fixed.
 
     Searches (d_i, hi] with hi defaulting to D + 1. The inside piece is
-    solved exactly (strictly concave); the pullback piece is scanned and
-    refined by golden section. Argument accuracy is driven to ~1e-12
-    relative. The variant cannot change the argmax (own-message independent
-    rebates); it is accepted for interface symmetry.
+    strictly concave and solved by safeguarded Newton. Past the boundary
+    t_b the pullback ray's scale is the lower envelope of at most L
+    hyperbolas; each of its smooth pieces is concave in its own parameter
+    and solved exactly the same way (see _DemandObjective.ray_argmaxes).
+    With thorough=False the ray is searched only when the inside optimum
+    sits on the boundary. Among the candidates (the piece optima, the
+    boundary and hi) the best wins, the lower demand on a tie within
+    1e-13 relative. The variant cannot change the argmax (own-message
+    independent rebates); it is accepted for interface symmetry.
     """
     d_i = float(instance.d[i])
     floor = d_i + _FLOOR_MARGIN * (1.0 + d_i)
@@ -360,7 +399,7 @@ def best_response_demand(instance: Instance, variant: "str | Variant",
     if not lo < hi:
         raise BracketInvalid(f"bracket [{lo}, {hi}] is empty")
 
-    obj = _DemandObjective(_SweepState(instance), profile, i)
+    obj = _DemandObjective(_SweepState.of(instance), profile, i)
     cands: list[float] = []
     t_in_hi = min(obj.t_b, hi)
     if t_in_hi > lo:
@@ -368,18 +407,11 @@ def best_response_demand(instance: Instance, variant: "str | Variant",
     inside_interior = bool(cands) and cands[0] < t_in_hi * (1.0 - 1e-12)
     if obj.t_b < hi:
         start = max(obj.t_b, lo)
-        cands.append(max(start, lo))
+        cands.append(start)
         if thorough or not inside_interior:
-            # coarse scan then local refine over the ray piece
-            grid = np.linspace(start, hi, 33)
-            vals = [obj.value_outside(float(t)) for t in grid]
-            j = int(np.argmax(vals))
-            a = grid[max(0, j - 1)]
-            b = grid[min(len(grid) - 1, j + 1)]
-            cands.append(_golden(obj.value_outside, float(a), float(b)))
+            cands.extend(obj.ray_argmaxes(start, float(hi)))
             cands.append(hi)
-    if not cands:
-        cands.append(hi)
+    cands = list(dict.fromkeys(cands))  # a point named twice is valued once
     best_t = cands[0]
     best_v = obj.value(best_t)
     for t in cands[1:]:
@@ -851,7 +883,9 @@ class NEReport:
 
 def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
                              base: Outcome, i: int, Y: np.ndarray,
-                             P_i: np.ndarray) -> np.ndarray:
+                             P_i: np.ndarray,
+                             peer_means: "np.ndarray | None" = None
+                             ) -> np.ndarray:
     """Agent i's utility at M trial profiles that change only i's message.
 
     Row k of Y (M, N) holds trial k's demands and row k of P_i (M, L) agent
@@ -860,13 +894,16 @@ def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
     on i's own rows only, by the tax's own peer-mean and gross-term helpers.
     The rebate row comes from ``base``, the outcome of the untouched
     profile: rebates never read the recipient's own message, so it is the
-    same at every trial. Agrees with the scalar utility() of each trial
-    profile up to rounding.
+    same at every trial. ``peer_means`` is the profile's (N, L) peer mean
+    prices when the caller already has them. Agrees with the scalar
+    utility() of each trial profile up to rounding.
     """
     X = allocate_many(instance, Y)
     x_i = X[:, i]
     rows = list(instance.index_sets.rows_of_agent[i])
-    pb = _peer_means(instance, profile.prices)[i, rows]
+    if peer_means is None:
+        peer_means = _peer_means(instance, profile.prices)
+    pb = peer_means[i, rows]
     slack = instance.caps[rows] - X @ instance.A[rows].T
     payment, disagreement, slackness = _gross(
         instance.A[rows, i] * x_i[:, None], P_i[:, rows], pb, instance.eta,
@@ -886,23 +923,43 @@ def _draw_joint_trials(rng: np.random.Generator, profile: MessageProfile,
     per-draw rng.random() / rng.uniform(a, b) calls would consume them;
     uniform(a, b) is a + (b - a) * u for the next double u, so the trials
     are bitwise those of drawing call by call.
+
+    A demand step reads one double and a second when the first is below
+    0.5; a price step reads a second when the first is at least 0.5. So
+    each step is an index array from a stream position to the next one,
+    and a trial is the demand step then one price step per own row. The
+    trials' start positions follow by pointer doubling on that map, and
+    every step of every trial is decoded at once.
     """
-    u = iter(rng.random(2 * len(Y) * (1 + len(rows))).tolist())
-    own = [(l, float(profile.prices[i, l])) for l in rows]
-    for y_row, p_row in zip(Y, P):
-        if next(u) < 0.5:
-            w = next(u)
-            y_row[i] = d_i + (hi - d_i) * w * w + 1e-9
-        for l, p in own:
-            r = next(u)
-            if r < 0.3:
-                continue
-            if r < 0.5:
-                p_row[l] = 0.0
-            elif r < 0.8:
-                p_row[l] = max(0.0, p * (0.5 + next(u)))
-            else:
-                p_row[l] = 2.0 * next(u) * (1.0 + p)
+    m, rows = len(Y), list(rows)
+    if not m:
+        return
+    u = rng.random(2 * m * (1 + len(rows)))
+    # position u.size is a sink: the steps from it and past it end there
+    ext = np.append(u, 1.0)
+    low = ext < 0.5
+    pos = np.arange(1, ext.size + 1)
+    demand_step = np.minimum(pos + low, u.size)
+    price_step = np.minimum(pos + ~low, u.size)
+    trial = demand_step
+    for _ in rows:
+        trial = price_step[trial]
+    at, jump = np.zeros(1, dtype=np.intp), trial
+    while at.size < m:
+        at = np.concatenate([at, jump[at]])
+        jump = jump[jump]
+    at = at[:m]
+    w = ext[at + 1]
+    Y[:, i] = np.where(low[at], d_i + (hi - d_i) * w * w + 1e-9, Y[:, i])
+    steps = np.empty((m, len(rows)), dtype=np.intp)
+    at = demand_step[at]
+    for j in range(len(rows)):
+        steps[:, j] = at
+        at = price_step[at]
+    r, nxt = ext[steps], ext[steps + 1]
+    p = profile.prices[i, rows]
+    P[:, rows] = np.where(r < 0.3, P[:, rows], np.where(r < 0.5, 0.0, np.where(
+        r < 0.8, np.maximum(0.0, p * (0.5 + nxt)), 2.0 * nxt * (1.0 + p))))
 
 
 def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
@@ -928,6 +985,7 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     gains = np.zeros(n)
     ceiling = False
     best_dev: list[dict] = []
+    peer_means = _peer_means(instance, profile.prices)
     for i in range(n):
         rows = instance.index_sets.rows_of_agent[i]
         # trials: one price best response per own row, the demand best
@@ -947,7 +1005,8 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
         _draw_joint_trials(rng, profile, i, rows, d_i, hi,
                            Y[first_joint:], P[first_joint:])
         u0 = float(base.utilities[i])
-        g = _own_deviation_utilities(instance, profile, base, i, Y, P) - u0
+        g = _own_deviation_utilities(instance, profile, base, i, Y, P,
+                                     peer_means) - u0
         k = int(np.argmax(g))
         best = max(0.0, float(g[k]))
         if best <= _GAIN_FLOOR * (1.0 + abs(u0)):

@@ -520,6 +520,14 @@ class RowLayout:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
+    """N agents' valuations, the constraint rows, the equality partition,
+    the message floor d and ceiling D, and the slackness weight eta.
+
+    eta must be >= 0 (0 turns the slackness penalty off): a negative eta
+    makes the slack tax weights eta * pbar * p negative and the demand
+    objective non-concave.
+    """
+
     valuations: tuple[Valuation, ...]
     constraints: tuple[Constraint, ...]
     equality_groups: tuple[tuple[int, ...], ...]
@@ -541,6 +549,8 @@ class Instance:
         if not (np.all(np.isfinite(d)) and math.isfinite(D)
                 and math.isfinite(eta)):
             raise InvalidParameter("d, D and eta must be finite")
+        if eta < 0:
+            raise InvalidParameter(f"eta = {eta} must be >= 0")
         if not D > max(0.0, float(d.max(initial=0.0))):
             raise InvalidParameter(
                 f"D = {D} must be positive and exceed every floor in d")

@@ -21,7 +21,7 @@ from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
 from propmech.model import (Constraint, Instance, InvalidParameter, Valuation,
                             nnls)
-from propmech.allocation import allocate
+from propmech.allocation import _ray_pieces, allocate
 from propmech.model import validate
 from propmech.taxation import (AgentNotOnConstraint,
                                AssumptionA4PrimeViolated,
@@ -153,6 +153,152 @@ def test_best_response_does_not_mutate_the_profile():
     best_response_price(inst, "base", prof, 0, 0)
     assert np.array_equal(prof.y, y0)
     assert np.array_equal(prof.prices, p0)
+
+
+def _golden(fun, a, b, iters=75):
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - inv * (b - a)
+    x2 = a + inv * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    for _ in range(iters):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv * (b - a)
+            f2 = fun(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv * (b - a)
+            f1 = fun(x1)
+        if b - a <= 1e-12 * (1.0 + abs(a)):
+            break
+    return x1 if f1 >= f2 else x2
+
+
+def reference_best_response_demand(inst, prof, i, thorough=True):
+    """The former demand best response, kept as the reference: the inside
+    piece by safeguarded Newton, the pullback piece by a 33-point scan
+    refined by golden section."""
+    d_i = float(inst.d[i])
+    lo = d_i + 1e-12 * (1.0 + d_i)
+    hi = inst.D + 1.0
+    obj = _DemandObjective(_SweepState(inst), prof, i)
+    outside = obj.value_outside
+    cands = []
+    t_in_hi = min(obj.t_b, hi)
+    if t_in_hi > lo:
+        cands.append(_concave_argmax(obj, lo, t_in_hi))
+    inside_interior = bool(cands) and cands[0] < t_in_hi * (1.0 - 1e-12)
+    if obj.t_b < hi:
+        start = max(obj.t_b, lo)
+        cands.append(start)
+        if thorough or not inside_interior:
+            grid = np.linspace(start, hi, 33)
+            j = int(np.argmax([outside(float(t)) for t in grid]))
+            cands.append(_golden(outside, float(grid[max(0, j - 1)]),
+                                 float(grid[min(32, j + 1)])))
+            cands.append(hi)
+    if not cands:
+        cands.append(hi)
+
+    def value(t):
+        return obj.value_inside(t) if t <= obj.t_b else outside(t)
+
+    best_t = cands[0]
+    best_v = value(best_t)
+    for t in cands[1:]:
+        v = value(t)
+        if v > best_v + 1e-13 * (1.0 + abs(best_v)) or (
+                abs(v - best_v) <= 1e-13 * (1.0 + abs(best_v)) and t < best_t):
+            best_t, best_v = t, v
+    return float(min(max(best_t, lo), hi))
+
+
+@functools.cache
+def bundled_instances():
+    """The 11 instances of the base and sbb-offeq bundles."""
+    return tuple(generate(*sc) for bundle in ("base", "sbb-offeq")
+                 for sc in bundled_scenarios(bundle))
+
+
+def off_equilibrium_profiles(count, seed):
+    """(instance, profile, agent): random demands and prices on the
+    bundled instances, the demands spread to 0.3, 3 or 30 above the
+    floor in turn."""
+    rng = np.random.default_rng(seed)
+    insts = bundled_instances()
+    out = []
+    for k in range(count):
+        inst = insts[k % len(insts)]
+        n, L = inst.n_agents, inst.n_constraints
+        top = (0.3, 3.0, 30.0)[k // len(insts) % 3]
+        prof = make_profile(inst, inst.d + rng.uniform(1e-3, top, n),
+                            rng.uniform(0.0, 2.0, (n, L)))
+        out.append((inst, prof, int(rng.integers(n))))
+    return out
+
+
+def test_best_response_demand_beats_the_former_search_and_a_grid():
+    """On 660 random off-equilibrium profiles of the bundled instances the
+    exact piecewise solve's utility is at least the former scan plus
+    golden section's and the best of a 4,097-point grid on [lo, hi], less
+    1e-13 (1 + |u|); with thorough=False, at least the former search's.
+    The utilities come from one batch (the verifier's own) per profile."""
+    on_ray = 0
+    for inst, prof, i in off_equilibrium_profiles(660, 12):
+        d_i = float(inst.d[i])
+        hi = inst.D + 1.0
+        br = [best_response_demand(inst, "base", prof, i),
+              reference_best_response_demand(inst, prof, i),
+              best_response_demand(inst, "base", prof, i, thorough=False),
+              reference_best_response_demand(inst, prof, i, thorough=False)]
+        Y = np.tile(prof.y, (4097 + 4, 1))
+        Y[:4097, i] = np.linspace(d_i + 1e-12 * (1.0 + d_i), hi, 4097)
+        Y[4097:, i] = br
+        P = np.tile(prof.prices[i], (len(Y), 1))
+        u = _own_deviation_utilities(inst, prof, outcome(inst, "base", prof),
+                                     i, Y, P)
+        new, old, new_quick, old_quick = u[4097:]
+        tol = 1e-13 * (1.0 + abs(new))
+        assert new >= old - tol, (i, br)
+        assert new >= u[:4097].max() - tol, (i, br)
+        assert new_quick >= old_quick - 1e-13 * (1.0 + abs(new_quick))
+        on_ray += br[0] > _DemandObjective(_SweepState(inst), prof, i).t_b
+    assert on_ray >= 60
+
+
+def _dense_binding(num, den0, coef, t):
+    den = den0 + coef * t[:, None]
+    return np.divide(num, den, out=np.full(den.shape, np.inf),
+                     where=den > 1e-300).argmin(axis=1)
+
+
+@pytest.mark.parametrize("rows, bracket, edges, binds", [
+    # row 0 rises, row 1 is flat (c = 0), row 2 falls: each binds in turn,
+    # and both kinks are pairwise crossings; row 3 is alpha's cap at 1
+    (((1.0, 4.0, -0.3), (0.35, 1.0, 0.0), (1.0, 1.0, 0.3), (1.0, 1.0, 0.0)),
+     (0.0, 9.0),
+     (0.0, (4.0 - 1.0 / 0.35) / 0.3, (1.0 / 0.35 - 1.0) / 0.3, 9.0),
+     (0, 1, 2)),
+    # the cap binds until row 0's ratio reaches 1 at t = 2; row 1's
+    # denominator crosses 1e-300 at t = 3, where its negative ratio starts
+    # to bind; row 2 (c = 0) stays above the cap
+    (((1.0, 0.5, 0.25), (-1.0, -3.0, 1.0), (2.0, 1.0, 0.0), (1.0, 1.0, 0.0)),
+     (0.0, 12.0), (0.0, 2.0, 3.0, 12.0), (3, 0, 1)),
+], ids=["crossings", "cap-and-denominator"])
+def test_ray_envelope_matches_a_dense_evaluation(rows, bracket, edges,
+                                                 binds):
+    num, den0, coef = (np.array(c) for c in zip(*rows))
+    pieces = _ray_pieces(num, den0, coef, *bracket)
+    got_edges = np.array([p[0] for p in pieces] + [pieces[-1][1]])
+    got_binds = np.array([p[2] for p in pieces])
+    assert got_binds.tolist() == list(binds)
+    assert np.allclose(got_edges, edges, rtol=1e-13, atol=1e-13)
+    t = np.linspace(*bracket, 20001)
+    dense = _dense_binding(num, den0, coef, t)
+    near = np.abs(t[:, None] - got_edges).min(axis=1) <= 1e-9
+    piece = np.searchsorted(got_edges, t, side="right") - 1
+    piece = np.minimum(piece, got_binds.size - 1)
+    assert np.array_equal(got_binds[piece][~near], dense[~near])
 
 
 # ---------------------------------------------------------------------------
@@ -1088,6 +1234,56 @@ def test_joint_trials_match_call_by_call_draws():
                         1.0 + float(prof.prices[i, l]))
             assert np.array_equal(Y[k], trial.y)
             assert np.array_equal(P[k], trial.prices[i])
+
+
+def _call_by_call_trials(prof, i, rows, d_i, hi, rng, m):
+    """The joint trials drawn one generator call per draw."""
+    out = []
+    for _ in range(m):
+        trial = prof.copy()
+        if rng.random() < 0.5:
+            u = rng.random()
+            trial.y[i] = d_i + (hi - d_i) * u * u + 1e-9
+        for l in rows:
+            r = rng.random()
+            if r < 0.3:
+                continue
+            if r < 0.5:
+                trial.prices[i, l] = 0.0
+            elif r < 0.8:
+                trial.prices[i, l] = max(
+                    0.0, float(prof.prices[i, l]) * rng.uniform(0.5, 1.5))
+            else:
+                trial.prices[i, l] = rng.uniform(0.0, 2.0) * (
+                    1.0 + float(prof.prices[i, l]))
+        out.append(trial)
+    return out
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 200])
+def test_joint_trials_match_call_by_call_draws_for_the_most_rows(m):
+    """The agent with the most own rows in the bundles, at random prices,
+    for no trial, one trial and more."""
+    inst, i = max(((inst, i) for inst in bundled_instances()
+                   for i in range(inst.n_agents)),
+                  key=lambda c: len(c[0].index_sets.rows_of_agent[c[1]]))
+    rows = inst.index_sets.rows_of_agent[i]
+    assert len(rows) == 4
+    rng = np.random.default_rng(7)
+    n, L = inst.n_agents, inst.n_constraints
+    prof = make_profile(inst, inst.d + rng.uniform(0.01, 1.0, n),
+                        rng.uniform(0.0, 2.0, (n, L)))
+    d_i, hi = float(inst.d[i]), inst.D + 1.0
+    Y = np.tile(prof.y, (m, 1))
+    P = np.tile(prof.prices[i], (m, 1))
+    _draw_joint_trials(np.random.default_rng([5, i]), prof, i, rows, d_i,
+                       hi, Y, P)
+    want = _call_by_call_trials(prof, i, rows, d_i, hi,
+                                np.random.default_rng([5, i]), m)
+    assert len(want) == m
+    for k, trial in enumerate(want):
+        assert np.array_equal(Y[k], trial.y)
+        assert np.array_equal(P[k], trial.prices[i])
 
 
 def one_member_row():

@@ -410,6 +410,22 @@ def test_cli_rejects_nan_cap(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_cli_solve_refuses_negative_eta(tmp_path, capsys):
+    inst = instance_to_dict(canonical_instance())
+    inst["eta"] = -0.5
+    path = tmp_path / "negative_eta.json"
+    path.write_text(json.dumps(inst))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "eta" in err[0]
+    # no slackness penalty is a valid instance
+    inst["eta"] = 0.0
+    path.write_text(json.dumps(inst))
+    assert main(["solve", str(path), "--json", str(tmp_path / "s.json")]) == 0
+
+
 def test_cli_usage_exit_codes(tmp_path, capsys):
     # unreadable instances abort with the usage exit code
     with pytest.raises(SystemExit) as exc:

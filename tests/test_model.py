@@ -304,6 +304,12 @@ def test_instance_rejects_bad_numbers(bad):
         _canonical_with(**bad)
 
 
+def test_instance_refuses_negative_eta_and_keeps_zero():
+    with pytest.raises(InvalidParameter, match="eta"):
+        _canonical_with(eta=-1e-3)
+    assert _canonical_with(eta=0.0).eta == 0.0
+
+
 def test_instance_broadcasts_scalar_floor():
     inst = canonical()
     assert inst.d.shape == (2,)
