@@ -17,8 +17,9 @@ import numpy as np
 
 from .allocation import _ray_pieces, allocate, allocate_many
 from .centralized import CentralizedSolution
-from .model import (Choice, Instance, InvalidParameter, Variant,
-                    nnls_tableau, nnls_tol_scale)
+from .model import (FAMILIES, Choice, DomainError, Instance,
+                    InvalidParameter, Valuation, Variant, nnls_tableau,
+                    nnls_tol_scale)
 from .taxation import (TaxBreakdown, _budget_books, _check_finite,
                        _check_offeq, _check_prices, _gross, _member_means,
                        _peer_means, _require_peers, _tax_terms, pbar, tax)
@@ -111,29 +112,53 @@ def utility(instance: Instance, variant: "str | Variant",
 # best responses (variant-independent: rebates never depend on own messages)
 
 
+def _price_best_responses(pb, eta: float, slack):
+    """The own price maximizing a member's utility, elementwise in its peer
+    mean pb and its row's slack: the gross terms' price part
+    (p - pb)^2 + eta pb p slack^2 is a parabola in p."""
+    return np.maximum(0.0, pb - eta * pb * slack * slack / 2.0)
+
+
 def best_response_price(instance: Instance, variant: "str | Variant",
                         profile: MessageProfile, i: int, l: int) -> float:
     """Closed-form argmax over agent i's price on constraint l.
 
-    p* = max(0, pbar - eta * pbar * slack^2 / 2) at the current allocation;
-    the variant argument is accepted for interface symmetry but cannot change
-    the answer (rebates are own-message independent).
+    p* = max(0, pbar - eta * pbar * slack^2 / 2) at the current allocation,
+    one entry of _price_best_responses (verify_epsilon_ne prices every
+    membership of a profile with one call of it). The variant argument is
+    accepted for interface symmetry but cannot change the answer (rebates
+    are own-message independent).
     """
     pb = pbar(instance, profile.prices, i, l)
     x = allocate(instance, profile.y).x
-    s = float(instance.caps[l] - instance.A[l] @ x)
-    return max(0.0, pb - instance.eta * pb * s * s / 2.0)
+    slack = instance.caps - instance.A @ x
+    return float(_price_best_responses(pb, instance.eta, slack[l]))
+
+
+def _bind(v: Valuation) -> tuple:
+    """v's value, slope and curvature as functions of one float x > 0:
+    the FAMILIES forms with v's parameters."""
+    a, b = v.a, v.b
+
+    def at(form):
+        def f(x: float) -> float:
+            if x < 0:
+                raise DomainError("valuation evaluated at negative x")
+            return form(a, b, x)
+        return f
+    return tuple(at(form) for form in FAMILIES[v.family][:3])
 
 
 class _SweepState:
     """What every agent's demand objective reads of the instance, built
     once per run_dynamics (or per best-response call).
 
-    Per agent: its own rows, its A_hat column (the demand-space rows'
-    coefficients on its demand), that column and A's on its own rows, and
-    its group. Per instance: the anchor theta, caps - A_red theta and the
-    non-vacuous rows' tolerances, which only the pullback piece and the
-    boundary t_b read. ``sweep`` moves the singleton agents in turn.
+    Per agent: its valuation's value, slope and curvature on floats, its
+    own rows, its A_hat column (the demand-space rows' coefficients on its
+    demand), that column and A's on its own rows, and its group. Per
+    instance: the anchor theta, caps - A_red theta and the non-vacuous
+    rows' tolerances, which only the pullback piece and the boundary t_b
+    read. ``sweep`` moves the singleton agents in turn.
     """
 
     def __init__(self, instance: Instance):
@@ -142,6 +167,7 @@ class _SweepState:
         self.instance = instance
         self.A_hat = red.A_hat
         self.C = np.ascontiguousarray(red.A_hat.T)  # row i: i's column
+        self.v = [_bind(v) for v in instance.valuations]
         self.rows = [np.array(r, dtype=int)
                      for r in instance.index_sets.rows_of_agent]
         self.coef_rows = [self.C[i, r] for i, r in enumerate(self.rows)]
@@ -151,7 +177,6 @@ class _SweepState:
         self.rv_theta = red.A_red @ red.theta
         self.num_full = instance.caps - self.rv_theta
         self.nv_tol = 1e-12 * (1.0 + np.abs(instance.caps[red.nv_rows]))
-        self.ay = None  # A_hat @ y as the last sweep left it
 
     @classmethod
     def of(cls, instance: Instance) -> "_SweepState":
@@ -167,8 +192,8 @@ class _SweepState:
         """Move each singleton agent in turn to its notional target, each
         seeing the demands already placed; the prices stay fixed, so all
         share ``peer_means``. A_hat @ y is formed once, then follows each
-        move by a rank-one column step (left in ``self.ay``). Returns the
-        largest relative move."""
+        move by a rank-one column step. Returns the largest relative
+        move."""
         ay = self.A_hat @ profile.y
         snap = 0.0
         for i in agents:
@@ -179,7 +204,6 @@ class _SweepState:
             snap = max(snap, abs(t - y_i) / (1.0 + abs(y_i)))
             ay = ay + self.C[i] * (t - y_i)
             profile.y[i] = t
-        self.ay = ay
         return snap
 
 
@@ -200,7 +224,7 @@ class _DemandObjective:
                  ay: "np.ndarray | None" = None):
         instance = state.instance
         self.state, self.i = state, i
-        self.v = instance.valuations[i]
+        self.v, self.dv, self.d2v = state.v[i]
         self.y_i = float(profile.y[i])
         red = instance.reduced
         k = red.group_of_agent[i]
@@ -247,16 +271,16 @@ class _DemandObjective:
         x_i = self.y0k + self.beta * t
         d_rows = self.gap_rows - self.coef_rows * t
         slack_tax = float((self.w * d_rows * d_rows).sum())
-        return self.v.value_s(x_i) - x_i * self.c_pay - slack_tax
+        return self.v(x_i) - x_i * self.c_pay - slack_tax
 
     def grad_inside(self, t: float) -> float:
         x_i = self.y0k + self.beta * t
-        return self.beta * (self.v.deriv_s(x_i) - self.c_pay) \
+        return self.beta * (self.dv(x_i) - self.c_pay) \
             + 2.0 * (self.wgc - t * self.wcc)
 
     def curv_inside(self, t: float) -> float:
         x_i = self.y0k + self.beta * t
-        return self.beta ** 2 * self.v.deriv2_s(x_i) - 2.0 * self.wcc
+        return self.beta ** 2 * self.d2v(x_i) - 2.0 * self.wcc
 
     # -- past the boundary: pullback ray ----------------------------------
 
@@ -284,7 +308,7 @@ class _DemandObjective:
         x_i = theta_i + alpha * (self.y0k + self.beta * t - theta_i)
         d_rows = n_r - alpha * (d_r + c_r * t)
         slack_tax = float((self.w * d_rows * d_rows).sum())
-        return self.v.value_s(x_i) - x_i * self.c_pay - slack_tax
+        return self.v(x_i) - x_i * self.c_pay - slack_tax
 
     def value(self, t: float) -> float:
         if t <= self.t_b:
@@ -439,7 +463,7 @@ def notional_demand(instance: Instance, profile: MessageProfile,
     d_i = float(instance.d[i])
     lo = d_i + _FLOOR_MARGIN * (1.0 + d_i)
     hi = instance.D + 1.0
-    obj = _DemandObjective(_SweepState(instance), profile, i)
+    obj = _DemandObjective(_SweepState.of(instance), profile, i)
     return float(_concave_argmax(obj, lo, hi))
 
 
@@ -734,7 +758,7 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     np.maximum.at(lo_g, loc, lo[grouped])
     prices = _GroupPrices(instance) if multi.size else None
 
-    state = _SweepState(instance) if singles.size else None
+    state = _SweepState.of(instance) if singles.size else None
     # the accelerated state: the shared (non-vacuous) rows' prices, then
     # the demands, each scaled to its box
     n_nv = int(nv.sum())
@@ -986,15 +1010,16 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     ceiling = False
     best_dev: list[dict] = []
     peer_means = _peer_means(instance, profile.prices)
+    slack_vec = instance.caps - instance.A @ base.x
+    price_br = _price_best_responses(peer_means, instance.eta, slack_vec)
     for i in range(n):
-        rows = instance.index_sets.rows_of_agent[i]
+        rows = list(instance.index_sets.rows_of_agent[i])
         # trials: one price best response per own row, the demand best
         # response, then the random joint deviations
         first_joint = len(rows) + 1
         Y = np.tile(profile.y, (first_joint + deviations, 1))
         P = np.tile(profile.prices[i], (first_joint + deviations, 1))
-        for k, l in enumerate(rows):
-            P[k, l] = best_response_price(instance, variant, profile, i, l)
+        P[np.arange(len(rows)), rows] = price_br[i, rows]
         y_new = best_response_demand(instance, variant, profile, i,
                                      thorough=True)
         if y_new >= hi - _CEILING_TOL * (1.0 + hi):
@@ -1028,7 +1053,6 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     on = instance.A.T != 0
     spread = np.where(on, profile.prices, -np.inf).max(axis=0) \
         - np.where(on, profile.prices, np.inf).min(axis=0)
-    slack_vec = instance.caps - instance.A @ base.x
     comp = float(np.max(np.abs(mean_p * slack_vec), initial=0.0))
     table = instance.valuation_table
     stat = float(np.max(np.abs(table.deriv(base.x) - instance.A.T @ mean_p)))

@@ -220,7 +220,8 @@ def generate_with_info(scenario: Scenario, seed: int
     Resamples (bounded, counted) until validation passes and the solved
     optimum sits strictly inside the message box with a working margin, so
     candidate equilibria exist for the generated instance. The info dict
-    gives the digest, the resample count and the count per reason:
+    gives the digest, the accepted draw's ``solution`` (solved at tol
+    1e-8), the resample count and the count per reason:
     ``invalid`` (validation failed), ``solver_error`` (the solver raised one
     of its expected numerical failures), ``nonconverged`` and
     ``non_interior`` (optimum outside the working margin). Sizes that no
@@ -249,7 +250,7 @@ def generate_with_info(scenario: Scenario, seed: int
                 and np.all(sol.x_star < inst.D - 1.0):
             return inst, {"resamples": attempt,
                           "digest": instance_digest(inst),
-                          "reasons": reasons}
+                          "reasons": reasons, "solution": sol}
         reasons["non_interior"] += 1
     raise GenerationFailed(
         f"no conforming instance for {scenario.kind} seed {seed} within "
@@ -342,9 +343,6 @@ class ExperimentReport:
             "comparison": self.comparison,
             "passed": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _price_comparison(instance: Instance, sol: CentralizedSolution,
@@ -444,15 +442,15 @@ class SuiteReport:
 
 @functools.cache
 def _suite_instances() -> "tuple[tuple[Instance, CentralizedSolution], ...]":
-    """The suites' instances with their solutions, built once per process;
-    callers copy an array before they mutate it."""
-    insts = (
-        canonical_instance(),
-        generate(Scenario(kind="unicast", n_agents=5, n_constraints=3), 11),
-        generate(Scenario(kind="public-good", n_agents=4), 12),
-        generate(Scenario(kind="local-public-goods", group_sizes=(3, 2)), 13),
-    )
-    return tuple((inst, solve(inst, strict=False)) for inst in insts)
+    """The suites' instances with their solutions at tol 1e-8, built once
+    per process; callers copy an array before they mutate it."""
+    generated = [generate_with_info(sc, seed) for sc, seed in (
+        (Scenario(kind="unicast", n_agents=5, n_constraints=3), 11),
+        (Scenario(kind="public-good", n_agents=4), 12),
+        (Scenario(kind="local-public-goods", group_sizes=(3, 2)), 13))]
+    canonical = canonical_instance()
+    return ((canonical, solve(canonical, strict=False)),) + tuple(
+        (inst, info["solution"]) for inst, info in generated)
 
 
 @functools.cache
@@ -614,34 +612,30 @@ def _suite_valuation_derivatives(samples: int, seed: int) -> SuiteReport:
     round trip v'((v')^{-1}(q)) = q through the valuation table for slopes
     q strictly between v'(D) and v'(0)."""
     rng = np.random.default_rng([seed, 505])
-    worst = 0.0
-    total = 0
     fams = ("log_shift", "power", "quad_cap")
-    vals = []
+    vals, xs = [], []
     for _ in range(samples):
-        v = _sample_valuation(rng, fams)
-        vals.append(v)
-        x = float(rng.uniform(0.05, 10.0))
-        h = 1e-6 * (1.0 + x)
-        fd = (v.value_s(x + h) - v.value_s(x - h)) / (2.0 * h)
-        rel = abs(fd - v.deriv_s(x)) / (1.0 + abs(v.deriv_s(x)))
-        worst = max(worst, rel)
-        fd2 = (v.deriv_s(x + h) - v.deriv_s(x - h)) / (2.0 * h)
-        rel2 = abs(fd2 - v.deriv2_s(x)) / (1.0 + abs(v.deriv2_s(x)))
-        worst = max(worst, rel2)
-        if v.deriv2_s(x) >= 0:
-            worst = max(worst, 1.0)
-        total += 1
+        vals.append(_sample_valuation(rng, fams))
+        xs.append(float(rng.uniform(0.05, 10.0)))
+    table = ValuationTable.of(vals)
+    x = np.array(xs)
+    h = 1e-6 * (1.0 + x)
+    exact = np.stack([table.deriv(x), table.deriv2(x)])
+    fd = np.stack([table.value(x + h) - table.value(x - h),
+                   table.deriv(x + h) - table.deriv(x - h)]) / (2.0 * h)
+    worst = float(np.max(np.abs(fd - exact) / (1.0 + np.abs(exact)),
+                         initial=0.0))
+    if np.any(exact[1] >= 0):
+        worst = max(worst, 1.0)
     D = 100.0
     # slopes at points spread log-uniformly over (1e-6 D, D) lie strictly
     # inside (v'(D), v'(0)) because v' is strictly decreasing
     pts = D * 10.0 ** rng.uniform(-6.0, 0.0, len(vals))
-    q = np.array([v.deriv_s(float(p)) for v, p in zip(vals, pts)])
-    z = ValuationTable.of(vals).inv_deriv(q, D)
-    back = np.array([v.deriv_s(float(t)) for v, t in zip(vals, z)])
+    q = table.deriv(pts)
+    back = table.deriv(table.inv_deriv(q, D))
     worst_inv = float(np.max(np.abs(back - q) / (1.0 + np.abs(q)),
                              initial=0.0))
-    return SuiteReport(name="valuation_derivatives", samples=total,
+    return SuiteReport(name="valuation_derivatives", samples=samples,
                        passed=worst <= 1e-6 and worst_inv <= 1e-12,
                        max_violation=worst,
                        details={"tolerance": 1e-6,
@@ -649,7 +643,8 @@ def _suite_valuation_derivatives(samples: int, seed: int) -> SuiteReport:
                                 "inverse_tolerance": 1e-12})
 
 
-def _oracle_cases() -> "list[tuple[Instance, float]]":
+def _oracle_cases() -> "list[tuple[Instance, CentralizedSolution, float]]":
+    """(instance, its solution at tol 1e-8, oracle grid step) per case."""
     tight = Instance(
         valuations=(Valuation("log_shift", 1.0, 1.0),
                     Valuation("power", 1.0, 0.5),
@@ -657,15 +652,16 @@ def _oracle_cases() -> "list[tuple[Instance, float]]":
         constraints=(Constraint({0: 1.0, 1: 1.0, 2: 1.0}, 0.4),
                      Constraint({0: 2.0, 1: 1.0}, 0.3)),
         equality_groups=(), d=np.full(3, 0.001), D=100.0, eta=1.0)
-    pg = generate(Scenario(kind="public-good", n_agents=4), 12)
-    return [(canonical_instance(), 1e-3), (tight, 2e-3), (pg, 1e-4)]
+    # the suites' canonical and public-good (seed 12) instances
+    (canonical, canonical_sol), _, (pg, pg_sol), _ = _suite_instances()
+    return [(canonical, canonical_sol, 1e-3),
+            (tight, solve(tight, strict=False), 2e-3), (pg, pg_sol, 1e-4)]
 
 
 def _suite_oracle_equivalence(samples: int, seed: int) -> SuiteReport:
     worst = 0.0
     total = 0
-    for inst, step in _oracle_cases():
-        sol = solve(inst, strict=False)
+    for inst, sol, step in _oracle_cases():
         orc = brute_force_oracle(inst, step=step)
         red = inst.reduced
         z = np.maximum(red.restrict(sol.x_star) - step, 1e-9)

@@ -105,7 +105,7 @@ class Variant(Choice):
 
 class _Family(NamedTuple):
     """Elementwise v, v', v'' and the unclipped inverse of v' for one
-    family, in numpy form: parameters and points broadcast together."""
+    family: parameters and points broadcast together (see FAMILIES)."""
 
     value: Callable
     deriv: Callable
@@ -114,31 +114,20 @@ class _Family(NamedTuple):
 
 
 def _log_inv(a, b, q):
-    with np.errstate(divide="ignore"):
-        z = np.where(q > 0, a / q - 1.0 / b, np.inf)
+    z = np.where(q > 0, a / q - 1.0 / b, np.inf)
     return np.where(q >= a * b, 0.0, z)
 
 
-def _power_deriv(a, b, x):
-    with np.errstate(divide="ignore"):
-        return a * b * x ** (b - 1.0)
-
-
-def _power_deriv2(a, b, x):
-    with np.errstate(divide="ignore"):
-        return a * b * (b - 1.0) * x ** (b - 2.0)
-
-
 def _power_inv(a, b, q):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = (q / (a * b)) ** (1.0 / (b - 1.0))
-    return np.where(q > 0, z, np.inf)
+    return np.where(q > 0, (q / (a * b)) ** (1.0 / (b - 1.0)), np.inf)
 
 
-# The one home of valuation arithmetic in array form. inv_deriv returns the
-# point where v' equals q: +inf when no point of [0, inf) has a slope that
-# low (q <= 0 for the families with v' > 0), and exactly 0 when q is at or
-# above v'(0).
+# The one home of valuation arithmetic. value, deriv and deriv2 are plain
+# arithmetic on a Python float or an array alike; inv_deriv is array-only.
+# Callers on arrays open np.errstate (a power slope at 0 divides by zero);
+# on floats they keep x > 0 for power. inv_deriv returns the point where v'
+# equals q: +inf when no point of [0, inf) has a slope that low (q <= 0 for
+# the families with v' > 0), and exactly 0 when q is at or above v'(0).
 FAMILIES: dict[str, _Family] = {
     "log_shift": _Family(
         value=lambda a, b, x: a * np.log1p(b * x),
@@ -147,13 +136,13 @@ FAMILIES: dict[str, _Family] = {
         inv_deriv=_log_inv),
     "power": _Family(
         value=lambda a, b, x: a * x ** b,
-        deriv=_power_deriv,
-        deriv2=_power_deriv2,
+        deriv=lambda a, b, x: a * b * x ** (b - 1.0),
+        deriv2=lambda a, b, x: a * b * (b - 1.0) * x ** (b - 2.0),
         inv_deriv=_power_inv),
     "quad_cap": _Family(
         value=lambda a, b, x: a * (b * x - x ** 2 / 2.0),
         deriv=lambda a, b, x: a * (b - x),
-        deriv2=lambda a, b, x: np.zeros_like(x) - a,
+        deriv2=lambda a, b, x: 0.0 * x - a,
         inv_deriv=lambda a, b, q: np.where(q >= a * b, 0.0, b - q / a)),
 }
 
@@ -187,7 +176,8 @@ class Valuation:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise DomainError("valuation evaluated at negative x")
-        return getattr(FAMILIES[self.family], fn)(self.a, self.b, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return getattr(FAMILIES[self.family], fn)(self.a, self.b, x)
 
     def value(self, x):
         return self._eval("value", x)
@@ -199,36 +189,6 @@ class Valuation:
     def deriv2(self, x):
         out = self._eval("deriv2", x)
         return out if out.shape else float(out)
-
-    # scalar fast paths for hot loops (no array round-trip)
-    def value_s(self, x: float) -> float:
-        if x < 0:
-            raise DomainError("valuation evaluated at negative x")
-        if self.family == "log_shift":
-            return self.a * math.log1p(self.b * x)
-        if self.family == "power":
-            return self.a * x ** self.b
-        return self.a * (self.b * x - x * x / 2.0)
-
-    def deriv_s(self, x: float) -> float:
-        if x < 0:
-            raise DomainError("valuation evaluated at negative x")
-        if self.family == "log_shift":
-            return self.a * self.b / (1.0 + self.b * x)
-        if self.family == "power":
-            return math.inf if x == 0.0 else self.a * self.b * x ** (self.b - 1.0)
-        return self.a * (self.b - x)
-
-    def deriv2_s(self, x: float) -> float:
-        if x < 0:
-            raise DomainError("valuation evaluated at negative x")
-        if self.family == "log_shift":
-            q = 1.0 + self.b * x
-            return -self.a * self.b * self.b / (q * q)
-        if self.family == "power":
-            return -math.inf if x == 0.0 else (
-                self.a * self.b * (self.b - 1.0) * x ** (self.b - 2.0))
-        return -self.a
 
     def to_dict(self) -> dict:
         if self.family == "quad_cap":
@@ -287,10 +247,11 @@ class ValuationTable:
         x = np.asarray(x, dtype=float)
         outs = [np.empty_like(x) for _ in names]
         tail = (1,) * (x.ndim - 1)
-        for fam, idx, a, b in self._parts:
-            a, b, xi = a.reshape(-1, *tail), b.reshape(-1, *tail), x[idx]
-            for out, name in zip(outs, names):
-                out[idx] = getattr(fam, name)(a, b, xi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for fam, idx, a, b in self._parts:
+                a, b, xi = a.reshape(-1, *tail), b.reshape(-1, *tail), x[idx]
+                for out, name in zip(outs, names):
+                    out[idx] = getattr(fam, name)(a, b, xi)
         return outs
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -525,7 +486,8 @@ class Instance:
 
     eta must be >= 0 (0 turns the slackness penalty off): a negative eta
     makes the slack tax weights eta * pbar * p negative and the demand
-    objective non-concave.
+    objective non-concave. Every floor in d must be > 0: the interior
+    anchor theta is a positive fraction of d.
     """
 
     valuations: tuple[Valuation, ...]
@@ -551,6 +513,8 @@ class Instance:
             raise InvalidParameter("d, D and eta must be finite")
         if eta < 0:
             raise InvalidParameter(f"eta = {eta} must be >= 0")
+        if not np.all(d > 0):
+            raise InvalidParameter(f"every floor in d must be > 0, got {d}")
         if not D > max(0.0, float(d.max(initial=0.0))):
             raise InvalidParameter(
                 f"D = {D} must be positive and exceed every floor in d")
@@ -804,8 +768,6 @@ def derive_theta(instance: Instance) -> np.ndarray:
     """
     red = instance.reduced
     rows, caps, d_red = red.A_nv, red.caps_nv, red.d_red
-    if np.any(d_red <= 0):
-        raise NoInteriorPoint("d must be strictly positive")
     sigma = 0.5
     margin = INTERIOR_MARGIN * (1.0 + np.abs(caps))
     while sigma >= SIGMA_FLOOR:
@@ -863,8 +825,7 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
     grid = np.geomspace(max(instance.D * 1e-6, 1e-9), instance.D, 23)
     not_concave = ~np.all(
         table.deriv2(np.broadcast_to(grid, (n, grid.size))) < 0, axis=1)
-    with np.errstate(invalid="ignore"):  # 0 * inf for a tiny power a
-        not_increasing = table.deriv(np.zeros(n)) <= 0
+    not_increasing = table.deriv(np.zeros(n)) <= 0
     bad = []
     for i in np.flatnonzero(not_concave | not_increasing):
         if not_concave[i]:
@@ -875,8 +836,6 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
 
     # A2: box sanity now, interior optimum when a solution is supplied.
     msgs = []
-    if not np.all(instance.d > 0):
-        msgs.append("d must be positive")
     for g in instance.equality_groups:
         if len(g) > 1 and not np.allclose(instance.d[list(g)],
                                           instance.d[g[0]]):

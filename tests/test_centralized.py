@@ -160,7 +160,7 @@ def test_inner_solve_matches_bisection_per_coordinate():
     calc = _GroupCalc(red)
 
     def slope(k, z):
-        return sum(inst.valuations[i].deriv_s(z)
+        return sum(inst.valuations[i].deriv(z)
                    for i in red.group_members[k])
 
     def bisect(k, q):

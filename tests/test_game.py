@@ -85,7 +85,7 @@ def test_outcome_utilities_decompose():
     prof = make_profile(inst, np.array([0.3, 0.6]),
                         np.array([[0.2], [0.5]]))
     out = outcome(inst, "base", prof)
-    vals = np.array([v.value_s(float(out.x[i]))
+    vals = np.array([v.value(float(out.x[i]))
                      for i, v in enumerate(inst.valuations)])
     assert out.utilities == pytest.approx(vals - out.taxes.per_agent,
                                           abs=1e-14)
@@ -493,7 +493,7 @@ def reference_group_consensus(instance: Instance, members: np.ndarray,
     vals = [instance.valuations[int(i)] for i in members]
 
     def f(z: float) -> float:
-        return sum(v.deriv_s(z) for v in vals) - total_cost
+        return sum(v.deriv(z) for v in vals) - total_cost
 
     hi = instance.D
     if f(lo) <= 0.0:
@@ -510,7 +510,7 @@ def reference_group_consensus(instance: Instance, members: np.ndarray,
             b = z
         if b - a <= 1e-15 * (1.0 + b):
             break
-        fp = sum(v.deriv2_s(z) for v in vals)
+        fp = sum(v.deriv2(z) for v in vals)
         step = z - fz / fp if fp < 0.0 else a
         z = step if a < step < b else 0.5 * (a + b)
     return z
@@ -712,12 +712,12 @@ class ReferenceDemandObjective:
 
     def grad_inside(self, t):
         x_i = self.y0k + self.beta * t
-        return self.beta * (self.v.deriv_s(x_i) - self.c_pay) \
+        return self.beta * (self.v.deriv(x_i) - self.c_pay) \
             + 2.0 * (self.wgc - t * self.wcc)
 
     def curv_inside(self, t):
         x_i = self.y0k + self.beta * t
-        return self.beta ** 2 * self.v.deriv2_s(x_i) - 2.0 * self.wcc
+        return self.beta ** 2 * self.v.deriv2(x_i) - 2.0 * self.wcc
 
 
 def mixed_instance(rng, sizes, n_single):
@@ -818,12 +818,6 @@ def test_sweep_objective_matches_the_per_agent_reference(case):
     finally:
         game._concave_argmax = concave_argmax
     assert seen == _singles(inst).tolist()
-    # the running A_hat @ y after a full sweep is the fresh product, up to
-    # rounding in the terms that entered it: each agent's column times its
-    # demand before and after its move
-    fresh = red.A_hat @ prof.y
-    scale = np.abs(red.A_hat) @ (np.abs(y0) + np.abs(prof.y))
-    assert np.all(np.abs(state.ay - fresh) <= 1e-13 * scale)
 
 
 def test_sweep_objective_from_a_fresh_product_is_the_reference():
@@ -900,7 +894,7 @@ def test_price_caps_and_local_gains_match_the_per_agent_loops():
     rng = np.random.default_rng(3)
     for k in (1, 3, 4, 6, 7):
         inst = generate(*base[k])
-        slopes = np.array([v.deriv_s(float(inst.d[i]))
+        slopes = np.array([v.deriv(float(inst.d[i]))
                            for i, v in enumerate(inst.valuations)])
         want = np.empty(inst.n_constraints)
         for l, mem in enumerate(inst.index_sets.members):
@@ -916,7 +910,7 @@ def test_price_caps_and_local_gains_match_the_per_agent_loops():
         # demands below the floor, inside, and above the ceiling
         y = inst.d + rng.uniform(0.0, 1.2 * inst.D, inst.n_agents)
         y[0], y[1] = 0.5 * inst.d[0], inst.D + 5.0
-        r = np.array([1.0 / max(abs(v.deriv2_s(
+        r = np.array([1.0 / max(abs(v.deriv2(
             min(max(float(y[i]), float(inst.d[i]) + 1e-9), inst.D))), 1e-12)
             for i, v in enumerate(inst.valuations)])
         coupling = np.abs(inst.A @ (r[:, None] * inst.A.T)).sum(axis=1)
@@ -1077,6 +1071,33 @@ def test_verify_accepts_the_candidate():
     assert np.all(rep.ir_margins >= -1e-9)
     assert rep.ir_margins == pytest.approx(
         np.full(2, math.log(1.5) - 1.0 / 3.0), abs=1e-9)
+
+
+def test_verify_price_trials_are_the_price_best_responses(monkeypatch):
+    """verify_epsilon_ne prices every membership of the profile in one
+    call; each own-row price trial is bitwise the profile with that price
+    replaced by best_response_price, on the 11 bundled candidates and on
+    random off-equilibrium profiles."""
+    seen = []
+    batch = game._own_deviation_utilities
+
+    def record(inst, prof, base, i, Y, P, *rest):
+        seen.append((i, P.copy()))
+        return batch(inst, prof, base, i, Y, P, *rest)
+
+    monkeypatch.setattr(game, "_own_deviation_utilities", record)
+    cases = [(inst, candidate(inst)) for inst in bundled_instances()]
+    cases += [(inst, prof) for inst, prof, _ in
+              off_equilibrium_profiles(44, 21)]
+    for inst, prof in cases:
+        seen.clear()
+        verify_epsilon_ne(inst, "base", prof, deviations=0)
+        assert [i for i, _ in seen] == list(range(inst.n_agents))
+        for i, P in seen:
+            for k, l in enumerate(inst.index_sets.rows_of_agent[i]):
+                want = prof.prices[i].copy()
+                want[l] = best_response_price(inst, "base", prof, i, l)
+                assert P[k].tobytes() == want.tobytes(), (i, l)
 
 
 def test_verify_flags_price_disagreement():

@@ -231,7 +231,7 @@ def test_run_experiment_canonical_end_to_end():
     assert rep.final_verify["passed"]
     assert rep.comparison["x_err"] <= 1e-6
     assert rep.comparison["price_err"] <= 1e-6
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.to_dict()))
     assert payload["passed"] is True
     assert payload["digest"] == rep.digest
 
@@ -424,6 +424,20 @@ def test_cli_solve_refuses_negative_eta(tmp_path, capsys):
     inst["eta"] = 0.0
     path.write_text(json.dumps(inst))
     assert main(["solve", str(path), "--json", str(tmp_path / "s.json")]) == 0
+
+
+@pytest.mark.parametrize("d", [0.0, -0.5])
+def test_cli_solve_refuses_a_nonpositive_floor(tmp_path, capsys, d):
+    inst = instance_to_dict(canonical_instance())
+    inst["d"] = [0.01, d]
+    path = tmp_path / "floor.json"
+    path.write_text(json.dumps(inst))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") \
+        and "floor in d" in err[0]
 
 
 def test_cli_usage_exit_codes(tmp_path, capsys):
