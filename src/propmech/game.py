@@ -17,12 +17,12 @@ import numpy as np
 
 from .allocation import _ray_pieces, allocate, allocate_many
 from .centralized import CentralizedSolution
-from .model import (FAMILIES, Choice, DomainError, Instance,
-                    InvalidParameter, Valuation, Variant, nnls_tableau,
-                    nnls_tol_scale)
+from .model import (Choice, Instance, InvalidParameter, Variant, _bind,
+                    nnls_tableau, nnls_tol_scale)
 from .taxation import (TaxBreakdown, _budget_books, _check_finite,
                        _check_offeq, _check_prices, _gross, _member_means,
-                       _peer_means, _require_peers, _tax_terms, pbar, tax)
+                       _peer_means, _peer_means_at, _require_peers,
+                       _tax_terms, pbar, tax)
 
 __all__ = [
     "A2Violation",
@@ -135,30 +135,17 @@ def best_response_price(instance: Instance, variant: "str | Variant",
     return float(_price_best_responses(pb, instance.eta, slack[l]))
 
 
-def _bind(v: Valuation) -> tuple:
-    """v's value, slope and curvature as functions of one float x > 0:
-    the FAMILIES forms with v's parameters."""
-    a, b = v.a, v.b
-
-    def at(form):
-        def f(x: float) -> float:
-            if x < 0:
-                raise DomainError("valuation evaluated at negative x")
-            return form(a, b, x)
-        return f
-    return tuple(at(form) for form in FAMILIES[v.family][:3])
-
-
 class _SweepState:
     """What every agent's demand objective reads of the instance, built
     once per run_dynamics (or per best-response call).
 
     Per agent: its valuation's value, slope and curvature on floats, its
-    own rows, its A_hat column (the demand-space rows' coefficients on its
-    demand), that column and A's on its own rows, and its group. Per
-    instance: the anchor theta, caps - A_red theta and the non-vacuous
-    rows' tolerances, which only the pullback piece and the boundary t_b
-    read. ``sweep`` moves the singleton agents in turn.
+    own rows with its slot on each in the row layout, its A_hat column
+    (the demand-space rows' coefficients on its demand), that column and
+    A's on its own rows, and its group. Per instance: the anchor theta,
+    caps - A_red theta and the non-vacuous rows' tolerances, which only
+    the pullback piece and the boundary t_b read. ``sweep`` moves the
+    singleton agents in turn.
     """
 
     def __init__(self, instance: Instance):
@@ -167,9 +154,12 @@ class _SweepState:
         self.instance = instance
         self.A_hat = red.A_hat
         self.C = np.ascontiguousarray(red.A_hat.T)  # row i: i's column
-        self.v = [_bind(v) for v in instance.valuations]
-        self.rows = [np.array(r, dtype=int)
-                     for r in instance.index_sets.rows_of_agent]
+        self.v = [_bind(v.family, v.a, v.b) for v in instance.valuations]
+        sets = instance.index_sets
+        self.rows = [np.array(r, dtype=int) for r in sets.rows_of_agent]
+        self.slots = [np.array([sets.members[l].index(i) for l in r],
+                               dtype=int)
+                      for i, r in enumerate(sets.rows_of_agent)]
         self.coef_rows = [self.C[i, r] for i, r in enumerate(self.rows)]
         self.a_rows = [instance.A[r, i] for i, r in enumerate(self.rows)]
         self.caps_rows = [instance.caps[r] for r in self.rows]
@@ -214,7 +204,8 @@ class _DemandObjective:
     past the boundary it follows the pullback ray. Constant terms
     (disagreement penalty, rebate) are dropped. ``state`` holds the
     instance's constants; ``peer_means`` is the profile's (N, L) peer mean
-    prices and ``ay`` its A_hat @ y, when the caller already has them. The
+    prices and ``ay`` its A_hat @ y, when the caller already has them
+    (without peer_means, i's own rows alone are averaged). The
     slope and curvature read four scalars; the boundary t_b and the
     pullback piece are formed only when asked for.
     """
@@ -236,10 +227,9 @@ class _DemandObjective:
                                   for j in red.group_members[k])
                         - self.y_i) / red.group_sizes[k]
         self.ay = state.A_hat @ profile.y if ay is None else ay
-        if peer_means is None:
-            peer_means = _peer_means(instance, profile.prices)
         rows = state.rows[i]
-        pb = peer_means[i, rows]
+        pb = _peer_means_at(instance, profile.prices, rows, state.slots[i]) \
+            if peer_means is None else peer_means[i, rows]
         self.c_pay = float((state.a_rows[i] * pb).sum())
         # slack tax on own rows: sum of w (gap - coef t)^2 with weights
         # eta * pbar * p_own, a quadratic in own demand t

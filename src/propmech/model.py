@@ -239,20 +239,22 @@ class ValuationTable:
                 parts.append((fam, idx, self.a[idx], self.b[idx]))
         return tuple(parts)
 
-    def _map(self, fn: str, x: np.ndarray) -> np.ndarray:
-        return self._map_many((fn,), x)[0]
+    @cached_property
+    def _forms(self) -> tuple:
+        """Per agent, its (value, slope, curvature) on floats (see _bind)."""
+        names = list(FAMILIES)
+        return tuple(_bind(names[c], a, b) for c, a, b in zip(
+            self.code.tolist(), self.a.tolist(), self.b.tolist()))
 
-    def _map_many(self, names: Sequence[str], x: np.ndarray) -> list:
-        """One array per name, from one gather of x per family."""
+    def _map(self, fn: str, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        outs = [np.empty_like(x) for _ in names]
+        out = np.empty_like(x)
         tail = (1,) * (x.ndim - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             for fam, idx, a, b in self._parts:
-                a, b, xi = a.reshape(-1, *tail), b.reshape(-1, *tail), x[idx]
-                for out, name in zip(outs, names):
-                    out[idx] = getattr(fam, name)(a, b, xi)
-        return outs
+                out[idx] = getattr(fam, fn)(a.reshape(-1, *tail),
+                                            b.reshape(-1, *tail), x[idx])
+        return out
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return self._map("value", x)
@@ -267,54 +269,91 @@ class ValuationTable:
         """Per agent, the maximizer of v(z) - q z over [0, D]."""
         return np.clip(self._map("inv_deriv", q), 0.0, D)
 
-    def group_sums(self, fn: "str | Sequence[str]", z: np.ndarray,
-                   group: np.ndarray):
+    def group_sums(self, fn: str, z: np.ndarray,
+                   group: np.ndarray) -> np.ndarray:
         """Per group g, the sum of fn ("value", "deriv" or "deriv2") over
-        its members at z[g]; the table's agent j belongs to group[j]. A
-        sequence of names gives a tuple of sums, one per name, from one
-        evaluation pass."""
-        sums = tuple(np.bincount(group, weights=v, minlength=len(z))
-                     for v in self._map_many(
-                         (fn,) if isinstance(fn, str) else fn, z[group]))
-        return sums[0] if isinstance(fn, str) else sums
+        its members at z[g]; the table's agent j belongs to group[j]."""
+        return np.bincount(group, weights=self._map(fn, z[group]),
+                           minlength=len(z))
 
     def group_inv_deriv(self, q: np.ndarray, D: float, group: np.ndarray,
                         lo, z0: "np.ndarray | None" = None) -> np.ndarray:
         """Per group g, the maximizer of its members' summed valuations
-        minus q[g] z over [lo[g], D]: a safeguarded Newton solve of the
-        summed slope equation, vectorized over the groups and started from
-        z0 (default D/2). A crossing outside [lo[g], D] pins that end.
-        """
-        G = len(q)
-        a = np.zeros(G) + lo
-        b = np.full(G, float(D))
-        at_top = self.group_sums("deriv", b, group) - q >= 0
-        at_bot = self.group_sums("deriv", np.maximum(a, 1e-300), group) \
-            - q <= 0
-        pinned = at_top | at_bot  # overwritten below, need not converge
-        z = np.clip(z0 if z0 is not None else np.full(G, D / 2),
-                    np.maximum(a, 1e-12), D - 1e-12)
-        for _ in range(80):
-            slope, curv = self.group_sums(("deriv", "deriv2"), z, group)
-            f = slope - q
-            pos = f > 0
-            a = np.where(pos, z, a)
-            b = np.where(pos, b, z)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = z - f / curv
-            # closed bracket: a step that lands on the root it already
-            # holds (f = 0) stays put instead of restarting bisection
-            inside = (newton >= a) & (newton <= b) & np.isfinite(newton)
-            z_new = np.where(inside, newton, 0.5 * (a + b))
-            # a step onto a bracket end returns to a point already
-            # evaluated: Newton alternates between neighbouring floats
-            done = np.all(pinned | (z_new == a) | (z_new == b)
-                          | (np.abs(z_new - z) <= 4e-16 * (1.0 + np.abs(z))))
-            z = z_new
-            if done:
-                break
-        z = np.where(at_bot, lo, z)
-        return np.where(at_top, float(D), z)
+        minus q[g] z over [lo[g], D]: one safeguarded Newton solve of the
+        summed slope equation per group on floats, started from z0
+        (default D/2). A crossing outside [lo[g], D] pins that end."""
+        G, D = len(q), float(D)
+        members: list[list] = [[] for _ in range(G)]
+        for g, (_, dv, d2v) in zip(group.tolist(), self._forms):
+            members[g].append((dv, d2v))
+        lo = (np.zeros(G) + lo).tolist()
+        z0 = [D / 2] * G if z0 is None else np.asarray(z0, float).tolist()
+        return np.array([_consensus(m, qg, D, lg, zg) for m, qg, lg, zg
+                         in zip(members, np.asarray(q, float).tolist(), lo,
+                                z0)])
+
+
+def _bind(family: str, a: float, b: float) -> tuple:
+    """A valuation's value, slope and curvature as functions of one float
+    x: the FAMILIES forms with its parameters (DomainError for x < 0)."""
+
+    def at(form):
+        def f(x: float) -> float:
+            if x < 0:
+                raise DomainError("valuation evaluated at negative x")
+            return form(a, b, x)
+        return f
+    return tuple(at(form) for form in FAMILIES[family][:3])
+
+
+def _consensus(members: list, q: float, D: float, lo: float,
+               z0: float) -> float:
+    """The point of [lo, D] where the members' summed slope meets q, from
+    their (slope, curvature) float forms; a crossing outside pins that end.
+
+    Newton on a bracket that every evaluated point shrinks, with bisection
+    where the step leaves it or the curvature is 0. Python raises where
+    numpy returns inf, so the points stay at or above 1e-12, where no
+    power curvature overflows, and the low-end test reads the slope alone
+    at max(lo, 1e-300). Stops after 80 steps, when a step lands on a
+    bracket end (a point already evaluated: Newton alternates between
+    neighbouring floats there) or when it moves z by at most
+    4e-16 (1 + |z|).
+    """
+    def slope(x):
+        s = 0.0
+        for dv, _ in members:
+            s += dv(x)
+        return s
+
+    if slope(D) - q >= 0:
+        return D
+    if slope(max(lo, 1e-300)) - q <= 0:
+        return lo
+    a, b = lo, D
+    z = min(max(z0, a, 1e-12), D - 1e-12)
+    for _ in range(80):
+        f = slope(z) - q
+        if f > 0:
+            a = z
+        else:
+            b = z
+        curv = 0.0
+        for _, d2v in members:
+            try:
+                curv += d2v(z)
+            except OverflowError:
+                pass  # log_shift's (1 + b z)^2 past 1.8e308: numpy's -0
+        newton = z - f / curv if curv != 0.0 else math.nan
+        # closed bracket: a step that lands on the root it already holds
+        # (f = 0) stays put instead of restarting bisection
+        z_new = max(newton if a <= newton <= b else 0.5 * (a + b), 1e-12)
+        done = z_new == a or z_new == b \
+            or abs(z_new - z) <= 4e-16 * (1.0 + abs(z))
+        z = z_new
+        if done:
+            break
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,16 @@ def _peer_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
     return _scatter(instance, _member_peer_means(instance, prices[None])[1])[0]
 
 
+def _peer_means_at(instance: Instance, prices: np.ndarray, rows,
+                   slots) -> np.ndarray:
+    """Peer means of row rows[k]'s member in slot slots[k] of the row
+    layout, from the leave-one-out on those rows alone: bitwise the
+    entries _peer_means gives."""
+    lay = instance.row_layout
+    p = np.where(lay.mask[rows], prices.reshape(-1)[lay.pick[rows]], 0.0)
+    return _loo(p)[np.arange(len(rows)), slots] / (lay.counts[rows] - 1)
+
+
 def _member_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
     """(L,) mean of the prices quoted by each row's members."""
     on = (instance.A != 0).T
@@ -209,17 +219,15 @@ def _gross(a_x, p, pb, eta: float, slack):
 
 
 def pbar(instance: Instance, prices: np.ndarray, i: int, l: int) -> float:
-    """Average price quoted on constraint l by the members other than i:
-    the peer means' leave-one-out on row l's layout alone, bitwise
-    _peer_means(...)[i, l]."""
+    """Average price quoted on constraint l by the members other than i,
+    bitwise _peer_means(...)[i, l] (see _peer_means_at)."""
     prices = _check_prices(instance, prices)
     members = instance.index_sets.members[l]
     if i not in members:
         raise AgentNotOnConstraint(f"agent {i} is not on constraint {l}")
     _require_peers(instance)
-    lay = instance.row_layout
-    p = np.where(lay.mask[l], prices.reshape(-1)[lay.pick[l]], 0.0)
-    return float(_loo(p)[members.index(i)] / (lay.counts[l] - 1))
+    return float(_peer_means_at(instance, prices, [l],
+                                [members.index(i)])[0])
 
 
 def _check_offeq(instance: Instance) -> None:

@@ -6,7 +6,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import nnls as scipy_nnls
 
 from propmech import game
 from propmech.centralized import solve
@@ -612,6 +611,7 @@ def test_group_price_map_matches_scipy_on_warm_sequences(shape):
     """Per fixed group matrix, 20 drifting right-hand sides in a row: the
     block map (kept passive sets, refits where they fail) gives scipy's
     NNLS prices and residuals."""
+    scipy_nnls = pytest.importorskip("scipy.optimize").nnls
     inst = generate(Scenario(kind="local-public-goods", group_sizes=shape),
                     300 + sum(shape))
     gp = game._GroupPrices(inst)
@@ -635,6 +635,39 @@ def test_group_price_map_matches_scipy_on_warm_sequences(shape):
                 worst = max(worst, float(np.max(np.abs(t[ms] - B.T @ ref)))
                             / (1.0 + float(np.max(want[ms]))))
             assert resid == pytest.approx(worst, rel=1e-12, abs=1e-15)
+
+
+def test_demand_responses_average_own_rows_bitwise(monkeypatch):
+    """Without peer means from the caller, the demand objective averages
+    agent i's own rows alone. On every bundled instance, at random
+    profiles with some zero prices, best_response_demand and
+    notional_demand are bitwise what the full (N, L) peer means give."""
+    rng = np.random.default_rng(23)
+    profiles = []
+    for variant in ("base", "sbb-offeq"):
+        for sc, seed in bundled_scenarios(variant):
+            inst = generate(sc, seed)
+            n, L = inst.n_agents, inst.n_constraints
+            for _ in range(3):
+                P = rng.uniform(0.0, 2.0, (n, L)) * (rng.random((n, L)) < 0.8)
+                profiles.append((inst, make_profile(
+                    inst, inst.d + rng.uniform(0.01, 1.0, n), P)))
+
+    def responses():
+        return [(best_response_demand(inst, "base", prof, i),
+                 best_response_demand(inst, "base", prof, i, thorough=False),
+                 notional_demand(inst, prof, i))
+                for inst, prof in profiles for i in range(inst.n_agents)]
+
+    own = responses()
+
+    class FullPeerMeans(_DemandObjective):
+        def __init__(self, state, profile, i, peer_means=None, ay=None):
+            super().__init__(state, profile, i, _peer_means(
+                state.instance, profile.prices), ay)
+
+    monkeypatch.setattr(game, "_DemandObjective", FullPeerMeans)
+    assert own == responses()
 
 
 def test_demand_objective_slopes_match_central_differences():
