@@ -21,8 +21,8 @@ from .model import (Choice, Instance, InvalidParameter, Variant, _bind,
                     nnls_tableau, nnls_tol_scale)
 from .taxation import (TaxBreakdown, _budget_books, _check_finite,
                        _check_offeq, _check_prices, _gross, _member_means,
-                       _peer_means, _peer_means_at, _require_peers,
-                       _tax_terms, pbar, tax)
+                       _peer_means, _peer_means_at, _peer_picks,
+                       _require_peers, _tax_terms, pbar, tax)
 
 __all__ = [
     "A2Violation",
@@ -140,12 +140,12 @@ class _SweepState:
     once per run_dynamics (or per best-response call).
 
     Per agent: its valuation's value, slope and curvature on floats, its
-    own rows with its slot on each in the row layout, its A_hat column
-    (the demand-space rows' coefficients on its demand), that column and
-    A's on its own rows, and its group. Per instance: the anchor theta,
-    caps - A_red theta and the non-vacuous rows' tolerances, which only
-    the pullback piece and the boundary t_b read. ``sweep`` moves the
-    singleton agents in turn.
+    own rows and where its peer means sit on them in the row layout, its
+    A_hat column (the demand-space rows' coefficients on its demand), that
+    column and A's on its own rows, and its group. Per instance: the
+    anchor theta, caps - A_red theta and the non-vacuous rows' tolerances,
+    which only the pullback piece and the boundary t_b read. ``sweep``
+    moves the singleton agents in turn.
     """
 
     def __init__(self, instance: Instance):
@@ -155,11 +155,10 @@ class _SweepState:
         self.A_hat = red.A_hat
         self.C = np.ascontiguousarray(red.A_hat.T)  # row i: i's column
         self.v = [_bind(v.family, v.a, v.b) for v in instance.valuations]
-        sets = instance.index_sets
-        self.rows = [np.array(r, dtype=int) for r in sets.rows_of_agent]
-        self.slots = [np.array([sets.members[l].index(i) for l in r],
-                               dtype=int)
-                      for i, r in enumerate(sets.rows_of_agent)]
+        self.rows = [np.array(r, dtype=int)
+                     for r in instance.index_sets.rows_of_agent]
+        self.picks = [_peer_picks(instance, i, r)
+                      for i, r in enumerate(self.rows)]
         self.coef_rows = [self.C[i, r] for i, r in enumerate(self.rows)]
         self.a_rows = [instance.A[r, i] for i, r in enumerate(self.rows)]
         self.caps_rows = [instance.caps[r] for r in self.rows]
@@ -228,7 +227,7 @@ class _DemandObjective:
                         - self.y_i) / red.group_sizes[k]
         self.ay = state.A_hat @ profile.y if ay is None else ay
         rows = state.rows[i]
-        pb = _peer_means_at(instance, profile.prices, rows, state.slots[i]) \
+        pb = _peer_means_at(profile.prices, state.picks[i]) \
             if peer_means is None else peer_means[i, rows]
         self.c_pay = float((state.a_rows[i] * pb).sum())
         # slack tax on own rows: sum of w (gap - coef t)^2 with weights

@@ -166,9 +166,9 @@ def _loo(v: np.ndarray) -> np.ndarray:
     exclusive prefix sum plus an exclusive suffix sum. Neither reads the
     entry itself, so the result is bitwise independent of it, and zeros
     padded at the end change neither sum."""
-    out = np.zeros_like(v)
-    np.cumsum(v[..., :-1], axis=-1, out=out[..., 1:])
-    out[..., :-1] += np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
+    out = np.zeros_like(v)  # add.accumulate: cumsum less its call cost
+    np.add.accumulate(v[..., :-1], axis=-1, out=out[..., 1:])
+    out[..., :-1] += np.add.accumulate(v[..., :0:-1], axis=-1)[..., ::-1]
     return out
 
 
@@ -196,14 +196,22 @@ def _peer_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
     return _scatter(instance, _member_peer_means(instance, prices[None])[1])[0]
 
 
-def _peer_means_at(instance: Instance, prices: np.ndarray, rows,
-                   slots) -> np.ndarray:
-    """Peer means of row rows[k]'s member in slot slots[k] of the row
-    layout, from the leave-one-out on those rows alone: bitwise the
-    entries _peer_means gives."""
-    lay = instance.row_layout
-    p = np.where(lay.mask[rows], prices.reshape(-1)[lay.pick[rows]], 0.0)
-    return _loo(p)[np.arange(len(rows)), slots] / (lay.counts[rows] - 1)
+def _peer_picks(instance: Instance, i: int, rows) -> tuple:
+    """Where agent i's peer means on its rows ``rows`` sit in the row
+    layout, for _peer_means_at: those rows' picks and mask, i's slot on
+    each and the rows' peer counts."""
+    members, lay = instance.index_sets.members, instance.row_layout
+    slots = np.array([members[l].index(i) for l in rows], dtype=int)
+    return (lay.pick[rows], lay.mask[rows], (np.arange(len(rows)), slots),
+            lay.counts[rows] - 1)
+
+
+def _peer_means_at(prices: np.ndarray, picks: tuple) -> np.ndarray:
+    """One agent's peer means on the rows of ``picks`` (see _peer_picks),
+    from the leave-one-out on those rows alone: bitwise the entries
+    _peer_means gives."""
+    pick, mask, at, peers = picks
+    return _loo(np.where(mask, prices.reshape(-1)[pick], 0.0))[at] / peers
 
 
 def _member_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
@@ -226,8 +234,7 @@ def pbar(instance: Instance, prices: np.ndarray, i: int, l: int) -> float:
     if i not in members:
         raise AgentNotOnConstraint(f"agent {i} is not on constraint {l}")
     _require_peers(instance)
-    return float(_peer_means_at(instance, prices, [l],
-                                [members.index(i)])[0])
+    return float(_peer_means_at(prices, _peer_picks(instance, i, [l]))[0])
 
 
 def _check_offeq(instance: Instance) -> None:
