@@ -9,172 +9,15 @@ maps, the induced game with best responses and adjustment dynamics, an
 equilibrium verifier, and a generator plus experiment harness.
 """
 
-from .model import (
-    Constraint,
-    DimensionMismatch,
-    DomainError,
-    Instance,
-    InvalidParameter,
-    NNLSNoConvergence,
-    NegativeReducedCoefficient,
-    NoInteriorPoint,
-    ReducedInstance,
-    Valuation,
-    ValuationTable,
-    ValidationReport,
-    Variant,
-    derive_theta,
-    instance_digest,
-    instance_from_dict,
-    instance_to_dict,
-    load_instance,
-    reduce_equalities,
-    save_instance,
-    validate,
-)
-from .allocation import (
-    AllocationResult,
-    DemandOutOfBox,
-    allocate,
-    allocate_many,
-    alpha0,
-)
-from .taxation import (
-    AgentNotOnConstraint,
-    AssumptionA4PrimeViolated,
-    DegenerateRowUnsupported,
-    TaxBreakdown,
-    base_tax,
-    pbar,
-    sbb_ne_tax,
-    sbb_offeq_tax,
-    tax,
-    total_tax,
-)
-from .centralized import (
-    CentralizedSolution,
-    KKTResiduals,
-    NoConvergence,
-    OracleResult,
-    TooLarge,
-    brute_force_oracle,
-    kkt_residuals,
-    objective,
-    solve,
-)
-from .game import (
-    A2Violation,
-    BracketInvalid,
-    MessageProfile,
-    NEReport,
-    Outcome,
-    RoundRecord,
-    RunTrace,
-    Schedule,
-    best_response_demand,
-    best_response_price,
-    construct_candidate_ne,
-    default_init,
-    make_profile,
-    outcome,
-    run_dynamics,
-    utility,
-    verify_epsilon_ne,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentReport,
-    GenerationFailed,
-    Scenario,
-    SuiteReport,
-    UnknownSuite,
-    bundled_scenarios,
-    canonical_instance,
-    generate,
-    generate_with_info,
-    property_suite,
-    run_experiment,
-    run_many,
-    write_trace_csv,
-)
+from . import allocation, centralized, game, harness, model, taxation
+from .allocation import *  # noqa: F403
+from .centralized import *  # noqa: F403
+from .game import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .model import *  # noqa: F403
+from .taxation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "A2Violation",
-    "AgentNotOnConstraint",
-    "AllocationResult",
-    "AssumptionA4PrimeViolated",
-    "BracketInvalid",
-    "CentralizedSolution",
-    "Constraint",
-    "DegenerateRowUnsupported",
-    "DemandOutOfBox",
-    "DimensionMismatch",
-    "DomainError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "GenerationFailed",
-    "Instance",
-    "InvalidParameter",
-    "KKTResiduals",
-    "MessageProfile",
-    "NEReport",
-    "NNLSNoConvergence",
-    "NegativeReducedCoefficient",
-    "NoConvergence",
-    "NoInteriorPoint",
-    "OracleResult",
-    "Outcome",
-    "ReducedInstance",
-    "RoundRecord",
-    "RunTrace",
-    "Scenario",
-    "Schedule",
-    "SuiteReport",
-    "TaxBreakdown",
-    "TooLarge",
-    "UnknownSuite",
-    "Valuation",
-    "ValuationTable",
-    "ValidationReport",
-    "Variant",
-    "allocate",
-    "allocate_many",
-    "alpha0",
-    "base_tax",
-    "best_response_demand",
-    "best_response_price",
-    "brute_force_oracle",
-    "bundled_scenarios",
-    "canonical_instance",
-    "construct_candidate_ne",
-    "default_init",
-    "derive_theta",
-    "generate",
-    "generate_with_info",
-    "instance_digest",
-    "instance_from_dict",
-    "instance_to_dict",
-    "kkt_residuals",
-    "load_instance",
-    "make_profile",
-    "objective",
-    "outcome",
-    "pbar",
-    "property_suite",
-    "reduce_equalities",
-    "run_dynamics",
-    "run_experiment",
-    "run_many",
-    "save_instance",
-    "sbb_ne_tax",
-    "sbb_offeq_tax",
-    "solve",
-    "tax",
-    "total_tax",
-    "utility",
-    "validate",
-    "verify_epsilon_ne",
-    "write_trace_csv",
-]
+__all__ = [name for module in (model, allocation, taxation, centralized, game,
+                               harness) for name in module.__all__]

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import (DimensionMismatch, Instance, NoInteriorPoint,
-                    ReducedInstance, nnls)
+                    ReducedInstance, _AsDict, nnls)
 
 __all__ = [
     "NoConvergence",
@@ -53,7 +53,7 @@ class TooLarge(RuntimeError):
 
 
 @dataclass(frozen=True)
-class KKTResiduals:
+class KKTResiduals(_AsDict):
     primal: float
     dual: float
     slack: float
@@ -63,13 +63,9 @@ class KKTResiduals:
     def max(self) -> float:
         return max(self.primal, self.dual, self.slack, self.stationarity)
 
-    def to_dict(self) -> dict:
-        return {"primal": self.primal, "dual": self.dual,
-                "slack": self.slack, "stationarity": self.stationarity}
-
 
 @dataclass(frozen=True, eq=False)
-class CentralizedSolution:
+class CentralizedSolution(_AsDict):
     x_star: np.ndarray
     lambda_star: np.ndarray
     objective: float
@@ -77,17 +73,6 @@ class CentralizedSolution:
     iterations: int
     converged: bool
     nonunique_multiplier_rows: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "x_star": self.x_star.tolist(),
-            "lambda_star": self.lambda_star.tolist(),
-            "objective": self.objective,
-            "residuals": self.residuals.to_dict(),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "nonunique_multiplier_rows": list(self.nonunique_multiplier_rows),
-        }
 
 
 def objective(instance: Instance, x: np.ndarray) -> float:
@@ -331,7 +316,7 @@ def solve(instance: Instance, tol: float = 1e-8, max_iter: int = 100000,
 
 
 @dataclass(frozen=True, eq=False)
-class OracleResult:
+class OracleResult(_AsDict):
     x: np.ndarray
     value: float
     points: int

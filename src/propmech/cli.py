@@ -51,8 +51,7 @@ def _cmd_solve(args) -> int:
     payload = {"digest": instance_digest(inst), "solution": sol.to_dict()}
     if args.oracle_step is not None:
         orc = brute_force_oracle(inst, step=args.oracle_step)
-        payload["oracle"] = {"value": orc.value, "x": orc.x.tolist(),
-                             "points": orc.points, "step": orc.step}
+        payload["oracle"] = orc.to_dict()
         payload["oracle_gap"] = abs(objective(inst, sol.x_star) - orc.value)
     _write_json(args.json, payload)
     return 0 if sol.converged else 1
@@ -130,7 +129,8 @@ def _cmd_gen(args) -> int:
 def _cmd_run(args) -> int:
     inst = _load(args.instance)
     config = ExperimentConfig(variant=args.variant, schedule=args.schedule,
-                              eps=args.eps)
+                              eps=args.eps,
+                              record_profiles=args.trace is not None)
     report = run_experiment(inst, config)
     if args.trace and report.trace is not None:
         write_trace_csv(report.trace, args.trace)

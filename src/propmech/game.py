@@ -10,15 +10,15 @@ objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .allocation import _ray_pieces, allocate, allocate_many
 from .centralized import CentralizedSolution
-from .model import (Choice, Instance, InvalidParameter, Variant, _bind,
-                    nnls_tableau, nnls_tol_scale)
+from .model import (Choice, Instance, InvalidParameter, Variant, _AsDict,
+                    _bind, nnls_tableau, nnls_tol_scale)
 from .taxation import (TaxBreakdown, _budget_books, _check_finite,
                        _check_offeq, _check_prices, _gross, _member_means,
                        _peer_means, _peer_means_at, _peer_picks,
@@ -26,7 +26,6 @@ from .taxation import (TaxBreakdown, _budget_books, _check_finite,
 
 __all__ = [
     "A2Violation",
-    "BracketInvalid",
     "MessageProfile",
     "Outcome",
     "Schedule",
@@ -53,10 +52,6 @@ _GAIN_FLOOR = 1e-14
 
 class A2Violation(RuntimeError):
     """Solved optimum leaves no room for the candidate equilibrium."""
-
-
-class BracketInvalid(ValueError):
-    """Demand search bracket is empty or leaves the message space."""
 
 
 class Schedule(Choice):
@@ -384,34 +379,23 @@ def _concave_argmax(obj: _DemandObjective, lo: float, hi: float,
 
 def best_response_demand(instance: Instance, variant: "str | Variant",
                          profile: MessageProfile, i: int,
-                         lo: "float | None" = None,
-                         hi: "float | None" = None,
                          thorough: bool = True) -> float:
     """Argmax of agent i's utility over own demand, prices fixed.
 
-    Searches (d_i, hi] with hi defaulting to D + 1. The inside piece is
-    strictly concave and solved by safeguarded Newton. Past the boundary
-    t_b the pullback ray's scale is the lower envelope of at most L
-    hyperbolas; each of its smooth pieces is concave in its own parameter
-    and solved exactly the same way (see _DemandObjective.ray_argmaxes).
-    With thorough=False the ray is searched only when the inside optimum
-    sits on the boundary. Among the candidates (the piece optima, the
-    boundary and hi) the best wins, the lower demand on a tie within
+    Searches (d_i, D + 1], which Instance keeps nonempty (D > max d). The
+    inside piece is strictly concave and solved by safeguarded Newton.
+    Past the boundary t_b the pullback ray's scale is the lower envelope
+    of at most L hyperbolas; each of its smooth pieces is concave in its
+    own parameter and solved exactly the same way (see
+    _DemandObjective.ray_argmaxes). With thorough=False the ray is
+    searched only when the inside optimum sits on the boundary. Among the
+    candidates (the piece optima, the boundary and D + 1) the best wins, the lower demand on a tie within
     1e-13 relative. The variant cannot change the argmax (own-message
     independent rebates); it is accepted for interface symmetry.
     """
     d_i = float(instance.d[i])
-    floor = d_i + _FLOOR_MARGIN * (1.0 + d_i)
-    if lo is None:
-        lo = floor
-    if hi is None:
-        hi = instance.D + 1.0
-    if lo < d_i:
-        raise BracketInvalid(f"bracket floor {lo} below message floor {d_i}")
-    lo = max(lo, floor)
-    if not lo < hi:
-        raise BracketInvalid(f"bracket [{lo}, {hi}] is empty")
-
+    lo = d_i + _FLOOR_MARGIN * (1.0 + d_i)
+    hi = instance.D + 1.0
     obj = _DemandObjective(_SweepState.of(instance), profile, i)
     cands: list[float] = []
     t_in_hi = min(obj.t_b, hi)
@@ -457,7 +441,7 @@ def notional_demand(instance: Instance, profile: MessageProfile,
 
 
 @dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(_AsDict):
     """One round's changes and books. Under price-adjust-br the largest of
     price_complementarity, group_gap and snap_distance decides rest, and
     accelerated says whether the round handed on an extrapolated point;
@@ -489,13 +473,13 @@ class RunTrace:
     def to_rows(self) -> list[dict]:
         rows = []
         for r in self.records:
-            row = {f.name: getattr(r, f.name) for f in fields(r)
-                   if f.name not in ("y", "prices", "x")}
-            if r.y is not None:
-                row.update({f"y{i}": float(v) for i, v in enumerate(r.y)})
-                row.update({f"x{i}": float(v) for i, v in enumerate(r.x)})
-                row.update({f"p{i}_{l}": float(p)
-                            for l, col in enumerate(r.prices.T)
+            row = r.to_dict()
+            y, x, prices = row.pop("y"), row.pop("x"), row.pop("prices")
+            if y is not None:
+                row.update({f"y{i}": v for i, v in enumerate(y)})
+                row.update({f"x{i}": v for i, v in enumerate(x)})
+                row.update({f"p{i}_{l}": p
+                            for l, col in enumerate(zip(*prices))
                             for i, p in enumerate(col)})
             rows.append(row)
         return rows
@@ -862,7 +846,7 @@ def construct_candidate_ne(instance: Instance, solution: CentralizedSolution
 
 
 @dataclass(eq=False)
-class NEReport:
+class NEReport(_AsDict):
     passed: bool
     eps: float
     max_gain: float
@@ -875,29 +859,13 @@ class NEReport:
     ir_margins: np.ndarray
     deviations: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "eps": self.eps,
-            "max_gain": self.max_gain,
-            "gains": self.gains.tolist(),
-            "best_deviations": self.best_deviations,
-            "ceiling_hit": self.ceiling_hit,
-            "gain_floor": _GAIN_FLOOR,
-            "price_spread": self.price_spread.tolist(),
-            "comp_slack_residual": self.comp_slack_residual,
-            "stationarity_residual": self.stationarity_residual,
-            "ir_margins": self.ir_margins.tolist(),
-            "deviations": self.deviations,
-            "seed": self.seed,
-        }
+    gain_floor = _GAIN_FLOOR
+    _extra = ("gain_floor",)
 
 
 def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
                              base: Outcome, i: int, Y: np.ndarray,
-                             P_i: np.ndarray,
-                             peer_means: "np.ndarray | None" = None
+                             P_i: np.ndarray, peer_means: np.ndarray
                              ) -> np.ndarray:
     """Agent i's utility at M trial profiles that change only i's message.
 
@@ -908,14 +876,12 @@ def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
     The rebate row comes from ``base``, the outcome of the untouched
     profile: rebates never read the recipient's own message, so it is the
     same at every trial. ``peer_means`` is the profile's (N, L) peer mean
-    prices when the caller already has them. Agrees with the scalar
+    prices (taxation._peer_means). Agrees with the scalar
     utility() of each trial profile up to rounding.
     """
     X = allocate_many(instance, Y)
     x_i = X[:, i]
     rows = list(instance.index_sets.rows_of_agent[i])
-    if peer_means is None:
-        peer_means = _peer_means(instance, profile.prices)
     pb = peer_means[i, rows]
     slack = instance.caps[rows] - X @ instance.A[rows].T
     payment, disagreement, slackness = _gross(

@@ -25,8 +25,8 @@ from .centralized import (CentralizedSolution, brute_force_oracle,
 from .game import (MessageProfile, RunTrace, construct_candidate_ne,
                    run_dynamics, verify_epsilon_ne)
 from .model import (Constraint, DomainError, Instance, InvalidParameter,
-                    Valuation, ValuationTable, Variant, instance_digest,
-                    validate)
+                    Valuation, ValuationTable, Variant, _AsDict,
+                    instance_digest, validate)
 from .taxation import (_budget_books, _member_means, _tax_terms,
                        sbb_offeq_tax, total_tax)
 
@@ -64,7 +64,7 @@ class UnknownSuite(ValueError):
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_AsDict):
     kind: str                     # canonical | unicast | public-good | local-public-goods
     n_agents: int = 4
     n_constraints: int = 2
@@ -77,19 +77,6 @@ class Scenario:
     D: float = 100.0
     eta: float = 1.0
     shared_row: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "n_agents": self.n_agents,
-            "n_constraints": self.n_constraints,
-            "group_sizes": list(self.group_sizes),
-            "min_members": self.min_members,
-            "families": list(self.families),
-            "weight_range": list(self.weight_range),
-            "cap_range": list(self.cap_range),
-            "d": self.d, "D": self.D, "eta": self.eta,
-            "shared_row": self.shared_row,
-        }
 
 
 def canonical_instance(eta: float = 1.0) -> Instance:
@@ -293,7 +280,7 @@ def bundled_scenarios(variant: "str | Variant" = Variant.BASE
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_AsDict):
     variant: str = "base"
     schedule: str = "price-adjust-br"
     max_rounds: int = 100000
@@ -306,20 +293,9 @@ class ExperimentConfig:
     price_match_tol: float = 1e-3
     record_profiles: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant, "schedule": self.schedule,
-            "max_rounds": self.max_rounds, "dyn_tol": self.dyn_tol,
-            "solve_tol": self.solve_tol, "eps": self.eps,
-            "deviations": self.deviations, "verify_seed": self.verify_seed,
-            "x_match_tol": self.x_match_tol,
-            "price_match_tol": self.price_match_tol,
-            "record_profiles": self.record_profiles,
-        }
-
 
 @dataclass(eq=False)
-class ExperimentReport:
+class ExperimentReport(_AsDict):
     digest: str
     config: ExperimentConfig
     validation: dict
@@ -330,19 +306,7 @@ class ExperimentReport:
     comparison: dict
     passed: bool
     trace: "RunTrace | None" = None
-
-    def to_dict(self) -> dict:
-        return {
-            "digest": self.digest,
-            "config": self.config.to_dict(),
-            "validation": self.validation,
-            "solution": self.solution.to_dict(),
-            "candidate_verify": self.candidate_verify,
-            "dynamics": self.dynamics,
-            "final_verify": self.final_verify,
-            "comparison": self.comparison,
-            "passed": self.passed,
-        }
+    _skip = ("trace",)
 
 
 def _price_comparison(instance: Instance, sol: CentralizedSolution,
@@ -427,17 +391,12 @@ def write_trace_csv(trace: RunTrace, path) -> None:
 
 
 @dataclass(eq=False)
-class SuiteReport:
+class SuiteReport(_AsDict):
     name: str
     samples: int
     passed: bool
     max_violation: float
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "samples": self.samples,
-                "passed": self.passed, "max_violation": self.max_violation,
-                "details": self.details}
 
 
 @functools.cache

@@ -15,9 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -306,6 +306,11 @@ def _bind(family: str, a: float, b: float) -> tuple:
     return tuple(at(form) for form in FAMILIES[family][:3])
 
 
+# bracket width (b over max(a, 1)) above which the group solve bisects in
+# log space; no ceiling D <= 1e6 reaches it
+_WIDE = 1e6
+
+
 def _consensus(members: list, q: float, D: float, lo: float,
                z0: float) -> float:
     """The point of [lo, D] where the members' summed slope meets q, from
@@ -315,10 +320,12 @@ def _consensus(members: list, q: float, D: float, lo: float,
     where the step leaves it or the curvature is 0. Python raises where
     numpy returns inf, so the points stay at or above 1e-12, where no
     power curvature overflows, and the low-end test reads the slope alone
-    at max(lo, 1e-300). Stops after 80 steps, when a step lands on a
-    bracket end (a point already evaluated: Newton alternates between
-    neighbouring floats there) or when it moves z by at most
-    4e-16 (1 + |z|).
+    at max(lo, 1e-300). While the bracket [a, b] has b > _WIDE max(a, 1)
+    each step is its geometric midpoint with a read as at least 1, which
+    brings a ceiling of 1e300 to that width in about 6 steps. Stops after
+    80 steps, when a step lands on a bracket end (a point already
+    evaluated: Newton alternates between neighbouring floats there) or
+    when it moves z by at most 4e-16 (1 + |z|).
     """
     def slope(x):
         s = 0.0
@@ -338,16 +345,22 @@ def _consensus(members: list, q: float, D: float, lo: float,
             a = z
         else:
             b = z
-        curv = 0.0
-        for _, d2v in members:
-            try:
-                curv += d2v(z)
-            except OverflowError:
-                pass  # log_shift's (1 + b z)^2 past 1.8e308: numpy's -0
-        newton = z - f / curv if curv != 0.0 else math.nan
-        # closed bracket: a step that lands on the root it already holds
-        # (f = 0) stays put instead of restarting bisection
-        z_new = max(newton if a <= newton <= b else 0.5 * (a + b), 1e-12)
+        if b > _WIDE * max(a, 1.0):
+            # Newton from the far end of a wide bracket loses all
+            # precision, and halving it gains one bit per step
+            z_new = math.sqrt(max(a, 1.0)) * math.sqrt(b)
+        else:
+            curv = 0.0
+            for _, d2v in members:
+                try:
+                    curv += d2v(z)
+                except OverflowError:
+                    pass  # log_shift's (1 + b z)^2 past 1.8e308: numpy's -0
+            newton = z - f / curv if curv != 0.0 else math.nan
+            # closed bracket: a step that lands on the root it already
+            # holds (f = 0) stays put instead of restarting bisection
+            z_new = max(newton if a <= newton <= b else 0.5 * (a + b),
+                        1e-12)
         done = z_new == a or z_new == b \
             or abs(z_new - z) <= 4e-16 * (1.0 + abs(z))
         z = z_new
@@ -817,22 +830,58 @@ def derive_theta(instance: Instance) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# results as JSON
+
+
+def _jsonable(v):
+    """v in JSON's types: a result as its to_dict(), a dict with each value
+    encoded, an array, tuple or list as a list, a numpy scalar as a Python
+    number."""
+    if isinstance(v, np.generic):
+        return v.item()
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, _AsDict):
+        return v.to_dict()
+    return v
+
+
+@cache
+def _dict_keys(cls) -> tuple:
+    return tuple(f.name for f in fields(cls)
+                 if f.name not in cls._skip) + cls._extra
+
+
+class _AsDict:
+    """to_dict() for a result dataclass: its fields but those named in
+    _skip, then the attributes named in _extra, each through _jsonable."""
+
+    _skip: tuple = ()
+    _extra: tuple = ()
+
+    def to_dict(self) -> dict:
+        return {k: _jsonable(getattr(self, k)) for k in _dict_keys(type(self))}
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_AsDict):
     name: str
     status: str  # "pass" | "fail" | "deferred"
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
-
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_AsDict):
     checks: tuple[CheckResult, ...]
+    _extra = ("passed",)
 
     @property
     def passed(self) -> bool:
@@ -841,10 +890,6 @@ class ValidationReport:
     @property
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if c.status == "fail")
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed,
-                "checks": [c.to_dict() for c in self.checks]}
 
 
 def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,

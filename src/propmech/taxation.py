@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DimensionMismatch, Instance, InvalidParameter, Variant
+from .model import (DimensionMismatch, Instance, InvalidParameter, Variant,
+                    _AsDict)
 
 __all__ = [
     "AgentNotOnConstraint",
@@ -59,7 +60,7 @@ class DegenerateRowUnsupported(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class TaxBreakdown:
+class TaxBreakdown(_AsDict):
     """Per-agent, per-constraint tax components; zeros off membership.
 
     total_i = sum_l (payment + disagreement + slackness - rebate) with
@@ -70,6 +71,7 @@ class TaxBreakdown:
     disagreement: np.ndarray  # (N, L)
     slackness: np.ndarray     # (N, L)
     rebate: np.ndarray        # (N, L)
+    _extra = ("per_agent",)
 
     @property
     def per_agent(self) -> np.ndarray:
@@ -83,15 +85,6 @@ class TaxBreakdown:
         """Sum of absolute gross terms; scales budget tolerances."""
         return float(np.abs(self.payment).sum()
                      + self.disagreement.sum() + self.slackness.sum())
-
-    def to_dict(self) -> dict:
-        return {
-            "payment": self.payment.tolist(),
-            "disagreement": self.disagreement.tolist(),
-            "slackness": self.slackness.tolist(),
-            "rebate": self.rebate.tolist(),
-            "per_agent": self.per_agent.tolist(),
-        }
 
 
 def total_tax(breakdown: TaxBreakdown) -> float:

@@ -255,7 +255,7 @@ def test_best_response_demand_beats_the_former_search_and_a_grid():
         Y[4097:, i] = br
         P = np.tile(prof.prices[i], (len(Y), 1))
         u = _own_deviation_utilities(inst, prof, outcome(inst, "base", prof),
-                                     i, Y, P)
+                                     i, Y, P, _peer_means(inst, prof.prices))
         new, old, new_quick, old_quick = u[4097:]
         tol = 1e-13 * (1.0 + abs(new))
         assert new >= old - tol, (i, br)
@@ -1246,7 +1246,9 @@ def test_own_deviation_batch_matches_scalar_utility():
                     Y[3, i] = inst.D + 1.0            # above peers, overdemand
                     Y[4:, i] = inst.d[i] + rng.uniform(1e-9, inst.D + 1.0, 4)
                     P[4:] = rng.uniform(0.0, 3.0, (4, L)) * own
-                    got = _own_deviation_utilities(inst, prof, base, i, Y, P)
+                    got = _own_deviation_utilities(
+                        inst, prof, base, i, Y, P,
+                        _peer_means(inst, prof.prices))
                     for k in range(len(Y)):
                         trial = prof.copy()
                         trial.y[i] = Y[k, i]

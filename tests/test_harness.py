@@ -310,6 +310,15 @@ def test_cli_gen_solve_simulate_verify_run(tmp_path, capsys):
                  str(tmp_path / "run.json")]) == 0
     rep = json.loads((tmp_path / "run.json").read_text())
     assert rep["passed"] is True
+
+    # run --trace writes the rounds that simulate --trace writes, with the
+    # demands, allocations and prices of every round
+    run_csv = tmp_path / "run_trace.csv"
+    assert main(["run", str(path), "--trace", str(run_csv), "--json",
+                 str(tmp_path / "run_traced.json")]) == 0
+    assert run_csv.read_bytes() == trace_csv.read_bytes()
+    traced = json.loads((tmp_path / "run_traced.json").read_text())
+    assert traced["config"]["record_profiles"] is True
     capsys.readouterr()
 
 

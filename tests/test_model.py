@@ -526,22 +526,47 @@ def test_group_solve_matches_the_vectorized_reference(case):
         (got, ref)
 
 
+def _log_space_crossing(vals, q, D, lo):
+    """The end of [lo, D] that a crossing outside pins, else the point
+    where the members' summed slope meets q: a bisection on log z, which
+    shares nothing with the Newton kernel."""
+    def slope(z):
+        return math.fsum(v.deriv(z) for v in vals)
+
+    if slope(D) >= q:
+        return D
+    if slope(max(lo, 1e-300)) <= q:
+        return lo
+    a, b = math.log(max(lo, 1e-300)), math.log(D)
+    while (m := 0.5 * (a + b)) not in (a, b):
+        if slope(math.exp(m)) > q:
+            a = m
+        else:
+            b = m
+    return math.exp(b)
+
+
 def test_group_solve_on_floats_survives_huge_ceilings():
     # Python raises OverflowError where numpy returns inf: past 1e154 a
-    # log_shift curvature squares 1 + b z out of range, and the float
-    # solve must still end where the array solve ends
-    table = ValuationTable.of([
-        Valuation("log_shift", 1.0, 2.0), Valuation("quad_cap", 1.5, 3.0),
-        Valuation("power", 2.0, 0.5), Valuation("log_shift", 0.7, 0.3)])
-    group = np.array([0, 0, 1, 1])
-    q = np.array([0.5, 1e-100])
-    for D in (1e160, 1e200, 1e300):
+    # log_shift curvature squares 1 + b z out of range. And from a ceiling
+    # far above the crossing a Newton step loses all precision, so the
+    # solve must narrow the bracket in log space to end at the crossing
+    # within its step bound
+    mixed = [Valuation("log_shift", 1.0, 2.0), Valuation("quad_cap", 1.5, 3.0),
+             Valuation("power", 2.0, 0.5), Valuation("log_shift", 0.7, 0.3)]
+    pair = [Valuation("log_shift", 1.0, 1.0)] * 2  # crossing at z = 199
+    cases = [(mixed, [0, 0, 1, 1], [0.5, 1e-100], D)
+             for D in (1e160, 1e200, 1e300)]
+    cases += [(pair, [0, 0], [0.01], D) for D in (1e30, 1e50, 1e300)]
+    for vals, group, q, D in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = table.group_inv_deriv(q, D, group, 0.01)
-        with np.errstate(all="ignore"):
-            ref = reference_group_inv_deriv(table, q, D, group, 0.01)
-        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), (D, got)
+            got = ValuationTable.of(vals).group_inv_deriv(
+                np.array(q), D, np.array(group), 0.01)
+        for g, qg in enumerate(q):
+            members = [v for v, gv in zip(vals, group) if gv == g]
+            want = _log_space_crossing(members, qg, D, 0.01)
+            assert abs(got[g] - want) <= 1e-12 * want, (D, g, got[g], want)
 
 
 def test_group_newton_stops_when_it_alternates_between_neighbours():
