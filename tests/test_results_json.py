@@ -68,8 +68,8 @@ def _results():
     scenarios = [sc for sc, _ in pm.bundled_scenarios()
                  + pm.bundled_scenarios("sbb-offeq")]
     yield from scenarios
-    grouped = next(pm.generate(sc, seed) for sc, seed
-                   in pm.bundled_scenarios() if sc.kind == "local-public-goods")
+    grouped = next(pm.generate(sc, seed) for sc, seed in pm.bundled_scenarios()
+                   if sc.kind == "local-public-goods")
     for inst in (pm.canonical_instance(), grouped):
         sol = pm.solve(inst)
         candidate = pm.construct_candidate_ne(inst, sol)
