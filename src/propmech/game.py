@@ -43,11 +43,15 @@ __all__ = [
     "verify_epsilon_ne",
 ]
 
-_FLOOR_MARGIN = 1e-12
 _CEILING_TOL = 1e-6
 # a best deviation gain at or below this times 1 + |u_i| is rounding noise:
 # verify names no winning deviation for it (the gain itself is kept)
 _GAIN_FLOOR = 1e-14
+
+
+def _demand_floor(d):
+    """The lowest demand an agent is moved to: d raised by 1e-12 (1 + d)."""
+    return d + 1e-12 * (1.0 + d)
 
 
 class A2Violation(RuntimeError):
@@ -132,7 +136,7 @@ def best_response_price(instance: Instance, variant: "str | Variant",
 
 class _SweepState:
     """What every agent's demand objective reads of the instance, built
-    once per run_dynamics (or per best-response call).
+    on first use and kept on the instance (see ``of``).
 
     Per agent: its valuation's value, slope and curvature on floats, its
     own rows and where its peer means sit on them in the row layout, its
@@ -393,9 +397,7 @@ def best_response_demand(instance: Instance, variant: "str | Variant",
     1e-13 relative. The variant cannot change the argmax (own-message
     independent rebates); it is accepted for interface symmetry.
     """
-    d_i = float(instance.d[i])
-    lo = d_i + _FLOOR_MARGIN * (1.0 + d_i)
-    hi = instance.D + 1.0
+    lo, hi = _demand_floor(float(instance.d[i])), instance.D + 1.0
     obj = _DemandObjective(_SweepState.of(instance), profile, i)
     cands: list[float] = []
     t_in_hi = min(obj.t_b, hi)
@@ -433,11 +435,9 @@ def notional_demand(instance: Instance, profile: MessageProfile,
     with the true best response once they clear, so it is the right signal
     carrier for tatonnement.
     """
-    d_i = float(instance.d[i])
-    lo = d_i + _FLOOR_MARGIN * (1.0 + d_i)
-    hi = instance.D + 1.0
     obj = _DemandObjective(_SweepState.of(instance), profile, i)
-    return float(_concave_argmax(obj, lo, hi))
+    return float(_concave_argmax(obj, _demand_floor(float(instance.d[i])),
+                                 instance.D + 1.0))
 
 
 @dataclass(frozen=True)
@@ -483,26 +483,6 @@ class RunTrace:
                             for i, p in enumerate(col)})
             rows.append(row)
         return rows
-
-
-def _price_caps(instance: Instance) -> np.ndarray:
-    """Per-row clamp keeping price excursions within valuation scale."""
-    slopes = instance.valuation_table.deriv(instance.d)
-    absA = np.abs(instance.A)
-    ratio = np.divide(slopes, absA, out=np.zeros_like(absA),
-                      where=absA > 1e-12)
-    best = ratio.max(axis=1)
-    caps = np.where(best > 0, 4.0 * best, 1.0)
-    # difference rows may carry transfer prices that accumulate first-order
-    # gaps around the whole group, not just their two ends
-    red = instance.reduced
-    vac = ~red.nonvacuous
-    group_slope = np.bincount(red.group_of_agent, weights=slopes,
-                              minlength=red.K)
-    first = np.argmax(instance.A[vac] != 0, axis=1)
-    caps[vac] = np.maximum(caps[vac],
-                           2.0 * group_slope[red.group_of_agent[first]])
-    return caps
 
 
 def _local_gains(instance: Instance, y: np.ndarray) -> np.ndarray:
@@ -592,38 +572,146 @@ class _GroupPrices:
                                          self.starts))))
 
 
+class _PriceRound:
+    """price-adjust-br's round, built once per run.
+
+    Every shared constraint's members quote one price, moved by a projected
+    step on the row's excess demand A y - c, scaled by the inverse of the
+    members' demand responsiveness, which keeps the coupled loop
+    contractive. Equality partners settle within the round: a consensus
+    demand where the group's summed marginal value meets its summed quoted
+    cost, plus difference-row prices (nonnegative least squares) that
+    reproduce each member's first-order gap to it. The other agents sweep
+    in turn to their notional targets, each seeing the demands already
+    placed, which damps the shared tax-penalty force that makes
+    simultaneous jumps overshoot. A call moves the profile and the row
+    prices ``pc`` in place and returns the step-size-free residual parts
+    that decide rest: price complementarity, group gap and snap distance.
+    """
+
+    def __init__(self, instance: Instance):
+        red = instance.reduced
+        self.instance = instance
+        self.mask = (instance.A != 0).T.astype(float)
+        self.shared = red.nonvacuous
+        # per row, a clamp keeping price excursions within valuation scale
+        slopes = instance.valuation_table.deriv(instance.d)
+        absA = np.abs(instance.A)
+        best = np.divide(slopes, absA, out=np.zeros_like(absA),
+                         where=absA > 1e-12).max(axis=1)
+        self.p_cap = np.where(best > 0, 4.0 * best, 1.0)
+        # difference rows may carry transfer prices that accumulate
+        # first-order gaps around the whole group, not just their two ends
+        group_slope = np.bincount(red.group_of_agent, weights=slopes,
+                                  minlength=red.K)
+        first = np.argmax(instance.A[~self.shared] != 0, axis=1)
+        self.p_cap[~self.shared] = np.maximum(
+            self.p_cap[~self.shared],
+            2.0 * group_slope[red.group_of_agent[first]])
+        self.lo = _demand_floor(instance.d)
+        self.singles = red.representatives[red.group_sizes == 1]
+        self.state = _SweepState.of(instance) if self.singles.size else None
+        # multi-member groups: members in agent order with their group
+        # index, each group's lower bound and its difference-row prices
+        multi, self.grouped, self.loc = red.multi_groups
+        self.t_grouped = instance.valuation_table.take(self.grouped)
+        self.first = red.representatives[multi]
+        self.lo_g = np.full(multi.size, -np.inf)
+        np.maximum.at(self.lo_g, self.loc, self.lo[self.grouped])
+        self.prices = _GroupPrices(instance) if multi.size else None
+
+    def __call__(self, prof: MessageProfile, pc: np.ndarray
+                 ) -> "tuple[float, float, float]":
+        inst, shared = self.instance, self.shared
+        s = inst.A @ prof.y - inst.caps
+        # complementarity of quoted prices with notional excess demand;
+        # checked against the round-start profile so a shrinking step
+        # cannot fake convergence
+        comp = np.where(pc > 1e-12 * (1.0 + self.p_cap),
+                        np.abs(s), np.maximum(0.0, s))
+        comp_resid = float(np.max(comp / (1.0 + np.abs(inst.caps)),
+                                  initial=0.0))
+        gamma = _local_gains(inst, prof.y)
+        np.copyto(pc, np.minimum(np.maximum(0.0, pc + gamma * s),
+                                 self.p_cap), where=shared)
+        # only the shared rows keep dynamic prices: the groups' difference
+        # rows are priced from scratch each round
+        base = inst.A.T @ np.where(shared, pc, 0.0)
+        group_resid = snap = 0.0
+        if self.prices is not None:
+            g, loc = self.grouped, self.loc
+            cost = np.bincount(loc, weights=base[g], minlength=self.lo_g.size)
+            z = self.t_grouped.group_inv_deriv(cost, inst.D, loc, self.lo_g,
+                                               prof.y[self.first])
+            want = self.t_grouped.deriv(z[loc])
+            pv, group_resid = self.prices(want - base[g], want)
+            pc[self.prices.rows] = pv
+            snap = float(np.max(np.abs(z[loc] - prof.y[g])
+                                / (1.0 + np.abs(prof.y[g]))))
+            prof.y[g] = np.maximum(z[loc], self.lo[g])
+        prof.prices = pc[None, :] * self.mask
+        # prices stay fixed through the sweep, so its agents share one set
+        # of peer means
+        if self.state is not None:
+            snap = max(snap, self.state.sweep(
+                prof, self.singles, self.lo, inst.D + 1.0,
+                _peer_means(inst, prof.prices)))
+        return comp_resid, group_resid, snap
+
+
+def _best_response_round(instance: Instance, prof: MessageProfile) -> None:
+    """best-response's round, the literal per-agent loop: each agent quotes
+    its price best responses on its rows (bitwise best_response_price's:
+    p̄₋ᵢ never reads i's own prices, nor the allocation any price), then
+    moves to its demand best response. Kept for study; from cold starts it
+    stalls at zero prices and escalating demands, which verification
+    flags."""
+    state = _SweepState.of(instance)
+    for i, rows in enumerate(state.rows):
+        slack = instance.caps - instance.A @ allocate(instance, prof.y).x
+        prof.prices[i, rows] = _price_best_responses(
+            _peer_means_at(prof.prices, state.picks[i]), instance.eta,
+            slack[rows])
+        prof.y[i] = best_response_demand(instance, Variant.BASE, prof, i,
+                                         thorough=False)
+
+
 # Anderson acceleration of the price-adjust-br round: history depth
 _AA_DEPTH = 5
 
 
 class _Anderson:
     """Safeguarded type-II Anderson acceleration (Walker & Ni 2011) of a
-    fixed-point round map g on a scaled state.
+    fixed-point round map g on a state in the box [lo, hi], run on the
+    state divided by ``scale`` from the start state x.
 
-    ``step(x, gx)`` takes a round's start state and its plain image and
-    returns the state to hand on (None: the plain image) and whether it is
-    an extrapolated point. With residuals f = g(x) - x it extrapolates
-    g(x_k) - dG gamma, where gamma minimises |f_k - dF gamma| over the last
-    _AA_DEPTH differences of the history. A residual norm above the
-    smallest one in the history drops the history; when the round started
-    from an extrapolated point, the run goes back to the plain image that
-    point replaced, and the history builds again from there.
+    ``step(gx)`` takes the plain image of the state last handed on and
+    returns the state to hand on next, projected into the box (None: the
+    plain image), and whether it is extrapolated. With residuals f = g(x) -
+    x it extrapolates g(x_k) - dG gamma, where gamma minimises |f_k - dF
+    gamma| over the last _AA_DEPTH differences of the history. A residual
+    norm above the smallest one in the history drops the history; when the
+    round started from an extrapolated point, the run goes back to the
+    plain image that point replaced, and the history builds again.
     """
 
-    def __init__(self):
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, scale: np.ndarray,
+                 x: np.ndarray):
+        self.lo, self.hi, self.scale = lo, hi, scale
+        self.x = x / scale
         self.f: list = []
         self.g: list = []
         self.norms: list = []
         self.replaced = None  # the plain image the last extrapolation replaced
 
-    def step(self, x: np.ndarray, gx: np.ndarray
-             ) -> "tuple[np.ndarray | None, bool]":
-        f = gx - x
+    def step(self, gx: np.ndarray) -> "tuple[np.ndarray | None, bool]":
+        gx = gx / self.scale
+        f, self.x = gx - self.x, gx
         norm = float(np.linalg.norm(f))
         replaced, self.replaced = self.replaced, None
         if self.norms and norm > min(self.norms):
             self.f, self.g, self.norms = [], [], []
-            return replaced, False
+            return self._hand_on(replaced), False
         self.f.append(f)
         self.g.append(gx)
         self.norms.append(norm)
@@ -635,7 +723,14 @@ class _Anderson:
         dG = np.diff(np.array(self.g), axis=0).T
         gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
         self.replaced = gx
-        return gx - dG @ gamma, True
+        return self._hand_on(gx - dG @ gamma), True
+
+    def _hand_on(self, x: "np.ndarray | None") -> "np.ndarray | None":
+        """The scaled point x unscaled and in the box: the next start."""
+        if x is not None:
+            x = np.clip(x * self.scale, self.lo, self.hi)
+            self.x = x / self.scale
+        return x
 
 
 # rounds whose books are priced together by one allocate_many and one tax
@@ -645,27 +740,21 @@ _BOOK_BLOCK = 64
 
 def _book_rounds(instance: Instance, variant: Variant, pending: list,
                  record_profiles: bool) -> list:
-    """The records of buffered rounds: their feasibility violations and
-    budget imbalances (the exact total_tax of each round's profile) from
-    one allocate_many and one tax kernel call over all of them."""
+    """The records of buffered rounds, each given as (round, max_change,
+    y, prices, the three residual parts, accelerated): their feasibility
+    violations and budget imbalances (the exact total_tax of each round's
+    profile) from one allocate_many and one tax kernel call over all."""
     Y = np.array([r[2] for r in pending])
-    P = np.array([r[3] for r in pending])
     X = allocate_many(instance, Y)
-    budgets, _ = _budget_books(instance,
-                               _tax_terms(instance, variant, Y, X, P))
+    budgets, _ = _budget_books(instance, _tax_terms(
+        instance, variant, Y, X, np.array([r[3] for r in pending])))
     out = []
-    for (rnd, max_change, y, prices, comp, group, snap, accelerated), x, \
-            budget in zip(pending, X, budgets):
-        out.append(RoundRecord(
-            round=rnd, max_change=max_change,
-            feasibility_violation=float(np.max(
-                instance.A @ x - instance.caps, initial=0.0)),
-            budget_imbalance=budget,
-            y=y if record_profiles else None,
-            prices=prices if record_profiles else None,
-            x=x.copy() if record_profiles else None,
-            price_complementarity=comp, group_gap=group, snap_distance=snap,
-            accelerated=accelerated))
+    for (rnd, change, y, prices, *rest), x, budget in zip(pending, X,
+                                                           budgets):
+        profile = (y, prices, x.copy()) if record_profiles else (None,) * 3
+        out.append(RoundRecord(rnd, change, float(np.max(
+            instance.A @ x - instance.caps, initial=0.0)), budget, *profile,
+            *rest))
     return out
 
 
@@ -674,31 +763,14 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
                  init: "MessageProfile | None" = None,
                  max_rounds: int = 100000, tol: float = 1e-8,
                  record_profiles: bool = False) -> RunTrace:
-    """Iterate the message game to (approximate) rest.
+    """Iterate the message game to (approximate) rest, one round of the
+    schedule (_PriceRound or _best_response_round) per iteration.
 
-    price-adjust-br: every shared constraint's members quote one price,
-    moved by a projected step on the row's excess demand A y - c, scaled
-    by the inverse of the members' demand responsiveness, which keeps the
-    coupled loop contractive. Equality partners settle internally within
-    the round: a consensus demand where the group's summed marginal value
-    meets its summed quoted cost, plus difference-row prices (nonnegative
-    least squares) that reproduce each member's first-order gap to that
-    consensus. Remaining agents sweep sequentially to their notional
-    targets, each seeing the demands already placed this round, which
-    damps the shared tax-penalty force that makes simultaneous jumps
-    overshoot. Rest is declared from a step-size-free residual (price
-    complementarity with excess demand, the groups' unexplained
-    first-order gaps, and demand snap distances, recorded per round); at
-    rest the profile is a candidate equilibrium. The round map on the
-    shared rows' prices and the demands contracts only linearly, so it is
-    accelerated (see _Anderson): unless a round rests, its plain image may
-    be replaced by an extrapolated point projected back into the price
-    caps and the demand bracket. Rest is tested before that step, so the
-    extrapolation cannot fake convergence.
-
-    best-response: the literal per-agent loop (closed-form price updates,
-    then a demand best response). Kept for study; from cold-start prices it
-    stalls at zero prices and escalating demands, which verification flags.
+    price-adjust-br rests when a round's largest residual part is at most
+    tol. Its round map contracts only linearly, so unless a round rests,
+    _Anderson may replace its plain image; rest is tested before that, so
+    extrapolation cannot fake it. best-response rests when no message
+    moved by more than tol. Books are priced per _BOOK_BLOCK rounds.
     """
     variant = Variant.parse(variant)
     schedule = Schedule.parse(schedule)
@@ -712,113 +784,41 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
         # instance before running any
         _check_offeq(instance)
     prof = (init.copy() if init is not None else default_init(instance))
-    mask = (instance.A != 0).T.astype(float)
-
-    p_cap = _price_caps(instance)
-    pc = _member_means(instance, prof.prices)
-    red = instance.reduced
-    nv = red.nonvacuous
-    is_vac = ~nv
-    row_scale = 1.0 + np.abs(instance.caps)
-    lo = instance.d + _FLOOR_MARGIN * (1.0 + instance.d)
-    singles = red.representatives[red.group_sizes == 1]
-    # multi-member groups: members in agent order with their group index,
-    # each group's lower bound and its difference-row prices
-    multi, grouped, loc = red.multi_groups
-    t_grouped = instance.valuation_table.take(grouped)
-    first = red.representatives[multi]
-    lo_g = np.full(multi.size, -np.inf)
-    np.maximum.at(lo_g, loc, lo[grouped])
-    prices = _GroupPrices(instance) if multi.size else None
-
-    state = _SweepState.of(instance) if singles.size else None
-    # the accelerated state: the shared (non-vacuous) rows' prices, then
-    # the demands, each scaled to its box
-    n_nv = int(nv.sum())
-    x_scale = np.concatenate([1.0 + p_cap[nv],
-                              np.full(instance.n_agents, 1.0 + instance.D)])
-    x_lo = np.concatenate([np.zeros(n_nv), lo])
-    x_hi = np.concatenate([p_cap[nv], np.full(instance.n_agents,
-                                                instance.D + 1.0)])
-    x_start = np.concatenate([pc[nv], prof.y]) / x_scale
-    accel = _Anderson()
+    price_adjust = schedule is Schedule.PRICE_ADJUST_BR
+    if price_adjust:
+        price_round = _PriceRound(instance)
+        pc = _member_means(instance, prof.prices)
+        nv, n = price_round.shared, instance.n_agents
+        # the accelerated state: the shared rows' prices, then the demands
+        cap, top = price_round.p_cap[nv], np.full(n, instance.D + 1.0)
+        accel = _Anderson(np.concatenate([np.zeros(cap.size), price_round.lo]),
+                          np.concatenate([cap, top]),
+                          np.concatenate([1.0 + cap, top]),
+                          np.concatenate([pc[nv], prof.y]))
     records: list[RoundRecord] = []
-    # rounds since the last book flush: (round, max_change, y, prices,
-    # residual parts, accelerated)
-    pending: list[tuple] = []
+    pending: list[tuple] = []  # the rounds since the last book flush
     y_prev, p_prev = prof.y.copy(), prof.prices.copy()
     converged = False
     for rnd in range(1, max_rounds + 1):
-        comp_resid = group_resid = snap = accelerated = None
-        if schedule is Schedule.PRICE_ADJUST_BR:
-            s = instance.A @ prof.y - instance.caps
-            # complementarity of quoted prices with notional excess demand;
-            # checked against the round-start profile so a shrinking step
-            # cannot fake convergence
-            comp = np.where(pc > 1e-12 * (1.0 + p_cap),
-                            np.abs(s), np.maximum(0.0, s))
-            comp_resid = float(np.max(comp / row_scale, initial=0.0))
-            gamma = _local_gains(instance, prof.y)
-            step = np.minimum(np.maximum(0.0, pc + gamma * s), p_cap)
-            pc = np.where(is_vac, pc, step)
-            # equality partners settle internally each round: a consensus
-            # demand where summed marginal value meets summed quoted cost,
-            # and difference-row prices reproducing each member's gap to
-            # that consensus; only the shared rows keep dynamic prices
-            base = instance.A.T @ np.where(is_vac, 0.0, pc)
-            group_resid = snap = 0.0
-            if multi.size:
-                cost = np.bincount(loc, weights=base[grouped],
-                                   minlength=multi.size)
-                z = t_grouped.group_inv_deriv(cost, instance.D, loc, lo_g,
-                                              prof.y[first])
-                want = t_grouped.deriv(z[loc])
-                pv, group_resid = prices(want - base[grouped], want)
-                pc[prices.rows] = pv
-                snap = float(np.max(np.abs(z[loc] - prof.y[grouped])
-                                    / (1.0 + np.abs(prof.y[grouped]))))
-                prof.y[grouped] = np.maximum(z[loc], lo[grouped])
-            prof.prices = pc[None, :] * mask
-            # singletons update in sequence, each seeing the demands already
-            # placed this round; the sweep damps the shared slack-penalty
-            # force that makes simultaneous jumps overshoot in lockstep.
-            # Prices stay fixed through the sweep, so its agents share one
-            # set of peer means.
-            if state is not None:
-                snap = max(snap, state.sweep(
-                    prof, singles, lo, instance.D + 1.0,
-                    _peer_means(instance, prof.prices)))
-            # the plain image of the round's start state: unless the round
-            # rests, the accelerator may replace it by an extrapolated
-            # point, projected back into the price caps and the demand
-            # bracket, or by an earlier plain image
-            converged = max(comp_resid, group_resid, snap) <= tol
-            x_end = np.concatenate([pc[nv], prof.y]) / x_scale
-            jump, accelerated = (None, False) if converged \
-                else accel.step(x_start, x_end)
-            if jump is not None:
-                z = np.clip(jump * x_scale, x_lo, x_hi)
-                pc[nv] = z[:n_nv]
-                prof.y = z[n_nv:]
-                prof.prices = pc[None, :] * mask
-                x_end = z / x_scale
-            x_start = x_end
+        if price_adjust:
+            parts = price_round(prof, pc)
+            converged = max(parts) <= tol
+            z, accelerated = (None, False) if converged \
+                else accel.step(np.concatenate([pc[nv], prof.y]))
+            if z is not None:
+                pc[nv], prof.y = z[:-n], z[-n:]
+                prof.prices = pc[None, :] * price_round.mask
         else:
-            for i in range(instance.n_agents):
-                for l in instance.index_sets.rows_of_agent[i]:
-                    prof.prices[i, l] = best_response_price(
-                        instance, variant, prof, i, l)
-                prof.y[i] = best_response_demand(instance, variant, prof, i,
-                                                 thorough=False)
+            _best_response_round(instance, prof)
+            parts, accelerated = (None, None, None), None
         y_end, p_end = prof.y.copy(), prof.prices.copy()
         max_change = max(
             float(np.max(np.abs(y_end - y_prev), initial=0.0)),
             float(np.max(np.abs(p_end - p_prev), initial=0.0)))
         y_prev, p_prev = y_end, p_end
-        if schedule is Schedule.BEST_RESPONSE:
+        if not price_adjust:
             converged = max_change <= tol
-        pending.append((rnd, max_change, y_end, p_end, comp_resid,
-                        group_resid, snap, accelerated))
+        pending.append((rnd, max_change, y_end, p_end, *parts, accelerated))
         if converged or len(pending) == _BOOK_BLOCK or rnd == max_rounds:
             records.extend(_book_rounds(instance, variant, pending,
                                         record_profiles))

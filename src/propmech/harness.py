@@ -22,11 +22,11 @@ import numpy as np
 from .allocation import allocate, allocate_many
 from .centralized import (CentralizedSolution, brute_force_oracle,
                           objective, solve)
-from .game import (MessageProfile, RunTrace, construct_candidate_ne,
-                   run_dynamics, verify_epsilon_ne)
+from .game import (MessageProfile, NEReport, RunTrace,
+                   construct_candidate_ne, run_dynamics, verify_epsilon_ne)
 from .model import (Constraint, DomainError, Instance, InvalidParameter,
-                    Valuation, ValuationTable, Variant, _AsDict,
-                    instance_digest, validate)
+                    Valuation, ValidationReport, ValuationTable, Variant,
+                    _AsDict, instance_digest, validate)
 from .taxation import (_budget_books, _member_means, _tax_terms,
                        sbb_offeq_tax, total_tax)
 
@@ -298,11 +298,11 @@ class ExperimentConfig(_AsDict):
 class ExperimentReport(_AsDict):
     digest: str
     config: ExperimentConfig
-    validation: dict
+    validation: ValidationReport
     solution: CentralizedSolution
-    candidate_verify: dict
+    candidate_verify: NEReport
     dynamics: dict
-    final_verify: dict
+    final_verify: NEReport
     comparison: dict
     passed: bool
     trace: "RunTrace | None" = None
@@ -363,9 +363,8 @@ def run_experiment(instance: Instance,
         and comparison["price_err"] <= config.price_match_tol)
     return ExperimentReport(
         digest=instance_digest(instance), config=config,
-        validation=validation.to_dict(), solution=sol,
-        candidate_verify=cand_rep.to_dict(), dynamics=dynamics,
-        final_verify=final_rep.to_dict(), comparison=comparison,
+        validation=validation, solution=sol, candidate_verify=cand_rep,
+        dynamics=dynamics, final_verify=final_rep, comparison=comparison,
         passed=passed, trace=trace)
 
 

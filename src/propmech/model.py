@@ -250,7 +250,7 @@ class ValuationTable:
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
         tail = (1,) * (x.ndim - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for fam, idx, a, b in self._parts:
                 out[idx] = getattr(fam, fn)(a.reshape(-1, *tail),
                                             b.reshape(-1, *tail), x[idx])
@@ -295,13 +295,18 @@ class ValuationTable:
 
 def _bind(family: str, a: float, b: float) -> tuple:
     """A valuation's value, slope and curvature as functions of one float
-    x: the FAMILIES forms with its parameters (DomainError for x < 0)."""
+    x: the FAMILIES forms with its parameters (DomainError for x < 0), on
+    numpy floats as the array path does where Python floats overflow."""
 
     def at(form):
         def f(x: float) -> float:
             if x < 0:
                 raise DomainError("valuation evaluated at negative x")
-            return form(a, b, x)
+            try:
+                return form(a, b, x)
+            except OverflowError:
+                with np.errstate(all="ignore"):
+                    return float(form(*map(np.float64, (a, b, x))))
         return f
     return tuple(at(form) for form in FAMILIES[family][:3])
 
@@ -317,15 +322,14 @@ def _consensus(members: list, q: float, D: float, lo: float,
     their (slope, curvature) float forms; a crossing outside pins that end.
 
     Newton on a bracket that every evaluated point shrinks, with bisection
-    where the step leaves it or the curvature is 0. Python raises where
-    numpy returns inf, so the points stay at or above 1e-12, where no
-    power curvature overflows, and the low-end test reads the slope alone
-    at max(lo, 1e-300). While the bracket [a, b] has b > _WIDE max(a, 1)
-    each step is its geometric midpoint with a read as at least 1, which
-    brings a ceiling of 1e300 to that width in about 6 steps. Stops after
-    80 steps, when a step lands on a bracket end (a point already
-    evaluated: Newton alternates between neighbouring floats there) or
-    when it moves z by at most 4e-16 (1 + |z|).
+    where the step leaves it or the curvature is 0. The points stay at or
+    above 1e-12, where no power curvature overflows, and the low-end test
+    reads the slope alone at max(lo, 1e-300). While the bracket [a, b] has
+    b > _WIDE max(a, 1) each step is its geometric midpoint with a read as
+    at least 1, which brings a ceiling of 1e300 to that width in about 6
+    steps. Stops after 80 steps, when a step lands on a bracket end (a
+    point already evaluated: Newton alternates between neighbouring floats
+    there) or when it moves z by at most 4e-16 (1 + |z|).
     """
     def slope(x):
         s = 0.0
@@ -352,10 +356,7 @@ def _consensus(members: list, q: float, D: float, lo: float,
         else:
             curv = 0.0
             for _, d2v in members:
-                try:
-                    curv += d2v(z)
-                except OverflowError:
-                    pass  # log_shift's (1 + b z)^2 past 1.8e308: numpy's -0
+                curv += d2v(z)
             newton = z - f / curv if curv != 0.0 else math.nan
             # closed bracket: a step that lands on the root it already
             # holds (f = 0) stays put instead of restarting bisection

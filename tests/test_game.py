@@ -12,7 +12,7 @@ from propmech.centralized import solve
 from propmech.game import (A2Violation, _DemandObjective, _SweepState,
                            _concave_argmax, _draw_joint_trials,
                            _local_gains, _own_deviation_utilities,
-                           _price_caps, best_response_demand,
+                           best_response_demand,
                            best_response_price, construct_candidate_ne,
                            default_init, make_profile, notional_demand,
                            outcome, run_dynamics, utility, verify_epsilon_ne)
@@ -415,11 +415,12 @@ def test_anderson_solves_a_slow_linear_contraction():
     Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     M = Q @ np.diag([0.98, 0.9, 0.5, -0.3]) @ Q.T
     fixed = rng.normal(size=4)
-    acc = game._Anderson()
     x, flags = np.zeros(4), []
+    acc = game._Anderson(np.full(4, -np.inf), np.full(4, np.inf), np.ones(4),
+                         x)
     for _ in range(6):
         gx = fixed + M @ (x - fixed)
-        step, extrapolated = acc.step(x, gx)
+        step, extrapolated = acc.step(gx)
         flags.append(extrapolated)
         x = gx if step is None else step
     # one round that starts the history, then extrapolated rounds
@@ -428,22 +429,34 @@ def test_anderson_solves_a_slow_linear_contraction():
 
 
 def test_anderson_safeguard_goes_back_and_restarts_the_history():
-    acc = game._Anderson()
     x0 = np.array([1.0, 1.0])
+    acc = game._Anderson(np.full(2, -np.inf), np.full(2, np.inf), np.ones(2),
+                         x0)
     g0 = np.array([0.5, 0.5])
-    assert acc.step(x0, g0) == (None, False)
+    assert acc.step(g0) == (None, False)
     g1 = np.array([0.3, 0.2])
-    e1, extrapolated = acc.step(g0, g1)
+    e1, extrapolated = acc.step(g1)
     assert extrapolated
     # the residual at the extrapolated point grew: the history goes and
     # the run returns to the plain image e1 replaced
-    back, extrapolated = acc.step(e1, e1 + 10.0)
-    assert back is g1 and not extrapolated
+    back, extrapolated = acc.step(e1 + 10.0)
+    assert np.array_equal(back, g1) and not extrapolated
     assert acc.f == acc.g == acc.norms == []
     # the next round starts the history again, the one after extrapolates
-    x = g1
-    assert acc.step(x, 0.5 * x) == (None, False)
-    assert acc.step(0.5 * x, 0.25 * x)[1]
+    assert acc.step(0.5 * g1) == (None, False)
+    assert acc.step(0.25 * g1)[1]
+
+
+def test_anderson_extrapolates_the_scaled_state_into_the_box():
+    """The affine map x -> x / 2 + 5 has its fixed point 10 beyond the box
+    [0, 3]: the extrapolation on the state halved finds it, hands on the
+    box's end, and the next residual is measured from there."""
+    acc = game._Anderson(np.zeros(1), np.full(1, 3.0), np.full(1, 2.0),
+                         np.zeros(1))
+    assert acc.step(np.array([5.0])) == (None, False)
+    z, extrapolated = acc.step(np.array([7.5]))
+    assert extrapolated and z.tolist() == [3.0]
+    assert acc.x.tolist() == [1.5]
 
 
 def _reach_start(inst, seed: int, index: int):
@@ -939,7 +952,8 @@ def test_price_caps_and_local_gains_match_the_per_agent_loops():
             g = int(red.group_of_agent[inst.index_sets.members[l][0]])
             group = list(inst.equality_groups[g])
             want[l] = max(want[l], 2.0 * float(slopes[group].sum()))
-        assert np.allclose(_price_caps(inst), want, rtol=1e-14, atol=0.0)
+        assert np.allclose(game._PriceRound(inst).p_cap, want, rtol=1e-14,
+                           atol=0.0)
         # demands below the floor, inside, and above the ceiling
         y = inst.d + rng.uniform(0.0, 1.2 * inst.D, inst.n_agents)
         y[0], y[1] = 0.5 * inst.d[0], inst.D + 5.0
@@ -1131,6 +1145,37 @@ def test_verify_price_trials_are_the_price_best_responses(monkeypatch):
                 want = prof.prices[i].copy()
                 want[l] = best_response_price(inst, "base", prof, i, l)
                 assert P[k].tobytes() == want.tobytes(), (i, l)
+
+
+def test_best_response_round_prices_each_agent_as_best_response_price(
+        monkeypatch):
+    """The best-response round prices all of an agent's rows from one
+    allocate. On every agent of the 11 bundled instances, at 3 random
+    profiles each, those prices are bitwise best_response_price on each
+    own row, the slow path they replace, at the profile the agent sees;
+    and the whole round is bitwise the per-membership loop."""
+    demand, seen = game.best_response_demand, []
+
+    def check(inst, variant, prof, i, thorough=True):
+        rows = list(inst.index_sets.rows_of_agent[i])
+        want = [best_response_price(inst, "base", prof, i, l) for l in rows]
+        assert prof.prices[i, rows].tobytes() == np.array(want).tobytes()
+        seen.append(i)
+        return demand(inst, variant, prof, i, thorough)
+
+    monkeypatch.setattr(game, "best_response_demand", check)
+    for inst, prof, _ in off_equilibrium_profiles(33, 8):
+        got = prof.copy()
+        seen.clear()
+        game._best_response_round(inst, got)
+        assert seen == list(range(inst.n_agents))
+        for i in range(inst.n_agents):
+            for l in inst.index_sets.rows_of_agent[i]:
+                prof.prices[i, l] = best_response_price(inst, "base", prof,
+                                                        i, l)
+            prof.y[i] = demand(inst, "base", prof, i, thorough=False)
+        assert got.y.tobytes() == prof.y.tobytes()
+        assert got.prices.tobytes() == prof.prices.tobytes()
 
 
 def test_verify_flags_price_disagreement():

@@ -223,12 +223,12 @@ def test_run_experiment_canonical_end_to_end():
     rep = run_experiment(canonical_instance(),
                          ExperimentConfig(deviations=60))
     assert rep.passed
-    assert rep.validation["passed"]
+    assert rep.validation.passed
     assert rep.solution.converged
-    assert rep.candidate_verify["passed"]
+    assert rep.candidate_verify.passed
     assert rep.dynamics["converged"]
     assert rep.dynamics["rounds"] == 24
-    assert rep.final_verify["passed"]
+    assert rep.final_verify.passed
     assert rep.comparison["x_err"] <= 1e-6
     assert rep.comparison["price_err"] <= 1e-6
     payload = json.loads(json.dumps(rep.to_dict()))
@@ -241,8 +241,8 @@ def test_run_experiment_flags_a_failing_configuration():
                          ExperimentConfig(schedule="best-response",
                                           deviations=30))
     assert not rep.passed
-    assert rep.candidate_verify["passed"]
-    assert not rep.final_verify["passed"]
+    assert rep.candidate_verify.passed
+    assert not rep.final_verify.passed
 
 
 def test_run_many_matches_individual_runs():
@@ -447,6 +447,25 @@ def test_cli_solve_refuses_a_nonpositive_floor(tmp_path, capsys, d):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") \
         and "floor in d" in err[0]
+
+
+def test_cli_overflowing_float_forms_end_in_an_exit_code(tmp_path, capsys):
+    """Python floats raise OverflowError where numpy gives inf: at D = 1e300
+    the log_shift curvature's (1 + b x)^2 overflows, and at b = 1e-300 a
+    power curvature does. The float forms then give numpy's values, so
+    each command ends in its exit code, with no traceback and no
+    RuntimeWarning (which the test configuration makes an error)."""
+    inst = instance_to_dict(canonical_instance())
+    inst["agents"][1]["valuation"] = {"family": "power", "a": 1.0, "b": 0.5}
+    inst["D"] = 1e300
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(inst))
+    for cmd in (["solve"], ["simulate", "--rounds", "200"], ["verify"]):
+        assert main([cmd[0], str(path), *cmd[1:]]) == 1, cmd
+    inst["D"], inst["agents"][1]["valuation"]["b"] = 100.0, 1e-300
+    path.write_text(json.dumps(inst))
+    assert main(["solve", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_cli_usage_exit_codes(tmp_path, capsys):
