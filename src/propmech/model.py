@@ -118,6 +118,20 @@ def _log_inv(a, b, q):
     return np.where(q >= a * b, 0.0, z)
 
 
+def _log_curv(a, b, x):
+    """log_shift's v'' = -a b^2 / (1 + b x)^2, bitwise, wherever b ** 2 is
+    finite. Past b = 2^511 the square overflows though the curvature need
+    not; there it is -(a t) t with t = b / (1 + b x), the slope per unit
+    a."""
+    huge = b >= 2.0 ** 511
+    if not (huge if isinstance(huge, bool) else huge.any()):
+        return -a * b ** 2 / (1.0 + b * x) ** 2
+    t = b / (1.0 + b * x)
+    if isinstance(huge, bool):  # one valuation's float b
+        return -(a * t) * t
+    return np.where(huge, -(a * t) * t, -a * b ** 2 / (1.0 + b * x) ** 2)
+
+
 def _power_inv(a, b, q):
     return np.where(q > 0, (q / (a * b)) ** (1.0 / (b - 1.0)), np.inf)
 
@@ -132,7 +146,7 @@ FAMILIES: dict[str, _Family] = {
     "log_shift": _Family(
         value=lambda a, b, x: a * np.log1p(b * x),
         deriv=lambda a, b, x: a * b / (1.0 + b * x),
-        deriv2=lambda a, b, x: -a * b ** 2 / (1.0 + b * x) ** 2,
+        deriv2=_log_curv,
         inv_deriv=_log_inv),
     "power": _Family(
         value=lambda a, b, x: a * x ** b,
@@ -641,6 +655,17 @@ class Instance:
         return RowLayout(index=index, mask=mask,
                          pick=index * len(members) + row, counts=counts,
                          coef=coef, weight=np.where(mask, weight, 0.0))
+
+    @cached_property
+    def agent_cells(self) -> np.ndarray:
+        """(W, N) flat indices into an (N, L) array: column i lists agent
+        i's rows in order, padded to the largest membership count W with
+        cells of agent i off its rows, where tax terms are zero."""
+        off = self.A.T == 0
+        W = int((~off).sum(axis=1).max(initial=0))
+        rows = np.argsort(off, axis=1, kind="stable")[:, :W]
+        return (np.arange(self.n_agents)[:, None] * self.n_constraints
+                + rows).T
 
     @cached_property
     def reduced(self) -> "ReducedInstance":

@@ -20,6 +20,10 @@ are laid out side by side once per instance (Instance.row_layout), and every
 leave-one-out sum is an exclusive prefix sum plus an exclusive suffix sum
 along that member axis. Neither reads the recipient's own entry, so
 perturbing own messages leaves own rebates bitwise unchanged.
+
+The books are exact: every per-agent and per-profile total is a math.fsum
+result, given bitwise for many segments at once by one certified
+compensated-sum kernel, _exact_sums, with math.fsum as its fallback.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ import numpy as np
 
 from .model import (DimensionMismatch, Instance, InvalidParameter, Variant,
                     _AsDict)
+
+# unit roundoff of float64
+_U = 2.0 ** -53
+# below this sum of |terms| nothing inside math.fsum overflows
+_FSUM_SAFE = 2.0 ** 1022
 
 __all__ = [
     "AgentNotOnConstraint",
@@ -75,53 +84,98 @@ class TaxBreakdown(_AsDict):
 
     @property
     def per_agent(self) -> np.ndarray:
-        terms = (self.payment, self.disagreement, self.slackness,
-                 self.rebate)
-        return np.array(_agent_totals(zip(*(t.tolist() for t in terms))),
-                        dtype=float)
+        """Each agent's total, from exact sums over its whole rows."""
+        return _agent_books(*_exact_sums(np.stack(
+            (self.payment.T, self.disagreement.T, self.slackness.T,
+             self.rebate.T), axis=-1)).T)
 
     @property
     def gross(self) -> float:
         """Sum of absolute gross terms; scales budget tolerances."""
-        return float(np.abs(self.payment).sum()
-                     + self.disagreement.sum() + self.slackness.sum())
+        return float(_gross_scale(*(t.reshape(-1) for t in (
+            self.payment, self.disagreement, self.slackness))))
 
 
 def total_tax(breakdown: TaxBreakdown) -> float:
     """Grand total across agents (the budget imbalance of the profile)."""
-    return math.fsum(breakdown.per_agent)
+    return float(_exact_sums(breakdown.per_agent[:, None])[0])
 
 
-def _agent_totals(rows) -> list:
-    """Each agent's total from its (payment, disagreement, slackness,
-    rebate) rows: one exactly rounded sum per term."""
-    fsum = math.fsum
-    return [fsum(pay) + fsum(dis) + fsum(sl) - fsum(reb)
-            for pay, dis, sl, reb in rows]
+def _agent_books(pay, dis, sl, reb):
+    """Each agent's total from the exact sums of its four terms."""
+    return pay + dis + sl - reb
+
+
+def _gross_scale(pay, dis, sl):
+    """|payment| + disagreement + slackness summed over the last axis: the
+    scale of a profile's budget tolerance."""
+    return np.abs(pay).sum(axis=-1) + dis.sum(axis=-1) + sl.sum(axis=-1)
+
+
+def _exact_sums(x: np.ndarray) -> np.ndarray:
+    """math.fsum of each segment x[:, k] of x (W, ...), bitwise, for all
+    segments at once: a compensated pass, and math.fsum for each segment
+    the pass cannot certify.
+
+    The pass (Neumaier 1974; Sum2 of Ogita, Rump & Oishi 2005) keeps the
+    running sum s_j = fl(s_{j-1} + x_j) and each add's exact TwoSum error
+    e_j, then c = fl(sum e_j), E = fl(sum |e_j|), r = fl(s + c) and that
+    add's exact error e2, so the exact sum is S = r + e2 + (sum e_j - c).
+
+    Bound: |sum e_j - c| <= B = fl(2 W u E), u = 2^-53. Summing the W - 1
+    errors in any order is off by at most g sum|e_j|, g = (W-2)u / (1 -
+    (W-2)u) (Higham 2002, 4.2), and sum|e_j| <= (1 + g) E, so for W <
+    2^40 the error is below T = W u E. fl(2T) >= T unless T < 2^-1075,
+    and there the error, a multiple of 2^-1074, is 0.
+
+    Certificate: 2 (|e2| + B) < gap, the spacing below |r| (2^-1074 at
+    0). Then |S - r| < gap / 2: r is S rounded to nearest with no tie,
+    fsum's result, and an r of 0 means S = 0. r is never -0.0 (no TwoSum
+    error is), so that 0 is fsum's +0.0. Rounding is monotone and gap / 2
+    a float (or the test forces e2 = B = 0), so the float test decides.
+
+    Fallback: while W max|x| < 2^1022 neither the pass nor fsum, whose
+    partials sum to about sum|x_j| in magnitude, can overflow, and the
+    pass raises no warning; past it (or on inf or nan) nothing is
+    certified. Every uncertified segment goes through math.fsum, which
+    raises where it would have raised on its own.
+    """
+    W, shape = len(x), x.shape[1:]
+    if not W:
+        return np.zeros(shape)
+    x = x.reshape(W, -1)
+    if not np.abs(x).max(initial=0.0) < _FSUM_SAFE / W:
+        return np.array([math.fsum(col) for col in x.T.tolist()],
+                        dtype=float).reshape(shape)
+    S = np.add.accumulate(x, axis=0)
+    prev, t = S[:-1], S[1:]
+    z = t - prev
+    e = (prev - (t - z)) + (x[1:] - z)
+    s, c, E = S[-1], e.sum(axis=0), np.abs(e).sum(axis=0)
+    r = s + c
+    z = r - s
+    e2 = (s - (r - z)) + (c - z)
+    gap = np.spacing(np.nextafter(np.abs(r), 0.0))
+    ok = 2.0 * (np.abs(e2) + 2.0 * W * _U * E) < gap
+    if not ok.all():
+        for k in np.flatnonzero(~ok).tolist():
+            r[k] = math.fsum(x[:, k].tolist())
+    return r.reshape(shape)
 
 
 def _budget_books(instance: Instance, terms: np.ndarray
                   ) -> "tuple[list, np.ndarray]":
     """Per profile of a _tax_terms result (4, M, N, L): its total tax and
-    its gross, bitwise total_tax and .gross of its TaxBreakdown. The exact
-    sums read only each agent's memberships: the terms are zero elsewhere,
-    and fsum drops zeros."""
+    its gross, bitwise total_tax and .gross of its TaxBreakdown. Each
+    term's per-agent sums read the agent's memberships alone
+    (Instance.agent_cells), one term at a time, and the profile's total is
+    the exact sum of its agents' totals."""
     M = terms.shape[1]
-    on = instance.A.T != 0
-    ends = np.cumsum(on.sum(axis=1)).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
-    fsum = math.fsum
-    member_terms = terms.reshape(4, M, -1)[:, :, np.flatnonzero(on)]
-    totals = []
-    for k in range(M):
-        # one profile's floats at a time, so the lists stay small
-        pay, dis, sl, reb = member_terms[:, k].tolist()
-        totals.append(fsum(_agent_totals(
-            (pay[a:b], dis[a:b], sl[a:b], reb[a:b]) for a, b in spans)))
-    flat = terms[:3].reshape(3, M, -1)
-    gross = np.abs(flat[0]).sum(axis=1) + flat[1].sum(axis=1) \
-        + flat[2].sum(axis=1)
-    return totals, gross
+    flat = terms.reshape(4, M, -1)
+    cells = instance.agent_cells
+    totals = _exact_sums(_agent_books(
+        *(_exact_sums(t.T[cells]) for t in flat)))
+    return totals.tolist(), _gross_scale(*flat[:3])
 
 
 def _check_prices(instance: Instance, prices: np.ndarray) -> np.ndarray:

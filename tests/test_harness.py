@@ -407,6 +407,20 @@ def test_cli_one_member_row_exits_2(tmp_path, capsys):
                for line in err)
 
 
+def test_cli_simulates_a_log_shift_slope_past_the_square_overflow(tmp_path,
+                                                                  capsys):
+    # b = 1e300 overflows b ** 2 in the log_shift curvature; a nan there
+    # made every dynamics price nan and simulate exit 2 with "prices must
+    # be finite"
+    inst = instance_to_dict(canonical_instance())
+    inst["agents"][0]["valuation"]["b"] = 1e300
+    inst["agents"][1]["valuation"] = {"family": "power", "a": 1.0, "b": 0.5}
+    path = tmp_path / "huge_b.json"
+    path.write_text(json.dumps(inst))
+    assert main(["simulate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True
+
+
 def test_cli_rejects_nan_cap(tmp_path, capsys):
     inst = instance_to_dict(canonical_instance())
     inst["constraints"][0]["cap"] = float("nan")

@@ -83,6 +83,30 @@ def test_family_forms_agree_on_floats_and_arrays():
         assert np.array_equal(getattr(table, fn)(X), want)
 
 
+def test_log_shift_curvature_past_the_square_overflow():
+    # every b whose square is finite keeps the former form bitwise, on
+    # floats and on arrays; past 2**511 b ** 2 overflows, and the
+    # curvature -a (b / (1 + b x))^2 is still finite for x > 0
+    def former(a, b, x):
+        return -a * b ** 2 / (1.0 + b * x) ** 2
+
+    curv = FAMILIES["log_shift"].deriv2
+    rng = np.random.default_rng(17)
+    a = rng.uniform(0.1, 5.0, 2000)
+    b = 10.0 ** rng.uniform(-3.0, 150.0, 2000)
+    x = 10.0 ** rng.uniform(-6.0, 2.0, 2000)
+    assert np.array_equal(curv(a, b, x), former(a, b, x))
+    assert [curv(*v) for v in zip(a.tolist(), b.tolist(), x.tolist())] \
+        == [former(*v) for v in zip(a.tolist(), b.tolist(), x.tolist())]
+    for b in (2.0 ** 511, 1e300):
+        v = Valuation("log_shift", 2.0, b)
+        table = ValuationTable.of((v,))
+        for x in (1e-6, 0.5, 40.0):
+            want = -2.0 * (b / (1.0 + b * x)) ** 2
+            assert v.deriv2(x) == pytest.approx(want, rel=1e-15)
+            assert table.deriv2(np.array([x]))[0] == v.deriv2(x)
+
+
 def test_valuation_domain_and_parameter_errors():
     v = Valuation("log_shift", 1.0, 1.0)
     with pytest.raises(DomainError):

@@ -7,12 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from propmech.allocation import allocate
 from propmech.centralized import solve
 from propmech.game import construct_candidate_ne
-from propmech.harness import Scenario, canonical_instance, generate
+from propmech.harness import (Scenario, bundled_scenarios,
+                              canonical_instance, generate)
 from propmech.model import (Constraint, Instance, InvalidParameter, Valuation,
                             Variant)
 from propmech.taxation import (AgentNotOnConstraint,
                                AssumptionA4PrimeViolated,
-                               DegenerateRowUnsupported, _peer_means,
+                               DegenerateRowUnsupported, TaxBreakdown,
+                               _budget_books, _exact_sums, _peer_means,
                                _tax_terms, base_tax, pbar, sbb_ne_tax,
                                sbb_offeq_tax, tax, total_tax)
 
@@ -308,7 +310,7 @@ def test_breakdown_accounting():
     manual = (bd.payment.sum(axis=1) + bd.disagreement.sum(axis=1)
               + bd.slackness.sum(axis=1) - bd.rebate.sum(axis=1))
     assert bd.per_agent == pytest.approx(manual, rel=1e-12)
-    assert total_tax(bd) == pytest.approx(math.fsum(bd.per_agent), abs=1e-15)
+    assert total_tax(bd) == math.fsum(bd.per_agent)
     d = bd.to_dict()
     assert np.asarray(d["per_agent"]) == pytest.approx(bd.per_agent)
     assert bd.gross >= 0.0
@@ -592,3 +594,136 @@ def test_non_finite_messages_are_rejected(field, bad):
     if field == "prices":
         with pytest.raises(InvalidParameter):
             pbar(inst, msg["prices"], 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# exact books: the segment-sum kernel against math.fsum
+
+
+def reference_agent_totals(payment, disagreement, slackness, rebate):
+    """The former per-agent books: per agent, one math.fsum of each term's
+    row, combined in this order."""
+    fsum = math.fsum
+    return [fsum(pay) + fsum(dis) + fsum(sl) - fsum(reb)
+            for pay, dis, sl, reb in zip(*(t.tolist() for t in (
+                payment, disagreement, slackness, rebate)))]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _book_cases():
+    """(instance, variant, Y, X, P): the bundled instances under every
+    variant at random profiles and at their candidate equilibrium (where
+    the books cancel), profiles quoting one price per row (zero
+    disagreement everywhere), and one profile of an N=200, L=40 instance
+    whose agents sit on up to W=28 rows."""
+    rng = np.random.default_rng(59)
+    for variant in ("base", "sbb-ne", "sbb-offeq"):
+        for sc, seed in bundled_scenarios(variant):
+            inst = generate(sc, seed)
+            sol = solve(inst)
+            ne = construct_candidate_ne(inst, sol)
+            msgs = [random_messages(inst, rng) for _ in range(20)]
+            msgs.append((ne.y, allocate(inst, ne.y).x, ne.prices))
+            yield (inst, variant) + tuple(map(np.array, zip(*msgs)))
+            q = sol.lambda_star * rng.uniform(0.0, 2.0, (20, len(inst.caps)))
+            x = allocate(inst, sol.x_star).x
+            yield (inst, variant, np.tile(sol.x_star, (20, 1)),
+                   np.tile(x, (20, 1)), q[:, None, :] * (inst.A != 0).T)
+    large = generate(Scenario(kind="unicast", n_agents=200, n_constraints=40,
+                              min_members=5, families=("power",),
+                              cap_range=(100, 300)), 0)
+    assert len(large.agent_cells) == 28
+    y, x, prices = random_messages(large, rng)
+    yield large, "sbb-offeq", y[None], x[None], prices[None]
+
+
+def test_books_match_the_former_fsum_loops():
+    """per_agent, total_tax and _budget_books' totals are bitwise the
+    former per-agent fsum loops, and _budget_books' gross is bitwise
+    .gross, on every profile."""
+    for inst, variant, Y, X, P in _book_cases():
+        terms = _tax_terms(inst, Variant.parse(variant), Y, X, P)
+        totals, gross = _budget_books(inst, terms)
+        for k, (total, g) in enumerate(zip(totals, gross)):
+            bd = TaxBreakdown(*terms[:, k])
+            want = reference_agent_totals(*terms[:, k])
+            assert _bits(bd.per_agent) == _bits(want), (variant, k)
+            assert _bits(total_tax(bd)) == _bits(math.fsum(want))
+            assert _bits(total) == _bits(math.fsum(want)), (variant, k)
+            assert _bits(g) == _bits(bd.gross), (variant, k)
+
+
+_MAX = np.finfo(float).max
+
+
+@st.composite
+def hard_rows(draw):
+    """Rows of one width W: any finite floats, rows that cancel up to a
+    small rest, sums within a few terms of a tie at half an ulp,
+    subnormals, signed zeros, and running sums past the largest float."""
+    W = draw(st.integers(1, 9))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(
+            ("any", "cancel", "tie", "tiny", "zeros", "huge")))
+        if kind == "cancel":
+            half = draw(st.lists(finite, min_size=W // 2, max_size=W // 2))
+            rest = draw(st.lists(st.floats(-1e-20, 1e-20),
+                                 min_size=W % 2, max_size=W % 2))
+            row = draw(st.permutations(half + [-v for v in half] + rest))
+        elif kind == "tie":
+            a = draw(st.floats(1e-300, 1e300))
+            nudges = draw(st.lists(st.sampled_from(
+                (0.0, 2.0 ** -60, -(2.0 ** -60), 2.0 ** -110,
+                 0.9 * 2.0 ** -54)),
+                min_size=max(W - 2, 0), max_size=max(W - 2, 0)))
+            half_ulp = float(np.spacing(a)) / 2 * draw(
+                st.sampled_from((1.0, -1.0, 0.5)))
+            row = ([a, half_ulp] + [v * float(np.spacing(a)) * 2.0 ** 52
+                                    for v in nudges])[:W]
+        elif kind == "tiny":
+            row = draw(st.lists(st.floats(-1e-300, 1e-300), min_size=W,
+                                max_size=W))
+        elif kind == "zeros":
+            row = draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=W,
+                                max_size=W))
+        elif kind == "huge":
+            row = draw(st.lists(st.sampled_from(
+                (_MAX, -_MAX, _MAX / 2, 2.0 ** 970, -(2.0 ** 970), 1.0)),
+                min_size=W, max_size=W))
+        else:
+            row = draw(st.lists(finite, min_size=W, max_size=W))
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(rows), W)
+
+
+def _fsum_or_raise(row):
+    try:
+        return math.fsum(row.tolist()), None
+    except OverflowError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hard_rows())
+# the compensation drops 2.7 * 2^-107 that carries the sum past the tie
+# at 1.5 + 2^-53, while the last add's error alone stays below it: only
+# the bound B keeps 1.5 uncertified
+@example(np.array([[1.5, 2.0 ** -53 - 2.0 ** -106] + [0.9 * 2.0 ** -107] * 3]))
+# the exact sum is 0.6 ulp of the largest float, but fsum overflows on
+# its way there, and the kernel must raise as fsum does
+@example(np.array([[_MAX, 0.3 * 2.0 ** 971, 0.3 * 2.0 ** 971, -_MAX]]))
+def test_exact_sums_are_fsum_bitwise(rows):
+    """Each segment's sum is math.fsum of it, bitwise, and a call raises
+    fsum's OverflowError at the first segment fsum overflows on."""
+    want = [_fsum_or_raise(row) for row in rows]
+    failed = [err for _, err in want if err is not None]
+    if failed:
+        with pytest.raises(OverflowError, match=failed[0]):
+            _exact_sums(rows.T)
+        return
+    assert _bits(_exact_sums(rows.T)) == _bits([v for v, _ in want])
