@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, ReducedInstance
+from .model import Instance, InputError, ReducedInstance
 
 __all__ = [
     "DemandOutOfBox",
@@ -27,7 +27,7 @@ __all__ = [
 _RAY_EPS = 1e-300  # denominators below this cannot produce a crossing
 
 
-class DemandOutOfBox(ValueError):
+class DemandOutOfBox(InputError):
     """Some demand sits at or below the floor d."""
 
 

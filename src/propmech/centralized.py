@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (DimensionMismatch, Instance, NoInteriorPoint,
-                    ReducedInstance, _AsDict, nnls)
+from .model import (DimensionMismatch, InputError, Instance, NoInteriorPoint,
+                    PropmechError, ReducedInstance, _AsDict, nnls)
 
 __all__ = [
     "NoConvergence",
@@ -39,7 +39,7 @@ __all__ = [
 ORACLE_POINT_CAP = int(1e8)
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(PropmechError, RuntimeError):
     """Residuals above tolerance when the solver stopped; its last iterate
     is on .solution."""
 
@@ -48,7 +48,7 @@ class NoConvergence(RuntimeError):
         self.solution = solution
 
 
-class TooLarge(RuntimeError):
+class TooLarge(InputError, RuntimeError):
     """Brute-force grid would exceed the evaluation budget."""
 
 

@@ -1,7 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 a check or run failed its target, 2 usage or
-input errors.
+Each command returns None, or the message of the target it failed. Exit
+codes: 0 success; 1 a failed target or any other PropmechError; 2 an
+InputError, an OSError or a malformed command line. A command's exit 1
+or 2 prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -12,17 +14,14 @@ import sys
 
 import numpy as np
 
-from .allocation import DemandOutOfBox, allocate
-from .centralized import (NoConvergence, TooLarge, brute_force_oracle,
-                          objective, solve)
+from .allocation import allocate
+from .centralized import brute_force_oracle, objective, solve
 from .game import (construct_candidate_ne, make_profile, run_dynamics,
                    verify_epsilon_ne)
-from .harness import (ExperimentConfig, GenerationFailed, Scenario,
-                      UnknownSuite, generate, property_suite, run_experiment,
-                      write_trace_csv)
-from .model import (DomainError, InvalidParameter, Variant, instance_digest,
+from .harness import (ExperimentConfig, Scenario, generate, property_suite,
+                      run_experiment, write_trace_csv)
+from .model import (InputError, PropmechError, Variant, instance_digest,
                     instance_to_dict, load_instance, validate)
-from .taxation import AgentNotOnConstraint
 
 __all__ = ["main"]
 
@@ -40,12 +39,11 @@ def _load(path: str):
     try:
         return load_instance(path)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: cannot load instance {path!r}: {exc}",
-              file=sys.stderr)
+        print(f"error: cannot load instance {path!r}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> "str | None":
     inst = _load(args.instance)
     sol = solve(inst, tol=args.tol, strict=False)
     payload = {"digest": instance_digest(inst), "solution": sol.to_dict()}
@@ -54,32 +52,32 @@ def _cmd_solve(args) -> int:
         payload["oracle"] = orc.to_dict()
         payload["oracle_gap"] = abs(objective(inst, sol.x_star) - orc.value)
     _write_json(args.json, payload)
-    return 0 if sol.converged else 1
+    return None if sol.converged else "the benchmark solve did not converge"
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> "str | None":
     inst = _load(args.instance)
     trace = run_dynamics(inst, args.variant, args.schedule,
                          max_rounds=args.rounds, tol=args.tol,
                          record_profiles=args.trace is not None)
     if args.trace:
         write_trace_csv(trace, args.trace)
-    alloc = allocate(inst, trace.profile.y)
     payload = {
         "digest": instance_digest(inst),
-        "variant": str(Variant.parse(args.variant)),
+        "variant": Variant.parse(args.variant).value,
         "schedule": trace.schedule,
         "rounds": trace.rounds,
         "converged": trace.converged,
         "y": trace.profile.y.tolist(),
         "prices": trace.profile.prices.tolist(),
-        "x": alloc.x.tolist(),
+        "x": allocate(inst, trace.profile.y).x.tolist(),
     }
     _write_json(args.json, payload)
-    return 0 if trace.converged else 1
+    return None if trace.converged else \
+        f"the dynamics did not rest in {trace.rounds} rounds"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> "str | None":
     inst = _load(args.instance)
     if args.profile:
         try:
@@ -88,26 +86,24 @@ def _cmd_verify(args) -> int:
             profile = make_profile(inst, np.asarray(raw["y"], dtype=float),
                                    np.asarray(raw["prices"], dtype=float))
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-            print(f"error: cannot load profile {args.profile!r}: {exc}",
-                  file=sys.stderr)
-            return 2
+            raise InputError(f"cannot load profile {args.profile!r}: {exc}")
     else:
         sol = solve(inst, strict=False)
         if not sol.converged:
-            print("error: benchmark solve did not converge; cannot "
-                  "construct candidate", file=sys.stderr)
-            return 1
+            return ("the benchmark solve did not converge; cannot "
+                    "construct the candidate")
         profile = construct_candidate_ne(inst, sol)
     report = verify_epsilon_ne(inst, args.variant, profile, eps=args.eps,
                                deviations=args.deviations, seed=args.seed)
     payload = {"digest": instance_digest(inst),
-               "variant": str(Variant.parse(args.variant)),
+               "variant": Variant.parse(args.variant).value,
                "report": report.to_dict()}
     _write_json(args.json, payload)
-    return 0 if report.passed else 1
+    return None if report.passed else \
+        f"not an eps-equilibrium: an agent gains {report.max_gain:.3g}"
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> "str | None":
     group_sizes = tuple(int(s) for s in args.group_sizes.split(",")) \
         if args.group_sizes else ()
     scenario = Scenario(kind=args.kind, n_agents=args.agents,
@@ -117,31 +113,26 @@ def _cmd_gen(args) -> int:
                         shared_row=args.shared_row)
     inst = generate(scenario, args.seed)
     report = validate(inst)
-    payload = instance_to_dict(inst)
-    _write_json(args.out, payload)
-    if not report.passed:
-        print("error: generated instance failed validation",
-              file=sys.stderr)
-        return 1
-    return 0
+    _write_json(args.out, instance_to_dict(inst))
+    return None if report.passed else "generated instance failed validation"
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> "str | None":
     inst = _load(args.instance)
-    config = ExperimentConfig(variant=args.variant, schedule=args.schedule,
-                              eps=args.eps,
+    config = ExperimentConfig(variant=Variant.parse(args.variant).value,
+                              schedule=args.schedule, eps=args.eps,
                               record_profiles=args.trace is not None)
     report = run_experiment(inst, config)
     if args.trace and report.trace is not None:
         write_trace_csv(report.trace, args.trace)
     _write_json(args.json, report.to_dict())
-    return 0 if report.passed else 1
+    return None if report.passed else "the experiment failed its checks"
 
 
-def _cmd_prop(args) -> int:
+def _cmd_prop(args) -> "str | None":
     report = property_suite(args.suite, samples=args.samples, seed=args.seed)
     _write_json(args.json, report.to_dict())
-    return 0 if report.passed else 1
+    return None if report.passed else f"suite {args.suite} failed"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -219,17 +210,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return int(args.fn(args))
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, TooLarge, GenerationFailed, DemandOutOfBox,
-            InvalidParameter, AgentNotOnConstraint, UnknownSuite) as exc:
+        failure = args.fn(args)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except PropmechError as exc:
+        failure = exc
+    if failure is None:
+        return 0
+    print(f"error: {failure}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

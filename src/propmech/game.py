@@ -17,8 +17,8 @@ import numpy as np
 
 from .allocation import _ray_pieces, allocate, allocate_many
 from .centralized import CentralizedSolution
-from .model import (Choice, Instance, InvalidParameter, Variant, _AsDict,
-                    _bind, nnls_tableau, nnls_tol_scale)
+from .model import (Choice, InputError, Instance, InvalidParameter, Variant,
+                    _AsDict, _bind, nnls_tableau, nnls_tol_scale)
 from .taxation import (TaxBreakdown, _budget_books, _check_finite,
                        _check_offeq, _check_prices, _gross, _member_means,
                        _peer_means, _peer_means_at, _peer_picks,
@@ -54,7 +54,7 @@ def _demand_floor(d):
     return d + 1e-12 * (1.0 + d)
 
 
-class A2Violation(RuntimeError):
+class A2Violation(InputError, RuntimeError):
     """Solved optimum leaves no room for the candidate equilibrium."""
 
 

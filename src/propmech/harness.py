@@ -24,9 +24,10 @@ from .centralized import (CentralizedSolution, brute_force_oracle,
                           objective, solve)
 from .game import (MessageProfile, NEReport, RunTrace,
                    construct_candidate_ne, run_dynamics, verify_epsilon_ne)
-from .model import (Constraint, DomainError, Instance, InvalidParameter,
-                    Valuation, ValidationReport, ValuationTable, Variant,
-                    _AsDict, instance_digest, validate)
+from .model import (Constraint, DomainError, InputError, Instance,
+                    InvalidParameter, Valuation, ValidationReport,
+                    ValuationTable, Variant, _AsDict, instance_digest,
+                    validate)
 from .taxation import (_budget_books, _member_means, _tax_terms,
                        sbb_offeq_tax, total_tax)
 
@@ -51,11 +52,11 @@ __all__ = [
 _MAX_RESAMPLES = 60
 
 
-class GenerationFailed(RuntimeError):
+class GenerationFailed(InputError, RuntimeError):
     """Scenario could not produce a conforming instance within the budget."""
 
 
-class UnknownSuite(ValueError):
+class UnknownSuite(InputError):
     """No property suite under that name."""
 
 
@@ -452,7 +453,6 @@ def _suite_feasibility(samples: int, seed: int) -> SuiteReport:
     per = max(1, samples // len(instances))
     worst = 0.0
     group_gap = 0.0
-    total = 0
     for inst in instances:
         Y = inst.d + rng.random((per, inst.n_agents)) * 100.0 + 1e-9
         X = allocate_many(inst, Y)
@@ -464,10 +464,9 @@ def _suite_feasibility(samples: int, seed: int) -> SuiteReport:
                 cols = X[:, list(g)]
                 group_gap = max(group_gap, float(
                     np.abs(cols - cols[:, :1]).max(initial=0.0)))
-        total += per
     ok = worst <= 1e-9 and group_gap == 0.0
-    return SuiteReport(name="feasibility", samples=total, passed=ok,
-                       max_violation=max(worst, group_gap),
+    return SuiteReport(name="feasibility", samples=per * len(instances),
+                       passed=ok, max_violation=max(worst, group_gap),
                        details={"max_row_violation": worst,
                                 "max_group_gap": group_gap})
 
@@ -488,7 +487,6 @@ def _suite_budget_ne(samples: int, seed: int) -> SuiteReport:
     rng = np.random.default_rng([seed, 202])
     per = max(1, samples // len(cases))
     worst = 0.0
-    total = 0
     for inst, sol in cases:
         y = sol.x_star
         x = allocate(inst, y).x
@@ -496,8 +494,7 @@ def _suite_budget_ne(samples: int, seed: int) -> SuiteReport:
         worst = max(worst, _worst_imbalance(inst, _tax_terms(
             inst, Variant.SBB_NE, np.tile(y, (per, 1)), np.tile(x, (per, 1)),
             P)))
-        total += per
-    return SuiteReport(name="budget_ne", samples=total,
+    return SuiteReport(name="budget_ne", samples=per * len(cases),
                        passed=worst <= 1e-9, max_violation=worst,
                        details={"tolerance": 1e-9})
 
@@ -519,16 +516,14 @@ def _suite_budget_offeq(samples: int, seed: int) -> SuiteReport:
     per = max(1, samples // len(instances))
     worst = 0.0
     infeasible_imb = 0.0
-    total = 0
     for inst in instances:
         Y, P, y_bad, p_bad = _draw_budget_offeq(inst, rng, per)
         worst = max(worst, _worst_imbalance(inst, _tax_terms(
             inst, Variant.SBB_OFFEQ, Y, allocate_many(inst, Y), P)))
-        total += per
         # off-polytope demand: imbalance is reported, never asserted
         infeasible_imb = max(infeasible_imb, abs(total_tax(sbb_offeq_tax(
             inst, y_bad, allocate(inst, y_bad).x, p_bad))))
-    return SuiteReport(name="budget_offeq", samples=total,
+    return SuiteReport(name="budget_offeq", samples=per * len(instances),
                        passed=worst <= 1e-9, max_violation=worst,
                        details={"tolerance": 1e-9,
                                 "offC_imbalance_example": infeasible_imb})
@@ -540,7 +535,6 @@ def _suite_rebate_independence(samples: int, seed: int) -> SuiteReport:
     cases.append((_offeq_instances()[0], Variant.SBB_OFFEQ))
     per = max(1, samples // max(1, len(cases)))
     mismatches = 0
-    total = 0
     for inst, variant in cases:
         n, L = inst.n_agents, inst.n_constraints
         Y, Y2 = np.empty((2, per, n))
@@ -559,8 +553,7 @@ def _suite_rebate_independence(samples: int, seed: int) -> SuiteReport:
         at = np.arange(per)
         mismatches += int(np.sum(np.any(
             rebate[at, movers] != rebate[per + at, movers], axis=1)))
-        total += per
-    return SuiteReport(name="rebate_independence", samples=total,
+    return SuiteReport(name="rebate_independence", samples=per * len(cases),
                        passed=mismatches == 0, max_violation=float(mismatches),
                        details={"mismatches": mismatches})
 
@@ -618,8 +611,8 @@ def _oracle_cases() -> "list[tuple[Instance, CentralizedSolution, float]]":
 
 def _suite_oracle_equivalence(samples: int, seed: int) -> SuiteReport:
     worst = 0.0
-    total = 0
-    for inst, sol, step in _oracle_cases():
+    cases = _oracle_cases()
+    for inst, sol, step in cases:
         orc = brute_force_oracle(inst, step=step)
         red = inst.reduced
         z = np.maximum(red.restrict(sol.x_star) - step, 1e-9)
@@ -630,8 +623,7 @@ def _suite_oracle_equivalence(samples: int, seed: int) -> SuiteReport:
         worst = max(worst, gap / tol if tol else 0.0)
         if objective(inst, sol.x_star) < orc.value - 1e-9:
             worst = max(worst, 2.0)
-        total += 1
-    return SuiteReport(name="oracle_equivalence", samples=total,
+    return SuiteReport(name="oracle_equivalence", samples=len(cases),
                        passed=worst <= 1.0, max_violation=worst,
                        details={"normalized_by": "lipschitz*step"})
 
@@ -649,6 +641,8 @@ SUITES = {
 def property_suite(name: str, samples: "int | None" = None,
                    seed: int = 0) -> SuiteReport:
     """Run one named randomized property suite."""
+    if samples is not None and samples < 1:
+        raise InvalidParameter(f"samples = {samples} must be >= 1")
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; have "
                            f"{sorted(SUITES)}")

@@ -23,6 +23,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
+    "PropmechError",
+    "InputError",
     "DomainError",
     "DimensionMismatch",
     "InvalidParameter",
@@ -56,23 +58,32 @@ INTERIOR_MARGIN = 1e-12  # strictness margin for interior-point derivation
 SIGMA_FLOOR = 1e-30  # give up on interior-point halving below this scale
 
 
-class DomainError(ValueError):
+class PropmechError(Exception):
+    """Root of every error the package raises."""
+
+
+class InputError(PropmechError, ValueError):
+    """Input outside the standing assumptions (A1-A6, A4'), or an option no
+    call accepts: bad input, not a failed computation."""
+
+
+class DomainError(InputError):
     """Valuation evaluated outside its domain (x < 0)."""
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(InputError):
     """Vector length does not match the instance."""
 
 
-class InvalidParameter(ValueError):
+class InvalidParameter(InputError):
     """Non-finite or out-of-range number in a valuation or an instance."""
 
 
-class NoInteriorPoint(RuntimeError):
+class NoInteriorPoint(InputError, RuntimeError):
     """No strictly interior scaled-floor point exists (e.g. a zero cap)."""
 
 
-class NegativeReducedCoefficient(ValueError):
+class NegativeReducedCoefficient(InputError):
     """Equality reduction produced a negative aggregated coefficient."""
 
 
@@ -87,8 +98,8 @@ class Choice(Enum):
         for member in cls:
             if member.value == key:
                 return member
-        raise ValueError(f"unknown {cls.__name__.lower()} {name!r}; expected "
-                         f"one of {[m.value for m in cls]}")
+        raise InvalidParameter(f"unknown {cls.__name__.lower()} {name!r}; "
+                               f"expected one of {[m.value for m in cls]}")
 
 
 class Variant(Choice):
@@ -393,7 +404,7 @@ NNLS_OUTER = 3
 _EPS = float(np.finfo(float).eps)
 
 
-class NNLSNoConvergence(RuntimeError):
+class NNLSNoConvergence(PropmechError, RuntimeError):
     """nnls ran out of outer iterations; its last feasible iterate is on .x."""
 
     def __init__(self, msg: str, x: np.ndarray):
@@ -488,16 +499,16 @@ class Constraint:
 
     def __post_init__(self):
         if not self.coeffs:
-            raise ValueError("constraint touches no agent")
+            raise InvalidParameter("constraint touches no agent")
         clean = {}
         for i, a in self.coeffs.items():
             i = int(i)
             a = float(a)
             if a == 0.0:
-                raise ValueError(f"zero coefficient for agent {i}; omit the "
-                                 "agent instead")
+                raise InvalidParameter(f"zero coefficient for agent {i}; "
+                                       "omit the agent instead")
             if i < 0:
-                raise ValueError("agent indices are zero-based and nonnegative")
+                raise DimensionMismatch(f"agent index {i} is negative")
             if not math.isfinite(a):
                 raise InvalidParameter(f"non-finite coefficient for agent {i}")
             clean[i] = a
@@ -676,6 +687,13 @@ class Instance:
         return any(len(g) > 1 for g in self.equality_groups)
 
     @cached_property
+    def _offeq_faults(self) -> tuple:
+        """What A4' (sbb-offeq) refuses: the rows with fewer than five
+        members, any equality group, any negative coefficient."""
+        return (np.flatnonzero(self.index_sets.counts < 5).tolist(),
+                self.is_degenerate, bool((self.A < 0).any()))
+
+    @cached_property
     def _derived_theta(self) -> np.ndarray:
         return derive_theta(self)
 
@@ -702,7 +720,7 @@ def _normalize_groups(groups: Iterable[Iterable[int]], n: int
             if i < 0 or i >= n:
                 raise DimensionMismatch(f"equality group member {i} out of range")
             if i in seen:
-                raise ValueError(f"agent {i} appears in two equality groups")
+                raise InvalidParameter(f"agent {i} is in two equality groups")
             seen.add(i)
         out.append(tg)
     for i in range(n):
@@ -928,7 +946,6 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
     variant = Variant.parse(variant)
     checks: list[CheckResult] = []
     n = instance.n_agents
-    idx = instance.index_sets
 
     # A1: strictly concave, increasing-at-zero valuations with valid params.
     table = instance.valuation_table
@@ -974,7 +991,7 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
         f"negative caps at rows {neg.tolist()}" if neg.size else ""))
 
     # A4: every constraint touches at least two agents.
-    thin = list(idx.thin_rows)
+    thin = list(instance.index_sets.thin_rows)
     checks.append(CheckResult(
         "A4", "fail" if thin else "pass",
         f"constraints {thin} touch fewer than two agents" if thin else ""))
@@ -982,14 +999,12 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
     # A4': off-equilibrium-balanced variant needs >= 5 agents per row,
     # nonnegative rows, and no equality groups.
     if variant is Variant.SBB_OFFEQ:
-        msgs = []
-        small = [l for l, m in enumerate(idx.members) if len(m) < 5]
-        if small:
-            msgs.append(f"constraints {small} touch fewer than five agents")
-        if instance.is_degenerate:
-            msgs.append("equality groups unsupported by this variant")
-        if np.any(instance.A < 0):
-            msgs.append("negative coefficients unsupported by this variant")
+        small, grouped, negative = instance._offeq_faults
+        msgs = [msg for bad, msg in (
+            (small, f"constraints {small} touch fewer than five agents"),
+            (grouped, "equality groups unsupported by this variant"),
+            (negative, "negative coefficients unsupported by this variant"))
+            if bad]
         checks.append(CheckResult("A4'", "fail" if msgs else "pass",
                                   "; ".join(msgs)))
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DimensionMismatch, Instance, InvalidParameter, Variant,
-                    _AsDict)
+from .model import (DimensionMismatch, InputError, Instance,
+                    InvalidParameter, Variant, _AsDict)
 
 # unit roundoff of float64
 _U = 2.0 ** -53
@@ -55,15 +55,15 @@ __all__ = [
 ]
 
 
-class AgentNotOnConstraint(ValueError):
+class AgentNotOnConstraint(InputError):
     """Asked about an (agent, constraint) pair with no membership."""
 
 
-class AssumptionA4PrimeViolated(ValueError):
+class AssumptionA4PrimeViolated(InputError):
     """Off-equilibrium-balanced taxes need >= 5 agents on every constraint."""
 
 
-class DegenerateRowUnsupported(ValueError):
+class DegenerateRowUnsupported(InputError):
     """Off-equilibrium-balanced taxes do not support equality groups or
     negative coefficients."""
 
@@ -182,7 +182,7 @@ def _check_prices(instance: Instance, prices: np.ndarray) -> np.ndarray:
     prices = np.asarray(prices, dtype=float)
     n, L = instance.n_agents, instance.n_constraints
     if prices.shape != (n, L):
-        raise ValueError(f"prices shaped {prices.shape}, expected ({n}, {L})")
+        raise DimensionMismatch(f"prices {prices.shape} are not ({n}, {L})")
     return _check_price_values(prices)
 
 
@@ -194,7 +194,7 @@ def _check_finite(a: np.ndarray, name: str) -> np.ndarray:
 
 def _check_price_values(prices: np.ndarray) -> np.ndarray:
     if (_check_finite(prices, "prices") < 0).any():
-        raise ValueError("prices must be nonnegative")
+        raise InvalidParameter("prices must be nonnegative")
     return prices
 
 
@@ -285,14 +285,14 @@ def pbar(instance: Instance, prices: np.ndarray, i: int, l: int) -> float:
 
 
 def _check_offeq(instance: Instance) -> None:
-    if instance.is_degenerate or np.any(instance.A < 0):
+    small, grouped, negative = instance._offeq_faults
+    if grouped or negative:
         raise DegenerateRowUnsupported(
             "off-equilibrium balancing needs nonnegative rows and no "
             "equality groups")
-    small = np.flatnonzero(instance.row_layout.counts < 5)
-    if small.size:
+    if small:
         raise AssumptionA4PrimeViolated(
-            f"constraints {small.tolist()} touch fewer than five agents")
+            f"constraints {small} touch fewer than five agents")
 
 
 def _ne_rebate(instance: Instance, y, p, pb) -> np.ndarray:

@@ -15,7 +15,7 @@ from propmech.harness import (ExperimentConfig, Scenario, UnknownSuite,
                               generate_with_info, property_suite,
                               run_experiment, run_many, write_trace_csv)
 from propmech.game import run_dynamics
-from propmech.model import (InvalidParameter, NNLSNoConvergence,
+from propmech.model import (InvalidParameter, NNLSNoConvergence, Variant,
                             instance_digest, instance_to_dict, load_instance,
                             save_instance)
 
@@ -213,6 +213,14 @@ def test_budget_suites_sample_the_per_call_profiles():
 def test_property_suite_rejects_unknown_names():
     with pytest.raises(UnknownSuite):
         property_suite("spectral-gap")
+
+
+@pytest.mark.parametrize("name, samples", [
+    ("valuation_derivatives", -5), ("feasibility", 0), ("budget_ne", -5)])
+def test_property_suite_refuses_fewer_than_one_sample(name, samples):
+    # these once reported a pass after checking nothing, or ran 4 samples
+    with pytest.raises(InvalidParameter, match="samples"):
+        property_suite(name, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +501,22 @@ def test_cli_usage_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", str(bad)])
     assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_cli_json_names_the_variant_as_parsed(tmp_path, capsys):
+    # simulate and verify wrote "Variant.SBB_NE" and run the raw option
+    path = _gen_instance(tmp_path)
+    for cmd, keys in (("simulate", ["variant"]), ("verify", ["variant"]),
+                      ("run", ["config", "variant"])):
+        out = tmp_path / f"{cmd}.json"
+        assert main([cmd, str(path), "--variant", "SBB_NE",
+                     "--json", str(out)]) == 0, cmd
+        value = json.loads(out.read_text())
+        for key in keys:
+            value = value[key]
+        assert value == "sbb-ne", cmd
+        assert Variant.parse(value) is Variant.SBB_NE
     capsys.readouterr()
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import propmech
 from propmech import model
 from propmech.game import Schedule
 from propmech.model import (FAMILIES, Constraint, DimensionMismatch,
@@ -788,6 +789,36 @@ def test_variant_parse_normalizes():
     with pytest.raises(ValueError,
                        match="unknown schedule 'gossip'.*best-response"):
         Schedule.parse("gossip")
+
+
+# the classes that mean bad input, and those that keep RuntimeError as well
+INPUT_ERRORS = {"InputError", "DomainError", "DimensionMismatch",
+                "InvalidParameter", "NegativeReducedCoefficient",
+                "DemandOutOfBox", "AgentNotOnConstraint",
+                "AssumptionA4PrimeViolated", "DegenerateRowUnsupported",
+                "UnknownSuite", "NoInteriorPoint", "TooLarge", "A2Violation",
+                "GenerationFailed"}
+RUNTIME_ERRORS = {"NoInteriorPoint", "TooLarge", "A2Violation",
+                  "GenerationFailed", "NoConvergence", "NNLSNoConvergence"}
+
+
+def test_every_exception_derives_from_one_root():
+    errors = {name: getattr(propmech, name) for name in propmech.__all__
+              if isinstance(getattr(propmech, name), type)
+              and issubclass(getattr(propmech, name), BaseException)}
+    # the two roots and the fifteen classes of the six modules
+    assert len(errors) == 17
+    for name, cls in errors.items():
+        assert issubclass(cls, propmech.PropmechError), name
+        is_input = issubclass(cls, propmech.InputError)
+        assert is_input == (name in INPUT_ERRORS), name
+        if name in RUNTIME_ERRORS:
+            assert issubclass(cls, RuntimeError), name
+        elif name != "PropmechError":
+            assert issubclass(cls, ValueError), name
+    # a bad option is bad input
+    with pytest.raises(InvalidParameter):
+        Variant.parse("vcg")
 
 
 # ---------------------------------------------------------------------------

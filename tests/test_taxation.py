@@ -10,11 +10,12 @@ from propmech.game import construct_candidate_ne
 from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
 from propmech.model import (Constraint, Instance, InvalidParameter, Valuation,
-                            Variant)
+                            Variant, validate)
 from propmech.taxation import (AgentNotOnConstraint,
                                AssumptionA4PrimeViolated,
                                DegenerateRowUnsupported, TaxBreakdown,
-                               _budget_books, _exact_sums, _peer_means,
+                               _budget_books, _check_offeq, _exact_sums,
+                               _peer_means,
                                _tax_terms, base_tax, pbar, sbb_ne_tax,
                                sbb_offeq_tax, tax, total_tax)
 
@@ -283,6 +284,28 @@ def test_sbb_offeq_preconditions_raise():
     pg = np.ones((5, grouped.n_constraints)) * (grouped.A != 0).T
     with pytest.raises(DegenerateRowUnsupported):
         sbb_offeq_tax(grouped, yg, yg, pg)
+
+
+def test_validate_and_the_offeq_taxes_agree_on_a4_prime():
+    two_agent = Instance(
+        valuations=(Valuation("log_shift", 1.0, 1.0),
+                    Valuation("power", 1.0, 0.5)),
+        constraints=(Constraint({0: 1.0, 1: 1.0}, 1.0),),
+        equality_groups=(), d=0.01, D=100.0, eta=1.0)
+    grouped = generate(Scenario(kind="public-good", n_agents=5,
+                                n_constraints=1), 5)
+    cases = [generate(sc, seed) for sc, seed in bundled_scenarios("sbb-offeq")]
+    refusals = []
+    for inst in cases + [two_agent, grouped]:
+        checks = {c.name: c.status for c in validate(inst, "sbb-offeq").checks}
+        try:
+            _check_offeq(inst)
+            refused = False
+        except (AssumptionA4PrimeViolated, DegenerateRowUnsupported):
+            refused = True
+        assert (checks["A4'"] == "fail") == refused
+        refusals.append(refused)
+    assert refusals == [False] * len(cases) + [True, True]
 
 
 # ---------------------------------------------------------------------------
