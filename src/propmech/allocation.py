@@ -48,16 +48,17 @@ def _row_values(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return Z @ rows.T
 
 
-def _crossing(red: ReducedInstance, slack: np.ndarray, V: np.ndarray
-              ) -> "tuple[np.ndarray, np.ndarray]":
+def _crossing(red: ReducedInstance, slack: np.ndarray, V: np.ndarray,
+              binding: bool = True) -> "tuple[np.ndarray, np.ndarray | None]":
     """The ray-crossing step. For an anchor with positive slack on each
     non-vacuous row and ray directions V (M, K) = y - anchor: per ray, the
     smallest alpha at which anchor + alpha V meets a row, and the index
-    into red.nv_rows of the row met first (inf and 0 when none)."""
+    into red.nv_rows of the row met first (inf and 0 when none; None
+    unless binding)."""
     den = _row_values(V, red.A_nv)
     cand = np.full(den.shape, np.inf)
     np.divide(slack, den, out=cand, where=den > _RAY_EPS)
-    return cand.min(axis=1), cand.argmin(axis=1)
+    return cand.min(axis=1), cand.argmin(axis=1) if binding else None
 
 
 def _ray_pieces(num: np.ndarray, den0: np.ndarray, coef: np.ndarray,
@@ -109,26 +110,33 @@ def alpha0(instance: Instance, theta_red: np.ndarray, y_red: np.ndarray
     return float(a[0]), int(red.nv_rows[j[0]])
 
 
-def _pullback(instance: Instance, Y: np.ndarray):
+def _pullback(instance: Instance, Y: np.ndarray, binding: bool = False):
     """The allocation map on the rows of Y (M, N), demands above the floor.
 
     Rows whose group-averaged demand is feasible within FEAS_TOL pass
     through; the rest are pulled back along the ray from the anchor to the
     first non-vacuous face. Returns X (M, N), the feasible mask (M,) and the
     crossing step's (alpha, row) arrays, which are None when every row is
-    feasible.
+    feasible; the rows are None unless binding. X is the only (M, N) float
+    array allocated, and never Y itself: the ray directions turn into the
+    allocation in place, and the group expansion runs only when some
+    group has two or more members.
     """
     red = instance.reduced
+    expand = red.K < Y.shape[1]
     Yr = red.average(Y)
     feasible = (_row_values(Yr, red.A_nv) <= red.caps_nv_tol).all(axis=1)
     if feasible.all():
-        return Yr[:, red.group_of_agent], feasible, None, None
-    V = Yr - red.theta
-    a, j = _crossing(red, red.theta_slack, V)
-    Xr = red.theta + np.minimum(a, 1.0)[:, None] * V
-    if feasible.any():
-        Xr[feasible] = Yr[feasible]
-    return Xr[:, red.group_of_agent], feasible, a, j
+        a = j = None
+        Xr = Yr if expand else Yr.copy()
+    else:
+        Xr = Yr - red.theta
+        a, j = _crossing(red, red.theta_slack, Xr, binding)
+        # bitwise theta + min(a, 1) V: both IEEE operations commute
+        Xr *= np.minimum(a, 1.0)[:, None]
+        Xr += red.theta
+        np.copyto(Xr, Yr, where=feasible[:, None])
+    return (Xr[:, red.group_of_agent] if expand else Xr), feasible, a, j
 
 
 def _check_floor(instance: Instance, Y: np.ndarray) -> None:
@@ -142,13 +150,13 @@ def allocate(instance: Instance, y: np.ndarray) -> AllocationResult:
     """Map a demand profile to a feasible allocation.
 
     Demands must sit strictly above the floor d. Group members always come
-    out equal; without equality groups the feasible branch returns y itself.
+    out equal; without groups the feasible branch returns a copy of y.
     A one-row call of allocate_many's kernel: bitwise its row wherever
     BLAS does not block the row products by batch size (small instances).
     """
     Y = instance.check_x_shape(y, "y")[None, :]
     _check_floor(instance, Y)
-    X, feasible, a, j = _pullback(instance, Y)
+    X, feasible, a, j = _pullback(instance, Y, binding=True)
     if feasible[0]:
         return AllocationResult(X[0], 1.0, None, True)
     a = float(a[0])
@@ -160,7 +168,8 @@ def allocate_many(instance: Instance, Y: np.ndarray) -> np.ndarray:
     """Vectorized allocate over rows of Y (M, N); returns X (M, N).
 
     Same map as allocate() for each row, minus the result metadata; raises
-    DemandOutOfBox if any demand sits at or below the floor.
+    DemandOutOfBox if any demand sits at or below the floor. X is a fresh
+    array, never Y, and the only (M, N) float array the call allocates.
     """
     Y = np.asarray(Y, dtype=float)
     _check_floor(instance, Y)

@@ -771,6 +771,11 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     _Anderson may replace its plain image; rest is tested before that, so
     extrapolation cannot fake it. best-response rests when no message
     moved by more than tol. Books are priced per _BOOK_BLOCK rounds.
+
+    A price-adjust round that moves nothing (max_change exactly 0.0) and
+    does not rest ends the run with converged=False: the round map sits at
+    a fixed point that is not rest, and the plain round and _Anderson
+    (whose residual is then 0, so gamma = 0) return that state forever.
     """
     variant = Variant.parse(variant)
     schedule = Schedule.parse(schedule)
@@ -819,11 +824,12 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
         if not price_adjust:
             converged = max_change <= tol
         pending.append((rnd, max_change, y_end, p_end, *parts, accelerated))
-        if converged or len(pending) == _BOOK_BLOCK or rnd == max_rounds:
+        stop = converged or max_change == 0.0
+        if stop or len(pending) == _BOOK_BLOCK or rnd == max_rounds:
             records.extend(_book_rounds(instance, variant, pending,
                                         record_profiles))
             pending = []
-        if converged:
+        if stop:
             break
     return RunTrace(schedule=schedule.value, variant=variant.value,
                     rounds=len(records), converged=converged, profile=prof,

@@ -181,6 +181,10 @@ class Valuation:
       power      v(x) = a * x**b, 0 < b < 1
       quad_cap   v(x) = a * (b*x - x^2/2), satiation point b (non-monotone
                  past it; second field doubles as the satiation m)
+
+    A quad_cap satiation point below 1e-9 is refused: the group consensus
+    keeps its points at or above 1e-12, and from 1e-9 up that floor stays
+    within 1e-3 (relative) of the point.
     """
 
     family: str
@@ -196,6 +200,8 @@ class Valuation:
             raise InvalidParameter("valuation parameters must be positive")
         if self.family == "power" and not self.b < 1:
             raise InvalidParameter("power exponent must lie in (0, 1)")
+        if self.family == "quad_cap" and self.b < 1e-9:
+            raise InvalidParameter("quad_cap satiation point must be >= 1e-9")
 
     def _eval(self, fn: str, x):
         x = np.asarray(x, dtype=float)
@@ -800,16 +806,33 @@ class ReducedInstance:
     def restrict(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)[self.representatives]
 
+    @cached_property
+    def _member_ranks(self) -> tuple:
+        """The groups from largest to smallest: the permutation back, their
+        sizes, and per rank r the r-th member of each group with more than
+        r members (group tuples are sorted, so that is agent order)."""
+        order = sorted(range(self.K), key=lambda k: -self.group_sizes[k])
+        groups = [self.group_members[k] for k in order]
+        ranks = [np.array([g[r] for g in groups if len(g) > r])
+                 for r in range(len(groups[0]))]
+        back = sorted(range(self.K), key=order.__getitem__)  # order's inverse
+        return np.array(back), self.group_sizes[order], ranks
+
     def average(self, y: np.ndarray) -> np.ndarray:
         """Group means along the last axis, (..., N) -> (..., K); y itself
-        when every group is a singleton."""
+        when every group is a singleton. Each group's members are added to
+        a zero in agent order, np.add.at's order, so the bits are its."""
         y = np.asarray(y, dtype=float)
         if self.K == y.shape[-1]:
             return y
-        out = np.zeros(y.shape[:-1] + (self.K,))
-        np.add.at(out.T, self.group_of_agent, y.T)
-        out /= self.group_sizes
-        return out
+        back, sizes, ranks = self._member_ranks
+        out = y[..., ranks[0]]
+        out += 0.0  # the zero the sums start from: -0.0 becomes 0.0
+        for members in ranks[1:]:
+            head = out[..., :members.size]
+            head += y[..., members]
+        out /= sizes
+        return out[..., back]
 
 
 def reduce_equalities(instance: Instance) -> ReducedInstance:

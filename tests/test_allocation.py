@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from propmech.allocation import (AllocationResult, DemandOutOfBox, allocate,
-                                 allocate_many, alpha0)
+from propmech.allocation import (AllocationResult, DemandOutOfBox, _crossing,
+                                 _row_values, allocate, allocate_many, alpha0)
 from propmech.harness import Scenario, generate
 from propmech.model import FEAS_TOL, Constraint, Instance, Valuation
 
@@ -262,3 +264,151 @@ def test_allocate_many_unconstrained_group_mean():
     assert X.tolist() == [[2.0, 2.0], [6.0, 6.0]]
     res = allocate(inst, np.array([1.0, 3.0]))
     assert res.x.tolist() == [2.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernel against the former one
+
+
+def reference_average(red, y):
+    """The former group mean through np.add.at."""
+    y = np.asarray(y, dtype=float)
+    if red.K == y.shape[-1]:
+        return y
+    out = np.zeros(y.shape[:-1] + (red.K,))
+    np.add.at(out.T, red.group_of_agent, y.T)
+    out /= red.group_sizes
+    return out
+
+
+def reference_pullback(instance, Y):
+    """The former kernel, which kept the ray directions, the pulled-back
+    reduced rows and their expansion alive at once: X, the feasible mask
+    and the crossing step's (alpha, row) arrays."""
+    red = instance.reduced
+    Yr = reference_average(red, Y)
+    feasible = (_row_values(Yr, red.A_nv) <= red.caps_nv_tol).all(axis=1)
+    if feasible.all():
+        return Yr[:, red.group_of_agent], feasible, None, None
+    V = Yr - red.theta
+    a, j = _crossing(red, red.theta_slack, V)
+    Xr = red.theta + np.minimum(a, 1.0)[:, None] * V
+    if feasible.any():
+        Xr[feasible] = Yr[feasible]
+    return Xr[:, red.group_of_agent], feasible, a, j
+
+
+def wide_groups():
+    # groups of three, two and one, listed out of size order
+    return Instance(
+        valuations=tuple(Valuation("log_shift", 1.0, 1.0 + k)
+                         for k in range(6)),
+        constraints=(Constraint({0: 1.0, 3: 0.5, 5: 1.0}, 2.0),
+                     Constraint({1: 1.0, 2: 2.0, 4: 1.0}, 3.0)),
+        equality_groups=((1, 4), (0, 2, 5)), d=0.01, D=100.0, eta=1.0)
+
+
+REFERENCE_CASES = (canonical(), grouped(), no_row_group(), wide_groups(),
+                   generate(Scenario(kind="unicast", n_agents=6,
+                                     n_constraints=3), 2),
+                   generate(Scenario(kind="local-public-goods",
+                                     group_sizes=(3, 3), shared_row=True), 7))
+
+
+def _scaled_rows(inst, rng, scales):
+    """Demands whose group means sit at the given multiples of the way
+    from the anchor to the first face, spread within each group."""
+    red = inst.reduced
+    u = rng.uniform(0.1, 1.0, (len(scales), red.K))
+    push = u @ red.A_nv.T
+    with np.errstate(divide="ignore"):
+        t_face = np.where(push > 0, red.theta_slack / push, np.inf).min(
+            axis=1, initial=np.inf)
+    t_face[~np.isfinite(t_face)] = 1.0
+    Z = red.theta + (np.asarray(scales) * t_face)[:, None] * u
+    Y = Z[:, red.group_of_agent]
+    spread = rng.uniform(-0.03, 0.03, Y.shape) * Y
+    Y += spread - red.average(spread)[:, red.group_of_agent]
+    return np.maximum(Y, inst.d * (1.0 + 1e-9) + 1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=st.integers(0, len(REFERENCE_CASES) - 1),
+       kind=st.sampled_from(["feasible", "infeasible", "mixed"]),
+       m=st.sampled_from([1, 2, 3, 17, 64]), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_in_place_kernel_is_bitwise_the_former_one(case, kind, m, seed):
+    inst = REFERENCE_CASES[case]
+    rng = np.random.default_rng(seed)
+    scales = {"feasible": rng.uniform(0.05, 0.9, m),
+              "infeasible": rng.uniform(1.1, 40.0, m),
+              "mixed": rng.choice([0.5, 1.0 - 1e-14, 1.0 + 2e-13, 3.0], m)
+              }[kind]
+    Y = _scaled_rows(inst, rng, scales)
+    X_ref, feasible, a, j = reference_pullback(inst, Y)
+    if inst.reduced.A_nv.size and kind != "mixed":
+        assert (feasible.all(), feasible.any()) == ((kind == "feasible",) * 2)
+    X = allocate_many(inst, Y)
+    assert X.tobytes() == X_ref.tobytes()
+    for k, y in enumerate(Y):
+        res = allocate(inst, y)
+        x1, f1, a1, j1 = reference_pullback(inst, y[None, :])
+        assert res.x.tobytes() == x1[0].tobytes()
+        assert res.was_interior == bool(f1[0])
+        if f1[0] or a1[0] > 1.0:
+            assert res.binding_constraint is None
+        else:
+            assert res.binding_constraint == int(inst.reduced.nv_rows[j1[0]])
+        assert res.alpha0 == (1.0 if f1[0] else min(float(a1[0]), 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=st.sampled_from([1, 2, 3, 5]), m=st.integers(0, 5),
+       values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300,
+                                        3.0, 1e16, -1e16, 0.1]),
+                       min_size=36, max_size=36))
+@example(case=3, m=2, values=[-0.0] * 36)  # sums of -0.0 come out +0.0
+def test_group_average_is_bitwise_add_at(case, m, values):
+    red = REFERENCE_CASES[case].reduced
+    n = REFERENCE_CASES[case].n_agents
+    flat = np.array(values[:n])
+    assert red.average(flat).tobytes() == reference_average(red,
+                                                            flat).tobytes()
+    Y = np.resize(np.array(values), (m, n))
+    assert red.average(Y).tobytes() == reference_average(red, Y).tobytes()
+
+
+@pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+@pytest.mark.parametrize("scale", [0.5, 3.0, None])
+def test_allocate_many_returns_a_fresh_array_and_leaves_y(case, scale):
+    inst = REFERENCE_CASES[case]
+    rng = np.random.default_rng(case)
+    scales = [0.5, 3.0] * 4 if scale is None else [scale] * 8
+    Y = _scaled_rows(inst, rng, scales)
+    before = Y.copy()
+    X = allocate_many(inst, Y)
+    assert not np.shares_memory(X, Y)
+    assert Y.tobytes() == before.tobytes()
+    res = allocate(inst, Y[0])
+    assert not np.shares_memory(res.x, Y)
+    assert Y.tobytes() == before.tobytes()
+
+
+def test_allocate_many_allocates_little_beyond_its_result():
+    rng = np.random.default_rng(3)
+    n, L = 50, 10
+    inst = Instance(
+        valuations=tuple(Valuation("log_shift", 1.0, 1.0) for _ in range(n)),
+        constraints=tuple(Constraint(
+            {int(i): float(rng.uniform(0.5, 2.0))
+             for i in rng.choice(n, 8, replace=False)},
+            float(rng.uniform(1.0, 5.0))) for _ in range(L)),
+        equality_groups=(), d=0.01, D=100.0, eta=1.0)
+    Y = inst.d + rng.random((4000, n)) * 100.0 + 1e-9
+    allocate_many(inst, Y[:2])  # build the cached reduction first
+    tracemalloc.start()
+    try:
+        X = allocate_many(inst, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * X.nbytes, peak / X.nbytes

@@ -79,10 +79,6 @@ ESCAPED = ({(f, v, c) for f, values in (("cap", (0.0, -1.0, 1e-300)),
 # the scale refusal is still open: a squared slack of 1e300 overflows
 OPEN = {("cap", 1e300, "simulate"): "a cap of 1e300 overflows the squared "
         "slack in taxation._gross; the scale refusal is still open"}
-# the refusal of a group that no difference row ties is still open: its
-# members never agree, nothing moves, and run spins all 100,000 rounds
-SPINS = {("group-without-difference-rows", "run"): "run spins 100,000 "
-         "rounds on a group with no difference rows; its refusal is open"}
 
 
 def _run(argv, capsys) -> int:
@@ -125,9 +121,7 @@ def test_hostile_field(tmp_path, capsys, field, value, cmd):
 def _structural_cases():
     for kind in STRUCTURES:
         for cmd in COMMANDS + [["run"]]:
-            reason = SPINS.get((kind, cmd[0]))
-            yield pytest.param(kind, cmd, id=f"{kind}-{cmd[0]}", marks=[
-                pytest.mark.skip(reason=reason)] if reason else [])
+            yield pytest.param(kind, cmd, id=f"{kind}-{cmd[0]}")
 
 
 @pytest.mark.parametrize("kind, cmd", _structural_cases())

@@ -358,6 +358,27 @@ def test_dynamics_handles_equality_groups():
     assert float(np.ptp(tr.profile.y)) <= 1e-7
 
 
+def test_dynamics_stop_on_a_round_that_moves_nothing():
+    # no difference row ties the group, so its members never agree: the
+    # round map reaches a fixed point that is not rest
+    inst = Instance(
+        valuations=(Valuation("log_shift", 1.0, 1.0),
+                    Valuation("power", 1.0, 0.5)),
+        constraints=(Constraint({0: 1.0, 1: 1.0}, 1.0),),
+        equality_groups=((0, 1),), d=0.01, D=100.0, eta=1.0)
+    tr = run_dynamics(inst, max_rounds=5000, tol=1e-8)
+    assert not tr.converged
+    assert tr.rounds == 27
+    changes = [r.max_change for r in tr.records]
+    assert changes[-1] == 0.0 and 0.0 not in changes[:-1]
+    assert tr.records[-1].group_gap > 1e-8
+    # the plain round maps the state it stopped at onto itself
+    prof = tr.profile.copy()
+    game._PriceRound(inst)(prof, game._member_means(inst, prof.prices))
+    assert np.array_equal(prof.y, tr.profile.y)
+    assert np.array_equal(prof.prices, tr.profile.prices)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"max_rounds": -3}, {"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf}])
 def test_dynamics_rejects_bad_run_arguments(kwargs):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import propmech
 from propmech import model
+from propmech.cli import main
 from propmech.game import Schedule
 from propmech.model import (FAMILIES, Constraint, DimensionMismatch,
                             DomainError, Instance, InvalidParameter,
@@ -120,6 +121,26 @@ def test_valuation_domain_and_parameter_errors():
         Valuation("log_shift", 0.0, 1.0)
     with pytest.raises(ValueError):
         Valuation("cubic", 1.0, 1.0)
+
+
+def test_quad_cap_satiation_below_the_consensus_floor_is_refused(tmp_path,
+                                                                  capsys):
+    with pytest.raises(InvalidParameter, match="satiation"):
+        Valuation("quad_cap", 1.0, 1e-14)
+    # from 1e-9 up, the consensus floor of 1e-12 stays within 1e-3
+    table = ValuationTable.of([Valuation("quad_cap", 1.0, 1e-9)] * 2)
+    z = table.group_inv_deriv(np.array([1e-17]), 100.0, np.array([0, 0]),
+                              0.0)
+    assert z[0] == pytest.approx(1e-9 - 5e-18, rel=1e-3)
+    inst = instance_to_dict(canonical())
+    inst["agents"][0]["valuation"] = {"family": "quad_cap", "a": 1.0,
+                                      "m": 1e-14}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    with pytest.raises(SystemExit) as exit_:  # the loader's usage exit
+        main(["solve", str(path)])
+    assert exit_.value.code == 2
+    assert "satiation" in capsys.readouterr().err
 
 
 @st.composite
