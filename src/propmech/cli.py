@@ -39,8 +39,7 @@ def _load(path: str):
     try:
         return load_instance(path)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: cannot load instance {path!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise InputError(f"cannot load instance {path!r}: {exc}") from exc
 
 
 def _cmd_solve(args) -> "str | None":

@@ -22,7 +22,7 @@ from .model import (Choice, InputError, Instance, InvalidParameter, Variant,
 from .taxation import (TaxBreakdown, _budget_books, _check_finite,
                        _check_offeq, _check_prices, _gross, _member_means,
                        _peer_means, _peer_means_at, _peer_picks,
-                       _require_peers, _tax_terms, pbar, tax)
+                       _require_peers, _row_slack, _tax_terms, pbar, tax)
 
 __all__ = [
     "A2Violation",
@@ -124,14 +124,14 @@ def best_response_price(instance: Instance, variant: "str | Variant",
 
     p* = max(0, pbar - eta * pbar * slack^2 / 2) at the current allocation,
     one entry of _price_best_responses (verify_epsilon_ne prices every
-    membership of a profile with one call of it). The variant argument is
-    accepted for interface symmetry but cannot change the answer (rebates
-    are own-message independent).
+    membership of a profile with one call of it) at the tax's row slack
+    (taxation._row_slack). The variant is parsed for interface symmetry
+    but cannot change the answer (rebates are own-message independent).
     """
+    Variant.parse(variant)
     pb = pbar(instance, profile.prices, i, l)
-    x = allocate(instance, profile.y).x
-    slack = instance.caps - instance.A @ x
-    return float(_price_best_responses(pb, instance.eta, slack[l]))
+    slack = _row_slack(instance, allocate(instance, profile.y).x, l)
+    return float(_price_best_responses(pb, instance.eta, slack))
 
 
 class _SweepState:
@@ -393,10 +393,12 @@ def best_response_demand(instance: Instance, variant: "str | Variant",
     own parameter and solved exactly the same way (see
     _DemandObjective.ray_argmaxes). With thorough=False the ray is
     searched only when the inside optimum sits on the boundary. Among the
-    candidates (the piece optima, the boundary and D + 1) the best wins, the lower demand on a tie within
-    1e-13 relative. The variant cannot change the argmax (own-message
-    independent rebates); it is accepted for interface symmetry.
+    candidates (the piece optima, the boundary and D + 1) the best wins,
+    the lower demand on a tie within 1e-13 relative. The variant cannot
+    change the argmax (own-message independent rebates); it is parsed for
+    interface symmetry.
     """
+    Variant.parse(variant)
     lo, hi = _demand_floor(float(instance.d[i])), instance.D + 1.0
     obj = _DemandObjective(_SweepState.of(instance), profile, i)
     cands: list[float] = []
@@ -668,10 +670,9 @@ def _best_response_round(instance: Instance, prof: MessageProfile) -> None:
     flags."""
     state = _SweepState.of(instance)
     for i, rows in enumerate(state.rows):
-        slack = instance.caps - instance.A @ allocate(instance, prof.y).x
         prof.prices[i, rows] = _price_best_responses(
             _peer_means_at(prof.prices, state.picks[i]), instance.eta,
-            slack[rows])
+            _row_slack(instance, allocate(instance, prof.y).x, rows))
         prof.y[i] = best_response_demand(instance, Variant.BASE, prof, i,
                                          thorough=False)
 
@@ -878,7 +879,8 @@ def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
     Row k of Y (M, N) holds trial k's demands and row k of P_i (M, L) agent
     i's trial prices; every other agent quotes the prices of ``profile``.
     One allocate_many call maps all trials; i's gross terms are then formed
-    on i's own rows only, by the tax's own peer-mean and gross-term helpers.
+    on i's own rows only, by the tax's own peer-mean, row-slack and
+    gross-term helpers.
     The rebate row comes from ``base``, the outcome of the untouched
     profile: rebates never read the recipient's own message, so it is the
     same at every trial. ``peer_means`` is the profile's (N, L) peer mean
@@ -888,11 +890,9 @@ def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
     X = allocate_many(instance, Y)
     x_i = X[:, i]
     rows = list(instance.index_sets.rows_of_agent[i])
-    pb = peer_means[i, rows]
-    slack = instance.caps[rows] - X @ instance.A[rows].T
     payment, disagreement, slackness = _gross(
-        instance.A[rows, i] * x_i[:, None], P_i[:, rows], pb, instance.eta,
-        slack)
+        instance.A[rows, i] * x_i[:, None], P_i[:, rows], peer_means[i, rows],
+        instance.eta, _row_slack(instance, X, rows))
     gross = (payment + disagreement + slackness).sum(axis=1)
     rebate = math.fsum(base.taxes.rebate[i])
     return instance.valuations[i].value(x_i) - (gross - rebate)
@@ -904,47 +904,21 @@ def _draw_joint_trials(rng: np.random.Generator, profile: MessageProfile,
     """Write agent i's seeded random joint deviations into the trial rows.
 
     Trial k may move i's demand (row k of Y) and each own price (row k of
-    P). The doubles are drawn in one block and consumed in the order that
-    per-draw rng.random() / rng.uniform(a, b) calls would consume them;
-    uniform(a, b) is a + (b - a) * u for the next double u, so the trials
-    are bitwise those of drawing call by call.
-
-    A demand step reads one double and a second when the first is below
-    0.5; a price step reads a second when the first is at least 0.5. So
-    each step is an index array from a stream position to the next one,
-    and a trial is the demand step then one price step per own row. The
-    trials' start positions follow by pointer doubling on that map, and
-    every step of every trial is decoded at once.
+    P). One block u = rng.random((2 + 2r, m)) serves the m trials of an
+    agent with r own rows; trial k reads column k. Its demand step is the
+    pair (u[0], u[1]): when u[0] < 0.5 the demand moves to d_i + (hi -
+    d_i) u[1]^2 + 1e-9. Its price step on own row j is the pair (u[2 +
+    2j], u[3 + 2j]) = (s, v): s < 0.3 keeps the price p, s < 0.5 sets 0,
+    s < 0.8 sets max(0, p (0.5 + v)), else 2 v (1 + p).
     """
-    m, rows = len(Y), list(rows)
-    if not m:
-        return
-    u = rng.random(2 * m * (1 + len(rows)))
-    # position u.size is a sink: the steps from it and past it end there
-    ext = np.append(u, 1.0)
-    low = ext < 0.5
-    pos = np.arange(1, ext.size + 1)
-    demand_step = np.minimum(pos + low, u.size)
-    price_step = np.minimum(pos + ~low, u.size)
-    trial = demand_step
-    for _ in rows:
-        trial = price_step[trial]
-    at, jump = np.zeros(1, dtype=np.intp), trial
-    while at.size < m:
-        at = np.concatenate([at, jump[at]])
-        jump = jump[jump]
-    at = at[:m]
-    w = ext[at + 1]
-    Y[:, i] = np.where(low[at], d_i + (hi - d_i) * w * w + 1e-9, Y[:, i])
-    steps = np.empty((m, len(rows)), dtype=np.intp)
-    at = demand_step[at]
-    for j in range(len(rows)):
-        steps[:, j] = at
-        at = price_step[at]
-    r, nxt = ext[steps], ext[steps + 1]
+    rows = list(rows)
+    u = rng.random((2 + 2 * len(rows), len(Y)))
+    Y[:, i] = np.where(u[0] < 0.5, d_i + (hi - d_i) * u[1] * u[1] + 1e-9,
+                       Y[:, i])
+    s, v = u[2::2].T, u[3::2].T
     p = profile.prices[i, rows]
-    P[:, rows] = np.where(r < 0.3, P[:, rows], np.where(r < 0.5, 0.0, np.where(
-        r < 0.8, np.maximum(0.0, p * (0.5 + nxt)), 2.0 * nxt * (1.0 + p))))
+    P[:, rows] = np.where(s < 0.3, P[:, rows], np.where(s < 0.5, 0.0, np.where(
+        s < 0.8, np.maximum(0.0, p * (0.5 + v)), 2.0 * v * (1.0 + p))))
 
 
 def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
@@ -971,7 +945,7 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     ceiling = False
     best_dev: list[dict] = []
     peer_means = _peer_means(instance, profile.prices)
-    slack_vec = instance.caps - instance.A @ base.x
+    slack_vec = _row_slack(instance, base.x)
     price_br = _price_best_responses(peer_means, instance.eta, slack_vec)
     for i in range(n):
         rows = list(instance.index_sets.rows_of_agent[i])

@@ -964,11 +964,20 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
     """Check the standing assumptions; returns one entry per assumption.
 
     The interiority of the optimum (lower half of A2) can only be checked
-    against a solution; without one it is reported as deferred.
+    against a solution; without one it is reported as deferred. The checks
+    that read the equality reduction (the infeasible-floor part of A2(box)
+    and theta) are deferred when A6 fails, since then no reduction exists.
     """
     variant = Variant.parse(variant)
     checks: list[CheckResult] = []
     n = instance.n_agents
+    try:
+        red = instance.reduced
+    except NegativeReducedCoefficient as e:
+        red, a6 = None, CheckResult("A6", "fail", str(e))
+    else:
+        a6 = CheckResult("A6", "pass")
+    unreduced = "needs the equality reduction, which A6 refuses"
 
     # A1: strictly concave, increasing-at-zero valuations with valid params.
     table = instance.valuation_table
@@ -990,13 +999,16 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
         if len(g) > 1 and not np.allclose(instance.d[list(g)],
                                           instance.d[g[0]]):
             msgs.append(f"group {g} has non-constant d")
-    red = instance.reduced
-    viol = red.A_nv @ red.d_red - red.caps_nv
-    if viol.max(initial=0.0) > FEAS_TOL * (
-            1.0 + np.abs(red.caps_nv).max(initial=0.0)):
-        msgs.append("d itself is infeasible")
-    checks.append(CheckResult("A2(box)", "fail" if msgs else "pass",
-                              "; ".join(msgs)))
+    if red is not None:
+        viol = red.A_nv @ red.d_red - red.caps_nv
+        if viol.max(initial=0.0) > FEAS_TOL * (
+                1.0 + np.abs(red.caps_nv).max(initial=0.0)):
+            msgs.append("d itself is infeasible")
+    if msgs or red is not None:
+        checks.append(CheckResult("A2(box)", "fail" if msgs else "pass",
+                                  "; ".join(msgs)))
+    else:
+        checks.append(CheckResult("A2(box)", "deferred", unreduced))
     if x_star is None:
         checks.append(CheckResult("A2(optimum)", "deferred",
                                   "needs a solved allocation"))
@@ -1035,15 +1047,13 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
     checks.append(CheckResult("A5", "pass", "quasi-linear by construction"))
 
     # A6: aggregated coefficients stay nonnegative.
-    try:
-        reduce_equalities(instance)
-        checks.append(CheckResult("A6", "pass"))
-    except NegativeReducedCoefficient as e:
-        checks.append(CheckResult("A6", "fail", str(e)))
+    checks.append(a6)
 
     # theta: supplied point must be strictly inside, below d, group-constant;
     # otherwise derivation must succeed.
-    if instance.theta is not None:
+    if red is None:
+        checks.append(CheckResult("theta", "deferred", unreduced))
+    elif instance.theta is not None:
         msgs = []
         th = instance.theta
         if not np.all((th > 0) & (th < instance.d)):

@@ -267,6 +267,19 @@ def _member_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
     return (prices * on).sum(axis=0) / instance.index_sets.counts
 
 
+def _row_slack(instance: Instance, X: np.ndarray, rows=slice(None),
+               a_x: "np.ndarray | None" = None) -> np.ndarray:
+    """caps - A x on the rows ``rows`` for allocations X (..., N): the
+    running sum of the members' products A_li x_i along each row of
+    Instance.row_layout. A running sum adds in one order whatever the
+    batch's shape, which a reduction does not. ``a_x`` is those products
+    on every row when the caller has formed them."""
+    if a_x is None:
+        lay = instance.row_layout
+        a_x = lay.coef[rows] * X[..., lay.index[rows]]
+    return instance.caps[rows] - np.cumsum(a_x, axis=-1)[..., -1]
+
+
 def _gross(a_x, p, pb, eta: float, slack):
     """Payment, disagreement and slackness terms, elementwise in the
     member's A_li x_i, own price p, peer mean pb and the row's slack."""
@@ -365,9 +378,7 @@ def _tax_terms(instance: Instance, variant: Variant, Y: np.ndarray,
     lay = instance.row_layout
     p, pb = _member_peer_means(instance, P)
     a_x = lay.coef * X[:, lay.index]
-    # a running sum adds in one order whatever the batch's shape, which a
-    # reduction does not
-    slack = instance.caps[:, None] - np.cumsum(a_x, axis=-1)[..., -1:]
+    slack = _row_slack(instance, X, a_x=a_x)[..., None]
     if variant is Variant.BASE:
         rebate = np.zeros_like(p)
     elif variant is Variant.SBB_NE:

@@ -2,8 +2,9 @@
 
 The table is built here, from the two-agent log_shift/power instance: each
 field set to a hostile value, a few broken structures, and option values no
-command accepts. Every case must exit 0, 1 or 2 (a SystemExit(2) from the
-instance loader counts), print exactly one ``error:`` line on a non-zero
+command accepts. Every case must exit 0, 1 or 2 (an instance the loader
+refuses is an InputError, exit 2; argparse's SystemExit(2) on a malformed
+command line counts too), print exactly one ``error:`` line on a non-zero
 exit, raise nothing out of ``main``, raise no RuntimeWarning (the test
 configuration makes one an error) and finish within 5 s.
 """
@@ -85,7 +86,7 @@ def _run(argv, capsys) -> int:
     start = time.perf_counter()
     try:
         code = main(argv)
-    except SystemExit as exc:  # the instance loader's usage exit
+    except SystemExit as exc:  # argparse's usage exit
         code = exc.code
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err.splitlines()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propmech import game
+from propmech import game, taxation
 from propmech.centralized import solve
 from propmech.game import (A2Violation, _DemandObjective, _SweepState,
                            _concave_argmax, _draw_joint_trials,
@@ -19,7 +19,7 @@ from propmech.game import (A2Violation, _DemandObjective, _SweepState,
 from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
 from propmech.model import (Constraint, Instance, InvalidParameter, Valuation,
-                            nnls)
+                            Variant, nnls)
 from propmech.allocation import _ray_pieces, allocate
 from propmech.model import validate
 from propmech.taxation import (AgentNotOnConstraint,
@@ -139,6 +139,11 @@ def test_best_response_variants_bitwise_equal():
     p_base = best_response_price(inst, "base", prof, 1, 0)
     p_ne = best_response_price(inst, "sbb-ne", prof, 1, 0)
     assert p_base == p_ne
+    for variant in ("gossip", 42):
+        with pytest.raises(InvalidParameter, match="unknown variant"):
+            best_response_demand(inst, variant, prof, 1)
+        with pytest.raises(InvalidParameter, match="unknown variant"):
+            best_response_price(inst, variant, prof, 1, 0)
 
 
 def test_best_response_does_not_mutate_the_profile():
@@ -1324,66 +1329,34 @@ def test_own_deviation_batch_matches_scalar_utility():
                         assert abs(got[k] - want) <= tol, (variant, i, k)
 
 
-def test_joint_trials_match_call_by_call_draws():
-    inst = generate(*bundled_scenarios("base")[7])
-    prof = candidate(inst)
-    hi = inst.D + 1.0
-    for i in range(inst.n_agents):
-        rows = inst.index_sets.rows_of_agent[i]
-        d_i = float(inst.d[i])
-        Y = np.tile(prof.y, (300, 1))
-        P = np.tile(prof.prices[i], (300, 1))
-        _draw_joint_trials(np.random.default_rng([3, i]), prof, i, rows,
-                           d_i, hi, Y, P)
-        # reference: one generator call per draw
-        rng = np.random.default_rng([3, i])
-        for k in range(300):
-            trial = prof.copy()
-            if rng.random() < 0.5:
-                u = rng.random()
-                trial.y[i] = d_i + (hi - d_i) * u * u + 1e-9
-            for l in rows:
-                r = rng.random()
-                if r < 0.3:
-                    continue
-                if r < 0.5:
-                    trial.prices[i, l] = 0.0
-                elif r < 0.8:
-                    trial.prices[i, l] = max(
-                        0.0, float(prof.prices[i, l]) * rng.uniform(0.5, 1.5))
-                else:
-                    trial.prices[i, l] = rng.uniform(0.0, 2.0) * (
-                        1.0 + float(prof.prices[i, l]))
-            assert np.array_equal(Y[k], trial.y)
-            assert np.array_equal(P[k], trial.prices[i])
-
-
-def _call_by_call_trials(prof, i, rows, d_i, hi, rng, m):
-    """The joint trials drawn one generator call per draw."""
+def _layout_trials(prof, i, rows, d_i, hi, rng, m):
+    """The joint trials decoded one trial and one step at a time from the
+    block layout: draw (2 + 2r) m doubles one generator call each, row-major,
+    so row a of the block, column k, is the draw at a * m + k."""
+    u = [rng.random() for _ in range((2 + 2 * len(rows)) * m)]
     out = []
-    for _ in range(m):
+    for k in range(m):
         trial = prof.copy()
-        if rng.random() < 0.5:
-            u = rng.random()
-            trial.y[i] = d_i + (hi - d_i) * u * u + 1e-9
-        for l in rows:
-            r = rng.random()
-            if r < 0.3:
+        if u[k] < 0.5:
+            w = u[m + k]
+            trial.y[i] = d_i + (hi - d_i) * w * w + 1e-9
+        for j, l in enumerate(rows):
+            s, v = u[(2 + 2 * j) * m + k], u[(3 + 2 * j) * m + k]
+            p = float(prof.prices[i, l])
+            if s < 0.3:
                 continue
-            if r < 0.5:
+            if s < 0.5:
                 trial.prices[i, l] = 0.0
-            elif r < 0.8:
-                trial.prices[i, l] = max(
-                    0.0, float(prof.prices[i, l]) * rng.uniform(0.5, 1.5))
+            elif s < 0.8:
+                trial.prices[i, l] = max(0.0, p * (0.5 + v))
             else:
-                trial.prices[i, l] = rng.uniform(0.0, 2.0) * (
-                    1.0 + float(prof.prices[i, l]))
+                trial.prices[i, l] = 2.0 * v * (1.0 + p)
         out.append(trial)
     return out
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 200])
-def test_joint_trials_match_call_by_call_draws_for_the_most_rows(m):
+def test_joint_trials_match_the_layout_reference_for_the_most_rows(m):
     """The agent with the most own rows in the bundles, at random prices,
     for no trial, one trial and more."""
     inst, i = max(((inst, i) for inst in bundled_instances()
@@ -1400,12 +1373,96 @@ def test_joint_trials_match_call_by_call_draws_for_the_most_rows(m):
     P = np.tile(prof.prices[i], (m, 1))
     _draw_joint_trials(np.random.default_rng([5, i]), prof, i, rows, d_i,
                        hi, Y, P)
-    want = _call_by_call_trials(prof, i, rows, d_i, hi,
-                                np.random.default_rng([5, i]), m)
+    want = _layout_trials(prof, i, rows, d_i, hi,
+                          np.random.default_rng([5, i]), m)
     assert len(want) == m
     for k, trial in enumerate(want):
         assert np.array_equal(Y[k], trial.y)
         assert np.array_equal(P[k], trial.prices[i])
+
+
+def _spy(mp, module, name, arg=None):
+    """Record argument ``arg`` of every call of module.name, or with no
+    ``arg`` its result."""
+    seen, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(out if arg is None else args[arg])
+        return out
+    mp.setattr(module, name, spy)
+    return seen
+
+
+def _kernel_slack(inst, X):
+    """The row slack (M, L) the tax kernel prices allocations X (M, N) at."""
+    n, L = inst.n_agents, inst.n_constraints
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy(mp, taxation, "_gross", 4)
+        taxation._tax_terms(inst, Variant.BASE, X, X,
+                            np.zeros((len(X), n, L)))
+    return seen[0][..., 0]
+
+
+def wide_instance(n=48, rows=3):
+    """n log_shift agents on dense rows: wide enough that BLAS forms of A x
+    add in another order than a running sum along a row."""
+    rng = np.random.default_rng(11)
+    return Instance(
+        valuations=tuple(Valuation("log_shift", a, b)
+                         for a, b in rng.uniform(0.5, 2.0, (n, 2)).tolist()),
+        constraints=tuple(Constraint(dict(enumerate(c)), 0.3 * n)
+                          for c in rng.uniform(0.1, 1.0, (rows, n)).tolist()),
+        equality_groups=(), d=0.01, D=10.0, eta=1.0)
+
+
+def test_every_row_slack_is_the_tax_kernels():
+    """verify's slack, each trial batch's own-row slack, the price best
+    response's and the best-response round's are bitwise the slack the
+    tax kernel prices the same allocation at; on price-only trials the
+    batch's slack is verify's."""
+    rng = np.random.default_rng(23)
+    blas_apart = 0
+    for inst in bundled_instances() + (wide_instance(),):
+        n, L = inst.n_agents, inst.n_constraints
+        # demands a little above the floor: most trials keep them feasible
+        prof = make_profile(inst, inst.d + rng.uniform(1e-3, 0.2, n),
+                            rng.uniform(0.0, 2.0, (n, L)))
+        x = allocate(inst, prof.y).x
+        want = _kernel_slack(inst, x[None])[0]
+        blas_apart += int((want != inst.caps - inst.A @ x).sum())
+        with pytest.MonkeyPatch.context() as mp:
+            quotes = _spy(mp, game, "_price_best_responses", 2)
+            trials = _spy(mp, game, "_gross", 4)
+            batches = _spy(mp, game, "allocate_many")
+            verify_epsilon_ne(inst, "base", prof, deviations=20)
+        assert np.array_equal(quotes[0], want)
+        for i, (X, slack) in enumerate(zip(batches, trials)):
+            rows = list(inst.index_sets.rows_of_agent[i])
+            assert np.array_equal(slack, _kernel_slack(inst, X)[:, rows])
+            price_only = (X[:len(rows)] == x).all(axis=1)
+            assert price_only.all()
+            assert np.array_equal(slack[:len(rows)],
+                                  np.tile(want[rows], (len(rows), 1)))
+        with pytest.MonkeyPatch.context() as mp:
+            quotes = _spy(mp, game, "_price_best_responses", 2)
+            for i, rows in enumerate(inst.index_sets.rows_of_agent):
+                for l in rows:
+                    best_response_price(inst, "base", prof, i, l)
+            # demands held, so every agent's round sees the same allocation
+            mp.setattr(game, "best_response_demand",
+                       lambda inst, variant, prof, i, thorough: prof.y[i])
+            game._best_response_round(inst, prof.copy())
+        memberships = [(i, l) for i, rows in
+                       enumerate(inst.index_sets.rows_of_agent) for l in rows]
+        for (i, l), slack in zip(memberships, quotes):
+            assert slack == want[l]
+        for rows, slack in zip(inst.index_sets.rows_of_agent,
+                               quotes[len(memberships):]):
+            assert np.array_equal(slack, want[list(rows)])
+        assert len(quotes) == len(memberships) + n
+    # the check has teeth: a BLAS product differs from the running sum
+    assert blas_apart > 0
 
 
 def one_member_row():

@@ -137,9 +137,7 @@ def test_quad_cap_satiation_below_the_consensus_floor_is_refused(tmp_path,
                                       "m": 1e-14}
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(inst))
-    with pytest.raises(SystemExit) as exit_:  # the loader's usage exit
-        main(["solve", str(path)])
-    assert exit_.value.code == 2
+    assert main(["solve", str(path)]) == 2
     assert "satiation" in capsys.readouterr().err
 
 
@@ -712,6 +710,28 @@ def test_validate_optimum_interiority_with_solution():
     assert names(bad)["A2(optimum)"] == "fail"
     assert not bad.passed
     assert [c.name for c in bad.failures] == ["A2(optimum)"]
+
+
+def test_validate_reports_a_negative_aggregate_as_a6(tmp_path, capsys):
+    # A2(box) and theta read the reduction, which A6 refuses: they are
+    # deferred, and validate reports instead of raising
+    inst = Instance(
+        valuations=tuple(Valuation("log_shift", 1, 1) for _ in range(3)),
+        constraints=(Constraint({0: 1.0, 1: -3.0, 2: 1.0}, 1.0),
+                     Constraint({0: 1.0, 1: 1.0, 2: 1.0}, 1.0)),
+        equality_groups=((0, 1),), d=0.01, D=10.0, eta=1.0)
+    rep = validate(inst)
+    st = names(rep)
+    assert st["A6"] == "fail" and not rep.passed
+    assert [c.name for c in rep.failures] == ["A6"]
+    assert st["A2(box)"] == st["theta"] == "deferred"
+    assert st["A1"] == st["A3"] == st["A4"] == "pass"
+    # the command line still refuses it as bad input
+    path = tmp_path / "negative_aggregate.json"
+    save_instance(inst, path)
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_validate_flags_negative_cap_and_thin_row():
