@@ -487,6 +487,8 @@ def test_cli_overflowing_float_forms_end_in_an_exit_code(tmp_path, capsys):
 def test_cli_usage_exit_codes(tmp_path, capsys):
     # unreadable instances are bad input
     assert main(["solve", str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot load instance")
     assert main(["prop", "--suite", "spectral-gap"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
