@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -84,37 +83,20 @@ def objective(instance: Instance, x: np.ndarray) -> float:
 # the inner maximization over reduced coordinates
 
 
-class _GroupCalc:
-    """The dual's inner step per reduced coordinate k, where V_k sums the
-    members' valuations through the instance's valuation table."""
-
-    def __init__(self, red: ReducedInstance):
-        self.red = red
-
-    @cached_property
-    def _split(self):
-        """Singleton coordinates with their table, and the multi-member
-        groups with their members' table and local group index."""
-        table = self.red.instance.valuation_table
-        ones = np.flatnonzero(self.red.group_sizes == 1)
-        multi, members, loc = self.red.multi_groups
-        return (ones, table.take(self.red.representatives[ones]),
-                multi, table.take(members), loc)
-
-    def argmax_inner(self, q: np.ndarray, D: float,
-                     z0: "np.ndarray | None" = None) -> np.ndarray:
-        """Per-coordinate maximizer of V_k(z) - q_k z over [0, D].
-
-        A singleton coordinate takes its family's closed-form inverse
-        slope; a multi-member equality group takes the table's group solve.
-        """
-        ones, t_one, multi, t_mem, loc = self._split
-        z = np.empty(self.red.K)
-        z[ones] = t_one.inv_deriv(q[ones], D)
-        if multi.size:
-            z[multi] = t_mem.group_inv_deriv(
-                q[multi], D, loc, 0.0, None if z0 is None else z0[multi])
-        return z
+def _argmax_inner(red: ReducedInstance, q: np.ndarray, D: float,
+                  z0: "np.ndarray | None" = None) -> np.ndarray:
+    """Per reduced coordinate k, the maximizer of V_k(z) - q_k z over [0, D],
+    where V_k sums the members' valuations. A singleton coordinate takes
+    its family's closed-form inverse slope; a multi-member equality group
+    takes the valuation table's group solve, started from z0."""
+    split = red.split
+    z = np.empty(red.K)
+    z[split.ones] = split.t_singles.inv_deriv(q[split.ones], D)
+    if split.multi.size:
+        m = split.multi
+        z[m] = split.t_members.group_inv_deriv(
+            q[m], D, split.loc, 0.0, None if z0 is None else z0[m])
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +226,14 @@ def solve(instance: Instance, tol: float = 1e-8, max_iter: int = 100000,
     loop would chase until max_iter.
     """
     red = instance.reduced
-    if np.any(red.A_nv @ red.d_red > red.caps_nv_tol):
+    if red.floor_breaks_a_cap:
         raise NoInteriorPoint("the floor d breaks a row's cap")
-    calc = _GroupCalc(red)
     table, gidx = instance.valuation_table, red.group_of_agent
     Ab, cb = red.A_nv, red.caps_nv
     D = instance.D
 
     def dual(lam, z0=None):
-        z = calc.argmax_inner(Ab.T @ lam, D, z0)
+        z = _argmax_inner(red, Ab.T @ lam, D, z0)
         g = cb - Ab @ z
         return z, g, float(table.group_sums("value", z, gidx).sum()) \
             + float(lam @ g)

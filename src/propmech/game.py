@@ -18,10 +18,10 @@ import numpy as np
 from .allocation import _ray_pieces, allocate, allocate_many
 from .centralized import CentralizedSolution
 from .model import (Choice, InputError, Instance, InvalidParameter, Variant,
-                    _AsDict, _bind, nnls_tableau, nnls_tol_scale)
+                    _AsDict, nnls_tableau, nnls_tol_scale)
 from .taxation import (TaxBreakdown, _budget_books, _check_finite,
                        _check_offeq, _check_prices, _gross, _member_means,
-                       _peer_means, _peer_means_at, _peer_picks,
+                       _peer_means, _peer_means_at,
                        _require_peers, _row_slack, _tax_terms, pbar, tax)
 
 __all__ = [
@@ -77,8 +77,7 @@ def make_profile(instance: Instance, y, prices=None) -> MessageProfile:
     if prices is None:
         prices = np.zeros((instance.n_agents, instance.n_constraints))
     prices = _check_prices(instance, prices)
-    mask = (instance.A != 0).T.astype(float)
-    return MessageProfile(y=y, prices=prices * mask)
+    return MessageProfile(y=y, prices=prices * instance.index_sets.on)
 
 
 def default_init(instance: Instance) -> MessageProfile:
@@ -139,12 +138,11 @@ class _SweepState:
     on first use and kept on the instance (see ``of``).
 
     Per agent: its valuation's value, slope and curvature on floats, its
-    own rows and where its peer means sit on them in the row layout, its
-    A_hat column (the demand-space rows' coefficients on its demand), that
-    column and A's on its own rows, and its group. Per instance: the
-    anchor theta, caps - A_red theta and the non-vacuous rows' tolerances,
-    which only the pullback piece and the boundary t_b read. ``sweep``
-    moves the singleton agents in turn.
+    own rows, its A_hat column (the demand-space rows' coefficients on its
+    demand), that column and A's on its own rows, and its group. Per
+    instance: the anchor theta, caps - A_red theta and the non-vacuous
+    rows' tolerances, which only the pullback piece and the boundary t_b
+    read. ``sweep`` moves the singleton agents in turn.
     """
 
     def __init__(self, instance: Instance):
@@ -153,11 +151,8 @@ class _SweepState:
         self.instance = instance
         self.A_hat = red.A_hat
         self.C = np.ascontiguousarray(red.A_hat.T)  # row i: i's column
-        self.v = [_bind(v.family, v.a, v.b) for v in instance.valuations]
-        self.rows = [np.array(r, dtype=int)
-                     for r in instance.index_sets.rows_of_agent]
-        self.picks = [_peer_picks(instance, i, r)
-                      for i, r in enumerate(self.rows)]
+        self.v = instance.valuation_table._forms
+        self.rows = instance.index_sets.rows_of_agent
         self.coef_rows = [self.C[i, r] for i, r in enumerate(self.rows)]
         self.a_rows = [instance.A[r, i] for i, r in enumerate(self.rows)]
         self.caps_rows = [instance.caps[r] for r in self.rows]
@@ -226,7 +221,7 @@ class _DemandObjective:
                         - self.y_i) / red.group_sizes[k]
         self.ay = state.A_hat @ profile.y if ay is None else ay
         rows = state.rows[i]
-        pb = _peer_means_at(profile.prices, state.picks[i]) \
+        pb = _peer_means_at(instance, profile.prices, i) \
             if peer_means is None else peer_means[i, rows]
         self.c_pay = float((state.a_rows[i] * pb).sum())
         # slack tax on own rows: sum of w (gap - coef t)^2 with weights
@@ -519,14 +514,15 @@ class _GroupPrices:
 
     def __init__(self, instance: Instance):
         red = instance.reduced
-        multi, grouped, loc = red.multi_groups
+        split, on = red.split, instance.index_sets.on
+        multi, grouped, loc = split.multi, split.members, split.loc
         vac = np.flatnonzero(~red.nonvacuous)
         self.perm = np.argsort(loc, kind="stable")
         sizes = np.bincount(loc)
         self.starts = np.cumsum(sizes) - sizes
         self.members = [slice(a, a + m) for a, m in zip(self.starts, sizes)]
-        rows = [vac[~(instance.A[vac][:, red.group_of_agent != k] != 0)
-                    .any(axis=1)] for k in multi]
+        rows = [vac[~on[red.group_of_agent != k][:, vac].any(axis=0)]
+                for k in multi]
         self.B = [instance.A[r][:, grouped[self.perm[ms]]]
                   for r, ms in zip(rows, self.members)]
         self.rows = np.concatenate(rows)
@@ -594,7 +590,7 @@ class _PriceRound:
     def __init__(self, instance: Instance):
         red = instance.reduced
         self.instance = instance
-        self.mask = (instance.A != 0).T.astype(float)
+        self.on = instance.index_sets.on
         self.shared = red.nonvacuous
         # per row, a clamp keeping price excursions within valuation scale
         slopes = instance.valuation_table.deriv(instance.d)
@@ -606,21 +602,19 @@ class _PriceRound:
         # first-order gaps around the whole group, not just their two ends
         group_slope = np.bincount(red.group_of_agent, weights=slopes,
                                   minlength=red.K)
-        first = np.argmax(instance.A[~self.shared] != 0, axis=1)
+        first = np.argmax(self.on[:, ~self.shared], axis=0)
         self.p_cap[~self.shared] = np.maximum(
             self.p_cap[~self.shared],
             2.0 * group_slope[red.group_of_agent[first]])
         self.lo = _demand_floor(instance.d)
-        self.singles = red.representatives[red.group_sizes == 1]
-        self.state = _SweepState.of(instance) if self.singles.size else None
-        # multi-member groups: members in agent order with their group
-        # index, each group's lower bound and its difference-row prices
-        multi, self.grouped, self.loc = red.multi_groups
-        self.t_grouped = instance.valuation_table.take(self.grouped)
-        self.first = red.representatives[multi]
-        self.lo_g = np.full(multi.size, -np.inf)
-        np.maximum.at(self.lo_g, self.loc, self.lo[self.grouped])
-        self.prices = _GroupPrices(instance) if multi.size else None
+        self.split = split = red.split
+        self.state = _SweepState.of(instance) if split.singles.size else None
+        # multi-member groups: each one's first member, its lower bound and
+        # its difference-row prices
+        self.first = red.representatives[split.multi]
+        self.lo_g = np.full(split.multi.size, -np.inf)
+        np.maximum.at(self.lo_g, split.loc, self.lo[split.members])
+        self.prices = _GroupPrices(instance) if split.multi.size else None
 
     def __call__(self, prof: MessageProfile, pc: np.ndarray
                  ) -> "tuple[float, float, float]":
@@ -641,22 +635,23 @@ class _PriceRound:
         base = inst.A.T @ np.where(shared, pc, 0.0)
         group_resid = snap = 0.0
         if self.prices is not None:
-            g, loc = self.grouped, self.loc
+            g, loc, table = self.split.members, self.split.loc, \
+                self.split.t_members
             cost = np.bincount(loc, weights=base[g], minlength=self.lo_g.size)
-            z = self.t_grouped.group_inv_deriv(cost, inst.D, loc, self.lo_g,
-                                               prof.y[self.first])
-            want = self.t_grouped.deriv(z[loc])
+            z = table.group_inv_deriv(cost, inst.D, loc, self.lo_g,
+                                      prof.y[self.first])
+            want = table.deriv(z[loc])
             pv, group_resid = self.prices(want - base[g], want)
             pc[self.prices.rows] = pv
             snap = float(np.max(np.abs(z[loc] - prof.y[g])
                                 / (1.0 + np.abs(prof.y[g]))))
             prof.y[g] = np.maximum(z[loc], self.lo[g])
-        prof.prices = pc[None, :] * self.mask
+        prof.prices = pc[None, :] * self.on
         # prices stay fixed through the sweep, so its agents share one set
         # of peer means
         if self.state is not None:
             snap = max(snap, self.state.sweep(
-                prof, self.singles, self.lo, inst.D + 1.0,
+                prof, self.split.singles, self.lo, inst.D + 1.0,
                 _peer_means(inst, prof.prices)))
         return comp_resid, group_resid, snap
 
@@ -671,7 +666,7 @@ def _best_response_round(instance: Instance, prof: MessageProfile) -> None:
     state = _SweepState.of(instance)
     for i, rows in enumerate(state.rows):
         prof.prices[i, rows] = _price_best_responses(
-            _peer_means_at(prof.prices, state.picks[i]), instance.eta,
+            _peer_means_at(instance, prof.prices, i), instance.eta,
             _row_slack(instance, allocate(instance, prof.y).x, rows))
         prof.y[i] = best_response_demand(instance, Variant.BASE, prof, i,
                                          thorough=False)
@@ -777,6 +772,9 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     does not rest ends the run with converged=False: the round map sits at
     a fixed point that is not rest, and the plain round and _Anderson
     (whose residual is then 0, so gamma = 0) return that state forever.
+    A step back does not count: the plain image _Anderson then hands on may
+    equal the previous round's end, but the next round, without the
+    history, moves on.
     """
     variant = Variant.parse(variant)
     schedule = Schedule.parse(schedule)
@@ -813,7 +811,7 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
                 else accel.step(np.concatenate([pc[nv], prof.y]))
             if z is not None:
                 pc[nv], prof.y = z[:-n], z[-n:]
-                prof.prices = pc[None, :] * price_round.mask
+                prof.prices = pc[None, :] * price_round.on
         else:
             _best_response_round(instance, prof)
             parts, accelerated = (None, None, None), None
@@ -825,7 +823,8 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
         if not price_adjust:
             converged = max_change <= tol
         pending.append((rnd, max_change, y_end, p_end, *parts, accelerated))
-        stop = converged or max_change == 0.0
+        stepped_back = price_adjust and z is not None and not accelerated
+        stop = converged or (max_change == 0.0 and not stepped_back)
         if stop or len(pending) == _BOOK_BLOCK or rnd == max_rounds:
             records.extend(_book_rounds(instance, variant, pending,
                                         record_profiles))
@@ -889,7 +888,7 @@ def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
     """
     X = allocate_many(instance, Y)
     x_i = X[:, i]
-    rows = list(instance.index_sets.rows_of_agent[i])
+    rows = instance.index_sets.rows_of_agent[i]
     payment, disagreement, slackness = _gross(
         instance.A[rows, i] * x_i[:, None], P_i[:, rows], peer_means[i, rows],
         instance.eta, _row_slack(instance, X, rows))
@@ -948,7 +947,7 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     slack_vec = _row_slack(instance, base.x)
     price_br = _price_best_responses(peer_means, instance.eta, slack_vec)
     for i in range(n):
-        rows = list(instance.index_sets.rows_of_agent[i])
+        rows = instance.index_sets.rows_of_agent[i]
         # trials: one price best response per own row, the demand best
         # response, then the random joint deviations
         first_joint = len(rows) + 1
@@ -985,7 +984,7 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
 
     # equilibrium-shape diagnostics
     mean_p = _member_means(instance, profile.prices)
-    on = instance.A.T != 0
+    on = instance.index_sets.on
     spread = np.where(on, profile.prices, -np.inf).max(axis=0) \
         - np.where(on, profile.prices, np.inf).min(axis=0)
     comp = float(np.max(np.abs(mean_p * slack_vec), initial=0.0))

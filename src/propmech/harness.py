@@ -479,7 +479,7 @@ def _draw_budget_ne(inst: Instance, sol: CentralizedSolution,
                  sol.lambda_star * rng.uniform(0.0, 2.0,
                                                (per, inst.n_constraints)),
                  0.0)
-    return q[:, None, :] * (inst.A != 0).T
+    return q[:, None, :] * inst.index_sets.on
 
 
 def _suite_budget_ne(samples: int, seed: int) -> SuiteReport:
@@ -502,7 +502,7 @@ def _suite_budget_ne(samples: int, seed: int) -> SuiteReport:
 def _draw_budget_offeq(inst: Instance, rng: np.random.Generator, per: int):
     """per feasible demand profiles (per, N) with their prices
     (per, N, L), then one off-polytope demand with its prices."""
-    mask = (inst.A != 0).T
+    mask = inst.index_sets.on
     shape = (inst.n_agents, inst.n_constraints)
     Y = _sample_feasible_y(inst, rng, per)
     P = rng.uniform(0.0, 2.0, (per,) + shape) * mask
@@ -542,11 +542,11 @@ def _suite_rebate_independence(samples: int, seed: int) -> SuiteReport:
         movers = np.empty(per, dtype=int)
         for k in range(per):
             Y[k] = inst.d + rng.random(n) * 3.0 + 1e-9
-            P[k] = rng.uniform(0.0, 2.0, (n, L)) * (inst.A != 0).T
+            P[k] = rng.uniform(0.0, 2.0, (n, L)) * inst.index_sets.on
             i = movers[k] = int(rng.integers(n))
             Y2[k], P2[k] = Y[k], P[k]
             Y2[k, i] = inst.d[i] + rng.random() * 3.0 + 1e-9
-            P2[k, i] = rng.uniform(0.0, 2.0, L) * (inst.A[:, i] != 0)
+            P2[k, i] = rng.uniform(0.0, 2.0, L) * inst.index_sets.on[i]
         Ys = np.concatenate([Y, Y2])
         rebate = _tax_terms(inst, variant, Ys, allocate_many(inst, Ys),
                             np.concatenate([P, P2]))[3]

@@ -531,36 +531,58 @@ class Constraint:
 
 @dataclass(frozen=True, eq=False)
 class IndexSets:
-    """Who sits on which constraint, both directions."""
+    """Who sits on which constraint, read once from the nonzeros of A.
 
-    members: tuple[tuple[int, ...], ...]        # per row, sorted agent ids
-    rows_of_agent: tuple[tuple[int, ...], ...]  # per agent, sorted row ids
+    Row direction: row l's members in agent order, side by side and padded
+    with zeros to the widest row's m members: its j-th member is agent
+    index[l, j] wherever mask[l, j] holds, with coefficient coef[l, j],
+    and entry pick[l, j] of a flattened (N, L) array belongs to that
+    membership. Agent direction: agent i's rows in order, its slot j on
+    each, and ``cells``, (W, N) flat indices into an (N, L) array: column
+    i lists agent i's cells on its rows, padded to the largest membership
+    count W with cells of agent i off its rows.
+    """
 
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([len(m) for m in self.members], dtype=int)
+    on: np.ndarray                          # (N, L) bool, i sits on l
+    members: tuple[tuple[int, ...], ...]    # per row, sorted agent ids
+    counts: np.ndarray                      # (L,) members per row
+    thin_rows: tuple[int, ...]              # rows with fewer than two members
+    index: np.ndarray                       # (L, m) int
+    mask: np.ndarray                        # (L, m) bool
+    pick: np.ndarray                        # (L, m) int, index * L + l
+    coef: np.ndarray                        # (L, m) coefficients, 0 on padding
+    rows_of_agent: tuple[np.ndarray, ...]   # per agent, sorted row ids
+    slots: tuple[np.ndarray, ...]           # per agent, its slot on each row
+    cells: np.ndarray                       # (W, N) int
 
-    @cached_property
-    def thin_rows(self) -> tuple[int, ...]:
-        """Rows with fewer than two members: no peer to average prices over."""
-        return tuple(l for l, m in enumerate(self.members) if len(m) < 2)
-
-
-@dataclass(frozen=True, eq=False)
-class RowLayout:
-    """Every row's members side by side, padded with zeros to the widest
-    row's m members: row l's j-th member is agent index[l, j] wherever
-    mask[l, j] holds, and entry pick[l, j] of a flattened (N, L) array
-    belongs to that membership. A member's demand weight is its coefficient
-    when its equality group is a singleton, else the group's aggregated
-    coefficient split evenly over the group's members on the row."""
-
-    index: np.ndarray   # (L, m) int
-    mask: np.ndarray    # (L, m) bool
-    pick: np.ndarray    # (L, m) int, index * L + l
-    counts: np.ndarray  # (L,) members per row
-    coef: np.ndarray    # (L, m) coefficients, 0 on padding
-    weight: np.ndarray  # (L, m) demand weights, 0 on padding
+    @classmethod
+    def of(cls, A: np.ndarray) -> "IndexSets":
+        on = A.T != 0
+        n, L = on.shape
+        counts = on.sum(axis=0)
+        mask = np.arange(counts.max(initial=0)) < counts[:, None]
+        index = np.zeros(mask.shape, dtype=int)
+        index[mask] = np.nonzero(on.T)[1]
+        row = np.arange(L)[:, None]
+        # agent i's memberships: entries a:b of the agent-major nonzeros,
+        # each with its slot, the members of its row before i
+        agent, rows = np.nonzero(on)
+        slot = (np.cumsum(on, axis=0) - 1)[agent, rows]
+        ends = np.cumsum(on.sum(axis=1)).tolist()
+        spans = list(zip([0] + ends, ends))
+        W = max((b - a for a, b in spans), default=0)
+        cells = np.argsort(~on, axis=1, kind="stable")[:, :W]
+        return cls(on=on,
+                   members=tuple(tuple(r[m].tolist())
+                                 for r, m in zip(index, mask)),
+                   counts=counts,
+                   thin_rows=tuple(l for l, c in enumerate(counts.tolist())
+                                   if c < 2),
+                   index=index, mask=mask, pick=index * L + row,
+                   coef=np.where(mask, A[row, index], 0.0),
+                   rows_of_agent=tuple(rows[a:b] for a, b in spans),
+                   slots=tuple(slot[a:b] for a, b in spans),
+                   cells=(np.arange(n)[:, None] * L + cells).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -646,43 +668,7 @@ class Instance:
 
     @cached_property
     def index_sets(self) -> IndexSets:
-        members = tuple(tuple(sorted(c.coeffs)) for c in self.constraints)
-        rows: list[list[int]] = [[] for _ in range(self.n_agents)]
-        for l, mem in enumerate(members):
-            for i in mem:
-                rows[i].append(l)
-        return IndexSets(members=members,
-                         rows_of_agent=tuple(tuple(r) for r in rows))
-
-    @cached_property
-    def row_layout(self) -> RowLayout:
-        members = self.index_sets.members
-        counts = np.array([len(m) for m in members], dtype=int)
-        mask = np.arange(counts.max(initial=0)) < counts[:, None]
-        index = np.zeros(mask.shape, dtype=int)
-        index[mask] = [i for m in members for i in m]
-        row = np.arange(len(members))[:, None]
-        coef = np.where(mask, self.A[row, index], 0.0)
-        red = self.reduced
-        group = red.group_of_agent[index]
-        cell = row * red.K + group
-        on_row = np.bincount(cell[mask], minlength=len(members) * red.K)
-        split = red.A_red[row, group] / np.maximum(on_row[cell], 1)
-        weight = np.where(red.group_sizes[group] == 1, coef, split)
-        return RowLayout(index=index, mask=mask,
-                         pick=index * len(members) + row, counts=counts,
-                         coef=coef, weight=np.where(mask, weight, 0.0))
-
-    @cached_property
-    def agent_cells(self) -> np.ndarray:
-        """(W, N) flat indices into an (N, L) array: column i lists agent
-        i's rows in order, padded to the largest membership count W with
-        cells of agent i off its rows, where tax terms are zero."""
-        off = self.A.T == 0
-        W = int((~off).sum(axis=1).max(initial=0))
-        rows = np.argsort(off, axis=1, kind="stable")[:, :W]
-        return (np.arange(self.n_agents)[:, None] * self.n_constraints
-                + rows).T
+        return IndexSets.of(self.A)
 
     @cached_property
     def reduced(self) -> "ReducedInstance":
@@ -740,6 +726,20 @@ def _normalize_groups(groups: Iterable[Iterable[int]], n: int
 # equality reduction
 
 
+class _GroupSplit(NamedTuple):
+    """The singleton groups' ids, their agents and those agents' valuation
+    table; the multi-member groups' ids, their members in agent order,
+    the members' table and each member's position in those ids."""
+
+    ones: np.ndarray
+    singles: np.ndarray
+    t_singles: ValuationTable
+    multi: np.ndarray
+    members: np.ndarray
+    t_members: ValuationTable
+    loc: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class ReducedInstance:
     """Instance collapsed along the equality partition.
@@ -755,7 +755,6 @@ class ReducedInstance:
     representatives: np.ndarray  # (K,) int, lowest member index
     group_sizes: np.ndarray      # (K,) int
     A_red: np.ndarray            # (L, K)
-    caps: np.ndarray             # (L,)
     nonvacuous: np.ndarray       # (L,) bool
     nv_rows: np.ndarray          # (M,) ids of the non-vacuous rows
     A_nv: np.ndarray             # (M, K) those rows, the only ones that bind
@@ -766,13 +765,33 @@ class ReducedInstance:
         return len(self.group_members)
 
     @cached_property
-    def multi_groups(self) -> tuple:
-        """The groups with two or more members: their ids (G,), their
-        members in agent order, and each member's position in the ids."""
+    def split(self) -> "_GroupSplit":
+        """The reduced coordinates split into singletons and multi-member
+        groups (see _GroupSplit)."""
+        table = self.instance.valuation_table
+        ones = np.flatnonzero(self.group_sizes == 1)
+        singles = self.representatives[ones]
         multi = np.flatnonzero(self.group_sizes > 1)
         members = np.flatnonzero(self.group_sizes[self.group_of_agent] > 1)
-        return multi, members, np.searchsorted(multi,
-                                               self.group_of_agent[members])
+        return _GroupSplit(ones, singles, table.take(singles), multi,
+                           members, table.take(members),
+                           np.searchsorted(multi,
+                                           self.group_of_agent[members]))
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """(L, m) demand weights on the row layout (IndexSets): a member's
+        coefficient when its group is a singleton, else the group's
+        aggregated coefficient split evenly over the group's members on the
+        row; 0 on padding."""
+        idx = self.instance.index_sets
+        row = np.arange(len(idx.counts))[:, None]
+        group = self.group_of_agent[idx.index]
+        cell = row * self.K + group
+        on_row = np.bincount(cell[idx.mask], minlength=row.size * self.K)
+        split = self.A_red[row, group] / np.maximum(on_row[cell], 1)
+        weight = np.where(self.group_sizes[group] == 1, idx.coef, split)
+        return np.where(idx.mask, weight, 0.0)
 
     @cached_property
     def d_red(self) -> np.ndarray:
@@ -788,6 +807,11 @@ class ReducedInstance:
     def caps_nv_tol(self) -> np.ndarray:
         """caps_nv widened by the relative feasibility slack FEAS_TOL."""
         return self.caps_nv + FEAS_TOL * (1.0 + np.abs(self.caps_nv))
+
+    @cached_property
+    def floor_breaks_a_cap(self) -> bool:
+        """Whether d breaks a non-vacuous row's cap beyond FEAS_TOL."""
+        return bool(np.any(self.A_nv @ self.d_red > self.caps_nv_tol))
 
     @cached_property
     def theta(self) -> np.ndarray:
@@ -869,7 +893,7 @@ def reduce_equalities(instance: Instance) -> ReducedInstance:
     return ReducedInstance(instance=instance, group_members=groups,
                            group_of_agent=group_of_agent, representatives=reps,
                            group_sizes=sizes, A_red=A_red,
-                           caps=instance.caps.copy(), nonvacuous=nonvacuous,
+                           nonvacuous=nonvacuous,
                            nv_rows=nv_rows, A_nv=A_red[nv_rows],
                            caps_nv=instance.caps[nv_rows])
 
@@ -999,11 +1023,8 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
         if len(g) > 1 and not np.allclose(instance.d[list(g)],
                                           instance.d[g[0]]):
             msgs.append(f"group {g} has non-constant d")
-    if red is not None:
-        viol = red.A_nv @ red.d_red - red.caps_nv
-        if viol.max(initial=0.0) > FEAS_TOL * (
-                1.0 + np.abs(red.caps_nv).max(initial=0.0)):
-            msgs.append("d itself is infeasible")
+    if red is not None and red.floor_breaks_a_cap:
+        msgs.append("d itself is infeasible")
     if msgs or red is not None:
         checks.append(CheckResult("A2(box)", "fail" if msgs else "pass",
                                   "; ".join(msgs)))

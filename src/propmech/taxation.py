@@ -16,7 +16,7 @@ agent's own message:
 
 One batched kernel, _tax_terms, prices M profiles at once for every
 variant; the public functions are one-row calls of it. Each row's members
-are laid out side by side once per instance (Instance.row_layout), and every
+are laid out side by side once per instance (Instance.index_sets), and every
 leave-one-out sum is an exclusive prefix sum plus an exclusive suffix sum
 along that member axis. Neither reads the recipient's own entry, so
 perturbing own messages leaves own rebates bitwise unchanged.
@@ -168,11 +168,11 @@ def _budget_books(instance: Instance, terms: np.ndarray
     """Per profile of a _tax_terms result (4, M, N, L): its total tax and
     its gross, bitwise total_tax and .gross of its TaxBreakdown. Each
     term's per-agent sums read the agent's memberships alone
-    (Instance.agent_cells), one term at a time, and the profile's total is
-    the exact sum of its agents' totals."""
+    (IndexSets.cells), one term at a time, and the profile's total is the
+    exact sum of its agents' totals."""
     M = terms.shape[1]
     flat = terms.reshape(4, M, -1)
-    cells = instance.agent_cells
+    cells = instance.index_sets.cells
     totals = _exact_sums(_agent_books(
         *(_exact_sums(t.T[cells]) for t in flat)))
     return totals.tolist(), _gross_scale(*flat[:3])
@@ -222,7 +222,7 @@ def _loo(v: np.ndarray) -> np.ndarray:
 def _member_peer_means(instance: Instance, P: np.ndarray):
     """The members' prices p and peer means pbar(-i), the mean of the other
     members' prices, on the row layout (M, L, m) of prices P (M, N, L)."""
-    lay = instance.row_layout
+    lay = instance.index_sets
     p = np.where(lay.mask, P.reshape(len(P), -1)[:, lay.pick], 0.0)
     return p, _loo(p) / (lay.counts[:, None] - 1)
 
@@ -230,7 +230,7 @@ def _member_peer_means(instance: Instance, P: np.ndarray):
 def _scatter(instance: Instance, V: np.ndarray) -> np.ndarray:
     """(..., L, m) values on the row layout to (..., N, L), zeros off
     membership."""
-    lay = instance.row_layout
+    lay = instance.index_sets
     n, L = instance.n_agents, instance.n_constraints
     out = np.zeros(V.shape[:-2] + (n * L,))
     out[..., lay.pick[lay.mask]] = V[..., lay.mask]
@@ -243,39 +243,33 @@ def _peer_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
     return _scatter(instance, _member_peer_means(instance, prices[None])[1])[0]
 
 
-def _peer_picks(instance: Instance, i: int, rows) -> tuple:
-    """Where agent i's peer means on its rows ``rows`` sit in the row
-    layout, for _peer_means_at: those rows' picks and mask, i's slot on
-    each and the rows' peer counts."""
-    members, lay = instance.index_sets.members, instance.row_layout
-    slots = np.array([members[l].index(i) for l in rows], dtype=int)
-    return (lay.pick[rows], lay.mask[rows], (np.arange(len(rows)), slots),
-            lay.counts[rows] - 1)
-
-
-def _peer_means_at(prices: np.ndarray, picks: tuple) -> np.ndarray:
-    """One agent's peer means on the rows of ``picks`` (see _peer_picks),
-    from the leave-one-out on those rows alone: bitwise the entries
+def _peer_means_at(instance: Instance, prices: np.ndarray,
+                   i: int) -> np.ndarray:
+    """Agent i's peer means on its own rows, from the leave-one-out on
+    those rows alone, read at i's slot on each: bitwise the entries
     _peer_means gives."""
-    pick, mask, at, peers = picks
-    return _loo(np.where(mask, prices.reshape(-1)[pick], 0.0))[at] / peers
+    lay = instance.index_sets
+    rows = lay.rows_of_agent[i]
+    p = np.where(lay.mask[rows], prices.reshape(-1)[lay.pick[rows]], 0.0)
+    return _loo(p)[np.arange(len(rows)), lay.slots[i]] \
+        / (lay.counts[rows] - 1)
 
 
 def _member_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
     """(L,) mean of the prices quoted by each row's members."""
-    on = (instance.A != 0).T
-    return (prices * on).sum(axis=0) / instance.index_sets.counts
+    idx = instance.index_sets
+    return (prices * idx.on).sum(axis=0) / idx.counts
 
 
 def _row_slack(instance: Instance, X: np.ndarray, rows=slice(None),
                a_x: "np.ndarray | None" = None) -> np.ndarray:
     """caps - A x on the rows ``rows`` for allocations X (..., N): the
-    running sum of the members' products A_li x_i along each row of
-    Instance.row_layout. A running sum adds in one order whatever the
+    running sum of the members' products A_li x_i along each row of the
+    row layout (IndexSets). A running sum adds in one order whatever the
     batch's shape, which a reduction does not. ``a_x`` is those products
     on every row when the caller has formed them."""
     if a_x is None:
-        lay = instance.row_layout
+        lay = instance.index_sets
         a_x = lay.coef[rows] * X[..., lay.index[rows]]
     return instance.caps[rows] - np.cumsum(a_x, axis=-1)[..., -1]
 
@@ -290,11 +284,11 @@ def pbar(instance: Instance, prices: np.ndarray, i: int, l: int) -> float:
     """Average price quoted on constraint l by the members other than i,
     bitwise _peer_means(...)[i, l] (see _peer_means_at)."""
     prices = _check_prices(instance, prices)
-    members = instance.index_sets.members[l]
-    if i not in members:
+    if i not in instance.index_sets.members[l]:
         raise AgentNotOnConstraint(f"agent {i} is not on constraint {l}")
     _require_peers(instance)
-    return float(_peer_means_at(prices, _peer_picks(instance, i, [l]))[0])
+    k = np.searchsorted(instance.index_sets.rows_of_agent[i], l)
+    return float(_peer_means_at(instance, prices, i)[k])
 
 
 def _check_offeq(instance: Instance) -> None:
@@ -312,8 +306,8 @@ def _ne_rebate(instance: Instance, y, p, pb) -> np.ndarray:
     """The telescoping rebate on the row layout. Two-member rows pass each
     member the other's demand payment, or nothing on a row with a sign
     change (an equality encoding, which cancels pairwise at equilibrium)."""
-    lay = instance.row_layout
-    a = lay.weight * y
+    lay = instance.index_sets
+    a = instance.reduced.weight * y
     sum_a, sum_ap = _loo(np.stack([a, a * p]))
     nm = lay.counts[:, None]
     wide = nm > 2
@@ -327,7 +321,7 @@ def _offeq_rebate(instance: Instance, y, p) -> np.ndarray:
     di-pairwise sums over the other members in closed form, from their
     leave-one-out power sums. A direct combinatorial reference for them
     lives in the test suite."""
-    lay = instance.row_layout
+    lay = instance.index_sets
     nm = lay.counts[:, None]
     cap = instance.caps[:, None]
     g = lay.coef * y
@@ -375,7 +369,7 @@ def _tax_terms(instance: Instance, variant: Variant, Y: np.ndarray,
     _require_peers(instance)
     if variant is Variant.SBB_OFFEQ:
         _check_offeq(instance)
-    lay = instance.row_layout
+    lay = instance.index_sets
     p, pb = _member_peer_means(instance, P)
     a_x = lay.coef * X[:, lay.index]
     slack = _row_slack(instance, X, a_x=a_x)[..., None]

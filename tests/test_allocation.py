@@ -150,7 +150,7 @@ def reference_allocate(inst, y):
     """The former scalar allocation: (x, alpha, binding row, interior)."""
     red = inst.reduced
     y_red = red.average(y)
-    rows, caps = red.A_red[red.nonvacuous], red.caps[red.nonvacuous]
+    rows, caps = red.A_red[red.nonvacuous], inst.caps[red.nonvacuous]
     if np.all(caps - rows @ y_red >= -FEAS_TOL * (1.0 + np.abs(caps))):
         return red.expand(y_red), 1.0, None, True
     theta_red = red.restrict(inst.theta_or_derived())

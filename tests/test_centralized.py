@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from propmech import harness
-from propmech.centralized import (NoConvergence, TooLarge, _GroupCalc,
+from propmech.centralized import (NoConvergence, TooLarge, _argmax_inner,
                                   _complete_multipliers, _nonunique_rows,
                                   _start_prices, brute_force_oracle,
                                   kkt_residuals, objective, solve)
@@ -157,7 +157,6 @@ def test_inner_solve_matches_bisection_per_coordinate():
                      Constraint({3: 1.0, 4: 1.0, 5: 1.0, 6: 2.0}, 2.0)),
         equality_groups=((0, 1, 2), (3, 4)), d=0.01, D=10.0, eta=1.0)
     red = inst.reduced
-    calc = _GroupCalc(red)
 
     def slope(k, z):
         return sum(inst.valuations[i].deriv(z)
@@ -178,7 +177,7 @@ def test_inner_solve_matches_bisection_per_coordinate():
     qs = [np.zeros(red.K), np.full(red.K, 1e6)]
     qs += [rng.uniform(0.0, 3.0, red.K) for _ in range(50)]
     for q in qs:
-        z = calc.argmax_inner(q, inst.D)
+        z = _argmax_inner(red, q, inst.D)
         ref = [bisect(k, q[k]) for k in range(red.K)]
         assert z == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
@@ -349,7 +348,6 @@ def _reference_polish(gsum, K, Ab, cb, D, z, lam):
 def reference_solve(instance, tol=1e-8, max_iter=100000):
     """(x, lambda, converged, non-unique rows) of the former solver."""
     red = instance.reduced
-    calc = _GroupCalc(red)
 
     def gsum(fn, z):
         return instance.valuation_table.group_sums(fn, z, red.group_of_agent)
@@ -358,7 +356,7 @@ def reference_solve(instance, tol=1e-8, max_iter=100000):
     M = Ab.shape[0]
     D = instance.D
     lam = np.zeros(M)
-    z = calc.argmax_inner(np.zeros(red.K), D)
+    z = _argmax_inner(red, np.zeros(red.K), D)
     # diagonal estimate of the dual Hessian sets the base step
     curv = np.abs(gsum("deriv2", np.clip(z, 1e-6, None)))
     resp = 1.0 / np.maximum(curv, 1e-9)
@@ -386,7 +384,7 @@ def reference_solve(instance, tol=1e-8, max_iter=100000):
                 accepted = True
                 z_new, gv_new, phi_new = z, gviol, phi
                 break
-            z_new = calc.argmax_inner(Ab.T @ lam_new, D, z0=z)
+            z_new = _argmax_inner(red, Ab.T @ lam_new, D, z0=z)
             gv_new = Ab @ z_new - cb
             phi_new = float(gsum("value", z_new).sum()) \
                 - float(lam_new @ gv_new)

@@ -384,6 +384,59 @@ def test_dynamics_stop_on_a_round_that_moves_nothing():
     assert np.array_equal(prof.prices, tr.profile.prices)
 
 
+def _criterion_1_errors(inst, tr):
+    """Criterion 1's relative allocation error and price error (member
+    means against lambda* on active rows with unique multipliers)."""
+    sol = solve(inst, tol=1e-9)
+    x = allocate(inst, tr.profile.y).x
+    xerr = float(np.max(np.abs(x - sol.x_star))) \
+        / (1.0 + float(np.max(np.abs(sol.x_star))))
+    slack = inst.caps - inst.A @ sol.x_star
+    active = (sol.lambda_star > 1e-9) \
+        | (np.abs(slack) <= 1e-8 * (1.0 + np.abs(inst.caps)))
+    on = inst.index_sets.on
+    perr = max((abs(float(tr.profile.prices[on[:, l], l].mean())
+                    - sol.lambda_star[l]) for l in np.flatnonzero(active)
+                if l not in sol.nonunique_multiplier_rows), default=0.0)
+    return xerr, perr
+
+
+@pytest.mark.parametrize("seed", [504, 515, 518])
+def test_dynamics_run_on_past_a_step_back_that_moves_nothing(seed):
+    # a step back hands on the plain image that the last extrapolation
+    # replaced, which here equals the previous round's end; the run goes
+    # on from it and reaches the benchmark
+    inst = generate(Scenario(kind="local-public-goods", group_sizes=(3, 2)),
+                    seed)
+    tr = run_dynamics(inst, max_rounds=30000, tol=1e-8)
+    assert 0.0 in [r.max_change for r in tr.records[:-1]]
+    assert tr.converged
+    xerr, perr = _criterion_1_errors(inst, tr)
+    assert xerr <= 1e-3 and perr <= 1e-3
+
+
+def _generated_set():
+    """58 generated instances of three shapes: unicast, public-good and
+    local-public-goods (3, 2)."""
+    for seed in range(300, 320):
+        n = 4 + seed % 5
+        yield Scenario(kind="unicast", n_agents=n,
+                       n_constraints=max(2, n // 2)), seed
+    for seed in range(400, 419):
+        yield Scenario(kind="public-good", n_agents=3 + seed % 4), seed
+    for seed in range(500, 519):
+        yield Scenario(kind="local-public-goods", group_sizes=(3, 2)), seed
+
+
+def test_dynamics_converge_on_the_generated_set():
+    unconverged = []
+    for sc, seed in _generated_set():
+        tr = run_dynamics(generate(sc, seed), max_rounds=30000, tol=1e-8)
+        if not tr.converged:
+            unconverged.append((sc.kind, seed, tr.rounds))
+    assert not unconverged
+
+
 @pytest.mark.parametrize("kwargs", [
     {"max_rounds": -3}, {"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf}])
 def test_dynamics_rejects_bad_run_arguments(kwargs):

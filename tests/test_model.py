@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import propmech
 from propmech import model
+from propmech.centralized import solve
 from propmech.cli import main
 from propmech.game import Schedule
 from propmech.model import (FAMILIES, Constraint, DimensionMismatch,
@@ -407,9 +408,89 @@ def test_index_sets_both_directions():
         equality_groups=(), d=0.01, D=10.0, eta=1.0)
     idx = inst.index_sets
     assert idx.members == ((0, 2), (1, 2))
-    assert idx.rows_of_agent == ((0,), (1,), (0, 1))
+    assert [r.tolist() for r in idx.rows_of_agent] == [[0], [1], [0, 1]]
     assert idx.counts.tolist() == [2, 2]
     assert inst.A.tolist() == [[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]
+
+
+@st.composite
+def membership_cases(draw):
+    """Agents, rows as {agent: coefficient} (signs mixed) and, half the
+    time, an equality partition."""
+    n = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        mem = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                            unique=True))
+        rows.append({i: draw(st.sampled_from([-2.0, -0.5, 0.25, 1.0, 3.0]))
+                     for i in mem})
+    perm = draw(st.permutations(range(n)))
+    cuts = sorted(set(draw(st.lists(st.integers(1, max(1, n - 1)),
+                                    max_size=3)))) if n > 1 else []
+    groups = [tuple(perm[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    return n, rows, groups if draw(st.booleans()) else ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_cases())
+def test_index_sets_match_a_reference_from_A(case):
+    n, rows, groups = case
+    inst = Instance(
+        valuations=tuple(Valuation("log_shift", 1.0 + i, 1.0)
+                         for i in range(n)),
+        constraints=tuple(Constraint(c, 1.0) for c in rows),
+        equality_groups=groups, d=0.01, D=10.0, eta=1.0)
+    A, idx, L = inst.A, inst.index_sets, len(rows)
+    members = [np.flatnonzero(A[l]).tolist() for l in range(L)]
+    own = [np.flatnonzero(A[:, i]).tolist() for i in range(n)]
+    assert idx.on.dtype == bool and np.array_equal(idx.on, A.T != 0)
+    assert idx.members == tuple(map(tuple, members))
+    assert idx.counts.tolist() == [len(m) for m in members]
+    assert idx.thin_rows == tuple(l for l, m in enumerate(members)
+                                  if len(m) < 2)
+    m = max(map(len, members), default=0)
+    for a in (idx.index, idx.mask, idx.pick, idx.coef):
+        assert a.shape == (L, m)
+    for l, mem in enumerate(members):
+        pad = [0] * (m - len(mem))
+        assert idx.mask[l].tolist() == [True] * len(mem) + [False] * len(pad)
+        assert idx.index[l].tolist() == mem + pad
+        assert idx.pick[l].tolist() == [i * L + l for i in mem + pad]
+        assert idx.coef[l].tolist() == [A[l, i] for i in mem] + pad
+    W = max(map(len, own))
+    assert idx.cells.shape == (W, n)
+    for i, r in enumerate(own):
+        assert idx.rows_of_agent[i].dtype.kind == "i"
+        assert idx.rows_of_agent[i].tolist() == r
+        assert idx.slots[i].tolist() == [members[l].index(i) for l in r]
+        order = r + [l for l in range(L) if l not in r]
+        assert idx.cells[:, i].tolist() == [i * L + l for l in order[:W]]
+    # the layout reads no reduction: A4 is reported when A6 fails too
+    a4 = {c.name: c.status for c in validate(inst).checks}["A4"]
+    assert a4 == ("fail" if idx.thin_rows else "pass")
+    try:
+        red = inst.reduced
+    except NegativeReducedCoefficient:
+        return
+    for l, mem in enumerate(members):
+        ks = red.group_of_agent[mem]
+        ref = [A[l, i] if red.group_sizes[k] == 1
+               else red.A_red[l, k] / int((ks == k).sum())
+               for i, k in zip(mem, ks)]
+        assert red.weight[l].tolist() == ref + [0.0] * (m - len(mem))
+    split = red.split
+    sizes = [len(g) for g in red.group_members]
+    multi = [k for k, s in enumerate(sizes) if s > 1]
+    grouped = sorted(i for k in multi for i in red.group_members[k])
+    assert split.ones.tolist() == [k for k, s in enumerate(sizes) if s == 1]
+    assert split.singles.tolist() == [red.group_members[k][0]
+                                      for k in split.ones]
+    assert split.multi.tolist() == multi
+    assert split.members.tolist() == grouped
+    assert split.loc.tolist() == [multi.index(red.group_of_agent[i])
+                                  for i in grouped]
+    assert split.t_singles.a.tolist() == [1.0 + i for i in split.singles]
+    assert split.t_members.a.tolist() == [1.0 + i for i in grouped]
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +834,20 @@ def test_validate_flags_infeasible_floor():
     assert st["A2(box)"] == "fail"
     # the pullback anchor lives below the floor, so theta itself is fine
     assert st["theta"] == "pass"
+
+
+def test_validate_a2_box_holds_each_row_to_its_own_cap():
+    # d breaks the tight row by 1e-10: within a tolerance scaled by the
+    # largest cap (1e6), beyond the tight row's own
+    inst = Instance(
+        valuations=tuple(Valuation("log_shift", 1, 1) for _ in range(3)),
+        constraints=(Constraint({0: 1.0, 1: 1.0}, 0.02 - 1e-10),
+                     Constraint({1: 1.0, 2: 1.0}, 1e6)),
+        equality_groups=(), d=0.01, D=10.0, eta=1.0)
+    rep = validate(inst)
+    assert [c.name for c in rep.failures] == ["A2(box)"]
+    with pytest.raises(NoInteriorPoint):
+        solve(inst)
 
 
 def _a1_reference(instance):

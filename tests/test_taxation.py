@@ -658,7 +658,7 @@ def _book_cases():
     large = generate(Scenario(kind="unicast", n_agents=200, n_constraints=40,
                               min_members=5, families=("power",),
                               cap_range=(100, 300)), 0)
-    assert len(large.agent_cells) == 28
+    assert len(large.index_sets.cells) == 28
     y, x, prices = random_messages(large, rng)
     yield large, "sbb-offeq", y[None], x[None], prices[None]
 
