@@ -564,14 +564,14 @@ class IndexSets:
         index = np.zeros(mask.shape, dtype=int)
         index[mask] = np.nonzero(on.T)[1]
         row = np.arange(L)[:, None]
-        # agent i's memberships: entries a:b of the agent-major nonzeros,
-        # each with its slot, the members of its row before i
-        agent, rows = np.nonzero(on)
-        slot = (np.cumsum(on, axis=0) - 1)[agent, rows]
-        ends = np.cumsum(on.sum(axis=1)).tolist()
-        spans = list(zip([0] + ends, ends))
-        W = max((b - a for a, b in spans), default=0)
-        cells = np.argsort(~on, axis=1, kind="stable")[:, :W]
+        # per agent i, its rows in order and then its other rows, with its
+        # slot on each: the members of the row before i
+        own = on.sum(axis=1)
+        rank = np.where(on, np.cumsum(on, axis=1),
+                        np.cumsum(~on, axis=1) + own[:, None]) - 1
+        order = np.empty_like(rank)
+        order[np.arange(n)[:, None], rank] = np.arange(L)
+        slot = np.take_along_axis(np.cumsum(on, axis=0) - 1, order, axis=1)
         return cls(on=on,
                    members=tuple(tuple(r[m].tolist())
                                  for r, m in zip(index, mask)),
@@ -580,9 +580,10 @@ class IndexSets:
                                    if c < 2),
                    index=index, mask=mask, pick=index * L + row,
                    coef=np.where(mask, A[row, index], 0.0),
-                   rows_of_agent=tuple(rows[a:b] for a, b in spans),
-                   slots=tuple(slot[a:b] for a, b in spans),
-                   cells=(np.arange(n)[:, None] * L + cells).T)
+                   rows_of_agent=tuple(o[:k] for o, k in zip(order, own)),
+                   slots=tuple(s[:k] for s, k in zip(slot, own)),
+                   cells=(np.arange(n)[:, None] * L
+                          + order[:, :own.max(initial=0)]).T)
 
 
 @dataclass(frozen=True, eq=False)
