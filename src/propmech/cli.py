@@ -67,13 +67,16 @@ def _cmd_simulate(args) -> "str | None":
         "schedule": trace.schedule,
         "rounds": trace.rounds,
         "converged": trace.converged,
+        "stop_reason": trace.stop_reason,
+        "history_drops": trace.history_drops,
         "y": trace.profile.y.tolist(),
         "prices": trace.profile.prices.tolist(),
         "x": allocate(inst, trace.profile.y).x.tolist(),
     }
     _write_json(args.json, payload)
     return None if trace.converged else \
-        f"the dynamics did not rest in {trace.rounds} rounds"
+        f"the dynamics did not rest in {trace.rounds} rounds " \
+        f"(stop: {trace.stop_reason})"
 
 
 def _cmd_verify(args) -> "str | None":

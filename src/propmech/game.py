@@ -440,10 +440,11 @@ def notional_demand(instance: Instance, profile: MessageProfile,
 @dataclass(frozen=True)
 class RoundRecord(_AsDict):
     """One round's changes and books. Under price-adjust-br the largest of
-    price_complementarity, group_gap and snap_distance decides rest, and
-    accelerated says whether the round handed on an extrapolated point;
-    the best-response schedule rests on max_change and leaves those four
-    None."""
+    price_complementarity, group_gap and snap_distance decides rest,
+    accelerated says whether the round handed on an extrapolated point,
+    and step_back whether it handed on the plain image that _Anderson's
+    last extrapolation replaced; the best-response schedule rests on
+    max_change and leaves those five None."""
 
     round: int
     max_change: float
@@ -456,16 +457,24 @@ class RoundRecord(_AsDict):
     group_gap: "float | None" = None
     snap_distance: "float | None" = None
     accelerated: "bool | None" = None
+    step_back: "bool | None" = None
 
 
 @dataclass(eq=False)
 class RunTrace:
+    """A run's rounds and end. stop_reason is "rest" (converged), "no_move"
+    (a round that moved nothing and did not rest, see run_dynamics) or
+    "max_rounds"; history_drops counts _Anderson's history drops (None
+    under best-response)."""
+
     schedule: str
     variant: str
     rounds: int
     converged: bool
     profile: MessageProfile
     records: list = field(default_factory=list)
+    stop_reason: str = "max_rounds"
+    history_drops: "int | None" = None
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -483,16 +492,25 @@ class RunTrace:
 
 
 def _local_gains(instance: Instance, y: np.ndarray) -> np.ndarray:
-    """Row step scale from members' demand responsiveness at current y.
+    """Step scale of each shared (non-vacuous) row, (M,), from the demand
+    response at the current y.
 
-    Prices move against the demand-response matrix A diag(1/|v''|) A^T,
-    evaluated where the demands currently sit; scaling each row's step by
-    its inverse row sum keeps the coupled price-demand loop contractive,
-    including across rows that share agents.
+    An equality group's members move together, as one consensus demand
+    whose response is set by the group's summed curvature. So the gains
+    come from the reduced instance: r_k = 1 / |sum of group k's v''| at
+    the clipped demand of its representative (the curvature of solve's
+    dual Hessian), and prices move against the response matrix
+    A_nv diag(r) A_nv^T. Scaling each row's step by its inverse row sum
+    keeps the coupled price-demand loop contractive, including across
+    rows that share agents. For singletons this is the per-agent matrix
+    A diag(1/|v''|) A^T on the shared rows; A_nv >= 0, so no entry needs
+    an absolute value.
     """
-    yy = np.clip(y, instance.d + 1e-9, instance.D)
-    r = 1.0 / np.maximum(np.abs(instance.valuation_table.deriv2(yy)), 1e-12)
-    coupling = np.abs(instance.A @ (r[:, None] * instance.A.T))
+    red = instance.reduced
+    z = np.clip(red.restrict(y), red.d_red + 1e-9, instance.D)
+    d2 = instance.valuation_table.group_sums("deriv2", z, red.group_of_agent)
+    r = 1.0 / np.maximum(np.abs(d2), 1e-12)
+    coupling = red.A_nv @ (r[:, None] * red.A_nv.T)
     return 1.0 / np.maximum(coupling.sum(axis=1), 1e-9)
 
 
@@ -575,11 +593,13 @@ class _PriceRound:
 
     Every shared constraint's members quote one price, moved by a projected
     step on the row's excess demand A y - c, scaled by the inverse of the
-    members' demand responsiveness, which keeps the coupled loop
-    contractive. Equality partners settle within the round: a consensus
-    demand where the group's summed marginal value meets its summed quoted
-    cost, plus difference-row prices (nonnegative least squares) that
-    reproduce each member's first-order gap to it. The other agents sweep
+    demand responsiveness on the row (_local_gains: each equality group
+    responds as one consensus demand, through its summed curvature), which
+    keeps the coupled loop contractive. Equality partners settle within
+    the round: a consensus demand where the group's summed marginal value
+    meets its summed quoted cost, plus difference-row prices (nonnegative
+    least squares) that reproduce each member's first-order gap to it.
+    The other agents sweep
     in turn to their notional targets, each seeing the demands already
     placed, which damps the shared tax-penalty force that makes
     simultaneous jumps overshoot. A call moves the profile and the row
@@ -591,7 +611,7 @@ class _PriceRound:
         red = instance.reduced
         self.instance = instance
         self.on = instance.index_sets.on
-        self.shared = red.nonvacuous
+        self.shared, self.nv_rows = red.nonvacuous, red.nv_rows
         # per row, a clamp keeping price excursions within valuation scale
         slopes = instance.valuation_table.deriv(instance.d)
         absA = np.abs(instance.A)
@@ -627,9 +647,9 @@ class _PriceRound:
                         np.abs(s), np.maximum(0.0, s))
         comp_resid = float(np.max(comp / (1.0 + np.abs(inst.caps)),
                                   initial=0.0))
-        gamma = _local_gains(inst, prof.y)
-        np.copyto(pc, np.minimum(np.maximum(0.0, pc + gamma * s),
-                                 self.p_cap), where=shared)
+        nv = self.nv_rows
+        pc[nv] = np.minimum(np.maximum(
+            0.0, pc[nv] + _local_gains(inst, prof.y) * s[nv]), self.p_cap[nv])
         # only the shared rows keep dynamic prices: the groups' difference
         # rows are priced from scratch each round
         base = inst.A.T @ np.where(shared, pc, 0.0)
@@ -699,6 +719,7 @@ class _Anderson:
         self.g: list = []
         self.norms: list = []
         self.replaced = None  # the plain image the last extrapolation replaced
+        self.drops = 0
 
     def step(self, gx: np.ndarray) -> "tuple[np.ndarray | None, bool]":
         gx = gx / self.scale
@@ -707,6 +728,7 @@ class _Anderson:
         replaced, self.replaced = self.replaced, None
         if self.norms and norm > min(self.norms):
             self.f, self.g, self.norms = [], [], []
+            self.drops += 1
             return self._hand_on(replaced), False
         self.f.append(f)
         self.g.append(gx)
@@ -737,9 +759,10 @@ _BOOK_BLOCK = 64
 def _book_rounds(instance: Instance, variant: Variant, pending: list,
                  record_profiles: bool) -> list:
     """The records of buffered rounds, each given as (round, max_change,
-    y, prices, the three residual parts, accelerated): their feasibility
-    violations and budget imbalances (the exact total_tax of each round's
-    profile) from one allocate_many and one tax kernel call over all."""
+    y, prices, the three residual parts, accelerated, step_back): their
+    feasibility violations and budget imbalances (the exact total_tax of
+    each round's profile) from one allocate_many and one tax kernel call
+    over all."""
     Y = np.array([r[2] for r in pending])
     X = allocate_many(instance, Y)
     budgets, _ = _budget_books(instance, _tax_terms(
@@ -769,12 +792,13 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     moved by more than tol. Books are priced per _BOOK_BLOCK rounds.
 
     A price-adjust round that moves nothing (max_change exactly 0.0) and
-    does not rest ends the run with converged=False: the round map sits at
-    a fixed point that is not rest, and the plain round and _Anderson
-    (whose residual is then 0, so gamma = 0) return that state forever.
-    A step back does not count: the plain image _Anderson then hands on may
-    equal the previous round's end, but the next round, without the
-    history, moves on.
+    does not rest ends the run with converged=False and stop_reason
+    "no_move": the round map sits at a fixed point that is not rest, and
+    the plain round and _Anderson (whose residual is then 0, so gamma = 0)
+    return that state forever. A step back (RoundRecord.step_back) does
+    not count: the plain image _Anderson then hands on may equal the
+    previous round's end, but the next round, without the history, moves
+    on.
     """
     variant = Variant.parse(variant)
     schedule = Schedule.parse(schedule)
@@ -802,19 +826,20 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     records: list[RoundRecord] = []
     pending: list[tuple] = []  # the rounds since the last book flush
     y_prev, p_prev = prof.y.copy(), prof.prices.copy()
-    converged = False
+    converged = stop = False
     for rnd in range(1, max_rounds + 1):
         if price_adjust:
             parts = price_round(prof, pc)
             converged = max(parts) <= tol
             z, accelerated = (None, False) if converged \
                 else accel.step(np.concatenate([pc[nv], prof.y]))
+            stepped_back = z is not None and not accelerated
             if z is not None:
                 pc[nv], prof.y = z[:-n], z[-n:]
                 prof.prices = pc[None, :] * price_round.on
         else:
             _best_response_round(instance, prof)
-            parts, accelerated = (None, None, None), None
+            parts, accelerated, stepped_back = (None, None, None), None, None
         y_end, p_end = prof.y.copy(), prof.prices.copy()
         max_change = max(
             float(np.max(np.abs(y_end - y_prev), initial=0.0)),
@@ -822,8 +847,8 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
         y_prev, p_prev = y_end, p_end
         if not price_adjust:
             converged = max_change <= tol
-        pending.append((rnd, max_change, y_end, p_end, *parts, accelerated))
-        stepped_back = price_adjust and z is not None and not accelerated
+        pending.append((rnd, max_change, y_end, p_end, *parts, accelerated,
+                        stepped_back))
         stop = converged or (max_change == 0.0 and not stepped_back)
         if stop or len(pending) == _BOOK_BLOCK or rnd == max_rounds:
             records.extend(_book_rounds(instance, variant, pending,
@@ -833,7 +858,10 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
             break
     return RunTrace(schedule=schedule.value, variant=variant.value,
                     rounds=len(records), converged=converged, profile=prof,
-                    records=records)
+                    records=records,
+                    stop_reason="rest" if converged else "no_move" if stop
+                    else "max_rounds",
+                    history_drops=accel.drops if price_adjust else None)
 
 
 # ---------------------------------------------------------------------------

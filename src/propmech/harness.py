@@ -353,6 +353,8 @@ def run_experiment(instance: Instance,
         "schedule": trace.schedule,
         "rounds": trace.rounds,
         "converged": trace.converged,
+        "stop_reason": trace.stop_reason,
+        "history_drops": trace.history_drops,
         "max_feasibility_violation": feas_max,
         "final_budget_imbalance": trace.records[-1].budget_imbalance
         if trace.records else 0.0,

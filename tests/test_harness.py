@@ -308,6 +308,9 @@ def test_cli_gen_solve_simulate_verify_run(tmp_path, capsys):
     assert main(["simulate", str(path), "--trace", str(trace_csv),
                  "--json", str(tmp_path / "sim.json")]) == 0
     assert trace_csv.exists()
+    sim = json.loads((tmp_path / "sim.json").read_text())
+    assert sim["stop_reason"] == "rest" and sim["converged"] is True
+    assert type(sim["history_drops"]) is int
 
     assert main(["verify", str(path), "--deviations", "40",
                  "--json", str(tmp_path / "ver.json")]) == 0
@@ -364,6 +367,8 @@ def test_cli_failure_exit_codes(tmp_path, capsys):
     path = _gen_instance(tmp_path)
     # an unconverged simulation is a failed run, not a usage error
     assert main(["simulate", str(path), "--rounds", "1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: the dynamics did not rest in 1 rounds (stop: max_rounds)\n"
     # a lopsided profile is refuted
     prof = tmp_path / "prof.json"
     prof.write_text(json.dumps({"y": [0.9, 0.5],

@@ -42,8 +42,12 @@ KEYS = {
     pm.RoundRecord: {
         "round", "max_change", "feasibility_violation", "budget_imbalance",
         "y", "prices", "x", "price_complementarity", "group_gap",
-        "snap_distance", "accelerated"},
+        "snap_distance", "accelerated", "step_back"},
 }
+# the dynamics entry of ExperimentReport.to_dict(), RunTrace's summary
+DYNAMICS_KEYS = {"schedule", "rounds", "converged", "stop_reason",
+                 "history_drops", "max_feasibility_violation",
+                 "final_budget_imbalance"}
 
 # zlib.crc32 of each bundled scenario's sorted-key JSON, the salt of its
 # generator streams
@@ -93,6 +97,10 @@ def test_result_dicts_are_plain_json():
     for result in _results():
         d = result.to_dict()
         assert set(d) == KEYS[type(result)], type(result)
+        if type(result) is pm.ExperimentReport:
+            assert set(d["dynamics"]) == DYNAMICS_KEYS
+            assert d["dynamics"]["stop_reason"] in ("rest", "no_move",
+                                                    "max_rounds")
         assert json.loads(json.dumps(d, allow_nan=False)) == d, d
         for leaf in _leaves(d):
             assert type(leaf) in (bool, int, float, str, type(None)), \
