@@ -599,12 +599,12 @@ class _PriceRound:
     the round: a consensus demand where the group's summed marginal value
     meets its summed quoted cost, plus difference-row prices (nonnegative
     least squares) that reproduce each member's first-order gap to it.
-    The other agents sweep
-    in turn to their notional targets, each seeing the demands already
-    placed, which damps the shared tax-penalty force that makes
-    simultaneous jumps overshoot. A call moves the profile and the row
-    prices ``pc`` in place and returns the step-size-free residual parts
-    that decide rest: price complementarity, group gap and snap distance.
+    The other agents sweep in turn to their notional targets, each seeing
+    the demands already placed, which damps the shared tax-penalty force
+    that makes simultaneous jumps overshoot. A call moves the profile and
+    the row prices ``pc`` in place and returns the step-size-free residual
+    parts that decide rest: price complementarity, group gap and snap
+    distance.
     """
 
     def __init__(self, instance: Instance):
@@ -708,7 +708,11 @@ class _Anderson:
     gamma| over the last _AA_DEPTH differences of the history. A residual
     norm above the smallest one in the history drops the history; when the
     round started from an extrapolated point, the run goes back to the
-    plain image that point replaced, and the history builds again.
+    plain image that point replaced, and the history builds again. An
+    extrapolation that lands, in the box, on the round's own start drops
+    the history too and hands on the plain image: the history has
+    degenerated there, and would hand on that start forever, a rest of
+    the accelerated map where the plain one moves on.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, scale: np.ndarray,
@@ -723,13 +727,12 @@ class _Anderson:
 
     def step(self, gx: np.ndarray) -> "tuple[np.ndarray | None, bool]":
         gx = gx / self.scale
-        f, self.x = gx - self.x, gx
+        start, self.x = self.x, gx
+        f = gx - start
         norm = float(np.linalg.norm(f))
         replaced, self.replaced = self.replaced, None
         if self.norms and norm > min(self.norms):
-            self.f, self.g, self.norms = [], [], []
-            self.drops += 1
-            return self._hand_on(replaced), False
+            return self._drop(replaced), False
         self.f.append(f)
         self.g.append(gx)
         self.norms.append(norm)
@@ -740,8 +743,19 @@ class _Anderson:
         dF = np.diff(np.array(self.f), axis=0).T
         dG = np.diff(np.array(self.g), axis=0).T
         gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+        z = self._hand_on(gx - dG @ gamma)
+        if np.array_equal(self.x, start):
+            self.x = gx
+            return self._drop(None), False
         self.replaced = gx
-        return self._hand_on(gx - dG @ gamma), True
+        return z, True
+
+    def _drop(self, x: "np.ndarray | None") -> "np.ndarray | None":
+        """Drop the history and hand on the scaled point x (None: the
+        plain image)."""
+        self.f, self.g, self.norms = [], [], []
+        self.drops += 1
+        return self._hand_on(x)
 
     def _hand_on(self, x: "np.ndarray | None") -> "np.ndarray | None":
         """The scaled point x unscaled and in the box: the next start."""
@@ -795,7 +809,8 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     does not rest ends the run with converged=False and stop_reason
     "no_move": the round map sits at a fixed point that is not rest, and
     the plain round and _Anderson (whose residual is then 0, so gamma = 0)
-    return that state forever. A step back (RoundRecord.step_back) does
+    return that state forever. (An extrapolation that lands on its round's
+    start is no such round: _Anderson then hands on the plain image.) A step back (RoundRecord.step_back) does
     not count: the plain image _Anderson then hands on may equal the
     previous round's end, but the next round, without the history, moves
     on.

@@ -569,6 +569,36 @@ def test_anderson_extrapolates_the_scaled_state_into_the_box():
     assert acc.x.tolist() == [1.5]
 
 
+def test_anderson_hands_on_the_plain_image_when_it_would_stay_put():
+    """x -> x / 2 + 1.5 has its fixed point 3 below the box [3.2, 10]: the
+    secant step lands on the box's end 3.2, and from there the next one
+    lands on 3.2 again while the plain image is 3.1. Handing on 3.2 would
+    repeat forever; the history goes and the plain image is handed on."""
+    acc = game._Anderson(np.full(1, 3.2), np.full(1, 10.0), np.ones(1),
+                         np.full(1, 5.0))
+    assert acc.step(np.array([4.0])) == (None, False)
+    z, extrapolated = acc.step(np.array([3.5]))
+    assert extrapolated and z.tolist() == [3.2]
+    assert acc.step(np.array([3.1])) == (None, False)
+    assert acc.f == acc.g == acc.norms == [] and acc.drops == 1
+    assert acc.x.tolist() == [3.1]
+
+
+@pytest.mark.parametrize("shape, seed", [((5, 2), 625), ((4, 3), 648)],
+                         ids=["5-2-625", "4-3-648"])
+def test_dynamics_run_on_past_an_extrapolation_that_stays_put(shape, seed):
+    # without the restart these runs stop unconverged on an accelerated
+    # round that hands on its own start (rounds 10 and 161), (5, 2) with
+    # every demand at D + 1 and every shared price at 0
+    inst = generate(Scenario(kind="local-public-goods", group_sizes=shape,
+                             shared_row=True), seed)
+    tr = run_dynamics(inst, max_rounds=30000, tol=1e-8)
+    assert tr.converged and tr.stop_reason == "rest"
+    assert all(r.max_change > 0.0 for r in tr.records if r.accelerated)
+    xerr, perr = _criterion_1_errors(inst, tr)
+    assert xerr <= 1e-3 and perr <= 1e-3
+
+
 def _reach_start(inst, seed: int, index: int):
     """The benchmark's seeded start: demands just above the floor and
     row-common prices."""
