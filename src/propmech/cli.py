@@ -18,10 +18,10 @@ from .allocation import allocate
 from .centralized import brute_force_oracle, objective, solve
 from .game import (construct_candidate_ne, make_profile, run_dynamics,
                    verify_epsilon_ne)
-from .harness import (ExperimentConfig, Scenario, generate, property_suite,
-                      run_experiment, write_trace_csv)
+from .harness import (ExperimentConfig, Scenario, generate_with_info,
+                      property_suite, run_experiment, write_trace_csv)
 from .model import (InputError, PropmechError, Variant, instance_digest,
-                    instance_to_dict, load_instance, validate)
+                    instance_to_dict, load_instance)
 
 __all__ = ["main"]
 
@@ -113,10 +113,12 @@ def _cmd_gen(args) -> "str | None":
                         group_sizes=group_sizes,
                         min_members=args.min_members, eta=args.eta,
                         shared_row=args.shared_row)
-    inst = generate(scenario, args.seed)
-    report = validate(inst)
-    _write_json(args.out, instance_to_dict(inst))
-    return None if report.passed else "generated instance failed validation"
+    # generate_with_info returns only an instance that passed validation
+    inst, info = generate_with_info(scenario, args.seed)
+    _write_json(args.out, {**instance_to_dict(inst),
+                           "resamples": info["resamples"],
+                           "reasons": info["reasons"]})
+    return None
 
 
 def _cmd_run(args) -> "str | None":

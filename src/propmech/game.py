@@ -810,10 +810,10 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     "no_move": the round map sits at a fixed point that is not rest, and
     the plain round and _Anderson (whose residual is then 0, so gamma = 0)
     return that state forever. (An extrapolation that lands on its round's
-    start is no such round: _Anderson then hands on the plain image.) A step back (RoundRecord.step_back) does
-    not count: the plain image _Anderson then hands on may equal the
-    previous round's end, but the next round, without the history, moves
-    on.
+    start is no such round: _Anderson then hands on the plain image.) A
+    step back (RoundRecord.step_back) does not count: the plain image
+    _Anderson then hands on may equal the previous round's end, but the
+    next round, without the history, moves on.
     """
     variant = Variant.parse(variant)
     schedule = Schedule.parse(schedule)
@@ -913,54 +913,85 @@ class NEReport(_AsDict):
 
 
 def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
-                             base: Outcome, i: int, Y: np.ndarray,
-                             P_i: np.ndarray, peer_means: np.ndarray
+                             base: Outcome, who, Y: np.ndarray,
+                             P: np.ndarray, peer_means: np.ndarray
                              ) -> np.ndarray:
-    """Agent i's utility at M trial profiles that change only i's message.
+    """Each trial's utility to its deviator, at M trial profiles that each
+    change one agent's message.
 
-    Row k of Y (M, N) holds trial k's demands and row k of P_i (M, L) agent
-    i's trial prices; every other agent quotes the prices of ``profile``.
-    One allocate_many call maps all trials; i's gross terms are then formed
-    on i's own rows only, by the tax's own peer-mean, row-slack and
-    gross-term helpers.
+    Trial k's deviator is who[k] (who: (M,) agent ids, or one id for all).
+    Row k of Y (M, N) holds trial k's demands and row k of P (M, L) its
+    deviator's prices; every other agent quotes the prices of ``profile``.
+    One allocate_many call maps all trials; each run of trials with one
+    deviator then forms that agent's gross terms on its own rows only, by
+    the tax's own row-slack and gross-term helpers.
     The rebate row comes from ``base``, the outcome of the untouched
     profile: rebates never read the recipient's own message, so it is the
     same at every trial. ``peer_means`` is the profile's (N, L) peer mean
     prices (taxation._peer_means). Agrees with the scalar
     utility() of each trial profile up to rounding.
     """
+    who = np.broadcast_to(who, len(Y))
+    # the runs: trials [s, e) all move agent i
+    cut = (np.flatnonzero(who[1:] != who[:-1]) + 1).tolist()
     X = allocate_many(instance, Y)
-    x_i = X[:, i]
-    rows = instance.index_sets.rows_of_agent[i]
-    payment, disagreement, slackness = _gross(
-        instance.A[rows, i] * x_i[:, None], P_i[:, rows], peer_means[i, rows],
-        instance.eta, _row_slack(instance, X, rows))
-    gross = (payment + disagreement + slackness).sum(axis=1)
-    rebate = math.fsum(base.taxes.rebate[i])
-    return instance.valuations[i].value(x_i) - (gross - rebate)
+    out = np.empty(len(Y))
+    for i, s, e in zip(who[[0] + cut].tolist(), [0] + cut, cut + [len(Y)]):
+        x_i, rows = X[s:e, i], instance.index_sets.rows_of_agent[i]
+        payment, disagreement, slackness = _gross(
+            instance.A[rows, i] * x_i[:, None], P[s:e, rows],
+            peer_means[i, rows], instance.eta,
+            _row_slack(instance, X[s:e], rows))
+        gross = (payment + disagreement + slackness).sum(axis=1)
+        rebate = math.fsum(base.taxes.rebate[i])
+        out[s:e] = instance.valuations[i].value(x_i) - (gross - rebate)
+    return out
 
 
-def _draw_joint_trials(rng: np.random.Generator, profile: MessageProfile,
-                       i: int, rows, d_i: float, hi: float, Y: np.ndarray,
+def _draw_joint_trials(instance: Instance, profile: MessageProfile,
+                       seed: int, agents, at: np.ndarray, Y: np.ndarray,
                        P: np.ndarray) -> None:
-    """Write agent i's seeded random joint deviations into the trial rows.
+    """Write seeded random joint deviations of the agents into trial rows.
 
-    Trial k may move i's demand (row k of Y) and each own price (row k of
-    P). One block u = rng.random((2 + 2r, m)) serves the m trials of an
-    agent with r own rows; trial k reads column k. Its demand step is the
-    pair (u[0], u[1]): when u[0] < 0.5 the demand moves to d_i + (hi -
-    d_i) u[1]^2 + 1e-9. Its price step on own row j is the pair (u[2 +
-    2j], u[3 + 2j]) = (s, v): s < 0.3 keeps the price p, s < 0.5 sets 0,
-    s < 0.8 sets max(0, p (0.5 + v)), else 2 v (1 + p).
+    Agent agents[a]'s m trials are the rows at[a] (at: (A, m)) of Y and P;
+    each may move the agent's demand (its column of Y) and each own price
+    (its row's columns of P). One block u = rng.random((2 + 2r, m)), rng =
+    default_rng([seed, i]), serves the m trials of agent i with r own rows;
+    trial k reads column k. Its demand step is the pair (u[0], u[1]): when
+    u[0] < 0.5 the demand moves to d_i + (hi - d_i) u[1]^2 + 1e-9, hi = D
+    + 1. Its price step on own row j is the pair (u[2 + 2j], u[3 + 2j]) =
+    (s, v): s < 0.3 keeps the price p, s < 0.5 sets 0, s < 0.8 sets max(0,
+    p (0.5 + v)), else 2 v (1 + p). All agents' steps are taken together.
     """
-    rows = list(rows)
-    u = rng.random((2 + 2 * len(rows), len(Y)))
-    Y[:, i] = np.where(u[0] < 0.5, d_i + (hi - d_i) * u[1] * u[1] + 1e-9,
-                       Y[:, i])
-    s, v = u[2::2].T, u[3::2].T
-    p = profile.prices[i, rows]
-    P[:, rows] = np.where(s < 0.3, P[:, rows], np.where(s < 0.5, 0.0, np.where(
-        s < 0.8, np.maximum(0.0, p * (0.5 + v)), 2.0 * v * (1.0 + p))))
+    rows_of = instance.index_sets.rows_of_agent
+    u = [np.random.default_rng([seed, i]).random(
+        (2 + 2 * len(rows_of[i]), at.shape[1])) for i in agents]
+    at, who = at.ravel(), np.repeat(agents, at.shape[1])
+    step, w = np.concatenate([b[:2] for b in u], axis=1)
+    d, hi = instance.d[who], instance.D + 1.0
+    Y[at, who] = np.where(step < 0.5, d + (hi - d) * w * w + 1e-9,
+                          Y[at, who])
+    # one price step per trial and own row, in trial order, then row order
+    k, rows = np.nonzero(instance.index_sets.on[who])
+    s, v = (np.concatenate([b[j::2].T.ravel() for b in u]) for j in (2, 3))
+    p, at = profile.prices[who[k], rows], at[k]
+    P[at, rows] = np.where(s < 0.3, P[at, rows], np.where(
+        s < 0.5, 0.0, np.where(s < 0.8, np.maximum(0.0, p * (0.5 + v)),
+                               2.0 * v * (1.0 + p))))
+
+
+# the cells a chunk of verify_epsilon_ne's agents may span: trial rows times
+# N + L, the width of its demands, prices, allocations and allocate_many rows
+_VERIFY_CELLS = 1 << 16
+
+
+def _verify_chunks(instance: Instance, deviations: int) -> list:
+    """The agents in order, in chunks of as many as keep each chunk's
+    trials within _VERIFY_CELLS cells, and at least one."""
+    n, rows = instance.n_agents, instance.index_sets.rows_of_agent
+    trials = max(map(len, rows)) + 1 + deviations
+    k = max(1, _VERIFY_CELLS // (trials * (n + instance.n_constraints)))
+    return [list(range(i, min(n, i + k))) for i in range(0, n, k)]
 
 
 def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
@@ -969,8 +1000,9 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     """Certify or refute the profile as an eps-equilibrium.
 
     Per agent: exact best responses in each own coordinate (closed-form
-    price; piecewise demand search) plus seeded random joint deviations,
-    all evaluated in one batch (see _own_deviation_utilities).
+    price; piecewise demand search) plus seeded random joint deviations.
+    The agents' trials are evaluated a chunk of agents at a time
+    (_verify_chunks), each chunk in one batch (_own_deviation_utilities).
     Certification additionally requires that no demand best response is
     pinned at the search ceiling, since then the supremum may sit beyond any
     finite bracket and no honest certificate exists.
@@ -989,41 +1021,51 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     peer_means = _peer_means(instance, profile.prices)
     slack_vec = _row_slack(instance, base.x)
     price_br = _price_best_responses(peer_means, instance.eta, slack_vec)
-    for i in range(n):
-        rows = instance.index_sets.rows_of_agent[i]
-        # trials: one price best response per own row, the demand best
-        # response, then the random joint deviations
-        first_joint = len(rows) + 1
-        Y = np.tile(profile.y, (first_joint + deviations, 1))
-        P = np.tile(profile.prices[i], (first_joint + deviations, 1))
-        P[np.arange(len(rows)), rows] = price_br[i, rows]
-        y_new = best_response_demand(instance, variant, profile, i,
-                                     thorough=True)
-        if y_new >= hi - _CEILING_TOL * (1.0 + hi):
-            ceiling = True
-        Y[len(rows), i] = y_new
-        rng = np.random.default_rng([seed, i])
-        d_i = float(instance.d[i])
-        _draw_joint_trials(rng, profile, i, rows, d_i, hi,
-                           Y[first_joint:], P[first_joint:])
-        u0 = float(base.utilities[i])
-        g = _own_deviation_utilities(instance, profile, base, i, Y, P,
-                                     peer_means) - u0
-        k = int(np.argmax(g))
-        best = max(0.0, float(g[k]))
-        if best <= _GAIN_FLOOR * (1.0 + abs(u0)):
-            desc = {"agent": i, "kind": "none", "gain": best}
-        elif k < len(rows):
-            desc = {"agent": i, "kind": "price", "constraint": int(rows[k]),
-                    "to": float(P[k, rows[k]]), "gain": best}
-        elif k == len(rows):
-            desc = {"agent": i, "kind": "demand", "to": y_new, "gain": best}
-        else:
-            desc = {"agent": i, "kind": "joint", "trial": k - first_joint,
-                    "y": float(Y[k, i]), "constraints": [int(l) for l in rows],
-                    "prices": [float(P[k, l]) for l in rows], "gain": best}
-        gains[i] = best
-        best_dev.append(desc)
+    own_rows = instance.index_sets.rows_of_agent
+    for chunk in _verify_chunks(instance, deviations):
+        # per agent, a block of trials: one price best response per own
+        # row, the demand best response, then the random joint deviations
+        sizes = np.array([len(own_rows[i]) + 1 + deviations for i in chunk])
+        who, ends = np.repeat(chunk, sizes), np.cumsum(sizes)
+        starts = (ends - sizes).tolist()
+        Y = np.tile(profile.y, (len(who), 1))
+        P = profile.prices[who]
+        demands = []
+        for i, s in zip(chunk, starts):
+            rows = own_rows[i]
+            P[s + np.arange(len(rows)), rows] = price_br[i, rows]
+            y_new = best_response_demand(instance, variant, profile, i,
+                                         thorough=True)
+            if y_new >= hi - _CEILING_TOL * (1.0 + hi):
+                ceiling = True
+            Y[s + len(rows), i] = y_new
+            demands.append(y_new)
+        _draw_joint_trials(instance, profile, seed, chunk,
+                           ends[:, None] + np.arange(-deviations, 0), Y, P)
+        utilities = _own_deviation_utilities(instance, profile, base, who, Y,
+                                             P, peer_means)
+        for i, s, y_new in zip(chunk, starts, demands):
+            rows, Y_i, P_i = own_rows[i], Y[s:], P[s:]
+            first_joint = len(rows) + 1
+            u0 = float(base.utilities[i])
+            g = utilities[s:s + first_joint + deviations] - u0
+            k = int(np.argmax(g))
+            best = max(0.0, float(g[k]))
+            if best <= _GAIN_FLOOR * (1.0 + abs(u0)):
+                desc = {"agent": i, "kind": "none", "gain": best}
+            elif k < len(rows):
+                desc = {"agent": i, "kind": "price",
+                        "constraint": int(rows[k]),
+                        "to": float(P_i[k, rows[k]]), "gain": best}
+            elif k == len(rows):
+                desc = {"agent": i, "kind": "demand", "to": y_new,
+                        "gain": best}
+            else:
+                desc = {"agent": i, "kind": "joint", "trial": k - first_joint,
+                        "y": float(Y_i[k, i]), "constraints": rows.tolist(),
+                        "prices": P_i[k, rows].tolist(), "gain": best}
+            gains[i] = best
+            best_dev.append(desc)
 
     # equilibrium-shape diagnostics
     mean_p = _member_means(instance, profile.prices)

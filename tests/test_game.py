@@ -1,6 +1,8 @@
 import functools
 import json
 import math
+import time
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -20,7 +22,7 @@ from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
 from propmech.model import (Constraint, Instance, InvalidParameter, Valuation,
                             Variant, nnls)
-from propmech.allocation import _ray_pieces, allocate
+from propmech.allocation import _ray_pieces, allocate, allocate_many
 from propmech.model import validate
 from propmech.taxation import (AgentNotOnConstraint,
                                AssumptionA4PrimeViolated,
@@ -1298,15 +1300,16 @@ def test_verify_accepts_the_candidate():
 
 def test_verify_price_trials_are_the_price_best_responses(monkeypatch):
     """verify_epsilon_ne prices every membership of the profile in one
-    call; each own-row price trial is bitwise the profile with that price
-    replaced by best_response_price, on the 11 bundled candidates and on
-    random off-equilibrium profiles."""
+    call; each own-row price trial, read from its agent's block of the
+    chunk's batch, is bitwise the profile with that price replaced by
+    best_response_price, on the 11 bundled candidates and on random
+    off-equilibrium profiles."""
     seen = []
     batch = game._own_deviation_utilities
 
-    def record(inst, prof, base, i, Y, P, *rest):
-        seen.append((i, P.copy()))
-        return batch(inst, prof, base, i, Y, P, *rest)
+    def record(inst, prof, base, who, Y, P, *rest):
+        seen.append((who.copy(), P.copy()))
+        return batch(inst, prof, base, who, Y, P, *rest)
 
     monkeypatch.setattr(game, "_own_deviation_utilities", record)
     cases = [(inst, candidate(inst)) for inst in bundled_instances()]
@@ -1315,12 +1318,18 @@ def test_verify_price_trials_are_the_price_best_responses(monkeypatch):
     for inst, prof in cases:
         seen.clear()
         verify_epsilon_ne(inst, "base", prof, deviations=0)
-        assert [i for i, _ in seen] == list(range(inst.n_agents))
-        for i, P in seen:
-            for k, l in enumerate(inst.index_sets.rows_of_agent[i]):
+        # these instances fit one chunk; the agents' blocks follow in order
+        assert len(seen) == 1
+        who, P = seen[0]
+        rows_of = inst.index_sets.rows_of_agent
+        assert who.tolist() == [i for i, rows in enumerate(rows_of)
+                                for _ in range(len(rows) + 1)]
+        for i, rows in enumerate(rows_of):
+            block = P[who == i]
+            for k, l in enumerate(rows):
                 want = prof.prices[i].copy()
                 want[l] = best_response_price(inst, "base", prof, i, l)
-                assert P[k].tobytes() == want.tobytes(), (i, l)
+                assert block[k].tobytes() == want.tobytes(), (i, l)
 
 
 def test_best_response_round_prices_each_agent_as_best_response_price(
@@ -1479,6 +1488,152 @@ def test_own_deviation_batch_matches_scalar_utility():
                         assert abs(got[k] - want) <= tol, (variant, i, k)
 
 
+# the former verify loop, one batch per agent, as the chunked one's reference
+
+
+def reference_verify(inst, variant, prof, deviations, seed=0, eps=1e-6):
+    """The former verify_epsilon_ne loop, kept as the reference: each
+    agent's trials in a batch of their own (allocate_many, the slack and
+    gross terms on the agent's own rows, its valuation). Returns (gains,
+    max_gain, best_deviations, passed)."""
+    base = outcome(inst, variant, prof)
+    hi = inst.D + 1.0
+    gains, best_dev, ceiling = np.zeros(inst.n_agents), [], False
+    peer_means = _peer_means(inst, prof.prices)
+    price_br = game._price_best_responses(
+        peer_means, inst.eta, taxation._row_slack(inst, base.x))
+    for i, rows in enumerate(inst.index_sets.rows_of_agent):
+        first_joint = len(rows) + 1
+        Y = np.tile(prof.y, (first_joint + deviations, 1))
+        P = np.tile(prof.prices[i], (first_joint + deviations, 1))
+        P[np.arange(len(rows)), rows] = price_br[i, rows]
+        y_new = best_response_demand(inst, variant, prof, i, thorough=True)
+        ceiling |= y_new >= hi - game._CEILING_TOL * (1.0 + hi)
+        Y[len(rows), i] = y_new
+        _draw_joint_trials(inst, prof, seed, [i],
+                           first_joint + np.arange(deviations)[None, :], Y, P)
+        X = allocate_many(inst, Y)
+        x_i = X[:, i]
+        payment, disagreement, slackness = taxation._gross(
+            inst.A[rows, i] * x_i[:, None], P[:, rows], peer_means[i, rows],
+            inst.eta, taxation._row_slack(inst, X, rows))
+        gross = (payment + disagreement + slackness).sum(axis=1)
+        rebate = math.fsum(base.taxes.rebate[i])
+        u0 = float(base.utilities[i])
+        g = inst.valuations[i].value(x_i) - (gross - rebate) - u0
+        k = int(np.argmax(g))
+        best = max(0.0, float(g[k]))
+        if best <= game._GAIN_FLOOR * (1.0 + abs(u0)):
+            desc = {"agent": i, "kind": "none", "gain": best}
+        elif k < len(rows):
+            desc = {"agent": i, "kind": "price", "constraint": int(rows[k]),
+                    "to": float(P[k, rows[k]]), "gain": best}
+        elif k == len(rows):
+            desc = {"agent": i, "kind": "demand", "to": y_new, "gain": best}
+        else:
+            desc = {"agent": i, "kind": "joint", "trial": k - first_joint,
+                    "y": float(Y[k, i]), "constraints": [int(l) for l in rows],
+                    "prices": [float(P[k, l]) for l in rows], "gain": best}
+        gains[i] = best
+        best_dev.append(desc)
+    max_gain = float(gains.max(initial=0.0))
+    return gains, max_gain, best_dev, bool(max_gain <= eps and not ceiling)
+
+
+def _reference_cases():
+    """(instance, variant, profile): the bundled candidates under each of
+    their bundle's variants, random off-equilibrium profiles, and a grouped
+    instance with a shared row at its candidate and off it."""
+    cases = []
+    for bundle, variants in (("base", ("base", "sbb-ne")),
+                             ("sbb-offeq", ("base", "sbb-ne", "sbb-offeq"))):
+        for sc in bundled_scenarios(bundle):
+            inst = generate(*sc)
+            cases += [(inst, v, candidate(inst)) for v in variants]
+    cases += [(inst, "sbb-ne", prof)
+              for inst, prof, _ in off_equilibrium_profiles(22, 31)]
+    grouped = generate(Scenario(kind="local-public-goods",
+                                group_sizes=(3, 2, 2), shared_row=True), 205)
+    rng = np.random.default_rng(7)
+    n, L = grouped.n_agents, grouped.n_constraints
+    cases += [(grouped, "base", candidate(grouped)),
+              (grouped, "sbb-ne", make_profile(
+                  grouped, grouped.d + rng.uniform(1e-3, 3.0, n),
+                  rng.uniform(0.0, 2.0, (n, L))))]
+    return cases
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("deviations", [0, 1, 200])
+def test_verify_is_bitwise_the_former_per_agent_loop(monkeypatch, deviations,
+                                                     split):
+    """The chunked verify's gains, max gain, winning deviations and verdict
+    are bitwise those of the former loop, one batch per agent, on every
+    reference case: at the budget, where each instance is one chunk, and
+    at three agents' worth of cells, where the agents split into chunks of
+    three."""
+    chunks = _spy(monkeypatch, game, "_own_deviation_utilities", 3)
+    for inst, variant, prof in _reference_cases():
+        n, L = inst.n_agents, inst.n_constraints
+        if split:
+            r = max(map(len, inst.index_sets.rows_of_agent))
+            monkeypatch.setattr(game, "_VERIFY_CELLS",
+                                3 * (r + 1 + deviations) * (n + L))
+        chunks.clear()
+        rep = verify_epsilon_ne(inst, variant, prof, deviations=deviations,
+                                seed=5)
+        gains, max_gain, best_dev, passed = reference_verify(
+            inst, variant, prof, deviations, seed=5)
+        assert rep.gains.tobytes() == gains.tobytes()
+        assert rep.max_gain == max_gain
+        assert rep.best_deviations == best_dev
+        assert rep.passed == passed
+        sizes = [len(np.unique(who)) for who in chunks]
+        assert sizes == ([3] * (n // 3) + [n % 3] * (n % 3 > 0) if split
+                         else [n])
+
+
+def _traced(call):
+    """(peak traced bytes, result) of one call."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_chunks_at_size_keep_the_per_agent_peak_and_time():
+    """A unicast instance with N = 60, L = 12 and rows up to 58 members
+    wide, at deviations=200: the budget cuts its agents into 15 chunks of
+    four. One verify call's tracemalloc peak stays within twice the former
+    per-agent loop's, and the call within 1.5 times its time (each the
+    best of two runs) and under 5 s. A budget that counted the wrong width
+    would put all 60 agents in one chunk of 12,420 trial rows."""
+    inst = generate(Scenario(kind="unicast", n_agents=60, n_constraints=12,
+                             min_members=5, families=("power",),
+                             cap_range=(100, 300)), 0)
+    prof = candidate(inst)
+    assert [len(c) for c in game._verify_chunks(inst, 200)] == [4] * 15
+
+    def chunked():
+        return verify_epsilon_ne(inst, "base", prof, deviations=200)
+
+    def former():
+        return reference_verify(inst, "base", prof, 200)
+
+    peak, rep = _traced(chunked)
+    former_peak, (gains, *_) = _traced(former)
+    assert rep.gains.tobytes() == gains.tobytes()
+    assert peak <= 2.0 * former_peak, (peak, former_peak)
+    times = {}
+    for call in (former, chunked, former, chunked):
+        t0 = time.perf_counter()
+        call()
+        times[call] = min(times.get(call, math.inf), time.perf_counter() - t0)
+    assert times[chunked] <= min(5.0, 1.5 * times[former]), times
+
+
 def _layout_trials(prof, i, rows, d_i, hi, rng, m):
     """The joint trials decoded one trial and one step at a time from the
     block layout: draw (2 + 2r) m doubles one generator call each, row-major,
@@ -1521,8 +1676,7 @@ def test_joint_trials_match_the_layout_reference_for_the_most_rows(m):
     d_i, hi = float(inst.d[i]), inst.D + 1.0
     Y = np.tile(prof.y, (m, 1))
     P = np.tile(prof.prices[i], (m, 1))
-    _draw_joint_trials(np.random.default_rng([5, i]), prof, i, rows, d_i,
-                       hi, Y, P)
+    _draw_joint_trials(inst, prof, 5, [i], np.arange(m)[None, :], Y, P)
     want = _layout_trials(prof, i, rows, d_i, hi,
                           np.random.default_rng([5, i]), m)
     assert len(want) == m
@@ -1567,10 +1721,11 @@ def wide_instance(n=48, rows=3):
 
 
 def test_every_row_slack_is_the_tax_kernels():
-    """verify's slack, each trial batch's own-row slack, the price best
-    response's and the best-response round's are bitwise the slack the
-    tax kernel prices the same allocation at; on price-only trials the
-    batch's slack is verify's."""
+    """verify's slack, each trial's own-row slack, read from its agent's
+    run of the chunk's batch, the price best response's and the
+    best-response round's are bitwise the slack the tax kernel prices the
+    same allocation at; on price-only trials the batch's slack is
+    verify's."""
     rng = np.random.default_rng(23)
     blas_apart = 0
     for inst in bundled_instances() + (wide_instance(),):
@@ -1585,15 +1740,25 @@ def test_every_row_slack_is_the_tax_kernels():
             quotes = _spy(mp, game, "_price_best_responses", 2)
             trials = _spy(mp, game, "_gross", 4)
             batches = _spy(mp, game, "allocate_many")
+            deviators = _spy(mp, game, "_own_deviation_utilities", 3)
             verify_epsilon_ne(inst, "base", prof, deviations=20)
         assert np.array_equal(quotes[0], want)
-        for i, (X, slack) in enumerate(zip(batches, trials)):
-            rows = list(inst.index_sets.rows_of_agent[i])
-            assert np.array_equal(slack, _kernel_slack(inst, X)[:, rows])
-            price_only = (X[:len(rows)] == x).all(axis=1)
-            assert price_only.all()
-            assert np.array_equal(slack[:len(rows)],
-                                  np.tile(want[rows], (len(rows), 1)))
+        assert len(batches) == len(deviators)
+        agents = []
+        for X, who in zip(batches, deviators):
+            for i in np.unique(who).tolist():
+                # the runs' gross terms are formed agent by agent, in order
+                slack = trials[len(agents)]
+                agents.append(i)
+                rows = list(inst.index_sets.rows_of_agent[i])
+                X_i = X[who == i]
+                assert np.array_equal(slack, _kernel_slack(inst, X_i)[:, rows])
+                price_only = (X_i[:len(rows)] == x).all(axis=1)
+                assert price_only.all()
+                assert np.array_equal(slack[:len(rows)],
+                                      np.tile(want[rows], (len(rows), 1)))
+        assert len(trials) == n
+        assert agents == list(range(n))
         with pytest.MonkeyPatch.context() as mp:
             quotes = _spy(mp, game, "_price_best_responses", 2)
             for i, rows in enumerate(inst.index_sets.rows_of_agent):

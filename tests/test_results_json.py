@@ -12,6 +12,7 @@ import numpy as np
 
 import propmech as pm
 from propmech import allocation, centralized, game, harness, model, taxation
+from propmech.cli import main
 from propmech.harness import SUITES, _rng_for
 
 KEYS = {
@@ -48,6 +49,12 @@ KEYS = {
 DYNAMICS_KEYS = {"schedule", "rounds", "converged", "stop_reason",
                  "history_drops", "max_feasibility_violation",
                  "final_budget_imbalance"}
+
+# the JSON `propmech gen` writes: the instance's own keys, then the
+# generator's rejected draws and their count per reason
+GEN_KEYS = {"agents", "constraints", "equality_groups", "d", "D", "eta",
+            "resamples", "reasons"}
+REASON_KEYS = {"invalid", "solver_error", "nonconverged", "non_interior"}
 
 # zlib.crc32 of each bundled scenario's sorted-key JSON, the salt of its
 # generator streams
@@ -127,3 +134,23 @@ def test_top_level_names_are_the_modules_all():
     for module in modules:
         for name in module.__all__:
             assert getattr(pm, name) is getattr(module, name), name
+
+
+def test_gen_writes_its_draws_and_solve_reads_them(tmp_path):
+    """`gen` writes generate_with_info's resample count and reasons beside
+    the instance, as plain JSON, and `solve` loads the file as it is."""
+    path, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    assert main(["gen", "--agents", "6", "--constraints", "3", "--seed", "2",
+                 "--out", str(path)]) == 0
+    d = json.loads(path.read_text())
+    assert set(d) == GEN_KEYS and set(d["reasons"]) == REASON_KEYS
+    assert all(type(leaf) in (int, float, str) for leaf in _leaves(d))
+    inst, info = pm.generate_with_info(
+        pm.Scenario(kind="unicast", n_agents=6, n_constraints=3), 2)
+    assert (d["resamples"], d["reasons"]) == (info["resamples"],
+                                              info["reasons"])
+    assert d["resamples"] == sum(d["reasons"].values()) > 0
+    assert main(["solve", str(path), "--json", str(sol)]) == 0
+    solved = json.loads(sol.read_text())
+    assert solved["digest"] == info["digest"]
+    assert solved["solution"]["converged"]
