@@ -1045,7 +1045,7 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
         utilities = _own_deviation_utilities(instance, profile, base, who, Y,
                                              P, peer_means)
         for i, s, y_new in zip(chunk, starts, demands):
-            rows, Y_i, P_i = own_rows[i], Y[s:], P[s:]
+            rows = own_rows[i]
             first_joint = len(rows) + 1
             u0 = float(base.utilities[i])
             g = utilities[s:s + first_joint + deviations] - u0
@@ -1056,14 +1056,14 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
             elif k < len(rows):
                 desc = {"agent": i, "kind": "price",
                         "constraint": int(rows[k]),
-                        "to": float(P_i[k, rows[k]]), "gain": best}
+                        "to": float(P[s + k, rows[k]]), "gain": best}
             elif k == len(rows):
                 desc = {"agent": i, "kind": "demand", "to": y_new,
                         "gain": best}
             else:
                 desc = {"agent": i, "kind": "joint", "trial": k - first_joint,
-                        "y": float(Y_i[k, i]), "constraints": rows.tolist(),
-                        "prices": P_i[k, rows].tolist(), "gain": best}
+                        "y": float(Y[s + k, i]), "constraints": rows.tolist(),
+                        "prices": P[s + k, rows].tolist(), "gain": best}
             gains[i] = best
             best_dev.append(desc)
 
