@@ -1540,6 +1540,7 @@ def reference_verify(inst, variant, prof, deviations, seed=0, eps=1e-6):
     return gains, max_gain, best_dev, bool(max_gain <= eps and not ceiling)
 
 
+@functools.cache
 def _reference_cases():
     """(instance, variant, profile): the bundled candidates under each of
     their bundle's variants, random off-equilibrium profiles, and a grouped
