@@ -11,11 +11,12 @@ from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
 from propmech.model import (Constraint, Instance, InvalidParameter, Valuation,
                             Variant, validate)
-from propmech.taxation import (AgentNotOnConstraint,
+from propmech.taxation import (_LANES_PER_SLOT, _SLOT_CELLS,
+                               AgentNotOnConstraint,
                                AssumptionA4PrimeViolated,
                                DegenerateRowUnsupported, TaxBreakdown,
                                _budget_books, _check_offeq, _exact_sums,
-                               _peer_means,
+                               _gap_below, _peer_means, _running_sum,
                                _tax_terms, base_tax, pbar, sbb_ne_tax,
                                sbb_offeq_tax, tax, total_tax)
 
@@ -742,11 +743,68 @@ def _fsum_or_raise(row):
 @example(np.array([[_MAX, 0.3 * 2.0 ** 971, 0.3 * 2.0 ** 971, -_MAX]]))
 def test_exact_sums_are_fsum_bitwise(rows):
     """Each segment's sum is math.fsum of it, bitwise, and a call raises
-    fsum's OverflowError at the first segment fsum overflows on."""
-    want = [_fsum_or_raise(row) for row in rows]
-    failed = [err for _, err in want if err is not None]
-    if failed:
-        with pytest.raises(OverflowError, match=failed[0]):
-            _exact_sums(rows.T)
-        return
-    assert _bits(_exact_sums(rows.T)) == _bits([v for v, _ in want])
+    fsum's OverflowError at the first segment fsum overflows on; also with
+    the rows tiled into enough segments for the running sums to take
+    _running_sum's slot-at-a-time path."""
+    W = rows.shape[1]
+    wide = np.tile(rows, (-(-_LANES_PER_SLOT * W // len(rows)), 1))
+    assert _LANES_PER_SLOT * W * W <= wide.size <= _SLOT_CELLS
+    for x in (rows, wide):
+        want = [_fsum_or_raise(row) for row in x]
+        failed = [err for _, err in want if err is not None]
+        if failed:
+            with pytest.raises(OverflowError, match=failed[0]):
+                _exact_sums(x.T)
+            continue
+        assert _bits(_exact_sums(x.T)) == _bits([v for v, _ in want])
+
+
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.0 ** -1022,
+          -(2.0 ** -1022), 1.0, -1.0, 2.0 ** 1000, _MAX, -_MAX)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 6), st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGES)), min_size=1, max_size=24))
+@example(3, [-0.0])  # every running sum is -0.0
+@example(4, [1.0, 2.0 ** -53, 2.0 ** -53, -1.0])  # the order decides
+def test_running_sum_is_add_accumulate_bitwise(n, values):
+    """_running_sum is np.add.accumulate along the last axis, bitwise, on
+    both of its paths: lane counts just below and at the slot rule, and
+    past its cell cap; C-ordered, reversed and transposed views (the
+    callers' layouts), in 2 and 3 dimensions, with and without ``out``.
+    Signed zeros, subnormals and running sums past the largest float are
+    among the values."""
+    shapes = [(_LANES_PER_SLOT * n - 1, n), (_LANES_PER_SLOT * n, n),
+              (2, _LANES_PER_SLOT * n // 2, n),
+              (_SLOT_CELLS // n + 1, n)] if n else [(3, 0)]
+    for shape in shapes:
+        base = np.resize(np.array(values), shape)
+        for v in (base, base[..., ::-1], np.asfortranarray(base),
+                  np.ascontiguousarray(base.T).T[..., ::-1]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.add.accumulate(v, axis=-1)
+                got = _running_sum(v)
+                out = np.full_like(v, np.nan)
+                into = _running_sum(v, out)
+            assert into is out
+            assert _bits(got) == _bits(want) == _bits(out), (shape, n)
+
+
+def test_gap_below_is_the_spacing_below():
+    """_gap_below is np.spacing(np.nextafter(|r|, 0)) bitwise on normals
+    over the whole exponent range, subnormals, both zeros, every power of
+    two, its neighbours and the largest float, of either sign."""
+    rng = np.random.default_rng(7)
+    normals = np.ldexp(rng.uniform(1.0, 2.0, 100000),
+                       rng.integers(-1022, 1024, 100000))
+    subnormals = rng.integers(1, 2 ** 52, 1000).astype(np.uint64).view(float)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    r = np.concatenate([
+        normals, subnormals, powers, np.nextafter(powers, 0.0),
+        np.nextafter(powers, np.inf)[:-1], [0.0, -0.0, _MAX, 2.0 ** -1022]])
+    r = np.concatenate([r, -r])
+    assert np.isfinite(r).all()
+    want = np.spacing(np.nextafter(np.abs(r), 0.0))
+    assert _bits(_gap_below(r)) == _bits(want)
