@@ -103,6 +103,7 @@ def outcome(instance: Instance, variant: "str | Variant",
 
 def utility(instance: Instance, variant: "str | Variant",
             profile: MessageProfile, i: int) -> float:
+    i = instance.check_index(i)
     return float(outcome(instance, variant, profile).utilities[i])
 
 
@@ -394,6 +395,7 @@ def best_response_demand(instance: Instance, variant: "str | Variant",
     interface symmetry.
     """
     Variant.parse(variant)
+    i = instance.check_index(i)
     lo, hi = _demand_floor(float(instance.d[i])), instance.D + 1.0
     obj = _DemandObjective(_SweepState.of(instance), profile, i)
     cands: list[float] = []
@@ -432,6 +434,7 @@ def notional_demand(instance: Instance, profile: MessageProfile,
     with the true best response once they clear, so it is the right signal
     carrier for tatonnement.
     """
+    i = instance.check_index(i)
     obj = _DemandObjective(_SweepState.of(instance), profile, i)
     return float(_concave_argmax(obj, _demand_floor(float(instance.d[i])),
                                  instance.D + 1.0))

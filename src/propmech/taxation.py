@@ -328,6 +328,7 @@ def pbar(instance: Instance, prices: np.ndarray, i: int, l: int) -> float:
     """Average price quoted on constraint l by the members other than i,
     bitwise _peer_means(...)[i, l] (see _peer_means_at)."""
     prices = _check_prices(instance, prices)
+    i, l = instance.check_index(i), instance.check_index(l, "constraint")
     if i not in instance.index_sets.members[l]:
         raise AgentNotOnConstraint(f"agent {i} is not on constraint {l}")
     _require_peers(instance)

@@ -27,7 +27,8 @@ from propmech.model import validate
 from propmech.taxation import (AgentNotOnConstraint,
                                AssumptionA4PrimeViolated,
                                DegenerateRowUnsupported, _peer_means, base_tax,
-                               sbb_ne_tax, sbb_offeq_tax, tax, total_tax)
+                               pbar, sbb_ne_tax, sbb_offeq_tax, tax,
+                               total_tax)
 from test_acceptance import population_scenarios
 
 
@@ -117,6 +118,38 @@ def test_best_response_price_closed_form():
     off = make_profile(two_rows, np.full(3, 0.2))
     with pytest.raises(AgentNotOnConstraint):
         best_response_price(two_rows, "base", off, 0, 1)
+
+
+_PER_AGENT = {
+    "pbar": lambda inst, prof, i, l: pbar(inst, prof.prices, i, l),
+    "best_response_price":
+        lambda inst, prof, i, l: best_response_price(inst, "base", prof, i, l),
+    "best_response_demand":
+        lambda inst, prof, i, l: best_response_demand(inst, "base", prof, i),
+    "notional_demand": lambda inst, prof, i, l: notional_demand(inst, prof, i),
+    "utility": lambda inst, prof, i, l: utility(inst, "base", prof, i),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PER_AGENT))
+def test_per_agent_calls_refuse_an_index_outside_the_instance(name):
+    # unicast N = 5, L = 3: agent 1 is on rows 1 and 2, and pbar(.., 1, -1)
+    # once answered with its peer mean on row 1 where the last row was
+    # meant; an index past the end raised a bare IndexError
+    inst = generate(Scenario(kind="unicast", n_agents=5, n_constraints=3), 11)
+    rng = np.random.default_rng(0)
+    prof = make_profile(inst, inst.d + rng.uniform(0.1, 1.0, 5),
+                        rng.uniform(0.0, 1.0, (5, 3)))
+    call = functools.partial(_PER_AGENT[name], inst, prof)
+    assert inst.index_sets.rows_of_agent[1].tolist() == [1, 2]
+    bad = [(-1, 2), (5, 2), (99, 2), (1.0, 2)]
+    if name in ("pbar", "best_response_price"):
+        bad += [(1, -1), (1, 3), (1, 99), (1, 2.0)]
+    for i, l in bad:
+        with pytest.raises(InvalidParameter):
+            call(i, l)
+    # numpy integers name the same agent and row
+    assert call(np.int64(1), np.int32(2)) == call(1, 2)
 
 
 def test_best_response_demand_rests_at_candidate():
