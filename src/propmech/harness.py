@@ -14,6 +14,7 @@ import csv
 import functools
 import json
 import math
+import time
 import zlib
 from dataclasses import dataclass, field
 
@@ -306,6 +307,8 @@ class ExperimentReport(_AsDict):
     final_verify: NEReport
     comparison: dict
     passed: bool
+    stage_seconds: dict  # perf_counter laps that partition the run
+    total_seconds: float  # their span, start of validate to end of compare
     trace: "RunTrace | None" = None
     _skip = ("trace",)
 
@@ -328,21 +331,29 @@ def run_experiment(instance: Instance,
                    config: ExperimentConfig = ExperimentConfig()
                    ) -> ExperimentReport:
     """Solve, build and verify the candidate equilibrium, run dynamics,
-    verify the reached profile, and compare against the benchmark."""
+    verify the reached profile, and compare against the benchmark. Each
+    stage's wall time is the perf_counter lap from the previous stage's
+    end, so the stages add up to the run's total."""
+    laps = [("start", time.perf_counter())]
     validation = validate(instance, config.variant)
+    laps.append(("validate", time.perf_counter()))
     sol = solve(instance, tol=config.solve_tol, strict=False)
+    laps.append(("solve", time.perf_counter()))
     candidate = construct_candidate_ne(instance, sol)
     cand_rep = verify_epsilon_ne(instance, config.variant, candidate,
                                  eps=config.eps,
                                  deviations=config.deviations,
                                  seed=config.verify_seed)
+    laps.append(("candidate_verify", time.perf_counter()))
     trace = run_dynamics(instance, config.variant, config.schedule,
                          max_rounds=config.max_rounds, tol=config.dyn_tol,
                          record_profiles=config.record_profiles)
+    laps.append(("dynamics", time.perf_counter()))
     final_rep = verify_epsilon_ne(instance, config.variant, trace.profile,
                                   eps=config.eps,
                                   deviations=config.deviations,
                                   seed=config.verify_seed)
+    laps.append(("final_verify", time.perf_counter()))
     x_dyn = allocate(instance, trace.profile.y).x
     x_err = float(np.max(np.abs(x_dyn - sol.x_star), initial=0.0))
     comparison = _price_comparison(instance, sol, trace.profile)
@@ -364,11 +375,14 @@ def run_experiment(instance: Instance,
         and trace.converged and final_rep.passed
         and x_err <= config.x_match_tol
         and comparison["price_err"] <= config.price_match_tol)
+    laps.append(("compare", time.perf_counter()))
     return ExperimentReport(
         digest=instance_digest(instance), config=config,
         validation=validation, solution=sol, candidate_verify=cand_rep,
         dynamics=dynamics, final_verify=final_rep, comparison=comparison,
-        passed=passed, trace=trace)
+        passed=passed, stage_seconds={
+            name: t - t0 for (_, t0), (name, t) in zip(laps, laps[1:])},
+        total_seconds=laps[-1][1] - laps[0][1], trace=trace)
 
 
 def run_many(instances: "list[Instance]",

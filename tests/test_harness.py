@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -261,7 +263,29 @@ def test_run_many_matches_individual_runs():
     reports = run_many(insts, cfg)
     assert len(reports) == 2
     for inst, rep in zip(insts, reports):
-        assert rep.to_dict() == run_experiment(inst, cfg).to_dict()
+        assert _untimed(rep) == _untimed(run_experiment(inst, cfg))
+
+
+def _untimed(rep):
+    """rep.to_dict() without its wall times, which no two runs share."""
+    return {k: v for k, v in rep.to_dict().items()
+            if k not in ("stage_seconds", "total_seconds")}
+
+
+def test_run_experiment_stages_add_up_to_the_run():
+    """The six stage times partition the run: each is positive, they sum
+    to the total within 1%, and the total lies inside the caller's own
+    span of the call."""
+    t0 = time.perf_counter()
+    rep = run_experiment(canonical_instance(), ExperimentConfig(deviations=40))
+    outer = time.perf_counter() - t0
+    stages = rep.stage_seconds
+    assert list(stages) == ["validate", "solve", "candidate_verify",
+                            "dynamics", "final_verify", "compare"]
+    assert all(v > 0.0 for v in stages.values())
+    assert math.isclose(sum(stages.values()), rep.total_seconds,
+                        rel_tol=0.01)
+    assert 0.0 < rep.total_seconds <= outer
 
 
 def test_write_trace_csv(tmp_path):

@@ -38,7 +38,8 @@ KEYS = {
         "record_profiles"},
     pm.ExperimentReport: {
         "digest", "config", "validation", "solution", "candidate_verify",
-        "dynamics", "final_verify", "comparison", "passed"},
+        "dynamics", "final_verify", "comparison", "passed", "stage_seconds",
+        "total_seconds"},
     pm.SuiteReport: {"name", "samples", "passed", "max_violation", "details"},
     pm.RoundRecord: {
         "round", "max_change", "feasibility_violation", "budget_imbalance",
@@ -49,6 +50,10 @@ KEYS = {
 DYNAMICS_KEYS = {"schedule", "rounds", "converged", "stop_reason",
                  "history_drops", "max_feasibility_violation",
                  "final_budget_imbalance"}
+
+# ExperimentReport.stage_seconds, in the order the run makes them
+STAGES = ["validate", "solve", "candidate_verify", "dynamics",
+          "final_verify", "compare"]
 
 # the JSON `propmech gen` writes: the instance's own keys, then the
 # generator's rejected draws and their count per reason
@@ -108,6 +113,7 @@ def test_result_dicts_are_plain_json():
             assert set(d["dynamics"]) == DYNAMICS_KEYS
             assert d["dynamics"]["stop_reason"] in ("rest", "no_move",
                                                     "max_rounds")
+            assert list(d["stage_seconds"]) == STAGES
         assert json.loads(json.dumps(d, allow_nan=False)) == d, d
         for leaf in _leaves(d):
             assert type(leaf) in (bool, int, float, str, type(None)), \
@@ -154,3 +160,17 @@ def test_gen_writes_its_draws_and_solve_reads_them(tmp_path):
     solved = json.loads(sol.read_text())
     assert solved["digest"] == info["digest"]
     assert solved["solution"]["converged"]
+
+
+def test_run_json_carries_the_stage_times(tmp_path):
+    """`run --json` writes the report's stage times, one per stage (keys
+    sorted, as every CLI document), and their total, as plain floats."""
+    path, out = tmp_path / "inst.json", tmp_path / "run.json"
+    assert main(["gen", "--agents", "4", "--constraints", "2", "--seed", "0",
+                 "--out", str(path)]) == 0
+    assert main(["run", str(path), "--json", str(out)]) == 0
+    d = json.loads(out.read_text())
+    assert list(d["stage_seconds"]) == sorted(STAGES)
+    assert all(type(v) is float and v > 0.0
+               for v in d["stage_seconds"].values())
+    assert type(d["total_seconds"]) is float and d["total_seconds"] > 0.0
