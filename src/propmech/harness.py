@@ -332,8 +332,7 @@ def run_experiment(instance: Instance,
                    ) -> ExperimentReport:
     """Solve, build and verify the candidate equilibrium, run dynamics,
     verify the reached profile, and compare against the benchmark. Each
-    stage's wall time is the perf_counter lap from the previous stage's
-    end, so the stages add up to the run's total."""
+    stage's time is its perf_counter lap, so the stages add up to the total."""
     laps = [("start", time.perf_counter())]
     validation = validate(instance, config.variant)
     laps.append(("validate", time.perf_counter()))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, cached_property
@@ -695,18 +694,12 @@ class Instance:
         return self.theta if self.theta is not None else self._derived_theta
 
     def check_index(self, k, of: str = "agent") -> int:
-        """k as an int, refused unless it names an agent (0 <= k < N) or,
-        with ``of="constraint"``, a row (0 <= k < L): a negative index
-        would count back from the end."""
+        """k as an int naming an agent, or with of="constraint" a row; a
+        negative index would count back from the end."""
         n = self.n_agents if of == "agent" else self.n_constraints
-        try:
-            k = operator.index(k)
-        except TypeError:
-            raise InvalidParameter(f"{of} index {k!r} is not an integer") \
-                from None
-        if not 0 <= k < n:
-            raise InvalidParameter(f"{of} index {k} is outside [0, {n})")
-        return k
+        if not isinstance(k, (int, np.integer)) or not 0 <= k < n:
+            raise InvalidParameter(f"{of} index {k!r} is not in [0, {n})")
+        return int(k)
 
     def check_x_shape(self, x: np.ndarray, name: str = "x") -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -40,17 +40,13 @@ from .model import (DimensionMismatch, InputError, Instance,
 _U = 2.0 ** -53
 # below this sum of |terms| nothing inside math.fsum overflows
 _FSUM_SAFE = 2.0 ** 1022
-# the exponent bits of a float64
-_EXPONENT = np.uint64(0x7FF0000000000000)
-# numpy's accumulate runs its inner loop once per lane, about 20 ns each
-# whatever the lane's length. One add per member slot across all lanes is
-# faster from 128 lanes per slot (at 128 n lanes of n = 2, 8 and 40: 2.4,
-# 1.7 and 1.3 times; the budget suites' (7500, 4) lanes: 43 against
-# 154 us) while the array stays in cache: the slot loop passes over it
-# once per slot, and past 2^17 cells it loses from 8 slots on (16 slots
-# in 16,384 lanes: 2.7 times slower)
+# numpy's accumulate calls its inner loop once per lane, about 20 ns each;
+# one add per member slot across all lanes beats it from 128 lanes per slot
+# ((7500, 4): 43 against 154 us), but it passes over the array once per
+# slot, and out of cache it loses from 7 slots on (0.9, 0.8 and 0.45 times
+# accumulate's speed at 7, 8 and 16 slots; 1.0 to 4.3 times at 6 to 2)
 _LANES_PER_SLOT = 128
-_SLOT_CELLS = 2 ** 17
+_MAX_SLOTS = 6
 
 __all__ = [
     "AgentNotOnConstraint",
@@ -125,15 +121,12 @@ def _gross_scale(pay, dis, sl):
 
 def _running_sum(v: np.ndarray, out: "np.ndarray | None" = None
                  ) -> np.ndarray:
-    """np.add.accumulate(v, axis=-1, out=out), bitwise: each lane's running
-    sum adds its entries in order. With at least _LANES_PER_SLOT lanes per
-    member slot, in at most _SLOT_CELLS cells, it adds one slot at a time
-    across all lanes instead of one lane at a time; either way the result
-    is written into ``out``."""
+    """np.add.accumulate(v, axis=-1, out=out), bitwise. With at most
+    _MAX_SLOTS member slots in _LANES_PER_SLOT lanes per slot or more, it
+    adds one slot at a time across all lanes, in each lane's order."""
     n = v.shape[-1]
-    if out is None:
-        out = np.empty_like(v)
-    if not n or not _LANES_PER_SLOT * n * n <= v.size <= _SLOT_CELLS:
+    out = np.empty_like(v) if out is None else out
+    if not 0 < n <= _MAX_SLOTS or v.size < _LANES_PER_SLOT * n * n:
         return np.add.accumulate(v, axis=-1, out=out)
     out[..., 0] = v[..., 0]
     for j in range(1, n):
@@ -142,22 +135,20 @@ def _running_sum(v: np.ndarray, out: "np.ndarray | None" = None
 
 
 def _gap_below(r: np.ndarray) -> np.ndarray:
-    """np.spacing(np.nextafter(|r|, 0)) for finite r, the gap from |r| to
-    the float below it, from r's exponent bits: p2, |r| with its mantissa
-    cleared, is the power of two at or below |r| (0 on the subnormals), so
-    the gap is 2u p2 above it, u p2 on it, and never below 2^-1074."""
+    """np.spacing(np.nextafter(|r|, 0)) for finite r, from its exponent
+    bits: p2 = |r| with the mantissa cleared (0 if subnormal) is the power
+    of two at or below |r|, and the gap is 2u p2 above it, u p2 on it."""
     a = np.abs(r)
-    p2 = (a.view(np.uint64) & _EXPONENT).view(float)
+    p2 = (a.view(np.uint64) & np.uint64(0x7FF << 52)).view(float)
     gap = np.where(a > p2, 2.0 * _U, _U)
     gap *= p2
-    return np.maximum(gap, 2.0 ** -1074, out=gap)
+    return np.maximum(gap, 2.0 ** -1074, out=gap)  # the subnormals' gap
 
 
 def _exact_sums(x: np.ndarray) -> np.ndarray:
     """math.fsum of each segment x[:, k] of x (W, ...), bitwise, for all
     segments at once: a compensated pass, and math.fsum for each segment
-    the pass cannot certify. The pass's running sums are one
-    _running_sum over the segments as lanes.
+    the pass cannot certify.
 
     The pass (Neumaier 1974; Sum2 of Ogita, Rump & Oishi 2005) keeps the
     running sum s_j = fl(s_{j-1} + x_j) and each add's exact TwoSum error
@@ -180,9 +171,8 @@ def _exact_sums(x: np.ndarray) -> np.ndarray:
     Fallback: while W max|x| < 2^1022 neither the pass nor fsum, whose
     partials sum to about sum|x_j| in magnitude, can overflow, and the
     pass raises no warning; past it (or on inf or nan) nothing is
-    certified. The uncertified segments go through math.fsum in one list
-    comprehension, in order, which raises at the first segment that
-    raised on its own.
+    certified. The uncertified segments go through math.fsum in order,
+    which raises at the first segment that raised on its own.
     """
     W, shape = len(x), x.shape[1:]
     if not W:
@@ -253,10 +243,9 @@ def _require_peers(instance: Instance) -> None:
 
 def _loo(v: np.ndarray) -> np.ndarray:
     """Per entry along the last axis, the sum of the other entries: an
-    exclusive prefix sum plus an exclusive suffix sum, each one
-    _running_sum (the prefix written into the result). Neither reads the
-    entry itself, so the result is bitwise independent of it, and zeros
-    padded at the end change neither sum."""
+    exclusive prefix plus an exclusive suffix _running_sum. Neither reads
+    the entry itself, so the result is bitwise independent of it, and
+    zeros padded at the end change neither sum."""
     out = np.zeros_like(v)
     _running_sum(v[..., :-1], out[..., 1:])
     out[..., :-1] += _running_sum(v[..., :0:-1])[..., ::-1]
@@ -308,10 +297,10 @@ def _member_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
 def _row_slack(instance: Instance, X: np.ndarray, rows=slice(None),
                a_x: "np.ndarray | None" = None) -> np.ndarray:
     """caps - A x on the rows ``rows`` for allocations X (..., N): the
-    running sum (_running_sum) of the members' products A_li x_i along
-    each row of the row layout (IndexSets). A running sum adds in one
-    order whatever the batch's shape, which a reduction does not. ``a_x``
-    is those products on every row when the caller has formed them."""
+    _running_sum of the members' products A_li x_i along each row of the
+    row layout (IndexSets). A running sum adds in one order whatever the
+    batch's shape, which a reduction does not. ``a_x`` is those products
+    on every row when the caller has formed them."""
     if a_x is None:
         lay = instance.index_sets
         a_x = lay.coef[rows] * X[..., lay.index[rows]]

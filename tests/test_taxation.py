@@ -11,7 +11,7 @@ from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
 from propmech.model import (Constraint, Instance, InvalidParameter, Valuation,
                             Variant, validate)
-from propmech.taxation import (_LANES_PER_SLOT, _SLOT_CELLS,
+from propmech.taxation import (_LANES_PER_SLOT, _MAX_SLOTS,
                                AgentNotOnConstraint,
                                AssumptionA4PrimeViolated,
                                DegenerateRowUnsupported, TaxBreakdown,
@@ -745,10 +745,10 @@ def test_exact_sums_are_fsum_bitwise(rows):
     """Each segment's sum is math.fsum of it, bitwise, and a call raises
     fsum's OverflowError at the first segment fsum overflows on; also with
     the rows tiled into enough segments for the running sums to take
-    _running_sum's slot-at-a-time path."""
+    _running_sum's slot-at-a-time path (up to _MAX_SLOTS terms)."""
     W = rows.shape[1]
     wide = np.tile(rows, (-(-_LANES_PER_SLOT * W // len(rows)), 1))
-    assert _LANES_PER_SLOT * W * W <= wide.size <= _SLOT_CELLS
+    assert _LANES_PER_SLOT * W * W <= wide.size
     for x in (rows, wide):
         want = [_fsum_or_raise(row) for row in x]
         failed = [err for _, err in want if err is not None]
@@ -764,21 +764,20 @@ _EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.0 ** -1022,
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(0, 6), st.lists(st.one_of(
+@given(st.integers(0, _MAX_SLOTS + 2), st.lists(st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(_EDGES)), min_size=1, max_size=24))
 @example(3, [-0.0])  # every running sum is -0.0
 @example(4, [1.0, 2.0 ** -53, 2.0 ** -53, -1.0])  # the order decides
 def test_running_sum_is_add_accumulate_bitwise(n, values):
     """_running_sum is np.add.accumulate along the last axis, bitwise, on
-    both of its paths: lane counts just below and at the slot rule, and
-    past its cell cap; C-ordered, reversed and transposed views (the
-    callers' layouts), in 2 and 3 dimensions, with and without ``out``.
-    Signed zeros, subnormals and running sums past the largest float are
-    among the values."""
+    both of its paths: lane counts just below and at the slot rule, with
+    up to _MAX_SLOTS slots and past it; C-ordered, reversed and transposed
+    views (the callers' layouts), in 2 and 3 dimensions, with and without
+    ``out``. Signed zeros, subnormals and running sums past the largest
+    float are among the values."""
     shapes = [(_LANES_PER_SLOT * n - 1, n), (_LANES_PER_SLOT * n, n),
-              (2, _LANES_PER_SLOT * n // 2, n),
-              (_SLOT_CELLS // n + 1, n)] if n else [(3, 0)]
+              (2, _LANES_PER_SLOT * n // 2, n)] if n else [(3, 0)]
     for shape in shapes:
         base = np.resize(np.array(values), shape)
         for v in (base, base[..., ::-1], np.asfortranarray(base),
