@@ -40,6 +40,7 @@ from .model import (DimensionMismatch, InputError, Instance,
 _U = 2.0 ** -53
 # below this sum of |terms| nothing inside math.fsum overflows
 _FSUM_SAFE = 2.0 ** 1022
+_EXPONENT = np.uint64(0x7FF << 52)  # a float64's exponent bits
 # numpy's accumulate calls its inner loop once per lane, about 20 ns each;
 # one add per member slot across all lanes beats it from 128 lanes per slot
 # ((7500, 4): 43 against 154 us), but it passes over the array once per
@@ -125,9 +126,9 @@ def _running_sum(v: np.ndarray, out: "np.ndarray | None" = None
     _MAX_SLOTS member slots in _LANES_PER_SLOT lanes per slot or more, it
     adds one slot at a time across all lanes, in each lane's order."""
     n = v.shape[-1]
-    out = np.empty_like(v) if out is None else out
     if not 0 < n <= _MAX_SLOTS or v.size < _LANES_PER_SLOT * n * n:
         return np.add.accumulate(v, axis=-1, out=out)
+    out = np.empty_like(v) if out is None else out
     out[..., 0] = v[..., 0]
     for j in range(1, n):
         np.add(out[..., j - 1], v[..., j], out=out[..., j])
@@ -139,7 +140,7 @@ def _gap_below(r: np.ndarray) -> np.ndarray:
     bits: p2 = |r| with the mantissa cleared (0 if subnormal) is the power
     of two at or below |r|, and the gap is 2u p2 above it, u p2 on it."""
     a = np.abs(r)
-    p2 = (a.view(np.uint64) & np.uint64(0x7FF << 52)).view(float)
+    p2 = (a.view(np.uint64) & _EXPONENT).view(float)
     gap = np.where(a > p2, 2.0 * _U, _U)
     gap *= p2
     return np.maximum(gap, 2.0 ** -1074, out=gap)  # the subnormals' gap
@@ -190,8 +191,8 @@ def _exact_sums(x: np.ndarray) -> np.ndarray:
     z = r - s
     e2 = (s - (r - z)) + (c - z)
     ok = 2.0 * (np.abs(e2) + 2.0 * W * _U * E) < _gap_below(r)
-    bad = np.flatnonzero(~ok)
-    if len(bad):
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
         r[bad] = [math.fsum(col.tolist()) for col in x[:, bad].T]
     return r.reshape(shape)
 
