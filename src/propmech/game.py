@@ -143,7 +143,15 @@ class _SweepState:
     demand), that column and A's on its own rows, and its group. Per
     instance: the anchor theta, caps - A_red theta and the non-vacuous
     rows' tolerances, which only the pullback piece and the boundary t_b
-    read. ``sweep`` moves the singleton agents in turn.
+    read. ``sweep`` moves the singleton agents in turn. It reads the
+    agents in blocks, each block's sums over one width: its agents' rows,
+    then off-row cells, whose terms are zero. numpy sums n < 128 terms
+    by n // 8 (_array_sum), so trailing zeros leave a sum bitwise as it
+    was while that stays the same, and a block holds the agents of one
+    n // 8 (of one n from 128 rows). Per block: the agents, their cells
+    of the flattened (N, L) arrays (IndexSets.cells) and A's coefficients
+    and the squares of A_hat's there; per agent, its rows, caps and A_hat
+    coefficients as lists.
     """
 
     def __init__(self, instance: Instance):
@@ -161,6 +169,19 @@ class _SweepState:
         self.rv_theta = red.A_red @ red.theta
         self.num_full = instance.caps - self.rv_theta
         self.nv_tol = 1e-12 * (1.0 + np.abs(instance.caps[red.nv_rows]))
+        own = np.array([len(r) for r in self.rows])
+        key = np.where(own < 128, own // 8, own)
+        cells = instance.index_sets.cells.T
+        self.blocks = []
+        for k in np.unique(key).tolist():
+            ids = np.flatnonzero(key == k)
+            at = cells[ids, :own[ids].max()]
+            self.blocks.append((ids.tolist(), at,
+                                instance.A.T.reshape(-1)[at],
+                                self.C.reshape(-1)[at] ** 2))
+        self.rows_list = [r.tolist() for r in self.rows]
+        self.caps_list = [c.tolist() for c in self.caps_rows]
+        self.coef_list = [c.tolist() for c in self.coef_rows]
 
     @classmethod
     def of(cls, instance: Instance) -> "_SweepState":
@@ -171,24 +192,100 @@ class _SweepState:
             state = instance.__dict__["_sweep_state"] = cls(instance)
         return state
 
-    def sweep(self, profile: MessageProfile, agents, lo: np.ndarray,
-              hi: float, peer_means: np.ndarray) -> float:
+    def sweep(self, profile: MessageProfile, agents: np.ndarray,
+              lo: np.ndarray, hi: float, peer_means: np.ndarray) -> float:
         """Move each singleton agent in turn to its notional target, each
-        seeing the demands already placed; the prices stay fixed, so all
-        share ``peer_means``. A_hat @ y is formed once, then follows each
-        move by a rank-one column step. Returns the largest relative
-        move."""
-        ay = self.A_hat @ profile.y
+        seeing the demands already placed. Returns the largest relative
+        move.
+
+        The prices stay fixed through the sweep, so what an agent's slope
+        reads of them is formed once, for all agents at once: the payment
+        rate c_pay = sum_l A_li pbar_il, the slack-tax weights
+        w = eta pbar p and wcc = sum_l w_l c_l^2 over i's rows, with c i's
+        A_hat column. Only A_hat @ y moves with the agents before i. It is
+        one list of floats, formed once and moved on i's rows after each
+        move, and i reads wgc = sum_l w_l (caps_l - (A_hat y)_l + c_l y_i)
+        c_l on its rows. The agent loop is float work only; the sums
+        run as numpy's (_array_sum), so every float is bitwise what a
+        per-agent _DemandObjective gives at the same profile, and the
+        safeguarded Newton (_concave_argmax) runs on _SingletonSlope.
+        """
+        eta = self.instance.eta
+        pb_all = peer_means.reshape(-1)
+        p_all = profile.prices.reshape(-1)
+        n = self.instance.n_agents
+        c_pay, wcc, w = [0.0] * n, [0.0] * n, [None] * n
+        for ids, cells, a, cc in self.blocks:
+            pb = pb_all[cells]
+            w_n = eta * pb * p_all[cells]
+            for i, c_i, q_i, w_i in zip(ids, (a * pb).sum(axis=1).tolist(),
+                                        (w_n * cc).sum(axis=1).tolist(),
+                                        w_n.tolist()):
+                c_pay[i], wcc[i], w[i] = c_i, q_i, w_i
+        ay = (self.A_hat @ profile.y).tolist()
+        y, lo = profile.y, lo.tolist()
         snap = 0.0
-        for i in agents:
-            y_i = float(profile.y[i])
-            t = _concave_argmax(
-                _DemandObjective(self, profile, i, peer_means, ay),
-                lo[i], hi, y_i)
+        for i in agents.tolist():
+            y_i = float(y[i])
+            rows, coefs = self.rows_list[i], self.coef_list[i]
+            wgc = _array_sum([
+                w_l * (cap - (ay[r] - c * y_i)) * c for w_l, c, cap, r
+                in zip(w[i], coefs, self.caps_list[i], rows)])
+            _, dv, d2v = self.v[i]
+            t = _concave_argmax(_SingletonSlope(dv, d2v, c_pay[i], wgc,
+                                                wcc[i]), lo[i], hi, y_i)
             snap = max(snap, abs(t - y_i) / (1.0 + abs(y_i)))
-            ay = ay + self.C[i] * (t - y_i)
-            profile.y[i] = t
+            move = t - y_i
+            for c, r in zip(coefs, rows):
+                ay[r] += c * move
+            y[i] = t
         return snap
+
+
+def _array_sum(xs: list) -> float:
+    """float(np.array(xs).sum()) of a list of floats, bitwise: numpy's
+    pairwise summation onto 0.0. It adds n < 8 terms in order; up to 128
+    it adds the first n - n % 8 into 8 interleaved accumulators, joins
+    them pairwise and adds the rest in order; a longer list is split in
+    two at a multiple of 8 near its middle."""
+    n = len(xs)
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        return _array_sum(xs[:h]) + _array_sum(xs[h:])
+    if n < 8:
+        s = 0.0
+        for x in xs:
+            s += x
+        return s
+    m = n - n % 8
+    r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
+    for k in range(8, m, 8):
+        x0, x1, x2, x3, x4, x5, x6, x7 = xs[k:k + 8]
+        r0, r1, r2, r3 = r0 + x0, r1 + x1, r2 + x2, r3 + x3
+        r4, r5, r6, r7 = r4 + x4, r5 + x5, r6 + x6, r7 + x7
+    s = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    for x in xs[m:]:
+        s += x
+    return s
+
+
+class _SingletonSlope:
+    """A singleton's demand objective inside the feasible region, as
+    _concave_argmax reads it: slope and curvature in own demand t from
+    its valuation's slope dv and curvature d2v and three floats (see
+    _DemandObjective.grad_inside, with beta = 1 and y0k = 0)."""
+
+    __slots__ = ("dv", "d2v", "c_pay", "wgc", "wcc")
+
+    def __init__(self, dv, d2v, c_pay: float, wgc: float, wcc: float):
+        self.dv, self.d2v = dv, d2v
+        self.c_pay, self.wgc, self.wcc = c_pay, wgc, wcc
+
+    def grad_inside(self, t: float) -> float:
+        return self.dv(t) - self.c_pay + 2.0 * (self.wgc - t * self.wcc)
+
+    def curv_inside(self, t: float) -> float:
+        return self.d2v(t) - 2.0 * self.wcc
 
 
 class _DemandObjective:
@@ -197,16 +294,13 @@ class _DemandObjective:
     Inside the feasible region the map is strictly concave in own demand;
     past the boundary it follows the pullback ray. Constant terms
     (disagreement penalty, rebate) are dropped. ``state`` holds the
-    instance's constants; ``peer_means`` is the profile's (N, L) peer mean
-    prices and ``ay`` its A_hat @ y, when the caller already has them
-    (without peer_means, i's own rows alone are averaged). The
-    slope and curvature read four scalars; the boundary t_b and the
-    pullback piece are formed only when asked for.
+    instance's constants; the peer means are i's own rows' alone
+    (taxation._peer_means_at). The slope and curvature read four
+    scalars; the boundary t_b and the pullback piece are formed only when
+    asked for.
     """
 
-    def __init__(self, state: _SweepState, profile: MessageProfile, i: int,
-                 peer_means: "np.ndarray | None" = None,
-                 ay: "np.ndarray | None" = None):
+    def __init__(self, state: _SweepState, profile: MessageProfile, i: int):
         instance = state.instance
         self.state, self.i = state, i
         self.v, self.dv, self.d2v = state.v[i]
@@ -220,10 +314,9 @@ class _DemandObjective:
             self.y0k = (math.fsum(float(profile.y[j])
                                   for j in red.group_members[k])
                         - self.y_i) / red.group_sizes[k]
-        self.ay = state.A_hat @ profile.y if ay is None else ay
+        self.ay = state.A_hat @ profile.y
         rows = state.rows[i]
-        pb = _peer_means_at(instance, profile.prices, i) \
-            if peer_means is None else peer_means[i, rows]
+        pb = _peer_means_at(instance, profile.prices, i)
         self.c_pay = float((state.a_rows[i] * pb).sum())
         # slack tax on own rows: sum of w (gap - coef t)^2 with weights
         # eta * pbar * p_own, a quadratic in own demand t

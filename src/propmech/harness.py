@@ -91,9 +91,17 @@ def canonical_instance(eta: float = 1.0) -> Instance:
         d=np.array([0.01, 0.01]), D=100.0, eta=eta)
 
 
-def _rng_for(scenario: Scenario, seed: int, attempt: int
-             ) -> np.random.Generator:
-    salt = zlib.crc32(json.dumps(scenario.to_dict(), sort_keys=True).encode())
+def _salt(scenario: Scenario) -> int:
+    """The scenario's share of its draws' seed: a CRC-32 of its JSON."""
+    return zlib.crc32(json.dumps(scenario.to_dict(), sort_keys=True).encode())
+
+
+def _rng_for(scenario: Scenario, seed: int, attempt: int,
+             salt: "int | None" = None) -> np.random.Generator:
+    """The draw of one attempt; ``salt`` is _salt(scenario) when the
+    caller has it."""
+    if salt is None:
+        salt = _salt(scenario)
     return np.random.default_rng([int(salt), int(seed), int(attempt)])
 
 
@@ -219,8 +227,9 @@ def generate_with_info(scenario: Scenario, seed: int
     _check_sizes(scenario)
     reasons = dict.fromkeys(
         ("invalid", "solver_error", "nonconverged", "non_interior"), 0)
+    salt = _salt(scenario)
     for attempt in range(_MAX_RESAMPLES):
-        inst = _build(scenario, _rng_for(scenario, seed, attempt))
+        inst = _build(scenario, _rng_for(scenario, seed, attempt, salt))
         if not validate(inst).passed:
             reasons["invalid"] += 1
             continue
