@@ -143,14 +143,8 @@ class _SweepState:
     demand), that column and A's on its own rows, and its group. Per
     instance: the anchor theta, caps - A_red theta and the non-vacuous
     rows' tolerances, which only the pullback piece and the boundary t_b
-    read. ``sweep`` moves the singleton agents in turn. It reads the
-    agents in blocks, each block's sums over one width: its agents' rows,
-    then off-row cells, whose terms are zero. numpy sums n < 128 terms
-    by n // 8 (_array_sum), so trailing zeros leave a sum bitwise as it
-    was while that stays the same, and a block holds the agents of one
-    n // 8 (of one n from 128 rows). Per block: the agents, their cells
-    of the flattened (N, L) arrays (IndexSets.cells) and A's coefficients
-    and the squares of A_hat's there; per agent, its rows, caps and A_hat
+    read. For ``sweep``, which moves the singleton agents in turn: the
+    agents in blocks (below), and per agent its rows, caps and A_hat
     coefficients as lists.
     """
 
@@ -169,6 +163,12 @@ class _SweepState:
         self.rv_theta = red.A_red @ red.theta
         self.num_full = instance.caps - self.rv_theta
         self.nv_tol = 1e-12 * (1.0 + np.abs(instance.caps[red.nv_rows]))
+        # Blocks of agents, each with (k, n) cells of the flattened (N, L)
+        # arrays (IndexSets.cells) and A's coefficients and the squares of
+        # A_hat's there: an agent's own rows, then off-row cells, whose
+        # terms are zero. numpy sums fewer than 128 terms in groups of 8
+        # and then one by one (_array_sum), so trailing zeros keep a sum
+        # bitwise while n // 8 stays the same: a block holds one n // 8.
         own = np.array([len(r) for r in self.rows])
         key = np.where(own < 128, own // 8, own)
         cells = instance.index_sets.cells.T
@@ -199,16 +199,17 @@ class _SweepState:
         move.
 
         The prices stay fixed through the sweep, so what an agent's slope
-        reads of them is formed once, for all agents at once: the payment
-        rate c_pay = sum_l A_li pbar_il, the slack-tax weights
-        w = eta pbar p and wcc = sum_l w_l c_l^2 over i's rows, with c i's
-        A_hat column. Only A_hat @ y moves with the agents before i. It is
-        one list of floats, formed once and moved on i's rows after each
-        move, and i reads wgc = sum_l w_l (caps_l - (A_hat y)_l + c_l y_i)
-        c_l on its rows. The agent loop is float work only; the sums
-        run as numpy's (_array_sum), so every float is bitwise what a
-        per-agent _DemandObjective gives at the same profile, and the
-        safeguarded Newton (_concave_argmax) runs on _SingletonSlope.
+        reads of them is formed once per call, for all agents: over i's
+        rows, the payment rate c_pay = sum_l A_li pbar_il, the slack-tax
+        weights w = eta pbar p and wcc = sum_l w_l c_l^2, with c i's A_hat
+        column. Only A_hat @ y moves with the agents before i: one list of
+        floats, moved on i's rows after its move. i reads
+        wgc = sum_l w_l (caps_l - (A_hat y)_l + c_l y_i) c_l from it, and
+        the safeguarded Newton (_concave_argmax) runs on those three
+        floats (_SingletonSlope). The agent loop is float work only. Its
+        sums run in numpy's order (_array_sum), so the sweep is bitwise a
+        per-agent one that forms these floats with numpy arrays for each
+        move (reference_sweep in the tests).
         """
         eta = self.instance.eta
         pb_all = peer_means.reshape(-1)
