@@ -168,7 +168,8 @@ class _SweepState:
         # A_hat's there: an agent's own rows, then off-row cells, whose
         # terms are zero. numpy sums fewer than 128 terms in groups of 8
         # and then one by one (_array_sum), so trailing zeros keep a sum
-        # bitwise while n // 8 stays the same: a block holds one n // 8.
+        # bitwise while n // 8 stays the same: a block holds one n // 8
+        # below 128 rows and one n from 128, where numpy halves the sum.
         own = np.array([len(r) for r in self.rows])
         key = np.where(own < 128, own // 8, own)
         cells = instance.index_sets.cells.T
