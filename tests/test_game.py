@@ -1308,9 +1308,7 @@ def test_local_gains_on_ungrouped_instances_are_the_per_agent_formula():
     criterion 1's 20 unicast instances and the N = 200, L = 40 one."""
     rng = np.random.default_rng(5)
     cases = [generate(sc, seed) for sc, seed in population_scenarios()[:20]]
-    cases.append(generate(Scenario(
-        kind="unicast", n_agents=200, n_constraints=40, min_members=5,
-        families=("power",), cap_range=(100, 300)), 0))
+    cases.append(large_instance())
     for inst in cases:
         assert not inst.is_degenerate
         for _ in range(3):
@@ -1417,9 +1415,7 @@ def test_block_books_on_the_large_instance():
     """N = 200, L = 40: BLAS may order allocate_many's row products by the
     batch's shape, so the books agree with the per-round ones up to
     rounding."""
-    inst = generate(Scenario(kind="unicast", n_agents=200, n_constraints=40,
-                             min_members=5, families=("power",),
-                             cap_range=(100, 300)), 0)
+    inst = large_instance()
     for variant in ("base", "sbb-ne", "sbb-offeq"):
         tr = run_dynamics(inst, variant, max_rounds=10, tol=0.0,
                           record_profiles=True)
