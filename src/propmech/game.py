@@ -166,12 +166,9 @@ class _SweepState:
         # Blocks of agents, each with (k, n) cells of the flattened (N, L)
         # arrays (IndexSets.cells) and A's coefficients and the squares of
         # A_hat's there: an agent's own rows, then off-row cells, whose
-        # terms are zero. numpy sums fewer than 128 terms in groups of 8
-        # and then one by one (_array_sum), so trailing zeros keep a sum
-        # bitwise while n // 8 stays the same: a block holds one n // 8
-        # below 128 rows and one n from 128, where numpy halves the sum.
+        # terms are zero; one block per _sum_block of the row count.
         own = np.array([len(r) for r in self.rows])
-        key = np.where(own < 128, own // 8, own)
+        key = np.array([_sum_block(n) for n in own.tolist()])
         cells = instance.index_sets.cells.T
         self.blocks = []
         for k in np.unique(key).tolist():
@@ -207,7 +204,7 @@ class _SweepState:
         floats, moved on i's rows after its move. i reads
         wgc = sum_l w_l (caps_l - (A_hat y)_l + c_l y_i) c_l from it, and
         the safeguarded Newton (_concave_argmax) runs on those three
-        floats (_SingletonSlope). The agent loop is float work only. Its
+        floats (_InsideSlope). The agent loop is float work only. Its
         sums run in numpy's order (_array_sum), so the sweep is bitwise a
         per-agent one that forms these floats with numpy arrays for each
         move (reference_sweep in the tests).
@@ -234,8 +231,8 @@ class _SweepState:
                 w_l * (cap - (ay[r] - c * y_i)) * c for w_l, c, cap, r
                 in zip(w[i], coefs, self.caps_list[i], rows)])
             _, dv, d2v = self.v[i]
-            t = _concave_argmax(_SingletonSlope(dv, d2v, c_pay[i], wgc,
-                                                wcc[i]), lo[i], hi, y_i)
+            t = _concave_argmax(_InsideSlope(dv, d2v, 1.0, 0.0, c_pay[i],
+                                             wgc, wcc[i]), lo[i], hi, y_i)
             snap = max(snap, abs(t - y_i) / (1.0 + abs(y_i)))
             move = t - y_i
             for c, r in zip(coefs, rows):
@@ -244,12 +241,23 @@ class _SweepState:
         return snap
 
 
+# numpy's pairwise summation, which the sweep follows to stay bitwise a
+# per-agent sweep of numpy sums: onto 0.0 it adds n < 8 terms in order; up
+# to 128 it adds the first n - n % 8 into 8 interleaved accumulators, joins
+# them pairwise and adds the rest in order; a longer sum is split in two at
+# a multiple of 8 near its middle. test_array_sum_is_numpy_sum_bitwise
+# holds both helpers below to numpy's own sum.
+
+
+def _sum_block(n: int) -> int:
+    """The class of n-term sums that trailing zeros leave bitwise: below
+    128 terms, padding that keeps n // 8 adds its zeros after the same
+    accumulators; from 128 the split moves, so each n is its own."""
+    return n // 8 if n < 128 else n
+
+
 def _array_sum(xs: list) -> float:
-    """float(np.array(xs).sum()) of a list of floats, bitwise: numpy's
-    pairwise summation onto 0.0. It adds n < 8 terms in order; up to 128
-    it adds the first n - n % 8 into 8 interleaved accumulators, joins
-    them pairwise and adds the rest in order; a longer list is split in
-    two at a multiple of 8 near its middle."""
+    """float(np.array(xs).sum()) of a list of floats, bitwise."""
     n = len(xs)
     if n > 128:
         h = n // 2 - n // 2 % 8
@@ -271,26 +279,32 @@ def _array_sum(xs: list) -> float:
     return s
 
 
-class _SingletonSlope:
-    """A singleton's demand objective inside the feasible region, as
-    _concave_argmax reads it: slope and curvature in own demand t from
-    its valuation's slope dv and curvature d2v and three floats (see
-    _DemandObjective.grad_inside, with beta = 1 and y0k = 0)."""
+class _InsideSlope:
+    """Slope and curvature in own demand t of a demand objective inside
+    the feasible region, as _concave_argmax reads them. The agent's
+    demand is x_i = y0k + beta t (beta = 1 and y0k = 0 for a singleton),
+    its valuation's slope and curvature are dv and d2v, and the payment
+    rate c_pay and the slack tax's wgc and wcc are floats (see
+    _DemandObjective)."""
 
-    __slots__ = ("dv", "d2v", "c_pay", "wgc", "wcc")
+    __slots__ = ("dv", "d2v", "beta", "y0k", "c_pay", "wgc", "wcc")
 
-    def __init__(self, dv, d2v, c_pay: float, wgc: float, wcc: float):
-        self.dv, self.d2v = dv, d2v
+    def __init__(self, dv, d2v, beta: float, y0k: float, c_pay: float,
+                 wgc: float, wcc: float):
+        self.dv, self.d2v, self.beta, self.y0k = dv, d2v, beta, y0k
         self.c_pay, self.wgc, self.wcc = c_pay, wgc, wcc
 
     def grad_inside(self, t: float) -> float:
-        return self.dv(t) - self.c_pay + 2.0 * (self.wgc - t * self.wcc)
+        x_i = self.y0k + self.beta * t
+        return self.beta * (self.dv(x_i) - self.c_pay) \
+            + 2.0 * (self.wgc - t * self.wcc)
 
     def curv_inside(self, t: float) -> float:
-        return self.d2v(t) - 2.0 * self.wcc
+        x_i = self.y0k + self.beta * t
+        return self.beta ** 2 * self.d2v(x_i) - 2.0 * self.wcc
 
 
-class _DemandObjective:
+class _DemandObjective(_InsideSlope):
     """Gross utility of agent i as a function of own demand, others fixed.
 
     Inside the feasible region the map is strictly concave in own demand;
@@ -305,28 +319,29 @@ class _DemandObjective:
     def __init__(self, state: _SweepState, profile: MessageProfile, i: int):
         instance = state.instance
         self.state, self.i = state, i
-        self.v, self.dv, self.d2v = state.v[i]
+        self.v, dv, d2v = state.v[i]
         self.y_i = float(profile.y[i])
         red = instance.reduced
         k = red.group_of_agent[i]
         if red.group_sizes[k] == 1:
-            self.beta, self.y0k = 1.0, 0.0
+            beta, y0k = 1.0, 0.0
         else:
-            self.beta = 1.0 / red.group_sizes[k]
-            self.y0k = (math.fsum(float(profile.y[j])
-                                  for j in red.group_members[k])
-                        - self.y_i) / red.group_sizes[k]
+            beta = 1.0 / red.group_sizes[k]
+            y0k = (math.fsum(float(profile.y[j])
+                             for j in red.group_members[k])
+                   - self.y_i) / red.group_sizes[k]
         self.ay = state.A_hat @ profile.y
         rows = state.rows[i]
         pb = _peer_means_at(instance, profile.prices, i)
-        self.c_pay = float((state.a_rows[i] * pb).sum())
         # slack tax on own rows: sum of w (gap - coef t)^2 with weights
         # eta * pbar * p_own, a quadratic in own demand t
         self.w = instance.eta * pb * profile.prices[i, rows]
         self.coef_rows = c = state.coef_rows[i]
         self.gap_rows = state.caps_rows[i] - (self.ay[rows] - c * self.y_i)
-        self.wgc = float((self.w * self.gap_rows * c).sum())
-        self.wcc = float((self.w * c ** 2).sum())
+        super().__init__(dv, d2v, beta, y0k,
+                         float((state.a_rows[i] * pb).sum()),
+                         float((self.w * self.gap_rows * c).sum()),
+                         float((self.w * c ** 2).sum()))
 
     @cached_property
     def rv0(self) -> np.ndarray:
@@ -344,22 +359,13 @@ class _DemandObjective:
         return -math.inf if stuck.any() else \
             float(np.min(gap[up] / c[up], initial=math.inf))
 
-    # -- inside the feasible region --------------------------------------
+    # -- inside the feasible region (slope and curvature: _InsideSlope) ---
 
     def value_inside(self, t: float) -> float:
         x_i = self.y0k + self.beta * t
         d_rows = self.gap_rows - self.coef_rows * t
         slack_tax = float((self.w * d_rows * d_rows).sum())
         return self.v(x_i) - x_i * self.c_pay - slack_tax
-
-    def grad_inside(self, t: float) -> float:
-        x_i = self.y0k + self.beta * t
-        return self.beta * (self.dv(x_i) - self.c_pay) \
-            + 2.0 * (self.wgc - t * self.wcc)
-
-    def curv_inside(self, t: float) -> float:
-        x_i = self.y0k + self.beta * t
-        return self.beta ** 2 * self.d2v(x_i) - 2.0 * self.wcc
 
     # -- past the boundary: pullback ray ----------------------------------
 
@@ -431,15 +437,16 @@ class _DemandObjective:
         """This objective's inside form with x_i = y0k + beta s and own-row
         slacks gap_rows - coef_rows s in a new parameter s."""
         piece = object.__new__(_DemandObjective)
-        piece.__dict__.update(
-            self.__dict__, y0k=y0k, beta=beta, gap_rows=gap_rows,
-            coef_rows=coef_rows,
-            wgc=float((self.w * gap_rows * coef_rows).sum()),
-            wcc=float((self.w * coef_rows ** 2).sum()))
+        piece.__dict__.update(self.__dict__, gap_rows=gap_rows,
+                              coef_rows=coef_rows)
+        _InsideSlope.__init__(
+            piece, self.dv, self.d2v, beta, y0k, self.c_pay,
+            float((self.w * gap_rows * coef_rows).sum()),
+            float((self.w * coef_rows ** 2).sum()))
         return piece
 
 
-def _concave_argmax(obj: _DemandObjective, lo: float, hi: float,
+def _concave_argmax(obj: _InsideSlope, lo: float, hi: float,
                     start: "float | None" = None) -> float:
     """Safeguarded Newton on the inside-piece gradient over [lo, hi],
     started at ``start`` when it lies strictly inside, else at the

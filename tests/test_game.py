@@ -1110,8 +1110,16 @@ def test_sweep_is_the_reference_sweep_bitwise(case):
 @given(st.lists(st.floats(-1e300, 1e300), max_size=300))
 def test_array_sum_is_numpy_sum_bitwise(xs):
     """Lists of every length the pairwise summation splits on (below 8,
-    8 to 128, longer), with signed zeros and subnormals."""
-    assert game._array_sum(xs).hex() == float(np.array(xs).sum()).hex()
+    8 to 128, longer), with signed zeros and subnormals. Up to 7 trailing
+    zeros that keep the length's _sum_block keep numpy's sum (equal as
+    floats: a sum of signed zeros may lose its sign)."""
+    plain = float(np.array(xs).sum())
+    assert game._array_sum(xs).hex() == plain.hex()
+    for pad in range(1, 8):
+        if game._sum_block(len(xs) + pad) == game._sum_block(len(xs)):
+            padded = float(np.array(xs + [0.0] * pad).sum())
+            assert padded == plain \
+                or (math.isnan(padded) and math.isnan(plain)), (len(xs), pad)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1147,7 +1155,7 @@ def test_sweep_objective_matches_the_per_agent_reference(case):
         for t in (a, start, 0.5 * (a + b), b):
             g = ref.grad_inside(t)
             assert abs(obj.grad_inside(t) - g) \
-                <= 1e-14 * (1.0 + abs(g)) + 2.0 * carried, (i, t)
+                <= 1e-14 * (1.0 + abs(g)) + carried, (i, t)
             c = ref.curv_inside(t)
             assert abs(obj.curv_inside(t) - c) <= 1e-14 * (1.0 + abs(c))
         seen.append(i)
