@@ -80,6 +80,13 @@ class Scenario(_AsDict):
     eta: float = 1.0
     shared_row: bool = False
 
+    @functools.cached_property
+    def _salt(self) -> int:
+        """The scenario's share of its draws' seed: a CRC-32 of its JSON,
+        formed once per object. Not a cache keyed on the scenario: equal
+        scenarios can differ in their JSON (a cap of 100 or 100.0)."""
+        return zlib.crc32(json.dumps(self.to_dict(), sort_keys=True).encode())
+
 
 def canonical_instance(eta: float = 1.0) -> Instance:
     """Two log agents on one unit link; optimum (0.5, 0.5), price 2/3."""
@@ -91,18 +98,9 @@ def canonical_instance(eta: float = 1.0) -> Instance:
         d=np.array([0.01, 0.01]), D=100.0, eta=eta)
 
 
-def _salt(scenario: Scenario) -> int:
-    """The scenario's share of its draws' seed: a CRC-32 of its JSON."""
-    return zlib.crc32(json.dumps(scenario.to_dict(), sort_keys=True).encode())
-
-
-def _rng_for(scenario: Scenario, seed: int, attempt: int,
-             salt: "int | None" = None) -> np.random.Generator:
-    """The draw of one attempt; ``salt`` is _salt(scenario) when the
-    caller has it."""
-    if salt is None:
-        salt = _salt(scenario)
-    return np.random.default_rng([int(salt), int(seed), int(attempt)])
+def _rng_for(scenario: Scenario, seed: int, attempt: int
+             ) -> np.random.Generator:
+    return np.random.default_rng([scenario._salt, int(seed), int(attempt)])
 
 
 def _sample_valuation(rng: np.random.Generator, families) -> Valuation:
@@ -227,9 +225,8 @@ def generate_with_info(scenario: Scenario, seed: int
     _check_sizes(scenario)
     reasons = dict.fromkeys(
         ("invalid", "solver_error", "nonconverged", "non_interior"), 0)
-    salt = _salt(scenario)
     for attempt in range(_MAX_RESAMPLES):
-        inst = _build(scenario, _rng_for(scenario, seed, attempt, salt))
+        inst = _build(scenario, _rng_for(scenario, seed, attempt))
         if not validate(inst).passed:
             reasons["invalid"] += 1
             continue
