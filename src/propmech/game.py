@@ -241,23 +241,12 @@ class _SweepState:
         return snap
 
 
-# numpy's pairwise summation, which the sweep follows to stay bitwise a
-# per-agent sweep of numpy sums: onto 0.0 it adds n < 8 terms in order; up
-# to 128 it adds the first n - n % 8 into 8 interleaved accumulators, joins
-# them pairwise and adds the rest in order; a longer sum is split in two at
-# a multiple of 8 near its middle. test_array_sum_is_numpy_sum_bitwise
-# holds both helpers below to numpy's own sum.
-
-
-def _sum_block(n: int) -> int:
-    """The class of n-term sums that trailing zeros leave bitwise: below
-    128 terms, padding that keeps n // 8 adds its zeros after the same
-    accumulators; from 128 the split moves, so each n is its own."""
-    return n // 8 if n < 128 else n
-
-
 def _array_sum(xs: list) -> float:
-    """float(np.array(xs).sum()) of a list of floats, bitwise."""
+    """float(np.array(xs).sum()) of a list of floats, bitwise: numpy's
+    pairwise summation onto 0.0. It adds n < 8 terms in order; up to 128
+    it adds the first n - n % 8 into 8 interleaved accumulators, joins
+    them pairwise and adds the rest in order; a longer list is split in
+    two at a multiple of 8 near its middle."""
     n = len(xs)
     if n > 128:
         h = n // 2 - n // 2 % 8
@@ -277,6 +266,14 @@ def _array_sum(xs: list) -> float:
     for x in xs[m:]:
         s += x
     return s
+
+
+def _sum_block(n: int) -> int:
+    """The class of n-term numpy sums that trailing zeros leave bitwise
+    (see _array_sum): below 128 terms, those with the same n // 8, whose
+    zeros follow the same accumulators; from 128 the split moves, so each
+    n is its own."""
+    return n // 8 if n < 128 else n
 
 
 class _InsideSlope:
