@@ -10,6 +10,7 @@ objective.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -151,7 +152,7 @@ class _SweepState:
     def __init__(self, instance: Instance):
         _require_peers(instance)
         red = instance.reduced
-        self.instance = instance
+        self._instance = weakref.ref(instance)  # not owned: see of
         self.A_hat = red.A_hat
         self.C = np.ascontiguousarray(red.A_hat.T)  # row i: i's column
         self.v = instance.valuation_table._forms
@@ -181,6 +182,8 @@ class _SweepState:
         self.caps_list = [c.tolist() for c in self.caps_rows]
         self.coef_list = [c.tolist() for c in self.coef_rows]
 
+    instance = property(lambda self: self._instance())
+
     @classmethod
     def of(cls, instance: Instance) -> "_SweepState":
         """The instance's state, built on first use and then kept on the
@@ -193,8 +196,9 @@ class _SweepState:
     def sweep(self, profile: MessageProfile, agents: np.ndarray,
               lo: np.ndarray, hi: float, peer_means: np.ndarray) -> float:
         """Move each singleton agent in turn to its notional target, each
-        seeing the demands already placed. Returns the largest relative
-        move.
+        seeing the demands already placed, at the (N, L) peer means (the
+        price round's quoted prices: each row's members quote one price).
+        Returns the largest relative move.
 
         The prices stay fixed through the sweep, so what an agent's slope
         reads of them is formed once per call, for all agents: over i's
@@ -769,12 +773,9 @@ class _PriceRound:
                                 / (1.0 + np.abs(prof.y[g]))))
             prof.y[g] = np.maximum(z[loc], self.lo[g])
         prof.prices = pc[None, :] * self.on
-        # prices stay fixed through the sweep, so its agents share one set
-        # of peer means
         if self.state is not None:
             snap = max(snap, self.state.sweep(
-                prof, self.split.singles, self.lo, inst.D + 1.0,
-                _peer_means(inst, prof.prices)))
+                prof, self.split.singles, self.lo, inst.D + 1.0, prof.prices))
         return comp_resid, group_resid, snap
 
 

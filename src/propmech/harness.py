@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import allocate, allocate_many
-from .centralized import (CentralizedSolution, brute_force_oracle,
+from .centralized import (CentralizedSolution, _solve, brute_force_oracle,
                           objective, solve)
 from .game import (MessageProfile, NEReport, RunTrace,
                    construct_candidate_ne, run_dynamics, verify_epsilon_ne)
@@ -219,8 +219,10 @@ def generate_with_info(scenario: Scenario, seed: int
     1e-8), the resample count and the count per reason:
     ``invalid`` (validation failed), ``solver_error`` (the solver raised one
     of its expected numerical failures), ``nonconverged`` and
-    ``non_interior`` (optimum outside the working margin). Sizes that no
-    draw can build raise InvalidParameter before any draw.
+    ``non_interior`` (optimum outside the working margin), which also
+    counts a draw that the solve's duality-gap certificate shuts out
+    before it converges (centralized._shut_out). Sizes that no draw can
+    build raise InvalidParameter before any draw.
     """
     _check_sizes(scenario)
     reasons = dict.fromkeys(
@@ -231,11 +233,15 @@ def generate_with_info(scenario: Scenario, seed: int
             reasons["invalid"] += 1
             continue
         try:
-            sol = solve(inst, tol=1e-8, max_iter=5000, strict=False)
+            sol = _solve(inst, tol=1e-8, max_iter=5000, strict=False,
+                         screen=True)
         except (np.linalg.LinAlgError, DomainError, RuntimeError):
             # RuntimeError: among others NNLSNoConvergence, the iteration
             # limit of the multiplier completion's nnls
             reasons["solver_error"] += 1
+            continue
+        if sol is None:  # shut out on the duality-gap certificate
+            reasons["non_interior"] += 1
             continue
         if not sol.converged:
             reasons["nonconverged"] += 1

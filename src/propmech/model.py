@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, cached_property
@@ -756,9 +757,11 @@ class ReducedInstance:
     Column k aggregates the original coefficients of group k's members; rows
     that cancel to zero (pure equality encodings such as demand cycles) are
     marked vacuous and carry no feasibility information in the reduced space.
+    ``instance`` does not own the instance, whose cache (Instance.reduced)
+    owns the reduction: a cycle would live until a full collection.
     """
 
-    instance: Instance
+    _instance: weakref.ref
     group_members: tuple[tuple[int, ...], ...]
     group_of_agent: np.ndarray   # (N,) int
     representatives: np.ndarray  # (K,) int, lowest member index
@@ -768,6 +771,8 @@ class ReducedInstance:
     nv_rows: np.ndarray          # (M,) ids of the non-vacuous rows
     A_nv: np.ndarray             # (M, K) those rows, the only ones that bind
     caps_nv: np.ndarray          # (M,) their caps
+
+    instance = property(lambda self: self._instance())
 
     @property
     def K(self) -> int:
@@ -899,12 +904,11 @@ def reduce_equalities(instance: Instance) -> ReducedInstance:
 
     nonvacuous = np.abs(A_red).max(axis=1, initial=0.0) > tol
     nv_rows = np.flatnonzero(nonvacuous)
-    return ReducedInstance(instance=instance, group_members=groups,
-                           group_of_agent=group_of_agent, representatives=reps,
-                           group_sizes=sizes, A_red=A_red,
-                           nonvacuous=nonvacuous,
-                           nv_rows=nv_rows, A_nv=A_red[nv_rows],
-                           caps_nv=instance.caps[nv_rows])
+    return ReducedInstance(
+        _instance=weakref.ref(instance), group_members=groups,
+        group_of_agent=group_of_agent, representatives=reps,
+        group_sizes=sizes, A_red=A_red, nonvacuous=nonvacuous,
+        nv_rows=nv_rows, A_nv=A_red[nv_rows], caps_nv=instance.caps[nv_rows])
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ import pytest
 from propmech import harness
 from propmech.centralized import (NoConvergence, TooLarge, _argmax_inner,
                                   _complete_multipliers, _nonunique_rows,
-                                  _start_prices, brute_force_oracle,
-                                  kkt_residuals, objective, solve)
+                                  _shut_out, _solve, _start_prices,
+                                  brute_force_oracle, kkt_residuals,
+                                  objective, solve)
 from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
-from propmech.model import (Constraint, Instance, NoInteriorPoint, Valuation,
-                            validate)
+from propmech.model import (Constraint, DomainError, Instance,
+                            NoInteriorPoint, Valuation, validate)
 
 
 def _quad_pair(cap: float) -> Instance:
@@ -553,3 +554,134 @@ def test_bundled_instances_take_few_iterations():
                 for v in ("base", "sbb-offeq")
                 for sc, seed in bundled_scenarios(v))
     assert total <= 49
+
+
+# ---------------------------------------------------------------------------
+# generation's shut-out certificate
+
+
+def _verdict(inst: Instance, sol) -> str:
+    """generate_with_info's verdict on a solve's result (None: shut out)."""
+    if sol is None:
+        return "shut_out"
+    if not sol.converged:
+        return "nonconverged"
+    if np.all(sol.x_star > inst.d + 1e-3) and np.all(sol.x_star < inst.D - 1.0):
+        return "accepted"
+    return "non_interior"
+
+
+def _screened(inst: Instance):
+    try:
+        return _solve(inst, tol=1e-8, max_iter=5000, strict=False,
+                      screen=True)
+    except (np.linalg.LinAlgError, DomainError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _full(inst: Instance):
+    try:
+        return solve(inst, tol=1e-8, max_iter=5000, strict=False)
+    except (np.linalg.LinAlgError, DomainError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _certificate_scenarios(kind: str, count: int, seed: int):
+    """Random scenario-seeds of one kind. The power-only, public-good and
+    local-public-goods draws get caps near the floor d = 0.01 often
+    enough that some draws shut a coordinate out, which the default
+    caps seldom do on them."""
+    rng = np.random.default_rng(seed)
+    for j in range(count):
+        if kind == "unicast":
+            sc = Scenario(kind="unicast", n_agents=int(rng.integers(3, 9)),
+                          n_constraints=int(rng.integers(1, 5)))
+        elif kind == "unicast-power":
+            sc = Scenario(kind="unicast", n_agents=int(rng.integers(4, 13)),
+                          n_constraints=int(rng.integers(1, 4)),
+                          min_members=int(rng.integers(2, 4)),
+                          families=("power",),
+                          cap_range=(float(rng.uniform(0.02, 0.1)),
+                                     float(rng.uniform(0.3, 2.0))))
+        elif kind == "public-good":
+            sc = Scenario(kind="public-good",
+                          n_agents=int(rng.integers(2, 6)),
+                          cap_range=(0.0102, 0.013))
+        else:
+            sizes = tuple(int(s) for s in rng.integers(2, 5,
+                                                       rng.integers(1, 4)))
+            sc = Scenario(kind="local-public-goods", group_sizes=sizes,
+                          n_agents=sum(sizes), shared_row=j % 2 == 1,
+                          cap_range=(0.005, 0.05) if j % 4 in (1, 2)
+                          else (1.0, 5.0))
+        yield sc, int(rng.integers(10000))
+
+
+@pytest.mark.parametrize("kind, count, least", [
+    ("unicast", 20, 50), ("unicast-power", 20, 60), ("public-good", 20, 3),
+    ("local-public-goods", 40, 5)])
+def test_shut_out_certificate_fires_only_where_the_full_solve_rejects(
+        kind, count, least):
+    """On every draw generation makes for random scenarios: the
+    certificate never fires where the full 1e-8 solve accepts, every
+    firing is on a draw the full solve rejects as non_interior, and a
+    draw it does not stop gets the full solve's solution, bit for bit.
+    ``least``, about half the firings measured (96, 126, 6 and 11), keeps
+    the test from passing on a certificate that seldom fires."""
+    fired = 0
+    for sc, seed in _certificate_scenarios(kind, count, 2012):
+        for attempt in range(harness._MAX_RESAMPLES):
+            inst = harness._build(sc, harness._rng_for(sc, seed, attempt))
+            if not validate(inst).passed:
+                continue
+            full, screened = _full(inst), _screened(inst)
+            if isinstance(full, type):
+                assert screened is full, (sc, seed, attempt)
+                continue
+            verdict = _verdict(inst, full)
+            if screened is None:
+                fired += 1
+                assert verdict == "non_interior", (sc, seed, attempt)
+            else:
+                assert _verdict(inst, screened) == verdict
+                assert np.array_equal(screened.x_star, full.x_star)
+                assert np.array_equal(screened.lambda_star, full.lambda_star)
+                assert (screened.iterations, screened.objective) \
+                    == (full.iterations, full.objective)
+            if verdict == "accepted":
+                break
+    assert fired >= least
+
+
+def _pair(strength: float) -> Instance:
+    """log(1 + x) against strength * log(1 + x) on one unit link: the
+    weak agent's optimum is 0 once strength v'(1) = strength / 2 exceeds
+    its slope at 0, 1."""
+    return Instance(
+        valuations=(Valuation("log_shift", strength, 1.0),
+                    Valuation("log_shift", 1.0, 1.0)),
+        constraints=(Constraint({0: 1.0, 1: 1.0}, 1.0),),
+        equality_groups=(), d=0.01, D=100.0, eta=1.0)
+
+
+def test_shut_out_certificate_on_a_hand_built_pair():
+    shut = _pair(10.0)
+    # x* = (1, 0) at price 5, above agent 1's slope at 0
+    full = solve(shut, tol=1e-10)
+    assert full.x_star == pytest.approx([1.0, 0.0], abs=1e-9)
+    assert full.lambda_star == pytest.approx([5.0], abs=1e-8)
+    assert _verdict(shut, full) == "non_interior"
+    assert _screened(shut) is None
+    # at the optimum the gap is 0, and forcing z_1 up to t = d + 1e-3 -
+    # 1e-6 lowers the dual bound by 5 t - log(1 + t) > 0
+    z = np.array([1.0, 0.0])
+    v = shut.valuation_table.value(z)
+    assert _shut_out(shut.reduced)(z, float(v.sum()), np.full(2, 5.0), v)
+    # the canonical pair, interior at (1/2, 1/2): no check fires, and the
+    # solution is solve's
+    inner = _pair(1.0)
+    sol, ref = _screened(inner), _full(inner)
+    assert sol.x_star == pytest.approx([0.5, 0.5], abs=1e-9)
+    assert _verdict(inner, sol) == "accepted"
+    assert np.array_equal(sol.x_star, ref.x_star)
+    assert np.array_equal(sol.lambda_star, ref.lambda_star)

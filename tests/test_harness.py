@@ -1,10 +1,12 @@
 import csv
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -74,7 +76,7 @@ def test_generation_pinned(scenario, seed, resamples, digest):
 def test_generation_retries_only_expected_solver_failures(monkeypatch):
     import propmech.harness as harness
     sc = Scenario(kind="canonical", n_agents=2, n_constraints=1)
-    real_solve = harness.solve
+    real_solve = harness._solve
 
     # a singular system and the nnls iteration limit are resample reasons
     for error in (np.linalg.LinAlgError("singular"),
@@ -87,7 +89,7 @@ def test_generation_retries_only_expected_solver_failures(monkeypatch):
                 raise error
             return real_solve(inst, **kwargs)
 
-        monkeypatch.setattr(harness, "solve", fail_once)
+        monkeypatch.setattr(harness, "_solve", fail_once)
         _, info = generate_with_info(sc, 0)
         assert info["resamples"] == 1
         assert info["reasons"]["solver_error"] == 1
@@ -96,9 +98,43 @@ def test_generation_retries_only_expected_solver_failures(monkeypatch):
         raise IndexError("fault in the solver")
 
     # a fault is not a resample reason: it surfaces at once
-    monkeypatch.setattr(harness, "solve", faulty)
+    monkeypatch.setattr(harness, "_solve", faulty)
     with pytest.raises(IndexError):
         generate_with_info(sc, 0)
+
+
+def test_generated_solution_is_bitwise_the_full_solve():
+    # the draws the certificate does not stop run solve's loop to its end
+    for sc, seed in [(Scenario(kind="unicast", n_agents=7, n_constraints=3),
+                      8), *bundled_scenarios("base")[:4]]:
+        inst, info = generate_with_info(sc, seed)
+        ref = harness.solve(inst, tol=1e-8, max_iter=5000, strict=False)
+        sol = info["solution"]
+        assert np.array_equal(sol.x_star, ref.x_star)
+        assert np.array_equal(sol.lambda_star, ref.lambda_star)
+        assert (sol.objective, sol.iterations, sol.residuals) \
+            == (ref.objective, ref.iterations, ref.residuals)
+
+
+def test_a_dropped_instance_is_freed_without_the_cycle_collector():
+    # the reduction and the sweep state, cached on the instance, refer
+    # back to it without owning it, so no reference cycle keeps it
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for sc, seed in [
+                (Scenario(kind="unicast", n_agents=5, n_constraints=2), 1),
+                (Scenario(kind="local-public-goods", group_sizes=(2, 3),
+                          shared_row=True), 3)]:
+            inst, info = generate_with_info(sc, seed)
+            run_dynamics(inst, max_rounds=5)
+            assert inst.reduced.instance is inst
+            ref = weakref.ref(inst)
+            del inst, info
+            assert ref() is None, sc
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_unicast_shape_and_membership():
