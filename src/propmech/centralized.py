@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import alpha0
 from .model import (DimensionMismatch, InputError, Instance, NoInteriorPoint,
                     PropmechError, ReducedInstance, _AsDict, nnls)
 
@@ -206,20 +205,20 @@ def _nonunique_rows(instance: Instance, x: np.ndarray, lam: np.ndarray
     return tuple(int(r) for r in active[flagged])
 
 
-def _shut_out(red: ReducedInstance):
+def _shut_out(red: ReducedInstance, margin: float):
     """Generation's stop test for the dual loop of _solve, built once per
     solve: at an iterate, whether some reduced coordinate k is proven to
-    sit below t_k = (the largest d of its members) + 1e-3 - 1e-6 at every
-    optimum. harness.generate_with_info rejects such a draw as
-    non_interior, as it rejects an x* with some x*_i <= d_i + 1e-3.
+    sit below t_k = (the largest d of its members) + margin - 1e-6 at
+    every optimum. harness.generate_with_info rejects such a draw as
+    non_interior, as it rejects an x* with some x*_i <= d_i + margin.
 
     Weak duality, as in gap-safe screening (El Ghaoui, Viallon & Rabbani
     2012; Fercoq, Gramfort & Salmon 2015). Let lam >= 0, q = A_nv^T lam
     and z the inner maximizer, so phi(lam) = sum_k max_{[0, D]} (V_k - q_k
     w) + lam . c. Every feasible w has sum_k V_k(w_k) <= sum_k (V_k(w_k) -
     q_k w_k) + lam . c <= phi. zh, z pulled back toward the anchor theta
-    until it is feasible (allocation.alpha0), gives the optimum a lower
-    bound, P* >= sum_k V_k(zh_k) = phi - G, G the duality gap. Take z_k <
+    until it is feasible (the allocation map's ray), bounds the optimum
+    below, P* >= sum_k V_k(zh_k) = phi - G, G the duality gap. Take z_k <
     t_k. V_k(w) - q_k w is concave with its maximum at z_k, so on [t_k, D]
     it is at most its value at t_k, and an optimum with w*_k >= t_k would
     have P* <= phi - Delta_k, Delta_k = (V_k(z_k) - q_k z_k) - (V_k(t_k) -
@@ -228,24 +227,33 @@ def _shut_out(red: ReducedInstance):
     below the margin is room for the distance of the full solve's x*
     from the optimum, so the verdict stays the full solve's.
 
-    The test reads the per-coordinate V(z) and the q that the loop forms;
-    V(t) is formed here, and a check adds one pullback and one group sum.
+    The test reads the per-coordinate V(z), q and the gradient g that the
+    loop forms; V(t) is formed here, and a check of an infeasible z adds
+    one pullback and one group sum.
     """
     inst = red.instance
     table, gidx = inst.valuation_table, red.group_of_agent
     t = np.zeros(red.K)
     np.maximum.at(t, gidx, inst.d)
-    t += 1e-3 - 1e-6
+    t += margin - 1e-6
     vt = table.group_sums("value", t, gidx)
 
-    def stop(z: np.ndarray, phi: float, q: np.ndarray, vz: np.ndarray
-             ) -> bool:
+    def stop(z: np.ndarray, g: np.ndarray, phi: float, q: np.ndarray,
+             vz: np.ndarray) -> bool:
         low = z < t
         if not low.any():
             return False
-        a, _ = alpha0(inst, red.theta, z)
-        zh = red.theta + a * (z - red.theta)
-        gap = phi - float(table.group_sums("value", zh, gidx).sum())
+        # the ray theta + a (z - theta) meets row l at a = s_l / (s_l - g_l),
+        # s the anchor's slack, as A_nv (z - theta) = s - g; it leaves the
+        # feasible set only on the rows that z breaks, g_l < 0
+        out = g < 0.0
+        if out.any():
+            s = red.theta_slack[out]
+            zh = red.theta + float(np.min(s / (s - g[out]))) * (z - red.theta)
+            vz_h = table.group_sums("value", zh, gidx)
+        else:
+            vz_h = vz
+        gap = phi - float(vz_h.sum())
         drop = (vz - q * z)[low] - (vt - q * t)[low]
         return bool(np.any(drop > gap + 1e-12 * (1.0 + abs(phi))))
     return stop
@@ -275,17 +283,18 @@ def solve(instance: Instance, tol: float = 1e-8, max_iter: int = 100000,
 
 
 def _solve(instance: Instance, tol: float, max_iter: int, strict: bool,
-           screen: bool = False) -> "CentralizedSolution | None":
-    """solve; with screen, None as soon as _shut_out's test holds, at the
-    start prices or at an accepted iterate. A draw the test does not stop
-    runs the loop of solve to its end, so its solution is solve's."""
+           margin: "float | None" = None) -> "CentralizedSolution | None":
+    """solve; with a floor margin, None as soon as _shut_out's test holds,
+    at the start prices or at an accepted iterate. A draw the test does
+    not stop runs the loop of solve to its end, so its solution is
+    solve's."""
     red = instance.reduced
     if red.floor_breaks_a_cap:
         raise NoInteriorPoint("the floor d breaks a row's cap")
     table, gidx = instance.valuation_table, red.group_of_agent
     Ab, cb = red.A_nv, red.caps_nv
     D = instance.D
-    stop = _shut_out(red) if screen else None
+    stop = None if margin is None else _shut_out(red, margin)
 
     def dual(lam, z0=None):
         q = Ab.T @ lam
@@ -296,7 +305,7 @@ def _solve(instance: Instance, tol: float, max_iter: int, strict: bool,
 
     lam = _start_prices(red)
     z, g, phi, q, v = dual(lam)
-    if stop is not None and stop(z, phi, q, v):
+    if stop is not None and stop(z, g, phi, q, v):
         return None
     it = 0
     while it < max_iter and max(
@@ -334,7 +343,7 @@ def _solve(instance: Instance, tol: float, max_iter: int, strict: bool,
             alpha *= 0.5
         if lam is not lam_t:
             break  # the step no longer moves lam, or the arc search failed
-        if stop is not None and stop(z, phi, q, v):
+        if stop is not None and stop(z, g, phi, q, v):
             return None
 
     x = red.expand(z)

@@ -227,6 +227,7 @@ def generate_with_info(scenario: Scenario, seed: int
     _check_sizes(scenario)
     reasons = dict.fromkeys(
         ("invalid", "solver_error", "nonconverged", "non_interior"), 0)
+    margin = 1e-3
     for attempt in range(_MAX_RESAMPLES):
         inst = _build(scenario, _rng_for(scenario, seed, attempt))
         if not validate(inst).passed:
@@ -234,7 +235,7 @@ def generate_with_info(scenario: Scenario, seed: int
             continue
         try:
             sol = _solve(inst, tol=1e-8, max_iter=5000, strict=False,
-                         screen=True)
+                         margin=margin)
         except (np.linalg.LinAlgError, DomainError, RuntimeError):
             # RuntimeError: among others NNLSNoConvergence, the iteration
             # limit of the multiplier completion's nnls
@@ -246,7 +247,6 @@ def generate_with_info(scenario: Scenario, seed: int
         if not sol.converged:
             reasons["nonconverged"] += 1
             continue
-        margin = 1e-3
         if np.all(sol.x_star > inst.d + margin) \
                 and np.all(sol.x_star < inst.D - 1.0):
             return inst, {"resamples": attempt,

@@ -574,7 +574,7 @@ def _verdict(inst: Instance, sol) -> str:
 def _screened(inst: Instance):
     try:
         return _solve(inst, tol=1e-8, max_iter=5000, strict=False,
-                      screen=True)
+                      margin=1e-3)
     except (np.linalg.LinAlgError, DomainError, RuntimeError) as exc:
         return type(exc)
 
@@ -676,7 +676,8 @@ def test_shut_out_certificate_on_a_hand_built_pair():
     # 1e-6 lowers the dual bound by 5 t - log(1 + t) > 0
     z = np.array([1.0, 0.0])
     v = shut.valuation_table.value(z)
-    assert _shut_out(shut.reduced)(z, float(v.sum()), np.full(2, 5.0), v)
+    assert _shut_out(shut.reduced, 1e-3)(z, np.zeros(1), float(v.sum()),
+                                         np.full(2, 5.0), v)
     # the canonical pair, interior at (1/2, 1/2): no check fires, and the
     # solution is solve's
     inner = _pair(1.0)
