@@ -233,9 +233,9 @@ def _shut_out(red: ReducedInstance, margin: float):
     """
     inst = red.instance
     table, gidx = inst.valuation_table, red.group_of_agent
-    t = np.zeros(red.K)
-    np.maximum.at(t, gidx, inst.d)
-    t += margin - 1e-6
+    d = inst.d.tolist()
+    t = np.array([max(d[i] for i in g) for g in red.group_members]) \
+        + (margin - 1e-6)
     vt = table.group_sums("value", t, gidx)
 
     def stop(z: np.ndarray, g: np.ndarray, phi: float, q: np.ndarray,
