@@ -343,6 +343,7 @@ def _solve(instance: Instance, tol: float, max_iter: int, strict: bool,
             alpha *= 0.5
         if lam is not lam_t:
             break  # the step no longer moves lam, or the arc search failed
+        # q and v are the accepted trial's: it made the last dual call
         if stop is not None and stop(z, g, phi, q, v):
             return None
 
