@@ -19,7 +19,6 @@ from .model import Instance, InputError, ReducedInstance
 __all__ = [
     "DemandOutOfBox",
     "AllocationResult",
-    "alpha0",
     "allocate",
     "allocate_many",
 ]
@@ -86,28 +85,6 @@ def _ray_pieces(num: np.ndarray, den0: np.ndarray, coef: np.ndarray,
               if l != prev]
     ends = [t for t, _ in starts[1:]] + [b]
     return [(t, end, l) for (t, l), end in zip(starts, ends)]
-
-
-def alpha0(instance: Instance, theta_red: np.ndarray, y_red: np.ndarray
-           ) -> "tuple[float, int | None]":
-    """Ray-scaling factor from theta toward y in the reduced space.
-
-    Returns the smallest positive per-row crossing alpha and the row that
-    achieves it, or (1.0, None) when every crossing lies beyond y (y already
-    feasible). Vacuous reduced rows never produce a crossing. For instances
-    without equality groups the reduced space is the agent space.
-    """
-    red = instance.reduced
-    if not red.A_nv.size:
-        return 1.0, None
-    theta_red = np.asarray(theta_red, dtype=float)
-    slack = red.caps_nv - red.A_nv @ theta_red
-    # a row the anchor does not sit strictly inside yields no crossing
-    a, j = _crossing(red, np.where(slack > 0.0, slack, np.inf),
-                     np.asarray(y_red, dtype=float)[None, :] - theta_red)
-    if a[0] > 1.0:
-        return 1.0, None
-    return float(a[0]), int(red.nv_rows[j[0]])
 
 
 def _pullback(instance: Instance, Y: np.ndarray, binding: bool = False):

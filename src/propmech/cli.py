@@ -87,7 +87,8 @@ def _cmd_verify(args) -> "str | None":
                 raw = json.load(fh)
             profile = make_profile(inst, np.asarray(raw["y"], dtype=float),
                                    np.asarray(raw["prices"], dtype=float))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            # a profile that is not a mapping fails on raw["y"]
             raise InputError(f"cannot load profile {args.profile!r}: {exc}")
     else:
         sol = solve(inst, strict=False)

@@ -19,7 +19,7 @@ import numpy as np
 from .allocation import _ray_pieces, allocate, allocate_many
 from .centralized import CentralizedSolution
 from .model import (Choice, InputError, Instance, InvalidParameter, Variant,
-                    _AsDict, nnls_tableau, nnls_tol_scale)
+                    _AsDict, _newton_argmax, nnls_tableau, nnls_tol_scale)
 from .taxation import (TaxBreakdown, _budget_books, _check_finite,
                        _check_offeq, _check_prices, _gross, _member_means,
                        _peer_means, _peer_means_at,
@@ -207,11 +207,11 @@ class _SweepState:
         column. Only A_hat @ y moves with the agents before i: one list of
         floats, moved on i's rows after its move. i reads
         wgc = sum_l w_l (caps_l - (A_hat y)_l + c_l y_i) c_l from it, and
-        the safeguarded Newton (_concave_argmax) runs on those three
-        floats (_InsideSlope). The agent loop is float work only. Its
-        sums run in numpy's order (_array_sum), so the sweep is bitwise a
-        per-agent one that forms these floats with numpy arrays for each
-        move (reference_sweep in the tests).
+        the shared safeguarded Newton (model._newton_argmax), started at
+        y_i, runs on those three floats (_InsideSlope). The agent loop is
+        float work only. Its sums run in numpy's order (_array_sum), so
+        the sweep is bitwise a per-agent one that forms these floats with
+        numpy arrays for each move (reference_sweep in the tests).
         """
         eta = self.instance.eta
         pb_all = peer_means.reshape(-1)
@@ -235,8 +235,9 @@ class _SweepState:
                 w_l * (cap - (ay[r] - c * y_i)) * c for w_l, c, cap, r
                 in zip(w[i], coefs, self.caps_list[i], rows)])
             _, dv, d2v = self.v[i]
-            t = _concave_argmax(_InsideSlope(dv, d2v, 1.0, 0.0, c_pay[i],
-                                             wgc, wcc[i]), lo[i], hi, y_i)
+            obj = _InsideSlope(dv, d2v, 1.0, 0.0, c_pay[i], wgc, wcc[i])
+            t = _newton_argmax(obj.grad_inside, obj.curv_inside, lo[i], hi,
+                               y_i)
             snap = max(snap, abs(t - y_i) / (1.0 + abs(y_i)))
             move = t - y_i
             for c, r in zip(coefs, rows):
@@ -282,7 +283,7 @@ def _sum_block(n: int) -> int:
 
 class _InsideSlope:
     """Slope and curvature in own demand t of a demand objective inside
-    the feasible region, as _concave_argmax reads them. The agent's
+    the feasible region, as model._newton_argmax reads them. The agent's
     demand is x_i = y0k + beta t (beta = 1 and y0k = 0 for a singleton),
     its valuation's slope and curvature are dv and d2v, and the payment
     rate c_pay and the slack tax's wgc and wcc are floats (see
@@ -420,15 +421,17 @@ class _DemandObjective(_InsideSlope):
             n, d, c = float(n_[l]), float(d_[l]), float(c_[l])
             if c == 0.0:
                 al = n / d
-                out.append(_concave_argmax(self._piece(
-                    theta_i + al * g, al * self.beta, n_r - al * d_r,
-                    al * c_r), ta, tb))
+                piece = self._piece(theta_i + al * g, al * self.beta,
+                                    n_r - al * d_r, al * c_r)
+                out.append(_newton_argmax(piece.grad_inside,
+                                          piece.curv_inside, ta, tb))
                 continue
             sa, sb = n / (d + c * ta), n / (d + c * tb)
-            s = _concave_argmax(self._piece(
+            piece = self._piece(
                 theta_i + self.beta * n / c, g - self.beta * d / c,
-                n_r - c_r * (n / c), d_r - c_r * (d / c)),
-                min(sa, sb), max(sa, sb))
+                n_r - c_r * (n / c), d_r - c_r * (d / c))
+            s = _newton_argmax(piece.grad_inside, piece.curv_inside,
+                               min(sa, sb), max(sa, sb))
             out.append(ta if s == sa else tb if s == sb
                        else min(max((n / s - d) / c, ta), tb))
         return out
@@ -447,46 +450,14 @@ class _DemandObjective(_InsideSlope):
         return piece
 
 
-def _concave_argmax(obj: _InsideSlope, lo: float, hi: float,
-                    start: "float | None" = None) -> float:
-    """Safeguarded Newton on the inside-piece gradient over [lo, hi],
-    started at ``start`` when it lies strictly inside, else at the
-    midpoint. Returns a Python float; a point of exactly zero slope is
-    the answer."""
-    lo, hi = float(lo), float(hi)
-    glo = obj.grad_inside(lo)
-    if glo <= 0:
-        return lo
-    ghi = obj.grad_inside(hi)
-    if ghi >= 0:
-        return hi
-    a, b = lo, hi
-    t = start if start is not None and lo < start < hi else 0.5 * (a + b)
-    for _ in range(90):
-        g = obj.grad_inside(t)
-        if g > 0:
-            a = t
-        elif g < 0:
-            b = t
-        else:
-            return t
-        c = obj.curv_inside(t)
-        t_new = t - g / c if c < 0 else 0.5 * (a + b)
-        if not a < t_new < b:
-            t_new = 0.5 * (a + b)
-        if abs(t_new - t) <= 1e-13 * (1.0 + abs(t)):
-            return t_new
-        t = t_new
-    return t
-
-
 def best_response_demand(instance: Instance, variant: "str | Variant",
                          profile: MessageProfile, i: int,
                          thorough: bool = True) -> float:
     """Argmax of agent i's utility over own demand, prices fixed.
 
     Searches (d_i, D + 1], which Instance keeps nonempty (D > max d). The
-    inside piece is strictly concave and solved by safeguarded Newton.
+    inside piece is strictly concave and solved by the shared safeguarded
+    Newton (model._newton_argmax), started at the bracket's midpoint.
     Past the boundary t_b the pullback ray's scale is the lower envelope
     of at most L hyperbolas; each of its smooth pieces is concave in its
     own parameter and solved exactly the same way (see
@@ -504,7 +475,8 @@ def best_response_demand(instance: Instance, variant: "str | Variant",
     cands: list[float] = []
     t_in_hi = min(obj.t_b, hi)
     if t_in_hi > lo:
-        cands.append(_concave_argmax(obj, lo, t_in_hi))
+        cands.append(_newton_argmax(obj.grad_inside, obj.curv_inside, lo,
+                                    t_in_hi))
     inside_interior = bool(cands) and cands[0] < t_in_hi * (1.0 - 1e-12)
     if obj.t_b < hi:
         start = max(obj.t_b, lo)
@@ -539,8 +511,9 @@ def notional_demand(instance: Instance, profile: MessageProfile,
     """
     i = instance.check_index(i)
     obj = _DemandObjective(_SweepState.of(instance), profile, i)
-    return float(_concave_argmax(obj, _demand_floor(float(instance.d[i])),
-                                 instance.D + 1.0))
+    return _newton_argmax(obj.grad_inside, obj.curv_inside,
+                          _demand_floor(float(instance.d[i])),
+                          instance.D + 1.0)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ __all__ = [
     "generate_with_info",
     "bundled_scenarios",
     "run_experiment",
-    "run_many",
     "property_suite",
     "write_trace_csv",
     "SUITES",
@@ -394,12 +393,6 @@ def run_experiment(instance: Instance,
         passed=passed, stage_seconds={
             name: t - t0 for (_, t0), (name, t) in zip(laps, laps[1:])},
         total_seconds=laps[-1][1] - laps[0][1], trace=trace)
-
-
-def run_many(instances: "list[Instance]",
-             config: ExperimentConfig = ExperimentConfig()
-             ) -> "list[ExperimentReport]":
-    return [run_experiment(inst, config) for inst in instances]
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:

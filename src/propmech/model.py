@@ -311,7 +311,7 @@ class ValuationTable:
     def group_inv_deriv(self, q: np.ndarray, D: float, group: np.ndarray,
                         lo, z0: "np.ndarray | None" = None) -> np.ndarray:
         """Per group g, the maximizer of its members' summed valuations
-        minus q[g] z over [lo[g], D]: one safeguarded Newton solve of the
+        minus q[g] z over [lo[g], D]: one _newton_argmax solve of the
         summed slope equation per group on floats, started from z0
         (default D/2). A crossing outside [lo[g], D] pins that end."""
         G, D = len(q), float(D)
@@ -320,9 +320,9 @@ class ValuationTable:
             members[g].append((dv, d2v))
         lo = (np.zeros(G) + lo).tolist()
         z0 = [D / 2] * G if z0 is None else np.asarray(z0, float).tolist()
-        return np.array([_consensus(m, qg, D, lg, zg) for m, qg, lg, zg
-                         in zip(members, np.asarray(q, float).tolist(), lo,
-                                z0)])
+        return np.array([_newton_argmax(*_summed(m, qg), lg, D, zg)
+                         for m, qg, lg, zg in zip(
+                             members, np.asarray(q, float).tolist(), lo, z0)])
 
 
 def _bind(family: str, a: float, b: float) -> tuple:
@@ -343,40 +343,59 @@ def _bind(family: str, a: float, b: float) -> tuple:
     return tuple(at(form) for form in FAMILIES[family][:3])
 
 
-# bracket width (b over max(a, 1)) above which the group solve bisects in
-# log space; no ceiling D <= 1e6 reaches it
-_WIDE = 1e6
-
-
-def _consensus(members: list, q: float, D: float, lo: float,
-               z0: float) -> float:
-    """The point of [lo, D] where the members' summed slope meets q, from
-    their (slope, curvature) float forms; a crossing outside pins that end.
-
-    Newton on a bracket that every evaluated point shrinks, with bisection
-    where the step leaves it or the curvature is 0. The points stay at or
-    above 1e-12, where no power curvature overflows, and the low-end test
-    reads the slope alone at max(lo, 1e-300). While the bracket [a, b] has
-    b > _WIDE max(a, 1) each step is its geometric midpoint with a read as
-    at least 1, which brings a ceiling of 1e300 to that width in about 6
-    steps. Stops after 80 steps, when a step lands on a bracket end (a
-    point already evaluated: Newton alternates between neighbouring floats
-    there) or when it moves z by at most 4e-16 (1 + |z|).
-    """
+def _summed(members: list, q: float) -> tuple:
+    """The slope less q and the curvature of the members' summed
+    valuations, from their (slope, curvature) float forms."""
     def slope(x):
         s = 0.0
         for dv, _ in members:
             s += dv(x)
-        return s
+        return s - q
 
-    if slope(D) - q >= 0:
-        return D
-    if slope(max(lo, 1e-300)) - q <= 0:
+    def curv(x):
+        c = 0.0
+        for _, d2v in members:
+            c += d2v(x)
+        return c
+    return slope, curv
+
+
+# bracket width (b over max(a, 1)) above which the solve bisects in log
+# space; no ceiling D <= 1e6 reaches it
+_WIDE = 1e6
+
+
+def _newton_argmax(slope, curv, lo: float, hi: float,
+                   z0: "float | None" = None) -> float:
+    """The maximizer over [lo, hi] of a concave function of one float, from
+    its slope and curvature: where the decreasing slope crosses 0, or the
+    end it crosses beyond. Every one-dimensional solve of the package
+    (a group's consensus, a demand best response, a ray piece) runs here.
+
+    Newton on a bracket that every evaluated point shrinks, with bisection
+    where the step leaves the closed bracket or the curvature is 0. It
+    starts at z0, or at the midpoint without one, clamped into
+    [max(lo, 1e-12), hi - 1e-12] and never below lo (a bracket narrower
+    than 1e-12 starts at lo). The points stay at or above 1e-12, where
+    no power curvature overflows, and the low-end test reads the slope at
+    max(lo, 1e-300). While the bracket [a, b] has b > _WIDE max(a, 1) each
+    step is its geometric midpoint with a read as at least 1, which brings
+    a ceiling of 1e300 to that width in about 6 steps. Stops after 80
+    steps, when a step lands on a bracket end (a point already evaluated:
+    Newton alternates between neighbouring floats there, and a step from
+    within an ulp of the root rounds onto the end just set) or when it
+    moves z by at most 4e-16 (1 + |z|). Returns a Python float.
+    """
+    lo, hi = float(lo), float(hi)
+    if slope(hi) >= 0:
+        return hi
+    if slope(max(lo, 1e-300)) <= 0:
         return lo
-    a, b = lo, D
-    z = min(max(z0, a, 1e-12), D - 1e-12)
+    a, b = lo, hi
+    z = max(min(max(0.5 * (lo + hi) if z0 is None else z0, 1e-12),
+                hi - 1e-12), lo)
     for _ in range(80):
-        f = slope(z) - q
+        f = slope(z)
         if f > 0:
             a = z
         else:
@@ -386,10 +405,8 @@ def _consensus(members: list, q: float, D: float, lo: float,
             # precision, and halving it gains one bit per step
             z_new = math.sqrt(max(a, 1.0)) * math.sqrt(b)
         else:
-            curv = 0.0
-            for _, d2v in members:
-                curv += d2v(z)
-            newton = z - f / curv if curv != 0.0 else math.nan
+            c = curv(z)
+            newton = z - f / c if c != 0.0 else math.nan
             # closed bracket: a step that lands on the root it already
             # holds (f = 0) stays put instead of restarting bisection
             z_new = max(newton if a <= newton <= b else 0.5 * (a + b),
@@ -1131,22 +1148,29 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(payload: Mapping) -> Instance:
-    vals = tuple(Valuation.from_dict(a["valuation"]) for a in payload["agents"])
-    cons = tuple(Constraint(coeffs={int(i): float(a)
-                                    for i, a in c["coeffs"].items()},
-                            cap=float(c["cap"]))
-                 for c in payload["constraints"])
-    return Instance(
-        valuations=vals,
-        constraints=cons,
-        equality_groups=tuple(tuple(g) for g in payload.get("equality_groups",
-                                                            ())),
-        d=np.asarray(payload["d"], dtype=float),
-        D=float(payload["D"]),
-        eta=float(payload.get("eta", 1.0)),
-        theta=(np.asarray(payload["theta"], dtype=float)
-               if payload.get("theta") is not None else None),
-    )
+    """The instance that instance_to_dict wrote. A payload of another
+    shape (a missing key, a list where a mapping belongs, a null number)
+    raises InputError."""
+    try:
+        vals = tuple(Valuation.from_dict(a["valuation"])
+                     for a in payload["agents"])
+        cons = tuple(Constraint(coeffs={int(i): float(a)
+                                        for i, a in c["coeffs"].items()},
+                                cap=float(c["cap"]))
+                     for c in payload["constraints"])
+        groups = tuple(tuple(g) for g in payload.get("equality_groups", ()))
+        d = np.asarray(payload["d"], dtype=float)
+        D = float(payload["D"])
+        eta = float(payload.get("eta", 1.0))
+        theta = (np.asarray(payload["theta"], dtype=float)
+                 if payload.get("theta") is not None else None)
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed instance: {type(exc).__name__}: {exc}"
+                         ) from exc
+    return Instance(valuations=vals, constraints=cons,
+                    equality_groups=groups, d=d, D=D, eta=eta, theta=theta)
 
 
 def load_instance(path) -> Instance:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from propmech.allocation import (AllocationResult, DemandOutOfBox, _crossing,
-                                 _row_values, allocate, allocate_many, alpha0)
+                                 _row_values, allocate, allocate_many)
 from propmech.harness import Scenario, generate
 from propmech.model import FEAS_TOL, Constraint, Instance, Valuation
 
@@ -61,12 +61,6 @@ def test_floor_demands_rejected():
         allocate(inst, np.array([0.01, 0.5]))
     with pytest.raises(DemandOutOfBox):
         allocate(inst, np.array([-0.2, 0.5]))
-
-
-def test_alpha0_reports_no_crossing_for_feasible_point():
-    inst = canonical()
-    a, row = alpha0(inst, np.array([0.005, 0.005]), np.array([0.2, 0.3]))
-    assert (a, row) == (1.0, None)
 
 
 def test_group_members_always_equal():
@@ -230,22 +224,6 @@ def test_allocate_is_one_row_of_allocate_many_and_matches_reference():
             kinds.add(res.was_interior)
         if inst.reduced.A_nv.size:
             assert kinds == {True, False}
-
-
-def test_alpha0_matches_the_scalar_crossing_loop():
-    rng = np.random.default_rng(12)
-    for inst in kernel_cases():
-        red = inst.reduced
-        for y in _demand_rows(inst, rng, 40):
-            # also rays that leave theta downward in some coordinates
-            flip = rng.choice([-1.0, 1.0], red.K)
-            for y_red in (red.average(y),
-                          red.theta + flip * (red.average(y) - red.theta)):
-                want = reference_alpha0(red.A_nv, red.caps_nv, red.theta,
-                                        y_red, red.nv_rows)
-                got = alpha0(inst, red.theta, y_red)
-                assert got[1] == want[1]
-                assert abs(got[0] - want[0]) <= 1e-14 * want[0]
 
 
 def test_allocate_many_rejects_demands_at_the_floor():

@@ -48,7 +48,7 @@ FIELDS = {
 }
 
 
-def _structural(kind: str) -> dict:
+def _structural(kind: str) -> "dict | list":
     inst = _two_agent()
     if kind == "one-member-row":
         inst["constraints"].append({"coeffs": {"0": 1.0}, "cap": 0.4})
@@ -60,11 +60,30 @@ def _structural(kind: str) -> dict:
         inst["constraints"][0]["coeffs"]["5"] = 1.0
     elif kind == "group-without-difference-rows":
         inst["equality_groups"] = [[0, 1]]
+    elif kind == "valuation-without-b-or-m":
+        del inst["agents"][0]["valuation"]["b"]
+    elif kind == "agents-not-mappings":
+        inst["agents"] = [1, 2]
+    elif kind == "coeffs-as-a-list":
+        inst["constraints"][0]["coeffs"] = [1.0, 1.0]
+    elif kind == "group-not-a-list":
+        inst["equality_groups"] = [5]
+    elif kind == "null-D":
+        inst["D"] = None
+    elif kind == "top-level-list":
+        return [inst]
     return inst
 
 
+# malformed JSON, which once escaped as a TypeError or an AttributeError;
+# the loader refuses each, exit 2
+MALFORMED = ["valuation-without-b-or-m", "agents-not-mappings",
+             "coeffs-as-a-list", "group-not-a-list", "null-D",
+             "top-level-list"]
+
 STRUCTURES = ["one-member-row", "empty-row", "duplicated-group-member",
-              "agent-out-of-range", "group-without-difference-rows"]
+              "agent-out-of-range", "group-without-difference-rows",
+              *MALFORMED]
 
 COMMANDS = [["solve"], ["simulate", "--rounds", "200"], ["verify"]]
 
@@ -129,7 +148,9 @@ def _structural_cases():
 def test_hostile_structure(tmp_path, capsys, kind, cmd):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(_structural(kind)))
-    _run([cmd[0], str(path), *cmd[1:]], capsys)
+    code = _run([cmd[0], str(path), *cmd[1:]], capsys)
+    if kind in MALFORMED:
+        assert code == 2
 
 
 @pytest.mark.parametrize("cmd, options", [
@@ -146,6 +167,17 @@ def test_hostile_option(tmp_path, capsys, cmd, options):
     path.write_text(json.dumps(_two_agent()))
     # each once escaped as a ValueError or AssumptionA4PrimeViolated
     assert _run([cmd, str(path), *options], capsys) == 2
+
+
+@pytest.mark.parametrize("profile", [[[0.4, 0.7], [[0.3], [0.9]]], "y"],
+                         ids=["list", "string"])
+def test_verify_refuses_a_profile_that_is_not_a_mapping(tmp_path, capsys,
+                                                         profile):
+    # each once escaped as a TypeError
+    path, prof = tmp_path / "inst.json", tmp_path / "profile.json"
+    path.write_text(json.dumps(_two_agent()))
+    prof.write_text(json.dumps(profile))
+    assert _run(["verify", str(path), "--profile", str(prof)], capsys) == 2
 
 
 def test_prop_refuses_zero_samples(capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from propmech import game, taxation
 from propmech.centralized import solve
 from propmech.game import (A2Violation, _DemandObjective, _SweepState,
-                           _concave_argmax, _draw_joint_trials,
+                           _draw_joint_trials,
                            _local_gains, _own_deviation_utilities,
                            best_response_demand,
                            best_response_price, construct_candidate_ne,
@@ -21,7 +21,7 @@ from propmech.game import (A2Violation, _DemandObjective, _SweepState,
 from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
 from propmech.model import (Constraint, Instance, InvalidParameter, Valuation,
-                            Variant, nnls)
+                            Variant, _newton_argmax, nnls)
 from propmech.allocation import _ray_pieces, allocate, allocate_many
 from propmech.model import validate
 from propmech.taxation import (AgentNotOnConstraint,
@@ -226,7 +226,8 @@ def reference_best_response_demand(inst, prof, i, thorough=True):
     cands = []
     t_in_hi = min(obj.t_b, hi)
     if t_in_hi > lo:
-        cands.append(_concave_argmax(obj, lo, t_in_hi))
+        cands.append(_newton_argmax(obj.grad_inside, obj.curv_inside, lo,
+                                    t_in_hi))
     inside_interior = bool(cands) and cands[0] < t_in_hi * (1.0 - 1e-12)
     if obj.t_b < hi:
         start = max(obj.t_b, lo)
@@ -1068,9 +1069,8 @@ def reference_sweep(state, profile, agents, lo, hi, peer_means):
     snap = 0.0
     for i in agents:
         y_i = float(profile.y[i])
-        t = _concave_argmax(
-            FormerSweepObjective(state, profile, i, peer_means, ay),
-            lo[i], hi, y_i)
+        obj = FormerSweepObjective(state, profile, i, peer_means, ay)
+        t = _newton_argmax(obj.grad_inside, obj.curv_inside, lo[i], hi, y_i)
         snap = max(snap, abs(t - y_i) / (1.0 + abs(y_i)))
         ay = ay + state.C[i] * (t - y_i)
         profile.y[i] = t
@@ -1139,7 +1139,8 @@ def test_sweep_objective_matches_the_per_agent_reference(case):
     seen = []
     y0 = prof.y.copy()
 
-    def check(obj, a, b, start=None):
+    def check(slope, curv, a, b, start=None):
+        obj = slope.__self__
         i = next(agents)
         ref = ReferenceDemandObjective(inst, prof, i)
         rows = list(inst.index_sets.rows_of_agent[i])
@@ -1159,15 +1160,14 @@ def test_sweep_objective_matches_the_per_agent_reference(case):
             c = ref.curv_inside(t)
             assert abs(obj.curv_inside(t) - c) <= 1e-14 * (1.0 + abs(c))
         seen.append(i)
-        return concave_argmax(obj, a, b, start)
+        return _newton_argmax(slope, curv, a, b, start)
 
-    concave_argmax = game._concave_argmax
-    game._concave_argmax = check
+    game._newton_argmax = check
     try:
         state.sweep(prof, _singles(inst), lo, hi,
                     _peer_means(inst, prof.prices))
     finally:
-        game._concave_argmax = concave_argmax
+        game._newton_argmax = _newton_argmax
     assert seen == _singles(inst).tolist()
 
 
@@ -1223,28 +1223,39 @@ class _Probe:
     def __init__(self, root):
         self.root, self.at = root, []
 
-    def grad_inside(self, t):
+    def slope(self, t):
         self.at.append(t)
         return math.atan(self.root - t)
 
-    def curv_inside(self, t):
+    def curv(self, t):
         return -1.0 / (1.0 + (self.root - t) ** 2)
 
+    def argmax(self, lo, hi, start=None):
+        return _newton_argmax(self.slope, self.curv, lo, hi, start)
 
-def test_warm_start_outside_the_bracket_starts_at_the_midpoint():
-    lo, hi = 0.5, 9.0
-    cold = _Probe(2.0)
-    want = _concave_argmax(cold, lo, hi)
-    assert cold.at[2] == 0.5 * (lo + hi)
-    for start in (lo, hi, lo - 1.0, hi + 1.0, math.nan, math.inf):
+
+def test_warm_start_outside_the_bracket_is_clamped_into_it():
+    """The first interior point is the start clamped into
+    [max(lo, 1e-12), hi - 1e-12], or the midpoint without a start: the
+    group solve's rule, which every one-dimensional solve now shares (the
+    demand solves used to take the midpoint for a start outside (lo, hi)).
+    The end tests come first, hi then lo."""
+    for lo, hi, start, first in ((0.5, 9.0, None, 4.75),
+                                 (0.5, 9.0, 2.1, 2.1),
+                                 (0.5, 9.0, -1.0, 0.5),
+                                 (0.5, 9.0, -math.inf, 0.5),
+                                 (0.5, 9.0, 10.0, 9.0 - 1e-12),
+                                 (0.5, 9.0, math.inf, 9.0 - 1e-12),
+                                 (0.0, 9.0, 0.0, 1e-12)):
         probe = _Probe(2.0)
-        assert _concave_argmax(probe, lo, hi, start) == want, start
-        assert probe.at == cold.at, start
-    # inside the bracket the first interior evaluation is the start
-    probe = _Probe(2.0)
-    got = _concave_argmax(probe, lo, hi, 2.1)
-    assert probe.at[:3] == [lo, hi, 2.1]
-    assert got == pytest.approx(want, abs=1e-13)
+        assert probe.argmax(lo, hi, start) == 2.0, start
+        assert probe.at[:3] == [hi, max(lo, 1e-300), first], start
+    # a bracket narrower than 1e-12 starts at lo, not below it
+    root = math.nextafter(2.0, 3.0)
+    hi = math.nextafter(root, 3.0)
+    probe = _Probe(root)
+    assert probe.argmax(2.0, hi) == root
+    assert probe.at[:3] == [hi, 2.0, 2.0]
 
 
 def test_newton_stops_on_an_exact_zero_slope():
@@ -1253,18 +1264,41 @@ def test_newton_stops_on_an_exact_zero_slope():
     the midpoint and 37 from the warm start on this slope."""
     lo, hi = 0.5, 9.0
     cold, warm = _Probe(2.0), _Probe(2.0)
-    assert _concave_argmax(cold, lo, hi) == 2.0
-    assert _concave_argmax(warm, lo, hi, 2.1) == 2.0
+    assert cold.argmax(lo, hi) == 2.0
+    assert warm.argmax(lo, hi, 2.1) == 2.0
     assert cold.at[-1] == warm.at[-1] == 2.0
     assert len(warm.at) <= len(cold.at) <= 10
 
 
+def test_newton_stops_on_a_step_that_rounds_onto_its_own_point():
+    """exp(-t) - 0.1 crosses 0 at ln 10, between two floats. Newton from
+    1.0 reaches the float nearest the crossing, whose slope is a few ulp
+    above 0 and whose step rounds back onto that point, the bracket end it
+    has just set. The solve ends there. A solver that asks for a step
+    strictly inside the bracket takes it for one that left, and bisects
+    back from the far end: 53 slope evaluations on this slope."""
+    at = []
+
+    def slope(t):
+        at.append(t)
+        return math.exp(-t) - 0.1
+
+    def curv(t):
+        return -math.exp(-t)
+
+    z = _newton_argmax(slope, curv, 0.5, 9.0, 1.0)
+    evaluations, f = len(at), slope(z)
+    assert f > 0.0 and z - f / curv(z) == z
+    assert abs(z - math.log(10.0)) <= math.ulp(z)
+    assert evaluations <= 10
+
+
 def test_concave_argmax_returns_python_floats():
-    # the endpoints come back as given unless converted
+    # the endpoints come back as Python floats whatever they are given as
     for lo, hi, root in ((np.float64(2.5), 9.0, 2.0),
                          (0.5, np.float64(1.5), 2.0),
                          (np.float64(0.5), np.float64(9.0), 2.0)):
-        assert type(_concave_argmax(_Probe(root), lo, hi)) is float
+        assert type(_Probe(root).argmax(lo, hi)) is float
 
 
 def test_price_caps_and_local_gains_match_the_per_agent_loops():

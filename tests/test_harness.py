@@ -17,7 +17,7 @@ from propmech.cli import main
 from propmech.harness import (ExperimentConfig, Scenario, UnknownSuite,
                               bundled_scenarios, canonical_instance, generate,
                               generate_with_info, property_suite,
-                              run_experiment, run_many, write_trace_csv)
+                              run_experiment, write_trace_csv)
 from propmech.game import run_dynamics
 from propmech.model import (InvalidParameter, NNLSNoConvergence, Variant,
                             instance_digest, instance_to_dict, load_instance,
@@ -291,15 +291,14 @@ def test_run_experiment_flags_a_failing_configuration():
     assert not rep.final_verify.passed
 
 
-def test_run_many_matches_individual_runs():
+def test_run_experiment_gives_the_same_report_twice():
     insts = [canonical_instance(),
              generate(Scenario(kind="unicast", n_agents=4,
                                n_constraints=2), 1)]
     cfg = ExperimentConfig(deviations=40)
-    reports = run_many(insts, cfg)
-    assert len(reports) == 2
-    for inst, rep in zip(insts, reports):
-        assert _untimed(rep) == _untimed(run_experiment(inst, cfg))
+    for inst in insts:
+        assert _untimed(run_experiment(inst, cfg)) \
+            == _untimed(run_experiment(inst, cfg))
 
 
 def _untimed(rep):
