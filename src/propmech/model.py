@@ -376,15 +376,16 @@ def _newton_argmax(slope, curv, lo: float, hi: float,
     where the step leaves the closed bracket or the curvature is 0. It
     starts at z0, or at the midpoint without one, clamped into
     [max(lo, 1e-12), hi - 1e-12] and never below lo (a bracket narrower
-    than 1e-12 starts at lo). The points stay at or above 1e-12, where
-    no power curvature overflows, and the low-end test reads the slope at
-    max(lo, 1e-300). While the bracket [a, b] has b > _WIDE max(a, 1) each
-    step is its geometric midpoint with a read as at least 1, which brings
-    a ceiling of 1e300 to that width in about 6 steps. Stops after 80
-    steps, when a step lands on a bracket end (a point already evaluated:
-    Newton alternates between neighbouring floats there, and a step from
-    within an ulp of the root rounds onto the end just set) or when it
-    moves z by at most 4e-16 (1 + |z|). Returns a Python float.
+    than 1e-12 and a nan start begin at lo). The points stay at or above
+    1e-12, where no power curvature overflows, and the low-end test reads
+    the slope at max(lo, 1e-300). While the bracket [a, b] has
+    b > _WIDE max(a, 1) each step is its geometric midpoint with a read
+    as at least 1, which brings a ceiling of 1e300 to that width in about
+    6 steps. Stops after 80 steps, when a step lands on a bracket end (a
+    point already evaluated: Newton alternates between neighbouring floats
+    there, and a step from within an ulp of the root rounds onto the end
+    just set) or when it moves z by at most 4e-16 (1 + |z|). Returns a
+    Python float.
     """
     lo, hi = float(lo), float(hi)
     if slope(hi) >= 0:
@@ -392,8 +393,9 @@ def _newton_argmax(slope, curv, lo: float, hi: float,
     if slope(max(lo, 1e-300)) <= 0:
         return lo
     a, b = lo, hi
-    z = max(min(max(0.5 * (lo + hi) if z0 is None else z0, 1e-12),
-                hi - 1e-12), lo)
+    # z0 last: max and min then drop a nan start
+    z = max(lo, min(hi - 1e-12,
+                    max(1e-12, 0.5 * (lo + hi) if z0 is None else z0)))
     for _ in range(80):
         f = slope(z)
         if f > 0:

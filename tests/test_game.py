@@ -1246,6 +1246,7 @@ def test_warm_start_outside_the_bracket_is_clamped_into_it():
                                  (0.5, 9.0, -math.inf, 0.5),
                                  (0.5, 9.0, 10.0, 9.0 - 1e-12),
                                  (0.5, 9.0, math.inf, 9.0 - 1e-12),
+                                 (0.5, 9.0, math.nan, 0.5),
                                  (0.0, 9.0, 0.0, 1e-12)):
         probe = _Probe(2.0)
         assert probe.argmax(lo, hi, start) == 2.0, start
