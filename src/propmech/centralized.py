@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DimensionMismatch, InputError, Instance, NoInteriorPoint,
-                    PropmechError, ReducedInstance, _AsDict, nnls)
+from .model import (DimensionMismatch, InputError, Instance,
+                    InvalidParameter, NoInteriorPoint, PropmechError,
+                    ReducedInstance, _AsDict, nnls)
 
 __all__ = [
     "NoConvergence",
@@ -279,6 +280,10 @@ def solve(instance: Instance, tol: float = 1e-8, max_iter: int = 100000,
     member whose slope is infinite at 0 has an infinite price, which the
     loop would chase until max_iter.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameter(f"tol must be finite and >= 0, got {tol}")
+    if max_iter < 0:
+        raise InvalidParameter(f"max_iter must be >= 0, got {max_iter}")
     return _solve(instance, tol=tol, max_iter=max_iter, strict=strict)
 
 
@@ -382,6 +387,8 @@ def brute_force_oracle(instance: Instance, step: float = 1e-3
     given step. Raises TooLarge beyond the evaluation budget or above four
     reduced coordinates.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise InvalidParameter(f"step must be finite and > 0, got {step}")
     red = instance.reduced
     K = red.K
     if K > 4:

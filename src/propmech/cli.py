@@ -64,11 +64,7 @@ def _cmd_simulate(args) -> "str | None":
     payload = {
         "digest": instance_digest(inst),
         "variant": Variant.parse(args.variant).value,
-        "schedule": trace.schedule,
-        "rounds": trace.rounds,
-        "converged": trace.converged,
-        "stop_reason": trace.stop_reason,
-        "history_drops": trace.history_drops,
+        **trace.to_dict(),
         "y": trace.profile.y.tolist(),
         "prices": trace.profile.prices.tolist(),
         "x": allocate(inst, trace.profile.y).x.tolist(),

@@ -22,8 +22,8 @@ from .model import (Choice, InputError, Instance, InvalidParameter, Variant,
                     _AsDict, _newton_argmax, nnls_tableau, nnls_tol_scale)
 from .taxation import (TaxBreakdown, _budget_books, _check_finite,
                        _check_offeq, _check_prices, _gross, _member_means,
-                       _peer_means, _peer_means_at,
-                       _require_peers, _row_slack, _tax_terms, pbar, tax)
+                       _peer_means, _require_peers, _row_slack, _tax_terms,
+                       pbar, tax)
 
 __all__ = [
     "A2Violation",
@@ -312,10 +312,9 @@ class _DemandObjective(_InsideSlope):
     Inside the feasible region the map is strictly concave in own demand;
     past the boundary it follows the pullback ray. Constant terms
     (disagreement penalty, rebate) are dropped. ``state`` holds the
-    instance's constants; the peer means are i's own rows' alone
-    (taxation._peer_means_at). The slope and curvature read four
-    scalars; the boundary t_b and the pullback piece are formed only when
-    asked for.
+    instance's constants; the peer means are taxation._peer_means on i's
+    own rows. The slope and curvature read four scalars; the boundary t_b
+    and the pullback piece are formed only when asked for.
     """
 
     def __init__(self, state: _SweepState, profile: MessageProfile, i: int):
@@ -334,7 +333,7 @@ class _DemandObjective(_InsideSlope):
                    - self.y_i) / red.group_sizes[k]
         self.ay = state.A_hat @ profile.y
         rows = state.rows[i]
-        pb = _peer_means_at(instance, profile.prices, i)
+        pb = _peer_means(instance, profile.prices)[i, rows]
         # slack tax on own rows: sum of w (gap - coef t)^2 with weights
         # eta * pbar * p_own, a quadratic in own demand t
         self.w = instance.eta * pb * profile.prices[i, rows]
@@ -540,11 +539,13 @@ class RoundRecord(_AsDict):
 
 
 @dataclass(eq=False)
-class RunTrace:
+class RunTrace(_AsDict):
     """A run's rounds and end. stop_reason is "rest" (converged), "no_move"
     (a round that moved nothing and did not rest, see run_dynamics) or
     "max_rounds"; history_drops counts _Anderson's history drops (None
-    under best-response)."""
+    under best-response). to_dict() is the run's summary: its fields but
+    the variant, the profile and the records, then the two properties
+    below."""
 
     schedule: str
     variant: str
@@ -554,6 +555,17 @@ class RunTrace:
     records: list = field(default_factory=list)
     stop_reason: str = "max_rounds"
     history_drops: "int | None" = None
+    _skip = ("variant", "profile", "records")
+    _extra = ("max_feasibility_violation", "final_budget_imbalance")
+
+    @property
+    def max_feasibility_violation(self) -> float:
+        return max((r.feasibility_violation for r in self.records),
+                   default=0.0)
+
+    @property
+    def final_budget_imbalance(self) -> float:
+        return self.records[-1].budget_imbalance if self.records else 0.0
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -762,7 +774,7 @@ def _best_response_round(instance: Instance, prof: MessageProfile) -> None:
     state = _SweepState.of(instance)
     for i, rows in enumerate(state.rows):
         prof.prices[i, rows] = _price_best_responses(
-            _peer_means_at(instance, prof.prices, i), instance.eta,
+            _peer_means(instance, prof.prices)[i, rows], instance.eta,
             _row_slack(instance, allocate(instance, prof.y).x, rows))
         prof.y[i] = best_response_demand(instance, Variant.BASE, prof, i,
                                          thorough=False)
@@ -1088,6 +1100,8 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
         raise InvalidParameter(f"deviations must be >= 0, got {deviations}")
     if not (math.isfinite(eps) and eps >= 0):
         raise InvalidParameter(f"eps must be finite and >= 0, got {eps}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     n = instance.n_agents
     base = outcome(instance, variant, profile)
     hi = instance.D + 1.0

@@ -220,9 +220,11 @@ def generate_with_info(scenario: Scenario, seed: int
     of its expected numerical failures), ``nonconverged`` and
     ``non_interior`` (optimum outside the working margin), which also
     counts a draw that the solve's duality-gap certificate shuts out
-    before it converges (centralized._shut_out). Sizes that no draw can
-    build raise InvalidParameter before any draw.
+    before it converges (centralized._shut_out). A negative seed and sizes
+    that no draw can build raise InvalidParameter before any draw.
     """
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     _check_sizes(scenario)
     reasons = dict.fromkeys(
         ("invalid", "solver_error", "nonconverged", "non_interior"), 0)
@@ -368,18 +370,6 @@ def run_experiment(instance: Instance,
     x_err = float(np.max(np.abs(x_dyn - sol.x_star), initial=0.0))
     comparison = _price_comparison(instance, sol, trace.profile)
     comparison["x_err"] = x_err
-    feas_max = max((r.feasibility_violation for r in trace.records),
-                   default=0.0)
-    dynamics = {
-        "schedule": trace.schedule,
-        "rounds": trace.rounds,
-        "converged": trace.converged,
-        "stop_reason": trace.stop_reason,
-        "history_drops": trace.history_drops,
-        "max_feasibility_violation": feas_max,
-        "final_budget_imbalance": trace.records[-1].budget_imbalance
-        if trace.records else 0.0,
-    }
     passed = bool(
         validation.passed and sol.converged and cand_rep.passed
         and trace.converged and final_rep.passed
@@ -389,8 +379,8 @@ def run_experiment(instance: Instance,
     return ExperimentReport(
         digest=instance_digest(instance), config=config,
         validation=validation, solution=sol, candidate_verify=cand_rep,
-        dynamics=dynamics, final_verify=final_rep, comparison=comparison,
-        passed=passed, stage_seconds={
+        dynamics=trace.to_dict(), final_verify=final_rep,
+        comparison=comparison, passed=passed, stage_seconds={
             name: t - t0 for (_, t0), (name, t) in zip(laps, laps[1:])},
         total_seconds=laps[-1][1] - laps[0][1], trace=trace)
 
@@ -663,6 +653,8 @@ def property_suite(name: str, samples: "int | None" = None,
     """Run one named randomized property suite."""
     if samples is not None and samples < 1:
         raise InvalidParameter(f"samples = {samples} must be >= 1")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; have "
                            f"{sorted(SUITES)}")

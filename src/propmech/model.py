@@ -557,10 +557,10 @@ class IndexSets:
     with zeros to the widest row's m members: its j-th member is agent
     index[l, j] wherever mask[l, j] holds, with coefficient coef[l, j],
     and entry pick[l, j] of a flattened (N, L) array belongs to that
-    membership. Agent direction: agent i's rows in order, its slot j on
-    each, and ``cells``, (W, N) flat indices into an (N, L) array: column
-    i lists agent i's cells on its rows, padded to the largest membership
-    count W with cells of agent i off its rows.
+    membership. Agent direction: agent i's rows in order, and ``cells``,
+    (W, N) flat indices into an (N, L) array: column i lists agent i's
+    cells on its rows, padded to the largest membership count W with
+    cells of agent i off its rows.
     """
 
     on: np.ndarray                          # (N, L) bool, i sits on l
@@ -572,7 +572,6 @@ class IndexSets:
     pick: np.ndarray                        # (L, m) int, index * L + l
     coef: np.ndarray                        # (L, m) coefficients, 0 on padding
     rows_of_agent: tuple[np.ndarray, ...]   # per agent, sorted row ids
-    slots: tuple[np.ndarray, ...]           # per agent, its slot on each row
     cells: np.ndarray                       # (W, N) int
 
     @classmethod
@@ -584,14 +583,12 @@ class IndexSets:
         index = np.zeros(mask.shape, dtype=int)
         index[mask] = np.nonzero(on.T)[1]
         row = np.arange(L)[:, None]
-        # per agent i, its rows in order and then its other rows, with its
-        # slot on each: the members of the row before i
+        # per agent i, its rows in order and then its other rows
         own = on.sum(axis=1)
         rank = np.where(on, np.cumsum(on, axis=1),
                         np.cumsum(~on, axis=1) + own[:, None]) - 1
         order = np.empty_like(rank)
         order[np.arange(n)[:, None], rank] = np.arange(L)
-        slot = np.take_along_axis(np.cumsum(on, axis=0) - 1, order, axis=1)
         return cls(on=on,
                    members=tuple(tuple(r[m].tolist())
                                  for r, m in zip(index, mask)),
@@ -601,7 +598,6 @@ class IndexSets:
                    index=index, mask=mask, pick=index * L + row,
                    coef=np.where(mask, A[row, index], 0.0),
                    rows_of_agent=tuple(o[:k] for o, k in zip(order, own)),
-                   slots=tuple(s[:k] for s, k in zip(slot, own)),
                    cells=(np.arange(n)[:, None] * L
                           + order[:, :own.max(initial=0)]).T)
 

@@ -277,18 +277,6 @@ def _peer_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
     return _scatter(instance, _member_peer_means(instance, prices[None])[1])[0]
 
 
-def _peer_means_at(instance: Instance, prices: np.ndarray,
-                   i: int) -> np.ndarray:
-    """Agent i's peer means on its own rows, from the leave-one-out on
-    those rows alone, read at i's slot on each: bitwise the entries
-    _peer_means gives."""
-    lay = instance.index_sets
-    rows = lay.rows_of_agent[i]
-    p = np.where(lay.mask[rows], prices.reshape(-1)[lay.pick[rows]], 0.0)
-    return _loo(p)[np.arange(len(rows)), lay.slots[i]] \
-        / (lay.counts[rows] - 1)
-
-
 def _member_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
     """(L,) mean of the prices quoted by each row's members."""
     idx = instance.index_sets
@@ -315,15 +303,14 @@ def _gross(a_x, p, pb, eta: float, slack):
 
 
 def pbar(instance: Instance, prices: np.ndarray, i: int, l: int) -> float:
-    """Average price quoted on constraint l by the members other than i,
-    bitwise _peer_means(...)[i, l] (see _peer_means_at)."""
+    """Average price quoted on constraint l by the members other than i:
+    the entry of _peer_means, the one leave-one-out pass every tax term
+    and best response reads."""
     prices = _check_prices(instance, prices)
     i, l = instance.check_index(i), instance.check_index(l, "constraint")
-    if i not in instance.index_sets.members[l]:
+    if not instance.index_sets.on[i, l]:
         raise AgentNotOnConstraint(f"agent {i} is not on constraint {l}")
-    _require_peers(instance)
-    k = np.searchsorted(instance.index_sets.rows_of_agent[i], l)
-    return float(_peer_means_at(instance, prices, i)[k])
+    return float(_peer_means(instance, prices)[i, l])
 
 
 def _check_offeq(instance: Instance) -> None:

@@ -161,12 +161,29 @@ def test_hostile_structure(tmp_path, capsys, kind, cmd):
     ("simulate", ["--variant", "sbb-offeq"]),
     ("verify", ["--variant", "sbb-offeq"]),
     ("run", ["--variant", "sbb-offeq"]),
+    ("solve", ["--oracle-step", "0"]),
+    ("solve", ["--oracle-step", "nan"]),
+    ("solve", ["--oracle-step", "-0.1"]),
+    ("solve", ["--tol", "nan"]),
+    ("solve", ["--tol", "-1"]),
+    ("verify", ["--seed", "-1"]),
 ], ids=lambda v: v if isinstance(v, str) else "=".join(v).lstrip("-"))
 def test_hostile_option(tmp_path, capsys, cmd, options):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(_two_agent()))
-    # each once escaped as a ValueError or AssumptionA4PrimeViolated
+    # each once escaped as a ValueError or AssumptionA4PrimeViolated, or
+    # passed: an oracle step of -0.1 exited 0 with a value of -inf, and a
+    # tol of nan or -1 exited 1 with "did not converge"
     assert _run([cmd, str(path), *options], capsys) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["prop", "--suite", "budget_ne", "--seed", "-1"],
+    ["gen", "--seed", "-1"],
+], ids=lambda v: v[0])
+def test_hostile_seed_without_an_instance(capsys, argv):
+    # each once escaped as numpy's ValueError
+    assert _run(argv, capsys) == 2
 
 
 @pytest.mark.parametrize("profile", [[[0.4, 0.7], [[0.3], [0.9]]], "y"],

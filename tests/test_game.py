@@ -839,38 +839,6 @@ def test_group_price_map_matches_scipy_on_warm_sequences(shape):
             assert resid == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
-def test_demand_responses_average_own_rows_bitwise(monkeypatch):
-    """The demand objective averages agent i's own rows alone. On every
-    bundled instance, at random profiles with some zero prices,
-    best_response_demand and notional_demand are bitwise what the full
-    (N, L) peer means give."""
-    rng = np.random.default_rng(23)
-    profiles = []
-    for variant in ("base", "sbb-offeq"):
-        for sc, seed in bundled_scenarios(variant):
-            inst = generate(sc, seed)
-            n, L = inst.n_agents, inst.n_constraints
-            for _ in range(3):
-                P = rng.uniform(0.0, 2.0, (n, L)) * (rng.random((n, L)) < 0.8)
-                profiles.append((inst, make_profile(
-                    inst, inst.d + rng.uniform(0.01, 1.0, n), P)))
-
-    def responses():
-        return [(best_response_demand(inst, "base", prof, i),
-                 best_response_demand(inst, "base", prof, i, thorough=False),
-                 notional_demand(inst, prof, i))
-                for inst, prof in profiles for i in range(inst.n_agents)]
-
-    own = responses()
-
-    def full_peer_means_at(instance, prices, i):
-        return _peer_means(instance, prices)[
-            i, instance.index_sets.rows_of_agent[i]]
-
-    monkeypatch.setattr(game, "_peer_means_at", full_peer_means_at)
-    assert own == responses()
-
-
 def test_demand_objective_slopes_match_central_differences():
     checked = 0
     for inst, prof in _objective_cases():

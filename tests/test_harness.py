@@ -370,6 +370,9 @@ def test_cli_gen_solve_simulate_verify_run(tmp_path, capsys):
     sim = json.loads((tmp_path / "sim.json").read_text())
     assert sim["stop_reason"] == "rest" and sim["converged"] is True
     assert type(sim["history_drops"]) is int
+    # the run's summary, RunTrace.to_dict()
+    assert sim["max_feasibility_violation"] >= 0.0
+    assert type(sim["final_budget_imbalance"]) is float
 
     assert main(["verify", str(path), "--deviations", "40",
                  "--json", str(tmp_path / "ver.json")]) == 0

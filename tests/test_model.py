@@ -462,7 +462,6 @@ def test_index_sets_match_a_reference_from_A(case):
     for i, r in enumerate(own):
         assert idx.rows_of_agent[i].dtype.kind == "i"
         assert idx.rows_of_agent[i].tolist() == r
-        assert idx.slots[i].tolist() == [members[l].index(i) for l in r]
         order = r + [l for l in range(L) if l not in r]
         assert idx.cells[:, i].tolist() == [i * L + l for l in order[:W]]
     # the layout reads no reduction: A4 is reported when A6 fails too

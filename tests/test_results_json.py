@@ -15,6 +15,11 @@ from propmech import allocation, centralized, game, harness, model, taxation
 from propmech.cli import main
 from propmech.harness import SUITES, _rng_for
 
+# the dynamics entry of ExperimentReport.to_dict(), RunTrace's summary
+DYNAMICS_KEYS = {"schedule", "rounds", "converged", "stop_reason",
+                 "history_drops", "max_feasibility_violation",
+                 "final_budget_imbalance"}
+
 KEYS = {
     pm.CentralizedSolution: {
         "x_star", "lambda_star", "objective", "residuals", "iterations",
@@ -45,11 +50,8 @@ KEYS = {
         "round", "max_change", "feasibility_violation", "budget_imbalance",
         "y", "prices", "x", "price_complementarity", "group_gap",
         "snap_distance", "accelerated", "step_back"},
+    pm.RunTrace: DYNAMICS_KEYS,
 }
-# the dynamics entry of ExperimentReport.to_dict(), RunTrace's summary
-DYNAMICS_KEYS = {"schedule", "rounds", "converged", "stop_reason",
-                 "history_drops", "max_feasibility_violation",
-                 "final_budget_imbalance"}
 
 # ExperimentReport.stage_seconds, in the order the run makes them
 STAGES = ["validate", "solve", "candidate_verify", "dynamics",
@@ -97,8 +99,8 @@ def _results():
             sol, sol.residuals, pm.brute_force_oracle(inst, step=0.01),
             pm.verify_epsilon_ne(inst, "base", candidate, deviations=20),
             pm.outcome(inst, "base", candidate).taxes, pm.validate(inst),
-            config, report, report.trace.records[-1],
-            best_response.records[-1])
+            config, report, report.trace, report.trace.records[-1],
+            best_response, best_response.records[-1])
     for name in SUITES:
         yield pm.property_suite(name, samples=1 if name == "oracle_equivalence"
                                 else 20)
