@@ -399,11 +399,16 @@ def brute_force_oracle(instance: Instance, step: float = 1e-3
         for k in range(K):
             if rows[l, k] > 1e-300:
                 hi[k] = min(hi[k], caps[l] / rows[l, k])
-    axes = [np.arange(0.0, hi[k] + step / 2.0, step) for k in range(K)]
-    sizes = [len(ax) for ax in axes]
-    total = int(np.prod(sizes, dtype=np.int64))
+    # the grid's size, np.arange's length, before any axis is built; each
+    # axis counts up to twice the cap, past which the grid is too large
+    total = math.prod(math.ceil(min((h + step / 2.0) / step,
+                                    2.0 * ORACLE_POINT_CAP))
+                      for h in hi.tolist())
     if total > ORACLE_POINT_CAP:
-        raise TooLarge(f"{total} grid points exceed {ORACLE_POINT_CAP}")
+        raise TooLarge(f"more than {ORACLE_POINT_CAP} grid points at step "
+                       f"{step}")
+    axes = [np.arange(0.0, h + step / 2.0, step) for h in hi]
+    sizes = [len(ax) for ax in axes]
 
     table = instance.valuation_table
     tolv = 1e-12 * (1.0 + np.abs(caps)) if caps.size else None

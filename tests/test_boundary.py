@@ -164,6 +164,8 @@ def test_hostile_structure(tmp_path, capsys, kind, cmd):
     ("solve", ["--oracle-step", "0"]),
     ("solve", ["--oracle-step", "nan"]),
     ("solve", ["--oracle-step", "-0.1"]),
+    ("solve", ["--oracle-step", "1e-300"]),
+    ("solve", ["--oracle-step", "5e-324"]),
     ("solve", ["--tol", "nan"]),
     ("solve", ["--tol", "-1"]),
     ("verify", ["--seed", "-1"]),
@@ -171,7 +173,9 @@ def test_hostile_structure(tmp_path, capsys, kind, cmd):
 def test_hostile_option(tmp_path, capsys, cmd, options):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(_two_agent()))
-    # each once escaped as a ValueError or AssumptionA4PrimeViolated, or
+    # each once escaped as a ValueError (numpy's "Maximum allowed size
+    # exceeded" for an oracle step of 1e-300), a RuntimeWarning (overflow in
+    # the grid's length for 5e-324) or AssumptionA4PrimeViolated, or
     # passed: an oracle step of -0.1 exited 0 with a value of -inf, and a
     # tol of nan or -1 exited 1 with "did not converge"
     assert _run([cmd, str(path), *options], capsys) == 2
