@@ -103,8 +103,12 @@ def _cmd_verify(args) -> "str | None":
 
 
 def _cmd_gen(args) -> "str | None":
-    group_sizes = tuple(int(s) for s in args.group_sizes.split(",")) \
-        if args.group_sizes else ()
+    try:
+        group_sizes = tuple(int(s) for s in args.group_sizes.split(",")) \
+            if args.group_sizes else ()
+    except ValueError as exc:
+        raise InputError("--group-sizes must be comma separated integers, "
+                         f"got {args.group_sizes!r}") from exc
     scenario = Scenario(kind=args.kind, n_agents=args.agents,
                         n_constraints=args.constraints,
                         group_sizes=group_sizes,

@@ -142,11 +142,10 @@ class _SweepState:
     Per agent: its valuation's value, slope and curvature on floats, its
     own rows, its A_hat column (the demand-space rows' coefficients on its
     demand), that column and A's on its own rows, and its group. Per
-    instance: the anchor theta, caps - A_red theta and the non-vacuous
-    rows' tolerances, which only the pullback piece and the boundary t_b
-    read. For ``sweep``, which moves the singleton agents in turn: the
-    agents in blocks (below), and per agent its rows, caps and A_hat
-    coefficients as lists.
+    instance: the anchor theta and caps - A_red theta, which only the
+    demand objective's pullback ray reads. For ``sweep``, which moves the
+    singleton agents in turn: the agents in blocks (below), and per agent
+    its rows, caps and A_hat coefficients as lists.
     """
 
     def __init__(self, instance: Instance):
@@ -163,7 +162,6 @@ class _SweepState:
         self.theta = instance.theta_or_derived()
         self.rv_theta = red.A_red @ red.theta
         self.num_full = instance.caps - self.rv_theta
-        self.nv_tol = 1e-12 * (1.0 + np.abs(instance.caps[red.nv_rows]))
         # Blocks of agents, each with (k, n) cells of the flattened (N, L)
         # arrays (IndexSets.cells) and A's coefficients and the squares of
         # A_hat's there: an agent's own rows, then off-row cells, whose
@@ -307,17 +305,21 @@ class _InsideSlope:
 
 
 class _DemandObjective(_InsideSlope):
-    """Gross utility of agent i as a function of own demand, others fixed.
+    """Gross utility of agent i as a function of own demand t, others fixed.
 
-    Inside the feasible region the map is strictly concave in own demand;
-    past the boundary it follows the pullback ray. Constant terms
-    (disagreement penalty, rebate) are dropped. ``state`` holds the
-    instance's constants; the peer means are taxation._peer_means on i's
-    own rows. The slope and curvature read four scalars; the boundary t_b
-    and the pullback piece are formed only when asked for.
+    One form, ``value``: i's valuation less its taxes at the allocation
+    the pullback gives t. The ray's scale is the lower envelope of the
+    non-vacuous rows' crossing steps and a flat row at 1, which binds on
+    the feasible region; each smooth piece is concave in its own
+    parameter (ray_argmaxes), and on the flat piece the slope and
+    curvature are _InsideSlope's. Constant terms (disagreement penalty,
+    rebate) are dropped. ``state`` holds the instance's constants and
+    ``peer_means`` the profile's (N, L) taxation._peer_means; the ray is
+    formed on demand.
     """
 
-    def __init__(self, state: _SweepState, profile: MessageProfile, i: int):
+    def __init__(self, state: _SweepState, profile: MessageProfile, i: int,
+                 peer_means: np.ndarray):
         instance = state.instance
         self.state, self.i = state, i
         self.v, dv, d2v = state.v[i]
@@ -333,61 +335,35 @@ class _DemandObjective(_InsideSlope):
                    - self.y_i) / red.group_sizes[k]
         self.ay = state.A_hat @ profile.y
         rows = state.rows[i]
-        pb = _peer_means(instance, profile.prices)[i, rows]
+        pb = peer_means[i, rows]
         # slack tax on own rows: sum of w (gap - coef t)^2 with weights
         # eta * pbar * p_own, a quadratic in own demand t
         self.w = instance.eta * pb * profile.prices[i, rows]
-        self.coef_rows = c = state.coef_rows[i]
-        self.gap_rows = state.caps_rows[i] - (self.ay[rows] - c * self.y_i)
+        c = state.coef_rows[i]
+        gap = state.caps_rows[i] - (self.ay[rows] - c * self.y_i)
         super().__init__(dv, d2v, beta, y0k,
                          float((state.a_rows[i] * pb).sum()),
-                         float((self.w * self.gap_rows * c).sum()),
+                         float((self.w * gap * c).sum()),
                          float((self.w * c ** 2).sum()))
 
     @cached_property
-    def rv0(self) -> np.ndarray:
-        """Row values of the averaged profile without i's own demand."""
-        return self.ay - self.state.C[self.i] * self.y_i
-
-    @cached_property
-    def t_b(self) -> float:
-        """Largest own demand keeping the averaged profile feasible."""
-        nv = self.state.instance.reduced.nv_rows
-        c = self.state.C[self.i, nv]
-        gap = self.state.instance.caps[nv] - self.rv0[nv]
-        up = c > 1e-300
-        stuck = ~up & (gap < -self.state.nv_tol)
-        return -math.inf if stuck.any() else \
-            float(np.min(gap[up] / c[up], initial=math.inf))
-
-    # -- inside the feasible region (slope and curvature: _InsideSlope) ---
-
-    def value_inside(self, t: float) -> float:
-        x_i = self.y0k + self.beta * t
-        d_rows = self.gap_rows - self.coef_rows * t
-        slack_tax = float((self.w * d_rows * d_rows).sum())
-        return self.v(x_i) - x_i * self.c_pay - slack_tax
-
-    # -- past the boundary: pullback ray ----------------------------------
-
-    @cached_property
     def _ray(self) -> tuple:
-        """What the pullback piece reads. alpha = min_l n_l / (d_l + c_l t)
-        over the non-vacuous rows whose denominator exceeds 1e-300 and a
-        last flat row at 1 (alpha's cap): n_l is the anchor's slack, d_l
-        the row value less the anchor's without i's demand, c_l i's
+        """What the objective reads of the ray. alpha = min_l n_l / (d_l +
+        c_l t) over the non-vacuous rows whose denominator exceeds 1e-300
+        and a last flat row at 1 (alpha's cap): n_l is the anchor's slack,
+        d_l the row value less the anchor's without i's demand, c_l i's
         coefficient. Then n_l as a list, the same three on i's own rows,
         and theta_i."""
         state, nv = self.state, self.state.instance.reduced.nv_rows
         rows = state.rows[self.i]
-        num, den0, coef = state.num_full, self.rv0 - state.rv_theta, \
-            state.C[self.i]
+        num, coef = state.num_full, state.C[self.i]
+        den0 = self.ay - coef * self.y_i - state.rv_theta
         n_, d_, c_ = (np.append(v[nv], e)
                       for v, e in ((num, 1.0), (den0, 1.0), (coef, 0.0)))
         return (n_, d_, c_, n_.tolist(), num[rows], den0[rows], coef[rows],
                 float(state.theta[self.i]))
 
-    def value_outside(self, t: float) -> float:
+    def value(self, t: float) -> float:
         _, d_, c_, nums, n_r, d_r, c_r, theta_i = self._ray
         alpha = min(n / e for n, e in zip(nums, (d_ + c_ * t).tolist())
                     if e > 1e-300)
@@ -396,34 +372,27 @@ class _DemandObjective(_InsideSlope):
         slack_tax = float((self.w * d_rows * d_rows).sum())
         return self.v(x_i) - x_i * self.c_pay - slack_tax
 
-    def value(self, t: float) -> float:
-        if t <= self.t_b:
-            return self.value_inside(t)
-        return self.value_outside(t)
+    def ray_argmaxes(self, a: float, b: float):
+        """Per smooth piece of [a, b] in order: the argmax of value on it,
+        the piece's end and its binding row (the last row is alpha's cap).
 
-    def ray_argmaxes(self, a: float, b: float) -> list:
-        """The argmax of value_outside on each smooth piece of [a, b].
-
-        alpha(t) is the lower envelope of n_l / (d_l + c_l t) over the
-        non-vacuous rows and a flat row at 1 (alpha's cap). On a piece
-        that row l binds with c_l != 0, alpha is monotone in t, and x_i
-        and every own-row slack are affine in alpha (t = (n_l / alpha -
-        d_l) / c_l); where c_l = 0 alpha is constant and they are affine
-        in t. Either way the piece is this objective's inside form in that
+        On a piece that row l binds with c_l != 0, alpha is monotone in t,
+        and x_i and every own-row slack are affine in alpha (t = (n_l /
+        alpha - d_l) / c_l); where c_l = 0 alpha is constant and they are
+        affine in t. Either way the piece is the flat piece's form in that
         parameter (see _piece), concave since w >= 0, and one safeguarded
         Newton solve; a piece's end comes back exactly as given.
         """
         n_, d_, c_, _, n_r, d_r, c_r, theta_i = self._ray
         g = self.y0k - theta_i  # x_i = theta_i + alpha (g + beta t)
-        out = []
         for ta, tb, l in _ray_pieces(n_, d_, c_, a, b):
             n, d, c = float(n_[l]), float(d_[l]), float(c_[l])
             if c == 0.0:
                 al = n / d
                 piece = self._piece(theta_i + al * g, al * self.beta,
                                     n_r - al * d_r, al * c_r)
-                out.append(_newton_argmax(piece.grad_inside,
-                                          piece.curv_inside, ta, tb))
+                yield _newton_argmax(piece.grad_inside, piece.curv_inside,
+                                     ta, tb), tb, l
                 continue
             sa, sb = n / (d + c * ta), n / (d + c * tb)
             piece = self._piece(
@@ -431,22 +400,39 @@ class _DemandObjective(_InsideSlope):
                 n_r - c_r * (n / c), d_r - c_r * (d / c))
             s = _newton_argmax(piece.grad_inside, piece.curv_inside,
                                min(sa, sb), max(sa, sb))
-            out.append(ta if s == sa else tb if s == sb
-                       else min(max((n / s - d) / c, ta), tb))
-        return out
+            yield (ta if s == sa else tb if s == sb
+                   else min(max((n / s - d) / c, ta), tb)), tb, l
 
     def _piece(self, y0k: float, beta: float, gap_rows: np.ndarray,
-               coef_rows: np.ndarray) -> "_DemandObjective":
-        """This objective's inside form with x_i = y0k + beta s and own-row
-        slacks gap_rows - coef_rows s in a new parameter s."""
-        piece = object.__new__(_DemandObjective)
-        piece.__dict__.update(self.__dict__, gap_rows=gap_rows,
-                              coef_rows=coef_rows)
-        _InsideSlope.__init__(
-            piece, self.dv, self.d2v, beta, y0k, self.c_pay,
-            float((self.w * gap_rows * coef_rows).sum()),
-            float((self.w * coef_rows ** 2).sum()))
-        return piece
+               coef_rows: np.ndarray) -> _InsideSlope:
+        """The slope and curvature of this objective with x_i = y0k + beta
+        s and own-row slacks gap_rows - coef_rows s in a new parameter
+        s."""
+        return _InsideSlope(self.dv, self.d2v, beta, y0k, self.c_pay,
+                            float((self.w * gap_rows * coef_rows).sum()),
+                            float((self.w * coef_rows ** 2).sum()))
+
+    def argmax(self, thorough: bool = True) -> float:
+        """best_response_demand's search (see there)."""
+        lo = _demand_floor(float(self.state.instance.d[self.i]))
+        hi = self.state.instance.D + 1.0
+        cap = len(self._ray[0]) - 1
+        cands = [lo]
+        for t, end, l in self.ray_argmaxes(lo, hi):
+            cands.append(t)
+            if not thorough and l == cap and t < end * (1.0 - 1e-12):
+                cands.append(end)
+                break
+        else:
+            cands.append(hi)
+        cands = list(dict.fromkeys(cands))  # each point is valued once
+        best_t, best_v = lo, self.value(lo)
+        for t in cands[1:]:
+            v = self.value(t)
+            tie = 1e-13 * (1.0 + abs(best_v))
+            if v > best_v + tie or (abs(v - best_v) <= tie and t < best_t):
+                best_t, best_v = t, v
+        return float(min(max(best_t, lo), hi))
 
 
 def best_response_demand(instance: Instance, variant: "str | Variant",
@@ -455,43 +441,23 @@ def best_response_demand(instance: Instance, variant: "str | Variant",
     """Argmax of agent i's utility over own demand, prices fixed.
 
     Searches (d_i, D + 1], which Instance keeps nonempty (D > max d). The
-    inside piece is strictly concave and solved by the shared safeguarded
-    Newton (model._newton_argmax), started at the bracket's midpoint.
-    Past the boundary t_b the pullback ray's scale is the lower envelope
-    of at most L hyperbolas; each of its smooth pieces is concave in its
-    own parameter and solved exactly the same way (see
-    _DemandObjective.ray_argmaxes). With thorough=False the ray is
-    searched only when the inside optimum sits on the boundary. Among the
-    candidates (the piece optima, the boundary and D + 1) the best wins,
-    the lower demand on a tie within 1e-13 relative. The variant cannot
-    change the argmax (own-message independent rebates); it is parsed for
-    interface symmetry.
+    utility is one piecewise objective: the pullback ray's scale is the
+    lower envelope of at most L hyperbolas and a flat row at 1, which
+    binds on the feasible region, and each smooth piece is concave in its
+    own parameter and solved by the shared safeguarded Newton
+    (model._newton_argmax; see _DemandObjective.ray_argmaxes). Among the
+    candidates (the floor, the piece optima and D + 1) the best wins, the
+    lower demand on a tie within 1e-13 relative. With thorough=False the
+    search stops after the flat piece when its optimum lies more than
+    1e-12 relative below the piece's end, which joins the candidates. The
+    variant cannot change the argmax (own-message independent rebates);
+    it is parsed for interface symmetry.
     """
     Variant.parse(variant)
     i = instance.check_index(i)
-    lo, hi = _demand_floor(float(instance.d[i])), instance.D + 1.0
-    obj = _DemandObjective(_SweepState.of(instance), profile, i)
-    cands: list[float] = []
-    t_in_hi = min(obj.t_b, hi)
-    if t_in_hi > lo:
-        cands.append(_newton_argmax(obj.grad_inside, obj.curv_inside, lo,
-                                    t_in_hi))
-    inside_interior = bool(cands) and cands[0] < t_in_hi * (1.0 - 1e-12)
-    if obj.t_b < hi:
-        start = max(obj.t_b, lo)
-        cands.append(start)
-        if thorough or not inside_interior:
-            cands.extend(obj.ray_argmaxes(start, float(hi)))
-            cands.append(hi)
-    cands = list(dict.fromkeys(cands))  # a point named twice is valued once
-    best_t = cands[0]
-    best_v = obj.value(best_t)
-    for t in cands[1:]:
-        v = obj.value(t)
-        if v > best_v + 1e-13 * (1.0 + abs(best_v)) or (
-                abs(v - best_v) <= 1e-13 * (1.0 + abs(best_v)) and t < best_t):
-            best_t, best_v = t, v
-    return float(min(max(best_t, lo), hi))
+    return _DemandObjective(_SweepState.of(instance), profile, i,
+                            _peer_means(instance, profile.prices)
+                            ).argmax(thorough)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +475,8 @@ def notional_demand(instance: Instance, profile: MessageProfile,
     carrier for tatonnement.
     """
     i = instance.check_index(i)
-    obj = _DemandObjective(_SweepState.of(instance), profile, i)
+    obj = _DemandObjective(_SweepState.of(instance), profile, i,
+                           _peer_means(instance, profile.prices))
     return _newton_argmax(obj.grad_inside, obj.curv_inside,
                           _demand_floor(float(instance.d[i])),
                           instance.D + 1.0)
@@ -1088,7 +1055,9 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     """Certify or refute the profile as an eps-equilibrium.
 
     Per agent: exact best responses in each own coordinate (closed-form
-    price; piecewise demand search) plus seeded random joint deviations.
+    price; piecewise demand search, _DemandObjective.argmax), both read
+    from the profile's peer means, formed once, plus seeded random joint
+    deviations.
     The agents' trials are evaluated a chunk of agents at a time
     (_verify_chunks), each chunk in one batch (_own_deviation_utilities).
     Certification additionally requires that no demand best response is
@@ -1112,6 +1081,7 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     slack_vec = _row_slack(instance, base.x)
     price_br = _price_best_responses(peer_means, instance.eta, slack_vec)
     own_rows = instance.index_sets.rows_of_agent
+    state = _SweepState.of(instance)
     for chunk in _verify_chunks(instance, deviations):
         # per agent, a block of trials: one price best response per own
         # row, the demand best response, then the random joint deviations
@@ -1124,8 +1094,7 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
         for i, s in zip(chunk, starts):
             rows = own_rows[i]
             P[s + np.arange(len(rows)), rows] = price_br[i, rows]
-            y_new = best_response_demand(instance, variant, profile, i,
-                                         thorough=True)
+            y_new = _DemandObjective(state, profile, i, peer_means).argmax()
             if y_new >= hi - _CEILING_TOL * (1.0 + hi):
                 ceiling = True
             Y[s + len(rows), i] = y_new

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import allocate, allocate_many
+from .allocation import _crossing, allocate, allocate_many
 from .centralized import (CentralizedSolution, _solve, brute_force_oracle,
                           objective, solve)
 from .game import (MessageProfile, NEReport, RunTrace,
@@ -430,23 +430,17 @@ def _offeq_instances() -> "tuple[Instance, ...]":
 
 def _sample_feasible_y(instance: Instance, rng: np.random.Generator,
                        m: int) -> np.ndarray:
-    """Demand profiles with the averaged point inside the polytope."""
+    """Demand profiles with the averaged point inside the polytope: the
+    floor plus a random direction u, scaled to a random 0.15-0.95 of the
+    ray's crossing step from the floor (allocation._crossing; 1 with no
+    non-vacuous row) capped at 1e6."""
     red = instance.reduced
-    rows, caps = red.A_nv, red.caps_nv
-    d = instance.d
     U = rng.random((m, instance.n_agents)) + 1e-6
-    Y = np.empty_like(U)
-    room = caps - rows @ red.average(d)
-    for r, (u, direction) in enumerate(zip(U, red.average(U))):
-        if rows.size:
-            push = rows @ direction
-            with np.errstate(divide="ignore"):
-                tmax = np.min(np.where(push > 1e-12, room / push, np.inf))
-        else:
-            tmax = 1.0
-        t = float(rng.uniform(0.15, 0.95)) * min(float(tmax), 1e6)
-        Y[r] = d + t * u
-    return Y
+    tmax = _crossing(red, red.caps_nv - red.A_nv @ red.average(instance.d),
+                     red.average(U), binding=False)[0] if red.A_nv.size \
+        else np.ones(m)
+    t = rng.uniform(0.15, 0.95, m) * np.minimum(tmax, 1e6)
+    return instance.d + t[:, None] * U
 
 
 def _worst_imbalance(instance: Instance, terms: np.ndarray) -> float:

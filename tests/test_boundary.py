@@ -190,6 +190,13 @@ def test_hostile_seed_without_an_instance(capsys, argv):
     assert _run(argv, capsys) == 2
 
 
+@pytest.mark.parametrize("sizes", ["a,b", "3,"])
+def test_gen_refuses_group_sizes_that_are_not_integers(capsys, sizes):
+    # each once escaped as int()'s ValueError
+    assert _run(["gen", "--kind", "local-public-goods", "--group-sizes",
+                 sizes], capsys) == 2
+
+
 @pytest.mark.parametrize("profile", [[[0.4, 0.7], [[0.3], [0.9]]], "y"],
                          ids=["list", "string"])
 def test_verify_refuses_a_profile_that_is_not_a_mapping(tmp_path, capsys,

@@ -214,35 +214,36 @@ def _golden(fun, a, b, iters=75):
     return x1 if f1 >= f2 else x2
 
 
-def reference_best_response_demand(inst, prof, i, thorough=True):
-    """The former demand best response, kept as the reference: the inside
-    piece by safeguarded Newton, the pullback piece by a 33-point scan
-    refined by golden section."""
+def _inside_plus_ray_search(inst, prof, i, thorough, ray_search):
+    """The former two-region demand search: the inside piece, up to the
+    boundary t_b of ReferenceDemandObjective, by safeguarded Newton; the
+    boundary; then, when thorough or the inside optimum sits on the
+    boundary, ray_search(obj, start, hi)'s points past it and D + 1. Each
+    point is valued by the inside form up to t_b and by the library's
+    objective (the pullback ray) past it."""
     d_i = float(inst.d[i])
     lo = d_i + 1e-12 * (1.0 + d_i)
     hi = inst.D + 1.0
-    obj = _DemandObjective(_SweepState(inst), prof, i)
-    outside = obj.value_outside
+    ref = ReferenceDemandObjective(inst, prof, i)
+    obj = _DemandObjective(_SweepState(inst), prof, i,
+                           _peer_means(inst, prof.prices))
     cands = []
-    t_in_hi = min(obj.t_b, hi)
+    t_in_hi = min(ref.t_b, hi)
     if t_in_hi > lo:
-        cands.append(_newton_argmax(obj.grad_inside, obj.curv_inside, lo,
+        cands.append(_newton_argmax(ref.grad_inside, ref.curv_inside, lo,
                                     t_in_hi))
     inside_interior = bool(cands) and cands[0] < t_in_hi * (1.0 - 1e-12)
-    if obj.t_b < hi:
-        start = max(obj.t_b, lo)
+    if ref.t_b < hi:
+        start = max(ref.t_b, lo)
         cands.append(start)
         if thorough or not inside_interior:
-            grid = np.linspace(start, hi, 33)
-            j = int(np.argmax([outside(float(t)) for t in grid]))
-            cands.append(_golden(outside, float(grid[max(0, j - 1)]),
-                                 float(grid[min(32, j + 1)])))
+            cands.extend(ray_search(obj, start, hi))
             cands.append(hi)
     if not cands:
         cands.append(hi)
 
     def value(t):
-        return obj.value_inside(t) if t <= obj.t_b else outside(t)
+        return ref.value_inside(t) if t <= ref.t_b else obj.value(t)
 
     best_t = cands[0]
     best_v = value(best_t)
@@ -252,6 +253,29 @@ def reference_best_response_demand(inst, prof, i, thorough=True):
                 abs(v - best_v) <= 1e-13 * (1.0 + abs(best_v)) and t < best_t):
             best_t, best_v = t, v
     return float(min(max(best_t, lo), hi))
+
+
+def _scan_and_golden(obj, start, hi):
+    grid = np.linspace(start, hi, 33)
+    j = int(np.argmax([obj.value(float(t)) for t in grid]))
+    return [_golden(obj.value, float(grid[max(0, j - 1)]),
+                    float(grid[min(32, j + 1)]))]
+
+
+def reference_best_response_demand(inst, prof, i, thorough=True):
+    """The first demand best response, kept as the reference: the inside
+    piece by safeguarded Newton, the pullback piece by a 33-point scan
+    refined by golden section."""
+    return _inside_plus_ray_search(inst, prof, i, thorough, _scan_and_golden)
+
+
+def inside_plus_ray_best_response(inst, prof, i, thorough=True):
+    """The second demand best response, kept as the reference: the inside
+    piece and the boundary as above, then the exact optimum of each
+    pullback-ray piece past the boundary."""
+    return _inside_plus_ray_search(
+        inst, prof, i, thorough,
+        lambda obj, start, hi: [t for t, _, _ in obj.ray_argmaxes(start, hi)])
 
 
 @functools.cache
@@ -280,31 +304,54 @@ def off_equilibrium_profiles(count, seed):
 
 def test_best_response_demand_beats_the_former_search_and_a_grid():
     """On 660 random off-equilibrium profiles of the bundled instances the
-    exact piecewise solve's utility is at least the former scan plus
-    golden section's and the best of a 4,097-point grid on [lo, hi], less
-    1e-13 (1 + |u|); with thorough=False, at least the former search's.
-    The utilities come from one batch (the verifier's own) per profile."""
+    one piecewise objective's best response has a utility at least the
+    two former searches' (inside piece plus ray, by exact pieces or by a
+    scan and golden section) and the best of a 4,097-point grid on [lo,
+    hi], less 1e-13 (1 + |u|); with thorough=False, at least the former
+    searches' in that mode. The utilities come from one batch (the
+    verifier's own) per profile."""
     on_ray = 0
     for inst, prof, i in off_equilibrium_profiles(660, 12):
         d_i = float(inst.d[i])
         hi = inst.D + 1.0
         br = [best_response_demand(inst, "base", prof, i),
+              inside_plus_ray_best_response(inst, prof, i),
               reference_best_response_demand(inst, prof, i),
               best_response_demand(inst, "base", prof, i, thorough=False),
+              inside_plus_ray_best_response(inst, prof, i, thorough=False),
               reference_best_response_demand(inst, prof, i, thorough=False)]
-        Y = np.tile(prof.y, (4097 + 4, 1))
+        Y = np.tile(prof.y, (4097 + len(br), 1))
         Y[:4097, i] = np.linspace(d_i + 1e-12 * (1.0 + d_i), hi, 4097)
         Y[4097:, i] = br
         P = np.tile(prof.prices[i], (len(Y), 1))
         u = _own_deviation_utilities(inst, prof, outcome(inst, "base", prof),
                                      i, Y, P, _peer_means(inst, prof.prices))
-        new, old, new_quick, old_quick = u[4097:]
+        new, exact, old, new_quick, exact_quick, old_quick = u[4097:]
         tol = 1e-13 * (1.0 + abs(new))
-        assert new >= old - tol, (i, br)
-        assert new >= u[:4097].max() - tol, (i, br)
-        assert new_quick >= old_quick - 1e-13 * (1.0 + abs(new_quick))
-        on_ray += br[0] > _DemandObjective(_SweepState(inst), prof, i).t_b
+        assert new >= max(exact, old, u[:4097].max()) - tol, (i, br)
+        tol = 1e-13 * (1.0 + abs(new_quick))
+        assert new_quick >= max(exact_quick, old_quick) - tol, (i, br)
+        on_ray += br[0] > ReferenceDemandObjective(inst, prof, i).t_b
     assert on_ray >= 60
+
+
+def test_best_response_on_a_flat_objective_is_the_floor():
+    """A random profile of the bundled three-member equality group under
+    one cap row, the partners' demands alone putting the group's average
+    past the cap: the pullback lands every own demand on the same face,
+    so agent 2's utility is flat in its own demand. The one ray piece's
+    optimum is then D + 1 (its slope is rounding noise), and the floor, a
+    candidate of its own, wins the tie in both modes."""
+    inst, prof, i = off_equilibrium_profiles(27, 12)[26]
+    assert (inst.equality_groups, i) == (((0, 1, 2),), 2)
+    lo, hi = game._demand_floor(float(inst.d[i])), inst.D + 1.0
+    obj = _DemandObjective(_SweepState(inst), prof, i,
+                           _peer_means(inst, prof.prices))
+    assert [t for t, _, _ in obj.ray_argmaxes(lo, hi)] == [hi]
+    assert obj.value(hi) == pytest.approx(obj.value(lo), abs=1e-14)
+    for thorough in (True, False):
+        assert best_response_demand(inst, "base", prof, i,
+                                    thorough=thorough) == lo
 
 
 def _dense_binding(num, den0, coef, t):
@@ -843,21 +890,25 @@ def test_demand_objective_slopes_match_central_differences():
     checked = 0
     for inst, prof in _objective_cases():
         for i in range(inst.n_agents):
-            obj = _DemandObjective(_SweepState(inst), prof, i)
+            obj = _DemandObjective(_SweepState(inst), prof, i,
+                                   _peer_means(inst, prof.prices))
             lo = float(inst.d[i])
-            top = min(obj.t_b, inst.D)
+            top = min(ReferenceDemandObjective(inst, prof, i).t_b, inst.D)
             if not top > lo:
                 continue
             for u in (0.2, 0.5, 0.8):
+                # on the flat piece (the feasible region), where the slope
+                # and curvature are the objective's own
                 t = lo + u * (top - lo)
                 h = 1e-5 * t
-                fd = (obj.value_inside(t + h) - obj.value_inside(t - h)) \
-                    / (2.0 * h)
+                fd = (obj.value(t + h) - obj.value(t - h)) / (2.0 * h)
                 g = obj.grad_inside(t)
                 assert abs(fd - g) <= 1e-6 * (1.0 + abs(g)), (i, t)
                 h2 = 1e-3 * t
-                fd2 = (obj.value_inside(t + h2) - 2.0 * obj.value_inside(t)
-                       + obj.value_inside(t - h2)) / (h2 * h2)
+                if t + h2 > top:
+                    continue
+                fd2 = (obj.value(t + h2) - 2.0 * obj.value(t)
+                       + obj.value(t - h2)) / (h2 * h2)
                 c = obj.curv_inside(t)
                 assert abs(fd2 - c) <= 1e-5 * (1.0 + abs(c)), (i, t)
                 checked += 1
@@ -875,7 +926,7 @@ def test_demand_objective_payment_reads_the_tax_peer_mean():
         pb = _peer_means(inst, prof.prices)
         for i in range(inst.n_agents):
             rows = list(inst.index_sets.rows_of_agent[i])
-            obj = _DemandObjective(_SweepState(inst), prof, i)
+            obj = _DemandObjective(_SweepState(inst), prof, i, pb)
             assert obj.c_pay == float((inst.A[rows, i] * pb[i, rows]).sum())
             assert np.array_equal(
                 obj.w, inst.eta * pb[i, rows] * prof.prices[i, rows])
@@ -884,7 +935,11 @@ def test_demand_objective_payment_reads_the_tax_peer_mean():
 class ReferenceDemandObjective:
     """The demand objective's former per-agent construction, kept as the
     reference: it rebuilds every per-instance and per-profile value from
-    the profile itself, with a fresh A_hat @ y."""
+    the profile itself, with a fresh A_hat @ y. t_b, the largest own
+    demand keeping the averaged profile feasible (-inf when a row without
+    i already exceeds its cap by more than 1e-12 (1 + |cap|)), and the
+    inside form value_inside below it are the former search's two
+    regions (_inside_plus_ray_search)."""
 
     def __init__(self, instance, profile, i):
         red = instance.reduced
@@ -911,6 +966,12 @@ class ReferenceDemandObjective:
         stuck = ~up & (gap < -tol)
         self.t_b = -math.inf if stuck.any() else \
             float(np.min(gap[up] / c[up], initial=math.inf))
+
+    def value_inside(self, t):
+        x_i = self.y0k + self.beta * t
+        d_rows = self.gap_rows - self.coef_rows * t
+        return self.v.value(x_i) - x_i * self.c_pay \
+            - float((self.w * d_rows * d_rows).sum())
 
     def grad_inside(self, t):
         x_i = self.y0k + self.beta * t
@@ -1178,9 +1239,10 @@ def test_sweep_objective_from_a_fresh_product_is_the_reference():
                             rng.uniform(0.1, 2.0, (n, L)))
         state = _SweepState(inst)
         for i in range(n):
-            obj = _DemandObjective(state, prof, i)
+            obj = _DemandObjective(state, prof, i,
+                                   _peer_means(inst, prof.prices))
             ref = ReferenceDemandObjective(inst, prof, i)
-            for name in ("beta", "y0k", "c_pay", "wgc", "wcc", "t_b"):
+            for name in ("beta", "y0k", "c_pay", "wgc", "wcc"):
                 assert getattr(obj, name) == getattr(ref, name), (i, name)
             assert np.array_equal(obj.w, ref.w)
 
@@ -1485,6 +1547,23 @@ def test_verify_accepts_the_candidate():
     assert np.all(rep.ir_margins >= -1e-9)
     assert rep.ir_margins == pytest.approx(
         np.full(2, math.log(1.5) - 1.0 / 3.0), abs=1e-9)
+
+
+def test_verify_forms_the_peer_means_once(monkeypatch):
+    """verify_epsilon_ne forms the profile's (N, L) peer means once and
+    reads every agent's demand best response from them (no call of
+    best_response_demand), bitwise that function's answer."""
+    forms = _spy(monkeypatch, game, "_peer_means")
+    demands = _spy(monkeypatch, game, "best_response_demand")
+    for inst, prof, _ in off_equilibrium_profiles(11, 4):
+        forms.clear()
+        rep = verify_epsilon_ne(inst, "base", prof, deviations=0)
+        assert len(forms) == 1 and demands == []
+        for dev in rep.best_deviations:
+            if dev["kind"] == "demand":
+                assert dev["to"] == best_response_demand(
+                    inst, "base", prof, dev["agent"])
+        demands.clear()
 
 
 def test_verify_price_trials_are_the_price_best_responses(monkeypatch):
