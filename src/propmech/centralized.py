@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import (DimensionMismatch, InputError, Instance,
                     InvalidParameter, NoInteriorPoint, PropmechError,
-                    ReducedInstance, _AsDict, nnls)
+                    ReducedInstance, _AsDict, _check_nonnegative, nnls)
 
 __all__ = [
     "NoConvergence",
@@ -280,10 +280,7 @@ def solve(instance: Instance, tol: float = 1e-8, max_iter: int = 100000,
     member whose slope is infinite at 0 has an infinite price, which the
     loop would chase until max_iter.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidParameter(f"tol must be finite and >= 0, got {tol}")
-    if max_iter < 0:
-        raise InvalidParameter(f"max_iter must be >= 0, got {max_iter}")
+    _check_nonnegative(tol=tol, max_iter=max_iter)
     return _solve(instance, tol=tol, max_iter=max_iter, strict=strict)
 
 

@@ -4,6 +4,10 @@ Each command returns None, or the message of the target it failed. Exit
 codes: 0 success; 1 a failed target or any other PropmechError; 2 an
 InputError, an OSError or a malformed command line. A command's exit 1
 or 2 prints one ``error:`` line.
+
+argparse takes ``-1e-3`` or ``-2,3`` for an option. Every option here but
+``-h`` is long, so ``main`` joins each other single-dash token to a long
+option just before it (``--tol=-1e-3``), up to a bare ``--``.
 """
 
 from __future__ import annotations
@@ -212,8 +216,24 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_values(argv: list) -> list:
+    """argv with '-'-led values joined to their options (see above)."""
+    out = []
+    for k, tok in enumerate(argv):
+        if tok == "--":
+            return out + argv[k:]
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and tok.startswith("-") and not tok.startswith("--")
+                and tok not in ("-", "-h")):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(
+        _join_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         failure = args.fn(args)
     except (InputError, OSError) as exc:

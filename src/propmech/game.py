@@ -18,8 +18,9 @@ import numpy as np
 
 from .allocation import _ray_pieces, allocate, allocate_many
 from .centralized import CentralizedSolution
-from .model import (Choice, InputError, Instance, InvalidParameter, Variant,
-                    _AsDict, _newton_argmax, nnls_tableau, nnls_tol_scale)
+from .model import (Choice, InputError, Instance, Variant, _AsDict,
+                    _check_nonnegative, _newton_argmax, nnls_tableau,
+                    nnls_tol_scale)
 from .taxation import (TaxBreakdown, _budget_books, _check_finite,
                        _check_offeq, _check_prices, _gross, _member_means,
                        _peer_means, _require_peers, _row_slack, _tax_terms,
@@ -373,15 +374,14 @@ class _DemandObjective(_InsideSlope):
         return self.v(x_i) - x_i * self.c_pay - slack_tax
 
     def ray_argmaxes(self, a: float, b: float):
-        """Per smooth piece of [a, b] in order: the argmax of value on it,
-        the piece's end and its binding row (the last row is alpha's cap).
+        """Per smooth piece of [a, b] in order, the argmax of value on it.
 
         On a piece that row l binds with c_l != 0, alpha is monotone in t,
         and x_i and every own-row slack are affine in alpha (t = (n_l /
         alpha - d_l) / c_l); where c_l = 0 alpha is constant and they are
         affine in t. Either way the piece is the flat piece's form in that
         parameter (see _piece), concave since w >= 0, and one safeguarded
-        Newton solve; a piece's end comes back exactly as given.
+        Newton solve; an optimum at an end is that end exactly.
         """
         n_, d_, c_, _, n_r, d_r, c_r, theta_i = self._ray
         g = self.y0k - theta_i  # x_i = theta_i + alpha (g + beta t)
@@ -392,7 +392,7 @@ class _DemandObjective(_InsideSlope):
                 piece = self._piece(theta_i + al * g, al * self.beta,
                                     n_r - al * d_r, al * c_r)
                 yield _newton_argmax(piece.grad_inside, piece.curv_inside,
-                                     ta, tb), tb, l
+                                     ta, tb)
                 continue
             sa, sb = n / (d + c * ta), n / (d + c * tb)
             piece = self._piece(
@@ -401,7 +401,7 @@ class _DemandObjective(_InsideSlope):
             s = _newton_argmax(piece.grad_inside, piece.curv_inside,
                                min(sa, sb), max(sa, sb))
             yield (ta if s == sa else tb if s == sb
-                   else min(max((n / s - d) / c, ta), tb)), tb, l
+                   else min(max((n / s - d) / c, ta), tb))
 
     def _piece(self, y0k: float, beta: float, gap_rows: np.ndarray,
                coef_rows: np.ndarray) -> _InsideSlope:
@@ -412,20 +412,12 @@ class _DemandObjective(_InsideSlope):
                             float((self.w * gap_rows * coef_rows).sum()),
                             float((self.w * coef_rows ** 2).sum()))
 
-    def argmax(self, thorough: bool = True) -> float:
+    def argmax(self) -> float:
         """best_response_demand's search (see there)."""
         lo = _demand_floor(float(self.state.instance.d[self.i]))
         hi = self.state.instance.D + 1.0
-        cap = len(self._ray[0]) - 1
-        cands = [lo]
-        for t, end, l in self.ray_argmaxes(lo, hi):
-            cands.append(t)
-            if not thorough and l == cap and t < end * (1.0 - 1e-12):
-                cands.append(end)
-                break
-        else:
-            cands.append(hi)
-        cands = list(dict.fromkeys(cands))  # each point is valued once
+        # each point is valued once
+        cands = list(dict.fromkeys([lo, *self.ray_argmaxes(lo, hi), hi]))
         best_t, best_v = lo, self.value(lo)
         for t in cands[1:]:
             v = self.value(t)
@@ -436,8 +428,7 @@ class _DemandObjective(_InsideSlope):
 
 
 def best_response_demand(instance: Instance, variant: "str | Variant",
-                         profile: MessageProfile, i: int,
-                         thorough: bool = True) -> float:
+                         profile: MessageProfile, i: int) -> float:
     """Argmax of agent i's utility over own demand, prices fixed.
 
     Searches (d_i, D + 1], which Instance keeps nonempty (D > max d). The
@@ -447,17 +438,14 @@ def best_response_demand(instance: Instance, variant: "str | Variant",
     own parameter and solved by the shared safeguarded Newton
     (model._newton_argmax; see _DemandObjective.ray_argmaxes). Among the
     candidates (the floor, the piece optima and D + 1) the best wins, the
-    lower demand on a tie within 1e-13 relative. With thorough=False the
-    search stops after the flat piece when its optimum lies more than
-    1e-12 relative below the piece's end, which joins the candidates. The
-    variant cannot change the argmax (own-message independent rebates);
-    it is parsed for interface symmetry.
+    lower demand on a tie within 1e-13 relative. The variant cannot
+    change the argmax (own-message independent rebates); it is parsed for
+    interface symmetry.
     """
     Variant.parse(variant)
     i = instance.check_index(i)
     return _DemandObjective(_SweepState.of(instance), profile, i,
-                            _peer_means(instance, profile.prices)
-                            ).argmax(thorough)
+                            _peer_means(instance, profile.prices)).argmax()
 
 
 # ---------------------------------------------------------------------------
@@ -733,18 +721,19 @@ class _PriceRound:
 
 def _best_response_round(instance: Instance, prof: MessageProfile) -> None:
     """best-response's round, the literal per-agent loop: each agent quotes
-    its price best responses on its rows (bitwise best_response_price's:
-    p̄₋ᵢ never reads i's own prices, nor the allocation any price), then
-    moves to its demand best response. Kept for study; from cold starts it
-    stalls at zero prices and escalating demands, which verification
-    flags."""
+    its price best responses on its rows, then moves to its demand best
+    response (verify's search), both read from one peer-mean pass. p̄₋ᵢ
+    never reads i's own prices, nor the allocation any price, so this is
+    bitwise best_response_price's and best_response_demand's loop. Kept
+    for study; from cold starts it stalls at zero prices and escalating
+    demands, which verification flags."""
     state = _SweepState.of(instance)
     for i, rows in enumerate(state.rows):
+        pm = _peer_means(instance, prof.prices)
         prof.prices[i, rows] = _price_best_responses(
-            _peer_means(instance, prof.prices)[i, rows], instance.eta,
+            pm[i, rows], instance.eta,
             _row_slack(instance, allocate(instance, prof.y).x, rows))
-        prof.y[i] = best_response_demand(instance, Variant.BASE, prof, i,
-                                         thorough=False)
+        prof.y[i] = _DemandObjective(state, prof, i, pm).argmax()
 
 
 # Anderson acceleration of the price-adjust-br round: history depth
@@ -872,10 +861,7 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     """
     variant = Variant.parse(variant)
     schedule = Schedule.parse(schedule)
-    if max_rounds < 0:
-        raise InvalidParameter(f"max_rounds must be >= 0, got {max_rounds}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidParameter(f"tol must be finite and >= 0, got {tol}")
+    _check_nonnegative(max_rounds=max_rounds, tol=tol)
     _require_peers(instance)
     if variant is Variant.SBB_OFFEQ:
         # the books are priced after the rounds: refuse an unsupported
@@ -1065,12 +1051,7 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     finite bracket and no honest certificate exists.
     """
     variant = Variant.parse(variant)
-    if deviations < 0:
-        raise InvalidParameter(f"deviations must be >= 0, got {deviations}")
-    if not (math.isfinite(eps) and eps >= 0):
-        raise InvalidParameter(f"eps must be finite and >= 0, got {eps}")
-    if seed < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    _check_nonnegative(deviations=deviations, eps=eps, seed=seed)
     n = instance.n_agents
     base = outcome(instance, variant, profile)
     hi = instance.D + 1.0

@@ -27,8 +27,8 @@ from .game import (MessageProfile, NEReport, RunTrace,
                    construct_candidate_ne, run_dynamics, verify_epsilon_ne)
 from .model import (Constraint, DomainError, InputError, Instance,
                     InvalidParameter, Valuation, ValidationReport,
-                    ValuationTable, Variant, _AsDict, instance_digest,
-                    validate)
+                    ValuationTable, Variant, _AsDict, _check_nonnegative,
+                    instance_digest, validate)
 from .taxation import (_budget_books, _member_means, _tax_terms,
                        sbb_offeq_tax, total_tax)
 
@@ -112,14 +112,12 @@ def _sample_valuation(rng: np.random.Generator, families) -> Valuation:
     return Valuation(fam, a, float(rng.uniform(1.5, 4.0)))
 
 
-def _cycle_rows(members: tuple) -> list[Constraint]:
-    """One-sided encoding of x_m1 >= x_m2 >= ... >= x_mk >= x_m1."""
-    rows = []
-    k = len(members)
-    for j in range(k):
-        a, b = members[j], members[(j + 1) % k]
-        rows.append(Constraint({a: -1.0, b: 1.0}, 0.0))
-    return rows
+def _group_rows(members: tuple, cap: float) -> list[Constraint]:
+    """A group's rows: the one-sided encoding of x_m1 >= x_m2 >= ... >=
+    x_mk >= x_m1, then the uniform cap row of its mean demand."""
+    cycle = [Constraint({a: -1.0, b: 1.0}, 0.0)
+             for a, b in zip(members, members[1:] + members[:1])]
+    return cycle + [Constraint({i: 1.0 / len(members) for i in members}, cap)]
 
 
 def _build(scenario: Scenario, rng: np.random.Generator) -> Instance:
@@ -152,9 +150,7 @@ def _build(scenario: Scenario, rng: np.random.Generator) -> Instance:
 
     if scenario.kind == "public-good":
         members = tuple(range(n))
-        cons = _cycle_rows(members)
-        cons.append(Constraint({i: 1.0 / n for i in members},
-                               float(rng.uniform(clo, chi))))
+        cons = _group_rows(members, float(rng.uniform(clo, chi)))
         return Instance(valuations=vals, constraints=tuple(cons),
                         equality_groups=(members,), d=np.full(n, scenario.d),
                         D=scenario.D, eta=scenario.eta)
@@ -173,9 +169,7 @@ def _build(scenario: Scenario, rng: np.random.Generator) -> Instance:
         for s in sizes:
             members = tuple(range(start, start + s))
             groups.append(members)
-            cons.extend(_cycle_rows(members))
-            cons.append(Constraint({i: 1.0 / s for i in members},
-                                   float(rng.uniform(clo, chi))))
+            cons.extend(_group_rows(members, float(rng.uniform(clo, chi))))
             start += s
         if scenario.shared_row:
             coeffs = {}
@@ -223,8 +217,7 @@ def generate_with_info(scenario: Scenario, seed: int
     before it converges (centralized._shut_out). A negative seed and sizes
     that no draw can build raise InvalidParameter before any draw.
     """
-    if seed < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    _check_nonnegative(seed=seed)
     _check_sizes(scenario)
     reasons = dict.fromkeys(
         ("invalid", "solver_error", "nonconverged", "non_interior"), 0)
@@ -647,8 +640,7 @@ def property_suite(name: str, samples: "int | None" = None,
     """Run one named randomized property suite."""
     if samples is not None and samples < 1:
         raise InvalidParameter(f"samples = {samples} must be >= 1")
-    if seed < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    _check_nonnegative(seed=seed)
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; have "
                            f"{sorted(SUITES)}")

@@ -80,6 +80,15 @@ class InvalidParameter(InputError):
     """Non-finite or out-of-range number in a valuation or an instance."""
 
 
+def _check_nonnegative(**values) -> None:
+    """Raise InvalidParameter naming the first value that is below 0, or
+    not finite for a value that is not a Python int."""
+    for name, v in values.items():
+        if not (v >= 0 and (isinstance(v, int) or math.isfinite(v))):
+            rule = ">= 0" if isinstance(v, int) else "finite and >= 0"
+            raise InvalidParameter(f"{name} must be {rule}, got {v}")
+
+
 class NoInteriorPoint(InputError, RuntimeError):
     """No strictly interior scaled-floor point exists (e.g. a zero cap)."""
 

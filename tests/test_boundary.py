@@ -169,6 +169,9 @@ def test_hostile_structure(tmp_path, capsys, kind, cmd):
     ("solve", ["--tol", "nan"]),
     ("solve", ["--tol", "-1"]),
     ("verify", ["--seed", "-1"]),
+    ("solve", ["--tol", "-1e-3"]),
+    ("solve", ["--oracle-step", "-1e-3"]),
+    ("verify", ["--eps", "-1e-6"]),
 ], ids=lambda v: v if isinstance(v, str) else "=".join(v).lstrip("-"))
 def test_hostile_option(tmp_path, capsys, cmd, options):
     path = tmp_path / "inst.json"
@@ -177,7 +180,9 @@ def test_hostile_option(tmp_path, capsys, cmd, options):
     # exceeded" for an oracle step of 1e-300), a RuntimeWarning (overflow in
     # the grid's length for 5e-324) or AssumptionA4PrimeViolated, or
     # passed: an oracle step of -0.1 exited 0 with a value of -inf, and a
-    # tol of nan or -1 exited 1 with "did not converge"
+    # tol of nan or -1 exited 1 with "did not converge"; a '-'-led value
+    # that does not look like -1 or -0.5 (-1e-3) stopped at argparse's
+    # usage message
     assert _run([cmd, str(path), *options], capsys) == 2
 
 
@@ -195,6 +200,12 @@ def test_gen_refuses_group_sizes_that_are_not_integers(capsys, sizes):
     # each once escaped as int()'s ValueError
     assert _run(["gen", "--kind", "local-public-goods", "--group-sizes",
                  sizes], capsys) == 2
+
+
+def test_gen_refuses_negative_group_sizes(capsys):
+    # the '-'-led value once stopped at argparse's usage message
+    assert _run(["gen", "--kind", "local-public-goods", "--group-sizes",
+                 "-2,3"], capsys) == 2
 
 
 @pytest.mark.parametrize("profile", [[[0.4, 0.7], [[0.3], [0.9]]], "y"],
