@@ -23,8 +23,8 @@ from .model import (Choice, InputError, Instance, Variant, _AsDict,
                     nnls_tol_scale)
 from .taxation import (TaxBreakdown, _budget_books, _check_finite,
                        _check_offeq, _check_prices, _gross, _member_means,
-                       _peer_means, _require_peers, _row_slack, _tax_terms,
-                       pbar, tax)
+                       _peer_means, _require_peers, _row_slack, _row_sums,
+                       _tax_terms, pbar, tax)
 
 __all__ = [
     "A2Violation",
@@ -75,7 +75,12 @@ class MessageProfile:
 
 
 def make_profile(instance: Instance, y, prices=None) -> MessageProfile:
-    y = _check_finite(instance.check_x_shape(y, "y"), "y")
+    """A checked profile that owns its arrays: finite demands (N,) and
+    finite nonnegative prices (N, L), zero by default and zeroed off each
+    agent's rows. The best responses and run_dynamics run a caller's
+    profile through here first."""
+    y = _check_finite(instance.check_x_shape(np.array(y, dtype=float), "y"),
+                      "y")
     if prices is None:
         prices = np.zeros((instance.n_agents, instance.n_constraints))
     prices = _check_prices(instance, prices)
@@ -131,6 +136,7 @@ def best_response_price(instance: Instance, variant: "str | Variant",
     but cannot change the answer (rebates are own-message independent).
     """
     Variant.parse(variant)
+    profile = make_profile(instance, profile.y, profile.prices)
     pb = pbar(instance, profile.prices, i, l)
     slack = _row_slack(instance, allocate(instance, profile.y).x, l)
     return float(_price_best_responses(pb, instance.eta, slack))
@@ -145,8 +151,8 @@ class _SweepState:
     demand), that column and A's on its own rows, and its group. Per
     instance: the anchor theta and caps - A_red theta, which only the
     demand objective's pullback ray reads. For ``sweep``, which moves the
-    singleton agents in turn: the agents in blocks (below), and per agent
-    its rows, caps and A_hat coefficients as lists.
+    singleton agents in turn: the (N, W) table of every agent's cells
+    (below), and per agent its rows, caps and A_hat coefficients as lists.
     """
 
     def __init__(self, instance: Instance):
@@ -163,20 +169,13 @@ class _SweepState:
         self.theta = instance.theta_or_derived()
         self.rv_theta = red.A_red @ red.theta
         self.num_full = instance.caps - self.rv_theta
-        # Blocks of agents, each with (k, n) cells of the flattened (N, L)
-        # arrays (IndexSets.cells) and A's coefficients and the squares of
-        # A_hat's there: an agent's own rows, then off-row cells, whose
-        # terms are zero; one block per _sum_block of the row count.
-        own = np.array([len(r) for r in self.rows])
-        key = np.array([_sum_block(n) for n in own.tolist()])
-        cells = instance.index_sets.cells.T
-        self.blocks = []
-        for k in np.unique(key).tolist():
-            ids = np.flatnonzero(key == k)
-            at = cells[ids, :own[ids].max()]
-            self.blocks.append((ids.tolist(), at,
-                                instance.A.T.reshape(-1)[at],
-                                self.C.reshape(-1)[at] ** 2))
+        # Per agent, its cells of the flattened (N, L) arrays
+        # (IndexSets.cells) and A's coefficients and the squares of A_hat's
+        # there: its own rows in order, then off-row cells, whose terms are
+        # +0.0 and leave the value of a row-order sum as it was.
+        self.cells = instance.index_sets.cells.T
+        self.a_cells = instance.A.T.reshape(-1)[self.cells]
+        self.cc_cells = self.C.reshape(-1)[self.cells] ** 2
         self.rows_list = [r.tolist() for r in self.rows]
         self.caps_list = [c.tolist() for c in self.caps_rows]
         self.coef_list = [c.tolist() for c in self.coef_rows]
@@ -208,31 +207,29 @@ class _SweepState:
         wgc = sum_l w_l (caps_l - (A_hat y)_l + c_l y_i) c_l from it, and
         the shared safeguarded Newton (model._newton_argmax), started at
         y_i, runs on those three floats (_InsideSlope). The agent loop is
-        float work only. Its sums run in numpy's order (_array_sum), so
-        the sweep is bitwise a per-agent one that forms these floats with
-        numpy arrays for each move (reference_sweep in the tests).
+        float work only. Every sum adds i's rows in row order
+        (taxation._row_sums), so the sweep is bitwise a per-agent one that
+        forms these floats with numpy arrays for each move
+        (reference_sweep in the tests), and each agent's floats are
+        _DemandObjective's at the profile it sees.
         """
-        eta = self.instance.eta
-        pb_all = peer_means.reshape(-1)
-        p_all = profile.prices.reshape(-1)
-        n = self.instance.n_agents
-        c_pay, wcc, w = [0.0] * n, [0.0] * n, [None] * n
-        for ids, cells, a, cc in self.blocks:
-            pb = pb_all[cells]
-            w_n = eta * pb * p_all[cells]
-            for i, c_i, q_i, w_i in zip(ids, (a * pb).sum(axis=1).tolist(),
-                                        (w_n * cc).sum(axis=1).tolist(),
-                                        w_n.tolist()):
-                c_pay[i], wcc[i], w[i] = c_i, q_i, w_i
+        cells = self.cells
+        pb = peer_means.reshape(-1)[cells]
+        w_all = self.instance.eta * pb * profile.prices.reshape(-1)[cells]
+        c_pay = _row_sums(self.a_cells * pb).tolist()
+        wcc = _row_sums(w_all * self.cc_cells).tolist()
+        w = w_all.tolist()
         ay = (self.A_hat @ profile.y).tolist()
         y, lo = profile.y, lo.tolist()
         snap = 0.0
         for i in agents.tolist():
             y_i = float(y[i])
             rows, coefs = self.rows_list[i], self.coef_list[i]
-            wgc = _array_sum([
-                w_l * (cap - (ay[r] - c * y_i)) * c for w_l, c, cap, r
-                in zip(w[i], coefs, self.caps_list[i], rows)])
+            # -0.0 + x is x, so this adds as _row_sums does; the built-in
+            # sum() is compensated from Python 3.12
+            wgc = -0.0
+            for w_l, c, cap, r in zip(w[i], coefs, self.caps_list[i], rows):
+                wgc += w_l * (cap - (ay[r] - c * y_i)) * c
             _, dv, d2v = self.v[i]
             obj = _InsideSlope(dv, d2v, 1.0, 0.0, c_pay[i], wgc, wcc[i])
             t = _newton_argmax(obj.grad_inside, obj.curv_inside, lo[i], hi,
@@ -243,41 +240,6 @@ class _SweepState:
                 ay[r] += c * move
             y[i] = t
         return snap
-
-
-def _array_sum(xs: list) -> float:
-    """float(np.array(xs).sum()) of a list of floats, bitwise: numpy's
-    pairwise summation onto 0.0. It adds n < 8 terms in order; up to 128
-    it adds the first n - n % 8 into 8 interleaved accumulators, joins
-    them pairwise and adds the rest in order; a longer list is split in
-    two at a multiple of 8 near its middle."""
-    n = len(xs)
-    if n > 128:
-        h = n // 2 - n // 2 % 8
-        return _array_sum(xs[:h]) + _array_sum(xs[h:])
-    if n < 8:
-        s = 0.0
-        for x in xs:
-            s += x
-        return s
-    m = n - n % 8
-    r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
-    for k in range(8, m, 8):
-        x0, x1, x2, x3, x4, x5, x6, x7 = xs[k:k + 8]
-        r0, r1, r2, r3 = r0 + x0, r1 + x1, r2 + x2, r3 + x3
-        r4, r5, r6, r7 = r4 + x4, r5 + x5, r6 + x6, r7 + x7
-    s = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
-    for x in xs[m:]:
-        s += x
-    return s
-
-
-def _sum_block(n: int) -> int:
-    """The class of n-term numpy sums that trailing zeros leave bitwise
-    (see _array_sum): below 128 terms, those with the same n // 8, whose
-    zeros follow the same accumulators; from 128 the split moves, so each
-    n is its own."""
-    return n // 8 if n < 128 else n
 
 
 class _InsideSlope:
@@ -343,9 +305,9 @@ class _DemandObjective(_InsideSlope):
         c = state.coef_rows[i]
         gap = state.caps_rows[i] - (self.ay[rows] - c * self.y_i)
         super().__init__(dv, d2v, beta, y0k,
-                         float((state.a_rows[i] * pb).sum()),
-                         float((self.w * gap * c).sum()),
-                         float((self.w * c ** 2).sum()))
+                         float(_row_sums(state.a_rows[i] * pb)),
+                         float(_row_sums(self.w * gap * c)),
+                         float(_row_sums(self.w * c ** 2)))
 
     @cached_property
     def _ray(self) -> tuple:
@@ -370,7 +332,7 @@ class _DemandObjective(_InsideSlope):
                     if e > 1e-300)
         x_i = theta_i + alpha * (self.y0k + self.beta * t - theta_i)
         d_rows = n_r - alpha * (d_r + c_r * t)
-        slack_tax = float((self.w * d_rows * d_rows).sum())
+        slack_tax = float(_row_sums(self.w * d_rows * d_rows))
         return self.v(x_i) - x_i * self.c_pay - slack_tax
 
     def ray_argmaxes(self, a: float, b: float):
@@ -409,8 +371,8 @@ class _DemandObjective(_InsideSlope):
         s and own-row slacks gap_rows - coef_rows s in a new parameter
         s."""
         return _InsideSlope(self.dv, self.d2v, beta, y0k, self.c_pay,
-                            float((self.w * gap_rows * coef_rows).sum()),
-                            float((self.w * coef_rows ** 2).sum()))
+                            float(_row_sums(self.w * gap_rows * coef_rows)),
+                            float(_row_sums(self.w * coef_rows ** 2)))
 
     def argmax(self) -> float:
         """best_response_demand's search (see there)."""
@@ -444,6 +406,7 @@ def best_response_demand(instance: Instance, variant: "str | Variant",
     """
     Variant.parse(variant)
     i = instance.check_index(i)
+    profile = make_profile(instance, profile.y, profile.prices)
     return _DemandObjective(_SweepState.of(instance), profile, i,
                             _peer_means(instance, profile.prices)).argmax()
 
@@ -463,6 +426,7 @@ def notional_demand(instance: Instance, profile: MessageProfile,
     carrier for tatonnement.
     """
     i = instance.check_index(i)
+    profile = make_profile(instance, profile.y, profile.prices)
     obj = _DemandObjective(_SweepState.of(instance), profile, i,
                            _peer_means(instance, profile.prices))
     return _newton_argmax(obj.grad_inside, obj.curv_inside,
@@ -867,7 +831,8 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
         # the books are priced after the rounds: refuse an unsupported
         # instance before running any
         _check_offeq(instance)
-    prof = (init.copy() if init is not None else default_init(instance))
+    prof = (make_profile(instance, init.y, init.prices) if init is not None
+            else default_init(instance))
     price_adjust = schedule is Schedule.PRICE_ADJUST_BR
     if price_adjust:
         price_round = _PriceRound(instance)
@@ -932,7 +897,7 @@ def construct_candidate_ne(instance: Instance, solution: CentralizedSolution
         raise A2Violation("optimum not strictly inside (d, D); no candidate "
                           "profile exists in the message space")
     prices = np.tile(solution.lambda_star, (instance.n_agents, 1))
-    return make_profile(instance, x.copy(), prices)
+    return make_profile(instance, x, prices)
 
 
 @dataclass(eq=False)

@@ -135,6 +135,14 @@ def _running_sum(v: np.ndarray, out: "np.ndarray | None" = None
     return out
 
 
+def _row_sums(v: np.ndarray) -> np.ndarray:
+    """Sums along the last axis in index order: _running_sum's last
+    column, and zeros for an empty last axis."""
+    if not v.shape[-1]:
+        return np.zeros(v.shape[:-1])
+    return _running_sum(v)[..., -1]
+
+
 def _gap_below(r: np.ndarray) -> np.ndarray:
     """np.spacing(np.nextafter(|r|, 0)) for finite r, from its exponent
     bits: p2 = |r| with the mantissa cleared (0 if subnormal) is the power
@@ -286,14 +294,14 @@ def _member_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
 def _row_slack(instance: Instance, X: np.ndarray, rows=slice(None),
                a_x: "np.ndarray | None" = None) -> np.ndarray:
     """caps - A x on the rows ``rows`` for allocations X (..., N): the
-    _running_sum of the members' products A_li x_i along each row of the
+    _row_sums of the members' products A_li x_i along each row of the
     row layout (IndexSets). A running sum adds in one order whatever the
     batch's shape, which a reduction does not. ``a_x`` is those products
     on every row when the caller has formed them."""
     if a_x is None:
         lay = instance.index_sets
         a_x = lay.coef[rows] * X[..., lay.index[rows]]
-    return instance.caps[rows] - _running_sum(a_x)[..., -1]
+    return instance.caps[rows] - _row_sums(a_x)
 
 
 def _gross(a_x, p, pb, eta: float, slack):

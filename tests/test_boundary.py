@@ -12,11 +12,16 @@ configuration makes one an error) and finish within 5 s.
 import json
 import time
 
+import numpy as np
 import pytest
 
 from propmech.cli import main
-from propmech.harness import canonical_instance
-from propmech.model import instance_to_dict
+from propmech.game import (MessageProfile, best_response_demand,
+                           best_response_price, default_init, make_profile,
+                           notional_demand, run_dynamics)
+from propmech.harness import Scenario, canonical_instance, generate
+from propmech.model import (DimensionMismatch, InvalidParameter,
+                            instance_to_dict)
 
 VALUES = [0.0, -1.0, 1e-300, 1e300, float("nan"), float("inf")]
 
@@ -72,6 +77,8 @@ def _structural(kind: str) -> "dict | list":
         inst["D"] = None
     elif kind == "top-level-list":
         return [inst]
+    elif kind == "no-constraints":
+        inst["constraints"] = []
     return inst
 
 
@@ -83,7 +90,7 @@ MALFORMED = ["valuation-without-b-or-m", "agents-not-mappings",
 
 STRUCTURES = ["one-member-row", "empty-row", "duplicated-group-member",
               "agent-out-of-range", "group-without-difference-rows",
-              *MALFORMED]
+              "no-constraints", *MALFORMED]
 
 COMMANDS = [["solve"], ["simulate", "--rounds", "200"], ["verify"]]
 
@@ -151,6 +158,9 @@ def test_hostile_structure(tmp_path, capsys, kind, cmd):
     code = _run([cmd[0], str(path), *cmd[1:]], capsys)
     if kind in MALFORMED:
         assert code == 2
+    if kind == "no-constraints" and cmd[0] in ("solve", "simulate"):
+        # simulate once escaped as an IndexError in taxation._row_slack
+        assert code == 0
 
 
 @pytest.mark.parametrize("cmd, options", [
@@ -224,3 +234,43 @@ def test_prop_refuses_zero_samples(capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") \
         and "samples" in err[0]
+
+
+def _foreign_profiles():
+    """Profiles the two-agent instance must refuse: another instance's,
+    one with a negative price and one with a nan demand."""
+    inst = canonical_instance()
+    n, L = inst.n_agents, inst.n_constraints
+    other = generate(Scenario(kind="unicast", n_agents=4, n_constraints=2), 0)
+    return [(default_init(other), DimensionMismatch),
+            (MessageProfile(inst.d + 0.1, np.full((n, L), -1.0)),
+             InvalidParameter),
+            (MessageProfile(np.full(n, np.nan), np.zeros((n, L))),
+             InvalidParameter)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst, p: run_dynamics(inst, init=p, max_rounds=3),
+    lambda inst, p: best_response_demand(inst, "base", p, 0),
+    lambda inst, p: notional_demand(inst, p, 0),
+    lambda inst, p: best_response_price(inst, "base", p, 0, 0),
+], ids=["run_dynamics", "best_response_demand", "notional_demand",
+        "best_response_price"])
+def test_a_foreign_profile_is_refused_at_the_boundary(call):
+    # another instance's profile once escaped as numpy's ValueError from
+    # run_dynamics (taxation._member_means) and the demand best responses
+    # (A_hat @ y); a negative price or a nan demand passed into most calls
+    inst = canonical_instance()
+    for profile, error in _foreign_profiles():
+        with pytest.raises(error):
+            call(inst, profile)
+
+
+def test_run_dynamics_leaves_its_init_as_it_was():
+    inst = canonical_instance()
+    n, L = inst.n_agents, inst.n_constraints
+    init = make_profile(inst, inst.d + 0.3, np.full((n, L), 0.5))
+    y0, p0 = init.y.copy(), init.prices.copy()
+    trace = run_dynamics(inst, init=init)
+    assert trace.converged
+    assert np.array_equal(init.y, y0) and np.array_equal(init.prices, p0)

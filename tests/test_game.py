@@ -1045,10 +1045,16 @@ def large_sweep_cases(draw):
                               rng.uniform(0.0, 2.0, (n, L)))
 
 
+def _in_row_order(v):
+    """The sum of v's entries added in index order, onto its first."""
+    return float(np.add.accumulate(v)[-1]) if len(v) else 0.0
+
+
 class FormerSweepObjective:
     """A singleton's objective as the sweep used to build it for every
     move: from the caller's peer means and the sweep's running A_hat @ y,
-    with about fifteen numpy calls for its three floats."""
+    with about fifteen numpy calls for its three floats, each sum added in
+    row order."""
 
     def __init__(self, state, profile, i, peer_means, ay):
         instance = state.instance
@@ -1059,12 +1065,12 @@ class FormerSweepObjective:
         self.beta, self.y0k = 1.0, 0.0
         rows = state.rows[i]
         pb = peer_means[i, rows]
-        self.c_pay = float((state.a_rows[i] * pb).sum())
+        self.c_pay = _in_row_order(state.a_rows[i] * pb)
         w = instance.eta * pb * profile.prices[i, rows]
         c = state.coef_rows[i]
         gap_rows = state.caps_rows[i] - (ay[rows] - c * y_i)
-        self.wgc = float((w * gap_rows * c).sum())
-        self.wcc = float((w * c ** 2).sum())
+        self.wgc = _in_row_order(w * gap_rows * c)
+        self.wcc = _in_row_order(w * c ** 2)
 
     def grad_inside(self, t):
         x_i = self.y0k + self.beta * t
@@ -1107,9 +1113,10 @@ def _sweep_both(inst, prof):
 @given(st.one_of(sweep_cases(), large_sweep_cases()))
 def test_sweep_is_the_reference_sweep_bitwise(case):
     """The sweep reads every agent's slope from per-call arrays and one
-    running A_hat @ y, with numpy's summation order. Each demand and the
-    snap are bitwise the reference's, a tolerance of zero; the prices and
-    the other agents' demands stay as they were."""
+    running A_hat @ y, adding each agent's rows in row order. Each demand
+    and the snap are bitwise the reference's, a tolerance of zero, on the
+    small cases and on the N = 200 instance (15-28 rows an agent); the
+    prices and the other agents' demands stay as they were."""
     inst, prof = case
     new, snap, ref, snap_ref = _sweep_both(inst, prof)
     assert np.array_equal(new.y, ref.y)
@@ -1118,22 +1125,6 @@ def test_sweep_is_the_reference_sweep_bitwise(case):
     others = np.ones(inst.n_agents, dtype=bool)
     others[_singles(inst)] = False
     assert np.array_equal(new.y[others], prof.y[others])
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.floats(-1e300, 1e300), max_size=300))
-def test_array_sum_is_numpy_sum_bitwise(xs):
-    """Lists of every length the pairwise summation splits on (below 8,
-    8 to 128, longer), with signed zeros and subnormals. Up to 7 trailing
-    zeros that keep the length's _sum_block keep numpy's sum (equal as
-    floats: a sum of signed zeros may lose its sign)."""
-    plain = float(np.array(xs).sum())
-    assert game._array_sum(xs).hex() == plain.hex()
-    for pad in range(1, 8):
-        if game._sum_block(len(xs) + pad) == game._sum_block(len(xs)):
-            padded = float(np.array(xs + [0.0] * pad).sum())
-            assert padded == plain \
-                or (math.isnan(padded) and math.isnan(plain)), (len(xs), pad)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1183,6 +1174,36 @@ def test_sweep_objective_matches_the_per_agent_reference(case):
     finally:
         game._newton_argmax = _newton_argmax
     assert seen == _singles(inst).tolist()
+
+
+def test_sweep_floats_are_the_demand_objectives_at_size(monkeypatch):
+    """On the N = 200 instance, whose agents sit on 15-28 rows, each
+    agent's three floats in a one-agent sweep (c_pay, wgc and wcc, read
+    through a _newton_argmax spy) are bitwise _DemandObjective's at the
+    same profile: both add the agent's rows in row order."""
+    inst = large_instance()
+    n, L = inst.n_agents, inst.n_constraints
+    state = _SweepState(inst)
+    lo, hi = inst.d + 1e-12 * (1.0 + inst.d), inst.D + 1.0
+    rng = np.random.default_rng(32)
+    seen = []
+
+    def spy(slope, curv, a, b, start=None):
+        seen.append(slope.__self__)
+        return _newton_argmax(slope, curv, a, b, start)
+
+    monkeypatch.setattr(game, "_newton_argmax", spy)
+    for top in (0.3, 3.0, 30.0):
+        prof = make_profile(inst, inst.d + rng.uniform(1e-3, top, n),
+                            rng.uniform(0.0, 2.0, (n, L)))
+        pm = _peer_means(inst, prof.prices)
+        for i in _singles(inst).tolist():
+            state.sweep(prof.copy(), np.array([i]), lo, hi, pm)
+            got, = seen
+            seen.clear()
+            obj = _DemandObjective(state, prof, i, pm)
+            assert [v.hex() for v in (got.c_pay, got.wgc, got.wcc)] \
+                == [v.hex() for v in (obj.c_pay, obj.wgc, obj.wcc)], (top, i)
 
 
 def test_sweep_at_size_beats_the_reference_sweep():
