@@ -391,11 +391,9 @@ def brute_force_oracle(instance: Instance, step: float = 1e-3
     if K > 4:
         raise TooLarge(f"{K} reduced coordinates exceed the oracle's reach")
     rows, caps = red.A_nv, red.caps_nv
-    hi = np.full(K, float(instance.D))
-    for l in range(rows.shape[0]):
-        for k in range(K):
-            if rows[l, k] > 1e-300:
-                hi[k] = min(hi[k], caps[l] / rows[l, k])
+    ratio = np.divide(caps[:, None], rows, out=np.full(rows.shape, np.inf),
+                      where=rows > 1e-300)
+    hi = ratio.min(axis=0, initial=float(instance.D))
     # the grid's size, np.arange's length, before any axis is built; each
     # axis counts up to twice the cap, past which the grid is too large
     total = math.prod(math.ceil(min((h + step / 2.0) / step,

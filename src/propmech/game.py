@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .allocation import _ray_pieces, allocate, allocate_many
+from .allocation import _RAY_EPS, _ray_pieces, allocate, allocate_many
 from .centralized import CentralizedSolution
 from .model import (Choice, InputError, Instance, Variant, _AsDict,
                     _check_nonnegative, _newton_argmax, nnls_tableau,
@@ -312,7 +312,7 @@ class _DemandObjective(_InsideSlope):
     @cached_property
     def _ray(self) -> tuple:
         """What the objective reads of the ray. alpha = min_l n_l / (d_l +
-        c_l t) over the non-vacuous rows whose denominator exceeds 1e-300
+        c_l t) over the non-vacuous rows whose denominator exceeds _RAY_EPS
         and a last flat row at 1 (alpha's cap): n_l is the anchor's slack,
         d_l the row value less the anchor's without i's demand, c_l i's
         coefficient. Then n_l as a list, the same three on i's own rows,
@@ -329,7 +329,7 @@ class _DemandObjective(_InsideSlope):
     def value(self, t: float) -> float:
         _, d_, c_, nums, n_r, d_r, c_r, theta_i = self._ray
         alpha = min(n / e for n, e in zip(nums, (d_ + c_ * t).tolist())
-                    if e > 1e-300)
+                    if e > _RAY_EPS)
         x_i = theta_i + alpha * (self.y0k + self.beta * t - theta_i)
         d_rows = n_r - alpha * (d_r + c_r * t)
         slack_tax = float(_row_sums(self.w * d_rows * d_rows))
@@ -513,15 +513,14 @@ def _local_gains(instance: Instance, y: np.ndarray) -> np.ndarray:
     A_nv diag(r) A_nv^T. Scaling each row's step by its inverse row sum
     keeps the coupled price-demand loop contractive, including across
     rows that share agents. For singletons this is the per-agent matrix
-    A diag(1/|v''|) A^T on the shared rows; A_nv >= 0, so no entry needs
-    an absolute value.
+    A diag(1/|v''|) A^T on the shared rows. As A_nv >= 0, its row sums are
+    A_nv (r * A_nv^T 1), one matrix-vector product with no absolute value.
     """
     red = instance.reduced
     z = np.clip(red.restrict(y), red.d_red + 1e-9, instance.D)
     d2 = instance.valuation_table.group_sums("deriv2", z, red.group_of_agent)
     r = 1.0 / np.maximum(np.abs(d2), 1e-12)
-    coupling = red.A_nv @ (r[:, None] * red.A_nv.T)
-    return 1.0 / np.maximum(coupling.sum(axis=1), 1e-9)
+    return 1.0 / np.maximum(red.A_nv @ (r * red.A_nv.sum(axis=0)), 1e-9)
 
 
 class _GroupPrices:
@@ -605,16 +604,17 @@ class _PriceRound:
     step on the row's excess demand A y - c, scaled by the inverse of the
     demand responsiveness on the row (_local_gains: each equality group
     responds as one consensus demand, through its summed curvature), which
-    keeps the coupled loop contractive. Equality partners settle within
-    the round: a consensus demand where the group's summed marginal value
-    meets its summed quoted cost, plus difference-row prices (nonnegative
-    least squares) that reproduce each member's first-order gap to it.
-    The other agents sweep in turn to their notional targets, each seeing
-    the demands already placed, which damps the shared tax-penalty force
-    that makes simultaneous jumps overshoot. A call moves the profile and
-    the row prices ``pc`` in place and returns the step-size-free residual
-    parts that decide rest: price complementarity, group gap and snap
-    distance.
+    keeps the coupled loop contractive, and clipped to [0, p_cap] (4 max
+    v'(d)/|A| on the row, or 1: the valuation's scale; off the shared rows
+    p_cap only scales the complementarity test). Equality partners settle
+    within the round: a consensus demand where the group's summed marginal
+    value meets its summed quoted cost, plus difference-row prices (nonnegative
+    least squares) that reproduce each member's first-order gap to it. The
+    other agents sweep in turn to their notional targets, each seeing the
+    demands already placed, which damps the shared tax-penalty force that makes
+    simultaneous jumps overshoot. A call moves the profile and the row prices
+    ``pc`` in place and returns the step-size-free residual parts that decide
+    rest: price complementarity, group gap and snap distance.
     """
 
     def __init__(self, instance: Instance):
@@ -622,20 +622,11 @@ class _PriceRound:
         self.instance = instance
         self.on = instance.index_sets.on
         self.shared, self.nv_rows = red.nonvacuous, red.nv_rows
-        # per row, a clamp keeping price excursions within valuation scale
         slopes = instance.valuation_table.deriv(instance.d)
         absA = np.abs(instance.A)
         best = np.divide(slopes, absA, out=np.zeros_like(absA),
                          where=absA > 1e-12).max(axis=1)
         self.p_cap = np.where(best > 0, 4.0 * best, 1.0)
-        # difference rows may carry transfer prices that accumulate
-        # first-order gaps around the whole group, not just their two ends
-        group_slope = np.bincount(red.group_of_agent, weights=slopes,
-                                  minlength=red.K)
-        first = np.argmax(self.on[:, ~self.shared], axis=0)
-        self.p_cap[~self.shared] = np.maximum(
-            self.p_cap[~self.shared],
-            2.0 * group_slope[red.group_of_agent[first]])
         self.lo = _demand_floor(instance.d)
         self.split = split = red.split
         self.state = _SweepState.of(instance) if split.singles.size else None
@@ -930,7 +921,8 @@ def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
     deviator's prices; every other agent quotes the prices of ``profile``.
     One allocate_many call maps all trials; each run of trials with one
     deviator then forms that agent's gross terms on its own rows only, by
-    the tax's own row-slack and gross-term helpers.
+    the tax's own row-slack and gross-term helpers, and sums them in row
+    order (taxation._row_sums).
     The rebate row comes from ``base``, the outcome of the untouched
     profile: rebates never read the recipient's own message, so it is the
     same at every trial. ``peer_means`` is the profile's (N, L) peer mean
@@ -948,7 +940,7 @@ def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
             instance.A[rows, i] * x_i[:, None], P[s:e, rows],
             peer_means[i, rows], instance.eta,
             _row_slack(instance, X[s:e], rows))
-        gross = (payment + disagreement + slackness).sum(axis=1)
+        gross = _row_sums(payment + disagreement + slackness)
         rebate = math.fsum(base.taxes.rebate[i])
         out[s:e] = instance.valuations[i].value(x_i) - (gross - rebate)
     return out

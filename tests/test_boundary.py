@@ -15,6 +15,8 @@ import time
 import numpy as np
 import pytest
 
+from propmech import cli
+from propmech.centralized import NoConvergence
 from propmech.cli import main
 from propmech.game import (MessageProfile, best_response_demand,
                            best_response_price, default_init, make_profile,
@@ -234,6 +236,27 @@ def test_prop_refuses_zero_samples(capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") \
         and "samples" in err[0]
+
+
+def test_options_after_a_bare_double_dash_stay_as_given(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_two_agent()))
+    assert cli._join_values(["solve", "--tol", "-1", "--", "--tol", "-2"]) \
+        == ["solve", "--tol=-1", "--", "--tol", "-2"]
+    assert _run(["solve", "--", str(path)], capsys) == 0
+    assert _run(["solve", "--tol", "-1e-3", "--", str(path)], capsys) == 2
+
+
+def test_a_failed_computation_exits_1(tmp_path, capsys, monkeypatch):
+    # a PropmechError that is not bad input is a failure, not a usage error
+    def fail(args):
+        raise NoConvergence("residuals above tolerance", None)
+
+    monkeypatch.setattr(cli, "_cmd_solve", fail)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_two_agent()))
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == "error: residuals above tolerance\n"
 
 
 def _foreign_profiles():

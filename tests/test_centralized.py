@@ -12,8 +12,8 @@ from propmech.centralized import (NoConvergence, TooLarge, _argmax_inner,
                                   objective, solve)
 from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
-from propmech.model import (Constraint, DomainError, Instance,
-                            NoInteriorPoint, Valuation, validate)
+from propmech.model import (Constraint, DimensionMismatch, DomainError,
+                            Instance, NoInteriorPoint, Valuation, validate)
 
 
 def _quad_pair(cap: float) -> Instance:
@@ -91,6 +91,14 @@ def test_kkt_residuals_flag_wrong_point():
     assert kkt_residuals(inst, np.array([0.6, 0.6]),
                          np.array([0.0])).primal == pytest.approx(0.2,
                                                                   abs=1e-12)
+
+
+def test_kkt_residuals_refuse_multipliers_of_the_wrong_shape():
+    inst = canonical_instance()
+    for lam in (np.zeros(2), np.zeros((1, 1)), 0.5):
+        with pytest.raises(DimensionMismatch,
+                           match=r"lambda shaped .* expected \(1,\)"):
+            kkt_residuals(inst, np.array([0.5, 0.5]), lam)
 
 
 def test_kkt_stationarity_is_one_sided_at_the_ceiling():
@@ -203,6 +211,25 @@ def test_oracle_agrees_on_binding_quad_pair():
     # grid best can only trail the true optimum by the local slope * step
     assert sol.objective >= orc.value - 1e-9
     assert abs(sol.objective - orc.value) <= 5e-3
+
+
+def test_oracle_grid_spans_the_cap_implied_box():
+    """Each reduced coordinate's grid runs up to min(D, min_l c_l / A_lk),
+    taken here one row and one coordinate at a time."""
+    cases = [(inst, step) for inst, _, step in harness._oracle_cases()]
+    cases.append((generate(Scenario(kind="local-public-goods",
+                                    group_sizes=(2, 2)), 200), 5e-2))
+    for inst, step in cases:
+        red = inst.reduced
+        hi = [inst.D] * red.K
+        for l in range(red.A_nv.shape[0]):
+            for k in range(red.K):
+                if red.A_nv[l, k] > 1e-300:
+                    hi[k] = min(hi[k], red.caps_nv[l] / red.A_nv[l, k])
+        orc = brute_force_oracle(inst, step=step)
+        assert orc.points == math.prod(
+            len(np.arange(0.0, h + step / 2.0, step)) for h in hi)
+        assert np.all(red.restrict(orc.x) <= np.array(hi) + step / 2.0)
 
 
 def test_oracle_refuses_unaffordable_grids():

@@ -1351,10 +1351,6 @@ def test_price_caps_and_local_gains_match_the_per_agent_loops():
                         if abs(inst.A[l, i]) > 1e-12), default=0.0)
             want[l] = 4.0 * best if best > 0 else 1.0
         red = inst.reduced
-        for l in np.flatnonzero(~red.nonvacuous):
-            g = int(red.group_of_agent[inst.index_sets.members[l][0]])
-            group = list(inst.equality_groups[g])
-            want[l] = max(want[l], 2.0 * float(slopes[group].sum()))
         assert np.allclose(game._PriceRound(inst).p_cap, want, rtol=1e-14,
                            atol=0.0)
         # demands below the floor, inside, and above the ceiling
@@ -1382,22 +1378,27 @@ def test_price_caps_and_local_gains_match_the_per_agent_loops():
 
 def test_local_gains_on_ungrouped_instances_are_the_per_agent_formula():
     """Without groups the summed curvature is each agent's own, so the
-    gains are bitwise the former per-agent formula on the shared rows:
-    criterion 1's 20 unicast instances and the N = 200, L = 40 one."""
+    gains are bitwise the per-agent formula on the shared rows, as row
+    sums |A| (r * |A|^T 1), and the row sums of the (M, M) response matrix
+    |A diag(r) A^T| up to rounding: criterion 1's 20 unicast instances
+    and the N = 200, L = 40 one."""
     rng = np.random.default_rng(5)
     cases = [generate(sc, seed) for sc, seed in population_scenarios()[:20]]
     cases.append(large_instance())
     for inst in cases:
         assert not inst.is_degenerate
+        nv, absA = inst.reduced.nv_rows, np.abs(inst.A)
         for _ in range(3):
             y = inst.d + rng.uniform(-0.1, 1.2 * inst.D, inst.n_agents)
             yy = np.clip(y, inst.d + 1e-9, inst.D)
             r = 1.0 / np.maximum(
                 np.abs(inst.valuation_table.deriv2(yy)), 1e-12)
+            gains = _local_gains(inst, y)
+            want = 1.0 / np.maximum(absA @ (r * absA.sum(axis=0)), 1e-9)
+            assert np.array_equal(gains, want[nv])
             coupling = np.abs(inst.A @ (r[:, None] * inst.A.T)).sum(axis=1)
-            want = 1.0 / np.maximum(coupling, 1e-9)
-            assert np.array_equal(_local_gains(inst, y),
-                                  want[inst.reduced.nv_rows])
+            assert np.allclose(gains, 1.0 / np.maximum(coupling, 1e-9)[nv],
+                               rtol=1e-14, atol=0.0)
 
 
 def reprice_rounds(inst, variant, records):
@@ -1778,14 +1779,42 @@ def test_own_deviation_batch_matches_scalar_utility():
                         assert abs(got[k] - want) <= tol, (variant, i, k)
 
 
+def test_own_deviation_utilities_add_own_rows_in_row_order():
+    """On the N = 200 instance, whose agents sit on 15-28 rows, each
+    trial's utility is bitwise a reference that adds the deviator's gross
+    terms one row at a time, in row order. (ndarray.sum adds pairwise from
+    eight terms on, so it moves such sums by rounding.)"""
+    inst = large_instance()
+    n, L = inst.n_agents, inst.n_constraints
+    rng = np.random.default_rng(33)
+    prof = make_profile(inst, inst.d + rng.uniform(1e-3, 3.0, n),
+                        rng.uniform(0.0, 2.0, (n, L)))
+    base, pm = outcome(inst, "base", prof), _peer_means(inst, prof.prices)
+    for i in rng.choice(n, 12, replace=False).tolist():
+        rows = inst.index_sets.rows_of_agent[i]
+        Y, P = np.tile(prof.y, (6, 1)), np.tile(prof.prices[i], (6, 1))
+        Y[:, i] = inst.d[i] + rng.uniform(1e-9, inst.D + 1.0, 6)
+        P[:, rows] = rng.uniform(0.0, 2.0, (6, len(rows)))
+        got = _own_deviation_utilities(inst, prof, base, i, Y, P, pm)
+        X = allocate_many(inst, Y)
+        pay, dis, slk = taxation._gross(
+            inst.A[rows, i] * X[:, i, None], P[:, rows], pm[i, rows],
+            inst.eta, taxation._row_slack(inst, X, rows))
+        gross = np.array([_in_row_order(t) for t in pay + dis + slk])
+        want = inst.valuations[i].value(X[:, i]) \
+            - (gross - math.fsum(base.taxes.rebate[i]))
+        assert [u.hex() for u in got.tolist()] \
+            == [u.hex() for u in want.tolist()], i
+
+
 # the former verify loop, one batch per agent, as the chunked one's reference
 
 
 def reference_verify(inst, variant, prof, deviations, seed=0, eps=1e-6):
     """The former verify_epsilon_ne loop, kept as the reference: each
     agent's trials in a batch of their own (allocate_many, the slack and
-    gross terms on the agent's own rows, its valuation). Returns (gains,
-    max_gain, best_deviations, passed)."""
+    gross terms on the agent's own rows summed in row order, its
+    valuation). Returns (gains, max_gain, best_deviations, passed)."""
     base = outcome(inst, variant, prof)
     hi = inst.D + 1.0
     gains, best_dev, ceiling = np.zeros(inst.n_agents), [], False
@@ -1807,7 +1836,7 @@ def reference_verify(inst, variant, prof, deviations, seed=0, eps=1e-6):
         payment, disagreement, slackness = taxation._gross(
             inst.A[rows, i] * x_i[:, None], P[:, rows], peer_means[i, rows],
             inst.eta, taxation._row_slack(inst, X, rows))
-        gross = (payment + disagreement + slackness).sum(axis=1)
+        gross = taxation._row_sums(payment + disagreement + slackness)
         rebate = math.fsum(base.taxes.rebate[i])
         u0 = float(base.utilities[i])
         g = inst.valuations[i].value(x_i) - (gross - rebate) - u0

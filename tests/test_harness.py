@@ -14,8 +14,9 @@ import pytest
 import propmech
 import propmech.harness as harness
 from propmech.cli import main
-from propmech.harness import (ExperimentConfig, Scenario, UnknownSuite,
-                              bundled_scenarios, canonical_instance, generate,
+from propmech.harness import (ExperimentConfig, GenerationFailed, Scenario,
+                              UnknownSuite, bundled_scenarios,
+                              canonical_instance, generate,
                               generate_with_info, property_suite,
                               run_experiment, write_trace_csv)
 from propmech.game import run_dynamics
@@ -44,6 +45,12 @@ def test_unbuildable_sizes_fail_before_any_draw(scenario, monkeypatch):
     monkeypatch.setattr(harness, "_rng_for", no_draw)
     with pytest.raises(InvalidParameter):
         generate_with_info(scenario, 0)
+
+
+def test_generation_refuses_an_unknown_kind():
+    # the command line restricts --kind; the library names the kind
+    with pytest.raises(GenerationFailed, match="unknown scenario kind 'ring'"):
+        generate_with_info(Scenario(kind="ring"), 0)
 
 
 def test_generation_is_deterministic():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -11,6 +12,7 @@ from propmech import model
 from propmech.centralized import solve
 from propmech.cli import main
 from propmech.game import Schedule
+from propmech.harness import Scenario, generate
 from propmech.model import (FAMILIES, Constraint, DimensionMismatch,
                             DomainError, Instance, InvalidParameter,
                             NegativeReducedCoefficient, NNLSNoConvergence,
@@ -366,6 +368,18 @@ def test_instance_refuses_a_floor_at_or_below_zero(d):
     with pytest.raises(InvalidParameter, match="floor in d"):
         _canonical_with(d=d)
     assert np.all(_canonical_with(d=1e-300).d == 1e-300)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: _canonical_with(d=[0.01, 0.01, 0.01]), r"d has shape \(3,\)"),
+    (lambda: _canonical_with(theta=[0.005]), "theta length mismatch"),
+    (lambda: _canonical_with(equality_groups=((0, 2),)),
+     "equality group member 2 out of range"),
+    (lambda: Constraint({0: 1.0, -1: 1.0}, 1.0), "agent index -1 is negative"),
+], ids=["floor-length", "theta-length", "group-member", "negative-agent"])
+def test_instance_refuses_a_vector_or_index_that_does_not_fit(build, match):
+    with pytest.raises(DimensionMismatch, match=match):
+        build()
 
 
 def test_instance_refuses_negative_eta_and_keeps_zero():
@@ -910,6 +924,31 @@ def test_validate_supplied_theta():
         equality_groups=(), d=0.01, D=10.0, eta=1.0,
         theta=np.array([0.02, 0.005]))
     assert names(validate(bad))["theta"] == "fail"
+    # below d, but the floors themselves break the cap
+    outside = _canonical_with(cap=0.015, theta=np.array([0.009, 0.009]))
+    assert _failure(outside, "theta") == "theta is not strictly interior"
+
+
+def _failure(inst, name: str) -> str:
+    """The detail of validate's failed check ``name`` on inst."""
+    failed = {c.name: c.detail for c in validate(inst).failures}
+    assert name in failed, failed
+    return failed[name]
+
+
+def test_validate_holds_a_group_to_one_floor_and_one_theta():
+    inst = generate(Scenario(kind="local-public-goods", group_sizes=(2, 2)),
+                    200)
+    assert validate(inst).passed and inst.equality_groups[0] == (0, 1)
+    d = inst.d.copy()
+    d[1] *= 1.5
+    assert _failure(dataclasses.replace(inst, d=d), "A2(box)") \
+        == "group (0, 1) has non-constant d"
+    theta = np.full(inst.n_agents, 0.5 * inst.d[0])
+    assert validate(dataclasses.replace(inst, theta=theta)).passed
+    theta[1] *= 0.9
+    assert _failure(dataclasses.replace(inst, theta=theta), "theta") \
+        == "group (0, 1) has non-constant theta"
 
 
 def test_variant_parse_normalizes():

@@ -6,11 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from propmech.allocation import allocate
 from propmech.centralized import solve
-from propmech.game import construct_candidate_ne
+from propmech.game import construct_candidate_ne, make_profile
 from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
-from propmech.model import (Constraint, Instance, InvalidParameter, Valuation,
-                            Variant, validate)
+from propmech.model import (Constraint, DimensionMismatch, Instance,
+                            InvalidParameter, Valuation, Variant, validate)
 from propmech.taxation import (_LANES_PER_SLOT, _MAX_SLOTS,
                                AgentNotOnConstraint,
                                AssumptionA4PrimeViolated,
@@ -54,6 +54,18 @@ def test_pbar_is_the_other_members_mean():
     prices = np.arange(5.0).reshape(5, 1)
     assert pbar(inst, prices, 0, 0) == pytest.approx(2.5, abs=1e-15)
     assert pbar(inst, prices, 4, 0) == pytest.approx(1.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst, p: make_profile(inst, inst.d + 0.1, p),
+    lambda inst, p: pbar(inst, p, 0, 0),
+], ids=["make_profile", "pbar"])
+def test_prices_of_the_wrong_shape_are_refused(call):
+    inst = five_on_a_row()
+    for shape in ((5, 2), (4, 1), (5,)):
+        with pytest.raises(DimensionMismatch,
+                           match=rf"prices \({shape[0]},.*\) are not \(5, 1\)"):
+            call(inst, np.zeros(shape))
 
 
 def test_payment_reads_pbar_bitwise():
