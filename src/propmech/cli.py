@@ -2,8 +2,8 @@
 
 Each command returns None, or the message of the target it failed. Exit
 codes: 0 success; 1 a failed target or any other PropmechError; 2 an
-InputError, an OSError or a malformed command line. A command's exit 1
-or 2 prints one ``error:`` line.
+InputError, an OSError or a malformed command line. Every exit 1 or 2
+prints one ``error:`` line, argparse's refusals too (_Parser).
 
 argparse takes ``-1e-3`` or ``-2,3`` for an option. Every option here but
 ``-h`` is long, so ``main`` joins each other single-dash token to a long
@@ -20,8 +20,8 @@ import numpy as np
 
 from .allocation import allocate
 from .centralized import brute_force_oracle, objective, solve
-from .game import (construct_candidate_ne, make_profile, run_dynamics,
-                   verify_epsilon_ne)
+from .game import (Schedule, construct_candidate_ne, make_profile,
+                   run_dynamics, verify_epsilon_ne)
 from .harness import (ExperimentConfig, Scenario, generate_with_info,
                       property_suite, run_experiment, write_trace_csv)
 from .model import (InputError, PropmechError, Variant, instance_digest,
@@ -129,7 +129,8 @@ def _cmd_gen(args) -> "str | None":
 def _cmd_run(args) -> "str | None":
     inst = _load(args.instance)
     config = ExperimentConfig(variant=Variant.parse(args.variant).value,
-                              schedule=args.schedule, eps=args.eps,
+                              schedule=Schedule.parse(args.schedule).value,
+                              eps=args.eps,
                               record_profiles=args.trace is not None)
     report = run_experiment(inst, config)
     if args.trace and report.trace is not None:
@@ -144,8 +145,15 @@ def _cmd_prop(args) -> "str | None":
     return None if report.passed else f"suite {args.suite} failed"
 
 
+class _Parser(argparse.ArgumentParser):
+    """One ``error:`` line, not a usage text; subcommands inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="propmech",
         description="Proportional allocation mechanism toolkit: solve the "
                     "benchmark problem, simulate message dynamics, verify "

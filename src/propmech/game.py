@@ -148,11 +148,11 @@ class _SweepState:
 
     Per agent: its valuation's value, slope and curvature on floats, its
     own rows, its A_hat column (the demand-space rows' coefficients on its
-    demand), that column and A's on its own rows, and its group. Per
-    instance: the anchor theta and caps - A_red theta, which only the
-    demand objective's pullback ray reads. For ``sweep``, which moves the
-    singleton agents in turn: the (N, W) table of every agent's cells
-    (below), and per agent its rows, caps and A_hat coefficients as lists.
+    demand), and that column and A's on its own rows. Per instance: the
+    anchor theta and caps - A_red theta, which only the demand objective's
+    pullback ray reads. For ``sweep``, which moves the singleton agents in
+    turn: the (N, W) table of every agent's cells (below), and per agent
+    its rows, caps and A_hat coefficients as lists.
     """
 
     def __init__(self, instance: Instance):
@@ -773,7 +773,7 @@ def _book_rounds(instance: Instance, variant: Variant, pending: list,
                  record_profiles: bool) -> list:
     """The records of buffered rounds, each given as (round, max_change,
     y, prices, the three residual parts, accelerated, step_back): their
-    feasibility violations and budget imbalances (the exact total_tax of
+    feasibility violations and budget imbalances (bitwise the total_tax of
     each round's profile) from one allocate_many and one tax kernel call
     over all."""
     Y = np.array([r[2] for r in pending])

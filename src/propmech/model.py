@@ -632,6 +632,8 @@ class Instance:
 
     def __post_init__(self):
         n = len(self.valuations)
+        if not n:
+            raise InvalidParameter("an instance needs at least one agent")
         object.__setattr__(self, "valuations", tuple(self.valuations))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         d = np.atleast_1d(np.asarray(self.d, dtype=float))

@@ -21,14 +21,13 @@ leave-one-out sum is an exclusive prefix sum plus an exclusive suffix sum
 along that member axis. Neither reads the recipient's own entry, so
 perturbing own messages leaves own rebates bitwise unchanged.
 
-The books are exact: every per-agent and per-profile total is a math.fsum
-result, given bitwise for many segments at once by one certified
-compensated-sum kernel, _exact_sums, with math.fsum as its fallback.
+The books add in row order (_row_sums): per agent each term over its
+rows, then per profile its agents' totals, within gamma_{W-1} sum |terms|
+of the exact sum of W terms (Higham 2002, 4.2).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +35,6 @@ import numpy as np
 from .model import (DimensionMismatch, InputError, Instance,
                     InvalidParameter, Variant, _AsDict)
 
-# unit roundoff of float64
-_U = 2.0 ** -53
-# below this sum of |terms| nothing inside math.fsum overflows
-_FSUM_SAFE = 2.0 ** 1022
-_EXPONENT = np.uint64(0x7FF << 52)  # a float64's exponent bits
 # numpy's accumulate calls its inner loop once per lane, about 20 ns each;
 # one add per member slot across all lanes beats it from 128 lanes per slot
 # ((7500, 4): 43 against 154 us), but it passes over the array once per
@@ -80,8 +74,8 @@ class DegenerateRowUnsupported(InputError):
 class TaxBreakdown(_AsDict):
     """Per-agent, per-constraint tax components; zeros off membership.
 
-    total_i = sum_l (payment + disagreement + slackness - rebate) with
-    exactly rounded accumulation.
+    total_i = sum_l payment + sum_l disagreement + sum_l slackness -
+    sum_l rebate, each sum in row order (_row_sums).
     """
 
     payment: np.ndarray       # (N, L)
@@ -92,10 +86,9 @@ class TaxBreakdown(_AsDict):
 
     @property
     def per_agent(self) -> np.ndarray:
-        """Each agent's total, from exact sums over its whole rows."""
-        return _agent_books(*_exact_sums(np.stack(
-            (self.payment.T, self.disagreement.T, self.slackness.T,
-             self.rebate.T), axis=-1)).T)
+        """Each agent's total, from row-order sums over its whole rows."""
+        return _agent_books(*_row_sums(np.stack(
+            (self.payment, self.disagreement, self.slackness, self.rebate))))
 
     @property
     def gross(self) -> float:
@@ -106,11 +99,12 @@ class TaxBreakdown(_AsDict):
 
 def total_tax(breakdown: TaxBreakdown) -> float:
     """Grand total across agents (the budget imbalance of the profile)."""
-    return float(_exact_sums(breakdown.per_agent[:, None])[0])
+    return float(_row_sums(breakdown.per_agent))
 
 
 def _agent_books(pay, dis, sl, reb):
-    """Each agent's total from the exact sums of its four terms."""
+    """Each agent's total from its four term sums; as the disagreement sum
+    is never -0.0, it does not read the sign of a zero sum."""
     return pay + dis + sl - reb
 
 
@@ -143,80 +137,15 @@ def _row_sums(v: np.ndarray) -> np.ndarray:
     return _running_sum(v)[..., -1]
 
 
-def _gap_below(r: np.ndarray) -> np.ndarray:
-    """np.spacing(np.nextafter(|r|, 0)) for finite r, from its exponent
-    bits: p2 = |r| with the mantissa cleared (0 if subnormal) is the power
-    of two at or below |r|, and the gap is 2u p2 above it, u p2 on it."""
-    a = np.abs(r)
-    p2 = (a.view(np.uint64) & _EXPONENT).view(float)
-    gap = np.where(a > p2, 2.0 * _U, _U)
-    gap *= p2
-    return np.maximum(gap, 2.0 ** -1074, out=gap)  # the subnormals' gap
-
-
-def _exact_sums(x: np.ndarray) -> np.ndarray:
-    """math.fsum of each segment x[:, k] of x (W, ...), bitwise, for all
-    segments at once: a compensated pass, and math.fsum for each segment
-    the pass cannot certify.
-
-    The pass (Neumaier 1974; Sum2 of Ogita, Rump & Oishi 2005) keeps the
-    running sum s_j = fl(s_{j-1} + x_j) and each add's exact TwoSum error
-    e_j, then c = fl(sum e_j), E = fl(sum |e_j|), r = fl(s + c) and that
-    add's exact error e2, so the exact sum is S = r + e2 + (sum e_j - c).
-
-    Bound: |sum e_j - c| <= B = fl(2 W u E), u = 2^-53. Summing the W - 1
-    errors in any order is off by at most g sum|e_j|, g = (W-2)u / (1 -
-    (W-2)u) (Higham 2002, 4.2), and sum|e_j| <= (1 + g) E, so for W <
-    2^40 the error is below T = W u E. fl(2T) >= T unless T < 2^-1075,
-    and there the error, a multiple of 2^-1074, is 0.
-
-    Certificate: 2 (|e2| + B) < gap, the spacing below |r| (2^-1074 at
-    0), read from r's exponent bits (_gap_below). Then |S - r| < gap / 2:
-    r is S rounded to nearest with no tie, fsum's result, and an r of 0
-    means S = 0. r is never -0.0 (no TwoSum error is), so that 0 is
-    fsum's +0.0. Rounding is monotone and gap / 2 a float (or the test
-    forces e2 = B = 0), so the float test decides.
-
-    Fallback: while W max|x| < 2^1022 neither the pass nor fsum, whose
-    partials sum to about sum|x_j| in magnitude, can overflow, and the
-    pass raises no warning; past it (or on inf or nan) nothing is
-    certified. The uncertified segments go through math.fsum in order,
-    which raises at the first segment that raised on its own.
-    """
-    W, shape = len(x), x.shape[1:]
-    if not W:
-        return np.zeros(shape)
-    x = x.reshape(W, -1)
-    if not np.abs(x).max(initial=0.0) < _FSUM_SAFE / W:
-        return np.array([math.fsum(col) for col in x.T.tolist()],
-                        dtype=float).reshape(shape)
-    S = _running_sum(x.T).T
-    prev, t = S[:-1], S[1:]
-    z = t - prev
-    e = (prev - (t - z)) + (x[1:] - z)
-    s, c, E = S[-1], e.sum(axis=0), np.abs(e).sum(axis=0)
-    r = s + c
-    z = r - s
-    e2 = (s - (r - z)) + (c - z)
-    ok = 2.0 * (np.abs(e2) + 2.0 * W * _U * E) < _gap_below(r)
-    if not ok.all():
-        bad = np.flatnonzero(~ok)
-        r[bad] = [math.fsum(col.tolist()) for col in x[:, bad].T]
-    return r.reshape(shape)
-
-
 def _budget_books(instance: Instance, terms: np.ndarray
                   ) -> "tuple[list, np.ndarray]":
     """Per profile of a _tax_terms result (4, M, N, L): its total tax and
-    its gross, bitwise total_tax and .gross of its TaxBreakdown. Each
-    term's per-agent sums read the agent's memberships alone
-    (IndexSets.cells), one term at a time, and the profile's total is the
-    exact sum of its agents' totals."""
-    M = terms.shape[1]
-    flat = terms.reshape(4, M, -1)
-    cells = instance.index_sets.cells
-    totals = _exact_sums(_agent_books(
-        *(_exact_sums(t.T[cells]) for t in flat)))
+    its gross, bitwise total_tax and .gross of its TaxBreakdown. The books
+    read each agent's cells (IndexSets.cells: its rows in order, then
+    off-row +0.0, which changes at most the sign of a zero sum)."""
+    flat = terms.reshape(4, terms.shape[1], -1)
+    totals = _row_sums(_agent_books(
+        *_row_sums(flat[:, :, instance.index_sets.cells.T])))
     return totals.tolist(), _gross_scale(*flat[:3])
 
 

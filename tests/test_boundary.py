@@ -81,6 +81,8 @@ def _structural(kind: str) -> "dict | list":
         return [inst]
     elif kind == "no-constraints":
         inst["constraints"] = []
+    elif kind == "no-agents":
+        return {"agents": [], "constraints": [], "d": [], "D": 1.0}
     return inst
 
 
@@ -92,7 +94,7 @@ MALFORMED = ["valuation-without-b-or-m", "agents-not-mappings",
 
 STRUCTURES = ["one-member-row", "empty-row", "duplicated-group-member",
               "agent-out-of-range", "group-without-difference-rows",
-              "no-constraints", *MALFORMED]
+              "no-constraints", "no-agents", *MALFORMED]
 
 COMMANDS = [["solve"], ["simulate", "--rounds", "200"], ["verify"]]
 
@@ -158,7 +160,9 @@ def test_hostile_structure(tmp_path, capsys, kind, cmd):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(_structural(kind)))
     code = _run([cmd[0], str(path), *cmd[1:]], capsys)
-    if kind in MALFORMED:
+    # no-agents once exited 0 (solve), or escaped as a ValueError from
+    # the price round or the verify chunks
+    if kind in MALFORMED or kind == "no-agents":
         assert code == 2
     if kind == "no-constraints" and cmd[0] in ("solve", "simulate"):
         # simulate once escaped as an IndexError in taxation._row_slack
@@ -184,6 +188,8 @@ def test_hostile_structure(tmp_path, capsys, kind, cmd):
     ("solve", ["--tol", "-1e-3"]),
     ("solve", ["--oracle-step", "-1e-3"]),
     ("verify", ["--eps", "-1e-6"]),
+    ("simulate", ["--schedule", "gossip"]),
+    ("simulate", ["--rounds", "abc"]),
 ], ids=lambda v: v if isinstance(v, str) else "=".join(v).lstrip("-"))
 def test_hostile_option(tmp_path, capsys, cmd, options):
     path = tmp_path / "inst.json"
@@ -193,9 +199,29 @@ def test_hostile_option(tmp_path, capsys, cmd, options):
     # the grid's length for 5e-324) or AssumptionA4PrimeViolated, or
     # passed: an oracle step of -0.1 exited 0 with a value of -inf, and a
     # tol of nan or -1 exited 1 with "did not converge"; a '-'-led value
-    # that does not look like -1 or -0.5 (-1e-3) stopped at argparse's
+    # that does not look like -1 or -0.5 (-1e-3), an unknown simulate
+    # schedule and a --rounds that is not an integer stopped at argparse's
     # usage message
     assert _run([cmd, str(path), *options], capsys) == 2
+
+
+@pytest.mark.parametrize("argv", [["gen", "--kind", "star"], ["simulate"]],
+                         ids=["gen-kind-star", "simulate"])
+def test_a_malformed_command_line_without_an_instance(capsys, argv):
+    # each once printed argparse's usage message above its error line
+    assert _run(argv, capsys) == 2
+
+
+def test_run_refuses_an_unknown_schedule_before_the_experiment(
+        tmp_path, capsys, monkeypatch):
+    # it once refused only after the solve and the candidate's verify
+    def unreachable(instance, config):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", unreachable)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_two_agent()))
+    assert _run(["run", str(path), "--schedule", "gossip"], capsys) == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -382,6 +382,14 @@ def test_instance_refuses_a_vector_or_index_that_does_not_fit(build, match):
         build()
 
 
+def test_instance_refuses_no_agents():
+    # the dynamics and the verifier once failed on it with numpy's
+    # ValueError, and solve returned an empty solution
+    with pytest.raises(InvalidParameter, match="at least one agent"):
+        Instance(valuations=(), constraints=(), equality_groups=(), d=[],
+                 D=1.0, eta=1.0)
+
+
 def test_instance_refuses_negative_eta_and_keeps_zero():
     with pytest.raises(InvalidParameter, match="eta"):
         _canonical_with(eta=-1e-3)
