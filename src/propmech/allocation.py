@@ -27,7 +27,7 @@ _RAY_EPS = 1e-300  # denominators below this cannot produce a crossing
 
 
 class DemandOutOfBox(InputError):
-    """Some demand sits at or below the floor d."""
+    """Some demand sits at or below the floor d, or is not finite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,17 +117,22 @@ def _pullback(instance: Instance, Y: np.ndarray, binding: bool = False):
 
 
 def _check_floor(instance: Instance, Y: np.ndarray) -> None:
-    if (Y <= instance.d).any():
-        low = np.flatnonzero((Y <= instance.d).any(axis=0))
-        raise DemandOutOfBox(f"demands at/below the floor for agents "
-                             f"{low.tolist()}")
+    """Refuse a demand at or below the floor, or not finite. NaN passes
+    the floor test (every comparison with NaN is false), so a second pass
+    takes Y's largest entry, which is NaN or inf when any entry is."""
+    low = Y <= instance.d
+    if low.any() or not Y.max(initial=-np.inf) < np.inf:
+        bad = np.flatnonzero((low | ~np.isfinite(Y)).any(axis=0))
+        raise DemandOutOfBox(f"demands at/below the floor or not finite "
+                             f"for agents {bad.tolist()}")
 
 
 def allocate(instance: Instance, y: np.ndarray) -> AllocationResult:
     """Map a demand profile to a feasible allocation.
 
-    Demands must sit strictly above the floor d. Group members always come
-    out equal; without groups the feasible branch returns a copy of y.
+    Demands must be finite and strictly above the floor d. Group members
+    always come out equal; without groups the feasible branch returns a
+    copy of y.
     A one-row call of allocate_many's kernel: bitwise its row wherever
     BLAS does not block the row products by batch size (small instances).
     """
@@ -145,8 +150,9 @@ def allocate_many(instance: Instance, Y: np.ndarray) -> np.ndarray:
     """Vectorized allocate over rows of Y (M, N); returns X (M, N).
 
     Same map as allocate() for each row, minus the result metadata; raises
-    DemandOutOfBox if any demand sits at or below the floor. X is a fresh
-    array, never Y, and the only (M, N) float array the call allocates.
+    DemandOutOfBox if any demand sits at or below the floor or is not
+    finite. X is a fresh array, never Y, and the only (M, N) float array
+    the call allocates.
     """
     Y = np.asarray(Y, dtype=float)
     _check_floor(instance, Y)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DimensionMismatch, InputError, Instance,
+from .model import (DimensionMismatch, DomainError, InputError, Instance,
                     InvalidParameter, NoInteriorPoint, PropmechError,
-                    ReducedInstance, _AsDict, _check_nonnegative, nnls)
+                    ReducedInstance, _AsDict, _check_finite,
+                    _check_nonnegative, nnls)
 
 __all__ = [
     "NoConvergence",
@@ -76,7 +77,15 @@ class CentralizedSolution(_AsDict):
 
 
 def objective(instance: Instance, x: np.ndarray) -> float:
-    x = instance.check_x_shape(x)
+    """sum_i v_i(x_i) at a finite x >= 0 (DomainError below 0, as
+    Valuation.value)."""
+    x = _check_finite(instance.check_x_shape(x), "x")
+    if (x < 0).any():
+        raise DomainError("valuation evaluated at negative x")
+    return _objective(instance, x)
+
+
+def _objective(instance: Instance, x: np.ndarray) -> float:
     return math.fsum(instance.valuation_table.value(x))
 
 
@@ -113,12 +122,18 @@ def kkt_residuals(instance: Instance, x: np.ndarray, lam: np.ndarray
     with the per-agent condition otherwise). Coordinates resting on the
     nonnegativity floor or the demand ceiling only contribute their
     one-sided excess, matching the box-constrained optimality system.
+    x and lam must be finite.
     """
-    x = instance.check_x_shape(x)
+    x = _check_finite(instance.check_x_shape(x), "x")
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (instance.n_constraints,):
         raise DimensionMismatch(
             f"lambda shaped {lam.shape}, expected ({instance.n_constraints},)")
+    return _kkt_residuals(instance, x, _check_finite(lam, "lambda"))
+
+
+def _kkt_residuals(instance: Instance, x: np.ndarray, lam: np.ndarray
+                   ) -> KKTResiduals:
     slack_vec = instance.caps - instance.A @ x
     primal = max(0.0, float(np.max(-slack_vec, initial=0.0)),
                  float(np.max(-x, initial=0.0)))
@@ -351,10 +366,10 @@ def _solve(instance: Instance, tol: float, max_iter: int, strict: bool,
 
     x = red.expand(z)
     lam_full = _complete_multipliers(instance, x, lam)
-    resid = kkt_residuals(instance, x, lam_full)
+    resid = _kkt_residuals(instance, x, lam_full)
     converged = resid.max <= tol
     sol = CentralizedSolution(
-        x_star=x, lambda_star=lam_full, objective=objective(instance, x),
+        x_star=x, lambda_star=lam_full, objective=_objective(instance, x),
         residuals=resid, iterations=it, converged=converged,
         nonunique_multiplier_rows=_nonunique_rows(instance, x, lam_full))
     if strict and not converged:

@@ -19,12 +19,12 @@ import numpy as np
 from .allocation import _RAY_EPS, _ray_pieces, allocate, allocate_many
 from .centralized import CentralizedSolution
 from .model import (Choice, InputError, Instance, Variant, _AsDict,
-                    _check_nonnegative, _newton_argmax, nnls_tableau,
-                    nnls_tol_scale)
-from .taxation import (TaxBreakdown, _budget_books, _check_finite,
-                       _check_offeq, _check_prices, _gross, _member_means,
-                       _peer_means, _require_peers, _row_slack, _row_sums,
-                       _tax_terms, pbar, tax)
+                    _check_finite, _check_nonnegative, _newton_argmax,
+                    nnls_tableau, nnls_tol_scale)
+from .taxation import (TaxBreakdown, _budget_books, _check_offeq,
+                       _check_prices, _gross, _member_means, _peer_means,
+                       _require_peers, _row_slack, _row_sums, _tax_terms,
+                       pbar, tax)
 
 __all__ = [
     "A2Violation",
@@ -520,7 +520,7 @@ def _local_gains(instance: Instance, y: np.ndarray) -> np.ndarray:
     z = np.clip(red.restrict(y), red.d_red + 1e-9, instance.D)
     d2 = instance.valuation_table.group_sums("deriv2", z, red.group_of_agent)
     r = 1.0 / np.maximum(np.abs(d2), 1e-12)
-    return 1.0 / np.maximum(red.A_nv @ (r * red.A_nv.sum(axis=0)), 1e-9)
+    return 1.0 / np.maximum(red.A_nv @ (r * red.nv_column_sums), 1e-9)
 
 
 class _GroupPrices:
@@ -591,10 +591,10 @@ class _GroupPrices:
                 v[self.row_slices[g]] = self._refit(g, t[self.members[g]])
         pv = np.where(self.passive, v, 0.0)
         resid = np.abs(t - self.BT @ pv)
-        return pv, float(np.max(
+        return pv, float((
             np.maximum.reduceat(resid, self.starts)
             / (1.0 + np.maximum.reduceat(np.abs(want[self.perm]),
-                                         self.starts))))
+                                         self.starts))).max())
 
 
 class _PriceRound:
@@ -627,6 +627,9 @@ class _PriceRound:
         best = np.divide(slopes, absA, out=np.zeros_like(absA),
                          where=absA > 1e-12).max(axis=1)
         self.p_cap = np.where(best > 0, 4.0 * best, 1.0)
+        # the complementarity test's per-run constants
+        self.p_tiny = 1e-12 * (1.0 + self.p_cap)
+        self.cap_scale = 1.0 + np.abs(instance.caps)
         self.lo = _demand_floor(instance.d)
         self.split = split = red.split
         self.state = _SweepState.of(instance) if split.singles.size else None
@@ -644,10 +647,8 @@ class _PriceRound:
         # complementarity of quoted prices with notional excess demand;
         # checked against the round-start profile so a shrinking step
         # cannot fake convergence
-        comp = np.where(pc > 1e-12 * (1.0 + self.p_cap),
-                        np.abs(s), np.maximum(0.0, s))
-        comp_resid = float(np.max(comp / (1.0 + np.abs(inst.caps)),
-                                  initial=0.0))
+        comp = np.where(pc > self.p_tiny, np.abs(s), np.maximum(0.0, s))
+        comp_resid = float((comp / self.cap_scale).max(initial=0.0))
         nv = self.nv_rows
         pc[nv] = np.minimum(np.maximum(
             0.0, pc[nv] + _local_gains(inst, prof.y) * s[nv]), self.p_cap[nv])
@@ -664,8 +665,8 @@ class _PriceRound:
             want = table.deriv(z[loc])
             pv, group_resid = self.prices(want - base[g], want)
             pc[self.prices.rows] = pv
-            snap = float(np.max(np.abs(z[loc] - prof.y[g])
-                                / (1.0 + np.abs(prof.y[g]))))
+            snap = float((np.abs(z[loc] - prof.y[g])
+                          / (1.0 + np.abs(prof.y[g]))).max())
             prof.y[g] = np.maximum(z[loc], self.lo[g])
         prof.prices = pc[None, :] * self.on
         if self.state is not None:
@@ -704,22 +705,25 @@ class _Anderson:
     returns the state to hand on next, projected into the box (None: the
     plain image), and whether it is extrapolated. With residuals f = g(x) -
     x it extrapolates g(x_k) - dG gamma, where gamma minimises |f_k - dF
-    gamma| over the last _AA_DEPTH differences of the history. A residual
-    norm above the smallest one in the history drops the history; when the
-    round started from an extrapolated point, the run goes back to the
-    plain image that point replaced, and the history builds again. An
-    extrapolation that lands, in the box, on the round's own start drops
-    the history too and hands on the plain image: the history has
-    degenerated there, and would hand on that start forever, a rest of
-    the accelerated map where the plain one moves on.
+    gamma| over the last _AA_DEPTH differences of the history. The history
+    stands in two (_AA_DEPTH + 1, n) arrays, the residuals F and the
+    images G, oldest first in their first len(norms) rows, so dF and dG
+    are one subtraction each. A residual norm above the smallest one in
+    the history drops the history; when the round started from an
+    extrapolated point, the run goes back to the plain image that point
+    replaced, and the history builds again. An extrapolation that lands,
+    in the box, on the round's own start drops the history too and hands
+    on the plain image: the history has degenerated there, and would hand
+    on that start forever, a rest of the accelerated map where the plain
+    one moves on.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, scale: np.ndarray,
                  x: np.ndarray):
         self.lo, self.hi, self.scale = lo, hi, scale
         self.x = x / scale
-        self.f: list = []
-        self.g: list = []
+        self.F = np.empty((_AA_DEPTH + 1, x.size))
+        self.G = np.empty_like(self.F)
         self.norms: list = []
         self.replaced = None  # the plain image the last extrapolation replaced
         self.drops = 0
@@ -728,22 +732,24 @@ class _Anderson:
         gx = gx / self.scale
         start, self.x = self.x, gx
         f = gx - start
-        norm = float(np.linalg.norm(f))
+        norm = math.sqrt(f.dot(f))  # np.linalg.norm's arithmetic
         replaced, self.replaced = self.replaced, None
         if self.norms and norm > min(self.norms):
             return self._drop(replaced), False
-        self.f.append(f)
-        self.g.append(gx)
+        k = len(self.norms)
+        if k > _AA_DEPTH:  # full: the oldest entry leaves
+            self.F[:-1], self.G[:-1] = self.F[1:], self.G[1:]
+            del self.norms[0]
+            k -= 1
+        self.F[k], self.G[k] = f, gx
         self.norms.append(norm)
-        if len(self.f) > _AA_DEPTH + 1:
-            del self.f[0], self.g[0], self.norms[0]
-        if len(self.f) < 2:
+        if not k:
             return None, False
-        dF = np.diff(np.array(self.f), axis=0).T
-        dG = np.diff(np.array(self.g), axis=0).T
+        dF = (self.F[1:k + 1] - self.F[:k]).T
+        dG = (self.G[1:k + 1] - self.G[:k]).T
         gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
         z = self._hand_on(gx - dG @ gamma)
-        if np.array_equal(self.x, start):
+        if (self.x == start).all():
             self.x = gx
             return self._drop(None), False
         self.replaced = gx
@@ -752,7 +758,7 @@ class _Anderson:
     def _drop(self, x: "np.ndarray | None") -> "np.ndarray | None":
         """Drop the history and hand on the scaled point x (None: the
         plain image)."""
-        self.f, self.g, self.norms = [], [], []
+        self.norms = []
         self.drops += 1
         return self._hand_on(x)
 
@@ -853,9 +859,8 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
             _best_response_round(instance, prof)
             parts, accelerated, stepped_back = (None, None, None), None, None
         y_end, p_end = prof.y.copy(), prof.prices.copy()
-        max_change = max(
-            float(np.max(np.abs(y_end - y_prev), initial=0.0)),
-            float(np.max(np.abs(p_end - p_prev), initial=0.0)))
+        max_change = max(float(np.abs(y_end - y_prev).max(initial=0.0)),
+                         float(np.abs(p_end - p_prev).max(initial=0.0)))
         y_prev, p_prev = y_end, p_end
         if not price_adjust:
             converged = max_change <= tol

@@ -638,8 +638,10 @@ SUITES = {
 def property_suite(name: str, samples: "int | None" = None,
                    seed: int = 0) -> SuiteReport:
     """Run one named randomized property suite."""
-    if samples is not None and samples < 1:
-        raise InvalidParameter(f"samples = {samples} must be >= 1")
+    if samples is not None:
+        if samples < 1:
+            raise InvalidParameter(f"samples = {samples} must be >= 1")
+        _check_nonnegative(samples=samples)  # a count: an integer
     _check_nonnegative(seed=seed)
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; have "

@@ -80,13 +80,28 @@ class InvalidParameter(InputError):
     """Non-finite or out-of-range number in a valuation or an instance."""
 
 
+# the parameters that count: integers, checked by _check_nonnegative
+_COUNTS = frozenset(("deviations", "max_iter", "max_rounds", "samples",
+                     "seed"))
+
+
 def _check_nonnegative(**values) -> None:
-    """Raise InvalidParameter naming the first value that is below 0, or
-    not finite for a value that is not a Python int."""
+    """Raise InvalidParameter naming the first value that is below 0, not
+    an integer for a count (_COUNTS), or not finite for a value that is
+    not an integer."""
     for name, v in values.items():
-        if not (v >= 0 and (isinstance(v, int) or math.isfinite(v))):
-            rule = ">= 0" if isinstance(v, int) else "finite and >= 0"
+        integer = isinstance(v, (int, np.integer))
+        if name in _COUNTS and not integer:
+            raise InvalidParameter(f"{name} must be an integer, got {v!r}")
+        if not (v >= 0 and (integer or math.isfinite(v))):
+            rule = ">= 0" if integer else "finite and >= 0"
             raise InvalidParameter(f"{name} must be {rule}, got {v}")
+
+
+def _check_finite(a: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise InvalidParameter(f"{name} must be finite")
+    return a
 
 
 class NoInteriorPoint(InputError, RuntimeError):
@@ -125,36 +140,63 @@ class Variant(Choice):
 
 
 class _Family(NamedTuple):
-    """Elementwise v, v', v'' and the unclipped inverse of v' for one
-    family: parameters and points broadcast together (see FAMILIES)."""
+    """One family's arithmetic. ``coefficients(a, b)`` forms what the
+    other four read of the parameters alone; value, deriv and deriv2 map
+    those coefficients and points x, broadcast together, to v, v' and v'',
+    and inv_deriv maps them and slopes q to the unclipped inverse of v'
+    (see FAMILIES). A form takes the IEEE operations of its expression in
+    a, b and x in the same order, so its bits are that expression's: only
+    the parts that read no x are formed ahead, once per valuation (_bind)
+    or per family part of a table (ValuationTable._parts)."""
 
+    coefficients: Callable
     value: Callable
     deriv: Callable
     deriv2: Callable
     inv_deriv: Callable
 
 
-def _log_inv(a, b, q):
-    z = np.where(q > 0, a / q - 1.0 / b, np.inf)
-    return np.where(q >= a * b, 0.0, z)
+class _Coefficients(NamedTuple):
+    """A family's coefficients, Python floats or arrays over a table's
+    agents: a, b, a b, the factor of v'' (None where unread), power's
+    exponents b - 1 and b - 2, the inverse slope's 1/b (power's
+    1/(b - 1)), and which b take log_shift's huge branch."""
+
+    a: object
+    b: object
+    ab: object
+    curv: object = None
+    e1: object = None
+    e2: object = None
+    inv: object = None
+    huge: object = False
 
 
-def _log_curv(a, b, x):
-    """log_shift's v'' = -a b^2 / (1 + b x)^2, bitwise, wherever b ** 2 is
-    finite. Past b = 2^511 the square overflows though the curvature need
-    not; there it is -(a t) t with t = b / (1 + b x), the slope per unit
-    a."""
+def _log_coefficients(a, b) -> _Coefficients:
+    """log_shift's v'' is -a b^2 / (1 + b x)^2. Past b = 2^511, b ** 2
+    overflows though the curvature need not; there it is -(a t) t with
+    t = b / (1 + b x), the slope per unit a. Which b take that branch is
+    decided here: a bool for one float b, else the mask, or False when no
+    b does."""
     huge = b >= 2.0 ** 511
-    if not (huge if isinstance(huge, bool) else huge.any()):
-        return -a * b ** 2 / (1.0 + b * x) ** 2
-    t = b / (1.0 + b * x)
-    if isinstance(huge, bool):  # one valuation's float b
-        return -(a * t) * t
-    return np.where(huge, -(a * t) * t, -a * b ** 2 / (1.0 + b * x) ** 2)
+    if not isinstance(huge, bool):
+        huge = huge if huge.any() else False
+    return _Coefficients(a, b, a * b, None if huge is True else -a * b ** 2,
+                         inv=1.0 / b, huge=huge)
 
 
-def _power_inv(a, b, q):
-    return np.where(q > 0, (q / (a * b)) ** (1.0 / (b - 1.0)), np.inf)
+def _log_curv(k: _Coefficients, x):
+    if k.huge is False:
+        return k.curv / (1.0 + k.b * x) ** 2
+    t = k.b / (1.0 + k.b * x)
+    if k.huge is True:
+        return -(k.a * t) * t
+    return np.where(k.huge, -(k.a * t) * t, k.curv / (1.0 + k.b * x) ** 2)
+
+
+def _power_coefficients(a, b) -> _Coefficients:
+    ab, e1 = a * b, b - 1.0
+    return _Coefficients(a, b, ab, ab * e1, e1, b - 2.0, 1.0 / e1)
 
 
 # The one home of valuation arithmetic. value, deriv and deriv2 are plain
@@ -165,20 +207,24 @@ def _power_inv(a, b, q):
 # the families with v' > 0), and exactly 0 when q is at or above v'(0).
 FAMILIES: dict[str, _Family] = {
     "log_shift": _Family(
-        value=lambda a, b, x: a * np.log1p(b * x),
-        deriv=lambda a, b, x: a * b / (1.0 + b * x),
+        coefficients=_log_coefficients,
+        value=lambda k, x: k.a * np.log1p(k.b * x),
+        deriv=lambda k, x: k.ab / (1.0 + k.b * x),
         deriv2=_log_curv,
-        inv_deriv=_log_inv),
+        inv_deriv=lambda k, q: np.where(
+            q >= k.ab, 0.0, np.where(q > 0, k.a / q - k.inv, np.inf))),
     "power": _Family(
-        value=lambda a, b, x: a * x ** b,
-        deriv=lambda a, b, x: a * b * x ** (b - 1.0),
-        deriv2=lambda a, b, x: a * b * (b - 1.0) * x ** (b - 2.0),
-        inv_deriv=_power_inv),
+        coefficients=_power_coefficients,
+        value=lambda k, x: k.a * x ** k.b,
+        deriv=lambda k, x: k.ab * x ** k.e1,
+        deriv2=lambda k, x: k.curv * x ** k.e2,
+        inv_deriv=lambda k, q: np.where(q > 0, (q / k.ab) ** k.inv, np.inf)),
     "quad_cap": _Family(
-        value=lambda a, b, x: a * (b * x - x ** 2 / 2.0),
-        deriv=lambda a, b, x: a * (b - x),
-        deriv2=lambda a, b, x: 0.0 * x - a,
-        inv_deriv=lambda a, b, q: np.where(q >= a * b, 0.0, b - q / a)),
+        coefficients=lambda a, b: _Coefficients(a, b, a * b),
+        value=lambda k, x: k.a * (k.b * x - x ** 2 / 2.0),
+        deriv=lambda k, x: k.a * (k.b - x),
+        deriv2=lambda k, x: 0.0 * x - k.a,
+        inv_deriv=lambda k, q: np.where(q >= k.ab, 0.0, k.b - q / k.a)),
 }
 
 
@@ -217,8 +263,9 @@ class Valuation:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise DomainError("valuation evaluated at negative x")
+        fam = FAMILIES[self.family]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return getattr(FAMILIES[self.family], fn)(self.a, self.b, x)
+            return getattr(fam, fn)(fam.coefficients(self.a, self.b), x)
 
     def value(self, x):
         return self._eval("value", x)
@@ -272,12 +319,16 @@ class ValuationTable:
 
     @cached_property
     def _parts(self) -> tuple:
-        """(family, agent indices, their a, their b) per family present."""
+        """(family, agent indices, their coefficients) per family present;
+        the indices are None where one family holds the whole table."""
         parts = []
-        for c, fam in enumerate(FAMILIES.values()):
-            idx = np.flatnonzero(self.code == c)
-            if idx.size:
-                parts.append((fam, idx, self.a[idx], self.b[idx]))
+        with np.errstate(over="ignore"):  # log_shift's b ** 2 past 2^511
+            for c, fam in enumerate(FAMILIES.values()):
+                idx = np.flatnonzero(self.code == c)
+                if idx.size:
+                    parts.append((fam, None if idx.size == self.code.size
+                                  else idx,
+                                  fam.coefficients(self.a[idx], self.b[idx])))
         return tuple(parts)
 
     @cached_property
@@ -292,9 +343,14 @@ class ValuationTable:
         out = np.empty_like(x)
         tail = (1,) * (x.ndim - 1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for fam, idx, a, b in self._parts:
-                out[idx] = getattr(fam, fn)(a.reshape(-1, *tail),
-                                            b.reshape(-1, *tail), x[idx])
+            for fam, idx, k in self._parts:
+                if tail:
+                    k = _Coefficients(*(c.reshape(-1, *tail)
+                                        if isinstance(c, np.ndarray) else c
+                                        for c in k))
+                if idx is None:
+                    return getattr(fam, fn)(k, x)
+                out[idx] = getattr(fam, fn)(k, x[idx])
         return out
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -336,20 +392,23 @@ class ValuationTable:
 
 def _bind(family: str, a: float, b: float) -> tuple:
     """A valuation's value, slope and curvature as functions of one float
-    x: the FAMILIES forms with its parameters (DomainError for x < 0), on
-    numpy floats as the array path does where Python floats overflow."""
+    x: the FAMILIES forms on its coefficients, formed once here
+    (DomainError for x < 0), with x a numpy float, as on the array path,
+    where Python floats overflow."""
+    fam = FAMILIES[family]
+    k = fam.coefficients(a, b)
 
     def at(form):
         def f(x: float) -> float:
             if x < 0:
                 raise DomainError("valuation evaluated at negative x")
             try:
-                return form(a, b, x)
+                return form(k, x)
             except OverflowError:
                 with np.errstate(all="ignore"):
-                    return float(form(*map(np.float64, (a, b, x))))
+                    return float(form(k, np.float64(x)))
         return f
-    return tuple(at(form) for form in FAMILIES[family][:3])
+    return tuple(at(form) for form in (fam.value, fam.deriv, fam.deriv2))
 
 
 def _summed(members: list, q: float) -> tuple:
@@ -385,28 +444,38 @@ def _newton_argmax(slope, curv, lo: float, hi: float,
     where the step leaves the closed bracket or the curvature is 0. It
     starts at z0, or at the midpoint without one, clamped into
     [max(lo, 1e-12), hi - 1e-12] and never below lo (a bracket narrower
-    than 1e-12 and a nan start begin at lo). The points stay at or above
-    1e-12, where no power curvature overflows, and the low-end test reads
-    the slope at max(lo, 1e-300). While the bracket [a, b] has
-    b > _WIDE max(a, 1) each step is its geometric midpoint with a read
-    as at least 1, which brings a ceiling of 1e300 to that width in about
-    6 steps. Stops after 80 steps, when a step lands on a bracket end (a
-    point already evaluated: Newton alternates between neighbouring floats
-    there, and a step from within an ulp of the root rounds onto the end
-    just set) or when it moves z by at most 4e-16 (1 + |z|). Returns a
-    Python float.
+    than 1e-12 and a nan start begin at lo), and reads the slope there
+    first. Its sign names the one end that can be the answer, which is
+    tested next: hi when that slope is > 0 (the answer if its slope is
+    >= 0 too), lo when it is < 0 (the answer if the slope at
+    max(lo, 1e-300) is <= 0), and both, hi first, when it is 0 or nan.
+    The start's slope is then the loop's first. The points stay at or
+    above 1e-12, where no power curvature overflows. While the bracket
+    [a, b] has b > _WIDE max(a, 1) each step is its geometric midpoint
+    with a read as at least 1, which brings a ceiling of 1e300 to that
+    width in about 6 steps. Stops after 80 steps, when a step lands on a
+    bracket end (a point already evaluated: Newton alternates between
+    neighbouring floats there, and a step from within an ulp of the root
+    rounds onto the end just set) or when it moves z by at most
+    4e-16 (1 + |z|). Returns a Python float.
     """
     lo, hi = float(lo), float(hi)
-    if slope(hi) >= 0:
-        return hi
-    if slope(max(lo, 1e-300)) <= 0:
-        return lo
-    a, b = lo, hi
     # z0 last: max and min then drop a nan start
     z = max(lo, min(hi - 1e-12,
                     max(1e-12, 0.5 * (lo + hi) if z0 is None else z0)))
-    for _ in range(80):
-        f = slope(z)
+    f = slope(z)
+    # a decreasing slope that is > 0 at z is > 0 below it, and one that is
+    # < 0 at z is < 0 above it; one that is 0 at z may stay 0 up to
+    # either end (a flat piece), so then (and for nan) both ends are
+    # tested, hi first
+    if not f < 0 and slope(hi) >= 0:
+        return hi
+    if not f > 0 and slope(max(lo, 1e-300)) <= 0:
+        return lo
+    a, b = lo, hi
+    for step in range(80):
+        if step:
+            f = slope(z)
         if f > 0:
             a = z
         else:
@@ -832,6 +901,11 @@ class ReducedInstance:
         split = self.A_red[row, group] / np.maximum(on_row[cell], 1)
         weight = np.where(self.group_sizes[group] == 1, idx.coef, split)
         return np.where(idx.mask, weight, 0.0)
+
+    @cached_property
+    def nv_column_sums(self) -> np.ndarray:
+        """A_nv's column sums, (K,)."""
+        return self.A_nv.sum(axis=0)
 
     @cached_property
     def d_red(self) -> np.ndarray:

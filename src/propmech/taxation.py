@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DimensionMismatch, InputError, Instance,
-                    InvalidParameter, Variant, _AsDict)
+                    InvalidParameter, Variant, _AsDict, _check_finite)
 
 # numpy's accumulate calls its inner loop once per lane, about 20 ns each;
 # one add per member slot across all lanes beats it from 128 lanes per slot
@@ -155,12 +155,6 @@ def _check_prices(instance: Instance, prices: np.ndarray) -> np.ndarray:
     if prices.shape != (n, L):
         raise DimensionMismatch(f"prices {prices.shape} are not ({n}, {L})")
     return _check_price_values(prices)
-
-
-def _check_finite(a: np.ndarray, name: str) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise InvalidParameter(f"{name} must be finite")
-    return a
 
 
 def _check_price_values(prices: np.ndarray) -> np.ndarray:

@@ -16,13 +16,16 @@ import numpy as np
 import pytest
 
 from propmech import cli
-from propmech.centralized import NoConvergence
+from propmech.allocation import DemandOutOfBox, allocate, allocate_many
+from propmech.centralized import (NoConvergence, kkt_residuals, objective,
+                                  solve)
 from propmech.cli import main
 from propmech.game import (MessageProfile, best_response_demand,
                            best_response_price, default_init, make_profile,
-                           notional_demand, run_dynamics)
-from propmech.harness import Scenario, canonical_instance, generate
-from propmech.model import (DimensionMismatch, InvalidParameter,
+                           notional_demand, run_dynamics, verify_epsilon_ne)
+from propmech.harness import (Scenario, canonical_instance, generate,
+                              property_suite)
+from propmech.model import (DimensionMismatch, DomainError, InvalidParameter,
                             instance_to_dict)
 
 VALUES = [0.0, -1.0, 1e-300, 1e300, float("nan"), float("inf")]
@@ -323,3 +326,62 @@ def test_run_dynamics_leaves_its_init_as_it_was():
     trace = run_dynamics(inst, init=init)
     assert trace.converged
     assert np.array_equal(init.y, y0) and np.array_equal(init.prices, p0)
+
+
+UNICAST = Scenario(kind="unicast", n_agents=4, n_constraints=2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda inst, y: allocate(inst, y),
+    lambda inst, y: allocate_many(inst, np.array([y + 0.1, y])),
+], ids=["allocate", "allocate_many"])
+def test_a_demand_that_is_not_finite_is_refused(call, bad):
+    # NaN passed the floor test (Y <= d) and came out as a NaN allocation;
+    # inf gave NaN after an "invalid value" RuntimeWarning
+    inst = generate(UNICAST, 1)
+    y = inst.d + 0.1
+    y[2] = bad
+    with pytest.raises(DemandOutOfBox, match=r"\[2\]"):
+        call(inst, y)
+
+
+@pytest.mark.parametrize("what, bad, error", [
+    ("objective", float("nan"), InvalidParameter),
+    ("objective", float("inf"), InvalidParameter),
+    ("objective", -1.0, DomainError),
+    ("kkt-x", float("nan"), InvalidParameter),
+    ("kkt-x", float("inf"), InvalidParameter),
+    ("kkt-lam", float("nan"), InvalidParameter),
+    ("kkt-lam", float("inf"), InvalidParameter),
+], ids=["objective-nan", "objective-inf", "objective-negative", "kkt-x-nan",
+        "kkt-x-inf", "kkt-lam-nan", "kkt-lam-inf"])
+def test_a_point_outside_the_domain_is_refused(what, bad, error):
+    # each returned nan before, where Valuation.value(-1) raises DomainError
+    inst = generate(UNICAST, 1)
+    x, lam = inst.d + 0.1, np.full(inst.n_constraints, 0.5)
+    (lam if what == "kkt-lam" else x)[0] = bad
+    with pytest.raises(error):
+        if what == "objective":
+            objective(inst, x)
+        else:
+            kkt_residuals(inst, x, lam)
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst: run_dynamics(inst, max_rounds=2.5),
+    lambda inst: solve(inst, max_iter=2.5),
+    lambda inst: generate(UNICAST, 1.5),
+    lambda inst: verify_epsilon_ne(inst, "base", default_init(inst),
+                                   seed=1.5),
+    lambda inst: property_suite("feasibility", seed=1.5),
+    lambda inst: property_suite("feasibility", samples=2.5),
+], ids=["run_dynamics", "solve", "generate", "verify_epsilon_ne",
+        "property_suite", "property_suite-samples"])
+def test_a_count_that_is_not_an_integer_is_refused(call):
+    # run_dynamics, verify_epsilon_ne and property_suite raised a bare
+    # TypeError, solve ran 3 iterations, generate drew seed 1 and
+    # property_suite ran 2.5 samples as 2
+    with pytest.raises(InvalidParameter, match="integer"):
+        call(generate(UNICAST, 1))

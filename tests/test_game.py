@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propmech import game, taxation
+from propmech import game, model, taxation
 from propmech.centralized import solve
 from propmech.game import (A2Violation, _DemandObjective, _SweepState,
                            _draw_joint_trials,
@@ -632,7 +632,7 @@ def test_anderson_safeguard_goes_back_and_restarts_the_history():
     # the run returns to the plain image e1 replaced
     back, extrapolated = acc.step(e1 + 10.0)
     assert np.array_equal(back, g1) and not extrapolated
-    assert acc.f == acc.g == acc.norms == [] and acc.drops == 1
+    assert acc.norms == [] and acc.drops == 1
     # the next round starts the history again, the one after extrapolates
     assert acc.step(0.5 * g1) == (None, False)
     assert acc.step(0.25 * g1)[1]
@@ -661,7 +661,7 @@ def test_anderson_hands_on_the_plain_image_when_it_would_stay_put():
     z, extrapolated = acc.step(np.array([3.5]))
     assert extrapolated and z.tolist() == [3.2]
     assert acc.step(np.array([3.1])) == (None, False)
-    assert acc.f == acc.g == acc.norms == [] and acc.drops == 1
+    assert acc.norms == [] and acc.drops == 1
     assert acc.x.tolist() == [3.1]
 
 
@@ -1271,28 +1271,37 @@ class _Probe:
 
 
 def test_warm_start_outside_the_bracket_is_clamped_into_it():
-    """The first interior point is the start clamped into
+    """The first point evaluated is the start clamped into
     [max(lo, 1e-12), hi - 1e-12], or the midpoint without a start: the
     group solve's rule, which every one-dimensional solve now shares (the
     demand solves used to take the midpoint for a start outside (lo, hi)).
-    The end tests come first, hi then lo."""
-    for lo, hi, start, first in ((0.5, 9.0, None, 4.75),
-                                 (0.5, 9.0, 2.1, 2.1),
-                                 (0.5, 9.0, -1.0, 0.5),
-                                 (0.5, 9.0, -math.inf, 0.5),
-                                 (0.5, 9.0, 10.0, 9.0 - 1e-12),
-                                 (0.5, 9.0, math.inf, 9.0 - 1e-12),
-                                 (0.5, 9.0, math.nan, 0.5),
-                                 (0.0, 9.0, 0.0, 1e-12)):
+    The sign of its slope then picks the one end tested, hi when it is
+    > 0 and lo (read at max(lo, 1e-300)) when it is < 0, both when it is
+    0, and the loop reuses that first slope: the start is evaluated
+    once."""
+    for lo, hi, start, first, end in ((0.5, 9.0, None, 4.75, 0.5),
+                                      (0.5, 9.0, 2.1, 2.1, 0.5),
+                                      (0.5, 9.0, -1.0, 0.5, 9.0),
+                                      (0.5, 9.0, -math.inf, 0.5, 9.0),
+                                      (0.5, 9.0, 10.0, 9.0 - 1e-12, 0.5),
+                                      (0.5, 9.0, math.inf, 9.0 - 1e-12, 0.5),
+                                      (0.5, 9.0, math.nan, 0.5, 9.0),
+                                      (0.0, 9.0, 0.0, 1e-12, 9.0),
+                                      (0.0, 9.0, 3.0, 3.0, 1e-300)):
         probe = _Probe(2.0)
         assert probe.argmax(lo, hi, start) == 2.0, start
-        assert probe.at[:3] == [hi, max(lo, 1e-300), first], start
+        assert probe.at[:2] == [first, end], start
+        assert probe.at.count(first) == 1, start
+    # a start on the root reads both ends, hi first, and stays there
+    probe = _Probe(2.0)
+    assert probe.argmax(0.5, 9.0, 2.0) == 2.0
+    assert probe.at == [2.0, 9.0, 0.5]
     # a bracket narrower than 1e-12 starts at lo, not below it
     root = math.nextafter(2.0, 3.0)
     hi = math.nextafter(root, 3.0)
     probe = _Probe(root)
     assert probe.argmax(2.0, hi) == root
-    assert probe.at[:3] == [hi, 2.0, 2.0]
+    assert probe.at[:2] == [2.0, hi] and probe.at.count(2.0) == 1
 
 
 def test_newton_stops_on_an_exact_zero_slope():
@@ -1336,6 +1345,191 @@ def test_concave_argmax_returns_python_floats():
                          (0.5, np.float64(1.5), 2.0),
                          (np.float64(0.5), np.float64(9.0), 2.0)):
         assert type(_Probe(root).argmax(lo, hi)) is float
+
+
+def former_newton_argmax(slope, curv, lo, hi, z0=None):
+    """model._newton_argmax as it was before it read the start's slope
+    first: both end tests, hi then lo, before the start. Returns the point
+    and whether the loop ran (an interior solve)."""
+    lo, hi = float(lo), float(hi)
+    if slope(hi) >= 0:
+        return hi, False
+    if slope(max(lo, 1e-300)) <= 0:
+        return lo, False
+    a, b = lo, hi
+    z = max(lo, min(hi - 1e-12,
+                    max(1e-12, 0.5 * (lo + hi) if z0 is None else z0)))
+    for _ in range(80):
+        f = slope(z)
+        if f > 0:
+            a = z
+        else:
+            b = z
+        if b > 1e6 * max(a, 1.0):
+            z_new = math.sqrt(max(a, 1.0)) * math.sqrt(b)
+        else:
+            c = curv(z)
+            newton = z - f / c if c != 0.0 else math.nan
+            z_new = max(newton if a <= newton <= b else 0.5 * (a + b),
+                        1e-12)
+        done = z_new == a or z_new == b \
+            or abs(z_new - z) <= 4e-16 * (1.0 + abs(z))
+        z = z_new
+        if done:
+            break
+    return z, True
+
+
+def _reach_population():
+    """The benchmark's reach instances: the first ten unicast and all ten
+    grouped scenarios of the criterion-1 population."""
+    pop = population_scenarios()
+    return pop[:10] + pop[20:]
+
+
+def _reach_and_certify():
+    """What a reach pass at seed 0 and both certify bundles run: per reach
+    instance generation, solve, dynamics to rest and allocate; per bundled
+    candidate verify_epsilon_ne under each variant the bundle admits."""
+    for sc, seed in _reach_population():
+        inst = generate(sc, seed)
+        solve(inst, tol=1e-9)
+        allocate(inst, run_dynamics(inst, max_rounds=30000, tol=1e-8)
+                 .profile.y)
+    for bundle, variants in (("base", ("base", "sbb-ne")),
+                             ("sbb-offeq", ("base", "sbb-ne", "sbb-offeq"))):
+        for sc, seed in bundled_scenarios(bundle):
+            inst = generate(sc, seed)
+            cand = construct_candidate_ne(inst, solve(inst, tol=1e-9))
+            for variant in variants:
+                verify_epsilon_ne(inst, variant, cand, eps=1e-6,
+                                  deviations=200, seed=0)
+
+
+def test_newton_tests_one_end_and_keeps_the_former_result(monkeypatch):
+    """Every one-dimensional solve of a reach pass and of both certify
+    bundles (the group solves through model, the demand solves through
+    game) returns bitwise the former rule's point. An interior solve
+    reads one slope fewer: the start's slope stands in for the end test
+    that its sign rules out. A solve that ends at an end reads two, the
+    start and that end. A start whose slope is exactly 0 tests both ends:
+    some certify ray pieces are flat (x moves by 2.2e-16 per unit), with
+    a slope of 0 from lo to the start and below 0 at hi, where the answer
+    is lo."""
+    solves = {True: 0, False: 0}
+    flat = []
+
+    def spy(slope, curv, lo, hi, z0=None):
+        reads = [0, 0]
+
+        def counted(j):
+            def f(t):
+                reads[j] += 1
+                return slope(t)
+            return f
+        got = _newton_argmax(counted(0), curv, lo, hi, z0)
+        want, interior = former_newton_argmax(counted(1), curv, lo, hi, z0)
+        assert got.hex() == want.hex(), (lo, hi, z0)
+        start = max(lo, min(hi - 1e-12, max(
+            1e-12, 0.5 * (lo + hi) if z0 is None else z0)))
+        if slope(start) == 0.0:  # both ends read
+            flat.append(start)
+            assert reads[0] == reads[1] + (not interior), (lo, hi)
+        else:
+            assert reads[0] == (reads[1] - 1 if interior else 2), (lo, hi)
+        solves[interior] += 1
+        return got
+
+    monkeypatch.setattr(model, "_newton_argmax", spy)
+    monkeypatch.setattr(game, "_newton_argmax", spy)
+    _reach_and_certify()
+    assert solves[True] > 3000 and solves[False] > 100, solves
+    assert flat, "no flat start: the exact-0 rule went untested"
+
+
+class FormerAnderson:
+    """game._Anderson's step as it was: the history in lists, stacked with
+    np.array and differenced with np.diff every round."""
+
+    def __init__(self, lo, hi, scale, x):
+        self.lo, self.hi, self.scale = lo, hi, scale
+        self.x = x / scale
+        self.f, self.g, self.norms = [], [], []
+        self.replaced = None
+        self.drops = 0
+
+    def step(self, gx):
+        gx = gx / self.scale
+        start, self.x = self.x, gx
+        f = gx - start
+        norm = float(np.linalg.norm(f))
+        replaced, self.replaced = self.replaced, None
+        if self.norms and norm > min(self.norms):
+            return self._drop(replaced), False
+        self.f.append(f)
+        self.g.append(gx)
+        self.norms.append(norm)
+        if len(self.f) > game._AA_DEPTH + 1:
+            del self.f[0], self.g[0], self.norms[0]
+        if len(self.f) < 2:
+            return None, False
+        dF = np.diff(np.array(self.f), axis=0).T
+        dG = np.diff(np.array(self.g), axis=0).T
+        gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+        z = self._hand_on(gx - dG @ gamma)
+        if np.array_equal(self.x, start):
+            self.x = gx
+            return self._drop(None), False
+        self.replaced = gx
+        return z, True
+
+    def _drop(self, x):
+        self.f, self.g, self.norms = [], [], []
+        self.drops += 1
+        return self._hand_on(x)
+
+    def _hand_on(self, x):
+        if x is not None:
+            x = np.clip(x * self.scale, self.lo, self.hi)
+            self.x = x / self.scale
+        return x
+
+
+def test_anderson_on_standing_arrays_is_bitwise_the_former_step(
+        monkeypatch):
+    """On every round of the reach instances' dynamics, _Anderson hands on
+    bitwise what the former step did, with the same flag, scaled state,
+    history norms and drop count: through extrapolations from a full
+    history, drops and step-backs."""
+    seen = {"extrapolated": 0, "full": 0, "drops": 0}
+
+    class Mirror(game._Anderson):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.former = FormerAnderson(*args)
+
+        def step(self, gx):
+            got, flag = super().step(gx)
+            want, former_flag = self.former.step(gx)
+            assert flag == former_flag
+            assert (got is None) == (want is None)
+            assert got is None or got.tobytes() == want.tobytes()
+            assert self.x.tobytes() == self.former.x.tobytes()
+            assert (self.norms, self.drops) \
+                == (self.former.norms, self.former.drops)
+            seen["extrapolated"] += flag
+            seen["full"] += len(self.norms) == game._AA_DEPTH + 1
+            return got, flag
+
+        def _drop(self, x):
+            seen["drops"] += 1
+            return super()._drop(x)
+
+    monkeypatch.setattr(game, "_Anderson", Mirror)
+    for sc, seed in _reach_population():
+        inst = generate(sc, seed)
+        assert run_dynamics(inst, max_rounds=30000, tol=1e-8).converged
+    assert min(seen.values()) > 10, seen
 
 
 def test_price_caps_and_local_gains_match_the_per_agent_loops():

@@ -71,9 +71,9 @@ def test_family_forms_agree_on_floats_and_arrays():
             else rng.uniform(0.1, 5.0, m)
         x = 10.0 ** rng.uniform(-6.0, 2.0, m)
         for form in (fam.value, fam.deriv, fam.deriv2):
-            arr = form(a, b, x)
-            flt = np.array([form(float(p), float(q), float(t))
-                            for p, q, t in zip(a, b, x)])
+            arr = form(fam.coefficients(a, b), x)
+            flt = np.array([form(fam.coefficients(float(p), float(q)),
+                                 float(t)) for p, q, t in zip(a, b, x)])
             ulp = np.spacing(np.maximum(np.abs(arr), np.abs(flt)))
             assert np.all(np.abs(flt - arr) <= 2.0 * ulp), (name, form)
     # the mixed-family table, agents along the first axis, is each
@@ -95,7 +95,11 @@ def test_log_shift_curvature_past_the_square_overflow():
     def former(a, b, x):
         return -a * b ** 2 / (1.0 + b * x) ** 2
 
-    curv = FAMILIES["log_shift"].deriv2
+    fam = FAMILIES["log_shift"]
+
+    def curv(a, b, x):
+        return fam.deriv2(fam.coefficients(a, b), x)
+
     rng = np.random.default_rng(17)
     a = rng.uniform(0.1, 5.0, 2000)
     b = 10.0 ** rng.uniform(-3.0, 150.0, 2000)
@@ -110,6 +114,100 @@ def test_log_shift_curvature_past_the_square_overflow():
             want = -2.0 * (b / (1.0 + b * x)) ** 2
             assert v.deriv2(x) == pytest.approx(want, rel=1e-15)
             assert table.deriv2(np.array([x]))[0] == v.deriv2(x)
+
+
+def _former_log_curv(a, b, x):
+    huge = b >= 2.0 ** 511
+    if not (huge if isinstance(huge, bool) else huge.any()):
+        return -a * b ** 2 / (1.0 + b * x) ** 2
+    t = b / (1.0 + b * x)
+    if isinstance(huge, bool):
+        return -(a * t) * t
+    return np.where(huge, -(a * t) * t, -a * b ** 2 / (1.0 + b * x) ** 2)
+
+
+def _former_log_inv(a, b, q):
+    z = np.where(q > 0, a / q - 1.0 / b, np.inf)
+    return np.where(q >= a * b, 0.0, z)
+
+
+# each family's value, slope, curvature and inverse slope as functions of
+# (a, b, x), as they were before the coefficients were formed once
+FORMER_FAMILIES = {
+    "log_shift": (lambda a, b, x: a * np.log1p(b * x),
+                  lambda a, b, x: a * b / (1.0 + b * x),
+                  _former_log_curv, _former_log_inv),
+    "power": (lambda a, b, x: a * x ** b,
+              lambda a, b, x: a * b * x ** (b - 1.0),
+              lambda a, b, x: a * b * (b - 1.0) * x ** (b - 2.0),
+              lambda a, b, q: np.where(
+                  q > 0, (q / (a * b)) ** (1.0 / (b - 1.0)), np.inf)),
+    "quad_cap": (lambda a, b, x: a * (b * x - x ** 2 / 2.0),
+                 lambda a, b, x: a * (b - x),
+                 lambda a, b, x: 0.0 * x - a,
+                 lambda a, b, q: np.where(q >= a * b, 0.0, b - q / a)),
+}
+_FORMS = ("value", "deriv", "deriv2", "inv_deriv")
+
+
+def _former_on_float(form, a, b, x):
+    """The former float path (model._bind): Python floats, and numpy
+    floats where those overflow."""
+    try:
+        return form(a, b, x)
+    except OverflowError:
+        with np.errstate(all="ignore"):
+            return float(form(*map(np.float64, (a, b, x))))
+
+
+def test_coefficient_forms_are_bitwise_the_parameter_forms():
+    """The forms on coefficients formed once are bitwise the former forms
+    in (a, b, x): on arrays through ValuationTable (mixed and one-family
+    tables, with and without a trailing axis) and Valuation, and on Python
+    floats through _bind, with log_shift's b at and past 2^511 and points
+    whose Python powers overflow."""
+    rng = np.random.default_rng(35)
+    huge_b = [2.0 ** 511, 2.0 ** 512, 1e300]
+    vals = [Valuation("log_shift", a, b) for a, b in zip(
+        rng.uniform(0.1, 5.0, 9).tolist(),
+        [*rng.uniform(0.1, 5.0, 6).tolist(), *huge_b])]
+    vals += [Valuation("power", a, b) for a, b in zip(
+        rng.uniform(0.1, 5.0, 6).tolist(),
+        rng.uniform(0.05, 0.95, 6).tolist())]
+    vals += [Valuation("quad_cap", a, b) for a, b in zip(
+        rng.uniform(0.1, 5.0, 6).tolist(), rng.uniform(1e-9, 5.0, 6).tolist())]
+    order = rng.permutation(len(vals))
+    xs = np.concatenate([[0.0, 1e-300, 1e-12], 10.0 ** rng.uniform(
+        -12.0, 3.0, 12), [1e154, 1e200, 1e300]])
+
+    def bits(v):
+        return np.asarray(v, dtype=float).tobytes()
+
+    def former_rows(vs, fn, X):
+        with np.errstate(all="ignore"):
+            return np.array([FORMER_FAMILIES[v.family][_FORMS.index(fn)](
+                v.a, v.b, x) for v, x in zip(vs, X)])
+
+    tables = [[vals[j] for j in order],
+              *([v for v in vals if v.family == f] for f in FAMILIES)]
+    for vs in tables:
+        table = ValuationTable.of(vs)
+        X = np.tile(xs, (len(vs), 1))
+        for fn in _FORMS:
+            want = former_rows(vs, fn, X)
+            assert bits(table._map(fn, X)) == bits(want), fn
+            assert bits(table._map(fn, X[:, 7])) == bits(want[:, 7]), fn
+    for v in vals:
+        fam = FORMER_FAMILIES[v.family]
+        for fn, form in zip(_FORMS[:3], fam[:3]):
+            with np.errstate(all="ignore"):
+                want = form(v.a, v.b, xs)
+            with np.errstate(over="ignore"):
+                assert bits(getattr(v, fn)(xs)) == bits(want), (v, fn)
+        for got, form in zip(model._bind(v.family, v.a, v.b), fam[:3]):
+            for x in xs[1:].tolist() if v.family == "power" else xs.tolist():
+                assert bits(got(x)) == bits(
+                    _former_on_float(form, v.a, v.b, x)), (v, form, x)
 
 
 def test_valuation_domain_and_parameter_errors():
