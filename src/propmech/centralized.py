@@ -122,9 +122,12 @@ def kkt_residuals(instance: Instance, x: np.ndarray, lam: np.ndarray
     with the per-agent condition otherwise). Coordinates resting on the
     nonnegativity floor or the demand ceiling only contribute their
     one-sided excess, matching the box-constrained optimality system.
-    x and lam must be finite.
+    x and lam must be finite, and x >= 0 (DomainError below 0, as
+    objective).
     """
     x = _check_finite(instance.check_x_shape(x), "x")
+    if (x < 0).any():
+        raise DomainError("valuation slope evaluated at negative x")
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (instance.n_constraints,):
         raise DimensionMismatch(
@@ -135,8 +138,7 @@ def kkt_residuals(instance: Instance, x: np.ndarray, lam: np.ndarray
 def _kkt_residuals(instance: Instance, x: np.ndarray, lam: np.ndarray
                    ) -> KKTResiduals:
     slack_vec = instance.caps - instance.A @ x
-    primal = max(0.0, float(np.max(-slack_vec, initial=0.0)),
-                 float(np.max(-x, initial=0.0)))
+    primal = max(0.0, float(np.max(-slack_vec, initial=0.0)))
     dual = max(0.0, float(np.max(-lam, initial=0.0)))
     comp = float(np.max(np.abs(lam * slack_vec), initial=0.0))
     red = instance.reduced
@@ -418,37 +420,20 @@ def brute_force_oracle(instance: Instance, step: float = 1e-3
         raise TooLarge(f"more than {ORACLE_POINT_CAP} grid points at step "
                        f"{step}")
     axes = [np.arange(0.0, h + step / 2.0, step) for h in hi]
-    sizes = [len(ax) for ax in axes]
-
+    shape = tuple(map(len, axes))
     table = instance.valuation_table
-    tolv = 1e-12 * (1.0 + np.abs(caps)) if caps.size else None
-    best_val = -math.inf
-    best_pt = np.zeros(K)
-    chunk = max(1, int(2 ** 21 // max(1, int(np.prod(sizes[1:], dtype=np.int64)))))
-    tail = None
-    if K > 1:
-        mesh = np.meshgrid(*axes[1:], indexing="ij")
-        tail = np.stack([m.ravel() for m in mesh])  # (K-1, B)
-    for start in range(0, sizes[0], chunk):
-        head = axes[0][start:start + chunk]
-        if K == 1:
-            Z = head[None, :]
-        else:
-            B = tail.shape[1]
-            Z = np.empty((K, len(head) * B))
-            Z[0] = np.repeat(head, B)
-            Z[1:] = np.tile(tail, (1, len(head)))
-        if caps.size:
-            feas = np.all(rows @ Z <= caps[:, None] + tolv[:, None], axis=0)
-            if not feas.any():
-                continue
-            Zf = Z[:, feas]
-        else:
-            Zf = Z
-        vals = table.value(Zf[red.group_of_agent]).sum(axis=0)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_pt = Zf[:, j].copy()
+    bound = caps + 1e-12 * (1.0 + np.abs(caps))
+    best_val, best_pt = -math.inf, np.zeros(K)
+    # the grid in C order, 2^21 points at a time; the first best point wins
+    for start in range(0, total, 1 << 21):
+        at = np.unravel_index(np.arange(start, min(total, start + (1 << 21))),
+                              shape)
+        Z = np.stack([ax[j] for ax, j in zip(axes, at)])
+        Z = Z[:, np.all(rows @ Z <= bound[:, None], axis=0)]
+        if Z.size:
+            vals = table.value(Z[red.group_of_agent]).sum(axis=0)
+            j = int(np.argmax(vals))
+            if vals[j] > best_val:
+                best_val, best_pt = float(vals[j]), Z[:, j].copy()
     return OracleResult(x=red.expand(best_pt), value=best_val,
                         points=total, step=step)

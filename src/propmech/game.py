@@ -898,6 +898,11 @@ def construct_candidate_ne(instance: Instance, solution: CentralizedSolution
 
 @dataclass(eq=False)
 class NEReport(_AsDict):
+    """verify_epsilon_ne's verdict. The gains, scored on each agent's
+    gross objective, max_gain, best_deviations and passed are the same
+    under every tax variant; the variant changes only ir_margins, each
+    agent's utility at the profile less its value at x_i = 0."""
+
     passed: bool
     eps: float
     max_gain: float
@@ -914,41 +919,24 @@ class NEReport(_AsDict):
     _extra = ("gain_floor",)
 
 
-def _own_deviation_utilities(instance: Instance, profile: MessageProfile,
-                             base: Outcome, who, Y: np.ndarray,
-                             P: np.ndarray, peer_means: np.ndarray
-                             ) -> np.ndarray:
-    """Each trial's utility to its deviator, at M trial profiles that each
-    change one agent's message.
+def _trial_scores(instance: Instance, i: int, X: np.ndarray, P: np.ndarray,
+                  peer_means: np.ndarray) -> np.ndarray:
+    """Agent i's gross objective at M trials: v_i(x_i) less its payment,
+    disagreement and slackness terms on its own rows, formed by the tax's
+    own helpers (taxation._gross, _row_slack) from the trials' allocations
+    X (M, N), its prices P (M, L) and the profile's (N, L) peer means
+    (taxation._peer_means), and summed in row order (taxation._row_sums).
 
-    Trial k's deviator is who[k] (who: (M,) agent ids, or one id for all).
-    Row k of Y (M, N) holds trial k's demands and row k of P (M, L) its
-    deviator's prices; every other agent quotes the prices of ``profile``.
-    One allocate_many call maps all trials; each run of trials with one
-    deviator then forms that agent's gross terms on its own rows only, by
-    the tax's own row-slack and gross-term helpers, and sums them in row
-    order (taxation._row_sums).
-    The rebate row comes from ``base``, the outcome of the untouched
-    profile: rebates never read the recipient's own message, so it is the
-    same at every trial. ``peer_means`` is the profile's (N, L) peer mean
-    prices (taxation._peer_means). Agrees with the scalar
-    utility() of each trial profile up to rounding.
+    The trials change only agent i's message, and a rebate never reads its
+    recipient's message, so under every tax variant a trial's utility to i
+    less the profile's is the difference of their scores.
     """
-    who = np.broadcast_to(who, len(Y))
-    # the runs: trials [s, e) all move agent i
-    cut = (np.flatnonzero(who[1:] != who[:-1]) + 1).tolist()
-    X = allocate_many(instance, Y)
-    out = np.empty(len(Y))
-    for i, s, e in zip(who[[0] + cut].tolist(), [0] + cut, cut + [len(Y)]):
-        x_i, rows = X[s:e, i], instance.index_sets.rows_of_agent[i]
-        payment, disagreement, slackness = _gross(
-            instance.A[rows, i] * x_i[:, None], P[s:e, rows],
-            peer_means[i, rows], instance.eta,
-            _row_slack(instance, X[s:e], rows))
-        gross = _row_sums(payment + disagreement + slackness)
-        rebate = math.fsum(base.taxes.rebate[i])
-        out[s:e] = instance.valuations[i].value(x_i) - (gross - rebate)
-    return out
+    x_i, rows = X[:, i], instance.index_sets.rows_of_agent[i]
+    payment, disagreement, slackness = _gross(
+        instance.A[rows, i] * x_i[:, None], P[:, rows], peer_means[i, rows],
+        instance.eta, _row_slack(instance, X, rows))
+    return instance.valuations[i].value(x_i) \
+        - _row_sums(payment + disagreement + slackness)
 
 
 def _draw_joint_trials(instance: Instance, profile: MessageProfile,
@@ -992,7 +980,7 @@ def _verify_chunks(instance: Instance, deviations: int) -> list:
     """The agents in order, in chunks of as many as keep each chunk's
     trials within _VERIFY_CELLS cells, and at least one."""
     n, rows = instance.n_agents, instance.index_sets.rows_of_agent
-    trials = max(map(len, rows)) + 1 + deviations
+    trials = max(map(len, rows)) + 2 + deviations
     k = max(1, _VERIFY_CELLS // (trials * (n + instance.n_constraints)))
     return [list(range(i, min(n, i + k))) for i in range(0, n, k)]
 
@@ -1005,9 +993,12 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     Per agent: exact best responses in each own coordinate (closed-form
     price; piecewise demand search, _DemandObjective.argmax), both read
     from the profile's peer means, formed once, plus seeded random joint
-    deviations.
-    The agents' trials are evaluated a chunk of agents at a time
-    (_verify_chunks), each chunk in one batch (_own_deviation_utilities).
+    deviations. Each deviation's gain is its score less the profile's on
+    the agent's gross objective (_trial_scores): rebates never read their
+    recipient's message, so the gains, the winning deviations and the
+    verdict are the same under every tax variant, which changes only
+    ir_margins. The agents' trials are evaluated a chunk of agents at a
+    time (_verify_chunks), each chunk in one allocate_many batch.
     Certification additionally requires that no demand best response is
     pinned at the search ceiling, since then the supremum may sit beyond any
     finite bracket and no honest certificate exists.
@@ -1026,46 +1017,47 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     own_rows = instance.index_sets.rows_of_agent
     state = _SweepState.of(instance)
     for chunk in _verify_chunks(instance, deviations):
-        # per agent, a block of trials: one price best response per own
-        # row, the demand best response, then the random joint deviations
-        sizes = np.array([len(own_rows[i]) + 1 + deviations for i in chunk])
-        who, ends = np.repeat(chunk, sizes), np.cumsum(sizes)
+        # per agent, a block of trials: the profile itself, one price best
+        # response per own row, the demand best response, then the random
+        # joint deviations
+        sizes = np.array([len(own_rows[i]) + 2 + deviations for i in chunk])
+        ends = np.cumsum(sizes)
         starts = (ends - sizes).tolist()
-        Y = np.tile(profile.y, (len(who), 1))
-        P = profile.prices[who]
+        Y = np.tile(profile.y, (ends[-1], 1))
+        P = profile.prices[np.repeat(chunk, sizes)]
         demands = []
         for i, s in zip(chunk, starts):
             rows = own_rows[i]
-            P[s + np.arange(len(rows)), rows] = price_br[i, rows]
+            P[s + 1 + np.arange(len(rows)), rows] = price_br[i, rows]
             y_new = _DemandObjective(state, profile, i, peer_means).argmax()
             if y_new >= hi - _CEILING_TOL * (1.0 + hi):
                 ceiling = True
-            Y[s + len(rows), i] = y_new
+            Y[s + 1 + len(rows), i] = y_new
             demands.append(y_new)
         _draw_joint_trials(instance, profile, seed, chunk,
                            ends[:, None] + np.arange(-deviations, 0), Y, P)
-        utilities = _own_deviation_utilities(instance, profile, base, who, Y,
-                                             P, peer_means)
-        for i, s, y_new in zip(chunk, starts, demands):
+        X = allocate_many(instance, Y)
+        for i, s, e, y_new in zip(chunk, starts, ends.tolist(), demands):
             rows = own_rows[i]
-            first_joint = len(rows) + 1
-            u0 = float(base.utilities[i])
-            g = utilities[s:s + first_joint + deviations] - u0
+            u = _trial_scores(instance, i, X[s:e], P[s:e], peer_means)
+            g = u[1:] - u[0]
             k = int(np.argmax(g))
             best = max(0.0, float(g[k]))
-            if best <= _GAIN_FLOOR * (1.0 + abs(u0)):
+            t = s + 1 + k
+            if best <= _GAIN_FLOOR * (1.0 + abs(u[0])):
                 desc = {"agent": i, "kind": "none", "gain": best}
             elif k < len(rows):
                 desc = {"agent": i, "kind": "price",
                         "constraint": int(rows[k]),
-                        "to": float(P[s + k, rows[k]]), "gain": best}
+                        "to": float(P[t, rows[k]]), "gain": best}
             elif k == len(rows):
                 desc = {"agent": i, "kind": "demand", "to": y_new,
                         "gain": best}
             else:
-                desc = {"agent": i, "kind": "joint", "trial": k - first_joint,
-                        "y": float(Y[s + k, i]), "constraints": rows.tolist(),
-                        "prices": P[s + k, rows].tolist(), "gain": best}
+                desc = {"agent": i, "kind": "joint",
+                        "trial": k - len(rows) - 1, "y": float(Y[t, i]),
+                        "constraints": rows.tolist(),
+                        "prices": P[t, rows].tolist(), "gain": best}
             gains[i] = best
             best_dev.append(desc)
 

@@ -642,7 +642,6 @@ class IndexSets:
     """
 
     on: np.ndarray                          # (N, L) bool, i sits on l
-    members: tuple[tuple[int, ...], ...]    # per row, sorted agent ids
     counts: np.ndarray                      # (L,) members per row
     thin_rows: tuple[int, ...]              # rows with fewer than two members
     index: np.ndarray                       # (L, m) int
@@ -668,8 +667,6 @@ class IndexSets:
         order = np.empty_like(rank)
         order[np.arange(n)[:, None], rank] = np.arange(L)
         return cls(on=on,
-                   members=tuple(tuple(r[m].tolist())
-                                 for r, m in zip(index, mask)),
                    counts=counts,
                    thin_rows=tuple(l for l, c in enumerate(counts.tolist())
                                    if c < 2),
@@ -1204,7 +1201,7 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
                                   "; ".join(msgs)))
     else:
         try:
-            derive_theta(instance)
+            instance.theta_or_derived()
             checks.append(CheckResult("theta", "pass", "derived"))
         except NoInteriorPoint as e:
             checks.append(CheckResult("theta", "fail", str(e)))

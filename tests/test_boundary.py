@@ -353,12 +353,14 @@ def test_a_demand_that_is_not_finite_is_refused(call, bad):
     ("objective", -1.0, DomainError),
     ("kkt-x", float("nan"), InvalidParameter),
     ("kkt-x", float("inf"), InvalidParameter),
+    ("kkt-x", -1.0, DomainError),
     ("kkt-lam", float("nan"), InvalidParameter),
     ("kkt-lam", float("inf"), InvalidParameter),
 ], ids=["objective-nan", "objective-inf", "objective-negative", "kkt-x-nan",
-        "kkt-x-inf", "kkt-lam-nan", "kkt-lam-inf"])
+        "kkt-x-inf", "kkt-x-negative", "kkt-lam-nan", "kkt-lam-inf"])
 def test_a_point_outside_the_domain_is_refused(what, bad, error):
     # each returned nan before, where Valuation.value(-1) raises DomainError
+    # (kkt_residuals at x[0] = -1: stationarity nan next to primal 1.0)
     inst = generate(UNICAST, 1)
     x, lam = inst.d + 0.1, np.full(inst.n_constraints, 0.5)
     (lam if what == "kkt-lam" else x)[0] = bad

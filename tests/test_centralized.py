@@ -232,6 +232,19 @@ def test_oracle_grid_spans_the_cap_implied_box():
         assert np.all(red.restrict(orc.x) <= np.array(hi) + step / 2.0)
 
 
+def test_oracle_tie_goes_to_the_first_point_in_c_order():
+    """Two identical agents under x0 + x1 <= 0.501 at step 1e-3: the grid's
+    best points (0.250, 0.251) and (0.251, 0.250) tie exactly, and the
+    walk in C order (the last coordinate fastest) meets the first one
+    first."""
+    inst = Instance(valuations=(Valuation("log_shift", 1.0, 1.0),) * 2,
+                    constraints=(Constraint({0: 1.0, 1: 1.0}, 0.501),),
+                    equality_groups=(), d=0.01, D=10.0, eta=1.0)
+    orc = brute_force_oracle(inst, step=1e-3)
+    grid = np.arange(0.0, 0.501 + 5e-4, 1e-3)
+    assert orc.x.tolist() == grid[[250, 251]].tolist()
+
+
 def test_oracle_refuses_unaffordable_grids():
     inst = generate(Scenario(kind="unicast", n_agents=8, n_constraints=4,
                              min_members=5), 3)

@@ -13,7 +13,7 @@ from propmech import game, model, taxation
 from propmech.centralized import solve
 from propmech.game import (A2Violation, _DemandObjective, _SweepState,
                            _draw_joint_trials,
-                           _local_gains, _own_deviation_utilities,
+                           _local_gains, _trial_scores,
                            best_response_demand,
                            best_response_price, construct_candidate_ne,
                            default_init, make_profile, notional_demand,
@@ -300,8 +300,8 @@ def test_best_response_demand_beats_the_former_search_and_a_grid():
     one piecewise objective's best response has a utility at least the
     two former searches' (inside piece plus ray, by exact pieces or by a
     scan and golden section) and the best of a 4,097-point grid on [lo,
-    hi], less 1e-13 (1 + |u|). The utilities come from one batch (the
-    verifier's own) per profile."""
+    hi], less 1e-13 (1 + |u|). The utilities are the verifier's gross
+    scores, from one batch per profile."""
     on_ray = 0
     for inst, prof, i in off_equilibrium_profiles(660, 12):
         d_i = float(inst.d[i])
@@ -313,8 +313,8 @@ def test_best_response_demand_beats_the_former_search_and_a_grid():
         Y[:4097, i] = np.linspace(d_i + 1e-12 * (1.0 + d_i), hi, 4097)
         Y[4097:, i] = br
         P = np.tile(prof.prices[i], (len(Y), 1))
-        u = _own_deviation_utilities(inst, prof, outcome(inst, "base", prof),
-                                     i, Y, P, _peer_means(inst, prof.prices))
+        u = _trial_scores(inst, i, allocate_many(inst, Y), P,
+                          _peer_means(inst, prof.prices))
         new, exact, old = u[4097:]
         tol = 1e-13 * (1.0 + abs(new))
         assert new >= max(exact, old, u[:4097].max()) - tol, (i, br)
@@ -1540,8 +1540,9 @@ def test_price_caps_and_local_gains_match_the_per_agent_loops():
         slopes = np.array([v.deriv(float(inst.d[i]))
                            for i, v in enumerate(inst.valuations)])
         want = np.empty(inst.n_constraints)
-        for l, mem in enumerate(inst.index_sets.members):
-            best = max((slopes[i] / abs(inst.A[l, i]) for i in mem
+        for l, on in enumerate(inst.index_sets.on.T):
+            best = max((slopes[i] / abs(inst.A[l, i])
+                        for i in np.flatnonzero(on)
                         if abs(inst.A[l, i]) > 1e-12), default=0.0)
             want[l] = 4.0 * best if best > 0 else 1.0
         red = inst.reduced
@@ -1772,15 +1773,8 @@ def test_verify_price_trials_are_the_price_best_responses(monkeypatch):
     call; each own-row price trial, read from its agent's block of the
     chunk's batch, is bitwise the profile with that price replaced by
     best_response_price, on the 11 bundled candidates and on random
-    off-equilibrium profiles."""
-    seen = []
-    batch = game._own_deviation_utilities
-
-    def record(inst, prof, base, who, Y, P, *rest):
-        seen.append((who.copy(), P.copy()))
-        return batch(inst, prof, base, who, Y, P, *rest)
-
-    monkeypatch.setattr(game, "_own_deviation_utilities", record)
+    off-equilibrium profiles. Each block opens with the profile itself."""
+    seen = _spy_scores(monkeypatch)
     cases = [(inst, candidate(inst)) for inst in bundled_instances()]
     cases += [(inst, prof) for inst, prof, _ in
               off_equilibrium_profiles(44, 21)]
@@ -1788,17 +1782,15 @@ def test_verify_price_trials_are_the_price_best_responses(monkeypatch):
         seen.clear()
         verify_epsilon_ne(inst, "base", prof, deviations=0)
         # these instances fit one chunk; the agents' blocks follow in order
-        assert len(seen) == 1
-        who, P = seen[0]
+        assert _chunks(seen) == [list(range(inst.n_agents))]
         rows_of = inst.index_sets.rows_of_agent
-        assert who.tolist() == [i for i, rows in enumerate(rows_of)
-                                for _ in range(len(rows) + 1)]
-        for i, rows in enumerate(rows_of):
-            block = P[who == i]
+        for (i, _, block), rows in zip(seen[1:], rows_of):
+            assert len(block) == len(rows) + 2
+            assert block[0].tobytes() == prof.prices[i].tobytes()
             for k, l in enumerate(rows):
                 want = prof.prices[i].copy()
                 want[l] = best_response_price(inst, "base", prof, i, l)
-                assert block[k].tobytes() == want.tobytes(), (i, l)
+                assert block[1 + k].tobytes() == want.tobytes(), (i, l)
 
 
 def test_best_response_round_prices_each_agent_as_best_response_price():
@@ -1936,6 +1928,11 @@ def _deviation_cases():
 
 
 def test_own_deviation_batch_matches_scalar_utility():
+    """Each trial's gross score (_trial_scores) is its base utility(), and
+    its gain over the profile's score, trial 0, is the gain in utility()
+    under every variant, each within 1e-12 (1 + |u|) of the trial's
+    utility: the rebate, which never reads its recipient's message,
+    drops out."""
     rng = np.random.default_rng(29)
     for inst, variants in _deviation_cases():
         n, L = inst.n_agents, inst.n_constraints
@@ -1944,38 +1941,41 @@ def test_own_deviation_batch_matches_scalar_utility():
         noisy = make_profile(inst, inst.d + rng.uniform(0.05, 3.0, n),
                              rng.uniform(0.0, 2.0, (n, L)) * mask)
         for prof in (cand, noisy):
+            pm = _peer_means(inst, prof.prices)
             for variant in variants:
-                base = outcome(inst, variant, prof)
                 for i in range(n):
                     own = mask[i]
                     peer = np.where(
                         own, (mask * prof.prices).sum(axis=0)
                         - prof.prices[i], 0.0) \
                         / np.maximum(mask.sum(axis=0) - 1, 1)
-                    Y = np.tile(prof.y, (8, 1))
-                    P = np.tile(prof.prices[i], (8, 1))
-                    Y[0, i] = inst.d[i] + 1e-9        # just above the floor
-                    Y[1, i] = inst.D + 1.0            # the search ceiling
-                    P[2] = 0.0                        # zero own prices
-                    P[3] = np.where(own, 1.5 * peer + 0.1, 0.0)
-                    Y[3, i] = inst.D + 1.0            # above peers, overdemand
-                    Y[4:, i] = inst.d[i] + rng.uniform(1e-9, inst.D + 1.0, 4)
-                    P[4:] = rng.uniform(0.0, 3.0, (4, L)) * own
-                    got = _own_deviation_utilities(
-                        inst, prof, base, i, Y, P,
-                        _peer_means(inst, prof.prices))
+                    Y = np.tile(prof.y, (9, 1))
+                    P = np.tile(prof.prices[i], (9, 1))
+                    Y[1, i] = inst.d[i] + 1e-9        # just above the floor
+                    Y[2, i] = inst.D + 1.0            # the search ceiling
+                    P[3] = 0.0                        # zero own prices
+                    P[4] = np.where(own, 1.5 * peer + 0.1, 0.0)
+                    Y[4, i] = inst.D + 1.0            # above peers, overdemand
+                    Y[5:, i] = inst.d[i] + rng.uniform(1e-9, inst.D + 1.0, 4)
+                    P[5:] = rng.uniform(0.0, 3.0, (4, L)) * own
+                    got = _trial_scores(inst, i, allocate_many(inst, Y), P,
+                                        pm)
+                    u0 = utility(inst, variant, prof, i)
                     for k in range(len(Y)):
                         trial = prof.copy()
                         trial.y[i] = Y[k, i]
                         trial.prices[i] = P[k]
                         want = utility(inst, variant, trial, i)
                         tol = 1e-12 * (1.0 + abs(want))
-                        assert abs(got[k] - want) <= tol, (variant, i, k)
+                        gain = (got[k] - got[0]) - (want - u0)
+                        assert abs(gain) <= tol, (variant, i, k)
+                        if variant == "base":
+                            assert abs(got[k] - want) <= tol, (i, k)
 
 
-def test_own_deviation_utilities_add_own_rows_in_row_order():
+def test_trial_scores_add_own_rows_in_row_order():
     """On the N = 200 instance, whose agents sit on 15-28 rows, each
-    trial's utility is bitwise a reference that adds the deviator's gross
+    trial's score is bitwise a reference that adds the deviator's gross
     terms one row at a time, in row order. (ndarray.sum adds pairwise from
     eight terms on, so it moves such sums by rounding.)"""
     inst = large_instance()
@@ -1983,46 +1983,74 @@ def test_own_deviation_utilities_add_own_rows_in_row_order():
     rng = np.random.default_rng(33)
     prof = make_profile(inst, inst.d + rng.uniform(1e-3, 3.0, n),
                         rng.uniform(0.0, 2.0, (n, L)))
-    base, pm = outcome(inst, "base", prof), _peer_means(inst, prof.prices)
+    pm = _peer_means(inst, prof.prices)
     for i in rng.choice(n, 12, replace=False).tolist():
         rows = inst.index_sets.rows_of_agent[i]
         Y, P = np.tile(prof.y, (6, 1)), np.tile(prof.prices[i], (6, 1))
         Y[:, i] = inst.d[i] + rng.uniform(1e-9, inst.D + 1.0, 6)
         P[:, rows] = rng.uniform(0.0, 2.0, (6, len(rows)))
-        got = _own_deviation_utilities(inst, prof, base, i, Y, P, pm)
         X = allocate_many(inst, Y)
+        got = _trial_scores(inst, i, X, P, pm)
         pay, dis, slk = taxation._gross(
             inst.A[rows, i] * X[:, i, None], P[:, rows], pm[i, rows],
             inst.eta, taxation._row_slack(inst, X, rows))
         gross = np.array([_in_row_order(t) for t in pay + dis + slk])
-        want = inst.valuations[i].value(X[:, i]) \
-            - (gross - math.fsum(base.taxes.rebate[i]))
+        want = inst.valuations[i].value(X[:, i]) - gross
         assert [u.hex() for u in got.tolist()] \
             == [u.hex() for u in want.tolist()], i
+
+
+def test_a_trial_repeating_the_profile_scores_as_the_profile():
+    """A trial that repeats the profile, anywhere in a batch of random
+    deviations, scores bitwise the profile's own score (trial 0), so its
+    gain is exactly 0: on every agent of the bundled instances at their
+    candidates and at random profiles, and on agents of the N = 200
+    instance, where a row's allocation depends on the batch's shape, but
+    not on its place in the batch."""
+    rng = np.random.default_rng(41)
+    cases = [(inst, candidate(inst)) for inst in bundled_instances()]
+    cases += [(inst, prof) for inst, prof, _ in
+              off_equilibrium_profiles(22, 43)]
+    large = large_instance()
+    n, L = large.n_agents, large.n_constraints
+    cases.append((large, make_profile(large, large.d + rng.uniform(
+        1e-3, 3.0, n), rng.uniform(0.0, 2.0, (n, L)))))
+    for inst, prof in cases:
+        pm = _peer_means(inst, prof.prices)
+        for i, rows in enumerate(inst.index_sets.rows_of_agent[:12]):
+            Y = np.tile(prof.y, (40, 1))
+            P = np.tile(prof.prices[i], (40, 1))
+            moved = np.arange(40) % 4 > 0
+            Y[moved, i] = inst.d[i] + rng.uniform(1e-9, inst.D + 1.0, 30)
+            P[np.ix_(moved, rows)] = rng.uniform(0.0, 2.0, (30, len(rows)))
+            u = _trial_scores(inst, i, allocate_many(inst, Y), P, pm)
+            assert (u[~moved] == u[0]).all(), i
 
 
 # the former verify loop, one batch per agent, as the chunked one's reference
 
 
-def reference_verify(inst, variant, prof, deviations, seed=0, eps=1e-6):
+def reference_verify(inst, prof, deviations, seed=0, eps=1e-6):
     """The former verify_epsilon_ne loop, kept as the reference: each
-    agent's trials in a batch of their own (allocate_many, the slack and
-    gross terms on the agent's own rows summed in row order, its
-    valuation). Returns (gains, max_gain, best_deviations, passed)."""
-    base = outcome(inst, variant, prof)
+    agent's trials in a batch of their own, the profile first
+    (allocate_many, the slack and gross terms on the agent's own rows
+    summed in row order, its valuation), each gain a trial's score less
+    the profile's. It reads no tax variant. Returns (gains, max_gain,
+    best_deviations, passed)."""
     hi = inst.D + 1.0
     gains, best_dev, ceiling = np.zeros(inst.n_agents), [], False
     peer_means = _peer_means(inst, prof.prices)
     price_br = game._price_best_responses(
-        peer_means, inst.eta, taxation._row_slack(inst, base.x))
+        peer_means, inst.eta,
+        taxation._row_slack(inst, allocate(inst, prof.y).x))
     for i, rows in enumerate(inst.index_sets.rows_of_agent):
-        first_joint = len(rows) + 1
+        first_joint = len(rows) + 2
         Y = np.tile(prof.y, (first_joint + deviations, 1))
         P = np.tile(prof.prices[i], (first_joint + deviations, 1))
-        P[np.arange(len(rows)), rows] = price_br[i, rows]
-        y_new = best_response_demand(inst, variant, prof, i)
+        P[1 + np.arange(len(rows)), rows] = price_br[i, rows]
+        y_new = best_response_demand(inst, "base", prof, i)
         ceiling |= y_new >= hi - game._CEILING_TOL * (1.0 + hi)
-        Y[len(rows), i] = y_new
+        Y[1 + len(rows), i] = y_new
         _draw_joint_trials(inst, prof, seed, [i],
                            first_joint + np.arange(deviations)[None, :], Y, P)
         X = allocate_many(inst, Y)
@@ -2030,23 +2058,24 @@ def reference_verify(inst, variant, prof, deviations, seed=0, eps=1e-6):
         payment, disagreement, slackness = taxation._gross(
             inst.A[rows, i] * x_i[:, None], P[:, rows], peer_means[i, rows],
             inst.eta, taxation._row_slack(inst, X, rows))
-        gross = taxation._row_sums(payment + disagreement + slackness)
-        rebate = math.fsum(base.taxes.rebate[i])
-        u0 = float(base.utilities[i])
-        g = inst.valuations[i].value(x_i) - (gross - rebate) - u0
+        u = inst.valuations[i].value(x_i) \
+            - taxation._row_sums(payment + disagreement + slackness)
+        g = u[1:] - u[0]
         k = int(np.argmax(g))
         best = max(0.0, float(g[k]))
-        if best <= game._GAIN_FLOOR * (1.0 + abs(u0)):
+        if best <= game._GAIN_FLOOR * (1.0 + abs(u[0])):
             desc = {"agent": i, "kind": "none", "gain": best}
         elif k < len(rows):
             desc = {"agent": i, "kind": "price", "constraint": int(rows[k]),
-                    "to": float(P[k, rows[k]]), "gain": best}
+                    "to": float(P[1 + k, rows[k]]), "gain": best}
         elif k == len(rows):
             desc = {"agent": i, "kind": "demand", "to": y_new, "gain": best}
         else:
-            desc = {"agent": i, "kind": "joint", "trial": k - first_joint,
-                    "y": float(Y[k, i]), "constraints": [int(l) for l in rows],
-                    "prices": [float(P[k, l]) for l in rows], "gain": best}
+            desc = {"agent": i, "kind": "joint", "trial": k - first_joint + 1,
+                    "y": float(Y[1 + k, i]),
+                    "constraints": [int(l) for l in rows],
+                    "prices": [float(P[1 + k, l]) for l in rows],
+                    "gain": best}
         gains[i] = best
         best_dev.append(desc)
     max_gain = float(gains.max(initial=0.0))
@@ -2081,30 +2110,51 @@ def _reference_cases():
 @pytest.mark.parametrize("deviations", [0, 1, 200])
 def test_verify_is_bitwise_the_former_per_agent_loop(monkeypatch, deviations,
                                                      split):
-    """The chunked verify's gains, max gain, winning deviations and verdict
-    are bitwise those of the former loop, one batch per agent, on every
-    reference case: at the budget, where each instance is one chunk, and
-    at three agents' worth of cells, where the agents split into chunks of
-    three."""
-    chunks = _spy(monkeypatch, game, "_own_deviation_utilities", 3)
+    """The chunked verify's gains, max gain, winning deviations and verdict,
+    under each case's variant, are bitwise those of the former loop, one
+    batch per agent and no variant, on every reference case: at the
+    budget, where each instance is one chunk, and at three agents' worth
+    of cells, where the agents split into chunks of three."""
+    seen = _spy_scores(monkeypatch)
     for inst, variant, prof in _reference_cases():
         n, L = inst.n_agents, inst.n_constraints
         if split:
             r = max(map(len, inst.index_sets.rows_of_agent))
             monkeypatch.setattr(game, "_VERIFY_CELLS",
-                                3 * (r + 1 + deviations) * (n + L))
-        chunks.clear()
+                                3 * (r + 2 + deviations) * (n + L))
+        seen.clear()
         rep = verify_epsilon_ne(inst, variant, prof, deviations=deviations,
                                 seed=5)
         gains, max_gain, best_dev, passed = reference_verify(
-            inst, variant, prof, deviations, seed=5)
+            inst, prof, deviations, seed=5)
         assert rep.gains.tobytes() == gains.tobytes()
         assert rep.max_gain == max_gain
         assert rep.best_deviations == best_dev
         assert rep.passed == passed
-        sizes = [len(np.unique(who)) for who in chunks]
-        assert sizes == ([3] * (n // 3) + [n % 3] * (n % 3 > 0) if split
-                         else [n])
+        chunks = _chunks(seen)
+        assert sum(chunks, []) == list(range(n))
+        assert list(map(len, chunks)) == (
+            [3] * (n // 3) + [n % 3] * (n % 3 > 0) if split else [n])
+
+
+@pytest.mark.parametrize("bundle", ["base", "sbb-offeq"])
+def test_verify_gains_are_the_same_under_every_variant(bundle):
+    """On a bundle's candidates, solved at tol 1e-9 as certification does,
+    verify's gains, max gain, winning deviations and verdict are bitwise
+    the same under each of the bundle's variants as under base: the
+    rebate never reads its recipient's message, so it changes no gain."""
+    variants = ("sbb-ne", "sbb-offeq") if bundle == "sbb-offeq" \
+        else ("sbb-ne",)
+    for sc in bundled_scenarios(bundle):
+        inst = generate(*sc)
+        cand = construct_candidate_ne(inst, solve(inst, tol=1e-9))
+        want = verify_epsilon_ne(inst, "base", cand)
+        for variant in variants:
+            rep = verify_epsilon_ne(inst, variant, cand)
+            assert rep.gains.tobytes() == want.gains.tobytes(), variant
+            assert rep.max_gain == want.max_gain
+            assert rep.best_deviations == want.best_deviations
+            assert rep.passed == want.passed
 
 
 def _traced(call):
@@ -2137,7 +2187,7 @@ def test_verify_chunks_at_size_keep_the_per_agent_peak_and_time():
         return verify_epsilon_ne(inst, "base", prof, deviations=200)
 
     def former():
-        return reference_verify(inst, "base", prof, 200)
+        return reference_verify(inst, prof, 200)
 
     peak, rep = _traced(chunked)
     former_peak, (gains, *_) = _traced(former)
@@ -2215,6 +2265,35 @@ def _spy(mp, module, name, arg=None):
     return seen
 
 
+def _spy_scores(mp):
+    """Record (agent, trial allocations, trial prices) of every
+    _trial_scores call of game, and None for every allocate_many call
+    there (in verify, one per chunk)."""
+    seen, score, batch = [], game._trial_scores, game.allocate_many
+
+    def on_score(inst, i, X, P, *rest):
+        seen.append((i, X, P))
+        return score(inst, i, X, P, *rest)
+
+    def on_batch(*args):
+        seen.append(None)
+        return batch(*args)
+    mp.setattr(game, "_trial_scores", on_score)
+    mp.setattr(game, "allocate_many", on_batch)
+    return seen
+
+
+def _chunks(seen):
+    """The agents scored after each batch of a _spy_scores record."""
+    out = []
+    for call in seen:
+        if call is None:
+            out.append([])
+        else:
+            out[-1].append(call[0])
+    return out
+
+
 def _kernel_slack(inst, X):
     """The row slack (M, L) the tax kernel prices allocations X (M, N) at."""
     n, L = inst.n_agents, inst.n_constraints
@@ -2239,10 +2318,10 @@ def wide_instance(n=48, rows=3):
 
 def test_every_row_slack_is_the_tax_kernels():
     """verify's slack, each trial's own-row slack, read from its agent's
-    run of the chunk's batch, the price best response's and the
+    block of the chunk's batch, the price best response's and the
     best-response round's are bitwise the slack the tax kernel prices the
-    same allocation at; on price-only trials the batch's slack is
-    verify's."""
+    same allocation at; on the profile's trial and the price-only trials
+    the batch's slack is verify's."""
     rng = np.random.default_rng(23)
     blas_apart = 0
     for inst in bundled_instances() + (wide_instance(),):
@@ -2256,26 +2335,19 @@ def test_every_row_slack_is_the_tax_kernels():
         with pytest.MonkeyPatch.context() as mp:
             quotes = _spy(mp, game, "_price_best_responses", 2)
             trials = _spy(mp, game, "_gross", 4)
-            batches = _spy(mp, game, "allocate_many")
-            deviators = _spy(mp, game, "_own_deviation_utilities", 3)
+            scored = _spy_scores(mp)
             verify_epsilon_ne(inst, "base", prof, deviations=20)
         assert np.array_equal(quotes[0], want)
-        assert len(batches) == len(deviators)
-        agents = []
-        for X, who in zip(batches, deviators):
-            for i in np.unique(who).tolist():
-                # the runs' gross terms are formed agent by agent, in order
-                slack = trials[len(agents)]
-                agents.append(i)
-                rows = list(inst.index_sets.rows_of_agent[i])
-                X_i = X[who == i]
-                assert np.array_equal(slack, _kernel_slack(inst, X_i)[:, rows])
-                price_only = (X_i[:len(rows)] == x).all(axis=1)
-                assert price_only.all()
-                assert np.array_equal(slack[:len(rows)],
-                                      np.tile(want[rows], (len(rows), 1)))
+        assert sum(_chunks(scored), []) == list(range(n))
+        # the blocks' gross terms are formed agent by agent, in order
         assert len(trials) == n
-        assert agents == list(range(n))
+        for (i, X_i, _), slack in zip(filter(None, scored), trials):
+            rows = list(inst.index_sets.rows_of_agent[i])
+            assert np.array_equal(slack, _kernel_slack(inst, X_i)[:, rows])
+            # the profile and its price trials keep the profile's allocation
+            k = len(rows) + 1
+            assert (X_i[:k] == x).all()
+            assert np.array_equal(slack[:k], np.tile(want[rows], (k, 1)))
         with pytest.MonkeyPatch.context() as mp:
             quotes = _spy(mp, game, "_price_best_responses", 2)
             for i, rows in enumerate(inst.index_sets.rows_of_agent):

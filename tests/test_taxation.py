@@ -20,6 +20,11 @@ from propmech.taxation import (_LANES_PER_SLOT, _MAX_SLOTS,
                                sbb_ne_tax, sbb_offeq_tax, tax, total_tax)
 
 
+def row_members(instance):
+    """Per row, its members in agent order, read from IndexSets.on."""
+    return [np.flatnonzero(on).tolist() for on in instance.index_sets.on.T]
+
+
 def five_on_a_row(eta: float = 1e-3) -> Instance:
     return Instance(
         valuations=tuple(Valuation("log_shift", 1.0 + 0.1 * i, 1.0)
@@ -86,7 +91,7 @@ def test_payment_reads_pbar_bitwise():
             prices = prices * rng.uniform(0.0, 1e3)
             x = allocate(inst, y).x
             bd = base_tax(inst, x, prices)
-            for l, mem in enumerate(inst.index_sets.members):
+            for l, mem in enumerate(row_members(inst)):
                 for i in mem:
                     assert bd.payment[i, l] == \
                         inst.A[l, i] * x[i] * pbar(inst, prices, i, l)
@@ -197,7 +202,7 @@ def test_sbb_ne_rebate_never_reads_own_message():
 
 def direct_offeq_rebate(instance, l, y, prices):
     """Literal nested-loop evaluation of the balancing rebate on row l."""
-    mem = list(instance.index_sets.members[l])
+    mem = row_members(instance)[l]
     nm = len(mem)
     cap = float(instance.caps[l])
     eta = instance.eta
@@ -245,7 +250,7 @@ def test_sbb_offeq_rebate_matches_direct_reference():
         y, prices = rng_profile(inst, rng)
         bd = sbb_offeq_tax(inst, y, y, prices)
         ref = direct_offeq_rebate(inst, 0, y, prices)
-        mem = list(inst.index_sets.members[0])
+        mem = row_members(inst)[0]
         got = bd.rebate[mem, 0]
         assert got == pytest.approx(ref, rel=1e-11)
 
@@ -257,7 +262,7 @@ def test_sbb_offeq_reference_on_generated_instance():
     y, prices = rng_profile(inst, rng)
     bd = sbb_offeq_tax(inst, y, y, prices)
     for l in range(inst.n_constraints):
-        mem = list(inst.index_sets.members[l])
+        mem = row_members(inst)[l]
         ref = direct_offeq_rebate(inst, l, y, prices)
         assert bd.rebate[mem, l] == pytest.approx(ref, rel=1e-11), l
 
@@ -369,7 +374,7 @@ def reference_peer_mean(p):
 
 def reference_peer_means(instance, prices):
     out = np.zeros((instance.n_agents, instance.n_constraints))
-    for l, mem in enumerate(instance.index_sets.members):
+    for l, mem in enumerate(row_members(instance)):
         out[mem, l] = reference_peer_mean(prices[mem, l])
     return out
 
@@ -402,8 +407,7 @@ def reference_sbb_ne_rebate(instance, y, prices):
     """The former per-row loop of sbb_ne_tax's telescoping rebate."""
     pb = reference_peer_means(instance, prices)
     rebate = np.zeros_like(pb)
-    for l, mem in enumerate(instance.index_sets.members):
-        mem = list(mem)
+    for l, mem in enumerate(row_members(instance)):
         nm = len(mem)
         p, pbar_minus = prices[mem, l], pb[mem, l]
         w = reference_f1_weights(instance, l, mem)
@@ -423,8 +427,7 @@ def reference_sbb_offeq_rebate(instance, y, prices):
     leave-one-out power sums per row)."""
     rebate = np.zeros((instance.n_agents, instance.n_constraints))
     eta = instance.eta
-    for l, mem in enumerate(instance.index_sets.members):
-        mem = list(mem)
+    for l, mem in enumerate(row_members(instance)):
         nm = len(mem)
         p = prices[mem, l]
         cap = instance.caps[l]
