@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, InputError, ReducedInstance
+from .model import DimensionMismatch, Instance, InputError, ReducedInstance
+from .taxation import _slot_wise
 
 __all__ = [
     "DemandOutOfBox",
@@ -47,17 +48,32 @@ def _row_values(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return Z @ rows.T
 
 
+def _reduce_rows(op: np.ufunc, v: np.ndarray) -> np.ndarray:
+    """op.reduce(v, axis=1) for op np.minimum or np.logical_and: where
+    the slot rule holds (taxation._slot_wise), one op per column across all
+    rows, in each row's order. Bitwise the reduction wherever v holds no
+    NaN and no -0.0, as for every crossing step: numpy's reduction may
+    return another NaN, and on rows of 9 or more another zero."""
+    if not _slot_wise(v):
+        return op.reduce(v, axis=1)
+    out = v[:, 0].copy()
+    for j in range(1, v.shape[1]):
+        op(out, v[:, j], out=out)
+    return out
+
+
 def _crossing(red: ReducedInstance, slack: np.ndarray, V: np.ndarray,
               binding: bool = True) -> "tuple[np.ndarray, np.ndarray | None]":
     """The ray-crossing step. For an anchor with positive slack on each
     non-vacuous row and ray directions V (M, K) = y - anchor: per ray, the
-    smallest alpha at which anchor + alpha V meets a row, and the index
-    into red.nv_rows of the row met first (inf and 0 when none; None
-    unless binding)."""
+    smallest alpha at which anchor + alpha V meets a row (_reduce_rows),
+    and the index into red.nv_rows of the row met first (inf and 0 when
+    none; None unless binding)."""
     den = _row_values(V, red.A_nv)
     cand = np.full(den.shape, np.inf)
     np.divide(slack, den, out=cand, where=den > _RAY_EPS)
-    return cand.min(axis=1), cand.argmin(axis=1) if binding else None
+    return (_reduce_rows(np.minimum, cand),
+            cand.argmin(axis=1) if binding else None)
 
 
 def _ray_pieces(num: np.ndarray, den0: np.ndarray, coef: np.ndarray,
@@ -91,18 +107,19 @@ def _pullback(instance: Instance, Y: np.ndarray, binding: bool = False):
     """The allocation map on the rows of Y (M, N), demands above the floor.
 
     Rows whose group-averaged demand is feasible within FEAS_TOL pass
-    through; the rest are pulled back along the ray from the anchor to the
-    first non-vacuous face. Returns X (M, N), the feasible mask (M,) and the
-    crossing step's (alpha, row) arrays, which are None when every row is
-    feasible; the rows are None unless binding. X is the only (M, N) float
-    array allocated, and never Y itself: the ray directions turn into the
-    allocation in place, and the group expansion runs only when some
-    group has two or more members.
+    through (a row-wise test, _reduce_rows); the rest are pulled back
+    along the ray from the anchor to the first non-vacuous face. Returns
+    X (M, N), the feasible mask (M,) and the crossing step's (alpha, row)
+    arrays, which are None when every row is feasible; the rows are None
+    unless binding. X is the only (M, N) float array allocated, and never
+    Y itself: the ray directions turn into the allocation in place, and
+    the group expansion runs only when some group has two or more members.
     """
     red = instance.reduced
     expand = red.K < Y.shape[1]
     Yr = red.average(Y)
-    feasible = (_row_values(Yr, red.A_nv) <= red.caps_nv_tol).all(axis=1)
+    feasible = _reduce_rows(np.logical_and,
+                            _row_values(Yr, red.A_nv) <= red.caps_nv_tol)
     if feasible.all():
         a = j = None
         Xr = Yr if expand else Yr.copy()
@@ -150,10 +167,13 @@ def allocate_many(instance: Instance, Y: np.ndarray) -> np.ndarray:
     """Vectorized allocate over rows of Y (M, N); returns X (M, N).
 
     Same map as allocate() for each row, minus the result metadata; raises
-    DemandOutOfBox if any demand sits at or below the floor or is not
-    finite. X is a fresh array, never Y, and the only (M, N) float array
-    the call allocates.
+    DimensionMismatch unless Y is (M, N), and DemandOutOfBox if any demand
+    sits at or below the floor or is not finite. X is a fresh array, never
+    Y, and the only (M, N) float array the call allocates.
     """
     Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != instance.n_agents:
+        raise DimensionMismatch(
+            f"Y has shape {Y.shape}, expected (M, {instance.n_agents})")
     _check_floor(instance, Y)
     return _pullback(instance, Y)[0]

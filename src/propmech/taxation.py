@@ -35,13 +35,30 @@ import numpy as np
 from .model import (DimensionMismatch, InputError, Instance,
                     InvalidParameter, Variant, _AsDict, _check_finite)
 
-# numpy's accumulate calls its inner loop once per lane, about 20 ns each;
-# one add per member slot across all lanes beats it from 128 lanes per slot
-# ((7500, 4): 43 against 154 us), but it passes over the array once per
-# slot, and out of cache it loses from 7 slots on (0.9, 0.8 and 0.45 times
-# accumulate's speed at 7, 8 and 16 slots; 1.0 to 4.3 times at 6 to 2)
+# numpy's reductions and accumulates along a last axis call their inner
+# loop once per lane, about 20 ns each; one call per slot (entry of that
+# axis) across all lanes wins from 128 lanes per slot. A running sum so
+# wins up to 12 slots in cache and up to 6 out of it; allocate_many's row
+# reductions, taken together, win up to 12 either way (README, "Tax
+# variants")
 _LANES_PER_SLOT = 128
-_MAX_SLOTS = 6
+_MAX_SLOTS = 12
+
+
+def _slot_wise(v: np.ndarray) -> bool:
+    """Whether to run along v's last axis one slot at a time across all
+    lanes: at most _MAX_SLOTS slots, in _LANES_PER_SLOT lanes per slot or
+    more."""
+    n = v.shape[-1]
+    return 0 < n <= _MAX_SLOTS and v.size >= _LANES_PER_SLOT * n * n
+
+
+# profiles per block of _tax_terms and _budget_books: as many as keep a
+# block's N * L cells within _BLOCK_CELLS, so that its arrays stay in cache,
+# and at least _MIN_BLOCK, below which wide profiles cost more each (README,
+# "Tax variants")
+_BLOCK_CELLS = 1 << 15
+_MIN_BLOCK = 16
 
 __all__ = [
     "AgentNotOnConstraint",
@@ -116,15 +133,14 @@ def _gross_scale(pay, dis, sl):
 
 def _running_sum(v: np.ndarray, out: "np.ndarray | None" = None
                  ) -> np.ndarray:
-    """np.add.accumulate(v, axis=-1, out=out), bitwise. With at most
-    _MAX_SLOTS member slots in _LANES_PER_SLOT lanes per slot or more, it
-    adds one slot at a time across all lanes, in each lane's order."""
-    n = v.shape[-1]
-    if not 0 < n <= _MAX_SLOTS or v.size < _LANES_PER_SLOT * n * n:
+    """np.add.accumulate(v, axis=-1, out=out), bitwise. Where the slot
+    rule holds (_slot_wise) it adds one slot at a time across all
+    lanes, in each lane's order."""
+    if not _slot_wise(v):
         return np.add.accumulate(v, axis=-1, out=out)
     out = np.empty_like(v) if out is None else out
     out[..., 0] = v[..., 0]
-    for j in range(1, n):
+    for j in range(1, v.shape[-1]):
         np.add(out[..., j - 1], v[..., j], out=out[..., j])
     return out
 
@@ -137,16 +153,32 @@ def _row_sums(v: np.ndarray) -> np.ndarray:
     return _running_sum(v)[..., -1]
 
 
+def _blocks(instance: Instance, m: int) -> "list[slice]":
+    """m profiles in blocks of _BLOCK_CELLS // (N L) profiles, at least
+    _MIN_BLOCK (an instance without constraints counts as L = 1)."""
+    k = max(_MIN_BLOCK, _BLOCK_CELLS // max(1, instance.n_agents
+                                            * instance.n_constraints))
+    return [slice(i, i + k) for i in range(0, m, k)]
+
+
 def _budget_books(instance: Instance, terms: np.ndarray
                   ) -> "tuple[list, np.ndarray]":
     """Per profile of a _tax_terms result (4, M, N, L): its total tax and
     its gross, bitwise total_tax and .gross of its TaxBreakdown. The books
     read each agent's cells (IndexSets.cells: its rows in order, then
-    off-row +0.0, which changes at most the sign of a zero sum)."""
-    flat = terms.reshape(4, terms.shape[1], -1)
-    totals = _row_sums(_agent_books(
-        *_row_sums(flat[:, :, instance.index_sets.cells.T])))
-    return totals.tolist(), _gross_scale(*flat[:3])
+    off-row +0.0, which changes at most the sign of a zero sum). They run
+    a block of profiles at a time (_blocks); each profile's sums are
+    row-order running sums and per-row reductions, which do not read the
+    block's size."""
+    M = terms.shape[1]
+    flat = terms.reshape(4, M, instance.n_agents * instance.n_constraints)
+    totals, gross = np.empty((2, M))
+    for s in _blocks(instance, M):
+        block = flat[:, s]
+        totals[s] = _row_sums(_agent_books(
+            *_row_sums(block[:, :, instance.index_sets.cells.T])))
+        gross[s] = _gross_scale(*block[:3])
+    return totals.tolist(), gross
 
 
 def _check_prices(instance: Instance, prices: np.ndarray) -> np.ndarray:
@@ -192,12 +224,15 @@ def _member_peer_means(instance: Instance, P: np.ndarray):
     return p, _loo(p) / (lay.counts[:, None] - 1)
 
 
-def _scatter(instance: Instance, V: np.ndarray) -> np.ndarray:
+def _scatter(instance: Instance, V: np.ndarray,
+             out: "np.ndarray | None" = None) -> np.ndarray:
     """(..., L, m) values on the row layout to (..., N, L), zeros off
-    membership."""
+    membership; written into the (..., N * L) ``out``, zeros off
+    membership, when given."""
     lay = instance.index_sets
     n, L = instance.n_agents, instance.n_constraints
-    out = np.zeros(V.shape[:-2] + (n * L,))
+    if out is None:
+        out = np.zeros(V.shape[:-2] + (n * L,))
     out[..., lay.pick[lay.mask]] = V[..., lay.mask]
     return out.reshape(V.shape[:-2] + (n, L))
 
@@ -306,8 +341,10 @@ def _tax_terms(instance: Instance, variant: Variant, Y: np.ndarray,
     prices P (M, N, L). Returns (4, M, N, L): payment, disagreement,
     slackness and rebate, zeros off membership.
 
-    Every term is elementwise in the profile, so a one-row call is bitwise
-    its row of any batch, and every rebate reads the recipient's own
+    Every term is elementwise in the profile and every sum a row-order
+    running sum, so a one-row call is bitwise its row of any batch, and
+    the kernel runs a block of profiles at a time (_blocks), which keeps
+    the block's arrays in cache. Every rebate reads the recipient's own
     message only through leave-one-out sums that skip it.
     """
     Y, X, P = (np.asarray(a, dtype=float) for a in (Y, X, P))
@@ -323,17 +360,20 @@ def _tax_terms(instance: Instance, variant: Variant, Y: np.ndarray,
     if variant is Variant.SBB_OFFEQ:
         _check_offeq(instance)
     lay = instance.index_sets
-    p, pb = _member_peer_means(instance, P)
-    a_x = lay.coef * X[:, lay.index]
-    slack = _row_slack(instance, X, a_x=a_x)[..., None]
-    if variant is Variant.BASE:
-        rebate = np.zeros_like(p)
-    elif variant is Variant.SBB_NE:
-        rebate = _ne_rebate(instance, Y[:, lay.index], p, pb)
-    else:
-        rebate = _offeq_rebate(instance, Y[:, lay.index], p)
-    return _scatter(instance, np.stack(
-        _gross(a_x, p, pb, instance.eta, slack) + (rebate,)))
+    out = np.zeros((4, M, n * L))
+    for s in _blocks(instance, M):
+        p, pb = _member_peer_means(instance, P[s])
+        a_x = lay.coef * X[s][:, lay.index]
+        slack = _row_slack(instance, X[s], a_x=a_x)[..., None]
+        if variant is Variant.BASE:
+            rebate = np.zeros_like(p)
+        elif variant is Variant.SBB_NE:
+            rebate = _ne_rebate(instance, Y[s][:, lay.index], p, pb)
+        else:
+            rebate = _offeq_rebate(instance, Y[s][:, lay.index], p)
+        _scatter(instance, np.stack(
+            _gross(a_x, p, pb, instance.eta, slack) + (rebate,)), out[:, s])
+    return out.reshape(4, M, n, L)
 
 
 def _one_row(instance: Instance, variant: Variant, y: np.ndarray,

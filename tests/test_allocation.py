@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from propmech.allocation import (AllocationResult, DemandOutOfBox, _crossing,
-                                 _row_values, allocate, allocate_many)
+                                 _reduce_rows, _row_values, allocate,
+                                 allocate_many)
 from propmech.harness import Scenario, generate
 from propmech.model import FEAS_TOL, Constraint, Instance, Valuation
+from propmech.taxation import _LANES_PER_SLOT, _MAX_SLOTS, _slot_wise
 
 
 def canonical():
@@ -390,3 +392,25 @@ def test_allocate_many_allocates_little_beyond_its_result():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * X.nbytes, peak / X.nbytes
+
+
+@pytest.mark.parametrize("width", range(1, _MAX_SLOTS + 3))
+def test_row_reductions_are_bitwise_the_axis_reductions(width):
+    """_reduce_rows is .all(axis=1) on bools and .min(axis=1) on crossing
+    steps (positive, +0.0 or inf), bitwise, on row counts on both sides
+    of the slot rule, and at widths past _MAX_SLOTS."""
+    rng = np.random.default_rng(width)
+    edges = np.array([0.0, np.inf, 5e-324, 1e300, 1.0])
+    lanes = _LANES_PER_SLOT * width
+    paths = set()
+    for rows in (0, 1, 63, 64, 65, lanes - 1, lanes, lanes + 1):
+        steps = np.where(rng.random((rows, width)) < 0.3,
+                         rng.choice(edges, (rows, width)),
+                         rng.exponential(1.0, (rows, width)))
+        ok = rng.random((rows, width)) < 0.97
+        paths.add(_slot_wise(steps))
+        assert (_reduce_rows(np.minimum, steps).tobytes()
+                == steps.min(axis=1).tobytes()), rows
+        assert (_reduce_rows(np.logical_and, ok).tobytes()
+                == ok.all(axis=1).tobytes()), rows
+    assert paths == ({False, True} if width <= _MAX_SLOTS else {False})

@@ -387,3 +387,13 @@ def test_a_count_that_is_not_an_integer_is_refused(call):
     # property_suite ran 2.5 samples as 2
     with pytest.raises(InvalidParameter, match="integer"):
         call(generate(UNICAST, 1))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 5), (2, 2, 4)],
+                         ids=["1-d", "wrong-width", "3-d"])
+def test_allocate_many_refuses_a_y_that_is_not_m_by_n(shape):
+    # a 1-D Y raised a bare IndexError, and a row of the wrong width or a
+    # 3-D Y a broadcast ValueError from numpy
+    inst = generate(UNICAST, 1)
+    with pytest.raises(DimensionMismatch, match=r"\(M, 4\)"):
+        allocate_many(inst, np.full(shape, inst.d.max() + 1.0))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
 from propmech.model import (Constraint, DimensionMismatch, Instance,
                             InvalidParameter, Valuation, Variant, validate)
+from propmech import taxation
 from propmech.taxation import (_LANES_PER_SLOT, _MAX_SLOTS,
                                AgentNotOnConstraint,
                                AssumptionA4PrimeViolated,
@@ -688,10 +690,107 @@ def _book_cases():
 
 
 @pytest.fixture(scope="module")
-def book_terms():
+def book_inputs():
+    return list(_book_cases())
+
+
+@pytest.fixture(scope="module")
+def book_terms(book_inputs):
     """Each book case's instance, variant and _tax_terms."""
     return [(inst, variant, _tax_terms(inst, Variant.parse(variant), Y, X, P))
-            for inst, variant, Y, X, P in _book_cases()]
+            for inst, variant, Y, X, P in book_inputs]
+
+
+def _kernel_and_books(inst, variant, Y, X, P, block_cells, min_block=1):
+    """_tax_terms and _budget_books at a block budget of block_cells and
+    blocks of at least min_block profiles."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(taxation, "_BLOCK_CELLS", block_cells)
+        mp.setattr(taxation, "_MIN_BLOCK", min_block)
+        terms = _tax_terms(inst, Variant.parse(variant), Y, X, P)
+        return terms, _budget_books(inst, terms)
+
+
+def _assert_rows_are_one_row_calls(inst, variant, Y, X, P, terms, books,
+                                   rows):
+    for k in rows:
+        bd = tax(inst, variant, Y[k], X[k], P[k])
+        assert np.stack((bd.payment, bd.disagreement, bd.slackness,
+                         bd.rebate)).tobytes() == terms[:, k].tobytes(), k
+        assert _bits(total_tax(bd)) == _bits(books[0][k]), k
+        assert _bits(bd.gross) == _bits(books[1][k]), k
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+def test_blocked_kernel_is_bitwise_one_shot_and_one_row(book_inputs, b):
+    """_tax_terms and _budget_books in blocks of b profiles are bitwise
+    the one-shot batch (one block over every profile, as before the
+    blocks) and one-row calls, at M = b - 1, b, b + 1 and 2b + 1: every
+    term, total and gross, under every variant on every bundled instance
+    (grouped ones and the off-equilibrium bundle among them)."""
+    for inst, variant, Y, X, P in book_inputs:
+        if len(Y) < 2 * b + 1:
+            continue
+        cells = b * inst.n_agents * inst.n_constraints
+        for M in (b - 1, b, b + 1, 2 * b + 1):
+            msgs = Y[:M], X[:M], P[:M]
+            want, (want_totals, want_gross) = _kernel_and_books(
+                inst, variant, *msgs, 1 << 62)
+            terms, books = _kernel_and_books(inst, variant, *msgs, cells)
+            assert terms.tobytes() == want.tobytes(), (variant, M)
+            assert _bits(books[0]) == _bits(want_totals), (variant, M)
+            assert _bits(books[1]) == _bits(want_gross), (variant, M)
+            _assert_rows_are_one_row_calls(inst, variant, *msgs, terms,
+                                           books, range(M))
+
+
+def test_blocks_at_the_module_budget_are_bitwise_one_shot():
+    """At the module's block rule, 2b + 1 profiles of the five-on-a-row
+    instance (b = 6553) and of the N=200, L=40 one (b = _MIN_BLOCK) are
+    bitwise the one-shot batch, and one-row calls at each block's
+    edges."""
+    rng = np.random.default_rng(67)
+    large = generate(Scenario(kind="unicast", n_agents=200, n_constraints=40,
+                              min_members=5, families=("power",),
+                              cap_range=(100, 300)), 0)
+    for inst in (five_on_a_row(), large):
+        b = taxation._blocks(inst, 1 << 16)[0].stop
+        Y, X, P = map(np.array, zip(*(random_messages(inst, rng)
+                                      for _ in range(2 * b + 1))))
+        for variant in ("base", "sbb-ne", "sbb-offeq"):
+            want = _kernel_and_books(inst, variant, Y, X, P, 1 << 62)
+            terms, books = _kernel_and_books(
+                inst, variant, Y, X, P, taxation._BLOCK_CELLS,
+                taxation._MIN_BLOCK)
+            assert terms.tobytes() == want[0].tobytes(), variant
+            assert _bits(books[0]) == _bits(want[1][0]), variant
+            assert _bits(books[1]) == _bits(want[1][1]), variant
+            _assert_rows_are_one_row_calls(inst, variant, Y, X, P, terms,
+                                           books, (0, b - 1, b, 2 * b))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_blocked_kernel_peaks_at_its_result_and_a_few_blocks(variant):
+    """Over 20 blocks, _tax_terms allocates its (4, M, N, L) result plus
+    at most 16 blocks' worth of terms (the everywhere-balancing rebate's
+    eleven leave-one-out sums take about 10), where the one-shot batch
+    took 57 to 169 blocks' worth beyond its result."""
+    rng = np.random.default_rng(61)
+    inst = rows_instance(rng, 8, 4, 5, True)
+    n, L = inst.n_agents, inst.n_constraints
+    b = taxation._BLOCK_CELLS // (n * L)
+    Y = inst.d + rng.uniform(0.05, 3.0, (20 * b, n))
+    X = Y * rng.uniform(0.5, 1.0, Y.shape)
+    P = rng.uniform(0.0, 2.0, (20 * b, n, L)) * (inst.A != 0).T
+    _tax_terms(inst, variant, Y[:2], X[:2], P[:2])
+    tracemalloc.start()
+    try:
+        terms = _tax_terms(inst, variant, Y, X, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = terms.nbytes // 20
+    assert peak <= terms.nbytes + 16 * block, (peak - terms.nbytes) / block
 
 
 def test_books_match_a_row_order_float_loop(book_terms):
