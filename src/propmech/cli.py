@@ -102,8 +102,12 @@ def _cmd_verify(args) -> "str | None":
                "variant": Variant.parse(args.variant).value,
                "report": report.to_dict()}
     _write_json(args.json, payload)
-    return None if report.passed else \
-        f"not an eps-equilibrium: an agent gains {report.max_gain:.3g}"
+    if report.passed:
+        return None
+    if report.max_gain > report.eps:
+        return f"not an eps-equilibrium: an agent gains {report.max_gain:.3g}"
+    return ("not certified: a demand best response sits at the search "
+            "ceiling D + 1, past which the supremum may lie")
 
 
 def _cmd_gen(args) -> "str | None":

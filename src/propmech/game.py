@@ -147,12 +147,11 @@ class _SweepState:
     on first use and kept on the instance (see ``of``).
 
     Per agent: its valuation's value, slope and curvature on floats, its
-    own rows, its A_hat column (the demand-space rows' coefficients on its
-    demand), and that column and A's on its own rows. Per instance: the
-    anchor theta and caps - A_red theta, which only the demand objective's
-    pullback ray reads. For ``sweep``, which moves the singleton agents in
-    turn: the (N, W) table of every agent's cells (below), and per agent
-    its rows, caps and A_hat coefficients as lists.
+    own rows, and its A_hat column (the demand-space rows' coefficients on
+    its demand) with its square. Per instance: the anchor theta and caps -
+    A_red theta, which only the demand objective's pullback ray reads. For
+    ``sweep``, which moves the singleton agents in turn: per agent its
+    rows, caps and A_hat coefficients as lists.
     """
 
     def __init__(self, instance: Instance):
@@ -163,22 +162,13 @@ class _SweepState:
         self.C = np.ascontiguousarray(red.A_hat.T)  # row i: i's column
         self.v = instance.valuation_table._forms
         self.rows = instance.index_sets.rows_of_agent
-        self.coef_rows = [self.C[i, r] for i, r in enumerate(self.rows)]
-        self.a_rows = [instance.A[r, i] for i, r in enumerate(self.rows)]
-        self.caps_rows = [instance.caps[r] for r in self.rows]
         self.theta = instance.theta_or_derived()
         self.rv_theta = red.A_red @ red.theta
         self.num_full = instance.caps - self.rv_theta
-        # Per agent, its cells of the flattened (N, L) arrays
-        # (IndexSets.cells) and A's coefficients and the squares of A_hat's
-        # there: its own rows in order, then off-row cells, whose terms are
-        # +0.0 and leave the value of a row-order sum as it was.
-        self.cells = instance.index_sets.cells.T
-        self.a_cells = instance.A.T.reshape(-1)[self.cells]
-        self.cc_cells = self.C.reshape(-1)[self.cells] ** 2
+        self.cc = self.C ** 2
         self.rows_list = [r.tolist() for r in self.rows]
-        self.caps_list = [c.tolist() for c in self.caps_rows]
-        self.coef_list = [c.tolist() for c in self.coef_rows]
+        self.caps_list = [instance.caps[r].tolist() for r in self.rows]
+        self.coef_list = [c[r].tolist() for c, r in zip(self.C, self.rows)]
 
     instance = property(lambda self: self._instance())
 
@@ -191,6 +181,19 @@ class _SweepState:
             state = instance.__dict__["_sweep_state"] = cls(instance)
         return state
 
+    def slopes(self, profile: MessageProfile, peer_means: np.ndarray
+               ) -> tuple:
+        """What every demand objective reads of a profile at its (N, L)
+        peer means (+0.0 off membership), on the dense (N, L) rows: the
+        slack-tax weights w = eta pbar p, the payment rates c_pay = sum_l
+        A_li pbar_il and wcc = sum_l w_il c_il^2 (c: i's A_hat column),
+        and A_hat @ y. Each sum adds an agent's (N, L) row in order
+        (taxation._row_sums); its off-row terms are +0.0, which leave a
+        nonzero sum as it was."""
+        w = self.instance.eta * peer_means * profile.prices
+        return (w, _row_sums(self.instance.A.T * peer_means),
+                _row_sums(w * self.cc), self.A_hat @ profile.y)
+
     def sweep(self, profile: MessageProfile, agents: np.ndarray,
               lo: np.ndarray, hi: float, peer_means: np.ndarray) -> float:
         """Move each singleton agent in turn to its notional target, each
@@ -199,37 +202,29 @@ class _SweepState:
         Returns the largest relative move.
 
         The prices stay fixed through the sweep, so what an agent's slope
-        reads of them is formed once per call, for all agents: over i's
-        rows, the payment rate c_pay = sum_l A_li pbar_il, the slack-tax
-        weights w = eta pbar p and wcc = sum_l w_l c_l^2, with c i's A_hat
-        column. Only A_hat @ y moves with the agents before i: one list of
-        floats, moved on i's rows after its move. i reads
-        wgc = sum_l w_l (caps_l - (A_hat y)_l + c_l y_i) c_l from it, and
-        the shared safeguarded Newton (model._newton_argmax), started at
-        y_i, runs on those three floats (_InsideSlope). The agent loop is
-        float work only. Every sum adds i's rows in row order
-        (taxation._row_sums), so the sweep is bitwise a per-agent one that
-        forms these floats with numpy arrays for each move
-        (reference_sweep in the tests), and each agent's floats are
-        _DemandObjective's at the profile it sees.
+        reads of them is one ``slopes`` call, for all agents, read as
+        lists. Only A_hat @ y moves with the agents before i: moved on i's
+        rows after its move. i reads wgc = sum_l w_l (caps_l - (A_hat y)_l
+        + c_l y_i) c_l over its rows from it, and the shared safeguarded
+        Newton (model._newton_argmax), started at y_i, runs on c_pay, wgc
+        and wcc (_InsideSlope). The agent loop is float work only. Every
+        sum adds i's rows in row order (taxation._row_sums), so the sweep
+        is bitwise a per-agent one that forms these floats with numpy
+        arrays for each move (reference_sweep in the tests), and each
+        agent's floats are _DemandObjective's at the profile it sees.
         """
-        cells = self.cells
-        pb = peer_means.reshape(-1)[cells]
-        w_all = self.instance.eta * pb * profile.prices.reshape(-1)[cells]
-        c_pay = _row_sums(self.a_cells * pb).tolist()
-        wcc = _row_sums(w_all * self.cc_cells).tolist()
-        w = w_all.tolist()
-        ay = (self.A_hat @ profile.y).tolist()
+        w, c_pay, wcc, ay = (v.tolist()
+                             for v in self.slopes(profile, peer_means))
         y, lo = profile.y, lo.tolist()
         snap = 0.0
         for i in agents.tolist():
             y_i = float(y[i])
-            rows, coefs = self.rows_list[i], self.coef_list[i]
+            rows, coefs, w_i = self.rows_list[i], self.coef_list[i], w[i]
             # -0.0 + x is x, so this adds as _row_sums does; the built-in
             # sum() is compensated from Python 3.12
             wgc = -0.0
-            for w_l, c, cap, r in zip(w[i], coefs, self.caps_list[i], rows):
-                wgc += w_l * (cap - (ay[r] - c * y_i)) * c
+            for c, cap, r in zip(coefs, self.caps_list[i], rows):
+                wgc += w_i[r] * (cap - (ay[r] - c * y_i)) * c
             _, dv, d2v = self.v[i]
             obj = _InsideSlope(dv, d2v, 1.0, 0.0, c_pay[i], wgc, wcc[i])
             t = _newton_argmax(obj.grad_inside, obj.curv_inside, lo[i], hi,
@@ -277,12 +272,12 @@ class _DemandObjective(_InsideSlope):
     parameter (ray_argmaxes), and on the flat piece the slope and
     curvature are _InsideSlope's. Constant terms (disagreement penalty,
     rebate) are dropped. ``state`` holds the instance's constants and
-    ``peer_means`` the profile's (N, L) taxation._peer_means; the ray is
-    formed on demand.
+    ``slopes`` the profile's (_SweepState.slopes); the ray is formed on
+    demand.
     """
 
     def __init__(self, state: _SweepState, profile: MessageProfile, i: int,
-                 peer_means: np.ndarray):
+                 slopes: tuple):
         instance = state.instance
         self.state, self.i = state, i
         self.v, dv, d2v = state.v[i]
@@ -296,18 +291,15 @@ class _DemandObjective(_InsideSlope):
             y0k = (math.fsum(float(profile.y[j])
                              for j in red.group_members[k])
                    - self.y_i) / red.group_sizes[k]
-        self.ay = state.A_hat @ profile.y
+        w, c_pay, wcc, self.ay = slopes
         rows = state.rows[i]
-        pb = peer_means[i, rows]
-        # slack tax on own rows: sum of w (gap - coef t)^2 with weights
-        # eta * pbar * p_own, a quadratic in own demand t
-        self.w = instance.eta * pb * profile.prices[i, rows]
-        c = state.coef_rows[i]
-        gap = state.caps_rows[i] - (self.ay[rows] - c * self.y_i)
-        super().__init__(dv, d2v, beta, y0k,
-                         float(_row_sums(state.a_rows[i] * pb)),
-                         float(_row_sums(self.w * gap * c)),
-                         float(_row_sums(self.w * c ** 2)))
+        # slack tax on own rows: sum of w (gap - coef t)^2, a quadratic in
+        # own demand t
+        self.w = w[i, rows]
+        c = state.C[i, rows]
+        gap = instance.caps[rows] - (self.ay[rows] - c * self.y_i)
+        super().__init__(dv, d2v, beta, y0k, float(c_pay[i]),
+                         float(_row_sums(self.w * gap * c)), float(wcc[i]))
 
     @cached_property
     def _ray(self) -> tuple:
@@ -407,8 +399,9 @@ def best_response_demand(instance: Instance, variant: "str | Variant",
     Variant.parse(variant)
     i = instance.check_index(i)
     profile = make_profile(instance, profile.y, profile.prices)
-    return _DemandObjective(_SweepState.of(instance), profile, i,
-                            _peer_means(instance, profile.prices)).argmax()
+    state = _SweepState.of(instance)
+    return _DemandObjective(state, profile, i, state.slopes(
+        profile, _peer_means(instance, profile.prices))).argmax()
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +420,9 @@ def notional_demand(instance: Instance, profile: MessageProfile,
     """
     i = instance.check_index(i)
     profile = make_profile(instance, profile.y, profile.prices)
-    obj = _DemandObjective(_SweepState.of(instance), profile, i,
-                           _peer_means(instance, profile.prices))
+    state = _SweepState.of(instance)
+    obj = _DemandObjective(state, profile, i, state.slopes(
+        profile, _peer_means(instance, profile.prices)))
     return _newton_argmax(obj.grad_inside, obj.curv_inside,
                           _demand_floor(float(instance.d[i])),
                           instance.D + 1.0)
@@ -676,11 +670,11 @@ class _PriceRound:
 
 
 def _best_response_round(instance: Instance, prof: MessageProfile) -> None:
-    """best-response's round, the literal per-agent loop: each agent quotes
-    its price best responses on its rows, then moves to its demand best
-    response (verify's search), both read from one peer-mean pass. p̄₋ᵢ
-    never reads i's own prices, nor the allocation any price, so this is
-    bitwise best_response_price's and best_response_demand's loop. Kept
+    """best-response's round, the literal per-agent loop: each agent quotes its
+    price best responses on its rows from one peer-mean pass, then moves to its
+    demand best response (verify's search) from one slope pass at its new
+    prices. p̄₋ᵢ never reads i's own prices, nor the allocation any price, so
+    this is bitwise best_response_price's and best_response_demand's loop. Kept
     for study; from cold starts it stalls at zero prices and escalating
     demands, which verification flags."""
     state = _SweepState.of(instance)
@@ -689,7 +683,8 @@ def _best_response_round(instance: Instance, prof: MessageProfile) -> None:
         prof.prices[i, rows] = _price_best_responses(
             pm[i, rows], instance.eta,
             _row_slack(instance, allocate(instance, prof.y).x, rows))
-        prof.y[i] = _DemandObjective(state, prof, i, pm).argmax()
+        prof.y[i] = _DemandObjective(state, prof, i,
+                                     state.slopes(prof, pm)).argmax()
 
 
 # Anderson acceleration of the price-adjust-br round: history depth
@@ -990,18 +985,18 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
                       deviations: int = 200, seed: int = 0) -> NEReport:
     """Certify or refute the profile as an eps-equilibrium.
 
-    Per agent: exact best responses in each own coordinate (closed-form
-    price; piecewise demand search, _DemandObjective.argmax), both read
-    from the profile's peer means, formed once, plus seeded random joint
-    deviations. Each deviation's gain is its score less the profile's on
-    the agent's gross objective (_trial_scores): rebates never read their
-    recipient's message, so the gains, the winning deviations and the
-    verdict are the same under every tax variant, which changes only
-    ir_margins. The agents' trials are evaluated a chunk of agents at a
-    time (_verify_chunks), each chunk in one allocate_many batch.
-    Certification additionally requires that no demand best response is
-    pinned at the search ceiling, since then the supremum may sit beyond any
-    finite bracket and no honest certificate exists.
+    Per agent: exact best responses in each own coordinate (closed-form price;
+    piecewise demand search, _DemandObjective.argmax), both read from the
+    profile's peer means and slopes (_SweepState.slopes), formed once, plus
+    seeded random joint deviations. Each deviation's gain is its score less the
+    profile's on the agent's gross objective (_trial_scores): rebates never
+    read their recipient's message, so the gains, the winning deviations and
+    the verdict are the same under every tax variant, which changes only
+    ir_margins. The agents' trials are evaluated a chunk of agents at a time
+    (_verify_chunks), each chunk in one allocate_many batch. Certification
+    additionally requires that no demand best response is pinned at the search
+    ceiling, since then the supremum may sit beyond any finite bracket and no
+    honest certificate exists.
     """
     variant = Variant.parse(variant)
     _check_nonnegative(deviations=deviations, eps=eps, seed=seed)
@@ -1016,6 +1011,7 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
     price_br = _price_best_responses(peer_means, instance.eta, slack_vec)
     own_rows = instance.index_sets.rows_of_agent
     state = _SweepState.of(instance)
+    slopes = state.slopes(profile, peer_means)
     for chunk in _verify_chunks(instance, deviations):
         # per agent, a block of trials: the profile itself, one price best
         # response per own row, the demand best response, then the random
@@ -1029,7 +1025,7 @@ def verify_epsilon_ne(instance: Instance, variant: "str | Variant",
         for i, s in zip(chunk, starts):
             rows = own_rows[i]
             P[s + 1 + np.arange(len(rows)), rows] = price_br[i, rows]
-            y_new = _DemandObjective(state, profile, i, peer_means).argmax()
+            y_new = _DemandObjective(state, profile, i, slopes).argmax()
             if y_new >= hi - _CEILING_TOL * (1.0 + hi):
                 ceiling = True
             Y[s + 1 + len(rows), i] = y_new

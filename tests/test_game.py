@@ -221,8 +221,9 @@ def _inside_plus_ray_search(inst, prof, i, ray_search):
     lo = d_i + 1e-12 * (1.0 + d_i)
     hi = inst.D + 1.0
     ref = ReferenceDemandObjective(inst, prof, i)
-    obj = _DemandObjective(_SweepState(inst), prof, i,
-                           _peer_means(inst, prof.prices))
+    state = _SweepState(inst)
+    obj = _DemandObjective(state, prof, i, state.slopes(
+        prof, _peer_means(inst, prof.prices)))
     cands = []
     t_in_hi = min(ref.t_b, hi)
     if t_in_hi > lo:
@@ -332,8 +333,9 @@ def test_best_response_on_a_flat_objective_is_the_floor():
     inst, prof, i = off_equilibrium_profiles(27, 12)[26]
     assert (inst.equality_groups, i) == (((0, 1, 2),), 2)
     lo, hi = game._demand_floor(float(inst.d[i])), inst.D + 1.0
-    obj = _DemandObjective(_SweepState(inst), prof, i,
-                           _peer_means(inst, prof.prices))
+    state = _SweepState(inst)
+    obj = _DemandObjective(state, prof, i, state.slopes(
+        prof, _peer_means(inst, prof.prices)))
     assert list(obj.ray_argmaxes(lo, hi)) == [hi]
     assert obj.value(hi) == pytest.approx(obj.value(lo), abs=1e-14)
     assert best_response_demand(inst, "base", prof, i) == lo
@@ -875,8 +877,9 @@ def test_demand_objective_slopes_match_central_differences():
     checked = 0
     for inst, prof in _objective_cases():
         for i in range(inst.n_agents):
-            obj = _DemandObjective(_SweepState(inst), prof, i,
-                                   _peer_means(inst, prof.prices))
+            state = _SweepState(inst)
+            obj = _DemandObjective(state, prof, i, state.slopes(
+                prof, _peer_means(inst, prof.prices)))
             lo = float(inst.d[i])
             top = min(ReferenceDemandObjective(inst, prof, i).t_b, inst.D)
             if not top > lo:
@@ -911,7 +914,8 @@ def test_demand_objective_payment_reads_the_tax_peer_mean():
         pb = _peer_means(inst, prof.prices)
         for i in range(inst.n_agents):
             rows = list(inst.index_sets.rows_of_agent[i])
-            obj = _DemandObjective(_SweepState(inst), prof, i, pb)
+            state = _SweepState(inst)
+            obj = _DemandObjective(state, prof, i, state.slopes(prof, pb))
             assert obj.c_pay == float((inst.A[rows, i] * pb[i, rows]).sum())
             assert np.array_equal(
                 obj.w, inst.eta * pb[i, rows] * prof.prices[i, rows])
@@ -1065,10 +1069,10 @@ class FormerSweepObjective:
         self.beta, self.y0k = 1.0, 0.0
         rows = state.rows[i]
         pb = peer_means[i, rows]
-        self.c_pay = _in_row_order(state.a_rows[i] * pb)
+        self.c_pay = _in_row_order(instance.A[rows, i] * pb)
         w = instance.eta * pb * profile.prices[i, rows]
-        c = state.coef_rows[i]
-        gap_rows = state.caps_rows[i] - (ay[rows] - c * y_i)
+        c = state.C[i, rows]
+        gap_rows = instance.caps[rows] - (ay[rows] - c * y_i)
         self.wgc = _in_row_order(w * gap_rows * c)
         self.wcc = _in_row_order(w * c ** 2)
 
@@ -1201,9 +1205,44 @@ def test_sweep_floats_are_the_demand_objectives_at_size(monkeypatch):
             state.sweep(prof.copy(), np.array([i]), lo, hi, pm)
             got, = seen
             seen.clear()
-            obj = _DemandObjective(state, prof, i, pm)
+            obj = _DemandObjective(state, prof, i, state.slopes(prof, pm))
             assert [v.hex() for v in (got.c_pay, got.wgc, got.wcc)] \
                 == [v.hex() for v in (obj.c_pay, obj.wgc, obj.wcc)], (top, i)
+
+
+def test_slopes_are_formed_once_per_profile(monkeypatch):
+    """_SweepState.slopes, the one pass that forms what every demand
+    objective reads of a profile, runs once per verify_epsilon_ne,
+    best_response_demand, notional_demand and sweep call, and once per
+    agent in a best-response round, whose profile moves between agents."""
+    calls = []
+    slopes = _SweepState.slopes
+
+    def spy(state, profile, peer_means):
+        calls.append(profile)
+        return slopes(state, profile, peer_means)
+
+    monkeypatch.setattr(_SweepState, "slopes", spy)
+    rng = np.random.default_rng(38)
+    for inst in (generate(*bundled_scenarios("base")[3]),
+                 mixed_instance(rng, (3, 2), 3)):
+        n, L = inst.n_agents, inst.n_constraints
+        prof = make_profile(inst, inst.d + rng.uniform(0.02, 0.4, n),
+                            rng.uniform(0.1, 2.0, (n, L)))
+        verify_epsilon_ne(inst, "base", prof, deviations=5)
+        assert len(calls) == 1
+        for i in range(n):
+            best_response_demand(inst, "base", prof, i)
+            notional_demand(inst, prof, i)
+        assert len(calls) == 1 + 2 * n
+        lo, hi = inst.d + 1e-12 * (1.0 + inst.d), inst.D + 1.0
+        _SweepState.of(inst).sweep(prof.copy(), _singles(inst), lo, hi,
+                                   _peer_means(inst, prof.prices))
+        assert len(calls) == 2 + 2 * n
+        calls.clear()
+        game._best_response_round(inst, prof.copy())
+        assert len(calls) == n
+        calls.clear()
 
 
 def test_sweep_at_size_beats_the_reference_sweep():
@@ -1245,8 +1284,8 @@ def test_sweep_objective_from_a_fresh_product_is_the_reference():
                             rng.uniform(0.1, 2.0, (n, L)))
         state = _SweepState(inst)
         for i in range(n):
-            obj = _DemandObjective(state, prof, i,
-                                   _peer_means(inst, prof.prices))
+            obj = _DemandObjective(state, prof, i, state.slopes(
+                prof, _peer_means(inst, prof.prices)))
             ref = ReferenceDemandObjective(inst, prof, i)
             for name in ("beta", "y0k", "c_pay", "wgc", "wcc"):
                 assert getattr(obj, name) == getattr(ref, name), (i, name)

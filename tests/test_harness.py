@@ -473,6 +473,27 @@ def test_cli_failure_exit_codes(tmp_path, capsys):
     assert len(err) == 13 and all(line.startswith("error: ") for line in err)
 
 
+def test_cli_verify_names_the_ceiling_when_no_agent_gains(tmp_path, capsys):
+    """Best-response rounds from a cold start escalate demands to the
+    search ceiling: verify refuses the profile with no gain above eps,
+    and its one error line says why."""
+    inst, prof = tmp_path / "inst1.json", tmp_path / "p.json"
+    assert main(["gen", "--kind", "unicast", "--agents", "4",
+                 "--constraints", "2", "--seed", "1", "--out",
+                 str(inst)]) == 0
+    assert main(["simulate", str(inst), "--schedule", "best-response",
+                 "--rounds", "5", "--json", str(prof)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "v.json"
+    assert main(["verify", str(inst), "--profile", str(prof), "--json",
+                 str(out)]) == 1
+    report = json.loads(out.read_text())["report"]
+    assert report["ceiling_hit"] and report["max_gain"] <= report["eps"]
+    assert capsys.readouterr().err == (
+        "error: not certified: a demand best response sits at the search "
+        "ceiling D + 1, past which the supremum may lie\n")
+
+
 def test_cli_one_member_row_exits_2(tmp_path, capsys):
     # a constraint with one member has no peer price for its tax
     inst = instance_to_dict(canonical_instance())
