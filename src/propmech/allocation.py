@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DimensionMismatch, Instance, InputError, ReducedInstance
-from .taxation import _slot_wise
+from .taxation import _slot_reduce, _slot_wise
 
 __all__ = [
     "DemandOutOfBox",
@@ -51,15 +51,11 @@ def _row_values(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _reduce_rows(op: np.ufunc, v: np.ndarray) -> np.ndarray:
     """op.reduce(v, axis=1) for op np.minimum or np.logical_and: where
     the slot rule holds (taxation._slot_wise), one op per column across all
-    rows, in each row's order. Bitwise the reduction wherever v holds no
-    NaN and no -0.0, as for every crossing step: numpy's reduction may
-    return another NaN, and on rows of 9 or more another zero."""
-    if not _slot_wise(v):
-        return op.reduce(v, axis=1)
-    out = v[:, 0].copy()
-    for j in range(1, v.shape[1]):
-        op(out, v[:, j], out=out)
-    return out
+    rows, in each row's order (taxation._slot_reduce). Bitwise the
+    reduction wherever v holds no NaN and no -0.0, as for every crossing
+    step: numpy's reduction may return another NaN, and on rows of 9 or
+    more another zero."""
+    return _slot_reduce(op, v.T) if _slot_wise(v) else op.reduce(v, axis=1)
 
 
 def _crossing(red: ReducedInstance, slack: np.ndarray, V: np.ndarray,

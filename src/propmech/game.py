@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .allocation import _RAY_EPS, _ray_pieces, allocate, allocate_many
 from .centralized import CentralizedSolution
-from .model import (Choice, InputError, Instance, Variant, _AsDict,
-                    _check_finite, _check_nonnegative, _newton_argmax,
+from .model import (FAMILIES, Choice, InputError, Instance, Variant,
+                    _AsDict, _check_finite, _check_nonnegative, _newton_argmax,
                     nnls_tableau, nnls_tol_scale)
 from .taxation import (TaxBreakdown, _budget_books, _check_offeq,
                        _check_prices, _gross, _member_means, _peer_means,
@@ -147,11 +147,11 @@ class _SweepState:
     on first use and kept on the instance (see ``of``).
 
     Per agent: its valuation's value, slope and curvature on floats, its
+    value on arrays (coefficients formed once, as model._bind does), its
     own rows, and its A_hat column (the demand-space rows' coefficients on
     its demand) with its square. Per instance: the anchor theta and caps -
-    A_red theta, which only the demand objective's pullback ray reads. For
-    ``sweep``, which moves the singleton agents in turn: per agent its
-    rows, caps and A_hat coefficients as lists.
+    A_red theta, which only the demand objective's pullback ray reads. Per
+    agent its rows, caps and A_hat coefficients as lists, for floats.
     """
 
     def __init__(self, instance: Instance):
@@ -161,6 +161,8 @@ class _SweepState:
         self.A_hat = red.A_hat
         self.C = np.ascontiguousarray(red.A_hat.T)  # row i: i's column
         self.v = instance.valuation_table._forms
+        self.values = [partial(FAMILIES[v.family].value, FAMILIES[
+            v.family].coefficients(v.a, v.b)) for v in instance.valuations]
         self.rows = instance.index_sets.rows_of_agent
         self.theta = instance.theta_or_derived()
         self.rv_theta = red.A_red @ red.theta
@@ -204,8 +206,8 @@ class _SweepState:
         The prices stay fixed through the sweep, so what an agent's slope
         reads of them is one ``slopes`` call, for all agents, read as
         lists. Only A_hat @ y moves with the agents before i: moved on i's
-        rows after its move. i reads wgc = sum_l w_l (caps_l - (A_hat y)_l
-        + c_l y_i) c_l over its rows from it, and the shared safeguarded
+        rows after its move. i reads wgc over its rows from it (_wgc, as
+        _DemandObjective does), and the shared safeguarded
         Newton (model._newton_argmax), started at y_i, runs on c_pay, wgc
         and wcc (_InsideSlope). The agent loop is float work only. Every
         sum adds i's rows in row order (taxation._row_sums), so the sweep
@@ -219,12 +221,8 @@ class _SweepState:
         snap = 0.0
         for i in agents.tolist():
             y_i = float(y[i])
-            rows, coefs, w_i = self.rows_list[i], self.coef_list[i], w[i]
-            # -0.0 + x is x, so this adds as _row_sums does; the built-in
-            # sum() is compensated from Python 3.12
-            wgc = -0.0
-            for c, cap, r in zip(coefs, self.caps_list[i], rows):
-                wgc += w_i[r] * (cap - (ay[r] - c * y_i)) * c
+            rows, coefs = self.rows_list[i], self.coef_list[i]
+            wgc = _wgc(w[i], ay, rows, self.caps_list[i], coefs, y_i)
             _, dv, d2v = self.v[i]
             obj = _InsideSlope(dv, d2v, 1.0, 0.0, c_pay[i], wgc, wcc[i])
             t = _newton_argmax(obj.grad_inside, obj.curv_inside, lo[i], hi,
@@ -235,6 +233,16 @@ class _SweepState:
                 ay[r] += c * move
             y[i] = t
         return snap
+
+
+def _wgc(w, ay, rows, caps, coefs, y_i: float) -> float:
+    """sum_l w_l (caps_l - (ay_l - c_l y_i)) c_l over an agent's rows on
+    floats (w, ay indexed by row), added from -0.0 in row order: bitwise
+    the terms' _row_sums (-0.0 + x is x; sum() compensates from 3.12)."""
+    wgc = -0.0
+    for c, cap, r in zip(coefs, caps, rows):
+        wgc += w[r] * (cap - (ay[r] - c * y_i)) * c
+    return wgc
 
 
 class _InsideSlope:
@@ -273,7 +281,8 @@ class _DemandObjective(_InsideSlope):
     curvature are _InsideSlope's. Constant terms (disagreement penalty,
     rebate) are dropped. ``state`` holds the instance's constants and
     ``slopes`` the profile's (_SweepState.slopes); the ray is formed on
-    demand.
+    demand. What it reads of i's own rows is floats, each sum added from
+    -0.0 in row order: bitwise the _row_sums of its terms as arrays.
     """
 
     def __init__(self, state: _SweepState, profile: MessageProfile, i: int,
@@ -292,14 +301,14 @@ class _DemandObjective(_InsideSlope):
                              for j in red.group_members[k])
                    - self.y_i) / red.group_sizes[k]
         w, c_pay, wcc, self.ay = slopes
-        rows = state.rows[i]
+        rows = state.rows_list[i]
         # slack tax on own rows: sum of w (gap - coef t)^2, a quadratic in
         # own demand t
-        self.w = w[i, rows]
-        c = state.C[i, rows]
-        gap = instance.caps[rows] - (self.ay[rows] - c * self.y_i)
+        w_i = w[i].tolist()
+        self.w = [w_i[r] for r in rows]
         super().__init__(dv, d2v, beta, y0k, float(c_pay[i]),
-                         float(_row_sums(self.w * gap * c)), float(wcc[i]))
+                         _wgc(w_i, self.ay.tolist(), rows, state.caps_list[i],
+                              state.coef_list[i], self.y_i), float(wcc[i]))
 
     @cached_property
     def _ray(self) -> tuple:
@@ -307,15 +316,16 @@ class _DemandObjective(_InsideSlope):
         c_l t) over the non-vacuous rows whose denominator exceeds _RAY_EPS
         and a last flat row at 1 (alpha's cap): n_l is the anchor's slack,
         d_l the row value less the anchor's without i's demand, c_l i's
-        coefficient. Then n_l as a list, the same three on i's own rows,
-        and theta_i."""
+        coefficient. Then n_l as a list, the same three on i's own rows
+        as lists, and theta_i."""
         state, nv = self.state, self.state.instance.reduced.nv_rows
         rows = state.rows[self.i]
         num, coef = state.num_full, state.C[self.i]
         den0 = self.ay - coef * self.y_i - state.rv_theta
         n_, d_, c_ = (np.append(v[nv], e)
                       for v, e in ((num, 1.0), (den0, 1.0), (coef, 0.0)))
-        return (n_, d_, c_, n_.tolist(), num[rows], den0[rows], coef[rows],
+        return (n_, d_, c_, n_.tolist(), num[rows].tolist(),
+                den0[rows].tolist(), state.coef_list[self.i],
                 float(state.theta[self.i]))
 
     def value(self, t: float) -> float:
@@ -323,8 +333,10 @@ class _DemandObjective(_InsideSlope):
         alpha = min(n / e for n, e in zip(nums, (d_ + c_ * t).tolist())
                     if e > _RAY_EPS)
         x_i = theta_i + alpha * (self.y0k + self.beta * t - theta_i)
-        d_rows = n_r - alpha * (d_r + c_r * t)
-        slack_tax = float(_row_sums(self.w * d_rows * d_rows))
+        slack_tax = -0.0
+        for w, n, d, c in zip(self.w, n_r, d_r, c_r):
+            s = n - alpha * (d + c * t)
+            slack_tax += w * s * s
         return self.v(x_i) - x_i * self.c_pay - slack_tax
 
     def ray_argmaxes(self, a: float, b: float):
@@ -343,28 +355,33 @@ class _DemandObjective(_InsideSlope):
             n, d, c = float(n_[l]), float(d_[l]), float(c_[l])
             if c == 0.0:
                 al = n / d
-                piece = self._piece(theta_i + al * g, al * self.beta,
-                                    n_r - al * d_r, al * c_r)
+                piece = self._piece(theta_i + al * g, al * self.beta, [
+                    nr - al * dr for nr, dr in zip(n_r, d_r)],
+                    [al * cr for cr in c_r])
                 yield _newton_argmax(piece.grad_inside, piece.curv_inside,
                                      ta, tb)
                 continue
             sa, sb = n / (d + c * ta), n / (d + c * tb)
+            q, e = n / c, d / c
             piece = self._piece(
                 theta_i + self.beta * n / c, g - self.beta * d / c,
-                n_r - c_r * (n / c), d_r - c_r * (d / c))
+                [nr - cr * q for nr, cr in zip(n_r, c_r)],
+                [dr - cr * e for dr, cr in zip(d_r, c_r)])
             s = _newton_argmax(piece.grad_inside, piece.curv_inside,
                                min(sa, sb), max(sa, sb))
             yield (ta if s == sa else tb if s == sb
                    else min(max((n / s - d) / c, ta), tb))
 
-    def _piece(self, y0k: float, beta: float, gap_rows: np.ndarray,
-               coef_rows: np.ndarray) -> _InsideSlope:
+    def _piece(self, y0k: float, beta: float, gap_rows: list,
+               coef_rows: list) -> _InsideSlope:
         """The slope and curvature of this objective with x_i = y0k + beta
         s and own-row slacks gap_rows - coef_rows s in a new parameter
         s."""
-        return _InsideSlope(self.dv, self.d2v, beta, y0k, self.c_pay,
-                            float(_row_sums(self.w * gap_rows * coef_rows)),
-                            float(_row_sums(self.w * coef_rows ** 2)))
+        wgc = wcc = -0.0
+        for w, g, c in zip(self.w, gap_rows, coef_rows):
+            wgc += w * g * c
+            wcc += w * (c * c)  # numpy's square, as in w * coef ** 2
+        return _InsideSlope(self.dv, self.d2v, beta, y0k, self.c_pay, wgc, wcc)
 
     def argmax(self) -> float:
         """best_response_demand's search (see there)."""
@@ -454,8 +471,9 @@ class RoundRecord(_AsDict):
 @dataclass(eq=False)
 class RunTrace(_AsDict):
     """A run's rounds and end. stop_reason is "rest" (converged), "no_move"
-    (a round that moved nothing and did not rest, see run_dynamics) or
-    "max_rounds"; history_drops counts _Anderson's history drops (None
+    (a round that moved nothing and did not rest, see run_dynamics),
+    "ceiling" (a best-response rest with a demand at the search ceiling)
+    or "max_rounds"; history_drops counts _Anderson's history drops (None
     under best-response). to_dict() is the run's summary: its fields but
     the variant, the profile and the records, then the two properties
     below."""
@@ -803,7 +821,9 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     tol. Its round map contracts only linearly, so unless a round rests,
     _Anderson may replace its plain image; rest is tested before that, so
     extrapolation cannot fake it. best-response rests when no message
-    moved by more than tol. Books are priced per _BOOK_BLOCK rounds.
+    moved by more than tol; if a demand then sits at the search ceiling
+    D + 1 (verify's test), the run ends with converged=False and
+    stop_reason "ceiling". Books are priced per _BOOK_BLOCK rounds.
 
     A price-adjust round that moves nothing (max_change exactly 0.0) and
     does not rest ends the run with converged=False and stop_reason
@@ -839,7 +859,8 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     records: list[RoundRecord] = []
     pending: list[tuple] = []  # the rounds since the last book flush
     y_prev, p_prev = prof.y.copy(), prof.prices.copy()
-    converged = stop = False
+    converged = stop = ceiling = False
+    hi = instance.D + 1.0
     for rnd in range(1, max_rounds + 1):
         if price_adjust:
             parts = price_round(prof, pc)
@@ -858,10 +879,12 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
                          float(np.abs(p_end - p_prev).max(initial=0.0)))
         y_prev, p_prev = y_end, p_end
         if not price_adjust:
-            converged = max_change <= tol
+            ceiling = max_change <= tol and bool(
+                y_end.max() >= hi - _CEILING_TOL * (1.0 + hi))
+            converged = max_change <= tol and not ceiling
         pending.append((rnd, max_change, y_end, p_end, *parts, accelerated,
                         stepped_back))
-        stop = converged or (max_change == 0.0 and not stepped_back)
+        stop = converged or ceiling or (max_change == 0.0 and not stepped_back)
         if stop or len(pending) == _BOOK_BLOCK or rnd == max_rounds:
             records.extend(_book_rounds(instance, variant, pending,
                                         record_profiles))
@@ -871,8 +894,8 @@ def run_dynamics(instance: Instance, variant: "str | Variant" = Variant.BASE,
     return RunTrace(schedule=schedule.value, variant=variant.value,
                     rounds=len(records), converged=converged, profile=prof,
                     records=records,
-                    stop_reason="rest" if converged else "no_move" if stop
-                    else "max_rounds",
+                    stop_reason="rest" if converged else "ceiling" if ceiling
+                    else "no_move" if stop else "max_rounds",
                     history_drops=accel.drops if price_adjust else None)
 
 
@@ -930,7 +953,7 @@ def _trial_scores(instance: Instance, i: int, X: np.ndarray, P: np.ndarray,
     payment, disagreement, slackness = _gross(
         instance.A[rows, i] * x_i[:, None], P[:, rows], peer_means[i, rows],
         instance.eta, _row_slack(instance, X, rows))
-    return instance.valuations[i].value(x_i) \
+    return _SweepState.of(instance).values[i](x_i) \
         - _row_sums(payment + disagreement + slackness)
 
 

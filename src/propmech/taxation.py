@@ -249,15 +249,33 @@ def _member_means(instance: Instance, prices: np.ndarray) -> np.ndarray:
     return (prices * idx.on).sum(axis=0) / idx.counts
 
 
+def _slot_reduce(op: np.ufunc, v: np.ndarray) -> np.ndarray:
+    """op.reduce over v's second-to-last axis one slot (entry of it) at a
+    time across all lanes, each lane in index order: for np.add, the
+    additions of _row_sums."""
+    out = v[..., 0, :].copy()
+    for j in range(1, v.shape[-2]):
+        op(out, v[..., j, :], out=out)
+    return out
+
+
 def _row_slack(instance: Instance, X: np.ndarray, rows=slice(None),
                a_x: "np.ndarray | None" = None) -> np.ndarray:
     """caps - A x on the rows ``rows`` for allocations X (..., N): the
-    _row_sums of the members' products A_li x_i along each row of the
-    row layout (IndexSets). A running sum adds in one order whatever the
-    batch's shape, which a reduction does not. ``a_x`` is those products
-    on every row when the caller has formed them."""
+    row-order sums of the members' products A_li x_i along each row of
+    the row layout (IndexSets). A running sum adds in one order whatever
+    the batch's shape, which a reduction does not. ``a_x`` is those
+    products on every row when the caller has formed them. A batch of
+    _LANES_PER_SLOT allocations or more forms them members-first, (rows,
+    m, M), and adds a member at a time across all (row, allocation)
+    lanes (_slot_reduce), the same additions in fewer calls than numpy's
+    running sum, which walks one lane at a time."""
+    lay = instance.index_sets
+    if a_x is None and X.ndim == 2 and len(X) >= _LANES_PER_SLOT \
+            and lay.index.shape[1]:
+        return instance.caps[rows] - _slot_reduce(
+            np.add, X.T[lay.index[rows]] * lay.coef[rows][..., None]).T
     if a_x is None:
-        lay = instance.index_sets
         a_x = lay.coef[rows] * X[..., lay.index[rows]]
     return instance.caps[rows] - _row_sums(a_x)
 

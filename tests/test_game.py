@@ -576,7 +576,8 @@ def test_dynamics_record_the_residual_that_decides_rest():
         assert r["price_complementarity"] is None
         assert r["group_gap"] is None and r["snap_distance"] is None
         assert r["accelerated"] is None and r["step_back"] is None
-    assert br.history_drops is None and br.stop_reason == "rest"
+    # it rests at the search ceiling, which ends the run unconverged
+    assert br.history_drops is None and br.stop_reason == "ceiling"
 
 
 def test_dynamics_rest_is_decided_on_the_plain_round():
@@ -1210,6 +1211,123 @@ def test_sweep_floats_are_the_demand_objectives_at_size(monkeypatch):
                 == [v.hex() for v in (obj.c_pay, obj.wgc, obj.wcc)], (top, i)
 
 
+class ArrayDemandObjective(_DemandObjective):
+    """The demand objective as it was formed on numpy arrays of agent i's
+    own rows (w, their gaps, coefficients and slacks), each sum a
+    taxation._row_sums and each square numpy's: the reference the float
+    form is held to, bitwise."""
+
+    def __init__(self, state, profile, i, slopes):
+        super().__init__(state, profile, i, slopes)
+        rows = state.rows[i]
+        self.w = slopes[0][i, rows]
+        c = state.C[i, rows]
+        gap = state.instance.caps[rows] - (self.ay[rows] - c * self.y_i)
+        self.wgc = float(taxation._row_sums(self.w * gap * c))
+
+    @functools.cached_property
+    def _ray(self):
+        state, nv = self.state, self.state.instance.reduced.nv_rows
+        rows = state.rows[self.i]
+        num, coef = state.num_full, state.C[self.i]
+        den0 = self.ay - coef * self.y_i - state.rv_theta
+        n_, d_, c_ = (np.append(v[nv], e)
+                      for v, e in ((num, 1.0), (den0, 1.0), (coef, 0.0)))
+        return (n_, d_, c_, n_.tolist(), num[rows], den0[rows], coef[rows],
+                float(state.theta[self.i]))
+
+    def value(self, t):
+        _, d_, c_, nums, n_r, d_r, c_r, theta_i = self._ray
+        alpha = min(n / e for n, e in zip(nums, (d_ + c_ * t).tolist())
+                    if e > game._RAY_EPS)
+        x_i = theta_i + alpha * (self.y0k + self.beta * t - theta_i)
+        d_rows = n_r - alpha * (d_r + c_r * t)
+        slack_tax = float(taxation._row_sums(self.w * d_rows * d_rows))
+        return self.v(x_i) - x_i * self.c_pay - slack_tax
+
+    def ray_argmaxes(self, a, b):
+        n_, d_, c_, _, n_r, d_r, c_r, theta_i = self._ray
+        g = self.y0k - theta_i
+        for ta, tb, l in _ray_pieces(n_, d_, c_, a, b):
+            n, d, c = float(n_[l]), float(d_[l]), float(c_[l])
+            if c == 0.0:
+                al = n / d
+                piece = self._piece(theta_i + al * g, al * self.beta,
+                                    n_r - al * d_r, al * c_r)
+                yield game._newton_argmax(piece.grad_inside,
+                                          piece.curv_inside, ta, tb)
+                continue
+            sa, sb = n / (d + c * ta), n / (d + c * tb)
+            piece = self._piece(
+                theta_i + self.beta * n / c, g - self.beta * d / c,
+                n_r - c_r * (n / c), d_r - c_r * (d / c))
+            s = game._newton_argmax(piece.grad_inside, piece.curv_inside,
+                                    min(sa, sb), max(sa, sb))
+            yield (ta if s == sa else tb if s == sb
+                   else min(max((n / s - d) / c, ta), tb))
+
+    def _piece(self, y0k, beta, gap_rows, coef_rows):
+        return game._InsideSlope(
+            self.dv, self.d2v, beta, y0k, self.c_pay,
+            float(taxation._row_sums(self.w * gap_rows * coef_rows)),
+            float(taxation._row_sums(self.w * coef_rows ** 2)))
+
+
+def _float_objective_cases():
+    """(instance, profile, agents): random profiles of the 11 bundled
+    instances, a grouped instance with singletons and a shared row, and
+    the N = 200 instance (every fifth agent), at demands spread to 0.3,
+    3 and 30 above the floor."""
+    rng = np.random.default_rng(40)
+    insts = [(inst, None) for inst in bundled_instances()]
+    insts += [(mixed_instance(rng, (2, 3), 3), None), (large_instance(), 5)]
+    for inst, step in insts:
+        n, L = inst.n_agents, inst.n_constraints
+        for top in (0.3, 3.0, 30.0):
+            prof = make_profile(inst, inst.d + rng.uniform(1e-3, top, n),
+                                rng.uniform(0.0, 2.0, (n, L)))
+            yield inst, prof, range(0, n, step or 1)
+
+
+def _solved_pieces(monkeypatch, obj, a, b):
+    """obj.ray_argmaxes(a, b), and per piece its slope and curvature at
+    the ends and the middle of the bracket its Newton solve gets."""
+    seen = []
+
+    def spy(slope, curv, lo, hi, start=None):
+        seen.append([f(t) for f in (slope, curv)
+                     for t in (lo, 0.5 * (lo + hi), hi)])
+        return _newton_argmax(slope, curv, lo, hi, start)
+    with monkeypatch.context() as mp:
+        mp.setattr(game, "_newton_argmax", spy)
+        return list(obj.ray_argmaxes(a, b)), seen
+
+
+def test_float_objective_is_the_array_form_bitwise(monkeypatch):
+    """The demand objective forms what it reads of agent i's own rows on
+    Python floats; its floats, its value at the floor, the ceiling and
+    points between, each ray piece's slope and curvature on its bracket
+    and its argmax are bitwise the array form's."""
+    pieces = 0
+    for inst, prof, agents in _float_objective_cases():
+        state = _SweepState(inst)
+        slopes = state.slopes(prof, _peer_means(inst, prof.prices))
+        for i in agents:
+            new = _DemandObjective(state, prof, i, slopes)
+            ref = ArrayDemandObjective(state, prof, i, slopes)
+            assert [v.hex() for v in (new.c_pay, new.wgc, new.wcc)] \
+                == [v.hex() for v in (ref.c_pay, ref.wgc, ref.wcc)], i
+            lo = game._demand_floor(float(inst.d[i]))
+            hi = inst.D + 1.0
+            for t in np.linspace(lo, hi, 9).tolist():
+                assert new.value(t).hex() == ref.value(t).hex(), (i, t)
+            got = _solved_pieces(monkeypatch, new, lo, hi)
+            assert got == _solved_pieces(monkeypatch, ref, lo, hi), i
+            pieces += len(got[1])
+            assert new.argmax().hex() == ref.argmax().hex(), i
+    assert pieces >= 100
+
+
 def test_slopes_are_formed_once_per_profile(monkeypatch):
     """_SweepState.slopes, the one pass that forms what every demand
     objective reads of a profile, runs once per verify_epsilon_ne,
@@ -1748,13 +1866,32 @@ def test_literal_best_response_schedule_stalls_at_zero_prices():
     inst = canonical_instance()
     tr = run_dynamics(inst, schedule="best-response", max_rounds=60,
                       tol=1e-8)
-    assert tr.converged
+    assert not tr.converged and tr.stop_reason == "ceiling"
     assert np.all(tr.profile.prices == 0.0)
     assert tr.profile.y == pytest.approx([101.0, 101.0], abs=1e-9)
     rep = verify_epsilon_ne(inst, "base", tr.profile, eps=1e-6,
                             deviations=30, seed=0)
     assert not rep.passed
     assert rep.ceiling_hit
+
+
+def test_best_response_rest_at_the_search_ceiling_is_no_rest():
+    """A best-response round that would rest with a demand at the search
+    ceiling D + 1 ends the run unconverged, with stop_reason "ceiling":
+    the test is verify's own, and verify refuses that profile. Its rounds
+    are booked, and a rest below the ceiling is still a rest."""
+    inst = generate(Scenario(kind="unicast", n_agents=4, n_constraints=2), 1)
+    tr = run_dynamics(inst, schedule="best-response", max_rounds=5)
+    assert (tr.converged, tr.stop_reason, tr.rounds) == (False, "ceiling", 2)
+    assert [r.round for r in tr.records] == [1, 2]
+    assert tr.records[-1].max_change <= 1e-8
+    hi = inst.D + 1.0
+    assert tr.profile.y.max() >= hi - game._CEILING_TOL * (1.0 + hi)
+    rep = verify_epsilon_ne(inst, "base", tr.profile, deviations=20)
+    assert rep.ceiling_hit and not rep.passed
+    tr = run_dynamics(inst, schedule="best-response", max_rounds=5,
+                      init=candidate(inst))
+    assert tr.converged and tr.stop_reason == "rest"
 
 
 def test_dynamics_rejects_unknown_schedule():
@@ -2405,6 +2542,82 @@ def test_every_row_slack_is_the_tax_kernels():
         assert len(quotes) == len(memberships) + n
     # the check has teeth: a BLAS product differs from the running sum
     assert blas_apart > 0
+
+
+@functools.cache
+def at_size_instance(n):
+    """The large workload's family at N = n, L = n / 5 (large_instance at
+    N = 200)."""
+    return generate(Scenario(kind="unicast", n_agents=n, n_constraints=n // 5,
+                             min_members=5, families=("power",),
+                             cap_range=(100, 300)), 0)
+
+
+def test_members_first_row_slack_is_the_running_sum_bitwise(monkeypatch):
+    """_row_slack forms a batch of _LANES_PER_SLOT allocations or more
+    members-first and adds one member slot at a time across all lanes
+    (taxation._slot_reduce); smaller batches and single allocations keep
+    numpy's running sum. On verify's trial blocks (own rows + 2 +
+    deviations trials) at deviations 0, 1 and 200, at N = 10, 60 and 200,
+    whose rows are padded past their member counts, for an agent's rows,
+    all rows and one row, both sides of that rule are bitwise numpy's
+    running sum along each row. A layout without members keeps the
+    running sum."""
+    members_first = _spy(monkeypatch, taxation, "_slot_reduce")
+    rng = np.random.default_rng(41)
+    sides = set()
+    for inst in (generate(*bundled_scenarios("sbb-offeq")[2]),
+                 at_size_instance(60), large_instance()):
+        lay, n = inst.index_sets, inst.n_agents
+        assert not lay.mask.all()
+        for deviations in (0, 1, 200):
+            for i in (0, n // 2, n - 1):
+                own = lay.rows_of_agent[i]
+                T = len(own) + 2 + deviations
+                X = allocate_many(inst, inst.d + rng.uniform(1e-3, 3.0,
+                                                             (T, n)))
+                for rows, x in ((own, X), (slice(None), X), (own[0], X),
+                                (own, X[0])):
+                    calls = len(members_first)
+                    got = taxation._row_slack(inst, x, rows)
+                    want = inst.caps[rows] - np.add.accumulate(
+                        lay.coef[rows] * x[..., lay.index[rows]],
+                        axis=-1)[..., -1]
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (n, T, rows)
+                    side = len(members_first) > calls
+                    assert side == (x.ndim == 2
+                                    and T >= taxation._LANES_PER_SLOT)
+                    sides.add(side)
+    assert sides == {False, True}
+    # a layout without members (no constraints) keeps the running sum
+    inst = Instance(valuations=(Valuation("log_shift", 1.0, 1.0),) * 2,
+                    constraints=(), equality_groups=(), d=0.01, D=10.0,
+                    eta=1.0)
+    calls = len(members_first)
+    slack = taxation._row_slack(inst, np.ones((200, 2)),
+                                inst.index_sets.rows_of_agent[0])
+    assert slack.shape == (200, 0) and len(members_first) == calls
+
+
+def test_verify_trial_blocks_sum_members_first(monkeypatch):
+    """At deviations=200 each agent's trial block in verify_epsilon_ne
+    takes _row_slack's members-first form, once per agent on its (rows,
+    members, trials) products; verify's base slack, the price best
+    response and the best-response round, one allocation each, do not."""
+    inst = generate(*bundled_scenarios("sbb-offeq")[2])
+    lay = inst.index_sets
+    prof = candidate(inst)
+    products = _spy(monkeypatch, taxation, "_slot_reduce", 1)
+    verify_epsilon_ne(inst, "base", prof, deviations=200)
+    assert [v.shape for v in products] == [
+        (len(rows), lay.index.shape[1], len(rows) + 202)
+        for rows in lay.rows_of_agent]
+    products.clear()
+    verify_epsilon_ne(inst, "base", prof, deviations=20)
+    best_response_price(inst, "base", prof, 0, lay.rows_of_agent[0][0])
+    game._best_response_round(inst, prof.copy())
+    assert products == []
 
 
 def one_member_row():

@@ -482,7 +482,7 @@ def test_cli_verify_names_the_ceiling_when_no_agent_gains(tmp_path, capsys):
                  "--constraints", "2", "--seed", "1", "--out",
                  str(inst)]) == 0
     assert main(["simulate", str(inst), "--schedule", "best-response",
-                 "--rounds", "5", "--json", str(prof)]) == 0
+                 "--rounds", "5", "--json", str(prof)]) == 1
     capsys.readouterr()
     out = tmp_path / "v.json"
     assert main(["verify", str(inst), "--profile", str(prof), "--json",
@@ -492,6 +492,24 @@ def test_cli_verify_names_the_ceiling_when_no_agent_gains(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: not certified: a demand best response sits at the search "
         "ceiling D + 1, past which the supremum may lie\n")
+
+
+def test_cli_simulate_refuses_a_best_response_rest_at_the_ceiling(
+        tmp_path, capsys):
+    """simulate exits 1 with one error line when the best-response rounds
+    would rest at the search ceiling, and its --json says so."""
+    inst, prof = tmp_path / "inst1.json", tmp_path / "p.json"
+    assert main(["gen", "--kind", "unicast", "--agents", "4",
+                 "--constraints", "2", "--seed", "1", "--out",
+                 str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(inst), "--schedule", "best-response",
+                 "--rounds", "5", "--json", str(prof)]) == 1
+    d = json.loads(prof.read_text())
+    assert (d["converged"], d["stop_reason"], d["rounds"]) \
+        == (False, "ceiling", 2)
+    assert capsys.readouterr().err == (
+        "error: the dynamics did not rest in 2 rounds (stop: ceiling)\n")
 
 
 def test_cli_one_member_row_exits_2(tmp_path, capsys):
