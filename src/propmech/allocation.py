@@ -72,18 +72,67 @@ def _crossing(red: ReducedInstance, slack: np.ndarray, V: np.ndarray,
             cand.argmin(axis=1) if binding else None)
 
 
-def _ray_pieces(num: np.ndarray, den0: np.ndarray, coef: np.ndarray,
-                a: float, b: float) -> list:
+# rays of at most this many rows take the float envelope: past it the float
+# form's O(m^3) worst case costs more than the numpy form (README,
+# "Verification")
+_FLOAT_RAY_ROWS = 6
+
+
+def _ray_pieces(num: list, den0: list, coef: list, a: float, b: float):
     """The smooth pieces on [a, b] of the lower envelope of the crossing
     steps num_l / (den0_l + coef_l t) along a line of demands, each taken
-    where its denominator exceeds _RAY_EPS, as (start, end, binding row)
-    in order.
+    where its denominator exceeds _RAY_EPS, as a list of (start, end,
+    binding row) in order.
 
     Two hyperbolas cross at most once, so each kink is a pairwise crossing
     or a point where a denominator crosses _RAY_EPS. Between the sorted
     points one row binds throughout: it is read at each midpoint, and
-    neighbours bound by the same row merge.
+    neighbours bound by the same row merge. Up to _FLOAT_RAY_ROWS rows on
+    Python floats (_ray_pieces_float), past it on arrays (_ray_pieces_np).
     """
+    if len(num) <= _FLOAT_RAY_ROWS:
+        return _ray_pieces_float(num, den0, coef, a, b)
+    return _ray_pieces_np(*map(np.asarray, (num, den0, coef)), a, b)
+
+
+def _ray_pieces_float(num, den0, coef, a: float, b: float) -> list:
+    """_ray_pieces on floats in _ray_pieces_np's IEEE operations: bitwise
+    its pieces for finite rows and a >= 0. A pair's crossing is formed
+    once and taken twice: (l, k) is (k, l) bitwise, as the products
+    commute and y - x is -(x - y), but at a zero crossing, which a >= 0
+    drops. A zero denominator (numpy's dropped ±inf or nan) is skipped.
+    Duplicate points stay: their zero-width pieces are read too. A finite
+    row's ratio is never NaN, so the first least one is argmin's."""
+    rows = list(zip(num, den0, coef))
+    pts = []
+    for k, (n_k, d_k, c_k) in enumerate(rows):
+        for n_l, d_l, c_l in rows[k + 1:]:
+            den = n_k * c_l - c_k * n_l
+            if den != 0.0:
+                t = (d_k * n_l - n_k * d_l) / den
+                if a < t < b:
+                    pts += (t, t)
+        if c_k != 0.0:
+            t = (_RAY_EPS - d_k) / c_k
+            if a < t < b:
+                pts.append(t)
+    edges = [a, *sorted(pts), b]
+    bind = []
+    for e0, e1 in zip(edges, edges[1:]):
+        mid = 0.5 * (e0 + e1)
+        least, row = np.inf, 0
+        for l, (n, d, c) in enumerate(rows):
+            den = d + c * mid
+            if den > _RAY_EPS and n / den < least:
+                least, row = n / den, l
+        bind.append(row)
+    return _merge_pieces(edges, bind)
+
+
+def _ray_pieces_np(num: np.ndarray, den0: np.ndarray, coef: np.ndarray,
+                   a: float, b: float) -> list:
+    """_ray_pieces on numpy arrays: every crossing in one array, then
+    every midpoint's binding row in one argmin."""
     with np.errstate(divide="ignore", invalid="ignore"):
         pts = np.concatenate([
             ((den0[:, None] * num - num[:, None] * den0)
@@ -93,9 +142,15 @@ def _ray_pieces(num: np.ndarray, den0: np.ndarray, coef: np.ndarray,
     den = den0 + coef * (0.5 * (edges[:-1] + edges[1:]))[:, None]
     bind = np.divide(num, den, out=np.full(den.shape, np.inf),
                      where=den > _RAY_EPS).argmin(axis=1).tolist()
-    starts = [(t, l) for t, l, prev in zip(edges.tolist(), bind, [-1] + bind)
+    return _merge_pieces(edges.tolist(), bind)
+
+
+def _merge_pieces(edges: list, bind: list) -> list:
+    """(start, end, row) per run of equal binding rows between the sorted
+    edges, bind[j] binding from edges[j] to edges[j + 1]."""
+    starts = [(t, l) for t, l, prev in zip(edges, bind, [-1] + bind)
               if l != prev]
-    ends = [t for t, _ in starts[1:]] + [b]
+    ends = [t for t, _ in starts[1:]] + edges[-1:]
     return [(t, end, l) for (t, l), end in zip(starts, ends)]
 
 

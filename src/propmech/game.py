@@ -312,26 +312,28 @@ class _DemandObjective(_InsideSlope):
 
     @cached_property
     def _ray(self) -> tuple:
-        """What the objective reads of the ray. alpha = min_l n_l / (d_l +
-        c_l t) over the non-vacuous rows whose denominator exceeds _RAY_EPS
-        and a last flat row at 1 (alpha's cap): n_l is the anchor's slack,
-        d_l the row value less the anchor's without i's demand, c_l i's
-        coefficient. Then n_l as a list, the same three on i's own rows
-        as lists, and theta_i."""
+        """What the objective reads of the ray, as floats. alpha = min_l
+        n_l / (d_l + c_l t) over the non-vacuous rows whose denominator
+        exceeds _RAY_EPS and a last flat row at 1 (alpha's cap): n_l is
+        the anchor's slack, d_l the row value less the anchor's without
+        i's demand, c_l i's coefficient. Then the same three on i's own
+        rows, and theta_i."""
         state, nv = self.state, self.state.instance.reduced.nv_rows
         rows = state.rows[self.i]
         num, coef = state.num_full, state.C[self.i]
         den0 = self.ay - coef * self.y_i - state.rv_theta
-        n_, d_, c_ = (np.append(v[nv], e)
-                      for v, e in ((num, 1.0), (den0, 1.0), (coef, 0.0)))
-        return (n_, d_, c_, n_.tolist(), num[rows].tolist(),
+        return (num[nv].tolist() + [1.0], den0[nv].tolist() + [1.0],
+                coef[nv].tolist() + [0.0], num[rows].tolist(),
                 den0[rows].tolist(), state.coef_list[self.i],
                 float(state.theta[self.i]))
 
     def value(self, t: float) -> float:
-        _, d_, c_, nums, n_r, d_r, c_r, theta_i = self._ray
-        alpha = min(n / e for n, e in zip(nums, (d_ + c_ * t).tolist())
-                    if e > _RAY_EPS)
+        n_, d_, c_, n_r, d_r, c_r, theta_i = self._ray
+        alpha = math.inf
+        for n, d, c in zip(n_, d_, c_):
+            e = d + c * t
+            if e > _RAY_EPS and n / e < alpha:
+                alpha = n / e
         x_i = theta_i + alpha * (self.y0k + self.beta * t - theta_i)
         slack_tax = -0.0
         for w, n, d, c in zip(self.w, n_r, d_r, c_r):
@@ -349,10 +351,10 @@ class _DemandObjective(_InsideSlope):
         parameter (see _piece), concave since w >= 0, and one safeguarded
         Newton solve; an optimum at an end is that end exactly.
         """
-        n_, d_, c_, _, n_r, d_r, c_r, theta_i = self._ray
+        n_, d_, c_, n_r, d_r, c_r, theta_i = self._ray
         g = self.y0k - theta_i  # x_i = theta_i + alpha (g + beta t)
         for ta, tb, l in _ray_pieces(n_, d_, c_, a, b):
-            n, d, c = float(n_[l]), float(d_[l]), float(c_[l])
+            n, d, c = n_[l], d_[l], c_[l]
             if c == 0.0:
                 al = n / d
                 piece = self._piece(theta_i + al * g, al * self.beta, [

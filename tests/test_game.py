@@ -22,7 +22,10 @@ from propmech.harness import (Scenario, bundled_scenarios,
                               canonical_instance, generate)
 from propmech.model import (Constraint, Instance, InvalidParameter, Valuation,
                             Variant, _newton_argmax, nnls)
-from propmech.allocation import _ray_pieces, allocate, allocate_many
+from propmech import allocation
+from propmech.allocation import (_FLOAT_RAY_ROWS, _RAY_EPS, _ray_pieces,
+                                 _ray_pieces_float, _ray_pieces_np,
+                                 allocate, allocate_many)
 from propmech.model import validate
 from propmech.taxation import (AgentNotOnConstraint,
                                AssumptionA4PrimeViolated,
@@ -347,23 +350,36 @@ def _dense_binding(num, den0, coef, t):
                      where=den > 1e-300).argmin(axis=1)
 
 
-@pytest.mark.parametrize("rows, bracket, edges, binds", [
+_DENSE_CASES = {
     # row 0 rises, row 1 is flat (c = 0), row 2 falls: each binds in turn,
     # and both kinks are pairwise crossings; row 3 is alpha's cap at 1
-    (((1.0, 4.0, -0.3), (0.35, 1.0, 0.0), (1.0, 1.0, 0.3), (1.0, 1.0, 0.0)),
-     (0.0, 9.0),
-     (0.0, (4.0 - 1.0 / 0.35) / 0.3, (1.0 / 0.35 - 1.0) / 0.3, 9.0),
-     (0, 1, 2)),
+    "crossings": (
+        ((1.0, 4.0, -0.3), (0.35, 1.0, 0.0), (1.0, 1.0, 0.3), (1.0, 1.0, 0.0)),
+        (0.0, 9.0),
+        (0.0, (4.0 - 1.0 / 0.35) / 0.3, (1.0 / 0.35 - 1.0) / 0.3, 9.0),
+        (0, 1, 2)),
     # the cap binds until row 0's ratio reaches 1 at t = 2; row 1's
     # denominator crosses 1e-300 at t = 3, where its negative ratio starts
     # to bind; row 2 (c = 0) stays above the cap
-    (((1.0, 0.5, 0.25), (-1.0, -3.0, 1.0), (2.0, 1.0, 0.0), (1.0, 1.0, 0.0)),
-     (0.0, 12.0), (0.0, 2.0, 3.0, 12.0), (3, 0, 1)),
-], ids=["crossings", "cap-and-denominator"])
-def test_ray_envelope_matches_a_dense_evaluation(rows, bracket, edges,
+    "cap-and-denominator": (
+        ((1.0, 0.5, 0.25), (-1.0, -3.0, 1.0), (2.0, 1.0, 0.0), (1.0, 1.0, 0.0)),
+        (0.0, 12.0), (0.0, 2.0, 3.0, 12.0), (3, 0, 1)),
+}
+
+
+def _float_form(num, den0, coef, a, b):
+    return _ray_pieces_float(*(v.tolist() for v in (num, den0, coef)), a, b)
+
+
+@pytest.mark.parametrize("form, rows, bracket, edges, binds", [
+    pytest.param(form, *case, id=name + suffix)
+    for form, suffix in ((_float_form, ""), (_ray_pieces_np, "-numpy"))
+    for name, case in _DENSE_CASES.items()])
+def test_ray_envelope_matches_a_dense_evaluation(form, rows, bracket, edges,
                                                  binds):
+    """Either form of the envelope (the float form at the bare ids)."""
     num, den0, coef = (np.array(c) for c in zip(*rows))
-    pieces = _ray_pieces(num, den0, coef, *bracket)
+    pieces = form(num, den0, coef, *bracket)
     got_edges = np.array([p[0] for p in pieces] + [pieces[-1][1]])
     got_binds = np.array([p[2] for p in pieces])
     assert got_binds.tolist() == list(binds)
@@ -374,6 +390,141 @@ def test_ray_envelope_matches_a_dense_evaluation(rows, bracket, edges,
     piece = np.searchsorted(got_edges, t, side="right") - 1
     piece = np.minimum(piece, got_binds.size - 1)
     assert np.array_equal(got_binds[piece][~near], dense[~near])
+
+
+def _random_rays(rng):
+    """(rows, a, b): per style and row count m from 2 to _FLOAT_RAY_ROWS +
+    2, random rays ending in the flat row (1, 1, 0). Styles: spread
+    floats; small halves, whose crossings coincide, meet a or b, and
+    whose rows tie or repeat; rows with c = 0; magnitudes to 1e+-200,
+    whose products overflow to inf and underflow to 0."""
+    def spread(m):
+        return (rng.uniform(0.1, 3.0, m), rng.uniform(-2.0, 3.0, m),
+                rng.uniform(-0.5, 0.5, m))
+
+    def halves(m):
+        return (rng.integers(-1, 5, m) / 2.0, rng.integers(-4, 5, m) / 2.0,
+                rng.integers(-2, 3, m) / 2.0)
+
+    def flat_rows(m):
+        num, den0, coef = spread(m)
+        return num, den0, np.where(rng.random(m) < 0.5, 0.0, coef)
+
+    def repeats(m):
+        num, den0, coef = halves(m)
+        k = rng.integers(m, size=m)
+        return num[k], den0[k], coef[k]
+
+    def extreme(m):
+        num, den0, coef = spread(m)
+        return tuple(v * 10.0 ** rng.integers(-200, 201, m)
+                     for v in (num, den0, coef))
+
+    for style in (spread, halves, flat_rows, repeats, extreme):
+        for m in range(2, _FLOAT_RAY_ROWS + 3):
+            for _ in range(40):
+                rows = list(zip(*(np.append(v, e).tolist() for v, e in zip(
+                    style(m - 1), (1.0, 1.0, 0.0)))))
+                a = float(rng.choice([0.0, 0.5, 1.0])) * rng.random()
+                yield rows, a, a + float(rng.choice([1.0, 2.0, 10.0]))
+
+
+def _edge_rays():
+    """(rows, a, b): rays at the float form's corner cases. Two rows tie
+    throughout (the second is the first doubled, bitwise its ratio) or
+    are equal; a denominator sits at, just under and just over _RAY_EPS,
+    constant or crossing it mid-bracket; a pairwise crossing or a
+    denominator's crossing of _RAY_EPS is exactly a or b."""
+    flat = [1.0, 1.0, 0.0]
+    row = [0.7, 0.4, 0.3]
+    yield [row, [2 * v for v in row], flat], 0.0, 5.0
+    yield [row, list(row), [0.5, 2.0, -0.25], flat], 0.0, 9.0
+    for e in (_RAY_EPS, np.nextafter(_RAY_EPS, 0.0),
+              np.nextafter(_RAY_EPS, 1.0)):
+        e = float(e)
+        yield [[1e-300, e, 0.0], [2e-300, e, 0.0], row, flat], 0.0, 3.0
+        yield [[1.0, e - 1e-301, 1e-301], [1e-290, e, 0.0], flat], 0.0, 4.0
+    k, l = [1.0, 4.0, -0.3], [0.35, 1.0, 0.0]
+    t = (k[1] * l[0] - k[0] * l[1]) / (k[0] * l[2] - k[2] * l[0])
+    for a, b in ((t, t + 2.0), (t - 2.0, t)):
+        yield [k, l, [1.0, 1.0, 0.3], flat], a, b
+    cut = [-1.0, -3.0, 1.0]
+    t = (_RAY_EPS - cut[1]) / cut[2]
+    for a, b in ((t, 12.0), (0.0, t)):
+        yield [cut, [1.0, 0.5, 0.25], flat], a, b
+
+
+def _candidate_rays():
+    """(rows, a, b): each demand search's ray and bracket at the bundled
+    candidates, solved at tol 1e-9 as certification does."""
+    for inst in bundled_instances():
+        cand = construct_candidate_ne(inst, solve(inst, tol=1e-9))
+        state = _SweepState(inst)
+        slopes = state.slopes(cand, _peer_means(inst, cand.prices))
+        for i in range(inst.n_agents):
+            ray = _DemandObjective(state, cand, i, slopes)._ray
+            yield (list(zip(*ray[:3])),
+                   game._demand_floor(float(inst.d[i])), inst.D + 1.0)
+
+
+def _hexed(pieces):
+    return [(ta.hex(), tb.hex(), l) for ta, tb, l in pieces]
+
+
+def test_float_envelope_is_the_numpy_envelope_bitwise():
+    """On random rays on both sides of the row rule, rays at the float
+    form's corner cases and the rays of the bundled candidates, the float
+    envelope's piece bounds and binding rows are bitwise the numpy
+    envelope's, and _ray_pieces takes the float one up to
+    _FLOAT_RAY_ROWS rows and the numpy one past it."""
+    rng = np.random.default_rng(41)
+    cases = [*_random_rays(rng), *_edge_rays(), *_candidate_rays()]
+    sides = set()
+    for rows, a, b in cases:
+        num, den0, coef = (list(c) for c in zip(*rows))
+        with np.errstate(over="ignore", under="ignore"):
+            want = _hexed(_ray_pieces_np(*map(np.array, (num, den0, coef)),
+                                         a, b))
+            ruled = _hexed(_ray_pieces(num, den0, coef, a, b))
+        assert _hexed(_ray_pieces_float(num, den0, coef, a, b)) == want, \
+            (rows, a, b)
+        assert ruled == want
+        sides.add(len(num) <= _FLOAT_RAY_ROWS)
+    assert sides == {True, False}
+    assert len(cases) >= 1200
+
+
+def test_rays_of_certify_are_floats_and_rays_at_size_arrays(monkeypatch):
+    """Every demand search of the certify workload's pass (both bundles,
+    each variant the bundle admits) takes the float envelope, and the
+    best responses of the N = 200, L = 40 instance, whose rays have 41
+    rows, the numpy one."""
+    calls = []
+    for name in ("_ray_pieces_float", "_ray_pieces_np"):
+        def spy(num, *args, _name=name, _form=getattr(allocation, name)):
+            calls.append((_name, len(num)))
+            return _form(num, *args)
+        monkeypatch.setattr(allocation, name, spy)
+    searches = 0
+    for bundle, variants in (("base", ("base", "sbb-ne")),
+                             ("sbb-offeq", ("base", "sbb-ne", "sbb-offeq"))):
+        for sc in bundled_scenarios(bundle):
+            inst = generate(*sc)
+            cand = construct_candidate_ne(inst, solve(inst, tol=1e-9))
+            for variant in variants:
+                verify_epsilon_ne(inst, variant, cand, eps=1e-6,
+                                  deviations=200, seed=0)
+                searches += inst.n_agents
+    assert searches == 150
+    assert {name for name, _ in calls} == {"_ray_pieces_float"}
+    assert len(calls) == searches
+    assert max(m for _, m in calls) <= _FLOAT_RAY_ROWS
+    calls.clear()
+    inst = large_instance()
+    prof = make_profile(inst, inst.d + 1.0)
+    for i in range(0, inst.n_agents, 50):
+        best_response_demand(inst, "base", prof, i)
+    assert calls == [("_ray_pieces_np", inst.n_constraints + 1)] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -1233,12 +1384,13 @@ class ArrayDemandObjective(_DemandObjective):
         den0 = self.ay - coef * self.y_i - state.rv_theta
         n_, d_, c_ = (np.append(v[nv], e)
                       for v, e in ((num, 1.0), (den0, 1.0), (coef, 0.0)))
-        return (n_, d_, c_, n_.tolist(), num[rows], den0[rows], coef[rows],
+        return (n_, d_, c_, num[rows], den0[rows], coef[rows],
                 float(state.theta[self.i]))
 
     def value(self, t):
-        _, d_, c_, nums, n_r, d_r, c_r, theta_i = self._ray
-        alpha = min(n / e for n, e in zip(nums, (d_ + c_ * t).tolist())
+        n_, d_, c_, n_r, d_r, c_r, theta_i = self._ray
+        alpha = min(n / e for n, e in zip(n_.tolist(),
+                                          (d_ + c_ * t).tolist())
                     if e > game._RAY_EPS)
         x_i = theta_i + alpha * (self.y0k + self.beta * t - theta_i)
         d_rows = n_r - alpha * (d_r + c_r * t)
@@ -1246,9 +1398,10 @@ class ArrayDemandObjective(_DemandObjective):
         return self.v(x_i) - x_i * self.c_pay - slack_tax
 
     def ray_argmaxes(self, a, b):
-        n_, d_, c_, _, n_r, d_r, c_r, theta_i = self._ray
+        n_, d_, c_, n_r, d_r, c_r, theta_i = self._ray
         g = self.y0k - theta_i
-        for ta, tb, l in _ray_pieces(n_, d_, c_, a, b):
+        # the numpy envelope at every row count
+        for ta, tb, l in _ray_pieces_np(n_, d_, c_, a, b):
             n, d, c = float(n_[l]), float(d_[l]), float(c_[l])
             if c == 0.0:
                 al = n / d
