@@ -132,16 +132,18 @@ def _ray_pieces_float(num, den0, coef, a: float, b: float) -> list:
 def _ray_pieces_np(num: np.ndarray, den0: np.ndarray, coef: np.ndarray,
                    a: float, b: float) -> list:
     """_ray_pieces on numpy arrays: every crossing in one array, then
-    every midpoint's binding row in one argmin."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    every midpoint's binding row in one argmin. Products that overflow
+    are inf, silently, as on the floats of _ray_pieces_float."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pts = np.concatenate([
             ((den0[:, None] * num - num[:, None] * den0)
              / (num[:, None] * coef - coef[:, None] * num)).ravel(),
             (_RAY_EPS - den0) / coef])
-    edges = np.sort(np.concatenate([[a], pts[(pts > a) & (pts < b)], [b]]))
-    den = den0 + coef * (0.5 * (edges[:-1] + edges[1:]))[:, None]
-    bind = np.divide(num, den, out=np.full(den.shape, np.inf),
-                     where=den > _RAY_EPS).argmin(axis=1).tolist()
+        edges = np.sort(np.concatenate([[a], pts[(pts > a) & (pts < b)],
+                                        [b]]))
+        den = den0 + coef * (0.5 * (edges[:-1] + edges[1:]))[:, None]
+        bind = np.divide(num, den, out=np.full(den.shape, np.inf),
+                         where=den > _RAY_EPS).argmin(axis=1).tolist()
     return _merge_pieces(edges.tolist(), bind)
 
 

@@ -296,6 +296,12 @@ def solve(instance: Instance, tol: float = 1e-8, max_iter: int = 100000,
     floor d breaks a non-vacuous reduced row beyond FEAS_TOL: there a
     member whose slope is infinite at 0 has an infinite price, which the
     loop would chase until max_iter.
+
+    The loop's final state is kept on the instance. A later solve whose
+    tol is at or below the kept one and whose max_iter is at or above the
+    kept iteration count continues from it instead of from the start
+    prices; the loop reads tol only in its stop test, so the result is
+    bitwise the cold solve's, iterations included.
     """
     _check_nonnegative(tol=tol, max_iter=max_iter)
     return _solve(instance, tol=tol, max_iter=max_iter, strict=strict)
@@ -306,7 +312,14 @@ def _solve(instance: Instance, tol: float, max_iter: int, strict: bool,
     """solve; with a floor margin, None as soon as _shut_out's test holds,
     at the start prices or at an accepted iterate. A draw the test does
     not stop runs the loop of solve to its end, so its solution is
-    solve's."""
+    solve's.
+
+    A loop that ends (not shut out, nothing raised) keeps (tol, it,
+    stuck, lam, z, g, phi) in the instance's _dual_state; stuck marks a
+    loop that a failed step stopped, which would fail again. A call with
+    no margin, a tol at or below the kept one and a max_iter at or above
+    the kept it resumes there: a cold run at the tighter tol passes
+    through the same iterates. The kept arrays are never written to."""
     red = instance.reduced
     if red.floor_breaks_a_cap:
         raise NoInteriorPoint("the floor d breaks a row's cap")
@@ -322,12 +335,17 @@ def _solve(instance: Instance, tol: float, max_iter: int, strict: bool,
         v = table.group_sums("value", z, gidx)
         return z, g, float(v.sum()) + float(lam @ g), q, v
 
-    lam = _start_prices(red)
-    z, g, phi, q, v = dual(lam)
-    if stop is not None and stop(z, g, phi, q, v):
-        return None
-    it = 0
-    while it < max_iter and max(
+    kept = instance.__dict__.get("_dual_state")
+    if margin is None and kept is not None and kept[0] >= tol \
+            and kept[1] <= max_iter:
+        _, it, stuck, lam, z, g, phi = kept
+    else:
+        lam = _start_prices(red)
+        z, g, phi, q, v = dual(lam)
+        if stop is not None and stop(z, g, phi, q, v):
+            return None
+        it, stuck = 0, False
+    while not stuck and it < max_iter and max(
             float(np.max(-g, initial=0.0)),
             float(np.max(np.abs(lam * g), initial=0.0))) > 1e-3 * tol:
         it += 1
@@ -360,7 +378,8 @@ def _solve(instance: Instance, tol: float, max_iter: int, strict: bool,
                 lam, z, g, phi = lam_t, z_t, g_t, phi_t
                 break
             alpha *= 0.5
-        if lam is not lam_t:
+        stuck = lam is not lam_t
+        if stuck:
             break  # the step no longer moves lam, or the arc search failed
         # q and v are the accepted trial's: it made the last dual call
         if stop is not None and stop(z, g, phi, q, v):
@@ -378,6 +397,7 @@ def _solve(instance: Instance, tol: float, max_iter: int, strict: bool,
         raise NoConvergence(
             f"residual {resid.max:.3g} above {tol:.3g} after {it} iterations",
             sol)
+    instance.__dict__["_dual_state"] = (tol, it, stuck, lam, z, g, phi)
     return sol
 
 

@@ -215,7 +215,10 @@ def generate_with_info(scenario: Scenario, seed: int
     ``non_interior`` (optimum outside the working margin), which also
     counts a draw that the solve's duality-gap certificate shuts out
     before it converges (centralized._shut_out). A negative seed and sizes
-    that no draw can build raise InvalidParameter before any draw.
+    that no draw can build raise InvalidParameter before any draw. The
+    accepted instance keeps its solve's loop state, so a later solve at
+    tol 1e-8 or below continues it (centralized.solve); a rejected draw
+    builds no row layout (Instance.index_sets).
     """
     _check_nonnegative(seed=seed)
     _check_sizes(scenario)

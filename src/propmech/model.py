@@ -18,7 +18,7 @@ import math
 import weakref
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -643,7 +643,6 @@ class IndexSets:
 
     on: np.ndarray                          # (N, L) bool, i sits on l
     counts: np.ndarray                      # (L,) members per row
-    thin_rows: tuple[int, ...]              # rows with fewer than two members
     index: np.ndarray                       # (L, m) int
     mask: np.ndarray                        # (L, m) bool
     pick: np.ndarray                        # (L, m) int, index * L + l
@@ -666,11 +665,8 @@ class IndexSets:
                         np.cumsum(~on, axis=1) + own[:, None]) - 1
         order = np.empty_like(rank)
         order[np.arange(n)[:, None], rank] = np.arange(L)
-        return cls(on=on,
-                   counts=counts,
-                   thin_rows=tuple(l for l, c in enumerate(counts.tolist())
-                                   if c < 2),
-                   index=index, mask=mask, pick=index * L + row,
+        return cls(on=on, counts=counts, index=index, mask=mask,
+                   pick=index * L + row,
                    coef=np.where(mask, A[row, index], 0.0),
                    rows_of_agent=tuple(o[:k] for o, k in zip(order, own)),
                    cells=(np.arange(n)[:, None] * L
@@ -763,6 +759,13 @@ class Instance:
     @cached_property
     def index_sets(self) -> IndexSets:
         return IndexSets.of(self.A)
+
+    @cached_property
+    def thin_rows(self) -> tuple[int, ...]:
+        """The rows with fewer than two members (what A4 refuses), read
+        from A's nonzero counts alone, without the row layout."""
+        return tuple(np.flatnonzero(
+            np.count_nonzero(self.A, axis=1) < 2).tolist())
 
     @cached_property
     def reduced(self) -> "ReducedInstance":
@@ -1093,6 +1096,15 @@ class ValidationReport(_AsDict):
         return tuple(c for c in self.checks if c.status == "fail")
 
 
+@lru_cache(maxsize=16)
+def _a1_grid(D: float) -> np.ndarray:
+    """A1's 23 test points, geometric on [max(1e-6 D, 1e-9), D], built
+    once per D and read-only."""
+    grid = np.geomspace(max(D * 1e-6, 1e-9), D, 23)
+    grid.flags.writeable = False
+    return grid
+
+
 def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
              x_star: "np.ndarray | None" = None) -> ValidationReport:
     """Check the standing assumptions; returns one entry per assumption.
@@ -1115,7 +1127,7 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
 
     # A1: strictly concave, increasing-at-zero valuations with valid params.
     table = instance.valuation_table
-    grid = np.geomspace(max(instance.D * 1e-6, 1e-9), instance.D, 23)
+    grid = _a1_grid(instance.D)
     not_concave = ~np.all(
         table.deriv2(np.broadcast_to(grid, (n, grid.size))) < 0, axis=1)
     not_increasing = table.deriv(np.zeros(n)) <= 0
@@ -1157,7 +1169,7 @@ def validate(instance: Instance, variant: "str | Variant" = Variant.BASE,
         f"negative caps at rows {neg.tolist()}" if neg.size else ""))
 
     # A4: every constraint touches at least two agents.
-    thin = list(instance.index_sets.thin_rows)
+    thin = list(instance.thin_rows)
     checks.append(CheckResult(
         "A4", "fail" if thin else "pass",
         f"constraints {thin} touch fewer than two agents" if thin else ""))

@@ -198,7 +198,7 @@ def _check_price_values(prices: np.ndarray) -> np.ndarray:
 def _require_peers(instance: Instance) -> None:
     """Every tax term averages a member's peers on a row, dividing by the
     member count minus one, so every constraint needs two members."""
-    thin = instance.index_sets.thin_rows
+    thin = instance.thin_rows
     if thin:
         raise AgentNotOnConstraint(
             f"constraints {list(thin)} have a single member, so no peer "

@@ -1,19 +1,23 @@
 import math
 import time
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
-from propmech import harness
+from propmech import centralized, harness
 from propmech.centralized import (NoConvergence, TooLarge, _argmax_inner,
                                   _complete_multipliers, _nonunique_rows,
                                   _shut_out, _solve, _start_prices,
                                   brute_force_oracle, kkt_residuals,
                                   objective, solve)
 from propmech.harness import (Scenario, bundled_scenarios,
-                              canonical_instance, generate)
+                              canonical_instance, generate,
+                              generate_with_info)
 from propmech.model import (Constraint, DimensionMismatch, DomainError,
-                            Instance, NoInteriorPoint, Valuation, validate)
+                            Instance, NoInteriorPoint, Valuation,
+                            instance_from_dict, instance_to_dict, validate)
+from test_acceptance import population_scenarios
 
 
 def _quad_pair(cap: float) -> Instance:
@@ -721,8 +725,118 @@ def test_shut_out_certificate_on_a_hand_built_pair():
     # the canonical pair, interior at (1/2, 1/2): no check fires, and the
     # solution is solve's
     inner = _pair(1.0)
-    sol, ref = _screened(inner), _full(inner)
+    ref = _full(inner)
+    sol = _screened(inner)  # with a margin, the loop starts cold
     assert sol.x_star == pytest.approx([0.5, 0.5], abs=1e-9)
     assert _verdict(inner, sol) == "accepted"
     assert np.array_equal(sol.x_star, ref.x_star)
     assert np.array_equal(sol.lambda_star, ref.lambda_star)
+
+
+# ---------------------------------------------------------------------------
+# the dual loop's state, kept on the instance
+
+
+def _fresh(inst: Instance) -> Instance:
+    """A copy of inst that keeps nothing derived, no loop state either."""
+    return instance_from_dict(instance_to_dict(inst))
+
+
+def _bits(sol) -> tuple:
+    """Every field of a CentralizedSolution, floats and arrays as bytes."""
+    def bits(v):
+        if isinstance(v, np.ndarray):
+            return v.dtype.str, v.shape, v.tobytes()
+        if isinstance(v, float):
+            return v.hex()
+        if is_dataclass(v):
+            return tuple(bits(getattr(v, f.name)) for f in fields(v))
+        return v
+    return bits(sol)
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Counts the calls of centralized.<name> in calls[0]."""
+    calls, form = [0], getattr(centralized, name)
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return form(*args, **kwargs)
+    monkeypatch.setattr(centralized, name, spy)
+    return calls
+
+
+def _generated_cases():
+    return [*population_scenarios(), *bundled_scenarios("base"),
+            *bundled_scenarios("sbb-offeq")]
+
+
+def test_solve_after_generation_resumes_and_is_the_cold_solve(monkeypatch):
+    """On the criterion-1 population and both bundles, solve at 1e-8 and
+    then 1e-9 after generation continues generation's loop: no start
+    prices, and only the dual calls that the extra iterations make (the
+    cold 1e-9 solve's less the cold 1e-8 solve's). Every field is bitwise
+    the cold solve's on a fresh copy."""
+    starts = _counting(monkeypatch, "_start_prices")
+    duals = _counting(monkeypatch, "_argmax_inner")
+    extra = 0
+    for sc, seed in _generated_cases():
+        inst, info = generate_with_info(sc, seed)
+        cold = {}
+        for tol in (1e-8, 1e-9):
+            duals[0] = 0
+            cold[tol] = solve(_fresh(inst), tol=tol)
+            cold[tol, "duals"] = duals[0]
+        assert _bits(info["solution"]) == _bits(cold[1e-8])
+        for tol in (1e-8, 1e-9):
+            starts[0] = duals[0] = 0
+            sol = solve(inst, tol=tol)
+            assert _bits(sol) == _bits(cold[tol]), (sc, seed, tol)
+            assert starts[0] == 0
+            extra += sol.iterations - info["solution"].iterations
+        assert duals[0] == cold[1e-9, "duals"] - cold[1e-8, "duals"]
+    assert extra > 0
+
+
+def test_solve_starts_cold_where_the_kept_state_cannot_serve(monkeypatch):
+    """A looser tol, a max_iter below the kept iteration count and a
+    margin call each start from the start prices, and give the cold
+    solve's fields bitwise; a shut-out call keeps no state."""
+    starts = _counting(monkeypatch, "_start_prices")
+    for sc, seed in _generated_cases()[::4]:
+        inst, info = generate_with_info(sc, seed)
+        kept = info["solution"].iterations
+        # below generation's iteration count (kept at 1e-8), then looser
+        # than the 1e-9 that this solve keeps
+        for kwargs in ([{"tol": 1e-9, "max_iter": kept - 1}] if kept else []) \
+                + [{"tol": 1e-6}]:
+            starts[0] = 0
+            sol = solve(inst, strict=False, **kwargs)
+            assert starts[0] == 1
+            assert _bits(sol) == _bits(
+                solve(_fresh(inst), strict=False, **kwargs))
+        starts[0] = 0
+        sol = _solve(inst, tol=1e-8, max_iter=5000, strict=False, margin=1e-3)
+        assert starts[0] == 1
+        assert _bits(sol) == _bits(info["solution"])
+    shut = _pair(10.0)
+    assert _screened(shut) is None
+    assert "_dual_state" not in shut.__dict__
+
+
+def test_a_loop_that_a_failed_step_stopped_resumes_stopped(monkeypatch):
+    """At tol 0 the loop runs until a step no longer moves lam. Solved
+    again, it resumes there with no dual call, and every field is the
+    first solve's and a fresh copy's, bitwise."""
+    duals = _counting(monkeypatch, "_argmax_inner")
+    stuck = 0
+    for inst, _ in harness._suite_instances():
+        inst = _fresh(inst)
+        first = solve(inst, tol=0.0, strict=False)
+        stuck += inst.__dict__["_dual_state"][2]
+        duals[0] = 0
+        again = solve(inst, tol=0.0, strict=False)
+        assert duals[0] == 0
+        assert _bits(again) == _bits(first) \
+            == _bits(solve(_fresh(inst), tol=0.0, strict=False))
+    assert stuck

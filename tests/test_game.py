@@ -482,7 +482,7 @@ def test_float_envelope_is_the_numpy_envelope_bitwise():
     sides = set()
     for rows, a, b in cases:
         num, den0, coef = (list(c) for c in zip(*rows))
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(under="ignore"):
             want = _hexed(_ray_pieces_np(*map(np.array, (num, den0, coef)),
                                          a, b))
             ruled = _hexed(_ray_pieces(num, den0, coef, a, b))
@@ -492,6 +492,25 @@ def test_float_envelope_is_the_numpy_envelope_bitwise():
         sides.add(len(num) <= _FLOAT_RAY_ROWS)
     assert sides == {True, False}
     assert len(cases) >= 1200
+
+
+def test_envelope_past_the_row_rule_overflows_silently():
+    """Rays of 7 and 8 rows at magnitudes to 1e+-200, whose products
+    overflow, take the numpy envelope with no RuntimeWarning (an error
+    under pyproject's filter), as shorter rays take the float one, and
+    give the float envelope's pieces bitwise."""
+    rng = np.random.default_rng(42)
+    for m in (_FLOAT_RAY_ROWS + 1, _FLOAT_RAY_ROWS + 2):
+        for _ in range(40):
+            num, den0, coef = (
+                np.append(v * 10.0 ** rng.integers(-200, 201, m - 1),
+                          e).tolist()
+                for v, e in zip((rng.uniform(0.1, 3.0, m - 1),
+                                 rng.uniform(-2.0, 3.0, m - 1),
+                                 rng.uniform(-0.5, 0.5, m - 1)),
+                                (1.0, 1.0, 0.0)))
+            assert _hexed(_ray_pieces(num, den0, coef, 0.0, 2.0)) \
+                == _hexed(_ray_pieces_float(num, den0, coef, 0.0, 2.0))
 
 
 def test_rays_of_certify_are_floats_and_rays_at_size_arrays(monkeypatch):

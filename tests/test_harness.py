@@ -21,8 +21,9 @@ from propmech.harness import (ExperimentConfig, GenerationFailed, Scenario,
                               run_experiment, write_trace_csv)
 from propmech.game import run_dynamics
 from propmech.model import (InvalidParameter, NNLSNoConvergence, Variant,
-                            instance_digest, instance_to_dict, load_instance,
-                            save_instance)
+                            instance_digest, instance_from_dict,
+                            instance_to_dict, load_instance, save_instance,
+                            validate)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +116,32 @@ def test_generated_solution_is_bitwise_the_full_solve():
     for sc, seed in [(Scenario(kind="unicast", n_agents=7, n_constraints=3),
                       8), *bundled_scenarios("base")[:4]]:
         inst, info = generate_with_info(sc, seed)
-        ref = harness.solve(inst, tol=1e-8, max_iter=5000, strict=False)
+        # a fresh copy: solve on inst itself would resume the loop state
+        # that generation kept, and so compare that state with itself
+        ref = harness.solve(instance_from_dict(instance_to_dict(inst)),
+                            tol=1e-8, max_iter=5000, strict=False)
         sol = info["solution"]
         assert np.array_equal(sol.x_star, ref.x_star)
         assert np.array_equal(sol.lambda_star, ref.lambda_star)
         assert (sol.objective, sol.iterations, sol.residuals) \
             == (ref.objective, ref.iterations, ref.residuals)
+
+
+def test_a_rejected_draw_builds_no_row_layout():
+    """validate on a fresh draw, and a solve that the duality-gap
+    certificate shuts out, leave the row layout (Instance.index_sets)
+    unbuilt."""
+    sc = Scenario(kind="unicast", n_agents=6, n_constraints=3)
+    shut = 0
+    for attempt in range(20):
+        inst = harness._build(sc, harness._rng_for(sc, 0, attempt))
+        validate(inst)
+        assert "index_sets" not in inst.__dict__
+        if harness._solve(inst, tol=1e-8, max_iter=5000, strict=False,
+                          margin=1e-3) is None:
+            shut += 1
+            assert "index_sets" not in inst.__dict__
+    assert shut
 
 
 def test_a_dropped_instance_is_freed_without_the_cycle_collector():
